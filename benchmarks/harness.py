@@ -353,29 +353,6 @@ def _bench_lossy_channels(quick: bool):
 
 
 @register_bench(
-    "lossy_batched",
-    "Same load as lossy_channels but with vectorized (batched) sampling",
-)
-def _bench_lossy_batched(quick: bool):
-    n = 10 if quick else 24
-    scenario = Scenario(
-        name="bench-lossy-batched",
-        algorithm="algorithm2",
-        n_processes=n,
-        seed=7,
-        loss=LossSpec.bernoulli(0.3, batch=1024),
-        delay=DelaySpec.exponential(mean=0.4, cap=5.0, batch=1024),
-        workload="burst",
-        metadata={"burst_size": max(4, n // 2)},
-        stop_when_quiescent=True,
-        drain_grace_period=2.0,
-        max_time=400.0,
-        trace_enabled=False,
-    )
-    return _run_engine_scenario(scenario, metrics_level=MetricsLevel.COUNTERS)
-
-
-@register_bench(
     "tracing_full",
     "Mid-size Algorithm 2 run with full tracing and metrics recording on",
 )

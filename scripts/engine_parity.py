@@ -15,9 +15,10 @@ Usage (from the repository root)::
 On mismatch, one ``parity_<scenario>.json`` digest-diff per failing
 scenario is written into ``--artifacts`` (CI uploads the directory) and
 the script exits non-zero.  The script also fails if no compared backend
-ever took its batched dispatch path — that would make the whole gate
-vacuous (everything silently falling back to per-event dispatch *is*
-bit-identical, but proves nothing).
+ever took its batched dispatch path, or if either way of consuming a
+delivery run (the batched receiver, the boxed adapter) never ran — that
+would make the gate vacuous (everything silently falling back to per-event
+dispatch *is* bit-identical, but proves nothing).
 """
 
 from __future__ import annotations
@@ -54,13 +55,13 @@ def main(argv: list[str] | None = None) -> int:
     reports = check_parity(engines=engines)
     failed = [report for report in reports if not report.ok]
     batched_runs = 0
-    consumed_runs = 0
+    consume_runs = {"batched": 0, "boxed": 0}
     for report in reports:
         modes = {run.engine: run.dispatch_mode for run in report.runs}
         batched_runs += sum(1 for mode in modes.values() if mode == "batched")
-        consumed_runs += sum(
-            1 for run in report.runs if run.consume_mode == "batched"
-        )
+        for run in report.runs:
+            if run.consume_mode is not None:
+                consume_runs[run.consume_mode] += 1
         verdict = "ok" if report.ok else "MISMATCH " + ",".join(report.mismatched)
         consumes = {run.engine: run.consume_mode for run in report.runs
                     if run.consume_mode is not None}
@@ -82,15 +83,16 @@ def main(argv: list[str] | None = None) -> int:
               "— the parity gate would be vacuous")
         return 1
 
-    if consumed_runs == 0:
-        print("FAIL: no compared backend ever activated the batched receiver "
-              "(consume_mode == 'batched') — its parity coverage would be "
-              "vacuous")
-        return 1
+    for mode, count in consume_runs.items():
+        if count == 0:
+            print(f"FAIL: no compared backend ever reported consume_mode == "
+                  f"{mode!r} — that path's parity coverage would be vacuous")
+            return 1
 
     print(f"parity OK: {len(reports)} scenarios, "
           f"{batched_runs} batched backend runs, "
-          f"{consumed_runs} batched-receiver runs")
+          f"{consume_runs['batched']} batched-receiver runs, "
+          f"{consume_runs['boxed']} boxed-adapter runs")
     return 0
 
 

@@ -45,7 +45,8 @@ class BatchConsumer(Protocol):
     and broadcasts, so its RNG/sequence consumption must interleave exactly
     as the reference engine's.  The contract is bit-identical observable
     state: delivery logs, protocol state dicts (after :meth:`flush`), and
-    the positions at which deliveries fire.
+    the positions at which deliveries fire.  Processes without such a
+    receiver get a :class:`BoxedConsumer`.
     """
 
     #: Whether :meth:`consume_acks` evaluates failure-detector views (the
@@ -78,6 +79,31 @@ class BatchConsumer(Protocol):
         per-event code (tick handlers, post-run introspection) reads exactly
         what the reference engine would have left there."""
         ...
+
+
+class BoxedConsumer:
+    """The :class:`BatchConsumer` of a run the batched receiver declined.
+
+    The engine replays *every* reception of such a run — ACKs included, a
+    generic protocol's ACK handler may draw randomness or broadcast — one at
+    a time through :meth:`handle_msg`, which is ``on_receive``.  Deliveries
+    reach the engine through the environment as on the per-event path, and
+    no protocol state is maintained lazily, so :meth:`consume_acks` is never
+    called and :meth:`flush` has nothing to do.
+    """
+
+    needs_views = False
+
+    __slots__ = ("_on_receive",)
+
+    def __init__(self, process: "BroadcastProtocol") -> None:
+        self._on_receive = process.on_receive
+
+    def handle_msg(self, payload: Any, position: int) -> None:
+        self._on_receive(payload)
+
+    def flush(self) -> None:
+        pass
 
 
 @runtime_checkable
@@ -180,8 +206,8 @@ class BroadcastProtocol(abc.ABC):
         """Return a :class:`BatchConsumer` for this process, or ``None``.
 
         ``None`` (the default) means the protocol has no batched receiver
-        and the engine must box every delivery back through
-        :meth:`on_receive`.  Implementations receive the run-wide
+        and the engine replays every delivery through :meth:`on_receive`
+        (:class:`BoxedConsumer`).  Implementations receive the run-wide
         :class:`~repro.core.state.PayloadInterner` and a per-process
         ``view_window`` callable for AΘ reads.  Protocols whose consumer
         cannot reproduce a configuration exactly (e.g. Algorithm 2 under

@@ -11,10 +11,11 @@ This module is the executable form of that contract:
 * :func:`parity_cases` is the scenario battery, chosen so that every
   dispatch path of the vectorized backend is exercised: the homogeneous
   Bernoulli/uniform rows of its vector sampler, the generic per-channel
-  fallback (exponential and block-sampled models), the fairness guard
-  (heavy loss), degenerate all-drop rows, reliable and quasi-reliable
-  channel families, crashes on both paths, and both merge loops (sliced
-  for bounded delays, per-entry for unbounded ones).
+  sampler (all-drop rows, reliable and quasi-reliable channel families),
+  the fairness guard (heavy loss), crashes, both ways of consuming a
+  delivery run (the batched receivers of Algorithms 1 and 2, and the boxed
+  adapter for every reason the consumer gate declines), and the per-event
+  fallback for unbounded-below delays.
 * :func:`compare_engines` runs one scenario under several backends and
   reports exactly which fingerprint components disagree.
 
@@ -136,7 +137,9 @@ def run_fingerprint(
     fp = fingerprint(result)
     # Channel statistics live on the network (not the result); batching
     # backends defer their per-channel counter updates and must land on
-    # exactly the per-transmit totals.
+    # exactly the per-transmit totals.  Only channels that carried traffic
+    # are compared: channels are built lazily, and a backend may build the
+    # rows of processes that never send (to bound their delays).
     fp["channel_stats"] = {
         f"{src}->{dst}": {
             "attempts": channel.stats.attempts,
@@ -145,6 +148,7 @@ def run_fingerprint(
             "forced_deliveries": channel.stats.forced_deliveries,
         }
         for (src, dst), channel in sorted(built.network.channels.items())
+        if channel.stats.attempts
     }
     return EngineRun(
         engine=engine,
@@ -204,13 +208,9 @@ def parity_cases() -> tuple[Scenario, ...]:
         base.with_(name="noloss-uniform", loss=LossSpec.none()),
         # Equal delays: the chunk-internal no-sort fast path.
         base.with_(name="bernoulli-fixed", delay=DelaySpec.fixed(0.3)),
-        # Unbounded-below delays: generic sampler + per-entry merge.
+        # Unbounded-below delays: no slice window, per-event fallback.
         base.with_(name="bernoulli-exponential",
                    delay=DelaySpec.exponential(mean=0.3, cap=2.0)),
-        # Block-sampled models: generic sampler + sliced merge.
-        base.with_(name="batched-models",
-                   loss=LossSpec.bernoulli(0.2, batch=64),
-                   delay=DelaySpec.uniform(0.05, 0.5, batch=64)),
         # Heavy loss: the fairness guard forces deliveries.
         base.with_(name="heavy-loss-guard",
                    loss=LossSpec.bernoulli(0.7), fairness_bound=2,
@@ -237,6 +237,22 @@ def parity_cases() -> tuple[Scenario, ...]:
                    loss=LossSpec.none()),
         base.with_(name="quasi-reliable", channel_type="quasi_reliable",
                    loss=LossSpec.none(), crashes={1: 5.0}),
+        # Boxed consumption, one case per way the consumer gate declines.
+        # No batch consumer: strict-equality Algorithm 2 and the baselines
+        # (whose ACK handlers the adapter must replay in run order).
+        base.with_(name="strict-equality", strict_equality=True),
+        base.with_(name="strict-equality-crashes", strict_equality=True,
+                   crashes={4: 3.0, 5: 9.0}),
+        base.with_(name="eager-rb", algorithm="eager_rb",
+                   stop_when_quiescent=False, max_time=20.0),
+        base.with_(name="identified-urb", algorithm="identified_urb",
+                   stop_when_quiescent=False, max_time=20.0),
+        # Only the sender's channel row ever carries traffic.
+        base.with_(name="best-effort", algorithm="best_effort",
+                   stop_when_quiescent=False, max_time=20.0),
+        # AΘ without stable view windows.
+        base.with_(name="unstable-view-windows", fd_policy="all_processes",
+                   crashes={5: 4.0}),
     )
 
 

@@ -3,8 +3,6 @@ completely connected topology (paper §II)."""
 
 from .channel import Channel, ChannelStats, LossyChannel
 from .delay import (
-    BatchedExponentialDelay,
-    BatchedUniformDelay,
     DelayModel,
     DelaySpec,
     ExponentialDelay,
@@ -17,9 +15,7 @@ from .fair_lossy import (
     FairLossyChannelFactory,
 )
 from .loss import (
-    DEFAULT_SAMPLE_BLOCK,
     AdversarialFiniteLoss,
-    BatchedBernoulliLoss,
     BernoulliLoss,
     DropFirstK,
     GilbertElliottLoss,
@@ -39,14 +35,10 @@ from .reliable import (
 
 __all__ = [
     "AdversarialFiniteLoss",
-    "BatchedBernoulliLoss",
-    "BatchedExponentialDelay",
-    "BatchedUniformDelay",
     "BernoulliLoss",
     "Channel",
     "ChannelStats",
     "DEFAULT_FAIRNESS_BOUND",
-    "DEFAULT_SAMPLE_BLOCK",
     "DelayModel",
     "DelaySpec",
     "DropFirstK",

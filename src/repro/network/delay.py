@@ -14,10 +14,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-import numpy as np
-
-from .loss import DEFAULT_SAMPLE_BLOCK, batched_generator
-
 
 class DelayModel(abc.ABC):
     """Produces per-copy channel delays."""
@@ -98,83 +94,6 @@ class ExponentialDelay(DelayModel):
         return f"exponential(mean={self.mean:g}{cap})"
 
 
-class BatchedUniformDelay(DelayModel):
-    """Uniform delay drawing its samples in vectorized NumPy blocks.
-
-    Same distribution as :class:`UniformDelay`, but the samples come from a
-    per-channel ``numpy.random.Generator`` refilled *block* at a time.
-    NumPy streams are chunking-invariant, so the block size never affects
-    the simulated run (only the stdlib-vs-NumPy stream choice does).
-    """
-
-    def __init__(self, rng: random.Random, low: float = 0.1, high: float = 1.0,
-                 block: int = DEFAULT_SAMPLE_BLOCK) -> None:
-        if low <= 0 or high <= 0:
-            raise ValueError("delay bounds must be positive")
-        if high < low:
-            raise ValueError("high must be >= low")
-        if block < 1:
-            raise ValueError("block size must be >= 1")
-        self.low = float(low)
-        self.high = float(high)
-        self.block = int(block)
-        self._gen = batched_generator(rng)
-        # Reversed plain-list buffer consumed with C-level ``list.pop()``.
-        self._samples: list[float] = []
-
-    def sample(self) -> float:
-        samples = self._samples
-        if not samples:
-            samples = self._samples = self._gen.uniform(
-                self.low, self.high, self.block
-            ).tolist()
-            samples.reverse()
-        return samples.pop()
-
-    def describe(self) -> str:
-        return f"uniform({self.low:g}, {self.high:g}, batched)"
-
-
-class BatchedExponentialDelay(DelayModel):
-    """Exponential delay (with min/cap clamping) sampled in NumPy blocks.
-
-    Same distribution shape as :class:`ExponentialDelay`; the clamping to
-    ``[minimum, cap]`` is applied vectorized on each refilled block.
-    """
-
-    def __init__(self, rng: random.Random, mean: float = 0.5,
-                 cap: Optional[float] = None, minimum: float = 1e-3,
-                 block: int = DEFAULT_SAMPLE_BLOCK) -> None:
-        if mean <= 0:
-            raise ValueError("mean must be positive")
-        if cap is not None and cap <= 0:
-            raise ValueError("cap must be positive when given")
-        if minimum <= 0:
-            raise ValueError("minimum must be positive")
-        if block < 1:
-            raise ValueError("block size must be >= 1")
-        self.mean = float(mean)
-        self.cap = float(cap) if cap is not None else None
-        self.minimum = float(minimum)
-        self.block = int(block)
-        self._gen = batched_generator(rng)
-        # Reversed plain-list buffer consumed with C-level ``list.pop()``.
-        self._samples: list[float] = []
-
-    def sample(self) -> float:
-        samples = self._samples
-        if not samples:
-            block = self._gen.exponential(self.mean, self.block)
-            np.clip(block, self.minimum, self.cap, out=block)
-            samples = self._samples = block.tolist()
-            samples.reverse()
-        return samples.pop()
-
-    def describe(self) -> str:
-        cap = f", cap={self.cap:g}" if self.cap is not None else ""
-        return f"exponential(mean={self.mean:g}{cap}, batched)"
-
-
 @dataclass(frozen=True)
 class DelaySpec:
     """Declarative factory of per-channel :class:`DelayModel` instances.
@@ -202,6 +121,13 @@ class DelaySpec:
             )
         if self.kind == "custom" and self.factory is None:
             raise ValueError("custom delay spec requires a factory")
+        if "batch" in self.params:
+            # Stored scenario dicts may still carry the key; fail here, by
+            # name, not as a TypeError when the first channel is built.
+            raise ValueError(
+                "delay spec parameter 'batch' is not supported: channels "
+                "sample one copy at a time"
+            )
 
     @classmethod
     def fixed(cls, delay: float = 1.0) -> "DelaySpec":
@@ -209,31 +135,17 @@ class DelaySpec:
         return cls(kind="fixed", params={"delay": delay})
 
     @classmethod
-    def uniform(cls, low: float = 0.1, high: float = 1.0,
-                batch: Optional[int] = None) -> "DelaySpec":
-        """Uniform delay in ``[low, high]``.
-
-        With ``batch`` set, channels sample in vectorized NumPy blocks of
-        that size (see :class:`BatchedUniformDelay`).
-        """
-        params: dict = {"low": low, "high": high}
-        if batch is not None:
-            params["batch"] = int(batch)
-        return cls(kind="uniform", params=params)
+    def uniform(cls, low: float = 0.1, high: float = 1.0) -> "DelaySpec":
+        """Uniform delay in ``[low, high]``."""
+        return cls(kind="uniform", params={"low": low, "high": high})
 
     @classmethod
-    def exponential(cls, mean: float = 0.5, cap: Optional[float] = None,
-                    batch: Optional[int] = None) -> "DelaySpec":
-        """Exponential delay with the given mean (optionally capped).
-
-        With ``batch`` set, channels sample in vectorized NumPy blocks of
-        that size (see :class:`BatchedExponentialDelay`).
-        """
+    def exponential(cls, mean: float = 0.5,
+                    cap: Optional[float] = None) -> "DelaySpec":
+        """Exponential delay with the given mean (optionally capped)."""
         params: dict = {"mean": mean}
         if cap is not None:
             params["cap"] = cap
-        if batch is not None:
-            params["batch"] = int(batch)
         return cls(kind="exponential", params=params)
 
     @classmethod
@@ -246,16 +158,8 @@ class DelaySpec:
         if self.kind == "fixed":
             return FixedDelay(**self.params)
         if self.kind == "uniform":
-            if "batch" in self.params:
-                params = dict(self.params)
-                batch = params.pop("batch")
-                return BatchedUniformDelay(rng=rng, block=batch, **params)
             return UniformDelay(rng=rng, **self.params)
         if self.kind == "exponential":
-            if "batch" in self.params:
-                params = dict(self.params)
-                batch = params.pop("batch")
-                return BatchedExponentialDelay(rng=rng, block=batch, **params)
             return ExponentialDelay(rng=rng, **self.params)
         assert self.kind == "custom" and self.factory is not None
         return self.factory(src, dst, rng)

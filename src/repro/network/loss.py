@@ -25,24 +25,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Optional
 
-import numpy as np
-
 DedupKey = Hashable
-
-#: Default number of samples drawn per vectorized refill of the batched
-#: models.  NumPy generators produce the same stream regardless of how it is
-#: chunked, so the block size never changes simulated behaviour — only how
-#: often Python crosses into NumPy.
-DEFAULT_SAMPLE_BLOCK = 1024
-
-
-def batched_generator(rng: random.Random) -> np.random.Generator:
-    """Derive a NumPy generator from a channel's ``random.Random`` substream.
-
-    The derivation consumes one 64-bit draw from *rng*, so it is fully
-    determined by the run's master seed and the channel's substream name.
-    """
-    return np.random.default_rng(rng.getrandbits(64))
 
 
 class LossModel(abc.ABC):
@@ -100,52 +83,6 @@ class BernoulliLoss(LossModel):
 
     def describe(self) -> str:
         return f"bernoulli(p={self.probability:g})"
-
-
-class BatchedBernoulliLoss(LossModel):
-    """Bernoulli loss drawing its uniform samples in vectorized NumPy blocks.
-
-    Behaviour is a Bernoulli(p) decision per transmission attempt, exactly
-    like :class:`BernoulliLoss`, but the underlying uniforms come from a
-    per-channel ``numpy.random.Generator`` refilled *block* samples at a
-    time — one NumPy call per *block* messages instead of one Python-level
-    RNG call per message.
-
-    Determinism: NumPy generators yield the same sample stream regardless
-    of chunking, so runs are bit-identical for every block size (the parity
-    tests pin this).  The stream differs from :class:`BernoulliLoss` (which
-    uses the stdlib Mersenne Twister), so switching a scenario between the
-    scalar and batched families changes the (equally valid) sampled run.
-    """
-
-    def __init__(self, probability: float, rng: random.Random,
-                 block: int = DEFAULT_SAMPLE_BLOCK) -> None:
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError(f"loss probability must be in [0, 1], got {probability}")
-        if block < 1:
-            raise ValueError("block size must be >= 1")
-        self.probability = float(probability)
-        self.block = int(block)
-        self._gen = batched_generator(rng)
-        # Refilled blocks are kept as a *reversed* plain list so each draw
-        # is a single C-level ``list.pop()`` — cheaper than any index
-        # bookkeeping or scalar ndarray access.
-        self._drops: list[bool] = []
-
-    def should_drop(self, src: int, dst: int, key: DedupKey) -> bool:
-        p = self.probability
-        if p == 0.0:
-            return False
-        if p == 1.0:
-            return True
-        drops = self._drops
-        if not drops:
-            drops = self._drops = (self._gen.random(self.block) < p).tolist()
-            drops.reverse()
-        return drops.pop()
-
-    def describe(self) -> str:
-        return f"bernoulli(p={self.probability:g}, batched)"
 
 
 class GilbertElliottLoss(LossModel):
@@ -355,6 +292,13 @@ class LossSpec:
             )
         if self.kind == "custom" and self.factory is None:
             raise ValueError("custom loss spec requires a factory")
+        if "batch" in self.params:
+            # Stored scenario dicts may still carry the key; fail here, by
+            # name, not as a TypeError when the first channel is built.
+            raise ValueError(
+                "loss spec parameter 'batch' is not supported: channels "
+                "sample one copy at a time"
+            )
 
     # ------------------------------------------------------------------ #
     # convenience constructors
@@ -365,17 +309,9 @@ class LossSpec:
         return cls(kind="none")
 
     @classmethod
-    def bernoulli(cls, probability: float,
-                  batch: Optional[int] = None) -> "LossSpec":
-        """Independent loss with the given probability.
-
-        With ``batch`` set, channels use :class:`BatchedBernoulliLoss` and
-        draw their uniforms in vectorized NumPy blocks of that size.
-        """
-        params: dict = {"probability": probability}
-        if batch is not None:
-            params["batch"] = int(batch)
-        return cls(kind="bernoulli", params=params)
+    def bernoulli(cls, probability: float) -> "LossSpec":
+        """Independent loss with the given probability."""
+        return cls(kind="bernoulli", params={"probability": probability})
 
     @classmethod
     def gilbert_elliott(cls, **params: float) -> "LossSpec":
@@ -411,10 +347,6 @@ class LossSpec:
         if self.kind == "none":
             return NoLoss()
         if self.kind == "bernoulli":
-            if "batch" in self.params:
-                params = dict(self.params)
-                batch = params.pop("batch")
-                return BatchedBernoulliLoss(rng=rng, block=batch, **params)
             return BernoulliLoss(rng=rng, **self.params)
         if self.kind == "gilbert_elliott":
             return GilbertElliottLoss(rng=rng, **self.params)
@@ -430,8 +362,7 @@ class LossSpec:
     def describe(self) -> str:
         """Human-readable description used in reports."""
         if self.kind == "bernoulli":
-            suffix = ", batched" if "batch" in self.params else ""
-            return f"bernoulli(p={self.params.get('probability')}{suffix})"
+            return f"bernoulli(p={self.params.get('probability')})"
         if self.kind == "none":
             return "no-loss"
         return self.kind

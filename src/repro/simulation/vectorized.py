@@ -17,20 +17,16 @@ struct-of-arrays *delivery chunks* merged one time slice at a time:
   a slice ``[w0, w0 + W)`` necessarily lands at or after ``w0 + W``, so the
   slice's events can be gathered from the pending chunks once, merged with a
   single ``lexsort`` into the reference ``(time, seq)`` total order, and
-  dispatched with a plain loop — no per-event heap operations at all.  The
-  small chunk heap is touched only when a chunk enters or spans a slice.
+  consumed in maximal runs between queue events by the per-process
+  :class:`~repro.core.interfaces.BatchConsumer` objects — no per-event heap
+  operations at all.  The small chunk heap is touched only when a chunk
+  enters or spans a slice.
 * Channel randomness is prefetched per source row into NumPy blocks
   (:class:`_RowSampler`): one loss uniform per channel per broadcast and one
   delay uniform per delivery, consumed from per-channel cursors.  Because
   every protocol send in this codebase is a broadcast, all channels of a
   source row advance their substreams in lockstep, so block prefetching
   consumes each per-channel stream in exactly the reference order.
-
-When no positive minimum delay exists (exponential or custom delay models,
-custom channel classes), slicing is unsound and the engine falls back to a
-per-entry merge: the chunk heap then carries one head tuple per chunk and is
-re-pushed after every dispatched copy — still far less state than the
-reference engine's per-copy events, just without the sliced inner loop.
 
 Bit-identical parity with ``reference`` is a hard requirement, enforced by
 :mod:`repro.experiments.parity` in CI.  The mechanisms:
@@ -54,9 +50,11 @@ Bit-identical parity with ``reference`` is a hard requirement, enforced by
 
 Fallback: when a :class:`~repro.explore.controller.ScheduleController`,
 engine hooks, or a FULL trace level (per-copy SEND/DROP/CHANNEL_DELIVER
-records) are active, :meth:`run` silently delegates to the reference
-per-event loop — same class, same results, so explore/replay stay exact.
-``dispatch_mode`` records which path ran.
+records) are active, or no positive minimum delay exists (exponential or
+custom delay models, custom channel classes: slicing is unsound),
+:meth:`run` delegates to the reference per-event loop — same class, same
+results, so explore/replay stay exact.  ``dispatch_mode`` records which
+path ran.
 """
 
 from __future__ import annotations
@@ -68,10 +66,11 @@ import numpy as np
 
 from .. import obs
 from ..core.messages import payload_kind
+from ..core.interfaces import BoxedConsumer
 from ..core.state import PayloadInterner
 from ..failure_detectors.base import FailureDetectorView
 from ..network.channel import LossyChannel
-from ..network.delay import BatchedUniformDelay, FixedDelay, UniformDelay
+from ..network.delay import FixedDelay, UniformDelay
 from ..network.loss import BernoulliLoss, NoLoss
 from ..network.reliable import QuasiReliableChannel, ReliableChannel
 from .engine import SimulationEngine, SimulationResult
@@ -83,11 +82,6 @@ from .tracing import TraceCategory
 #: force mid-run refills; any value produces identical results (each
 #: per-channel stream is consumed strictly sequentially).
 SAMPLE_BLOCK = 256
-
-#: Slice entries materialised as Python objects at a time during dispatch.
-#: Bounds the boxed-float transient of very dense slices (hundreds of
-#: thousands of deliveries can share one slice during ACK storms).
-_DISPATCH_SEGMENT = 8192
 
 #: Chunk columns store sequence numbers as float64; exact up to 2**53.
 _SEQ_EXACT_LIMIT = 2 ** 53
@@ -122,16 +116,15 @@ class _Chunk:
     would triple the object overhead, which dominates at that size).
     ``start`` indexes the first entry not yet handed to the dispatch loop;
     the columns themselves are immutable once built.  ``pid`` is the
-    payload's interned id when the batched receiver is active (``-1``
-    otherwise): the id-space through which the consumers classify and
-    duplicate-suppress deliveries without touching the payload object.
+    payload's interned id: the id-space through which the consumers
+    classify and duplicate-suppress deliveries without touching the payload
+    object (the interner maps it back for per-entry replay).
     """
 
-    __slots__ = ("cols", "payload", "start", "pid")
+    __slots__ = ("cols", "start", "pid")
 
-    def __init__(self, cols: np.ndarray, payload: Any, pid: int = -1) -> None:
+    def __init__(self, cols: np.ndarray, pid: int) -> None:
         self.cols = cols
-        self.payload = payload
         self.start = 0
         self.pid = pid
 
@@ -163,7 +156,7 @@ class _RowSampler:
       arrays and flushed at end of run; the fairness-guard dicts used are
       the channels' own.
     * *generic* — anything else (heterogeneous rows, stateful loss models,
-      exponential/custom delays, non-lossy channel families): fall back to
+      all-drop rows, non-lossy channel families): fall back to
       ``network.broadcast_fast`` per broadcast, which runs each channel's
       own ``transmit`` and is therefore exact by construction.  The chunk
       dispatch win is kept either way.
@@ -423,7 +416,8 @@ class VectorizedEngine(SimulationEngine):
 
     Bit-identical to the reference engine by construction (see module docs);
     falls back to the inherited per-event loop whenever a controller, hooks
-    or a FULL trace level require per-copy observability.
+    or a FULL trace level require per-copy observability, or the channels
+    have no positive minimum delay to slice by.
     """
 
     #: ``"batched"`` or ``"per-event"`` — which dispatch path :meth:`run`
@@ -432,45 +426,48 @@ class VectorizedEngine(SimulationEngine):
 
     #: How the batched path consumed deliveries: ``"batched"`` — unboxed,
     #: straight from the chunk columns into the per-process
-    #: :class:`~repro.core.interfaces.BatchConsumer`\ s; ``"boxed"`` — the
-    #: segmented ``tolist()`` path through ``on_receive`` (protocols without
-    #: a consumer, delivery listeners, unstable failure-detector windows, or
-    #: no positive minimum delay).  ``None`` on the per-event fallback.
+    #: :class:`~repro.core.interfaces.BatchConsumer`\ s; ``"boxed"`` — every
+    #: reception replayed through ``on_receive`` by
+    #: :class:`~repro.core.interfaces.BoxedConsumer` adapters (protocols
+    #: without a consumer, delivery listeners, unstable failure-detector
+    #: windows).  ``None`` on the per-event fallback.
     consume_mode: Optional[str] = None
 
     engine_label = "vectorized"
 
-    def _batchable(self) -> bool:
-        """Whether the batched core preserves every observable of this run.
+    def _fallback_reason(self) -> Optional[str]:
+        """Why this run needs the per-event loop (``None`` = batchable).
 
         Controllers decide per-copy fates, hooks observe per-copy events,
         and FULL tracing records per-copy SEND/DROP/CHANNEL_DELIVER entries
-        — all three need the per-event loop.  DELIVERIES-level tracing and
+        — all three need the per-event loop, and without a positive minimum
+        delay there is no slice to batch.  DELIVERIES-level tracing and
         every metrics level are exactly reproduced by the batched path.
         """
-        return self._fallback_reason() is None
-
-    def _fallback_reason(self) -> Optional[str]:
-        """Why this run needs the per-event loop (``None`` = batchable)."""
         if self.controller is not None:
             return "controller"
         if self.hooks:
             return "hooks"
         if self.trace.channel_active:
             return "full_trace"
+        if self._min_delay_window() <= 0.0:
+            return "no_positive_min_delay"
         return None
+
+    def _count_fallback(self, reason: str) -> None:
+        if obs.enabled():
+            obs.counter(
+                "repro_engine_fallback_total",
+                "Vectorized runs that fell back to a slower dispatch "
+                "path, by reason.",
+                ("reason",),
+            ).inc(reason=reason)
 
     def run(self) -> SimulationResult:
         reason = self._fallback_reason()
         if reason is not None:
             self.dispatch_mode = "per-event"
-            if obs.enabled():
-                obs.counter(
-                    "repro_engine_fallback_total",
-                    "Vectorized runs that fell back to a slower dispatch "
-                    "path, by reason.",
-                    ("reason",),
-                ).inc(reason=reason)
+            self._count_fallback(reason)
             if obs.timeline_active():
                 obs.emit("engine.dispatch_mode", engine=self.engine_label,
                          mode="per-event", reason=reason)
@@ -515,11 +512,7 @@ class VectorizedEngine(SimulationEngine):
                 "Copies per batched delivery chunk.",
                 buckets=_CHUNK_BUCKETS,
             ).observe(k)
-        interner = self._interner
-        if interner is None:
-            chunk = _Chunk(cols, payload)
-        else:
-            chunk = _Chunk(cols, payload, interner.pid_for(payload))
+        chunk = _Chunk(cols, self._interner.pid_for(payload))
         heappush(self._chunk_heap,
                  (float(cols[0, 0]), int(cols[1, 0]), chunk))
 
@@ -539,8 +532,9 @@ class VectorizedEngine(SimulationEngine):
         Every delivery created while the engine dispatches events in
         ``[w0, w0 + W)`` lands at or after ``w0 + W`` (monotone float
         addition of a delay ``>= W``), which is exactly the property the
-        sliced merge needs.  Returns ``0.0`` — disabling slicing — when any
-        channel's delay cannot be bounded below by a positive constant.
+        sliced merge needs.  Returns ``0.0`` — no slicing, per-event
+        fallback — when any channel's delay cannot be bounded below by a
+        positive constant.
         """
         bound = float("inf")
         network = self.network
@@ -553,13 +547,12 @@ class VectorizedEngine(SimulationEngine):
                 delay = ch.delay_model
                 if type(delay) is FixedDelay:
                     low = delay.delay
-                elif type(delay) is UniformDelay or \
-                        type(delay) is BatchedUniformDelay:
+                elif type(delay) is UniformDelay:
                     low = delay.low
                 else:
                     # Exponential delays do have a positive clamp, but it is
                     # orders of magnitude below the typical delay — slices
-                    # that thin cost more than per-entry merging.
+                    # that thin cost more than per-event dispatch.
                     return 0.0
                 if low <= 0.0:
                     return 0.0
@@ -573,47 +566,16 @@ class VectorizedEngine(SimulationEngine):
         self._row_samplers: list[Optional[_RowSampler]] = (
             [None] * self.config.n_processes
         )
-        self._interner = None
-        self._consumers = None
+        self._interner = PayloadInterner()
         self._fast_active = True
         try:
             self._seed_initial_events()
-            window = self._min_delay_window()
-            consumers = self._build_consumers() if window > 0.0 else None
-            if consumers is not None:
-                self.consume_mode = "batched"
-                if obs.enabled():
-                    self._batched_consumed_counter = obs.counter(
-                        "repro_engine_batched_consumed_total",
-                        "Delivery-run entries consumed unboxed through the "
-                        "batched receiver.",
-                    )
-                    self._consume_width_hist = obs.histogram(
-                        "repro_engine_consume_width",
-                        "ACK receptions handed to one consume_acks call.",
-                        buckets=_CONSUME_BUCKETS,
-                    )
-                if obs.timeline_active():
-                    obs.emit("engine.consume_mode", engine=self.engine_label,
-                             mode="batched")
-                receive_count, deliver_count = (
-                    self._merge_sliced_consumed(window)
-                )
-                for consumer in consumers:
-                    consumer.flush()
-            elif window > 0.0:
-                self.consume_mode = "boxed"
-                receive_count, deliver_count = self._merge_sliced(window)
-            else:
-                self.consume_mode = "boxed"
-                if obs.enabled():
-                    obs.counter(
-                        "repro_engine_fallback_total",
-                        "Vectorized runs that fell back to a slower "
-                        "dispatch path, by reason.",
-                        ("reason",),
-                    ).inc(reason="no_positive_min_delay")
-                receive_count, deliver_count = self._merge_per_entry()
+            consumers = self._consumers = self._build_consumers()
+            receive_count, deliver_count = self._merge_sliced_consumed(
+                self._min_delay_window()
+            )
+            for consumer in consumers:
+                consumer.flush()
         finally:
             self._fast_active = False
             self._batched_consumed_counter = None
@@ -651,85 +613,65 @@ class VectorizedEngine(SimulationEngine):
             schedule=provenance,
         )
 
-    def _gather_slice(self, w1: float) -> tuple:
-        """Collect every pending chunk entry with ``time < w1``.
-
-        Returns ``(cols, payloads)`` in the reference ``(time, seq)``
-        dispatch order: ``cols`` is a ``(3, n)`` column array (or ``None``
-        when the slice is empty) and ``payloads`` is either a single object
-        (every entry shares it — the single-chunk fast path) or a length-n
-        object array.  The dispatch loop boxes the columns segment by
-        segment; a dense slice never materialises all its Python floats at
-        once.
-        """
-        chunks = self._chunk_heap
-        parts = []
-        payload_parts = []
-        while chunks and chunks[0][0] < w1:
-            _, _, chunk = heappop(chunks)
-            cols = chunk.cols
-            times = cols[0]
-            start = chunk.start
-            split = start + int(
-                np.searchsorted(times[start:], w1, side="left")
-            )
-            parts.append(cols[:, start:split])
-            payload_parts.append((chunk.payload, split - start))
-            if split < cols.shape[1]:
-                chunk.start = split
-                heappush(chunks,
-                         (float(times[split]), int(cols[1, split]), chunk))
-        if not parts:
-            return None, None
-        if len(parts) == 1:
-            # A single chunk is already in dispatch order (time-sorted with
-            # ascending seqs on ties) and shares one payload.
-            return parts[0], payload_parts[0][0]
-        merged = np.concatenate(parts, axis=1)
-        # lexsort: primary key last — times first, seqs break exact ties.
-        order = np.lexsort((merged[1], merged[0]))
-        payloads = np.empty(merged.shape[1], dtype=object)
-        pos = 0
-        for payload, count in payload_parts:
-            # Payloads are protocol message objects, never sequences, so
-            # this broadcast-fills `count` slots with the same object.
-            payloads[pos:pos + count] = payload
-            pos += count
-        return merged[:, order], payloads[order]
-
     # ------------------------------------------------------------------ #
-    # batched receiver (unboxed consumption through BatchConsumers)
+    # batched receiver (consumption through BatchConsumers)
     # ------------------------------------------------------------------ #
-    def _build_consumers(self) -> Optional[list]:
-        """Build one :class:`BatchConsumer` per process, or ``None``.
+    def _build_consumers(self) -> list:
+        """Build one :class:`BatchConsumer` per process; sets ``consume_mode``.
 
-        ``None`` demotes the run to the boxed slice loop.  Requirements:
-        every process supplies a consumer (baseline protocols and
-        ``strict_equality`` Algorithm 2 do not), no delivery listeners are
-        attached (listeners observe per-reception ordering), and — when any
-        consumer evaluates failure-detector views — the AΘ oracle reports
-        stable view-validity windows.
+        Unboxed consumption (``"batched"``) requires that every process
+        supplies a consumer (baseline protocols and ``strict_equality``
+        Algorithm 2 do not), that no delivery listeners are attached
+        (listeners observe per-reception ordering), and — when any consumer
+        evaluates failure-detector views — that the AΘ oracle reports stable
+        view-validity windows.  Otherwise the gate declines for a named,
+        counted reason and every process gets a :class:`BoxedConsumer`
+        (``"boxed"``).
         """
-        interner = PayloadInterner()
+        n = self.config.n_processes
+        interner = self._interner
         consumers = []
         needs_views = False
-        for index in range(self.config.n_processes):
+        reason = None
+        for index in range(n):
             process = self.processes[index]
             if process._listeners:
-                return None
+                reason = "delivery_listeners"
+                break
             consumer = process.batch_consumer(
                 interner, self._atheta_window_for(index)
             )
             if consumer is None:
-                return None
+                reason = "no_batch_consumer"
+                break
             consumers.append(consumer)
             needs_views = needs_views or consumer.needs_views
-        if needs_views and self.atheta is not None \
+        if reason is None and needs_views and self.atheta is not None \
                 and not self.atheta.has_stable_view_windows:
-            return None
-        self._interner = interner
-        self._consumers = consumers
-        return consumers
+            reason = "unstable_view_windows"
+        if reason is None:
+            self.consume_mode = "batched"
+            if obs.enabled():
+                self._batched_consumed_counter = obs.counter(
+                    "repro_engine_batched_consumed_total",
+                    "Delivery-run entries consumed unboxed through the "
+                    "batched receiver.",
+                )
+                self._consume_width_hist = obs.histogram(
+                    "repro_engine_consume_width",
+                    "ACK receptions handed to one consume_acks call.",
+                    buckets=_CONSUME_BUCKETS,
+                )
+            if obs.timeline_active():
+                obs.emit("engine.consume_mode", engine=self.engine_label,
+                         mode="batched")
+            return consumers
+        self.consume_mode = "boxed"
+        self._count_fallback(reason)
+        if obs.timeline_active():
+            obs.emit("engine.consume_mode", engine=self.engine_label,
+                     mode="boxed", reason=reason)
+        return [BoxedConsumer(self.processes[index]) for index in range(n)]
 
     def _atheta_window_for(self, index: int):
         """Per-process ``now -> (view, valid_until)`` AΘ reader."""
@@ -742,9 +684,13 @@ class VectorizedEngine(SimulationEngine):
         return lambda now: view_window(index, now)
 
     def _gather_slice_pids(self, w1: float) -> tuple:
-        """:meth:`_gather_slice`, returning interned pids instead of
-        payload objects: ``(cols, pids)`` with ``pids`` an int64 array
-        aligned with the merged columns (``None, None`` when empty)."""
+        """Collect every pending chunk entry with ``time < w1``.
+
+        Returns ``(cols, pids)`` in the reference ``(time, seq)`` dispatch
+        order: ``cols`` is a ``(3, n)`` column array and ``pids`` an int64
+        array of interned payload ids aligned with it (``None, None`` when
+        the slice is empty).
+        """
         chunks = self._chunk_heap
         parts = []
         pid_parts = []
@@ -765,10 +711,13 @@ class VectorizedEngine(SimulationEngine):
         if not parts:
             return None, None
         if len(parts) == 1:
+            # A single chunk is already in dispatch order (time-sorted with
+            # ascending seqs on ties) and shares one payload.
             cols = parts[0]
             pids = np.full(cols.shape[1], pid_parts[0][0], dtype=np.int64)
             return cols, pids
         merged = np.concatenate(parts, axis=1)
+        # lexsort: primary key last — times first, seqs break exact ties.
         order = np.lexsort((merged[1], merged[0]))
         pids = np.empty(merged.shape[1], dtype=np.int64)
         pos = 0
@@ -778,16 +727,17 @@ class VectorizedEngine(SimulationEngine):
         return merged[:, order], pids[order]
 
     def _merge_sliced_consumed(self, window: float) -> tuple[int, int]:
-        """Batched-receiver main loop.
+        """Main loop: slice-merged chunk entries + queue events.
 
-        Same slice geometry and ``(time, seq)`` total order as
-        :meth:`_merge_sliced`, but maximal *runs* of consecutive delivery
-        entries between queue events are consumed straight from the column
-        arrays by the per-process :class:`BatchConsumer`\\ s — no per-entry
-        boxing, no per-entry Python dispatch.  Queue events themselves are
-        dispatched exactly as the reference engine would, with a consumer
-        flush before each TICK (the only queue event that reads
-        lazily-maintained ACK state).
+        Replicates the reference loop's ``(time, seq)`` total order across
+        deliveries and queue events and its stop semantics (horizon break
+        *without* advancing ``_now``, deadline break after), but maximal
+        *runs* of consecutive delivery entries between queue events are
+        consumed straight from the column arrays by the per-process
+        :class:`BatchConsumer`\\ s — no per-entry heap operations.  Queue
+        events themselves are dispatched exactly as the reference engine
+        would, with a consumer flush before each TICK (the only queue event
+        that reads lazily-maintained ACK state).
         """
         queue = self.queue
         chunks = self._chunk_heap
@@ -886,47 +836,29 @@ class VectorizedEngine(SimulationEngine):
                             break
                         continue
                     # The next queue event precedes entry i.
-                    event = queue.pop()
-                    et = event.time
-                    if et > max_time:
-                        self._stop_reason = "horizon"
-                        stop = True
-                        break
-                    self._now = et
-                    deadline = self._stop_deadline
-                    if deadline is not None and et >= deadline:
-                        stop = True
-                        break
-                    if event.kind is EventKind.TICK and \
-                            event.target is not None:
-                        # on_tick reads the retire condition's counters.
-                        consumers[event.target].flush()
-                    dispatch(event)
-                    recycle(event)
-                    next_entry = queue.peek()
-                    continue
-                # Slice entries exhausted: drain queue events before the
-                # slice boundary, then advance to the next slice.
-                if next_entry is not None and next_entry.time < w1:
-                    event = queue.pop()
-                    et = event.time
-                    if et > max_time:
-                        self._stop_reason = "horizon"
-                        stop = True
-                        break
-                    self._now = et
-                    deadline = self._stop_deadline
-                    if deadline is not None and et >= deadline:
-                        stop = True
-                        break
-                    if event.kind is EventKind.TICK and \
-                            event.target is not None:
-                        consumers[event.target].flush()
-                    dispatch(event)
-                    recycle(event)
-                    next_entry = queue.peek()
-                    continue
-                break
+                elif next_entry is None or next_entry.time >= w1:
+                    # Slice exhausted and no queue event left before its
+                    # boundary: advance to the next slice (chunks created
+                    # meanwhile land at >= w1 by construction).
+                    break
+                event = queue.pop()
+                et = event.time
+                if et > max_time:
+                    self._stop_reason = "horizon"
+                    stop = True
+                    break
+                self._now = et
+                deadline = self._stop_deadline
+                if deadline is not None and et >= deadline:
+                    stop = True
+                    break
+                if event.kind is EventKind.TICK and \
+                        event.target is not None:
+                    # on_tick reads the retire condition's counters.
+                    consumers[event.target].flush()
+                dispatch(event)
+                recycle(event)
+                next_entry = queue.peek()
         return receive_count, deliver_count
 
     def _consume_run(self, times: np.ndarray, dsts: np.ndarray,
@@ -939,10 +871,15 @@ class VectorizedEngine(SimulationEngine):
         * **Phase B** — ACK receptions, grouped per destination and handed
           to ``consume_acks`` as unboxed id arrays (the hot path: ~97% of
           receptions in an ACK storm).
-        * **Phase A** — MSG receptions, replayed one at a time in global
-          run order: each draws the acknowledgement tag from the process
-          RNG and broadcasts (claiming sequence numbers), so their RNG and
-          seq consumption interleaves exactly as the reference engine's.
+        * **Phase A** — every other reception, replayed one at a time in
+          global run order with ``_now`` set per entry: a MSG handler draws
+          the acknowledgement tag from the process RNG and broadcasts
+          (claiming sequence numbers), so its RNG and seq consumption must
+          interleave exactly as the reference engine's.
+
+        Boxed runs have no Phase B: a generic protocol's ACK handler may
+        draw randomness or claim sequence numbers too, so the
+        :class:`BoxedConsumer` adapters get every payload kind in Phase A.
 
         URB-deliveries surfaced by Phase B are emitted afterwards sorted by
         run position — before any later queue event can record a trace
@@ -964,13 +901,16 @@ class VectorizedEngine(SimulationEngine):
         else:
             alive = None
         kinds = interner.kind_arr[run_pids]
-        is_ack = kinds == PayloadInterner.KIND_ACK
+        if self.consume_mode == "batched":
+            is_ack = kinds == PayloadInterner.KIND_ACK
+        else:
+            is_ack = np.zeros(n, dtype=bool)
         if alive is None:
             ack_idx = np.nonzero(is_ack)[0]
-            msg_idx = np.nonzero(~is_ack)[0]
+            replay_idx = np.nonzero(~is_ack)[0]
         else:
             ack_idx = np.nonzero(is_ack & alive)[0]
-            msg_idx = np.nonzero(~is_ack & alive)[0]
+            replay_idx = np.nonzero(~is_ack & alive)[0]
         deliveries: list = []
         touched = None
         width_hist = self._consume_width_hist
@@ -996,19 +936,21 @@ class VectorizedEngine(SimulationEngine):
                     touched.append(consumers[dst])
                     for pos, message in got:
                         deliveries.append((pos, dst, message))
-        if msg_idx.size:
+        if replay_idx.size:
             payloads = interner.payloads
-            is_msg = kinds == PayloadInterner.KIND_MSG
+            # Protocols with a consumer send MSG/ACK payloads only; any
+            # other kind goes straight to the process.
+            is_other = kinds == PayloadInterner.KIND_OTHER
             processes = self.processes
-            for k in msg_idx.tolist():
-                self._now = run_times[k]
-                if is_msg[k]:
-                    consumers[int(run_dsts[k])].handle_msg(
-                        payloads[run_pids[k]], k
-                    )
-                else:  # pragma: no cover - no such payloads today
+            for k in replay_idx.tolist():
+                self._now = float(run_times[k])
+                if is_other[k]:
                     processes[int(run_dsts[k])].on_receive(
                         payloads[run_pids[k]]
+                    )
+                else:
+                    consumers[int(run_dsts[k])].handle_msg(
+                        payloads[run_pids[k]], k
                     )
         if deliveries:
             if len(deliveries) > 1:
@@ -1026,202 +968,14 @@ class VectorizedEngine(SimulationEngine):
                                  content=message.content, tag=message.tag)
             for consumer in touched:
                 consumer.run_delivered_pos.clear()
-        return ack_idx.size + msg_idx.size
-
-    def _merge_sliced(self, window: float) -> tuple[int, int]:
-        """Main loop: dispatch slice-merged chunk entries + queue events.
-
-        Replicates the reference loop's per-event order and stop semantics:
-        ``(time, seq)`` total order across deliveries and queue events,
-        horizon break *without* advancing ``_now``, deadline break after.
-        """
-        queue = self.queue
-        chunks = self._chunk_heap
-        max_time = self.config.max_time
-        crashed = self._crashed
-        processes = self.processes
-        metrics_active = self.metrics.active
-        dispatch = self._dispatch
-        recycle = queue.recycle
-        receive_count = 0
-        deliver_count = 0
-        next_entry = queue.peek()
-        stop = False
-        while not stop:
-            if chunks:
-                head_time = chunks[0][0]
-                if next_entry is not None and next_entry.time < head_time:
-                    w1 = next_entry.time + window
-                else:
-                    w1 = head_time + window
-            elif next_entry is not None:
-                w1 = next_entry.time + window
-            else:
-                break
-            cols, pay = self._gather_slice(w1)
-            n_w = 0 if cols is None else cols.shape[1]
-            shared_payload = not isinstance(pay, np.ndarray)
-            wt = ws = wd = wp = None
-            seg_end = 0
-            li = 0
-            i = 0
-            synced = 0
-            while True:
-                if self._stop_requested:
-                    stop = True
-                    break
-                if i < n_w:
-                    if i == seg_end:
-                        # Box the next segment of the slice columns.  dsts
-                        # stay floats: dict/set lookups hash 3.0 like 3.
-                        hi = seg_end + _DISPATCH_SEGMENT
-                        if hi > n_w:
-                            hi = n_w
-                        wt = cols[0, i:hi].tolist()
-                        ws = cols[1, i:hi].tolist()
-                        wd = cols[2, i:hi].tolist()
-                        wp = ([pay] * (hi - i) if shared_payload
-                              else pay[i:hi].tolist())
-                        seg_end = hi
-                        li = 0
-                    t = wt[li]
-                    if next_entry is not None:
-                        et = next_entry.time
-                        if et < t or (et == t and next_entry.seq < ws[li]):
-                            event = queue.pop()
-                            if et > max_time:
-                                self._stop_reason = "horizon"
-                                stop = True
-                                break
-                            self._now = et
-                            deadline = self._stop_deadline
-                            if deadline is not None and et >= deadline:
-                                stop = True
-                                break
-                            if i != synced:
-                                # An ENGINE_CHECK's quiescence predicate
-                                # reads _batch_pending; keep it exact at
-                                # every queue-event dispatch point.
-                                self._batch_pending -= i - synced
-                                synced = i
-                            dispatch(event)
-                            recycle(event)
-                            next_entry = queue.peek()
-                            continue
-                    if t > max_time:
-                        self._stop_reason = "horizon"
-                        stop = True
-                        break
-                    self._now = t
-                    deadline = self._stop_deadline
-                    if deadline is not None and t >= deadline:
-                        stop = True
-                        break
-                    receive_count += 1
-                    dst = wd[li]
-                    i += 1
-                    li += 1
-                    if dst not in crashed:
-                        if metrics_active:
-                            deliver_count += 1
-                        processes[dst].on_receive(wp[li - 1])
-                    continue
-                # Slice entries exhausted: drain queue events that still
-                # precede the slice boundary, then advance to the next slice
-                # (chunks created meanwhile land at >= w1 by construction).
-                if next_entry is not None and next_entry.time < w1:
-                    et = next_entry.time
-                    event = queue.pop()
-                    if et > max_time:
-                        self._stop_reason = "horizon"
-                        stop = True
-                        break
-                    self._now = et
-                    deadline = self._stop_deadline
-                    if deadline is not None and et >= deadline:
-                        stop = True
-                        break
-                    if i != synced:
-                        self._batch_pending -= i - synced
-                        synced = i
-                    dispatch(event)
-                    recycle(event)
-                    next_entry = queue.peek()
-                    continue
-                break
-            self._batch_pending -= i - synced
-        return receive_count, deliver_count
-
-    def _merge_per_entry(self) -> tuple[int, int]:
-        """Fallback merge for runs without a positive minimum delay.
-
-        One head tuple per chunk on the heap, re-pushed per dispatched copy
-        — the pre-slicing behaviour, exact for any delay model.
-        """
-        queue = self.queue
-        heap = self._chunk_heap
-        max_time = self.config.max_time
-        crashed = self._crashed
-        processes = self.processes
-        metrics_active = self.metrics.active
-        dispatch = self._dispatch
-        recycle = queue.recycle
-        receive_count = 0
-        deliver_count = 0
-        next_entry = queue.peek()
-        while True:
-            if self._stop_requested:
-                break
-            if heap:
-                head = heap[0]
-                if next_entry is None or head[0] < next_entry.time or (
-                    head[0] == next_entry.time and head[1] < next_entry.seq
-                ):
-                    time, seq, chunk = heappop(heap)
-                    if time > max_time:
-                        self._stop_reason = "horizon"
-                        break
-                    self._now = time
-                    if (self._stop_deadline is not None
-                            and time >= self._stop_deadline):
-                        break
-                    receive_count += 1
-                    self._batch_pending -= 1
-                    cols = chunk.cols
-                    start = chunk.start
-                    dst = int(cols[2, start])
-                    start += 1
-                    if start < cols.shape[1]:
-                        chunk.start = start
-                        heappush(heap, (float(cols[0, start]),
-                                        int(cols[1, start]), chunk))
-                    if dst not in crashed:
-                        if metrics_active:
-                            deliver_count += 1
-                        processes[dst].on_receive(chunk.payload)
-                    continue
-            if next_entry is None:
-                break
-            event = queue.pop()
-            if event.time > max_time:
-                self._stop_reason = "horizon"
-                break
-            self._now = event.time
-            if (self._stop_deadline is not None
-                    and event.time >= self._stop_deadline):
-                break
-            dispatch(event)
-            recycle(event)
-            next_entry = queue.peek()
-        return receive_count, deliver_count
+        return ack_idx.size + replay_idx.size
 
     #: broadcast_from consults this before taking the batched path; the
     #: per-event fallback (super().run()) never sets it.
     _fast_active: bool = False
     _batch_pending: int = 0
-    #: Payload interning table + per-process consumers of the current run;
-    #: ``None`` whenever the batched receiver is not active (broadcast_from
-    #: then skips interning entirely).
+    #: Payload interning table + per-process consumers of the current
+    #: batched run.
     _interner: Optional[PayloadInterner] = None
     _consumers: Optional[list] = None
     #: Cached obs instrument handles (resolved once per run, outside the

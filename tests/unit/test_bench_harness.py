@@ -154,7 +154,7 @@ class TestRunBenchmark:
     def test_registry_has_required_scenarios(self, harness):
         for name in (
             "quiescence_large_n", "flood_horizon", "lossy_channels",
-            "lossy_batched", "tracing_full", "event_queue_churn",
+            "tracing_full", "event_queue_churn",
             "explore_quick",
         ):
             assert name in harness.BENCH_SCENARIOS

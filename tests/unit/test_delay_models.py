@@ -109,6 +109,15 @@ class TestDelaySpec:
         with pytest.raises(ValueError):
             DelaySpec(kind="warp")
 
+    @pytest.mark.parametrize("kind, params", [
+        ("uniform", {"low": 0.05, "high": 0.5, "batch": 64}),
+        ("exponential", {"mean": 0.3, "batch": 64}),
+    ])
+    def test_batch_parameter_rejected_by_name(self, kind, params):
+        # Scenario dicts written when specs took a block size still carry it.
+        with pytest.raises(ValueError, match="'batch'"):
+            DelaySpec(kind=kind, params=params)
+
     def test_describe(self):
         assert "fixed" in DelaySpec.fixed(1.0).describe()
         assert "uniform" in DelaySpec.uniform().describe()

@@ -1,7 +1,7 @@
 """Determinism parity tests for the hot-path overhaul.
 
 The performance work (tuple-keyed pooled event queue, broadcast fast path,
-level-gated tracing/metrics, batched sampling) carries one invariant: under
+level-gated tracing/metrics) carries one invariant: under
 identical seeds, optimized paths must produce *bit-identical* traces,
 metrics summaries and delivery logs.  These tests pin that invariant by
 running the same scenario through different hot-path configurations and
@@ -133,35 +133,6 @@ class TestGatingParity:
         plain = run_engine(BASE)
         hooked = run_engine(BASE.with_(hooks=(DeliveryTimelineHook(),)))
         assert fingerprint(plain) == fingerprint(hooked)
-
-
-class TestBatchedSamplingParity:
-    @pytest.mark.parametrize("blocks", [(1, 4096), (7, 256)])
-    def test_block_size_does_not_change_the_run(self, blocks):
-        """NumPy streams are chunking-invariant: any two block sizes give
-        bit-identical runs."""
-        a_block, b_block = blocks
-        base = BASE.with_(
-            loss=LossSpec.bernoulli(0.2, batch=a_block),
-            delay=DelaySpec.exponential(mean=0.3, cap=4.0, batch=a_block),
-        )
-        other = BASE.with_(
-            loss=LossSpec.bernoulli(0.2, batch=b_block),
-            delay=DelaySpec.exponential(mean=0.3, cap=4.0, batch=b_block),
-        )
-        assert fingerprint(run_engine(base)) == fingerprint(run_engine(other))
-
-    def test_batched_uniform_matches_across_blocks(self):
-        base = BASE.with_(delay=DelaySpec.uniform(0.05, 0.5, batch=1))
-        other = BASE.with_(delay=DelaySpec.uniform(0.05, 0.5, batch=512))
-        assert fingerprint(run_engine(base)) == fingerprint(run_engine(other))
-
-    def test_batched_runs_are_seed_deterministic(self):
-        scenario = BASE.with_(
-            loss=LossSpec.bernoulli(0.2, batch=128),
-            delay=DelaySpec.exponential(mean=0.3, cap=4.0, batch=128),
-        )
-        assert fingerprint(run_engine(scenario)) == fingerprint(run_engine(scenario))
 
 
 class TestFastPathEdgeCases:

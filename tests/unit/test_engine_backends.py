@@ -2,13 +2,17 @@
 
 The ``engines`` registry's contract is that a backend is a dispatch
 strategy, never a semantics change: every backend must be bit-identical to
-``reference`` on the parity battery, must silently fall back to per-event
-dispatch whenever per-copy observability is required (controllers, hooks,
-FULL traces), and must round-trip through scenario serialisation like any
-other registry-named component.
+``reference`` on the parity battery, must fall back to per-event dispatch
+whenever per-copy observability is required (controllers, hooks, FULL
+traces) or the channels have no positive minimum delay, must name and count
+every such off-ramp, and must round-trip through scenario serialisation
+like any other registry-named component.
 """
 
 from __future__ import annotations
+
+import io
+import json
 
 import pytest
 
@@ -32,9 +36,21 @@ from repro.registry import (
 from repro.simulation import vectorized
 from repro.simulation.backends import VectorizedEngine
 from repro.simulation.engine import SimulationEngine
-from repro.simulation.tracing import TraceLevel
+from repro.simulation.tracing import TraceLevel, TraceRecorder
 
 CASES = {scenario.name: scenario for scenario in parity_cases()}
+
+#: ``(dispatch_mode, consume_mode)`` of the battery cases that are not
+#: consumed unboxed: the per-event fallback and the boxed adapter.
+OFF_RAMP_CASES = {
+    "bernoulli-exponential": ("per-event", None),
+    "strict-equality": ("batched", "boxed"),
+    "strict-equality-crashes": ("batched", "boxed"),
+    "eager-rb": ("batched", "boxed"),
+    "identified-urb": ("batched", "boxed"),
+    "best-effort": ("batched", "boxed"),
+    "unstable-view-windows": ("batched", "boxed"),
+}
 
 
 # --------------------------------------------------------------------------- #
@@ -76,12 +92,15 @@ def test_reference_engine_factory_is_the_reference_class():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_vectorized_matches_reference(name):
     report = compare_engines(CASES[name])
-    modes = {run.engine: run.dispatch_mode for run in report.runs}
     assert report.ok, report.diff()
     # The comparison must not be vacuous: the vectorized run has to take
-    # its batched path (these scenarios attach no controller/hooks and the
-    # parity runner keeps traces at DELIVERIES level).
-    assert modes["vectorized"] == "batched"
+    # the path the case was written for (these scenarios attach no
+    # controller/hooks and the parity runner keeps traces at DELIVERIES
+    # level).
+    (vectorized_run,) = (run for run in report.runs
+                         if run.engine == "vectorized")
+    assert (vectorized_run.dispatch_mode, vectorized_run.consume_mode) == \
+        OFF_RAMP_CASES.get(name, ("batched", "batched"))
 
 
 def test_small_sample_block_is_bit_identical(monkeypatch):
@@ -130,8 +149,9 @@ def test_hooks_force_per_event_dispatch():
 
 
 # --------------------------------------------------------------------------- #
-# fallback reasons: one test per _fallback_reason() branch, each asserting
-# the mode attributes AND the repro_engine_fallback_total reason label
+# fallback reasons: one test per _fallback_reason() branch and per decline of
+# the consumer gate, each asserting the mode attributes AND the
+# repro_engine_fallback_total reason label
 # --------------------------------------------------------------------------- #
 @pytest.fixture()
 def obs_on():
@@ -175,13 +195,74 @@ def test_full_trace_fallback_reason_counted(obs_on):
     assert _fallback_count("full_trace") == 1
 
 
-def test_no_positive_min_delay_falls_back_to_boxed_consumption(obs_on):
+def test_no_positive_min_delay_fallback_reason_counted(obs_on):
     # Exponential delays are unbounded below: no positive slice window, so
-    # dispatch stays batched but deliveries are consumed boxed per-entry.
+    # the run takes the per-event loop like every other fallback.
     run = run_fingerprint(CASES["bernoulli-exponential"], "vectorized")
+    assert run.dispatch_mode == "per-event"
+    assert run.consume_mode is None
+    assert _fallback_count("no_positive_min_delay") == 1
+
+
+def _consume_mode_events(run):
+    """Run *run* with a timeline attached; its engine.consume_mode events."""
+    stream = io.StringIO()
+    obs.set_timeline(obs.Timeline(stream))
+    try:
+        result = run()
+    finally:
+        obs.set_timeline(None)
+    events = [json.loads(line) for line in stream.getvalue().splitlines()]
+    return result, [event for event in events
+                    if event["kind"] == "engine.consume_mode"]
+
+
+def test_no_batch_consumer_decline_reason_counted(obs_on):
+    run, events = _consume_mode_events(
+        lambda: run_fingerprint(CASES["strict-equality"], "vectorized"))
     assert run.dispatch_mode == "batched"
     assert run.consume_mode == "boxed"
-    assert _fallback_count("no_positive_min_delay") == 1
+    assert _fallback_count("no_batch_consumer") == 1
+    (event,) = events
+    assert (event["mode"], event["reason"]) == ("boxed", "no_batch_consumer")
+
+
+def test_unstable_view_windows_decline_reason_counted(obs_on):
+    run, events = _consume_mode_events(
+        lambda: run_fingerprint(CASES["unstable-view-windows"], "vectorized"))
+    assert run.dispatch_mode == "batched"
+    assert run.consume_mode == "boxed"
+    assert _fallback_count("unstable_view_windows") == 1
+    (event,) = events
+    assert (event["mode"], event["reason"]) == \
+        ("boxed", "unstable_view_windows")
+
+
+def _run_with_delivery_listeners(engine_name):
+    """The headline case with a listener on every process (``Scenario`` has
+    no field for listeners, so they are attached on the built engine)."""
+    built = build_engine(CASES["bernoulli-uniform"].with_(engine=engine_name))
+    built.trace = TraceRecorder(enabled=True, level=TraceLevel.DELIVERIES)
+    heard = []
+    for index, process in built.processes.items():
+        process.add_delivery_listener(
+            lambda content, index=index: heard.append((index, content)))
+    return built, fingerprint(built.run()), heard
+
+
+def test_delivery_listeners_decline_reason_counted_with_parity(obs_on):
+    (built, vec_fp, vec_heard), events = _consume_mode_events(
+        lambda: _run_with_delivery_listeners("vectorized"))
+    assert built.dispatch_mode == "batched"
+    assert built.consume_mode == "boxed"
+    assert _fallback_count("delivery_listeners") == 1
+    (event,) = events
+    assert (event["mode"], event["reason"]) == ("boxed", "delivery_listeners")
+    # Listeners observe the global reception order: the adapter must replay
+    # the runs entry by entry exactly as the reference loop dispatches them.
+    _, ref_fp, ref_heard = _run_with_delivery_listeners("reference")
+    assert vec_heard and vec_heard == ref_heard
+    assert vec_fp == ref_fp
 
 
 def test_batched_receiver_records_consumed_and_width(obs_on):

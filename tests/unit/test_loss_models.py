@@ -194,6 +194,12 @@ class TestLossSpec:
         with pytest.raises(ValueError):
             LossSpec(kind="quantum")
 
+    def test_batch_parameter_rejected_by_name(self):
+        # Scenario dicts written when specs took a block size still carry it.
+        with pytest.raises(ValueError, match="'batch'"):
+            LossSpec(kind="bernoulli",
+                     params={"probability": 0.2, "batch": 64})
+
     def test_per_channel_instances_are_independent(self):
         spec = LossSpec.drop_first_k(1)
         a = spec.build(0, 1, random.Random(0))
