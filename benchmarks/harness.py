@@ -657,12 +657,13 @@ def load_baseline(path: Path) -> dict[str, dict[str, Any]]:
 
 
 def save_baseline(path: Path, results: list[BenchResult]) -> None:
-    """Write *results* as the committed baseline."""
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "scenarios": {r.name: r.as_dict() for r in results},
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Record *results* in the committed baseline; the entries of scenarios
+    that were not run (``--scenarios a --update-baseline``) are kept."""
+    path = Path(path)
+    scenarios = load_baseline(path) if path.exists() else {}
+    scenarios.update({r.name: r.as_dict() for r in results})
+    payload = {"schema_version": SCHEMA_VERSION, "scenarios": scenarios}
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,10 @@ This module is the executable form of that contract:
 
 * :func:`fingerprint` reduces a finished run to every observable the
   promise covers: the trace digest, the full metrics summary, the ordered
-  per-process delivery logs, per-kind event statistics, per-channel
-  transmission statistics, final time and stop reason.
+  per-process delivery logs, per-kind event statistics, final time and
+  stop reason; :func:`run_fingerprint` adds what lives on the built engine
+  instead of the result — per-channel transmission statistics, the
+  fairness-guard state left on the channels, the final sequence counter.
 * :func:`parity_cases` is the scenario battery, chosen so that every
   dispatch path of the vectorized backend is exercised: the homogeneous
   Bernoulli/uniform rows of its vector sampler, the generic per-channel
@@ -134,28 +136,52 @@ def run_fingerprint(
                                 level=trace_level)
     built.metrics = MetricsCollector(level=metrics_level)
     result = built.run()
-    fp = fingerprint(result)
-    # Channel statistics live on the network (not the result); batching
-    # backends defer their per-channel counter updates and must land on
-    # exactly the per-transmit totals.  Only channels that carried traffic
-    # are compared: channels are built lazily, and a backend may build the
-    # rows of processes that never send (to bound their delays).
-    fp["channel_stats"] = {
-        f"{src}->{dst}": {
-            "attempts": channel.stats.attempts,
-            "delivered": channel.stats.delivered,
-            "dropped": channel.stats.dropped,
-            "forced_deliveries": channel.stats.forced_deliveries,
-        }
-        for (src, dst), channel in sorted(built.network.channels.items())
-        if channel.stats.attempts
-    }
     return EngineRun(
         engine=engine,
         dispatch_mode=getattr(built, "dispatch_mode", None),
-        fingerprint=fp,
+        fingerprint={**fingerprint(result), **engine_fingerprint(built)},
         consume_mode=getattr(built, "consume_mode", None),
     )
+
+
+def engine_fingerprint(built: Any) -> dict[str, Any]:
+    """The observables of a finished run that live on the engine *built*,
+    not on its result: what the run left on the network and the queue."""
+    channels = [
+        (f"{src}->{dst}", channel)
+        for (src, dst), channel in sorted(built.network.channels.items())
+        # Only channels that carried traffic are compared: channels are
+        # built lazily, and a backend may build the rows of processes that
+        # never send (to bound their delays).
+        if channel.stats.attempts
+    ]
+    return {
+        # Batching backends defer their per-channel counter updates and
+        # must land on exactly the per-transmit totals.
+        "channel_stats": {
+            name: {
+                "attempts": channel.stats.attempts,
+                "delivered": channel.stats.delivered,
+                "dropped": channel.stats.dropped,
+                "forced_deliveries": channel.stats.forced_deliveries,
+            }
+            for name, channel in channels
+        },
+        # The fairness-guard state left on those channels (non-zero
+        # consecutive-drop counts per dedup key): a backend that keeps the
+        # guard in its own tables must write every count back.
+        "channel_guards": {
+            name: sorted((repr(key), count) for key, count
+                         in channel._consecutive_drops.items() if count)
+            for name, channel in channels
+            if getattr(channel, "_consecutive_drops", None)
+        },
+        # Where the shared sequence counter ends: batching backends claim
+        # their copies' numbers from it, and a claim out of program order (a
+        # send sampled after its tick's re-arm, say) that changes what a
+        # process does next shows here before it shows anywhere else.
+        "final_seq": built.queue.claim_seqs(0),
+    }
 
 
 def compare_engines(

@@ -510,6 +510,10 @@ class SimulationEngine:
                 break
             dispatch(event)
             recycle(event)
+        return self._finish_run()
+
+    def _finish_run(self) -> SimulationResult:
+        """Close the books of a run whose loop has ended; package its result."""
         final_time = min(self._now, self.config.max_time)
         self.metrics.on_finish(final_time)
         for hook in self.hooks:
@@ -658,9 +662,15 @@ class SimulationEngine:
             if self.trace_ticks:
                 self.trace.record(self._now, TraceCategory.TICK, index)
             self.processes[index].on_tick()
+            self._flush_sends()
             next_tick = self._now + self.config.tick_interval
             if next_tick <= self.config.max_time:
                 self.queue.schedule(next_tick, EventKind.TICK, target=index)
+
+    def _flush_sends(self) -> None:
+        """Hook for backends that defer the sampling of ``broadcast_from``
+        calls: a tick's sends must claim their sequence numbers before its
+        re-arm does.  Nothing is deferred here."""
 
     def _handle_broadcast_request(self, event: QueuedEvent) -> None:
         index = event.target

@@ -1,48 +1,47 @@
-"""Vectorized engine backend: batched delivery dispatch over a SoA core.
+"""Vectorized engine backend: batched sends and deliveries over a SoA core.
 
 :class:`VectorizedEngine` is a drop-in :class:`~.engine.SimulationEngine`
 subclass registered as the ``vectorized`` backend (see
-:mod:`repro.simulation.backends`).  It replaces per-event heap traffic for
-channel deliveries — by far the dominant event population — with
-struct-of-arrays *delivery chunks* merged one time slice at a time:
+:mod:`repro.simulation.backends`).  It takes channel copies — by far the
+dominant event population — out of the event heap on both sides:
 
-* Each broadcast's fan-out becomes one :class:`_Chunk` holding the delivery
-  times, sequence numbers and destinations as a single ``(3, k)`` float64
-  array, time-sorted once at construction.  Pending copies cost 24 bytes
-  each — one ndarray for the whole fan-out — instead of a pooled event
-  object plus a heap tuple.  (Seqs and destinations are exact in float64:
-  both stay far below 2**53; the sampler guards the seq range.)
-* The main loop advances through *time slices* of width ``W``, the minimum
-  possible channel delay of the run: every delivery created while dispatching
-  a slice ``[w0, w0 + W)`` necessarily lands at or after ``w0 + W``, so the
-  slice's events can be gathered from the pending chunks once, merged with a
-  single ``lexsort`` into the reference ``(time, seq)`` total order, and
-  consumed in maximal runs between queue events by the per-process
-  :class:`~repro.core.interfaces.BatchConsumer` objects — no per-event heap
-  operations at all.  The small chunk heap is touched only when a chunk
-  enters or spans a slice.
-* Channel randomness is prefetched per source row into NumPy blocks
-  (:class:`_RowSampler`): one loss uniform per channel per broadcast and one
-  delay uniform per delivery, consumed from per-channel cursors.  Because
-  every protocol send in this codebase is a broadcast, all channels of a
-  source row advance their substreams in lockstep, so block prefetching
-  consumes each per-channel stream in exactly the reference order.
+* **Sends.**  ``broadcast_from`` only records ``(src, payload id, now)`` in
+  an *outbox*; :meth:`VectorizedEngine._flush_sends` samples everything
+  recorded since the last flush at once, grouped per source row.  Channel
+  randomness is prefetched per row into NumPy blocks (:class:`_RowSampler`):
+  loss decisions are consecutive rows of a ``(block, m)`` matrix, delay
+  uniforms are gathered per channel column with a running count of
+  deliveries.  Every protocol send in this codebase is a broadcast, so the
+  channels of a row advance their substreams in lockstep and block
+  prefetching consumes each per-channel stream in the reference order.
+* **Pending copies.**  A flush appends its delivered copies to a flat pool
+  of ``(time, seq, dst, payload id)`` columns, 24 bytes a copy.
+* **Deliveries.**  The main loop advances through *time slices* of width
+  ``W``, the minimum possible channel delay of the run: every copy created
+  while dispatching a slice ``[w0, w0 + W)`` lands at or after ``w0 + W``,
+  so the slice's copies are taken out of the pool once, merged with a single
+  ``lexsort`` into the reference ``(time, seq)`` total order, and consumed in
+  maximal runs between queue events by the per-process
+  :class:`~repro.core.interfaces.BatchConsumer` objects.
 
 Bit-identical parity with ``reference`` is a hard requirement, enforced by
 :mod:`repro.experiments.parity` in CI.  The mechanisms:
 
-* Sequence numbers for a chunk are *claimed* from the shared
-  :class:`~.scheduler.EventQueue` counter (:meth:`EventQueue.claim_seqs`) at
-  the same program point the reference engine would have scheduled the
-  copies, in the same destination order — so the merged dispatch order over
-  chunks plus heap events is the reference ``(time, seq)`` total order,
-  tie-breaks included (the per-chunk time sort is stable).
+* Sequence numbers are *claimed* from the shared
+  :class:`~.scheduler.EventQueue` counter (:meth:`EventQueue.claim_seqs`),
+  one claim per flush laid out in program order of the sends and destination
+  order within a send — the numbers the reference engine's per-copy
+  ``schedule`` calls draw — and the outbox is flushed before anything else
+  can claim one (see :meth:`VectorizedEngine._flush_sends`), so the merged
+  dispatch order over copies plus heap events is the reference order,
+  tie-breaks included.
 * The loss draw / fairness guard / delay draw sequence per channel replays
   :meth:`LossyChannel.transmit` exactly: loss uniforms are consumed once per
   attempt only for ``0 < p < 1`` (the ``p == 0``/``p == 1`` shortcuts draw
-  nothing), the guard dictionaries are the channels' own, and the delay
-  uniform is consumed only on (possibly guard-forced) delivery, evaluated
-  with the same ``low + (high - low) * u`` expression the stdlib uses.
+  nothing), the guard counts start from and end in the channels' own
+  dictionaries, and the delay uniform is consumed only on (possibly
+  guard-forced) delivery, evaluated with the same
+  ``low + (high - low) * u`` expression the stdlib uses.
 * Aggregate bookkeeping (metrics counters, channel stats, event stats)
   is flushed in forms that are arithmetically identical to the reference
   engine's per-event updates; nothing observes the intermediate values on
@@ -59,7 +58,6 @@ path ran.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
 from typing import Any, Optional
 
 import numpy as np
@@ -83,9 +81,6 @@ from .tracing import TraceCategory
 #: per-channel stream is consumed strictly sequentially).
 SAMPLE_BLOCK = 256
 
-#: Chunk columns store sequence numbers as float64; exact up to 2**53.
-_SEQ_EXACT_LIMIT = 2 ** 53
-
 #: ``transmit`` implementations known to deliver at ``now + delay.sample()``
 #: (or drop).  Rows made of these can bound their minimum delivery delay by
 #: the delay model alone, which is what makes time slicing sound.
@@ -95,114 +90,107 @@ _BOUNDED_TRANSMITS = (
     QuasiReliableChannel.transmit,
 )
 
-#: Buckets of the batched-chunk-size histogram: chunk cardinality is the
-#: surviving fan-out of one broadcast, i.e. bounded by n-1 copies.
+#: Head time of an empty pending pool, and the time of a consumed pool entry.
+_NEVER = float("inf")
+
+#: Buckets of ``repro_engine_chunk_cells``: a chunk is the surviving
+#: fan-out of one broadcast, i.e. bounded by n copies.
 _CHUNK_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0,
                   512.0, 1024.0)
 
 #: Buckets of the batched-receiver consume-width histogram: entries handed
 #: to one ``consume_acks`` call (per destination, per run).  Runs between
-#: queue events span thousands of entries during ACK storms.
+#: queue events span thousands of entries during ACK storms.  The send-side
+#: twin (broadcasts sampled by one outbox flush) spans the same range.
 _CONSUME_BUCKETS = (1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0,
                     65536.0)
 
 
-class _Chunk:
-    """One broadcast's delivered fan-out as a time-sorted ``(3, k)`` array.
-
-    ``cols[0]`` is delivery times, ``cols[1]`` sequence numbers, ``cols[2]``
-    destinations — all float64, so a chunk costs a single small ndarray
-    (average fan-outs are a few dozen entries; separate per-column arrays
-    would triple the object overhead, which dominates at that size).
-    ``start`` indexes the first entry not yet handed to the dispatch loop;
-    the columns themselves are immutable once built.  ``pid`` is the
-    payload's interned id: the id-space through which the consumers
-    classify and duplicate-suppress deliveries without touching the payload
-    object (the interner maps it back for per-entry replay).
-    """
-
-    __slots__ = ("cols", "start", "pid")
-
-    def __init__(self, cols: np.ndarray, pid: int) -> None:
-        self.cols = cols
-        self.start = 0
-        self.pid = pid
-
-
-def _refill_uniform_column(block: np.ndarray, column: int, random) -> None:
-    """Refill one prefetch column with sequential ``random()`` draws.
+def _refill_uniform_column(block: np.ndarray, column: int, random,
+                           start: int = 0) -> None:
+    """Fill ``block[start:, column]`` with sequential ``random()`` draws.
 
     ``np.fromiter`` consumes the generator straight into the preallocated
     buffer — no transient list of boxed floats — while still calling
-    ``random()`` exactly ``len(block)`` times in order, so each per-channel
-    stream is consumed decision-for-decision as the reference path would.
+    ``random()`` once per cell in order, so each per-channel stream is
+    consumed decision-for-decision as the reference path would.
     """
-    n = block.shape[0]
-    block[:, column] = np.fromiter(
+    n = block.shape[0] - start
+    block[start:, column] = np.fromiter(
         (random() for _ in range(n)), np.float64, count=n
     )
+
+
+def _stack(parts: list) -> tuple:
+    """Concatenate a list of column tuples column by column."""
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 class _RowSampler:
     """Per-source-row channel sampler replicating ``LossyChannel.transmit``.
 
-    Two modes, chosen once per row:
+    :meth:`sample` takes *all* broadcasts of one outbox flush that originate
+    at this row, in program order.  Two modes, chosen once per row:
 
     * *vector* — every channel in the row is a :class:`LossyChannel` with a
       homogeneous Bernoulli/no-loss model and a homogeneous uniform/fixed
-      delay model.  Loss uniforms are prefetched into a ``(block, m)``
-      matrix (one row per broadcast), delay uniforms into per-channel
-      columns consumed on delivery only.  Channel stats are accumulated in
-      arrays and flushed at end of run; the fairness-guard dicts used are
-      the channels' own.
+      delay model.  Loss decisions are consecutive rows of a prefetched
+      ``(block, m)`` matrix (one row per broadcast); delay uniforms sit in
+      per-channel columns and are gathered with a column-wise running count
+      of deliveries, so a channel's draws are consumed in send order.  The
+      fairness guard is one table for the row — dedup key → per-channel
+      consecutive-drop vector — loaded from the channels' own
+      ``_consecutive_drops`` and written back, with the deferred channel
+      stats, by :meth:`flush_stats`.
     * *generic* — anything else (heterogeneous rows, stateful loss models,
-      all-drop rows, non-lossy channel families): fall back to
-      ``network.broadcast_fast`` per broadcast, which runs each channel's
-      own ``transmit`` and is therefore exact by construction.  The chunk
-      dispatch win is kept either way.
+      all-drop rows, non-lossy channel families): ``network.broadcast_fast``
+      per send, which runs each channel's own ``transmit`` and is therefore
+      exact by construction.
     """
 
     __slots__ = (
-        "network", "src", "dsts", "dst_arr", "channels", "m",
-        "vector", "probability", "no_drop", "fairness_bound", "guards",
+        "network", "src", "dst_arr", "channels", "m", "block",
+        "vector", "probability", "no_drop", "fairness_bound",
+        "guard_rows", "guard_counts", "guard_live",
         "loss_rngs", "loss_block", "loss_drops", "loss_cursor",
         "delay_fixed", "delay_low", "delay_span", "delay_rngs",
         "delay_u", "delay_cursors",
-        "broadcasts", "dropped_counts", "forced_counts", "any_guard",
-        "all_idx",
+        "broadcasts", "dropped_counts", "forced_counts",
     )
 
     def __init__(self, network: Any, src: int) -> None:
         self.network = network
         self.src = src
-        row = network._row(src)
-        channels = [ch for ch in row if ch is not None]
+        channels = [ch for ch in network._row(src) if ch is not None]
         self.channels = channels
-        self.dsts = [ch.dst for ch in channels]
-        self.m = len(channels)
+        self.m = m = len(channels)
+        self.block = block = SAMPLE_BLOCK
         self.broadcasts = 0
-        self.any_guard = False
         self.vector = self._try_vector_mode(channels)
         if self.vector:
-            m = self.m
-            # float64: destinations feed straight into chunk columns.
-            self.dst_arr = np.asarray(self.dsts, dtype=np.float64)
-            self.all_idx = np.arange(m, dtype=np.int64)
-            self.guards = [ch._consecutive_drops for ch in channels]
-            # A reused network may carry guard state from a previous run;
-            # the reference path would clear it on delivery, so must we.
-            self.any_guard = any(self.guards)
+            self.dst_arr = np.array([ch.dst for ch in channels],
+                                    dtype=np.int32)
             self.dropped_counts = np.zeros(m, dtype=np.int64)
             self.forced_counts = np.zeros(m, dtype=np.int64)
-            self.loss_block = None
+            self.guard_rows: dict = {}
+            self.guard_counts = np.zeros((16, m), dtype=np.int32)
+            # A reused network may carry guard state from a previous run;
+            # the reference path would count on from it, so must we.
+            self.guard_live = False
+            for j, ch in enumerate(channels):
+                for key, count in ch._consecutive_drops.items():
+                    self.guard_counts[self._guard_row(key), j] = count
+                    self.guard_live = True
             self.loss_drops = None
-            self.loss_cursor = 0
+            self.loss_cursor = block
             if not self.no_drop:
                 self.loss_rngs = [ch.loss_model._rng for ch in channels]
             if self.delay_fixed is None:
                 self.delay_rngs = [ch.delay_model._rng for ch in channels]
-                self.delay_u = np.empty((SAMPLE_BLOCK, m), dtype=np.float64)
-                self.delay_cursors = np.full(m, SAMPLE_BLOCK, dtype=np.int64)
+                self.delay_u = np.empty((block, m), dtype=np.float64)
+                self.delay_cursors = np.full(m, block, dtype=np.int64)
 
     def _try_vector_mode(self, channels: list) -> bool:
         """Vector mode needs a homogeneous LossyChannel row (see class doc)."""
@@ -251,138 +239,153 @@ class _RowSampler:
     # ------------------------------------------------------------------ #
     # sampling
     # ------------------------------------------------------------------ #
-    def broadcast(self, payload: Any, now: SimTime, queue: Any) -> tuple:
-        """Sample one broadcast.  Returns ``(sent, cols | None)``.
+    def sample(self, payloads: list, nows: np.ndarray) -> tuple:
+        """Sample this row's broadcasts of one flush, in program order.
 
-        ``sent`` is the number of attempted copies; ``cols`` is the
-        time-sorted ``(3, k)`` chunk column array (times / seqs / dsts), or
-        ``None`` when every copy was dropped.
+        Returns ``(per_send, times, dsts)``: the number of delivered copies
+        of each broadcast, and the delivery times / destinations of those
+        copies laid out send by send, destination order within a send — the
+        order in which the reference engine would have scheduled them.
         """
         if not self.vector:
-            return self._broadcast_generic(payload, now, queue)
-        self.broadcasts += 1
-        if self.no_drop:
-            delivered_idx = self.all_idx
-            if self.any_guard:
-                self._clear_guard(delivered_idx, self.network.dedup_key(payload))
+            return self._sample_generic(payloads, nows)
+        dedup_key = self.network.dedup_key
+        keys = [dedup_key(payload) for payload in payloads]
+        parts = []
+        pos, total, block = 0, len(keys), self.block
+        while pos < total:
+            # At most one block of sends at a time, and never across a loss
+            # block boundary: the drop mask is then a plain view, and no
+            # delay column can need more than one top-up.
+            if self.no_drop:
+                step = min(total - pos, block)
+                mask = None
+            else:
+                if self.loss_cursor >= block:
+                    self._refill_loss()
+                cursor = self.loss_cursor
+                step = min(total - pos, block - cursor)
+                mask = self.loss_drops[cursor:cursor + step]
+                self.loss_cursor = cursor + step
+            parts.append(self._sample_part(
+                keys[pos:pos + step], nows[pos:pos + step], mask))
+            pos += step
+        return _stack(parts)
+
+    def _sample_part(self, keys: list, nows: np.ndarray,
+                     mask: Optional[np.ndarray]) -> tuple:
+        """One sub-batch of :meth:`sample`: ``len(keys) <= block`` sends whose
+        drop decisions are the rows of *mask* (``None``: a lossless row)."""
+        b = len(keys)
+        if self.guard_live or (mask is not None and mask.any()):
+            delivered = self._replay_guard(keys, mask)
         else:
-            drops = self.loss_drops
-            cursor = self.loss_cursor
-            if drops is None or cursor >= SAMPLE_BLOCK:
-                drops = self._refill_loss()
-                cursor = 0
-            mask = drops[cursor]
-            self.loss_cursor = cursor + 1
-            if mask.any():
-                delivered_idx = self._apply_guard(
-                    mask, self.network.dedup_key(payload)
-                )
-            else:
-                delivered_idx = self.all_idx
-                if self.any_guard:
-                    self._clear_guard(delivered_idx,
-                                      self.network.dedup_key(payload))
-        k = len(delivered_idx)
-        if k == 0:
-            return self.m, None
-        seq0 = queue.claim_seqs(k)
-        if seq0 + k > _SEQ_EXACT_LIMIT:
-            raise OverflowError("sequence numbers exceed float64 exactness")
-        cols = np.empty((3, k), dtype=np.float64)
+            delivered = np.ones((b, self.m), dtype=bool)
+        self.broadcasts += b
+        per_col = delivered.sum(axis=0)
+        self.dropped_counts += b - per_col
+        bi, ji = np.nonzero(delivered)
         if self.delay_fixed is not None:
-            # Equal delays: time order is destination order already.
-            cols[0] = now + self.delay_fixed
-            cols[1] = np.arange(seq0, seq0 + k, dtype=np.float64)
-            cols[2] = self.dst_arr[delivered_idx]
-            return self.m, cols
-        cursors = self.delay_cursors
-        ci = cursors[delivered_idx]
-        if (ci >= SAMPLE_BLOCK).any():
-            for j in delivered_idx[ci >= SAMPLE_BLOCK].tolist():
-                self._refill_delay(j)
-            ci = cursors[delivered_idx]
-        u = self.delay_u[ci, delivered_idx]
-        cursors[delivered_idx] = ci + 1
-        # Exactly the stdlib's uniform(a, b): a + (b - a) * random().
-        times_arr = now + (self.delay_low + self.delay_span * u)
-        order = np.argsort(times_arr, kind="stable")
-        cols[0] = times_arr[order]
-        cols[1] = order
-        cols[1] += seq0
-        cols[2] = self.dst_arr[delivered_idx[order]]
-        return self.m, cols
+            times = nows[bi] + self.delay_fixed
+        else:
+            cursors = self.delay_cursors
+            for j in np.nonzero(cursors + per_col > self.block)[0].tolist():
+                self._top_up_delay(j)
+            # The k-th delivery of the batch on channel j consumes the k-th
+            # pending uniform of column j: its rank is a running count.
+            rank = delivered.cumsum(axis=0)[bi, ji]
+            u = self.delay_u[cursors[ji] + rank - 1, ji]
+            cursors += per_col
+            # Exactly the stdlib's uniform(a, b): a + (b - a) * random().
+            times = nows[bi] + (self.delay_low + self.delay_span * u)
+        return delivered.sum(axis=1), times, self.dst_arr[ji]
 
-    def _apply_guard(self, mask: np.ndarray, key: Any) -> np.ndarray:
-        """Replay the fairness guard for one drop mask; returns delivered idx."""
-        dropped = np.nonzero(mask)[0]
+    def _guard_row(self, key: Any) -> int:
+        """Row of *key* in the guard table, appended on first sight."""
+        rows = self.guard_rows
+        row = rows.setdefault(key, len(rows))
+        if row == self.guard_counts.shape[0]:
+            self.guard_counts = np.concatenate(
+                (self.guard_counts, np.zeros_like(self.guard_counts)))
+        return row
+
+    def _replay_guard(self, keys: list,
+                      mask: Optional[np.ndarray]) -> np.ndarray:
+        """Replay the fairness guard over a sub-batch; returns the
+        ``(len(keys), m)`` delivered matrix.
+
+        A channel's consecutive-drop count of a key goes to ``count + 1`` on
+        a drop and to zero on a delivery, and a wanted drop at
+        ``count >= fairness_bound`` is forced through.  Distinct keys are
+        independent, so the sends are replayed in *rounds* — round ``r``
+        holds every key's ``r``-th send of the batch — each one matrix
+        operation over the table rows it touches.
+        """
+        b = len(keys)
+        if mask is None:
+            mask = np.zeros((b, self.m), dtype=bool)
+        else:
+            self.guard_live = True
+        rows = [self._guard_row(key) for key in keys]
+        if len(set(rows)) == b:
+            rounds: Any = (slice(None),)
+        else:
+            seen: dict = {}
+            by_round: dict = {}
+            for i, row in enumerate(rows):
+                nth = seen[row] = seen.get(row, -1) + 1
+                by_round.setdefault(nth, []).append(i)
+            rounds = by_round.values()
+        rows = np.array(rows)
+        counts = self.guard_counts
         bound = self.fairness_bound
-        guards = self.guards
-        dropped_counts = self.dropped_counts
-        forced: list[int] = []
-        for j in dropped.tolist():
-            guard = guards[j]
-            if bound is not None and guard.get(key, 0) >= bound:
-                forced.append(j)
-            else:
-                dropped_counts[j] += 1
-                guard[key] = guard.get(key, 0) + 1
-        self.any_guard = True
-        if forced:
-            mask = mask.copy()
-            mask[forced] = False
-            self.forced_counts[forced] += 1
-        delivered_idx = np.nonzero(~mask)[0]
-        self._clear_guard(delivered_idx, key)
-        return delivered_idx
+        delivered = np.empty((b, self.m), dtype=bool)
+        for sel in rounds:
+            table_rows = rows[sel]
+            count = counts[table_rows]
+            drop = mask[sel]
+            if bound is not None:
+                forced = drop & (count >= bound)
+                self.forced_counts += forced.sum(axis=0)
+                drop = drop ^ forced
+            counts[table_rows] = (count + 1) * drop
+            delivered[sel] = ~drop
+        return delivered
 
-    def _clear_guard(self, delivered_idx: np.ndarray, key: Any) -> None:
-        guards = self.guards
-        for j in delivered_idx.tolist():
-            guard = guards[j]
-            if guard and key in guard:
-                del guard[key]
-
-    def _refill_loss(self) -> np.ndarray:
-        block = self.loss_block
-        if block is None:
-            block = self.loss_block = np.empty(
-                (SAMPLE_BLOCK, self.m), dtype=np.float64
-            )
-            self.loss_drops = np.empty((SAMPLE_BLOCK, self.m), dtype=bool)
+    def _refill_loss(self) -> None:
+        if self.loss_drops is None:
+            self.loss_block = np.empty((self.block, self.m), dtype=np.float64)
+            self.loss_drops = np.empty((self.block, self.m), dtype=bool)
         for j, rng in enumerate(self.loss_rngs):
-            _refill_uniform_column(block, j, rng.random)
-        np.less(block, self.probability, out=self.loss_drops)
+            _refill_uniform_column(self.loss_block, j, rng.random)
+        np.less(self.loss_block, self.probability, out=self.loss_drops)
         self.loss_cursor = 0
-        return self.loss_drops
 
-    def _refill_delay(self, column: int) -> None:
+    def _top_up_delay(self, column: int) -> None:
+        """Move column's unconsumed uniforms to the front, draw the rest."""
+        cursor = int(self.delay_cursors[column])
+        kept = self.block - cursor
+        self.delay_u[:kept, column] = self.delay_u[cursor:, column]
         _refill_uniform_column(self.delay_u, column,
-                               self.delay_rngs[column].random)
+                               self.delay_rngs[column].random, start=kept)
         self.delay_cursors[column] = 0
 
-    def _broadcast_generic(self, payload: Any, now: SimTime,
-                           queue: Any) -> tuple:
+    def _sample_generic(self, payloads: list, nows: np.ndarray) -> tuple:
         """Exact generic path: per-channel ``transmit`` via broadcast_fast."""
-        sent = 0
-        delivered: list[tuple[SimTime, int]] = []
-        for dst, deliver_time in self.network.broadcast_fast(
-            self.src, payload, now
-        ):
-            sent += 1
-            if deliver_time is not None:
-                delivered.append((deliver_time, dst))
-        k = len(delivered)
-        if k == 0:
-            return sent, None
-        seq0 = queue.claim_seqs(k)
-        if seq0 + k > _SEQ_EXACT_LIMIT:
-            raise OverflowError("sequence numbers exceed float64 exactness")
-        order = sorted(range(k), key=lambda i: delivered[i][0])
-        cols = np.empty((3, k), dtype=np.float64)
-        cols[0] = [delivered[i][0] for i in order]
-        cols[1] = [seq0 + i for i in order]
-        cols[2] = [delivered[i][1] for i in order]
-        return sent, cols
+        per_send: list[int] = []
+        times: list[SimTime] = []
+        dsts: list[int] = []
+        broadcast_fast = self.network.broadcast_fast
+        for payload, now in zip(payloads, nows.tolist()):
+            before = len(times)
+            for dst, deliver_time in broadcast_fast(self.src, payload, now):
+                if deliver_time is not None:
+                    times.append(deliver_time)
+                    dsts.append(dst)
+            per_send.append(len(times) - before)
+        return (np.array(per_send, dtype=np.int64),
+                np.array(times, dtype=np.float64),
+                np.array(dsts, dtype=np.int32))
 
     # ------------------------------------------------------------------ #
     # end-of-run flush
@@ -392,7 +395,9 @@ class _RowSampler:
 
         Only vector mode defers stats (the generic path goes through each
         channel's own ``transmit``).  ``delivered = attempts - dropped``
-        exactly as the per-transmit updates would have left them.
+        exactly as the per-transmit updates would have left them, and the
+        channels' ``_consecutive_drops`` get the guard table's non-zero
+        counts (absent key == zero drops, as ``transmit`` keeps them).
         """
         if not self.vector or self.broadcasts == 0:
             return
@@ -409,6 +414,14 @@ class _RowSampler:
         self.broadcasts = 0
         dropped_counts[:] = 0
         forced_counts[:] = 0
+        if self.guard_live:
+            keys = list(self.guard_rows)
+            live = self.guard_counts[:len(keys)]
+            for channel in self.channels:
+                channel._consecutive_drops.clear()
+            for row, j in zip(*(axis.tolist() for axis in np.nonzero(live))):
+                self.channels[j]._consecutive_drops[keys[row]] = \
+                    int(live[row, j])
 
 
 class VectorizedEngine(SimulationEngine):
@@ -425,7 +438,7 @@ class VectorizedEngine(SimulationEngine):
     dispatch_mode: Optional[str] = None
 
     #: How the batched path consumed deliveries: ``"batched"`` — unboxed,
-    #: straight from the chunk columns into the per-process
+    #: straight from the slice columns into the per-process
     #: :class:`~repro.core.interfaces.BatchConsumer`\ s; ``"boxed"`` — every
     #: reception replayed through ``on_receive`` by
     #: :class:`~repro.core.interfaces.BoxedConsumer` adapters (protocols
@@ -450,7 +463,8 @@ class VectorizedEngine(SimulationEngine):
             return "hooks"
         if self.trace.channel_active:
             return "full_trace"
-        if self._min_delay_window() <= 0.0:
+        self._window = self._min_delay_window()
+        if self._window <= 0.0:
             return "no_positive_min_delay"
         return None
 
@@ -484,41 +498,88 @@ class VectorizedEngine(SimulationEngine):
     def broadcast_from(self, src: int, payload: Any) -> None:
         if not self._fast_active:
             super().broadcast_from(src, payload)
+        elif src not in self._crashed:
+            self._outbox.append(
+                (src, self._interner.pid_for(payload), self._now))
+
+    def _flush_sends(self) -> None:
+        """Sample every broadcast recorded since the last flush, at once.
+
+        The outbox is grouped per source row (stably, so every per-channel
+        loss and delay substream is consumed in program order) and each
+        group sampled by its :class:`_RowSampler`; then **one**
+        ``claim_seqs`` hands out the numbers in program order of the sends
+        and destination order within a send — exactly the seqs the
+        reference engine's per-copy ``schedule`` calls would have drawn —
+        and the copies join the pending pool as one block.  Invariant: the
+        outbox is empty whenever anything but this method claims a seq or
+        reads ``_batch_pending``; hence the flush points — the end of every
+        ``_consume_run``, inside TICK handling between ``on_tick()`` and
+        the re-arm, and after every other queue-event dispatch.  Deferring
+        is sound because nothing created in a slice is consumed in it, and
+        a process has no way to claim a seq except ``broadcast``.
+        """
+        outbox = self._outbox
+        if not outbox:
             return
-        if src in self._crashed:
-            return
-        sampler = self._row_samplers[src]
-        if sampler is None:
-            sampler = _RowSampler(self.network, src)
-            self._row_samplers[src] = sampler
-        now = self._now
-        sent, cols = sampler.broadcast(payload, now, self.queue)
-        kind = payload_kind(payload)
+        srcs, pids, nows = zip(*outbox)
+        outbox.clear()
+        srcs, pids = np.array(srcs), np.array(pids)
+        nows = np.array(nows, dtype=np.float64)
+        n = len(srcs)
+        order = np.argsort(srcs, kind="stable")
+        grouped = srcs[order]
+        cuts = [0, *(np.nonzero(grouped[1:] != grouped[:-1])[0] + 1).tolist(),
+                n]
+        payloads = self._interner.payloads
+        samplers = self._row_samplers
+        per_send = np.empty(n, dtype=np.int64)
+        attempted = np.empty(n, dtype=np.int64)
+        parts = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            src = int(grouped[lo])
+            sampler = samplers[src]
+            if sampler is None:
+                sampler = samplers[src] = _RowSampler(self.network, src)
+            sends = order[lo:hi]
+            per_send[sends], *columns = sampler.sample(
+                [payloads[pid] for pid in pids[sends].tolist()], nows[sends])
+            attempted[sends] = sampler.m
+            parts.append(columns)
         metrics = self.metrics
         if metrics.active:
-            metrics.on_send_many(now, src, kind, sent)
-        if cols is None:
-            if metrics.active:
-                metrics.on_drop_many(now, src, kind, sent)
+            for src, pid, now, sent, kept in zip(
+                    srcs.tolist(), pids.tolist(), nows.tolist(),
+                    attempted.tolist(), per_send.tolist()):
+                kind = payload_kind(payloads[pid])
+                metrics.on_send_many(now, src, kind, sent)
+                metrics.on_drop_many(now, src, kind, sent - kept)
+        if self._send_rows_hist is not None:
+            self._send_rows_hist.observe(n)
+            for kept in per_send[per_send > 0].tolist():
+                self._chunk_cells_hist.observe(kept)
+        ends = per_send.cumsum()
+        total = int(ends[-1])
+        if not total:
             return
-        k = cols.shape[1]
-        dropped = sent - k
-        if dropped and metrics.active:
-            metrics.on_drop_many(now, src, kind, dropped)
-        self._batch_pending += k
-        if obs.enabled():
-            obs.histogram(
-                "repro_engine_chunk_cells",
-                "Copies per batched delivery chunk.",
-                buckets=_CHUNK_BUCKETS,
-            ).observe(k)
-        chunk = _Chunk(cols, self._interner.pid_for(payload))
-        heappush(self._chunk_heap,
-                 (float(cols[0, 0]), int(cols[1, 0]), chunk))
+        # Copy c of send p gets seq0 + (copies of sends before p) + c; the
+        # sampled columns are laid out group by group, so spread each send's
+        # first seq over its copies and add the within-send offset.
+        first_seq = self.queue.claim_seqs(total) + ends - per_send
+        grouped_kept = per_send[order]
+        offsets = grouped_kept.cumsum() - grouped_kept
+        seqs = np.repeat(first_seq[order] - offsets, grouped_kept)
+        seqs += np.arange(total)
+        times, dsts = _stack(parts)
+        self._fresh.append((
+            times, seqs, dsts,
+            np.repeat(pids[order].astype(np.int32), grouped_kept)))
+        self._batch_pending += total
+        self._pending_head = min(self._pending_head, float(times.min()))
 
     def _quiescence_reached(self) -> bool:
-        # Pending chunk deliveries are in-flight copies exactly like the
-        # reference engine's pending RECEIVE events.
+        # Pooled copies are in flight exactly like the reference engine's
+        # pending RECEIVE events.
         if self._batch_pending:
             return False
         return super()._quiescence_reached()
@@ -561,7 +622,10 @@ class VectorizedEngine(SimulationEngine):
         return 0.0 if bound == float("inf") else bound
 
     def _run_batched(self) -> SimulationResult:
-        self._chunk_heap: list = []
+        self._outbox: list = []
+        self._fresh: list = []
+        self._pending: list = []
+        self._pending_head = _NEVER
         self._batch_pending = 0
         self._row_samplers: list[Optional[_RowSampler]] = (
             [None] * self.config.n_processes
@@ -569,49 +633,38 @@ class VectorizedEngine(SimulationEngine):
         self._interner = PayloadInterner()
         self._fast_active = True
         try:
+            if obs.enabled():
+                self._send_rows_hist = obs.histogram(
+                    "repro_engine_send_batch_rows",
+                    "Broadcasts sampled by one outbox flush.",
+                    buckets=_CONSUME_BUCKETS,
+                )
+                self._chunk_cells_hist = obs.histogram(
+                    "repro_engine_chunk_cells",
+                    "Copies per batched delivery chunk.",
+                    buckets=_CHUNK_BUCKETS,
+                )
             self._seed_initial_events()
             consumers = self._consumers = self._build_consumers()
             receive_count, deliver_count = self._merge_sliced_consumed(
-                self._min_delay_window()
-            )
+                self._window)
             for consumer in consumers:
                 consumer.flush()
         finally:
             self._fast_active = False
             self._batched_consumed_counter = None
             self._consume_width_hist = None
+            self._send_rows_hist = self._chunk_cells_hist = None
         # Flush the aggregate bookkeeping the batched loop deferred; every
         # value lands exactly where the per-event loop would have left it.
-        metrics = self.metrics
         if receive_count:
             self.event_stats.dispatched[EventKind.RECEIVE] += receive_count
         if deliver_count:
-            metrics.total_channel_deliveries += deliver_count
+            self.metrics.total_channel_deliveries += deliver_count
         for sampler in self._row_samplers:
             if sampler is not None:
                 sampler.flush_stats()
-        final_time = min(self._now, self.config.max_time)
-        metrics.on_finish(final_time)
-        provenance = self._schedule_provenance()
-        self.trace.header.update(provenance.as_dict())
-        if obs.enabled():
-            self._record_obs_run()
-        return SimulationResult(
-            config=self.config,
-            crash_schedule=self._effective_crash_schedule(),
-            trace=self.trace,
-            metrics=metrics,
-            delivery_logs={
-                index: process.delivery_log
-                for index, process in self.processes.items()
-            },
-            processes=dict(self.processes),
-            expected_contents=tuple(cmd.content for cmd in self.workload),
-            final_time=final_time,
-            stop_reason=self._stop_reason,
-            event_stats=self.event_stats,
-            schedule=provenance,
-        )
+        return self._finish_run()
 
     # ------------------------------------------------------------------ #
     # batched receiver (consumption through BatchConsumers)
@@ -683,51 +736,55 @@ class VectorizedEngine(SimulationEngine):
         view_window = detector.view_window
         return lambda now: view_window(index, now)
 
-    def _gather_slice_pids(self, w1: float) -> tuple:
-        """Collect every pending chunk entry with ``time < w1``.
+    def _gather_slice(self, w1: float) -> tuple:
+        """Take every pending copy with ``time < w1`` out of the pool.
 
-        Returns ``(cols, pids)`` in the reference ``(time, seq)`` dispatch
-        order: ``cols`` is a ``(3, n)`` column array and ``pids`` an int64
-        array of interned payload ids aligned with it (``None, None`` when
-        the slice is empty).
+        Returns ``(times, seqs, dsts, pids)`` columns in the reference
+        ``(time, seq)`` dispatch order (four ``None`` when nothing is due).
+        The pool is a list of blocks ``[min_time, live, times, seqs, dsts,
+        pids]``: the flushes of one slice are sealed into one block here
+        (nothing they created can be due before the next slice), so a copy
+        is stored once and only the blocks whose minimum is due are
+        touched — a mask picks their due entries, whose times are then
+        overwritten with ``inf`` in place; a block is freed when its last
+        entry leaves.
         """
-        chunks = self._chunk_heap
+        fresh = self._fresh
+        if fresh:
+            columns = _stack(fresh)
+            self._pending.append(
+                [float(columns[0].min()), len(columns[0]), *columns])
+            fresh.clear()
         parts = []
-        pid_parts = []
-        while chunks and chunks[0][0] < w1:
-            _, _, chunk = heappop(chunks)
-            cols = chunk.cols
-            times = cols[0]
-            start = chunk.start
-            split = start + int(
-                np.searchsorted(times[start:], w1, side="left")
-            )
-            parts.append(cols[:, start:split])
-            pid_parts.append((chunk.pid, split - start))
-            if split < cols.shape[1]:
-                chunk.start = split
-                heappush(chunks,
-                         (float(times[split]), int(cols[1, split]), chunk))
+        kept = []
+        head = _NEVER
+        for block in self._pending:
+            if block[0] < w1:
+                times = block[2]
+                due = np.nonzero(times < w1)[0]
+                parts.append(tuple(column[due] for column in block[2:]))
+                block[1] -= len(due)
+                if not block[1]:
+                    continue
+                times[due] = _NEVER
+                block[0] = float(times.min())
+            kept.append(block)
+            if block[0] < head:
+                head = block[0]
+        self._pending = kept
+        self._pending_head = head
         if not parts:
-            return None, None
-        if len(parts) == 1:
-            # A single chunk is already in dispatch order (time-sorted with
-            # ascending seqs on ties) and shares one payload.
-            cols = parts[0]
-            pids = np.full(cols.shape[1], pid_parts[0][0], dtype=np.int64)
-            return cols, pids
-        merged = np.concatenate(parts, axis=1)
+            return None, None, None, None
+        times, seqs, dsts, pids = _stack(parts)
         # lexsort: primary key last — times first, seqs break exact ties.
-        order = np.lexsort((merged[1], merged[0]))
-        pids = np.empty(merged.shape[1], dtype=np.int64)
-        pos = 0
-        for pid, count in pid_parts:
-            pids[pos:pos + count] = pid
-            pos += count
-        return merged[:, order], pids[order]
+        # The index columns are widened once here, not at every gather of
+        # the consumers.
+        order = np.lexsort((seqs, times))
+        return (times[order], seqs[order], dsts[order].astype(np.intp),
+                pids[order].astype(np.intp))
 
     def _merge_sliced_consumed(self, window: float) -> tuple[int, int]:
-        """Main loop: slice-merged chunk entries + queue events.
+        """Main loop: slice-merged pool entries + queue events.
 
         Replicates the reference loop's ``(time, seq)`` total order across
         deliveries and queue events and its stop semantics (horizon break
@@ -740,7 +797,6 @@ class VectorizedEngine(SimulationEngine):
         that reads lazily-maintained ACK state).
         """
         queue = self.queue
-        chunks = self._chunk_heap
         max_time = self.config.max_time
         dispatch = self._dispatch
         recycle = queue.recycle
@@ -752,25 +808,15 @@ class VectorizedEngine(SimulationEngine):
         next_entry = queue.peek()
         stop = False
         while not stop:
-            if chunks:
-                head_time = chunks[0][0]
-                if next_entry is not None and next_entry.time < head_time:
-                    w1 = next_entry.time + window
-                else:
-                    w1 = head_time + window
-            elif next_entry is not None:
+            head_time = self._pending_head
+            if next_entry is not None and next_entry.time < head_time:
                 w1 = next_entry.time + window
+            elif head_time < _NEVER:
+                w1 = head_time + window
             else:
                 break
-            cols, pids = self._gather_slice_pids(w1)
-            if cols is None:
-                n_w = 0
-                times = seqs = dsts = None
-            else:
-                n_w = cols.shape[1]
-                times = cols[0]
-                seqs = cols[1]
-                dsts = cols[2]
+            times, seqs, dsts, pids = self._gather_slice(w1)
+            n_w = 0 if times is None else len(times)
             i = 0
             while True:
                 if self._stop_requested:
@@ -838,7 +884,7 @@ class VectorizedEngine(SimulationEngine):
                     # The next queue event precedes entry i.
                 elif next_entry is None or next_entry.time >= w1:
                     # Slice exhausted and no queue event left before its
-                    # boundary: advance to the next slice (chunks created
+                    # boundary: advance to the next slice (copies created
                     # meanwhile land at >= w1 by construction).
                     break
                 event = queue.pop()
@@ -857,6 +903,7 @@ class VectorizedEngine(SimulationEngine):
                     # on_tick reads the retire condition's counters.
                     consumers[event.target].flush()
                 dispatch(event)
+                self._flush_sends()
                 recycle(event)
                 next_entry = queue.peek()
         return receive_count, deliver_count
@@ -873,9 +920,9 @@ class VectorizedEngine(SimulationEngine):
           receptions in an ACK storm).
         * **Phase A** — every other reception, replayed one at a time in
           global run order with ``_now`` set per entry: a MSG handler draws
-          the acknowledgement tag from the process RNG and broadcasts
-          (claiming sequence numbers), so its RNG and seq consumption must
-          interleave exactly as the reference engine's.
+          the acknowledgement tag from the process RNG and broadcasts, so
+          the tags are drawn and the broadcasts recorded in the reference
+          engine's order; the flush that ends the run samples them.
 
         Boxed runs have no Phase B: a generic protocol's ACK handler may
         draw randomness or claim sequence numbers too, so the
@@ -890,7 +937,7 @@ class VectorizedEngine(SimulationEngine):
         interner = self._interner
         consumers = self._consumers
         run_pids = pids[lo:hi]
-        run_dsts = dsts[lo:hi].astype(np.int64)
+        run_dsts = dsts[lo:hi]
         run_times = times[lo:hi]
         n = hi - lo
         crashed = self._crashed
@@ -952,6 +999,7 @@ class VectorizedEngine(SimulationEngine):
                     consumers[int(run_dsts[k])].handle_msg(
                         payloads[run_pids[k]], k
                     )
+            self._flush_sends()
         if deliveries:
             if len(deliveries) > 1:
                 deliveries.sort()
@@ -974,6 +1022,9 @@ class VectorizedEngine(SimulationEngine):
     #: per-event fallback (super().run()) never sets it.
     _fast_active: bool = False
     _batch_pending: int = 0
+    #: Broadcasts recorded since the last flush: ``(src, pid, now)``.  Only
+    #: the batched path fills it; elsewhere the flush hook finds it empty.
+    _outbox: Any = ()
     #: Payload interning table + per-process consumers of the current
     #: batched run.
     _interner: Optional[PayloadInterner] = None
@@ -982,3 +1033,7 @@ class VectorizedEngine(SimulationEngine):
     #: hot loop); ``None`` when obs is disabled.
     _batched_consumed_counter: Any = None
     _consume_width_hist: Any = None
+    _send_rows_hist: Any = None
+    _chunk_cells_hist: Any = None
+    #: The run's slice width, computed once by :meth:`_fallback_reason`.
+    _window: float = 0.0

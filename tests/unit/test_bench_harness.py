@@ -149,6 +149,16 @@ class TestBaselineCompare:
         assert "x" in loaded
         assert loaded["x"]["events_per_sec"] == 1000.0
 
+    def test_saving_a_subset_keeps_the_other_entries(self, harness, tmp_path):
+        path = tmp_path / "baseline.json"
+        harness.save_baseline(path, [make_result(harness, name="x"),
+                                     make_result(harness, name="y")])
+        harness.save_baseline(
+            path, [make_result(harness, name="y", events_per_sec=5.0)])
+        loaded = harness.load_baseline(path)
+        assert loaded["x"]["events_per_sec"] == 1000.0
+        assert loaded["y"]["events_per_sec"] == 5.0
+
 
 class TestRunBenchmark:
     def test_registry_has_required_scenarios(self, harness):

@@ -14,18 +14,22 @@ from __future__ import annotations
 import io
 import json
 
+import numpy as np
 import pytest
 
 from repro import obs
+from repro.core.messages import MsgPayload, TaggedMessage
 from repro.experiments.config import Scenario
 from repro.experiments.parity import (
     compare_engines,
+    engine_fingerprint,
     fingerprint,
     parity_cases,
     run_fingerprint,
 )
 from repro.experiments.runner import build_engine
 from repro.explore.serialize import scenario_from_dict, scenario_to_dict
+from repro.network.delay import DelaySpec
 from repro.registry import (
     UnknownComponentError,
     all_registries,
@@ -103,13 +107,127 @@ def test_vectorized_matches_reference(name):
         OFF_RAMP_CASES.get(name, ("batched", "batched"))
 
 
-def test_small_sample_block_is_bit_identical(monkeypatch):
-    # Tiny prefetch blocks force mid-run refills of the loss matrix and the
-    # per-channel delay columns; results must not depend on block size.
-    monkeypatch.setattr(vectorized, "SAMPLE_BLOCK", 3)
-    scenario = CASES["bernoulli-uniform"]
+@pytest.mark.parametrize("name", ["bernoulli-uniform", "algorithm1",
+                                  "heavy-loss-guard", "crashes-mid-run"])
+@pytest.mark.parametrize("block", [1, 3])
+def test_small_sample_block_is_bit_identical(monkeypatch, block, name):
+    # Tiny prefetch blocks put every refill boundary inside single flushes:
+    # one row's sends need several loss blocks, delay columns are topped up
+    # mid-batch, and a row group larger than the block is split.  Results
+    # must not depend on the block size.
+    monkeypatch.setattr(vectorized, "SAMPLE_BLOCK", block)
+    report = compare_engines(CASES[name])
+    assert report.ok, report.diff()
+
+
+@pytest.mark.parametrize("block", [2, 5, 256])
+def test_row_sampler_batch_matches_transmit_copy_by_copy(monkeypatch, block):
+    """One ``sample`` call over a batch of sends (repeated keys included)
+    against ``LossyChannel.transmit`` called copy by copy on a twin network
+    built from the same seed."""
+    monkeypatch.setattr(vectorized, "SAMPLE_BLOCK", block)
+    scenario = CASES["heavy-loss-guard"]
+    batch_net = build_engine(scenario).network
+    twin_net = build_engine(scenario).network
+    payloads = [MsgPayload(TaggedMessage(content=f"m{i % 3}", tag=i % 3))
+                for i in range(17)]
+    nows = np.linspace(1.0, 2.0, len(payloads))
+    # Guard state left by an earlier run on a reused network.
+    for net in (batch_net, twin_net):
+        net.channel(2, 0)._consecutive_drops[payloads[0]] = 2
+        net.channel(2, 4)._consecutive_drops[payloads[1]] = 1
+
+    sampler = vectorized._RowSampler(batch_net, 2)
+    assert sampler.vector
+    per_send, times, dsts = [], [], []
+    for lo, hi in ((0, 11), (11, 17)):
+        kept, part_times, part_dsts = sampler.sample(payloads[lo:hi],
+                                                     nows[lo:hi])
+        per_send += kept.tolist()
+        times += part_times.tolist()
+        dsts += part_dsts.tolist()
+    sampler.flush_stats()
+
+    want_per_send, want_times, want_dsts = [], [], []
+    row = [twin_net.channel(2, dst) for dst in range(scenario.n_processes)]
+    for payload, now in zip(payloads, nows.tolist()):
+        outcomes = [(ch.dst, ch.transmit(payload, now)) for ch in row]
+        delivered = [(dst, t) for dst, t in outcomes if t is not None]
+        want_per_send.append(len(delivered))
+        want_dsts += [dst for dst, _ in delivered]
+        want_times += [t for _, t in delivered]
+    assert per_send == want_per_send
+    assert dsts == want_dsts
+    assert times == want_times
+    assert 0 < sum(want_per_send) < len(payloads) * len(row)
+    assert sum(ch.stats.forced_deliveries for ch in row) > 0
+    for dst, twin in enumerate(row):
+        channel = batch_net.channel(2, dst)
+        assert channel.stats == twin.stats
+        assert channel._consecutive_drops == twin._consecutive_drops
+
+
+def _guarded_run(engine_name, preseed):
+    """``heavy-loss-guard`` on a network that already carries guard state."""
+    built = build_engine(CASES["heavy-loss-guard"].with_(engine=engine_name))
+    built.trace = TraceRecorder(enabled=True, level=TraceLevel.DELIVERIES)
+    for (src, dst), drops in preseed.items():
+        built.network.channel(src, dst)._consecutive_drops.update(drops)
+    result = built.run()
+    return built, {**fingerprint(result), **engine_fingerprint(built)}
+
+
+def test_preseeded_guard_state_is_counted_on_and_written_back():
+    # A reused network: two channels start with consecutive-drop counts for
+    # payloads the run is going to send (taken from a first run, so the
+    # keys are real), one of them already at the fairness bound.
+    first, unseeded = _guarded_run("reference", {})
+    leftovers = {
+        pair: dict(channel._consecutive_drops)
+        for pair, channel in sorted(first.network.channels.items())
+        if channel._consecutive_drops
+    }
+    (pair_a, drops_a), (pair_b, drops_b) = list(leftovers.items())[:2]
+    preseed = {pair_a: {key: 2 for key in drops_a},
+               pair_b: {key: 1 for key in drops_b}}
+    _, reference = _guarded_run("reference", preseed)
+    built, batched = _guarded_run("vectorized", preseed)
+    assert built.dispatch_mode == built.consume_mode == "batched"
+    assert batched == reference
+    assert reference["channel_guards"]
+    # The seeded state mattered: the run differs from the unseeded one.
+    assert reference["channel_stats"] != unseeded["channel_stats"]
+
+
+# --------------------------------------------------------------------------- #
+# flush order: deferred sends claim their seqs before anything else does
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("name", ["bernoulli-uniform", "algorithm1"])
+def test_tick_sends_claim_their_seqs_before_the_rearm(name):
+    # A fixed delay equal to the tick interval makes every copy sent by a
+    # tick land at exactly the time of that process's next tick, so the
+    # order of the two is decided by their sequence numbers alone: a flush
+    # that ran after the re-arm would deliver the copies after the tick.
+    scenario = CASES[name]
+    report = compare_engines(
+        scenario.with_(delay=DelaySpec.fixed(scenario.tick_interval)))
+    assert report.ok, report.diff()
+    assert report.runs[1].dispatch_mode == "batched"
+
+
+def test_engine_check_between_sends_sees_the_copies_in_flight():
+    # No drain grace and a check interval below the slice width: engine
+    # checks fire in the middle of slices while copies are pooled, and the
+    # first one that finds nothing in flight stops the run on the spot.
+    scenario = CASES["bernoulli-uniform"].with_(drain_grace_period=0.0,
+                                                check_interval=0.02)
     report = compare_engines(scenario)
     assert report.ok, report.diff()
+    reference, batched = report.runs
+    assert batched.dispatch_mode == batched.consume_mode == "batched"
+    assert batched.fingerprint["stop_reason"] == "quiescent"
+    assert batched.fingerprint["final_time"] == \
+        reference.fingerprint["final_time"]
 
 
 # --------------------------------------------------------------------------- #
@@ -276,6 +394,21 @@ def test_batched_receiver_records_consumed_and_width(obs_on):
     width = obs.REGISTRY.get("repro_engine_consume_width")
     ((_, (_, _, count)),) = width.samples()
     assert count > 0
+
+
+def test_send_side_records_flush_rows_and_one_chunk_per_broadcast(obs_on):
+    scenario = CASES["bernoulli-uniform"]
+    run = run_fingerprint(scenario, "vectorized")
+    summary = run.fingerprint["metrics"]
+    rows = obs.REGISTRY.get("repro_engine_send_batch_rows")
+    ((_, (_, broadcasts, flushes)),) = rows.samples()
+    assert 0 < flushes < broadcasts
+    assert broadcasts * scenario.n_processes == summary["total_sends"]
+    # One observation per broadcast that kept a copy, not one per flush.
+    cells = obs.REGISTRY.get("repro_engine_chunk_cells")
+    ((_, (_, copies, chunks)),) = cells.samples()
+    assert copies == summary["total_sends"] - summary["total_drops"]
+    assert flushes < chunks <= broadcasts
 
 
 # --------------------------------------------------------------------------- #
