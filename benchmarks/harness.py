@@ -1,11 +1,10 @@
 """Benchmark harness: named scenarios, normalized results, baseline compare.
 
-The harness complements the ``bench_*.py`` pytest-benchmark files with a
-plain-Python subsystem that CI can run without plugins:
+A plain-Python subsystem that CI can run without plugins:
 
 * a registry of named benchmark scenarios — engine-level hot-path loads
   (large-n quiescence, flood, lossy channels, raw event-queue churn) plus
-  wrappers around the experiment modules the ``bench_*.py`` files drive;
+  ``exp_*`` wrappers around the experiment modules' quick configurations;
 * a runner that measures wall time, dispatched events/sec, protocol
   ops/sec (sends) and peak RSS for each scenario;
 * a *calibration* loop whose throughput is measured on the same machine in
@@ -575,7 +574,7 @@ def _bench_campaign_merge(quick: bool):
 
 
 def _experiment_bench(module_name: str):
-    """Wrap an experiment module (as driven by ``bench_<name>.py``)."""
+    """Wrap an experiment module's quick configuration."""
 
     def run(quick: bool):
         import importlib

@@ -16,9 +16,10 @@ On mismatch, one ``parity_<scenario>.json`` digest-diff per failing
 scenario is written into ``--artifacts`` (CI uploads the directory) and
 the script exits non-zero.  The script also fails if no compared backend
 ever took its batched dispatch path, or if either way of consuming a
-delivery run (the batched receiver, the boxed adapter) never ran — that
-would make the gate vacuous (everything silently falling back to per-event
-dispatch *is* bit-identical, but proves nothing).
+delivery run (``batched``: through the repeat filter; ``boxed``: every
+entry replayed) never ran — that would make the gate vacuous (everything
+silently falling back to per-event dispatch *is* bit-identical, but proves
+nothing).
 """
 
 from __future__ import annotations

@@ -25,32 +25,10 @@ from __future__ import annotations
 
 from typing import Any, Optional, Union
 
-import numpy as np
-
-from .interfaces import BatchConsumer, EnvironmentAPI, ViewWindow
+from .interfaces import EnvironmentAPI
 from .messages import AckPayload, LabeledAckPayload, MsgPayload, TaggedMessage
 from .process_base import AnonymousProcess
-from .state import Algorithm1State, PayloadInterner
-
-
-def _grown(arr: np.ndarray, n: int, fill: int = 0) -> np.ndarray:
-    """Return *arr* copied into a zero/fill-padded array of capacity
-    ``max(2·len, n)`` (amortised growth for the consumer id-spaces)."""
-    cap = max(2 * arr.shape[0], n)
-    if fill:
-        out = np.full(cap, fill, dtype=arr.dtype)
-    else:
-        out = np.zeros(cap, dtype=arr.dtype)
-    out[: arr.shape[0]] = arr
-    return out
-
-
-def _grown_matrix(matrix: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Grow a boolean ``(mid, slot)`` matrix to at least *rows* × *cols*."""
-    r, c = matrix.shape
-    out = np.zeros((max(2 * r, rows), max(2 * c, cols)), dtype=bool)
-    out[:r, :c] = matrix
-    return out
+from .state import Algorithm1State
 
 
 class MajorityUrbProcess(AnonymousProcess):
@@ -71,6 +49,10 @@ class MajorityUrbProcess(AnonymousProcess):
     """
 
     name = "algorithm1"
+
+    #: A repeated ``tag_ack`` leaves ``ALL_ACK`` alone (``record_ack``) and
+    #: the threshold test below finds the message already delivered.
+    repeated_ack_is_noop_once_delivered = True
 
     def __init__(
         self,
@@ -150,157 +132,3 @@ class MajorityUrbProcess(AnonymousProcess):
             f"algorithm1(n={self.n_processes}, "
             f"majority={self.majority_threshold})"
         )
-
-    # ------------------------------------------------------------------ #
-    # batched receiver (vectorized engine fast path)
-    # ------------------------------------------------------------------ #
-    def batch_consumer(self, interner: PayloadInterner,
-                       view_window: ViewWindow) -> Optional[BatchConsumer]:
-        return Algorithm1BatchConsumer(self, interner)
-
-
-class Algorithm1BatchConsumer:
-    """Struct-of-arrays ACK consumption for Algorithm 1.
-
-    The arrays mirror exactly the ACK bookkeeping of
-    :class:`~repro.core.state.Algorithm1State`:
-
-    * ``absorbed[pid]`` — this interned ACK payload has been recorded once
-      already, so re-receiving it is a state no-op (``record_ack`` returns
-      ``False`` and, with a static threshold, the count can never re-cross
-      it).  Duplicate suppression is a single bitmap gather.
-    * ``acked[mid, slot]`` — which distinct ``tag_ack`` values (slots) have
-      been recorded per message: the matrix form of ``all_ack``.
-    * ``base_count[mid]`` — row sums of ``acked``, maintained incrementally:
-      ``distinct_ack_count`` without touching a dict.
-    * ``delivered_mid[mid]`` — mirror of the ``URB_DELIVERED`` set.
-
-    ``all_ack`` itself is rebuilt lazily per dirty message by :meth:`flush`;
-    nothing reads it between channel deliveries, so the dicts may go stale
-    for the duration of a run.  Deliveries are *returned* (position-tagged)
-    rather than emitted: the engine defers trace/metrics emission to keep
-    them in global run order.
-    """
-
-    needs_views = False
-
-    __slots__ = (
-        "proc", "state", "interner", "threshold", "absorbed", "acked",
-        "base_count", "delivered_mid", "_dirty_mask", "_dirty",
-        "run_delivered_pos",
-    )
-
-    def __init__(self, proc: MajorityUrbProcess,
-                 interner: PayloadInterner) -> None:
-        self.proc = proc
-        self.state = proc.state
-        self.interner = interner
-        self.threshold = proc.majority_threshold
-        self.absorbed = np.zeros(256, dtype=bool)
-        self.acked = np.zeros((16, 16), dtype=bool)
-        self.base_count = np.zeros(16, dtype=np.int64)
-        self.delivered_mid = np.zeros(16, dtype=bool)
-        self._dirty_mask = np.zeros(16, dtype=bool)
-        self._dirty: list[int] = []
-        self.run_delivered_pos: dict[TaggedMessage, int] = {}
-
-    def _ensure_capacity(self) -> None:
-        interner = self.interner
-        if interner.n_pids > self.absorbed.shape[0]:
-            self.absorbed = _grown(self.absorbed, interner.n_pids)
-        n_mids = len(interner.messages)
-        if n_mids > self.base_count.shape[0]:
-            self.base_count = _grown(self.base_count, n_mids)
-            self.delivered_mid = _grown(self.delivered_mid, n_mids)
-            self._dirty_mask = _grown(self._dirty_mask, n_mids)
-        rows, cols = self.acked.shape
-        if n_mids > rows or interner.max_slots > cols:
-            self.acked = _grown_matrix(self.acked, n_mids, interner.max_slots)
-
-    # -- engine API ---------------------------------------------------- #
-    def consume_acks(self, pids: np.ndarray, positions: np.ndarray,
-                     times: np.ndarray) -> list:
-        self._ensure_capacity()
-        interner = self.interner
-        deliveries: list[tuple[int, TaggedMessage]] = []
-        fresh_sel = ~self.absorbed[pids]
-        if fresh_sel.any():
-            fresh_idx = np.nonzero(fresh_sel)[0]
-            fpids = pids[fresh_idx]
-            # First occurrence of each distinct payload, back in run order:
-            # within one run a payload repeat is already a no-op.
-            _, first = np.unique(fpids, return_index=True)
-            uf = np.sort(fresh_idx[first])
-            u_pids = pids[uf]
-            u_mids = interner.mid_arr[u_pids]
-            u_slots = interner.slot_arr[u_pids]
-            order = np.argsort(u_mids, kind="stable")
-            gm = u_mids[order]
-            bounds = np.nonzero(gm[1:] != gm[:-1])[0] + 1
-            starts = np.concatenate(([0], bounds))
-            ends = np.concatenate((bounds, [gm.shape[0]]))
-            group_mids = gm[starts]
-            undelivered = ~self.delivered_mid[group_mids]
-            if undelivered.any():
-                threshold = self.threshold
-                base_count = self.base_count
-                messages = interner.messages
-                for gi in np.nonzero(undelivered)[0].tolist():
-                    mid = int(group_mids[gi])
-                    s = int(starts[gi])
-                    e = int(ends[gi])
-                    r = threshold - int(base_count[mid])
-                    if r <= 0:
-                        # Unreachable with a static threshold (delivery
-                        # fires the instant the count reaches it); kept for
-                        # robustness: deliver at the first touch.
-                        hit = int(np.nonzero(
-                            interner.mid_arr[pids] == mid)[0][0])
-                    elif r <= e - s:
-                        # The (threshold − base)-th distinct new ack is the
-                        # crossing reception.
-                        hit = int(uf[order[s + r - 1]])
-                    else:
-                        continue
-                    self.delivered_mid[mid] = True
-                    deliveries.append((int(positions[hit]), messages[mid]))
-            self.acked[u_mids, u_slots] = True
-            self.base_count[group_mids] += ends - starts
-            self.absorbed[u_pids] = True
-            newly = group_mids[~self._dirty_mask[group_mids]]
-            if newly.size:
-                self._dirty.extend(newly.tolist())
-                self._dirty_mask[newly] = True
-        if deliveries:
-            deliveries.sort()
-            state = self.state
-            log = self.proc._delivery_log
-            rdp = self.run_delivered_pos
-            for pos, message in deliveries:
-                state.mark_delivered(message)
-                log.append(message)
-                rdp[message] = pos
-        return deliveries
-
-    def handle_msg(self, payload: MsgPayload, position: int) -> None:
-        # Algorithm 1's MSG handler reads none of the lazily-flushed ACK
-        # state, so the per-event handler is exact as-is.
-        self.proc._on_msg(payload)
-
-    def flush(self) -> None:
-        dirty = self._dirty
-        if not dirty:
-            return
-        interner = self.interner
-        state = self.state
-        acked = self.acked
-        messages = interner.messages
-        slot_tags = interner.slot_tags
-        for mid in dirty:
-            tags = slot_tags[mid]
-            row = acked[mid, : len(tags)]
-            state.all_ack[messages[mid]] = {
-                tags[s] for s in np.nonzero(row)[0].tolist()
-            }
-        self._dirty_mask[np.asarray(dirty, dtype=np.int64)] = False
-        dirty.clear()

@@ -27,16 +27,13 @@ restores literal ``=`` / ``=``; ablation E10 compares both).
 
 from __future__ import annotations
 
-from typing import Any, Optional, Union
-
-import numpy as np
+from typing import Any, Union
 
 from ..failure_detectors.base import FailureDetectorView
-from .algorithm1 import _grown, _grown_matrix
-from .interfaces import BatchConsumer, EnvironmentAPI, ViewWindow
+from .interfaces import EnvironmentAPI
 from .messages import AckPayload, LabeledAckPayload, MsgPayload, TaggedMessage
 from .process_base import AnonymousProcess
-from .state import AckRecord, Algorithm2State, PayloadInterner
+from .state import Algorithm2State
 
 
 class QuiescentUrbProcess(AnonymousProcess):
@@ -59,6 +56,12 @@ class QuiescentUrbProcess(AnonymousProcess):
     """
 
     name = "algorithm2"
+
+    #: A repeated ``tag_ack`` carrying the label set already on record
+    #: reconciles nothing (``record_labeled_ack``), and ``_try_deliver``
+    #: returns at once for a delivered message — under ``strict_equality``
+    #: too: the comparison form only matters while undelivered.
+    repeated_ack_is_noop_once_delivered = True
 
     def __init__(
         self,
@@ -123,9 +126,14 @@ class QuiescentUrbProcess(AnonymousProcess):
     def _delivery_condition(self, message: TaggedMessage,
                             view: FailureDetectorView) -> bool:
         """∃ (label, number) ∈ a_theta with counter[label] (==|>=) number."""
+        state = self.state
+        # A label's counter never exceeds the number of acknowledgers on
+        # record, so below the view's smallest number no pair can match.
+        if len(state.ack_records.get(message, ())) < view.min_number:
+            return False
+        counters = state.label_counter.get(message, {})
         for pair in view:
-            count = self.state.label_count(message, pair.label)
-            if self._satisfies(count, pair.number):
+            if self._satisfies(counters.get(pair.label, 0), pair.number):
                 return True
         return False
 
@@ -154,9 +162,9 @@ class QuiescentUrbProcess(AnonymousProcess):
             # conclude that every correct process has acknowledged; keep
             # retransmitting (conservative — affects only liveness).
             return False
+        counters = self.state.label_counter.get(message, {})
         for pair in ap_view:
-            count = self.state.label_count(message, pair.label)
-            if not self._satisfies(count, pair.number):
+            if not self._satisfies(counters.get(pair.label, 0), pair.number):
                 return False
         union = self.state.labels_union(message)
         ap_labels = ap_view.labels()
@@ -183,344 +191,3 @@ class QuiescentUrbProcess(AnonymousProcess):
         mode = "strict" if self.strict_equality else "robust"
         retire = "retire" if self.retire_enabled else "no-retire"
         return f"algorithm2({mode}, {retire})"
-
-    # ------------------------------------------------------------------ #
-    # batched receiver (vectorized engine fast path)
-    # ------------------------------------------------------------------ #
-    def batch_consumer(self, interner: PayloadInterner,
-                       view_window: ViewWindow) -> Optional[BatchConsumer]:
-        if self.strict_equality:
-            # Literal ``==`` makes the delivery condition non-monotone in
-            # the counter, so the crossing arithmetic below does not apply.
-            return None
-        return Algorithm2BatchConsumer(self, interner, view_window)
-
-
-#: Sentinel "no view pair can be satisfied" threshold.
-_NEED_NEVER = 1 << 62
-
-
-class Algorithm2BatchConsumer:
-    """Struct-of-arrays ACK consumption for Algorithm 2.
-
-    Builds on the same representation as Algorithm 1's consumer —
-    ``absorbed`` pid bitmap, ``acked[mid, slot]`` matrix, ``base_count``
-    row sums, ``delivered_mid`` — with two Algorithm-2 extras:
-
-    * **Uniform-label fast path.**  In steady state every ACK of a message
-      carries the same label set (``uniform_lid[mid]``), so
-      ``counter[label]`` is ``base_count[mid]`` for every carried label and
-      the delivery condition reduces to one integer threshold
-      (:meth:`_need_for`: the smallest satisfiable view ``number``).  A
-      message whose ACKs stop being uniform — same ``tag_ack`` re-acked
-      with different labels while AΘ converges, or two acknowledgers
-      colliding on a slot — is *debatched*: its dict state is materialised
-      once (:meth:`_debatch`) and its receptions thereafter run through the
-      exact per-entry ``record_labeled_ack`` reconciliation.
-    * **View segmentation.**  The reference evaluates the delivery
-      condition against AΘ at each reception time, so a run is split at
-      view validity boundaries (``view_window``) and each segment is
-      consumed under one view object.
-
-    Deliveries are returned position-tagged for the engine to emit in
-    global run order; ``run_delivered_pos`` lets the MSG phase reproduce
-    the reference's delivered-before-this-reception checks.
-    """
-
-    needs_views = True
-
-    __slots__ = (
-        "proc", "state", "interner", "view_window", "absorbed", "acked",
-        "base_count", "uniform_lid", "delivered_mid", "debatched_mid",
-        "_dirty_mask", "_dirty", "run_delivered_pos", "_need_view",
-        "_need_cache",
-    )
-
-    def __init__(self, proc: QuiescentUrbProcess, interner: PayloadInterner,
-                 view_window: ViewWindow) -> None:
-        self.proc = proc
-        self.state = proc.state
-        self.interner = interner
-        self.view_window = view_window
-        self.absorbed = np.zeros(256, dtype=bool)
-        self.acked = np.zeros((16, 16), dtype=bool)
-        self.base_count = np.zeros(16, dtype=np.int64)
-        self.uniform_lid = np.full(16, -1, dtype=np.int64)
-        self.delivered_mid = np.zeros(16, dtype=bool)
-        self.debatched_mid = np.zeros(16, dtype=bool)
-        self._dirty_mask = np.zeros(16, dtype=bool)
-        self._dirty: list[int] = []
-        self.run_delivered_pos: dict[TaggedMessage, int] = {}
-        self._need_view: Optional[FailureDetectorView] = None
-        self._need_cache: dict[int, int] = {}
-
-    def _ensure_capacity(self) -> None:
-        interner = self.interner
-        if interner.n_pids > self.absorbed.shape[0]:
-            self.absorbed = _grown(self.absorbed, interner.n_pids)
-        n_mids = len(interner.messages)
-        if n_mids > self.base_count.shape[0]:
-            self.base_count = _grown(self.base_count, n_mids)
-            self.uniform_lid = _grown(self.uniform_lid, n_mids, fill=-1)
-            self.delivered_mid = _grown(self.delivered_mid, n_mids)
-            self.debatched_mid = _grown(self.debatched_mid, n_mids)
-            self._dirty_mask = _grown(self._dirty_mask, n_mids)
-        rows, cols = self.acked.shape
-        if n_mids > rows or interner.max_slots > cols:
-            self.acked = _grown_matrix(self.acked, n_mids, interner.max_slots)
-
-    # -- engine API ---------------------------------------------------- #
-    def consume_acks(self, pids: np.ndarray, positions: np.ndarray,
-                     times: np.ndarray) -> list:
-        self._ensure_capacity()
-        interner = self.interner
-        mids = interner.mid_arr[pids]
-        lids = interner.lid_arr[pids]
-        deliveries: list[tuple[int, TaggedMessage]] = []
-        n = pids.shape[0]
-        start = 0
-        while start < n:
-            view, valid_until = self.view_window(times[start])
-            if valid_until <= times[n - 1]:
-                end = start + int(
-                    np.searchsorted(times[start:], valid_until, side="left")
-                )
-                if end <= start:
-                    # Degenerate window (view only known at the query
-                    # time): consume a single entry under it.
-                    end = start + 1
-            else:
-                end = n
-            self._consume_segment(
-                view, pids[start:end], mids[start:end], lids[start:end],
-                positions[start:end], deliveries,
-            )
-            start = end
-        if deliveries:
-            deliveries.sort()
-            state = self.state
-            log = self.proc._delivery_log
-            rdp = self.run_delivered_pos
-            for pos, message in deliveries:
-                state.mark_delivered(message)
-                log.append(message)
-                rdp[message] = pos
-        return deliveries
-
-    def _consume_segment(self, view: FailureDetectorView, pids: np.ndarray,
-                         mids: np.ndarray, lids: np.ndarray,
-                         positions: np.ndarray, deliveries: list) -> None:
-        interner = self.interner
-        while True:
-            deb = self.debatched_mid[mids]
-            has_deb = bool(deb.any())
-            if has_deb:
-                clean_sel = ~deb
-                fresh_sel = clean_sel & ~self.absorbed[pids]
-            else:
-                clean_sel = None
-                fresh_sel = ~self.absorbed[pids]
-            fresh_idx = np.nonzero(fresh_sel)[0]
-            if not fresh_idx.size:
-                uf = u_pids = u_mids = u_slots = u_lids = None
-                break
-            fpids = pids[fresh_idx]
-            _, first = np.unique(fpids, return_index=True)
-            uf = np.sort(fresh_idx[first])
-            u_pids = pids[uf]
-            u_mids = mids[uf]
-            u_slots = interner.slot_arr[u_pids]
-            u_lids = lids[uf]
-            # Debatch detection: (a) a known slot re-acked fresh means the
-            # labels changed; (b) a lid differing from the message's
-            # uniform lid; (c) within-segment slot/lid collisions.
-            bad = self.acked[u_mids, u_slots].copy()
-            ul = self.uniform_lid[u_mids]
-            bad |= (ul != -1) & (ul != u_lids)
-            bad_mids = set(u_mids[bad].tolist()) if bad.any() else set()
-            if u_mids.shape[0] > 1:
-                conflict_order = np.lexsort((u_slots, u_mids))
-                cm = u_mids[conflict_order]
-                same = cm[1:] == cm[:-1]
-                if same.any():
-                    cl = u_lids[conflict_order]
-                    cs = u_slots[conflict_order]
-                    conflict = same & ((cl[1:] != cl[:-1]) | (cs[1:] == cs[:-1]))
-                    if conflict.any():
-                        bad_mids.update(cm[1:][conflict].tolist())
-            if not bad_mids:
-                break
-            for mid in bad_mids:
-                self._debatch(int(mid))
-            # Loop: recompute the selection with the enlarged debatched set.
-        if uf is not None:
-            order = np.argsort(u_mids, kind="stable")
-            gm = u_mids[order]
-            bounds = np.nonzero(gm[1:] != gm[:-1])[0] + 1
-            starts = np.concatenate(([0], bounds))
-            ends = np.concatenate((bounds, [gm.shape[0]]))
-            group_mids = gm[starts]
-            undelivered = ~self.delivered_mid[group_mids]
-            if undelivered.any():
-                base_count = self.base_count
-                messages = interner.messages
-                for gi in np.nonzero(undelivered)[0].tolist():
-                    mid = int(group_mids[gi])
-                    s = int(starts[gi])
-                    e = int(ends[gi])
-                    need = self._need_for(view, int(u_lids[order[s]]))
-                    base = int(base_count[mid])
-                    if base >= need:
-                        # Already satisfiable under this view: the
-                        # reference delivers at the first ACK touching the
-                        # message, fresh or repeat.
-                        if clean_sel is None:
-                            hit = int(np.nonzero(mids == mid)[0][0])
-                        else:
-                            hit = int(
-                                np.nonzero(clean_sel & (mids == mid))[0][0]
-                            )
-                    elif need - base <= e - s:
-                        # The (need − base)-th distinct new ack crosses.
-                        hit = int(uf[order[s + (need - base) - 1]])
-                    else:
-                        continue
-                    self.delivered_mid[mid] = True
-                    deliveries.append((int(positions[hit]), messages[mid]))
-            self.acked[u_mids, u_slots] = True
-            self.base_count[group_mids] += ends - starts
-            self.uniform_lid[u_mids] = u_lids
-            self.absorbed[u_pids] = True
-            newly = group_mids[~self._dirty_mask[group_mids]]
-            if newly.size:
-                self._dirty.extend(newly.tolist())
-                self._dirty_mask[newly] = True
-            fresh_mids = set(group_mids.tolist())
-        else:
-            fresh_mids = set()
-        # Repeat-only messages can still deliver when the view changed
-        # since their count was recorded (the reference re-evaluates the
-        # condition on every reception, absorbed or not).
-        rep_sel = clean_sel & ~fresh_sel if clean_sel is not None else ~fresh_sel
-        rep_sel &= ~self.delivered_mid[mids]
-        if rep_sel.any():
-            rep_idx = np.nonzero(rep_sel)[0]
-            rep_mids = mids[rep_idx]
-            _, rfirst = np.unique(rep_mids, return_index=True)
-            messages = interner.messages
-            for ri in rfirst.tolist():
-                mid = int(rep_mids[ri])
-                if mid in fresh_mids:
-                    continue  # handled by the fresh-group scan above
-                need = self._need_for(view, int(self.uniform_lid[mid]))
-                if int(self.base_count[mid]) >= need:
-                    self.delivered_mid[mid] = True
-                    deliveries.append(
-                        (int(positions[rep_idx[ri]]), messages[mid])
-                    )
-        if has_deb:
-            # Debatched messages run the exact per-entry reconciliation;
-            # their state is dict-based and disjoint from every clean
-            # message, so processing them after the clean bulk preserves
-            # per-message reception order (all that matters).
-            payloads = interner.payloads
-            state = self.state
-            messages = interner.messages
-            delivery_condition = self.proc._delivery_condition
-            for k in np.nonzero(deb)[0].tolist():
-                payload = payloads[pids[k]]
-                message = payload.message
-                state.record_labeled_ack(
-                    message, payload.ack_tag,
-                    getattr(payload, "labels", frozenset()),
-                )
-                mid = int(mids[k])
-                if not self.delivered_mid[mid] and delivery_condition(
-                    message, view
-                ):
-                    self.delivered_mid[mid] = True
-                    deliveries.append((int(positions[k]), messages[mid]))
-
-    def handle_msg(self, payload: MsgPayload, position: int) -> None:
-        proc = self.proc
-        state = self.state
-        message = payload.message
-        if message not in state.msg_set:
-            dp = self.run_delivered_pos.get(message)
-            delivered = (
-                state.is_delivered(message) if dp is None else dp < position
-            )
-            if not delivered:
-                state.add_message(message)
-        ack_tag = state.my_ack_for(message)
-        if ack_tag is None:
-            ack_tag = proc._new_tag()
-            state.set_my_ack(message, ack_tag)
-        labels = proc.env.atheta().labels()
-        proc.env.broadcast(LabeledAckPayload(message, ack_tag, labels))
-
-    def flush(self) -> None:
-        dirty = self._dirty
-        if not dirty:
-            return
-        for mid in dirty:
-            self._flush_mid(mid)
-        self._dirty_mask[np.asarray(dirty, dtype=np.int64)] = False
-        dirty.clear()
-
-    # -- internals ----------------------------------------------------- #
-    def _need_for(self, view: FailureDetectorView, lid: int) -> int:
-        """Smallest count at which some view pair satisfies the delivery
-        condition for a message whose ACKs uniformly carry label set *lid*."""
-        cached_view = self._need_view
-        if view is not cached_view:
-            if cached_view is None or view != cached_view:
-                self._need_cache = {}
-            self._need_view = view
-        cache = self._need_cache
-        need = cache.get(lid)
-        if need is None:
-            if lid < 0:
-                labels = frozenset()
-            else:
-                labels = self.interner.label_sets[lid]
-            need = _NEED_NEVER
-            for pair in view.pairs:
-                number = pair.number
-                if number == 0:
-                    # count >= 0 holds vacuously, carried labels or not.
-                    need = 0
-                    break
-                if number < need and pair.label in labels:
-                    need = number
-            cache[lid] = need
-        return need
-
-    def _debatch(self, mid: int) -> None:
-        """Materialise *mid*'s dict state and route it per-entry forever."""
-        self._flush_mid(mid)
-        self.debatched_mid[mid] = True
-        if self._dirty_mask[mid]:
-            self._dirty_mask[mid] = False
-            self._dirty.remove(mid)
-
-    def _flush_mid(self, mid: int) -> None:
-        lid = int(self.uniform_lid[mid])
-        if lid < 0:
-            return  # no acks recorded yet — nothing to materialise
-        interner = self.interner
-        state = self.state
-        labels = interner.label_sets[lid]
-        tags = interner.slot_tags[mid]
-        row = self.acked[mid, : len(tags)]
-        message = interner.messages[mid]
-        records = {}
-        tag_set = set()
-        for s in np.nonzero(row)[0].tolist():
-            tag = tags[s]
-            records[tag] = AckRecord(ack_tag=tag, labels=labels)
-            tag_set.add(tag)
-        state.ack_records[message] = records
-        count = int(self.base_count[mid])
-        state.label_counter[message] = {label: count for label in labels}
-        state.all_ack[message] = tag_set

@@ -10,14 +10,19 @@ Two interfaces decouple the protocol implementations from the simulator:
   network topology — anonymity and asynchrony are enforced by construction.
 * :class:`BroadcastProtocol` — what every broadcast algorithm (the paper's
   Algorithms 1 and 2, and the baselines) implements so the engine,
-  experiments and analysis can drive them uniformly.
+  experiments and analysis can drive them uniformly.  Besides the three
+  entry points it carries one *declaration* an engine may rely on,
+  :attr:`BroadcastProtocol.repeated_ack_is_noop_once_delivered`: the
+  protocols state a property of their ACK handler, the engine decides what
+  to do with it (the vectorized backend's repeat filter), and a property
+  test checks the statement against the handlers themselves.
 """
 
 from __future__ import annotations
 
 import abc
 import random
-from typing import Any, Callable, Optional, Protocol, runtime_checkable
+from typing import Any, Callable, Protocol, runtime_checkable
 
 from ..failure_detectors.base import FailureDetectorView
 from .delivery import DeliveryLog
@@ -25,85 +30,6 @@ from .messages import TaggedMessage
 
 #: Callback invoked with the application content of each URB-delivery.
 DeliveryListener = Callable[[Any], None]
-
-#: ``(now) -> (view, valid_until)``: the process's current AΘ view plus the
-#: first time at which that view may change (``inf`` for static views).
-#: Bound per process by the engine; see ``FailureDetector.view_window``.
-ViewWindow = Callable[[float], tuple[FailureDetectorView, float]]
-
-
-@runtime_checkable
-class BatchConsumer(Protocol):
-    """Struct-of-arrays receiver of one process, used by the vectorized
-    engine's batched delivery path.
-
-    A consumer replaces the per-payload ``on_receive`` dispatch for maximal
-    *runs* of channel deliveries between queue events.  The engine hands ACK
-    receptions to :meth:`consume_acks` grouped per destination (integer id
-    arrays, no boxing) and replays the rare MSG receptions one at a time
-    through :meth:`handle_msg` in global run order — MSG handling draws tags
-    and broadcasts, so its RNG/sequence consumption must interleave exactly
-    as the reference engine's.  The contract is bit-identical observable
-    state: delivery logs, protocol state dicts (after :meth:`flush`), and
-    the positions at which deliveries fire.  Processes without such a
-    receiver get a :class:`BoxedConsumer`.
-    """
-
-    #: Whether :meth:`consume_acks` evaluates failure-detector views (the
-    #: engine then requires a detector with stable view windows).
-    needs_views: bool
-
-    #: ``message -> run position`` of deliveries made by the current run's
-    #: ACK phase; the engine clears it after emitting deferred deliveries.
-    run_delivered_pos: dict
-
-    def consume_acks(self, pids, positions, times) -> list:
-        """Consume one run's ACK receptions addressed to this process.
-
-        ``pids``/``positions``/``times`` are equal-length arrays in run
-        order.  Applies all protocol state updates and returns the resulting
-        URB-deliveries as ``(run_position, message)`` pairs sorted by
-        position (delivery log already appended; trace/metrics emission is
-        the engine's job).
-        """
-        ...
-
-    def handle_msg(self, payload: Any, position: int) -> None:
-        """Handle one MSG reception at run position *position* exactly as
-        the per-event path would (including its URB-delivered check against
-        deliveries made later in the same run)."""
-        ...
-
-    def flush(self) -> None:
-        """Materialise lazily-maintained protocol state dicts so that
-        per-event code (tick handlers, post-run introspection) reads exactly
-        what the reference engine would have left there."""
-        ...
-
-
-class BoxedConsumer:
-    """The :class:`BatchConsumer` of a run the batched receiver declined.
-
-    The engine replays *every* reception of such a run — ACKs included, a
-    generic protocol's ACK handler may draw randomness or broadcast — one at
-    a time through :meth:`handle_msg`, which is ``on_receive``.  Deliveries
-    reach the engine through the environment as on the per-event path, and
-    no protocol state is maintained lazily, so :meth:`consume_acks` is never
-    called and :meth:`flush` has nothing to do.
-    """
-
-    needs_views = False
-
-    __slots__ = ("_on_receive",)
-
-    def __init__(self, process: "BroadcastProtocol") -> None:
-        self._on_receive = process.on_receive
-
-    def handle_msg(self, payload: Any, position: int) -> None:
-        self._on_receive(payload)
-
-    def flush(self) -> None:
-        pass
 
 
 @runtime_checkable
@@ -151,6 +77,17 @@ class BroadcastProtocol(abc.ABC):
     #: Short name used in reports ("algorithm1", "algorithm2", …).
     name: str = "abstract"
 
+    #: Declares that once the process has URB-delivered ``m``, receiving
+    #: again the very ACK payload it last handled for ``(m, tag_ack)``
+    #: changes no state, draws no randomness and sends nothing — whatever
+    #: other receptions, ticks and broadcasts happened in between.  Both
+    #: paper algorithms have the property (their processes re-broadcast the
+    #: identical ACK on every MSG reception so fair lossy channels cannot
+    #: starve it, hence nearly every ACK received is such a repeat); an
+    #: engine may then drop those receptions unseen.  ``False`` promises
+    #: nothing and costs nothing.
+    repeated_ack_is_noop_once_delivered: bool = False
+
     def __init__(self, env: EnvironmentAPI) -> None:
         self.env = env
         self._delivery_log = DeliveryLog()
@@ -197,23 +134,6 @@ class BroadcastProtocol(abc.ABC):
         self.env.notify_delivery(message)
         for listener in self._listeners:
             listener(message.content)
-
-    # ------------------------------------------------------------------ #
-    # batched receiver (vectorized engine fast path)
-    # ------------------------------------------------------------------ #
-    def batch_consumer(self, interner: Any,
-                       view_window: "ViewWindow") -> Optional["BatchConsumer"]:
-        """Return a :class:`BatchConsumer` for this process, or ``None``.
-
-        ``None`` (the default) means the protocol has no batched receiver
-        and the engine replays every delivery through :meth:`on_receive`
-        (:class:`BoxedConsumer`).  Implementations receive the run-wide
-        :class:`~repro.core.state.PayloadInterner` and a per-process
-        ``view_window`` callable for AΘ reads.  Protocols whose consumer
-        cannot reproduce a configuration exactly (e.g. Algorithm 2 under
-        ``strict_equality``) must return ``None`` for it.
-        """
-        return None
 
     # ------------------------------------------------------------------ #
     # introspection used by the engine and the analysis layer

@@ -13,7 +13,13 @@ plus, for Algorithm 2, the per-message label bookkeeping
 The containers below encapsulate those sets with the exact update rules the
 algorithms need, so the algorithm classes read like the paper's pseudocode
 and the invariants (insertion-order determinism, counter consistency) are
-testable in isolation.
+testable in isolation.  They are the only representation of protocol state:
+every engine backend drives the same handlers over the same dicts.
+
+:class:`PayloadInterner` is not protocol state but the vectorized engine's
+id tables for wire payloads (dense ids for payloads, messages and
+``(m, tag_ack)`` ACK cells); it lives here because it is defined by the
+payload classes and nothing else.
 """
 
 from __future__ import annotations
@@ -169,146 +175,67 @@ class Algorithm1State:
 
 
 class PayloadInterner:
-    """Dense integer ids for wire payloads and their components.
+    """Dense integer ids for wire payloads and what the repeat filter keys on.
 
-    The vectorized engine's batched receiver works on integer arrays, not
-    payload objects: every distinct payload gets a *pid*, every distinct
-    ``(m, tag)`` message a *mid*, every distinct ``tag_ack`` of a message a
-    per-message *slot*, and every distinct label frozenset a *lid*.  Batch
-    consumers then express duplicate suppression as a seen-bitmap over pids,
-    ack bookkeeping as an ``acked[mid, slot]`` matrix, and the delivery
-    condition as integer comparisons against per-lid thresholds.
+    The vectorized engine carries channel copies as integer columns, not
+    payload objects: every distinct payload gets a *pid* (``payloads`` boxes
+    it back for ``on_receive``), every distinct ``(m, tag)`` message a
+    *mid*, and every distinct acknowledgement ``(m, tag, tag_ack)`` — label
+    set *not* included — an ACK *cell*.  ``mid_arr`` and ``cell_arr`` map a
+    pid to its message and cell (``-1`` where it has none), in
+    amortised-growth NumPy columns so a whole delivery run is classified by
+    two gathers; the engine's repeat filter keeps "payload last handled" per
+    destination and cell, and "delivered" per destination and message.
 
     Interning relies on the payload classes' cached hashes (one dict lookup
-    per broadcast); the per-pid classification is stored both in Python
-    lists (for boxing back to objects) and in amortised-growth NumPy arrays
-    (for fancy-indexing whole delivery runs at once).  Ids are assigned in
-    first-appearance order and never change, so consumers may size their
-    per-process state by the interner's high-water marks.
+    per broadcast).  Ids are assigned in first-appearance order and never
+    change, so tables sized by ``n_mids``/``n_cells`` only ever grow.
     """
 
-    #: Per-pid payload classification (``kind_arr`` values).
-    KIND_MSG = 0
-    KIND_ACK = 1
-    KIND_OTHER = 2
-
-    __slots__ = (
-        "_pid_of", "payloads", "kind_arr", "mid_arr", "slot_arr", "lid_arr",
-        "n_pids", "_mid_of", "messages", "_slot_of", "slot_tags",
-        "_lid_of", "label_sets", "max_slots",
-    )
+    __slots__ = ("_pid_of", "payloads", "mid_arr", "cell_arr", "_mid_of",
+                 "_cell_of")
 
     def __init__(self) -> None:
         self._pid_of: dict[Any, int] = {}
-        #: pid -> payload object (boxing back for per-entry dispatch).
+        #: pid -> payload object.
         self.payloads: list[Any] = []
-        cap = 256
-        self.kind_arr = np.empty(cap, dtype=np.int8)
-        self.mid_arr = np.empty(cap, dtype=np.int64)
-        self.slot_arr = np.empty(cap, dtype=np.int64)
-        self.lid_arr = np.empty(cap, dtype=np.int64)
-        self.n_pids = 0
+        self.mid_arr = np.empty(256, dtype=np.intp)
+        self.cell_arr = np.empty(256, dtype=np.intp)
         self._mid_of: dict[TaggedMessage, int] = {}
-        #: mid -> TaggedMessage.
-        self.messages: list[TaggedMessage] = []
-        #: mid -> {tag_ack: slot} / mid -> [slot -> tag_ack].
-        self._slot_of: list[dict[Tag, int]] = []
-        self.slot_tags: list[list[Tag]] = []
-        self._lid_of: dict[frozenset[Label], int] = {}
-        #: lid -> interned label frozenset.
-        self.label_sets: list[frozenset[Label]] = []
-        #: Highest slot count of any message (consumer matrix width).
-        self.max_slots = 0
-        # lid 0 is the empty label set (plain Algorithm 1 ACKs).
-        self._lid_of[frozenset()] = 0
-        self.label_sets.append(frozenset())
+        self._cell_of: dict[tuple[int, Tag], int] = {}
 
-    # ------------------------------------------------------------------ #
+    @property
+    def n_mids(self) -> int:
+        """Number of distinct interned messages."""
+        return len(self._mid_of)
+
+    @property
+    def n_cells(self) -> int:
+        """Number of distinct interned ACK cells."""
+        return len(self._cell_of)
+
     def pid_for(self, payload: Any) -> int:
         """The dense id of *payload*, interning it on first sight."""
         pid = self._pid_of.get(payload)
         if pid is None:
-            pid = self._intern_payload(payload)
+            pid = self._pid_of[payload] = len(self.payloads)
+            self.payloads.append(payload)
+            if pid == len(self.mid_arr):
+                self.mid_arr = np.concatenate((self.mid_arr, self.mid_arr))
+                self.cell_arr = np.concatenate((self.cell_arr, self.cell_arr))
+            mid = cell = -1
+            if isinstance(payload, (MsgPayload, AckPayload, LabeledAckPayload)):
+                mid = self.mid_for(payload.message)
+                if not isinstance(payload, MsgPayload):
+                    cells = self._cell_of
+                    cell = cells.setdefault((mid, payload.ack_tag), len(cells))
+            self.mid_arr[pid] = mid
+            self.cell_arr[pid] = cell
         return pid
 
-    def intern_message(self, message: TaggedMessage) -> int:
+    def mid_for(self, message: TaggedMessage) -> int:
         """The dense id of *message*, interning it on first sight."""
-        mid = self._mid_of.get(message)
-        if mid is None:
-            mid = len(self.messages)
-            self._mid_of[message] = mid
-            self.messages.append(message)
-            self._slot_of.append({})
-            self.slot_tags.append([])
-        return mid
-
-    def intern_labels(self, labels: frozenset[Label]) -> int:
-        """The dense id of the label set *labels*."""
-        lid = self._lid_of.get(labels)
-        if lid is None:
-            lid = len(self.label_sets)
-            self._lid_of[labels] = lid
-            self.label_sets.append(labels)
-        return lid
-
-    # ------------------------------------------------------------------ #
-    def _intern_payload(self, payload: Any) -> int:
-        pid = self.n_pids
-        if pid == len(self.kind_arr):
-            self._grow()
-        self._pid_of[payload] = pid
-        self.payloads.append(payload)
-        self.n_pids = pid + 1
-        if isinstance(payload, (AckPayload, LabeledAckPayload)):
-            kind = self.KIND_ACK
-            mid = self.intern_message(payload.message)
-            slots = self._slot_of[mid]
-            tag = payload.ack_tag
-            slot = slots.get(tag)
-            if slot is None:
-                slot = len(slots)
-                slots[tag] = slot
-                self.slot_tags[mid].append(tag)
-                if slot + 1 > self.max_slots:
-                    self.max_slots = slot + 1
-            labels = getattr(payload, "labels", None)
-            lid = 0 if labels is None else self.intern_labels(labels)
-        elif isinstance(payload, MsgPayload):
-            kind = self.KIND_MSG
-            mid = self.intern_message(payload.message)
-            slot = -1
-            lid = -1
-        else:
-            kind = self.KIND_OTHER
-            mid = slot = lid = -1
-        self.kind_arr[pid] = kind
-        self.mid_arr[pid] = mid
-        self.slot_arr[pid] = slot
-        self.lid_arr[pid] = lid
-        return pid
-
-    def _grow(self) -> None:
-        cap = 2 * len(self.kind_arr)
-        for name in ("kind_arr", "mid_arr", "slot_arr", "lid_arr"):
-            old = getattr(self, name)
-            grown = np.empty(cap, dtype=old.dtype)
-            grown[: old.shape[0]] = old
-            setattr(self, name, grown)
-
-    # ------------------------------------------------------------------ #
-    @property
-    def n_messages(self) -> int:
-        """Number of distinct interned messages."""
-        return len(self.messages)
-
-    def summary(self) -> dict[str, int]:
-        """Table sizes (debugging and tests)."""
-        return {
-            "payloads": self.n_pids,
-            "messages": len(self.messages),
-            "label_sets": len(self.label_sets),
-            "max_slots": self.max_slots,
-        }
+        return self._mid_of.setdefault(message, len(self._mid_of))
 
 
 class Algorithm2State(Algorithm1State):

@@ -15,9 +15,10 @@ This module is the executable form of that contract:
   Bernoulli/uniform rows of its vector sampler, the generic per-channel
   sampler (all-drop rows, reliable and quasi-reliable channel families),
   the fairness guard (heavy loss), crashes, both ways of consuming a
-  delivery run (the batched receivers of Algorithms 1 and 2, and the boxed
-  adapter for every reason the consumer gate declines), and the per-event
-  fallback for unbounded-below delays.
+  delivery run (through the repeat filter for Algorithms 1 and 2 — strict
+  equality, staggered label learning and a per-query AΘ included — and
+  boxed for the baselines, which do not declare the filter's property), and
+  the per-event fallback for unbounded-below delays.
 * :func:`compare_engines` runs one scenario under several backends and
   reports exactly which fingerprint components disagree.
 
@@ -76,10 +77,9 @@ class EngineRun:
     #: not report one, e.g. ``reference``).
     dispatch_mode: Optional[str]
     fingerprint: dict[str, Any]
-    #: How the batched path consumed deliveries (``"batched"`` = unboxed
-    #: struct-of-arrays consumption through BatchConsumers, ``"boxed"`` =
-    #: per-entry boxing through ``on_receive``); ``None`` for backends /
-    #: paths that do not report one.
+    #: How the batched path consumed deliveries (``"batched"`` = through
+    #: the repeat filter, ``"boxed"`` = every entry replayed through
+    #: ``on_receive``); ``None`` for backends / paths that do not report one.
     consume_mode: Optional[str] = None
 
 
@@ -248,9 +248,9 @@ def parity_cases() -> tuple[Scenario, ...]:
                    metadata={"burst_size": 2}),
         # Crashes interleaved with the fast path.
         base.with_(name="crashes-mid-run", crashes={4: 3.0, 5: 9.0}),
-        # Staggered label learning: ACKs of one message carry different
-        # label sets while AΘ converges, driving the batched receiver's
-        # view segmentation and its per-message debatch escape hatch.
+        # Staggered label learning: ACKs of one ``(m, tag_ack)`` cell carry
+        # changing label sets while AΘ converges, driving the repeat
+        # filter's in-run rule (a cell rewritten inside a run is replayed).
         base.with_(name="staggered-learning", fd_learn_delay=6.0,
                    crashes={5: 4.0}),
         # Algorithm 1 (no failure detectors, no labels).
@@ -263,12 +263,14 @@ def parity_cases() -> tuple[Scenario, ...]:
                    loss=LossSpec.none()),
         base.with_(name="quasi-reliable", channel_type="quasi_reliable",
                    loss=LossSpec.none(), crashes={1: 5.0}),
-        # Boxed consumption, one case per way the consumer gate declines.
-        # No batch consumer: strict-equality Algorithm 2 and the baselines
-        # (whose ACK handlers the adapter must replay in run order).
+        # Literal ``==`` delivery/retire conditions (non-monotone in the
+        # counters): filtered like any other Algorithm 2 run.
         base.with_(name="strict-equality", strict_equality=True),
         base.with_(name="strict-equality-crashes", strict_equality=True,
                    crashes={4: 3.0, 5: 9.0}),
+        # Boxed consumption: the baselines do not declare
+        # ``repeated_ack_is_noop_once_delivered``, so every reception —
+        # ACKs included — is replayed in run order.
         base.with_(name="eager-rb", algorithm="eager_rb",
                    stop_when_quiescent=False, max_time=20.0),
         base.with_(name="identified-urb", algorithm="identified_urb",
@@ -276,7 +278,8 @@ def parity_cases() -> tuple[Scenario, ...]:
         # Only the sender's channel row ever carries traffic.
         base.with_(name="best-effort", algorithm="best_effort",
                    stop_when_quiescent=False, max_time=20.0),
-        # AΘ without stable view windows.
+        # An AΘ that rebuilds its output on every query as crashes are
+        # detected: replay reads it at each entry's own time.
         base.with_(name="unstable-view-windows", fd_policy="all_processes",
                    crashes={5: 4.0}),
     )

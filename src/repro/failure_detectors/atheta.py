@@ -93,10 +93,6 @@ class AnonymousDetectorBase(FailureDetector):
         # the whole half-open validity window — the hot path of Algorithm 2,
         # which reads AΘ on every tick of every process.
         self._view_cache: dict[int, tuple[float, float, FailureDetectorView]] = {}
-        # Shared empty view handed out by view_window for faulty CORRECT_ONLY
-        # viewers: identity-stable so batch consumers can key caches on it
-        # (view() itself keeps returning fresh equal objects).
-        self._stable_empty = FailureDetectorView.empty()
 
     # ------------------------------------------------------------------ #
     # helpers
@@ -135,27 +131,6 @@ class AnonymousDetectorBase(FailureDetector):
         if self.policy is DisseminationPolicy.CORRECT_ONLY:
             return self._correct_only_view(process_index, now)
         return self._all_processes_view(process_index, now)
-
-    @property
-    def has_stable_view_windows(self) -> bool:
-        """OWN_ONLY and CORRECT_ONLY outputs change only at the (static)
-        learning times, so their validity windows are exact; ALL_PROCESSES
-        rebuilds per query as crashes are detected."""
-        return self.policy is not DisseminationPolicy.ALL_PROCESSES
-
-    def view_window(
-        self, process_index: int, now: SimTime
-    ) -> tuple[FailureDetectorView, SimTime]:
-        if self.policy is DisseminationPolicy.OWN_ONLY:
-            return self._own_only_view(process_index), float("inf")
-        if self.policy is DisseminationPolicy.CORRECT_ONLY:
-            if self.oracle.is_faulty(process_index):
-                # A faulty viewer reads the empty view for the whole run
-                # (prescient oracle); hand out one identity-stable object.
-                return self._stable_empty, float("inf")
-            view = self._correct_only_view(process_index, now)
-            return view, self._view_cache[process_index][1]
-        return self.view(process_index, now), now
 
     # -- policy implementations ------------------------------------------ #
     def _own_only_view(self, viewer: int) -> FailureDetectorView:

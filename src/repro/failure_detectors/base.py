@@ -42,7 +42,7 @@ class FailureDetectorView:
     variable ``a_theta_i`` / ``a_p*_i``): a set of :class:`FDPair`.
     """
 
-    __slots__ = ("_pairs", "_by_label", "_labels")
+    __slots__ = ("_pairs", "_by_label", "_labels", "min_number")
 
     def __init__(self, pairs: Iterable[FDPair] = ()) -> None:
         pairs = tuple(pairs)
@@ -56,6 +56,9 @@ class FailureDetectorView:
         self._pairs = pairs
         self._by_label = by_label
         self._labels: Optional[frozenset[Label]] = None
+        #: Smallest ``number`` of any pair (0 for the empty view): no pair
+        #: can be satisfied by fewer acknowledgers than this.
+        self.min_number = min(by_label.values(), default=0)
 
     # -- set-like access ------------------------------------------------ #
     def __iter__(self) -> Iterator[FDPair]:
@@ -125,29 +128,9 @@ class FailureDetectorView:
 class FailureDetector(abc.ABC):
     """Oracle-side interface of an anonymous failure detector."""
 
-    #: Whether :meth:`view_window` returns genuine validity windows
-    #: (``valid_until`` strictly after ``now`` whenever the view is stable).
-    #: The vectorized engine's batched receiver requires this to share one
-    #: view query across a whole stretch of ACK receptions; detectors that
-    #: rebuild their output on every query leave it ``False`` and force the
-    #: boxed per-payload path.
-    has_stable_view_windows: bool = False
-
     @abc.abstractmethod
     def view(self, process_index: int, now: SimTime) -> FailureDetectorView:
         """Return the output of the detector at *process_index* at time *now*."""
-
-    def view_window(
-        self, process_index: int, now: SimTime
-    ) -> tuple[FailureDetectorView, SimTime]:
-        """The view at *now* plus the first time it may differ.
-
-        The default is the degenerate window ``(view, now)`` — "valid for
-        this query only" — which is correct for any detector but batches
-        nothing; callers must re-query per read.  Detectors with cacheable
-        outputs override this (and set :attr:`has_stable_view_windows`).
-        """
-        return self.view(process_index, now), now
 
     def describe(self) -> str:
         """Human-readable description used in reports."""
@@ -157,8 +140,6 @@ class FailureDetector(abc.ABC):
 class StaticFailureDetector(FailureDetector):
     """A detector whose output never changes (useful in unit tests)."""
 
-    has_stable_view_windows = True
-
     def __init__(self, views: dict[int, FailureDetectorView],
                  default: Optional[FailureDetectorView] = None) -> None:
         self._views = dict(views)
@@ -166,11 +147,6 @@ class StaticFailureDetector(FailureDetector):
 
     def view(self, process_index: int, now: SimTime) -> FailureDetectorView:
         return self._views.get(process_index, self._default)
-
-    def view_window(
-        self, process_index: int, now: SimTime
-    ) -> tuple[FailureDetectorView, SimTime]:
-        return self.view(process_index, now), float("inf")
 
     def describe(self) -> str:
         return "static"

@@ -15,7 +15,7 @@ side) and is never handed to protocol code.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 
@@ -24,14 +24,23 @@ class Label:
     """An opaque random identifier.
 
     Two labels are equal iff their random values are equal; the value itself
-    carries no information about the process it was assigned to.
+    carries no information about the process it was assigned to.  The hash
+    is cached like the wire payloads' (every ACK reception of Algorithm 2
+    looks labels up in dicts and sets) and is exactly the tuple hash the
+    generated ``dataclasses`` implementation would produce, so
+    hash-dependent iteration orders are unchanged.
     """
 
     value: int
+    _hash: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self) -> None:
         if not isinstance(self.value, int) or isinstance(self.value, bool):
             raise TypeError("label value must be an int")
+        object.__setattr__(self, "_hash", hash((self.value,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Label(0x{self.value:016x})"

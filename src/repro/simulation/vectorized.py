@@ -21,8 +21,18 @@ dominant event population — out of the event heap on both sides:
   while dispatching a slice ``[w0, w0 + W)`` lands at or after ``w0 + W``,
   so the slice's copies are taken out of the pool once, merged with a single
   ``lexsort`` into the reference ``(time, seq)`` total order, and consumed in
-  maximal runs between queue events by the per-process
-  :class:`~repro.core.interfaces.BatchConsumer` objects.
+  maximal runs between queue events.
+* **The repeat filter.**  A run is replayed entry by entry through the
+  processes' own ``on_receive``, in run order with the clock set per entry
+  — the reference engine's loop — minus the entries the engine can prove
+  change nothing: when every process declares
+  ``repeated_ack_is_noop_once_delivered`` (both paper algorithms re-send
+  the identical ACK on every MSG reception, so nearly every ACK received is
+  an exact repeat), one gather over the run against two tables — payload
+  last handled per destination and ``(m, tag_ack)`` cell, delivered per
+  destination and message — drops them unseen
+  (:meth:`VectorizedEngine._consume_run`).  There is no second statement
+  of any protocol: what is not dropped runs the code the reference runs.
 
 Bit-identical parity with ``reference`` is a hard requirement, enforced by
 :mod:`repro.experiments.parity` in CI.  The mechanisms:
@@ -63,10 +73,8 @@ from typing import Any, Optional
 import numpy as np
 
 from .. import obs
-from ..core.messages import payload_kind
-from ..core.interfaces import BoxedConsumer
+from ..core.messages import TaggedMessage, payload_kind
 from ..core.state import PayloadInterner
-from ..failure_detectors.base import FailureDetectorView
 from ..network.channel import LossyChannel
 from ..network.delay import FixedDelay, UniformDelay
 from ..network.loss import BernoulliLoss, NoLoss
@@ -74,7 +82,6 @@ from ..network.reliable import QuasiReliableChannel, ReliableChannel
 from .engine import SimulationEngine, SimulationResult
 from .events import EventKind
 from .simtime import SimTime
-from .tracing import TraceCategory
 
 #: Prefetched draws per channel block.  Public so tests can shrink it to
 #: force mid-run refills; any value produces identical results (each
@@ -98,12 +105,11 @@ _NEVER = float("inf")
 _CHUNK_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0,
                   512.0, 1024.0)
 
-#: Buckets of the batched-receiver consume-width histogram: entries handed
-#: to one ``consume_acks`` call (per destination, per run).  Runs between
-#: queue events span thousands of entries during ACK storms.  The send-side
-#: twin (broadcasts sampled by one outbox flush) spans the same range.
-_CONSUME_BUCKETS = (1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0,
-                    65536.0)
+#: Buckets of ``repro_engine_send_batch_rows``: broadcasts sampled by one
+#: outbox flush — a run between queue events replays thousands of MSG
+#: receptions during a storm, each answered by one broadcast.
+_SEND_BUCKETS = (1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0,
+                 65536.0)
 
 
 def _refill_uniform_column(block: np.ndarray, column: int, random,
@@ -119,6 +125,15 @@ def _refill_uniform_column(block: np.ndarray, column: int, random,
     block[start:, column] = np.fromiter(
         (random() for _ in range(n)), np.float64, count=n
     )
+
+
+def _widened(table: np.ndarray, columns: int, fill: Any) -> np.ndarray:
+    """*table* copied into one of at least *columns* columns (amortised:
+    at least twice as wide), the new columns holding *fill*."""
+    rows, width = table.shape
+    out = np.full((rows, max(2 * width, columns)), fill, dtype=table.dtype)
+    out[:, :width] = table
+    return out
 
 
 def _stack(parts: list) -> tuple:
@@ -437,13 +452,12 @@ class VectorizedEngine(SimulationEngine):
     #: took.  ``None`` until :meth:`run` is called.
     dispatch_mode: Optional[str] = None
 
-    #: How the batched path consumed deliveries: ``"batched"`` — unboxed,
-    #: straight from the slice columns into the per-process
-    #: :class:`~repro.core.interfaces.BatchConsumer`\ s; ``"boxed"`` — every
-    #: reception replayed through ``on_receive`` by
-    #: :class:`~repro.core.interfaces.BoxedConsumer` adapters (protocols
-    #: without a consumer, delivery listeners, unstable failure-detector
-    #: windows).  ``None`` on the per-event fallback.
+    #: How the batched path consumed deliveries: ``"batched"`` — through
+    #: the repeat filter, which drops the ACK receptions it can prove to be
+    #: no-ops and replays the rest through ``on_receive``; ``"boxed"`` —
+    #: every reception replayed (some process's protocol does not declare
+    #: ``repeated_ack_is_noop_once_delivered``).  ``None`` on the per-event
+    #: fallback.
     consume_mode: Optional[str] = None
 
     engine_label = "vectorized"
@@ -637,7 +651,7 @@ class VectorizedEngine(SimulationEngine):
                 self._send_rows_hist = obs.histogram(
                     "repro_engine_send_batch_rows",
                     "Broadcasts sampled by one outbox flush.",
-                    buckets=_CONSUME_BUCKETS,
+                    buckets=_SEND_BUCKETS,
                 )
                 self._chunk_cells_hist = obs.histogram(
                     "repro_engine_chunk_cells",
@@ -645,96 +659,83 @@ class VectorizedEngine(SimulationEngine):
                     buckets=_CHUNK_BUCKETS,
                 )
             self._seed_initial_events()
-            consumers = self._consumers = self._build_consumers()
-            receive_count, deliver_count = self._merge_sliced_consumed(
+            self._open_filter()
+            receive_count, deliver_count, replayed = self._merge_sliced(
                 self._window)
-            for consumer in consumers:
-                consumer.flush()
         finally:
             self._fast_active = False
-            self._batched_consumed_counter = None
-            self._consume_width_hist = None
+            self._handled = self._delivered = self._cell_changed = None
             self._send_rows_hist = self._chunk_cells_hist = None
         # Flush the aggregate bookkeeping the batched loop deferred; every
         # value lands exactly where the per-event loop would have left it.
         if receive_count:
             self.event_stats.dispatched[EventKind.RECEIVE] += receive_count
-        if deliver_count:
+        if deliver_count and self.metrics.active:
             self.metrics.total_channel_deliveries += deliver_count
         for sampler in self._row_samplers:
             if sampler is not None:
                 sampler.flush_stats()
+        if self.consume_mode == "batched" and obs.enabled():
+            obs.counter(
+                "repro_engine_batched_consumed_total",
+                "Channel deliveries of runs consumed through the repeat "
+                "filter.",
+            ).inc(receive_count)
+            obs.counter(
+                "repro_engine_replayed_total",
+                "Channel deliveries the repeat filter replayed through "
+                "on_receive (the others: proven no-ops, crashed destinations).",
+            ).inc(replayed)
         return self._finish_run()
 
     # ------------------------------------------------------------------ #
-    # batched receiver (consumption through BatchConsumers)
+    # batched receiver (the repeat filter)
     # ------------------------------------------------------------------ #
-    def _build_consumers(self) -> list:
-        """Build one :class:`BatchConsumer` per process; sets ``consume_mode``.
+    def _open_filter(self) -> None:
+        """Decide how delivery runs are consumed; sets ``consume_mode``.
 
-        Unboxed consumption (``"batched"``) requires that every process
-        supplies a consumer (baseline protocols and ``strict_equality``
-        Algorithm 2 do not), that no delivery listeners are attached
-        (listeners observe per-reception ordering), and — when any consumer
-        evaluates failure-detector views — that the AΘ oracle reports stable
-        view-validity windows.  Otherwise the gate declines for a named,
-        counted reason and every process gets a :class:`BoxedConsumer`
-        (``"boxed"``).
+        The repeat filter is on (``"batched"``) exactly when every process
+        declares ``repeated_ack_is_noop_once_delivered``.  Otherwise the
+        run is ``"boxed"`` — the filter that never skips: a generic
+        protocol's ACK handler may draw randomness or broadcast on any
+        reception — counted under the reason ``no_batch_consumer``.
         """
         n = self.config.n_processes
-        interner = self._interner
-        consumers = []
-        needs_views = False
-        reason = None
-        for index in range(n):
-            process = self.processes[index]
-            if process._listeners:
-                reason = "delivery_listeners"
-                break
-            consumer = process.batch_consumer(
-                interner, self._atheta_window_for(index)
-            )
-            if consumer is None:
-                reason = "no_batch_consumer"
-                break
-            consumers.append(consumer)
-            needs_views = needs_views or consumer.needs_views
-        if reason is None and needs_views and self.atheta is not None \
-                and not self.atheta.has_stable_view_windows:
-            reason = "unstable_view_windows"
-        if reason is None:
+        if all(process.repeated_ack_is_noop_once_delivered
+               for process in self.processes.values()):
             self.consume_mode = "batched"
-            if obs.enabled():
-                self._batched_consumed_counter = obs.counter(
-                    "repro_engine_batched_consumed_total",
-                    "Delivery-run entries consumed unboxed through the "
-                    "batched receiver.",
-                )
-                self._consume_width_hist = obs.histogram(
-                    "repro_engine_consume_width",
-                    "ACK receptions handed to one consume_acks call.",
-                    buckets=_CONSUME_BUCKETS,
-                )
+            # No pid is -1, so an empty cell matches nothing.
+            self._handled = np.full((n, 256), -1, dtype=np.int32)
+            self._cell_changed = np.zeros((n, 256), dtype=bool)
+            self._delivered = np.zeros((n, 64), dtype=bool)
             if obs.timeline_active():
                 obs.emit("engine.consume_mode", engine=self.engine_label,
                          mode="batched")
-            return consumers
+            return
         self.consume_mode = "boxed"
-        self._count_fallback(reason)
+        self._count_fallback("no_batch_consumer")
         if obs.timeline_active():
             obs.emit("engine.consume_mode", engine=self.engine_label,
-                     mode="boxed", reason=reason)
-        return [BoxedConsumer(self.processes[index]) for index in range(n)]
+                     mode="boxed", reason="no_batch_consumer")
 
-    def _atheta_window_for(self, index: int):
-        """Per-process ``now -> (view, valid_until)`` AΘ reader."""
-        detector = self.atheta
-        if detector is None:
-            empty = FailureDetectorView.empty()
-            inf = float("inf")
-            return lambda now, _e=empty, _i=inf: (_e, _i)
-        view_window = detector.view_window
-        return lambda now: view_window(index, now)
+    def on_process_delivered(self, index: int, message: TaggedMessage) -> None:
+        super().on_process_delivered(index, message)
+        if self._delivered is not None:
+            mid = self._interner.mid_for(message)
+            if mid >= self._delivered.shape[1]:
+                self._fit_filter_tables()
+            self._delivered[index, mid] = True
+
+    def _fit_filter_tables(self) -> None:
+        """Widen the filter's tables to the interner's id spaces."""
+        interner = self._interner
+        if interner.n_cells > self._handled.shape[1]:
+            self._handled = _widened(self._handled, interner.n_cells, -1)
+            self._cell_changed = _widened(
+                self._cell_changed, interner.n_cells, False)
+        if interner.n_mids > self._delivered.shape[1]:
+            self._delivered = _widened(
+                self._delivered, interner.n_mids, False)
 
     def _gather_slice(self, w1: float) -> tuple:
         """Take every pending copy with ``time < w1`` out of the pool.
@@ -778,33 +779,31 @@ class VectorizedEngine(SimulationEngine):
         times, seqs, dsts, pids = _stack(parts)
         # lexsort: primary key last — times first, seqs break exact ties.
         # The index columns are widened once here, not at every gather of
-        # the consumers.
+        # the filter.
         order = np.lexsort((seqs, times))
         return (times[order], seqs[order], dsts[order].astype(np.intp),
                 pids[order].astype(np.intp))
 
-    def _merge_sliced_consumed(self, window: float) -> tuple[int, int]:
+    def _merge_sliced(self, window: float) -> tuple[int, int, int]:
         """Main loop: slice-merged pool entries + queue events.
 
         Replicates the reference loop's ``(time, seq)`` total order across
         deliveries and queue events and its stop semantics (horizon break
         *without* advancing ``_now``, deadline break after), but maximal
         *runs* of consecutive delivery entries between queue events are
-        consumed straight from the column arrays by the per-process
-        :class:`BatchConsumer`\\ s — no per-entry heap operations.  Queue
-        events themselves are dispatched exactly as the reference engine
-        would, with a consumer flush before each TICK (the only queue event
-        that reads lazily-maintained ACK state).
+        consumed straight from the column arrays by :meth:`_consume_run` —
+        no per-entry heap operations.  Queue events themselves are
+        dispatched exactly as the reference engine would.  Returns the
+        number of pool entries consumed, how many of them reached a live
+        process, and how many were replayed through ``on_receive``.
         """
         queue = self.queue
         max_time = self.config.max_time
         dispatch = self._dispatch
         recycle = queue.recycle
-        consumers = self._consumers
-        metrics_active = self.metrics.active
-        batched_counter = self._batched_consumed_counter
         receive_count = 0
         deliver_count = 0
+        replayed = 0
         next_entry = queue.peek()
         stop = False
         while not stop:
@@ -863,13 +862,11 @@ class VectorizedEngine(SimulationEngine):
                                 j = jd
                                 truncate = "deadline"
                         if j > i:
-                            alive_n = self._consume_run(
+                            alive_n, replayed_n = self._consume_run(
                                 times, dsts, pids, i, j)
-                            if metrics_active:
-                                deliver_count += alive_n
+                            deliver_count += alive_n
+                            replayed += replayed_n
                             receive_count += j - i
-                            if batched_counter is not None:
-                                batched_counter.inc(j - i)
                             self._batch_pending -= j - i
                             self._now = float(times[j - 1])
                             i = j
@@ -898,125 +895,78 @@ class VectorizedEngine(SimulationEngine):
                 if deadline is not None and et >= deadline:
                     stop = True
                     break
-                if event.kind is EventKind.TICK and \
-                        event.target is not None:
-                    # on_tick reads the retire condition's counters.
-                    consumers[event.target].flush()
                 dispatch(event)
                 self._flush_sends()
                 recycle(event)
                 next_entry = queue.peek()
-        return receive_count, deliver_count
+        return receive_count, deliver_count, replayed
 
     def _consume_run(self, times: np.ndarray, dsts: np.ndarray,
-                     pids: np.ndarray, lo: int, hi: int) -> int:
-        """Consume run entries ``[lo, hi)`` through the batch consumers.
+                     pids: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
+        """Consume run entries ``[lo, hi)``: filter, then replay in order.
 
-        Two phases, exchangeable because ACK handling draws no randomness,
-        claims no sequence numbers and reads no MSG-written state:
-
-        * **Phase B** — ACK receptions, grouped per destination and handed
-          to ``consume_acks`` as unboxed id arrays (the hot path: ~97% of
-          receptions in an ACK storm).
-        * **Phase A** — every other reception, replayed one at a time in
-          global run order with ``_now`` set per entry: a MSG handler draws
-          the acknowledgement tag from the process RNG and broadcasts, so
-          the tags are drawn and the broadcasts recorded in the reference
-          engine's order; the flush that ends the run samples them.
-
-        Boxed runs have no Phase B: a generic protocol's ACK handler may
-        draw randomness or claim sequence numbers too, so the
-        :class:`BoxedConsumer` adapters get every payload kind in Phase A.
-
-        URB-deliveries surfaced by Phase B are emitted afterwards sorted by
-        run position — before any later queue event can record a trace
-        entry — reproducing the reference trace/metrics order (at
-        DELIVERIES level nothing else records between queue events).
-        Returns the number of non-crashed receptions (metrics bookkeeping).
+        Every entry that is not dropped is handed to its destination's
+        ``on_receive`` in run order with ``_now`` set per entry — the loop
+        the reference engine runs, so tags are drawn, views read, listeners
+        called and broadcasts recorded in the reference order; the flush
+        that ends the run samples the broadcasts.  Dropped are the copies
+        addressed to crashed processes and, when the repeat filter is on,
+        the ACK receptions two run-wide tables prove to be no-ops under
+        ``repeated_ack_is_noop_once_delivered``: ``delivered[dst, mid]``
+        says the destination has URB-delivered the message, and
+        ``handled[dst, cell]`` is the payload last replayed to it for the
+        entry's ``(m, tag_ack)`` cell.  Both are read as of the start of the
+        run, which is sound for ``delivered`` (monotone) and made sound for
+        ``handled`` by the in-run rule: if any entry of the run carries a
+        payload other than the one on record for its ``(dst, cell)`` — label
+        sets re-read from a converging AΘ, two acknowledgers drawing one tag
+        — *every* entry of that pair is replayed, and the last of them goes
+        on record.  Returns ``(live, replayed)`` entry counts.
         """
-        interner = self._interner
-        consumers = self._consumers
         run_pids = pids[lo:hi]
         run_dsts = dsts[lo:hi]
-        run_times = times[lo:hi]
-        n = hi - lo
-        crashed = self._crashed
-        if crashed:
-            alive = np.ones(n, dtype=bool)
-            for c in crashed:
-                alive &= run_dsts != c
-        else:
-            alive = None
-        kinds = interner.kind_arr[run_pids]
-        if self.consume_mode == "batched":
-            is_ack = kinds == PayloadInterner.KIND_ACK
-        else:
-            is_ack = np.zeros(n, dtype=bool)
-        if alive is None:
-            ack_idx = np.nonzero(is_ack)[0]
-            replay_idx = np.nonzero(~is_ack)[0]
-        else:
-            ack_idx = np.nonzero(is_ack & alive)[0]
-            replay_idx = np.nonzero(~is_ack & alive)[0]
-        deliveries: list = []
-        touched = None
-        width_hist = self._consume_width_hist
-        if ack_idx.size:
-            ack_dsts = run_dsts[ack_idx]
-            order = np.argsort(ack_dsts, kind="stable")
-            sorted_idx = ack_idx[order]
-            sorted_dsts = ack_dsts[order]
-            bounds = np.nonzero(sorted_dsts[1:] != sorted_dsts[:-1])[0] + 1
-            starts = np.concatenate(([0], bounds))
-            ends = np.concatenate((bounds, [sorted_dsts.shape[0]]))
-            for s, e in zip(starts.tolist(), ends.tolist()):
-                dst = int(sorted_dsts[s])
-                group = sorted_idx[s:e]
-                if width_hist is not None:
-                    width_hist.observe(e - s)
-                got = consumers[dst].consume_acks(
-                    run_pids[group], group, run_times[group]
-                )
-                if got:
-                    if touched is None:
-                        touched = []
-                    touched.append(consumers[dst])
-                    for pos, message in got:
-                        deliveries.append((pos, dst, message))
-        if replay_idx.size:
-            payloads = interner.payloads
-            # Protocols with a consumer send MSG/ACK payloads only; any
-            # other kind goes straight to the process.
-            is_other = kinds == PayloadInterner.KIND_OTHER
-            processes = self.processes
-            for k in replay_idx.tolist():
-                self._now = float(run_times[k])
-                if is_other[k]:
-                    processes[int(run_dsts[k])].on_receive(
-                        payloads[run_pids[k]]
-                    )
-                else:
-                    consumers[int(run_dsts[k])].handle_msg(
-                        payloads[run_pids[k]], k
-                    )
-            self._flush_sends()
-        if deliveries:
-            if len(deliveries) > 1:
-                deliveries.sort()
-            metrics = self.metrics
-            metrics_active = metrics.active
-            trace = self.trace
-            protocol_active = trace.protocol_active
-            for pos, dst, message in deliveries:
-                t = float(run_times[pos])
-                if metrics_active:
-                    metrics.on_urb_deliver(t, dst, message.content)
-                if protocol_active:
-                    trace.record(t, TraceCategory.URB_DELIVER, dst,
-                                 content=message.content, tag=message.tag)
-            for consumer in touched:
-                consumer.run_delivered_pos.clear()
-        return ack_idx.size + replay_idx.size
+        keep = None
+        for crashed in self._crashed:
+            alive = run_dsts != crashed
+            keep = alive if keep is None else keep & alive
+        live = hi - lo if keep is None else int(keep.sum())
+        if self._handled is not None:
+            interner = self._interner
+            self._fit_filter_tables()
+            handled = self._handled
+            # Payloads without a cell or a message gather column -1: they
+            # match no ``handled`` entry, which only ever holds ACK pids.
+            cells = interner.cell_arr[run_pids]
+            is_ack = cells >= 0
+            same = handled[run_dsts, cells] == run_pids
+            noop = same & self._delivered[run_dsts, interner.mid_arr[run_pids]]
+            changes = is_ack & ~same
+            if keep is not None:
+                changes &= keep
+            if changes.any():
+                changed = self._cell_changed
+                at = (run_dsts[changes], cells[changes])
+                changed[at] = True
+                rewritten = np.nonzero(changed[run_dsts, cells] & is_ack)[0]
+                changed[at] = False
+                noop[rewritten] = False
+                # Last entry of each rewritten (dst, cell): first occurrence
+                # of its key in the reversed run.
+                keys = (run_dsts[rewritten] * handled.shape[1]
+                        + cells[rewritten])[::-1]
+                last = rewritten[::-1][np.unique(keys, return_index=True)[1]]
+                handled[run_dsts[last], cells[last]] = run_pids[last]
+            keep = ~noop if keep is None else keep & ~noop
+        replay = slice(lo, hi) if keep is None else np.nonzero(keep)[0] + lo
+        replay_dsts = dsts[replay].tolist()
+        payloads = self._interner.payloads
+        processes = self.processes
+        for dst, pid, now in zip(replay_dsts, pids[replay].tolist(),
+                                 times[replay].tolist()):
+            self._now = now
+            processes[dst].on_receive(payloads[pid])
+        self._flush_sends()
+        return live, len(replay_dsts)
 
     #: broadcast_from consults this before taking the batched path; the
     #: per-event fallback (super().run()) never sets it.
@@ -1025,14 +975,17 @@ class VectorizedEngine(SimulationEngine):
     #: Broadcasts recorded since the last flush: ``(src, pid, now)``.  Only
     #: the batched path fills it; elsewhere the flush hook finds it empty.
     _outbox: Any = ()
-    #: Payload interning table + per-process consumers of the current
-    #: batched run.
+    #: Payload interning table of the current batched run.
     _interner: Optional[PayloadInterner] = None
-    _consumers: Optional[list] = None
+    #: The repeat filter's run-wide tables (``None`` = filter off):
+    #: ``_handled[dst, cell]`` — pid last replayed to *dst* for the ACK
+    #: cell, ``-1`` before the first; ``_delivered[dst, mid]``;
+    #: ``_cell_changed`` — all-False scratch of ``_handled``'s shape.
+    _handled: Optional[np.ndarray] = None
+    _delivered: Optional[np.ndarray] = None
+    _cell_changed: Optional[np.ndarray] = None
     #: Cached obs instrument handles (resolved once per run, outside the
     #: hot loop); ``None`` when obs is disabled.
-    _batched_consumed_counter: Any = None
-    _consume_width_hist: Any = None
     _send_rows_hist: Any = None
     _chunk_cells_hist: Any = None
     #: The run's slice width, computed once by :meth:`_fallback_reason`.

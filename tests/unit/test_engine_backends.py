@@ -6,19 +6,28 @@ strategy, never a semantics change: every backend must be bit-identical to
 whenever per-copy observability is required (controllers, hooks, FULL
 traces) or the channels have no positive minimum delay, must name and count
 every such off-ramp, and must round-trip through scenario serialisation
-like any other registry-named component.
+like any other registry-named component.  The vectorized backend's repeat
+filter gets its own section: a fixed-seed differential sweep, the in-run
+rule, and what it reports to obs.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import random
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.core.messages import MsgPayload, TaggedMessage
+from repro.core.messages import (
+    AckPayload,
+    LabeledAckPayload,
+    MsgPayload,
+    TaggedMessage,
+)
+from repro.core.state import PayloadInterner
 from repro.experiments.config import Scenario
 from repro.experiments.parity import (
     compare_engines,
@@ -29,7 +38,9 @@ from repro.experiments.parity import (
 )
 from repro.experiments.runner import build_engine
 from repro.explore.serialize import scenario_from_dict, scenario_to_dict
+from repro.failure_detectors.labels import Label
 from repro.network.delay import DelaySpec
+from repro.network.loss import LossSpec
 from repro.registry import (
     UnknownComponentError,
     all_registries,
@@ -44,16 +55,14 @@ from repro.simulation.tracing import TraceLevel, TraceRecorder
 
 CASES = {scenario.name: scenario for scenario in parity_cases()}
 
-#: ``(dispatch_mode, consume_mode)`` of the battery cases that are not
-#: consumed unboxed: the per-event fallback and the boxed adapter.
+#: ``(dispatch_mode, consume_mode)`` of the battery cases that do not run
+#: filtered: the per-event fallback, and the baseline protocols, which do
+#: not declare ``repeated_ack_is_noop_once_delivered``.
 OFF_RAMP_CASES = {
     "bernoulli-exponential": ("per-event", None),
-    "strict-equality": ("batched", "boxed"),
-    "strict-equality-crashes": ("batched", "boxed"),
     "eager-rb": ("batched", "boxed"),
     "identified-urb": ("batched", "boxed"),
     "best-effort": ("batched", "boxed"),
-    "unstable-view-windows": ("batched", "boxed"),
 }
 
 
@@ -267,8 +276,8 @@ def test_hooks_force_per_event_dispatch():
 
 
 # --------------------------------------------------------------------------- #
-# fallback reasons: one test per _fallback_reason() branch and per decline of
-# the consumer gate, each asserting the mode attributes AND the
+# fallback reasons: one test per _fallback_reason() branch and one for the
+# consume gate, each asserting the mode attributes AND the
 # repro_engine_fallback_total reason label
 # --------------------------------------------------------------------------- #
 @pytest.fixture()
@@ -336,24 +345,43 @@ def _consume_mode_events(run):
 
 
 def test_no_batch_consumer_decline_reason_counted(obs_on):
+    # A baseline protocol does not declare that repeated ACKs are no-ops:
+    # the one reason a sliced run is replayed entry by entry.
     run, events = _consume_mode_events(
-        lambda: run_fingerprint(CASES["strict-equality"], "vectorized"))
+        lambda: run_fingerprint(CASES["eager-rb"], "vectorized"))
     assert run.dispatch_mode == "batched"
     assert run.consume_mode == "boxed"
     assert _fallback_count("no_batch_consumer") == 1
     (event,) = events
     assert (event["mode"], event["reason"]) == ("boxed", "no_batch_consumer")
+    assert obs.REGISTRY.get("repro_engine_replayed_total") is None
 
 
-def test_unstable_view_windows_decline_reason_counted(obs_on):
-    run, events = _consume_mode_events(
-        lambda: run_fingerprint(CASES["unstable-view-windows"], "vectorized"))
-    assert run.dispatch_mode == "batched"
-    assert run.consume_mode == "boxed"
-    assert _fallback_count("unstable_view_windows") == 1
+# --------------------------------------------------------------------------- #
+# the repeat filter
+# --------------------------------------------------------------------------- #
+def _filter_counts():
+    """``(consumed, replayed)`` as the filtered runs so far reported them."""
+    return tuple(
+        obs.REGISTRY.get(name).value()
+        for name in ("repro_engine_batched_consumed_total",
+                     "repro_engine_replayed_total"))
+
+
+def test_unstable_view_windows_run_filtered_with_parity(obs_on):
+    # ALL_PROCESSES rebuilds AΘ's output on every query as crashes are
+    # detected.  Replay reads env.atheta() at each entry's own time, so the
+    # filter needs nothing from the detector and the run stays filtered.
+    report, events = _consume_mode_events(
+        lambda: compare_engines(CASES["unstable-view-windows"]))
+    assert report.ok, report.diff()
+    assert report.runs[1].dispatch_mode == "batched"
+    assert report.runs[1].consume_mode == "batched"
+    assert obs.REGISTRY.get("repro_engine_fallback_total") is None
     (event,) = events
-    assert (event["mode"], event["reason"]) == \
-        ("boxed", "unstable_view_windows")
+    assert event["mode"] == "batched" and "reason" not in event
+    consumed, replayed = _filter_counts()
+    assert 0 < replayed < consumed
 
 
 def _run_with_delivery_listeners(engine_name):
@@ -368,32 +396,161 @@ def _run_with_delivery_listeners(engine_name):
     return built, fingerprint(built.run()), heard
 
 
-def test_delivery_listeners_decline_reason_counted_with_parity(obs_on):
+def test_delivery_listeners_run_filtered_with_parity(obs_on):
     (built, vec_fp, vec_heard), events = _consume_mode_events(
         lambda: _run_with_delivery_listeners("vectorized"))
     assert built.dispatch_mode == "batched"
-    assert built.consume_mode == "boxed"
-    assert _fallback_count("delivery_listeners") == 1
+    assert built.consume_mode == "batched"
+    assert obs.REGISTRY.get("repro_engine_fallback_total") is None
     (event,) = events
-    assert (event["mode"], event["reason"]) == ("boxed", "delivery_listeners")
-    # Listeners observe the global reception order: the adapter must replay
-    # the runs entry by entry exactly as the reference loop dispatches them.
+    assert event["mode"] == "batched"
+    # Listeners observe the global reception order: what the filter does
+    # not drop is replayed entry by entry exactly as the reference loop
+    # dispatches it, and what it drops delivers nothing.
     _, ref_fp, ref_heard = _run_with_delivery_listeners("reference")
     assert vec_heard and vec_heard == ref_heard
     assert vec_fp == ref_fp
 
 
-def test_batched_receiver_records_consumed_and_width(obs_on):
+def test_batched_receiver_records_consumed_and_replayed(obs_on):
     run = run_fingerprint(CASES["bernoulli-uniform"], "vectorized")
     assert run.dispatch_mode == "batched"
     assert run.consume_mode == "batched"
     fallbacks = obs.REGISTRY.get("repro_engine_fallback_total")
     assert fallbacks is None or not any(v for _, v in fallbacks.samples())
-    consumed = obs.REGISTRY.get("repro_engine_batched_consumed_total")
-    assert consumed is not None and consumed.value() > 0
-    width = obs.REGISTRY.get("repro_engine_consume_width")
-    ((_, (_, _, count)),) = width.samples()
-    assert count > 0
+    consumed, replayed = _filter_counts()
+    # Every pool entry is a dispatched RECEIVE; the filter drops most.
+    assert consumed == run.fingerprint["event_stats"]["receive"]
+    assert 0 < replayed < consumed / 2
+    assert obs.REGISTRY.get("repro_engine_consume_width") is None
+
+
+def test_staggered_learning_still_skips_receptions(obs_on):
+    # While AΘ converges, ACKs of one cell carry changing label sets; those
+    # cells are replayed, the settled ones are not.
+    run = run_fingerprint(CASES["staggered-learning"], "vectorized")
+    assert run.consume_mode == "batched"
+    consumed, replayed = _filter_counts()
+    assert 0 < replayed < consumed
+
+
+def _filtered_engine(n=3):
+    """A vectorized engine opened for filtered consumption whose processes
+    record what they are handed instead of handling it."""
+    engine = build_engine(CASES["bernoulli-uniform"].with_(
+        engine="vectorized", n_processes=n))
+    engine._interner = PayloadInterner()
+    engine._open_filter()
+    assert engine.consume_mode == "batched"
+    seen = []
+    for index, process in engine.processes.items():
+        process.on_receive = \
+            lambda payload, index=index: seen.append((index, payload))
+    return engine, seen
+
+
+def _consume(engine, entries):
+    """One run made of ``(dst, payload)`` *entries*; the replayed count."""
+    pids = np.array([engine._interner.pid_for(payload)
+                     for _, payload in entries], dtype=np.intp)
+    dsts = np.array([dst for dst, _ in entries], dtype=np.intp)
+    times = np.linspace(1.0, 2.0, len(entries))
+    live, replayed = engine._consume_run(times, dsts, pids, 0, len(entries))
+    assert live == len(entries)
+    return replayed
+
+
+def test_in_run_rule_replays_every_entry_of_a_rewritten_cell():
+    engine, seen = _filtered_engine()
+    message = TaggedMessage("m", 1)
+    labels = [frozenset({Label(1)}), frozenset({Label(1), Label(2)})]
+    a, b = (LabeledAckPayload(message, 7, ls) for ls in labels)
+    other = LabeledAckPayload(message, 8, labels[0])
+    msg = MsgPayload(message)
+
+    assert _consume(engine, [(0, a), (0, other)]) == 2
+    # On record but not delivered (a changed view may yet let a repeat
+    # deliver): replayed.
+    assert _consume(engine, [(0, a), (0, other), (0, a)]) == 3
+    engine.on_process_delivered(0, message)
+    del seen[:]
+    # Delivered, and every entry is the payload on record: all dropped —
+    # for process 0 only, and never a MSG.
+    assert _consume(engine, [(0, a), (0, other), (0, a)]) == 0
+    assert _consume(engine, [(1, a), (0, msg), (0, a)]) == 2
+    assert seen == [(1, a), (0, msg)]
+    del seen[:]
+    # A, B, A inside one run: the cell's record would change mid-run, so
+    # all three are replayed, in order; the untouched cell stays dropped.
+    assert _consume(engine, [(0, a), (0, other), (0, b), (0, a)]) == 3
+    assert seen == [(0, a), (0, b), (0, a)]
+    del seen[:]
+    # The last of them is what went on record.
+    assert _consume(engine, [(0, a), (0, other)]) == 0
+    assert _consume(engine, [(0, b)]) == 1
+    assert _consume(engine, [(0, b), (0, b)]) == 0
+    assert seen == [(0, b)]
+
+
+def test_filter_tables_grow_with_the_interner():
+    engine, seen = _filtered_engine(n=2)
+    width = engine._handled.shape[1]
+    messages = [TaggedMessage(f"m{i}", i) for i in range(width + 5)]
+    acks = [AckPayload(message, 1) for message in messages]
+    assert _consume(engine, [(1, ack) for ack in acks]) == len(acks)
+    for message in messages:
+        engine.on_process_delivered(1, message)
+    assert engine._handled.shape[1] >= len(acks)
+    assert engine._delivered.shape[1] >= len(messages)
+    assert _consume(engine, [(1, ack) for ack in acks]) == 0
+    assert _consume(engine, [(0, ack) for ack in acks]) == len(acks)
+
+
+def _sweep_scenarios(count=30, seed=20150525):
+    """Random scenarios over everything the filter's exactness could
+    depend on, from a fixed seed."""
+    rng = random.Random(seed)
+    scenarios = []
+    for i in range(count):
+        algorithm = rng.choice(["algorithm1", "algorithm2", "algorithm2"])
+        n = rng.randint(4, 7)
+        crash_count = rng.randint(0, (n - 1) // 2)
+        crashes = {index: round(rng.uniform(0.5, 12.0), 2)
+                   for index in rng.sample(range(n), crash_count)}
+        low = rng.choice([0.05, 0.2])
+        delay = rng.choice([DelaySpec.uniform(low, low + 0.6),
+                            DelaySpec.fixed(low)])
+        quiescent = algorithm == "algorithm2"
+        scenarios.append(Scenario(
+            name=f"sweep-{i}",
+            algorithm=algorithm,
+            n_processes=n,
+            seed=rng.randrange(1 << 30),
+            crashes=crashes,
+            loss=LossSpec.bernoulli(rng.choice([0.0, 0.1, 0.3, 0.6])),
+            delay=delay,
+            fairness_bound=rng.choice([2, 5, None]),
+            strict_equality=rng.random() < 0.4,
+            fd_policy=rng.choice(["correct_only", "all_processes",
+                                  "own_only"]),
+            fd_learn_delay=rng.choice([0.0, 3.0, 8.0]),
+            workload="burst",
+            metadata={"burst_size": rng.randint(1, 5)},
+            max_time=40.0,
+            stop_when_quiescent=quiescent,
+            stop_when_all_correct_delivered=not quiescent,
+            drain_grace_period=2.0,
+        ))
+    return scenarios
+
+
+@pytest.mark.parametrize("scenario", _sweep_scenarios(),
+                         ids=lambda scenario: scenario.name)
+def test_filtered_runs_match_reference_on_random_scenarios(scenario):
+    report = compare_engines(scenario)
+    assert report.ok, report.diff()
+    assert (report.runs[1].dispatch_mode, report.runs[1].consume_mode) == \
+        ("batched", "batched")
 
 
 def test_send_side_records_flush_rows_and_one_chunk_per_broadcast(obs_on):
