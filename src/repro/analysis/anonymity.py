@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from ..core.messages import AckPayload, LabeledAckPayload, MsgPayload
 from ..simulation.engine import SimulationResult
-from ..simulation.tracing import TraceCategory
 
 
 @dataclass(frozen=True)
@@ -50,15 +49,19 @@ def audit_ack_tag_uniqueness(result: SimulationResult) -> tuple[bool, list[str]]
     senders: dict[tuple, dict[int, set[int]]] = {}
     # message -> process -> set of ack tags used (must be a singleton)
     per_process: dict[tuple, dict[int, set[int]]] = {}
-    for event in result.trace.filter(category=TraceCategory.SEND):
-        payload = event.detail("payload")
+    last_process = last_payload = None
+    for process, payload in result.trace.sends():
+        if payload is last_payload and process == last_process:
+            # Another copy of the broadcast just booked: adds nothing.
+            continue
+        last_process, last_payload = process, payload
         if not isinstance(payload, (AckPayload, LabeledAckPayload)):
             continue
         key = (payload.message.content, payload.message.tag)
         senders.setdefault(key, {}).setdefault(payload.ack_tag, set()).add(
-            event.process
+            process
         )
-        per_process.setdefault(key, {}).setdefault(event.process, set()).add(
+        per_process.setdefault(key, {}).setdefault(process, set()).add(
             payload.ack_tag
         )
     for key, tag_map in senders.items():
@@ -83,15 +86,14 @@ def audit_payload_opacity(result: SimulationResult,
     """Check that only the sanctioned anonymous wire types were sent."""
     violations: list[str] = []
     allowed = (MsgPayload, AckPayload, LabeledAckPayload)
-    for event in result.trace.filter(category=TraceCategory.SEND):
-        payload = event.detail("payload")
+    for process, payload in result.trace.sends():
         if payload is None:
             continue
         if not isinstance(payload, allowed):
             if allow_identified:
                 continue
             violations.append(
-                f"p{event.process} sent a non-standard payload "
+                f"p{process} sent a non-standard payload "
                 f"{type(payload).__name__}"
             )
     return (not violations, violations)

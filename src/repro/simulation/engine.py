@@ -44,6 +44,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 #: modelling a crash in the middle of the broadcast primitive).
 CRASH_SENDER: Any = object()
 
+#: The per-copy trace categories, bound once for the two hot recording sites.
+_SEND = TraceCategory.SEND
+_DROP = TraceCategory.DROP
+_CHANNEL_DELIVER = TraceCategory.CHANNEL_DELIVER
+
 
 def hash_decisions(decisions: Sequence[Sequence[Any]]) -> str:
     """Canonical hash of a schedule's decision trace.
@@ -275,12 +280,12 @@ class SimulationEngine:
     def broadcast_from(self, src: int, payload: Any) -> None:
         """Execute the anonymous broadcast primitive on behalf of *src*.
 
-        The no-hooks fast path fuses transmission and outcome processing
-        into one loop over the network's reusable ``broadcast_fast`` buffer,
-        skipping per-copy envelope objects; with hooks installed the
-        historic path is kept so that ``on_send`` hooks still observe the
-        broadcast before any receive event is scheduled.  Both paths draw
-        channel randomness in the same order and schedule identical events.
+        Every copy's fate is decided first — by the channels, over the
+        network's reusable ``broadcast_fast`` buffer, or by the schedule
+        controller — then the ``on_send`` hooks observe the broadcast, and
+        one loop records the outcomes and schedules the receive events.
+        Channel randomness is drawn in the same order whichever of the
+        three is in play, so their runs are bit-identical.
         """
         if src in self._crashed:
             # A crashed process executes no further statements; silently
@@ -288,114 +293,27 @@ class SimulationEngine:
             return
         kind = payload_kind(payload)
         now = self._now
-        if self.controller is not None:
-            self._broadcast_controlled(src, payload, kind, now)
-            return
-        if not self.hooks:
-            metrics = self.metrics
-            metrics_active = metrics.active
-            trace = self.trace
-            trace_channel = trace.channel_active
-            schedule = self.queue.schedule
-            for dst, deliver_time in self.network.broadcast_fast(
-                src, payload, now
-            ):
-                if metrics_active:
-                    metrics.on_send(now, src, kind)
-                if trace_channel:
-                    trace.record(
-                        now, TraceCategory.SEND, src,
-                        dst=dst, kind=kind, payload=payload,
-                    )
-                if deliver_time is not None:
-                    schedule(
-                        deliver_time, EventKind.RECEIVE,
-                        target=dst, payload=payload,
-                    )
-                else:
-                    if metrics_active:
-                        metrics.on_drop(now, src, kind)
-                    if trace_channel:
-                        trace.record(
-                            now, TraceCategory.DROP, src,
-                            dst=dst, kind=kind, payload=payload,
-                        )
-            return
-        outcomes = self.network.broadcast(src, payload, now)
-        for hook in self.hooks:
-            hook.on_send(self, src, payload, now)
-        for outcome in outcomes:
-            envelope = outcome.envelope
-            self.metrics.on_send(now, src, kind)
-            self.trace.record(
-                now,
-                TraceCategory.SEND,
-                src,
-                dst=envelope.dst,
-                kind=kind,
-                payload=payload,
-            )
-            if outcome.delivered:
-                self.queue.schedule(
-                    outcome.deliver_time, EventKind.RECEIVE,
-                    target=envelope.dst, payload=payload,
-                )
-            else:
-                self.metrics.on_drop(now, src, kind)
-                self.trace.record(
-                    now,
-                    TraceCategory.DROP,
-                    src,
-                    dst=envelope.dst,
-                    kind=kind,
-                    payload=payload,
-                )
-
-    def _broadcast_controlled(
-        self, src: int, payload: Any, kind: str, now: SimTime
-    ) -> None:
-        """Broadcast path taken when a schedule controller is installed.
-
-        Each copy's fate is the controller's ``copy_decision`` (an absolute
-        delivery time, ``None`` for a drop, or :data:`CRASH_SENDER` to crash
-        the sender mid-broadcast).  Decisions are collected first and
-        recorded after the ``on_send`` hooks, mirroring the hooked path; the
-        default controller delegates every decision to the channel itself,
-        so this path is bit-identical to the RNG-driven ones.
-        """
-        controller = self.controller
-        assert controller is not None
-        network = self.network
-        key = network.dedup_key(payload)
-        loopback = network.loopback_delivers
         crash_src = False
-        planned: list[tuple[int, Optional[SimTime]]] = []
-        for dst in range(network.n_processes):
-            if dst == src and not loopback:
-                continue
-            channel = network.channel(src, dst)
-            decision = controller.copy_decision(
-                self, src, dst, payload, key, channel, now
-            )
-            if decision is CRASH_SENDER:
-                crash_src = True
-                break
-            planned.append((dst, decision))
+        if self.controller is not None:
+            copies, crash_src = self._controlled_copies(src, payload, now)
+        else:
+            copies = self.network.broadcast_fast(src, payload, now)
+            if self.hooks:
+                # A hook may broadcast from ``on_send``; the buffer is only
+                # safe while nothing can re-enter the network.
+                copies = list(copies)
         for hook in self.hooks:
             hook.on_send(self, src, payload, now)
         metrics = self.metrics
         metrics_active = metrics.active
-        trace = self.trace
-        trace_channel = trace.channel_active
+        trace_channel = self.trace.channel_active
+        record_copy = self.trace.record_copy
         schedule = self.queue.schedule
-        for dst, deliver_time in planned:
+        for dst, deliver_time in copies:
             if metrics_active:
                 metrics.on_send(now, src, kind)
             if trace_channel:
-                trace.record(
-                    now, TraceCategory.SEND, src,
-                    dst=dst, kind=kind, payload=payload,
-                )
+                record_copy(now, _SEND, src, kind, payload, dst)
             if deliver_time is not None:
                 schedule(
                     deliver_time, EventKind.RECEIVE,
@@ -405,12 +323,39 @@ class SimulationEngine:
                 if metrics_active:
                     metrics.on_drop(now, src, kind)
                 if trace_channel:
-                    trace.record(
-                        now, TraceCategory.DROP, src,
-                        dst=dst, kind=kind, payload=payload,
-                    )
+                    record_copy(now, _DROP, src, kind, payload, dst)
         if crash_src:
             self._crash_for_exploration(src)
+
+    def _controlled_copies(
+        self, src: int, payload: Any, now: SimTime
+    ) -> tuple[list[tuple[int, Optional[SimTime]]], bool]:
+        """The copies of one broadcast as a schedule controller decides them.
+
+        Each copy's fate is the controller's ``copy_decision`` (an absolute
+        delivery time, ``None`` for a drop, or :data:`CRASH_SENDER` to crash
+        the sender mid-broadcast: the remaining copies are never handed to
+        their channels, and the second value returned is ``True``).  The
+        default controller delegates every decision to the channel itself,
+        so a controlled run is bit-identical to an RNG-driven one.
+        """
+        controller = self.controller
+        assert controller is not None
+        network = self.network
+        key = network.dedup_key(payload)
+        loopback = network.loopback_delivers
+        planned: list[tuple[int, Optional[SimTime]]] = []
+        for dst in range(network.n_processes):
+            if dst == src and not loopback:
+                continue
+            channel = network.channel(src, dst)
+            decision = controller.copy_decision(
+                self, src, dst, payload, key, channel, now
+            )
+            if decision is CRASH_SENDER:
+                return planned, True
+            planned.append((dst, decision))
+        return planned, False
 
     def _crash_for_exploration(self, index: int) -> None:
         """Crash *index* on a controller's decision, remembering the time so
@@ -590,6 +535,7 @@ class SimulationEngine:
         merged = dict(self.crash_schedule.crash_times)
         merged.update(self._forced_crashes)
         return CrashSchedule.crash_at(self.crash_schedule.n_processes, merged)
+
     def _seed_initial_events(self) -> None:
         for index, crash_time in self.crash_schedule:
             self.queue.schedule(crash_time, EventKind.CRASH, target=index)
@@ -649,10 +595,8 @@ class SimulationEngine:
             if metrics.active:
                 metrics.on_channel_deliver(self._now, index, kind)
             if trace.channel_active:
-                trace.record(
-                    self._now, TraceCategory.CHANNEL_DELIVER, index,
-                    kind=kind, payload=payload,
-                )
+                trace.record_copy(
+                    self._now, _CHANNEL_DELIVER, index, kind, payload)
         self.processes[index].on_receive(payload)
 
     def _handle_tick(self, event: QueuedEvent) -> None:

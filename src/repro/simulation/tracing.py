@@ -6,13 +6,17 @@ sends, drops, channel deliveries, URB-deliveries, crashes, broadcasts and
 retransmission rounds.  The analysis layer (``repro.analysis``) is written
 entirely against traces, which keeps property checking independent from the
 protocol implementations being checked.
+
+Storage is a list of positional rows whose layout only this module knows.
+Per-copy channel records (over 99 % of a FULL trace) stay bare rows until
+a caller asks for them as events; see :class:`TraceRecorder`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
+from typing import Any, Callable, Iterator, Mapping, Optional
 
 from .simtime import SimTime
 
@@ -34,40 +38,41 @@ class TraceLevel(enum.IntEnum):
 
 
 class TraceCategory(enum.Enum):
-    """Categories of observable run events."""
+    """Categories of observable run events.
+
+    Each member carries the minimum :class:`TraceLevel` at which it is
+    recorded as a plain attribute (``level``), so the recorder's level gate
+    is an attribute read and an int comparison — hashing an enum member is
+    a Python-level call.
+    """
+
+    level: TraceLevel
+
+    def __new__(cls, value: str, level: TraceLevel) -> "TraceCategory":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.level = level
+        return member
 
     #: The application layer invoked ``URB_broadcast(m)`` at a process.
-    URB_BROADCAST = "urb_broadcast"
+    URB_BROADCAST = ("urb_broadcast", TraceLevel.DELIVERIES)
     #: A process handed one protocol payload to one directed channel.
-    SEND = "send"
+    SEND = ("send", TraceLevel.FULL)
     #: The channel dropped the payload (fair lossy behaviour).
-    DROP = "drop"
+    DROP = ("drop", TraceLevel.FULL)
     #: The payload reached the destination process.
-    CHANNEL_DELIVER = "channel_deliver"
+    CHANNEL_DELIVER = ("channel_deliver", TraceLevel.FULL)
     #: A process URB-delivered an application message.
-    URB_DELIVER = "urb_deliver"
+    URB_DELIVER = ("urb_deliver", TraceLevel.DELIVERIES)
     #: A process crashed.
-    CRASH = "crash"
+    CRASH = ("crash", TraceLevel.DELIVERIES)
     #: A retransmission round executed (possibly sending nothing).
-    TICK = "tick"
+    TICK = ("tick", TraceLevel.FULL)
     #: A process removed a message from its retransmission set (Algorithm 2).
-    RETIRE = "retire"
+    RETIRE = ("retire", TraceLevel.DELIVERIES)
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
-
-
-#: Minimum :class:`TraceLevel` at which each category is recorded.
-CATEGORY_LEVELS: dict[TraceCategory, TraceLevel] = {
-    TraceCategory.URB_BROADCAST: TraceLevel.DELIVERIES,
-    TraceCategory.URB_DELIVER: TraceLevel.DELIVERIES,
-    TraceCategory.CRASH: TraceLevel.DELIVERIES,
-    TraceCategory.RETIRE: TraceLevel.DELIVERIES,
-    TraceCategory.SEND: TraceLevel.FULL,
-    TraceCategory.DROP: TraceLevel.FULL,
-    TraceCategory.CHANNEL_DELIVER: TraceLevel.FULL,
-    TraceCategory.TICK: TraceLevel.FULL,
-}
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,13 +117,27 @@ class TraceRecorder:
     attributes ``channel_active`` / ``protocol_active`` so that disabled
     categories cost a single attribute read per event — no keyword-dict
     construction, no method call.
+
+    Every record is one row, a tuple headed ``(time, category, process)``:
+    :meth:`record` appends ``(..., event)``, :meth:`record_copy` appends the
+    bare fields ``(..., kind, payload, dst)`` of a per-copy channel record.
+    A bare row becomes a :class:`TraceEvent` — once, its slot rewritten to
+    ``(..., event)`` — only when a caller asks for events (``events``,
+    iteration, :meth:`filter`, :meth:`digest`, :meth:`to_dicts`); the
+    counting and timing queries read the heads alone.  Rows of the
+    protocol-level categories are also kept per category, so queries on
+    them cost their matches, not the trace.
     """
 
     def __init__(self, enabled: bool = True,
                  level: TraceLevel = TraceLevel.FULL) -> None:
         self._enabled = bool(enabled)
         self._level = TraceLevel(level)
-        self._events: list[TraceEvent] = []
+        self._rows: list[tuple] = []
+        self._by_category: dict[TraceCategory, list[tuple]] = {
+            category: [] for category in TraceCategory
+            if category.level is TraceLevel.DELIVERIES
+        }
         #: Run-level metadata (schedule provenance: strategy, seed, decision
         #: hash) written by the engine at the end of a run so serialised
         #: traces carry everything needed to replay them.  Populated even
@@ -156,8 +175,7 @@ class TraceRecorder:
 
     def wants(self, category: TraceCategory) -> bool:
         """Whether events of *category* would currently be recorded."""
-        return (self._enabled
-                and self._level >= CATEGORY_LEVELS[category])
+        return self._enabled and self._level >= category.level
 
     # ------------------------------------------------------------------ #
     # recording
@@ -171,17 +189,52 @@ class TraceRecorder:
     ) -> Optional[TraceEvent]:
         """Append one event (no-op when the recorder is disabled or the
         category is gated out by the recording level)."""
-        if not self._enabled or self._level < CATEGORY_LEVELS[category]:
+        if not self._enabled or self._level < category.level:
             return None
         event = TraceEvent(time=time, category=category, process=process,
                            details=details)
-        self._events.append(event)
+        row = (time, category, process, event)
+        self._rows.append(row)
+        if category.level is TraceLevel.DELIVERIES:
+            self._by_category[category].append(row)
         return event
 
-    def extend(self, events: Iterable[TraceEvent]) -> None:
-        """Append pre-built events (used when merging sub-traces)."""
-        if self.enabled:
-            self._events.extend(events)
+    def record_copy(
+        self,
+        time: SimTime,
+        category: TraceCategory,
+        process: int,
+        kind: str,
+        payload: Any,
+        dst: Optional[int] = None,
+    ) -> None:
+        """Append one per-copy channel record (SEND, DROP or CHANNEL_DELIVER;
+        no-op unless ``channel_active``).
+
+        The same event as ``record(time, category, process, dst=dst,
+        kind=kind, payload=payload)`` — without ``dst`` when it is ``None``,
+        the CHANNEL_DELIVER form — at the price of one tuple.
+        """
+        if self.channel_active:
+            self._rows.append((time, category, process, kind, payload, dst))
+
+    def _event(self, position: int) -> TraceEvent:
+        """The event of the row at *position* (built on first request)."""
+        row = self._rows[position]
+        if len(row) == 4:
+            return row[3]
+        time, category, process, kind, payload, dst = row
+        details = {"kind": kind, "payload": payload}
+        if dst is not None:
+            details = {"dst": dst, **details}
+        event = TraceEvent(time=time, category=category, process=process,
+                           details=details)
+        self._rows[position] = (time, category, process, event)
+        return event
+
+    def _scope(self, category: TraceCategory) -> list[tuple]:
+        """The shortest row list that holds every row of *category*."""
+        return self._by_category.get(category, self._rows)
 
     # ------------------------------------------------------------------ #
     # access
@@ -189,13 +242,13 @@ class TraceRecorder:
     @property
     def events(self) -> tuple[TraceEvent, ...]:
         """All recorded events, in recording order."""
-        return tuple(self._events)
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._events)
+        return map(self._event, range(len(self._rows)))
 
     def filter(
         self,
@@ -214,35 +267,43 @@ class TraceRecorder:
         predicate:
             Arbitrary extra filter applied last.
         """
-        result = []
-        for event in self._events:
-            if category is not None and event.category is not category:
-                continue
-            if process is not None and event.process != process:
-                continue
-            if predicate is not None and not predicate(event):
-                continue
-            result.append(event)
-        return result
+        rows = self._by_category.get(category)
+        if rows is not None:
+            events = [row[3] for row in rows]
+        else:
+            events = [
+                self._event(position)
+                for position, row in enumerate(self._rows)
+                if category is None or row[1] is category
+            ]
+        return [
+            event for event in events
+            if (process is None or event.process == process)
+            and (predicate is None or predicate(event))
+        ]
+
+    def sends(self) -> Iterator[tuple[int, Any]]:
+        """``(process, payload)`` of every SEND event, in recording order,
+        without building an event for any of them."""
+        send = TraceCategory.SEND
+        for row in self._rows:
+            if row[1] is send:
+                yield row[2], (row[3].details.get("payload")
+                               if len(row) == 4 else row[4])
 
     def count(self, category: TraceCategory) -> int:
         """Number of recorded events of *category*."""
-        return sum(1 for event in self._events if event.category is category)
+        return sum(1 for row in self._scope(category) if row[1] is category)
 
     def last_time(self, category: TraceCategory) -> Optional[SimTime]:
         """Time of the last event of *category*, or ``None`` if none."""
-        result: Optional[SimTime] = None
-        for event in self._events:
-            if event.category is category:
-                result = event.time
-        return result
+        return next((row[0] for row in reversed(self._scope(category))
+                     if row[1] is category), None)
 
     def first_time(self, category: TraceCategory) -> Optional[SimTime]:
         """Time of the first event of *category*, or ``None`` if none."""
-        for event in self._events:
-            if event.category is category:
-                return event.time
-        return None
+        return next((row[0] for row in self._scope(category)
+                     if row[1] is category), None)
 
     def timeline(self, category: TraceCategory,
                  bucket: float) -> list[tuple[SimTime, int]]:
@@ -253,7 +314,8 @@ class TraceRecorder:
         """
         if bucket <= 0:
             raise ValueError("bucket width must be positive")
-        selected = [e.time for e in self._events if e.category is category]
+        selected = [row[0] for row in self._scope(category)
+                    if row[1] is category]
         if not selected:
             return []
         end = max(selected)
@@ -273,7 +335,7 @@ class TraceRecorder:
         import hashlib
 
         h = hashlib.sha256()
-        for event in self._events:
+        for event in self:
             h.update(
                 repr(
                     (
@@ -295,5 +357,5 @@ class TraceRecorder:
                 "process": event.process,
                 **dict(event.details),
             }
-            for event in self._events
+            for event in self
         ]

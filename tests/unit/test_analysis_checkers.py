@@ -13,7 +13,7 @@ from repro.analysis.properties import (
 )
 from repro.analysis.quiescence import analyze_quiescence, cumulative_send_curve
 from repro.core.delivery import DeliveryLog
-from repro.core.messages import AckPayload, TaggedMessage
+from repro.core.messages import AckPayload, MsgPayload, TaggedMessage
 from repro.experiments.config import Scenario
 from repro.experiments.runner import run_scenario
 from repro.network.loss import LossSpec
@@ -307,6 +307,56 @@ class TestAnonymityAudit:
         result = build_result(sends=[(1.0, 0, 1, "weird", object())])
         audit = audit_anonymity(result, allow_identified=True)
         assert audit.payloads_opaque
+
+    @pytest.mark.parametrize("as_rows", [False, True],
+                             ids=["events", "rows"])
+    def test_violation_strings_are_those_of_the_event_store(self, as_rows):
+        """A duplicated ``tag_ack``, a process changing its tag and
+        non-standard payloads, copies interleaved: the strings, their order
+        and their multiplicity as the one-event-per-record store (PR 14)
+        reported them, whether the sends are ready-made events or rows."""
+        message = TaggedMessage("m", 1)
+        shared = AckPayload(message, 100)
+        sends = [
+            (1.0, 0, 0, "MSG", MsgPayload(message)),
+            (1.0, 0, 1, "MSG", MsgPayload(message)),
+            (2.0, 0, 0, "ACK", shared),
+            (2.0, 0, 1, "ACK", shared),
+            (2.5, 1, 0, "ACK", AckPayload(message, 100)),
+            (2.5, 1, 1, "ACK", AckPayload(message, 100)),
+            (3.0, 1, 0, "str", "p1-was-here"),
+            (3.0, 1, 1, "str", "p1-was-here"),
+            (3.5, 0, 1, "ACK", AckPayload(message, 101)),
+            (4.0, 2, 0, "tuple", (2, "x")),
+            (4.5, 1, 0, "str", "p1-was-here"),
+        ]
+        if as_rows:
+            result = build_result()
+            for time, src, dst, kind, payload in sends:
+                result.trace.record_copy(
+                    time, TraceCategory.SEND, src, kind, payload, dst)
+        else:
+            result = build_result(sends=sends)
+        assert audit_anonymity(result).violations == (
+            "ack tag 100 for message ('m', 1) was used by multiple "
+            "processes: [0, 1]",
+            "process p0 used multiple ack tags for message ('m', 1): "
+            "[100, 101]",
+            "p1 sent a non-standard payload str",
+            "p1 sent a non-standard payload str",
+            "p2 sent a non-standard payload tuple",
+            "p1 sent a non-standard payload str",
+        )
+
+    def test_one_payload_object_sent_by_two_processes_is_still_caught(self):
+        """Copies of one broadcast are booked once; the same object in
+        another process's hands is not a copy."""
+        shared = AckPayload(TaggedMessage("m", 1), 100)
+        result = build_result(
+            sends=[(1.0, 0, 1, "ACK", shared), (1.0, 1, 0, "ACK", shared)]
+        )
+        ok, violations = audit_ack_tag_uniqueness(result)
+        assert not ok and len(violations) == 1
 
 
 class TestOnRealRun:

@@ -18,7 +18,7 @@ from repro.network.delay import DelaySpec
 from repro.network.loss import LossSpec
 from repro.simulation.hooks import DeliveryTimelineHook
 from repro.simulation.metrics import MetricsCollector, MetricsLevel
-from repro.simulation.tracing import TraceLevel, TraceRecorder
+from repro.simulation.tracing import TraceCategory, TraceLevel, TraceRecorder
 
 
 def run_engine(scenario: Scenario, **engine_overrides):
@@ -127,12 +127,26 @@ class TestGatingParity:
         assert counters_summary.mean_latency is None
 
     def test_hooks_path_matches_fast_path(self):
-        """The hooked (legacy) broadcast path and the no-hooks fast path
-        must produce identical traces — an observation-only hook cannot
-        perturb the run."""
+        """A hooked broadcast and a hook-free one must produce identical
+        traces — an observation-only hook cannot perturb the run."""
         plain = run_engine(BASE)
         hooked = run_engine(BASE.with_(hooks=(DeliveryTimelineHook(),)))
         assert fingerprint(plain) == fingerprint(hooked)
+
+    @pytest.mark.parametrize("recorders", [
+        lambda: {"trace": TraceRecorder(level=TraceLevel.DELIVERIES),
+                 "metrics": MetricsCollector(level=MetricsLevel.COUNTERS)},
+        lambda: {"trace": TraceRecorder(enabled=False),
+                 "metrics": MetricsCollector(level=MetricsLevel.OFF)},
+    ], ids=["gated", "off"])
+    def test_hooked_broadcast_gates_like_hook_free(self, recorders):
+        """The outcome loop reads the recording gates once for hooked and
+        hook-free broadcasts alike, so gated-out levels stay gated out."""
+        plain = run_engine(BASE, **recorders())
+        hooked = run_engine(
+            BASE.with_(hooks=(DeliveryTimelineHook(),)), **recorders())
+        assert fingerprint(plain) == fingerprint(hooked)
+        assert plain.trace.count(TraceCategory.SEND) == 0
 
 
 class TestFastPathEdgeCases:
@@ -160,3 +174,45 @@ class TestFastPathEdgeCases:
         collector.on_send(1.0, 0, "MSG")
         assert collector.total_sends == 1
         assert collector.send_timeline == [(1.0, 1)]
+
+
+#: ``(trace.digest(), len(trace))`` of :func:`pinned_scenario` per algorithm,
+#: computed at the last commit that stored one ``TraceEvent`` per record
+#: (PR 14).  A storage change that moves any of them changed what a trace
+#: says, not just how it is kept.
+PINNED_FULL_TRACES = {
+    "algorithm1": (
+        "ebeba2422f4661e99b8e3ab9652d949a01393970a15f46d46a14d9a940406170",
+        1897),
+    "algorithm2": (
+        "3eb144ac02ea7147236c1afdedfb56a5901a27580165670645a06623e99f242d",
+        454),
+    "algorithm1_noretx": (
+        "2569d0b0ab2b5c7357c09b7ba65e1524cee91196db5dc4c37f0193431dea40f4",
+        90),
+    "best_effort": (
+        "916ae9eec8bde306d01bc800cfce18aa93280cb39388625def91850dd65b71e0",
+        27),
+    "eager_rb": (
+        "047eb149f8900f84a03ad4a402f76e11ab9ef66ba32524d7564df6f6c884e159",
+        75),
+    "identified_urb": (
+        "06b9baf2d76f7c615222d14e1cac12624b41ee1716b004a241c8fe317ecd2a73",
+        1897),
+}
+
+
+def pinned_scenario(algorithm: str) -> Scenario:
+    return Scenario(
+        name="pinned", algorithm=algorithm, n_processes=4, seed=2024,
+        loss=LossSpec.bernoulli(0.2), delay=DelaySpec.uniform(0.05, 0.5),
+        crashes={3: 2.0}, workload="burst", metadata={"burst_size": 2},
+        max_time=12.0,
+    )
+
+
+class TestPinnedFullTraceDigests:
+    @pytest.mark.parametrize("algorithm", sorted(PINNED_FULL_TRACES))
+    def test_digest_and_length_are_the_pinned_ones(self, algorithm):
+        trace = run_engine(pinned_scenario(algorithm)).trace
+        assert (trace.digest(), len(trace)) == PINNED_FULL_TRACES[algorithm]

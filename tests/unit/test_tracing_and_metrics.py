@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.experiments.runner import default_scenario, run_scenario
+from repro.simulation import tracing
 from repro.simulation.metrics import MetricsCollector
-from repro.simulation.tracing import TraceCategory, TraceRecorder
+from repro.simulation.tracing import TraceCategory, TraceLevel, TraceRecorder
 
 
 class TestTraceRecorder:
@@ -82,12 +84,58 @@ class TestTraceRecorder:
         event = trace.record(1.0, TraceCategory.SEND, 0)
         assert event.detail("missing", 42) == 42
 
-    def test_extend(self):
-        source = TraceRecorder()
-        source.record(1.0, TraceCategory.SEND, 0)
-        target = TraceRecorder()
-        target.extend(source.events)
-        assert len(target) == 1
+
+class TestChannelRows:
+    """Per-copy channel records are rows until someone asks for events."""
+
+    @pytest.mark.parametrize("recorder", [
+        TraceRecorder(level=TraceLevel.DELIVERIES),
+        TraceRecorder(level=TraceLevel.OFF),
+        TraceRecorder(enabled=False),
+    ])
+    def test_record_copy_honours_the_level(self, recorder):
+        recorder.record_copy(1.0, TraceCategory.SEND, 0, "MSG", "p", 1)
+        assert len(recorder) == 0
+
+    def test_an_event_is_built_once(self):
+        trace = TraceRecorder()
+        trace.record_copy(1.0, TraceCategory.SEND, 0, "MSG", "p", 1)
+        first = trace.events[0]
+        assert trace.filter(category=TraceCategory.SEND)[0] is first
+        assert next(iter(trace)) is first
+
+    def test_sends_reads_rows_and_ready_made_events_alike(self):
+        trace = TraceRecorder()
+        trace.record_copy(1.0, TraceCategory.SEND, 0, "MSG", "a", 1)
+        trace.record_copy(1.0, TraceCategory.DROP, 0, "MSG", "a", 1)
+        trace.record(2.0, TraceCategory.SEND, 1, dst=0, kind="ACK", payload="b")
+        trace.record(3.0, TraceCategory.SEND, 2)
+        assert list(trace.sends()) == [(0, "a"), (1, "b"), (2, None)]
+        trace.events
+        assert list(trace.sends()) == [(0, "a"), (1, "b"), (2, None)]
+
+    def test_full_trace_run_builds_no_channel_event(self, monkeypatch):
+        """A run and its three analyses must leave every channel record a
+        row: an eager ``TraceEvent`` per copy is half of a campaign cell."""
+        built = []
+
+        def counting(**fields):
+            built.append(fields["category"])
+            return real(**fields)
+
+        real = tracing.TraceEvent
+        monkeypatch.setattr(tracing, "TraceEvent", counting)
+        trace = run_scenario(default_scenario(n_processes=4)).simulation.trace
+        channel = sum(trace.count(category) for category in TraceCategory
+                      if category.level is TraceLevel.FULL)
+        assert channel > 100
+        assert all(category.level is TraceLevel.DELIVERIES
+                   for category in built)
+        assert len(built) == len(trace) - channel
+        # Asking builds each exactly once.
+        assert len(trace.events) == len(built) == len(trace)
+        trace.digest()
+        assert len(built) == len(trace)
 
 
 class TestMetricsCollector:
