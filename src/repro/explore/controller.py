@@ -45,7 +45,6 @@ from ..simulation.engine import CRASH_SENDER, hash_decisions
 from ..simulation.simtime import SimTime
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..network.channel import Channel
     from ..network.loss import DedupKey
     from ..simulation.engine import SimulationEngine
 
@@ -99,16 +98,17 @@ class ScheduleController:
         dst: int,
         payload: Any,
         key: "DedupKey",
-        channel: "Channel",
         now: SimTime,
     ) -> Any:
         """Fate of one copy: an absolute delivery time, ``None`` (drop), or
         :data:`~repro.simulation.engine.CRASH_SENDER`.
 
-        The default delegates to the channel, drawing its loss/delay RNG
-        streams in exactly the order the uncontrolled paths would.
+        The engine passes no channel: a controller that leaves a copy to
+        the run's loss/delay models resolves it, as this default does, and
+        the draws come in exactly the order the uncontrolled paths make
+        them; one that decides every copy never builds (or seeds) a channel.
         """
-        return channel.transmit(key, now)
+        return engine.network.channel(src, dst).transmit(key, now)
 
     def atheta_view(
         self, engine: "SimulationEngine", index: int, now: SimTime
@@ -174,17 +174,16 @@ class RecordingController(ScheduleController):
         dst: int,
         payload: Any,
         key: "DedupKey",
-        channel: "Channel",
         now: SimTime,
     ) -> Any:
-        choice = self._choose_copy(engine, src, dst, payload, key, channel, now)
+        choice = self._choose_copy(engine, src, dst, payload, key, now)
         bound = self._fairness_bound
         if bound is not None:
             ckey = (src, dst, key)
             drops = self._consecutive_drops
             if choice[0] == DROP:
                 if drops.get(ckey, 0) >= bound:
-                    choice = (DELIVER, self._fairness_delay(channel))
+                    choice = (DELIVER, self._fairness_delay())
                 else:
                     drops[ckey] = drops.get(ckey, 0) + 1
             if choice[0] == DELIVER and ckey in drops:
@@ -210,13 +209,12 @@ class RecordingController(ScheduleController):
         dst: int,
         payload: Any,
         key: "DedupKey",
-        channel: "Channel",
         now: SimTime,
     ) -> Decision:
         """Subclass hook: return one copy decision tuple."""
         raise NotImplementedError
 
-    def _fairness_delay(self, channel: "Channel") -> float:
+    def _fairness_delay(self) -> float:
         """Delay used for fairness-guard forced deliveries."""
         return 0.1
 
@@ -266,9 +264,10 @@ class ReplayController(ScheduleController):
     Copy decisions are consumed in order; once the trace is exhausted (or
     for points a shrink removed), decisions fall back to the channel's own
     RNG draws — deterministic for a given scenario seed, so a truncated
-    trace still yields one well-defined execution.  The decisions actually
-    taken (replayed + fallback) are re-recorded, which is what makes a
-    shrunk counterexample's hash stable when it is serialised back out.
+    trace still yields one well-defined execution, and the only channels a
+    replay builds are those of that tail.  The decisions actually taken
+    (replayed + fallback) are re-recorded, which is what makes a shrunk
+    counterexample's hash stable when it is serialised back out.
     """
 
     strategy_name = "replay"
@@ -301,7 +300,6 @@ class ReplayController(ScheduleController):
         dst: int,
         payload: Any,
         key: "DedupKey",
-        channel: "Channel",
         now: SimTime,
     ) -> Any:
         if self._position < len(self._copy_queue):
@@ -309,7 +307,7 @@ class ReplayController(ScheduleController):
             self._position += 1
             self._taken.append(choice)
             return RecordingController._apply_copy_decision(choice, now)
-        deliver_time = channel.transmit(key, now)
+        deliver_time = engine.network.channel(src, dst).transmit(key, now)
         if deliver_time is None:
             self._taken.append((DROP,))
         else:

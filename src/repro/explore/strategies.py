@@ -36,7 +36,6 @@ from .controller import CRASH, DELIVER, DROP, Decision, RecordingController
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..experiments.config import Scenario
-    from ..network.channel import Channel
     from ..network.loss import DedupKey
     from ..simulation.engine import SimulationEngine
     from ..simulation.simtime import SimTime
@@ -157,7 +156,6 @@ class RandomWalkController(RecordingController):
         dst: int,
         payload: object,
         key: "DedupKey",
-        channel: "Channel",
         now: "SimTime",
     ) -> Decision:
         rng = self._rng
@@ -175,7 +173,7 @@ class RandomWalkController(RecordingController):
             return (DROP,)
         return (DELIVER, rng.choice(self._lattice))
 
-    def _fairness_delay(self, channel: "Channel") -> float:
+    def _fairness_delay(self) -> float:
         return self._lattice[0]
 
     def _choose_fd_staleness(
@@ -236,7 +234,6 @@ class PctController(RecordingController):
         dst: int,
         payload: object,
         key: "DedupKey",
-        channel: "Channel",
         now: "SimTime",
     ) -> Decision:
         point = self._copy_points
@@ -308,7 +305,6 @@ class DelayBoundController(RecordingController):
         dst: int,
         payload: object,
         key: "DedupKey",
-        channel: "Channel",
         now: "SimTime",
     ) -> Decision:
         point = self._copy_points
@@ -370,7 +366,6 @@ class CrashPointController(RecordingController):
         dst: int,
         payload: object,
         key: "DedupKey",
-        channel: "Channel",
         now: "SimTime",
     ) -> Decision:
         if src == self._victim and not self._crashed:
@@ -379,7 +374,7 @@ class CrashPointController(RecordingController):
             if point == self._step:
                 self._crashed = True
                 return (CRASH,)
-        deliver_time = channel.transmit(key, now)
+        deliver_time = engine.network.channel(src, dst).transmit(key, now)
         if deliver_time is None:
             return (DROP,)
         return (DELIVER, deliver_time - now)

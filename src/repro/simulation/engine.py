@@ -56,10 +56,9 @@ def hash_decisions(decisions: Sequence[Sequence[Any]]) -> str:
     Two executions are *the same schedule* exactly when their decision traces
     hash equally; the explorer deduplicates on this value and counterexample
     artifacts carry it so a replay can be checked against its origin.
+    Lists and tuples serialise alike, so the trace is dumped as given.
     """
-    canonical = json.dumps(
-        [list(decision) for decision in decisions], separators=(",", ":")
-    )
+    canonical = json.dumps(decisions, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
@@ -335,9 +334,10 @@ class SimulationEngine:
         Each copy's fate is the controller's ``copy_decision`` (an absolute
         delivery time, ``None`` for a drop, or :data:`CRASH_SENDER` to crash
         the sender mid-broadcast: the remaining copies are never handed to
-        their channels, and the second value returned is ``True``).  The
-        default controller delegates every decision to the channel itself,
-        so a controlled run is bit-identical to an RNG-driven one.
+        their channels, and the second value returned is ``True``).  No
+        channel is resolved here: a decision-driven schedule builds none,
+        and the default controller, which delegates every copy to its
+        channel, keeps a controlled run bit-identical to an RNG-driven one.
         """
         controller = self.controller
         assert controller is not None
@@ -348,9 +348,8 @@ class SimulationEngine:
         for dst in range(network.n_processes):
             if dst == src and not loopback:
                 continue
-            channel = network.channel(src, dst)
             decision = controller.copy_decision(
-                self, src, dst, payload, key, channel, now
+                self, src, dst, payload, key, now
             )
             if decision is CRASH_SENDER:
                 return planned, True
@@ -515,7 +514,7 @@ class SimulationEngine:
                 decision_count=0,
                 schedule_hash=hash_decisions(()),
             )
-        decisions = tuple(tuple(d) for d in controller.decisions)
+        decisions = tuple(map(tuple, controller.decisions))
         return ScheduleProvenance(
             strategy=getattr(controller, "strategy_name", type(controller).__name__),
             seed=self.config.seed,

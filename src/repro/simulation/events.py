@@ -37,10 +37,14 @@ class EventKind(enum.Enum):
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
 
+    # Members are singletons, so the C-level identity hash is sound;
+    # ``Enum.__hash__`` is a Python call, two per ``dispatched[kind] += 1``.
+    __hash__ = object.__hash__
+
 
 # Dense per-kind index used by the scheduler's O(1) pending counters: a
-# plain attribute read plus a list index is markedly cheaper than hashing an
-# enum member on every push/pop (Enum.__hash__ is a Python-level call).
+# plain attribute read plus a list index is cheaper than a dict lookup keyed
+# by the member on every push/pop.
 for _slot, _kind in enumerate(EventKind):
     _kind.slot = _slot
 del _slot, _kind

@@ -16,7 +16,9 @@ from repro.explore import (
     ScheduleController,
     hash_decisions,
 )
+from repro.network.delay import DelaySpec
 from repro.network.loss import LossSpec
+from repro.registry import strategies, strategy_names
 from repro.simulation.engine import CRASH_SENDER
 from repro.simulation.tracing import TraceCategory
 
@@ -44,6 +46,10 @@ class TestDefaultControllerParity:
         {"algorithm": "algorithm2", "loss": LossSpec.bernoulli(0.15),
          "stop_when_all_correct_delivered": False,
          "stop_when_quiescent": True, "max_time": 250.0},
+        # Loss and delay both random: every copy draws two channel streams,
+        # so a changed draw order cannot cancel out.
+        {"loss": LossSpec.bernoulli(0.3),
+         "delay": DelaySpec.uniform(0.05, 0.5), "crashes": {2: 1.5}},
     ])
     def test_trace_and_metrics_identical(self, overrides):
         scenario = _scenario(**overrides)
@@ -113,6 +119,16 @@ class TestScheduleProvenance:
         assert hash_decisions(decisions) != hash_decisions(decisions[::-1])
         assert len(hash_decisions(())) == 16
 
+    def test_hash_of_a_mixed_trace_is_the_pinned_one(self):
+        # Stored artifacts and the explorer's dedup key on this value;
+        # the literal was computed at PR 15, before the hash stopped
+        # copying its input.
+        decisions = [("deliver", 0.5), ("drop",), ("crash",), ("fd", 3, 1.0),
+                     ("deliver", 0.125), ("fd", 7, 2.5)]
+        as_lists = [list(decision) for decision in decisions]
+        assert (hash_decisions(decisions) == hash_decisions(as_lists)
+                == "7433e8b904af0a0f")
+
 
 class _ScriptedController(RecordingController):
     """Plays back a fixed list of choices (tests drive it directly)."""
@@ -121,7 +137,7 @@ class _ScriptedController(RecordingController):
         super().__init__("scripted", 0, fairness_bound=fairness_bound)
         self._script = list(script)
 
-    def _choose_copy(self, engine, src, dst, payload, key, channel, now):
+    def _choose_copy(self, engine, src, dst, payload, key, now):
         if self._script:
             return self._script.pop(0)
         return (DELIVER, 0.1)
@@ -218,14 +234,132 @@ class TestBaseControllerInterface:
         scenario = _scenario()
         engine = build_engine(scenario)
         controller = ScheduleController()
-        channel = engine.network.channel(0, 1)
         outcome = controller.copy_decision(
-            engine, 0, 1, object(), "key", channel, 0.0
+            engine, 0, 1, object(), "key", 0.0
         )
         assert outcome is None or outcome >= 0.0
+        assert set(engine.network.channels) == {(0, 1)}
         assert controller.decisions == ()
         assert controller.atheta_view(engine, 0, 0.0) is None
 
     def test_crash_sender_sentinel_identity(self):
         # The sentinel is compared by identity in the engine loop.
         assert CRASH_SENDER is not None
+
+
+def _lossy(**overrides) -> Scenario:
+    return _scenario(loss=LossSpec.bernoulli(0.2),
+                     delay=DelaySpec.uniform(0.05, 0.5), **overrides)
+
+
+def _run_with_engine(scenario, controller=None):
+    engine = build_engine(scenario, controller=controller)
+    return engine, engine.run()
+
+
+def _sent_on(result, skip=0):
+    """Channels of the run's copies, leaving out the first *skip* sends."""
+    sends = result.trace.filter(category=TraceCategory.SEND)
+    return {(event.process, event.detail("dst")) for event in sends[skip:]}
+
+
+class TestControllersResolveTheChannelsTheyRead:
+    """The engine hands no channel to a controller, so a run builds (and
+    seeds) exactly the channels some controller transmitted on."""
+
+    @pytest.mark.parametrize("strategy", sorted(strategy_names()))
+    def test_decision_driven_strategies_build_no_channel(self, strategy):
+        engine, result = _run_with_engine(
+            _lossy(explore_strategy=strategy, explore_index=1))
+        assert result.schedule.decision_count > 0
+        reads_channels = strategies.get(strategy).extra.get(
+            "channel_loss", False)
+        assert bool(engine.network.channels) == reads_channels
+
+    def test_crash_points_builds_only_the_channels_it_transmits_on(self):
+        # Schedule 4 of 2 steps: process 2 crashes at its first copy, so
+        # none of its channels is ever read.
+        engine, result = _run_with_engine(_lossy(
+            metadata={"explore_crash_steps": 2},
+            explore_strategy="crash_points", explore_index=4))
+        built = set(engine.network.channels)
+        assert built == _sent_on(result)
+        assert built and not any(src == 2 for src, _ in built)
+
+    def test_default_controller_builds_only_the_channels_it_transmits_on(self):
+        engine, result = _run_with_engine(
+            _lossy(crashes={3: 0.0}), DefaultScheduleController())
+        built = set(engine.network.channels)
+        assert built == _sent_on(result)
+        assert len(built) == 12
+
+    def test_replay_builds_only_the_channels_its_tail_falls_back_to(self):
+        walk = build_engine(
+            _lossy(explore_strategy="random_walk", explore_index=5)).run()
+        decisions = walk.schedule.decisions
+        engine, _ = _run_with_engine(_lossy(), ReplayController(decisions))
+        assert engine.network.channels == {}
+
+        prefix = decisions[:-5]
+        engine, result = _run_with_engine(_lossy(), ReplayController(prefix))
+        replayed_sends = sum(1 for d in prefix if d[0] != CRASH)
+        built = set(engine.network.channels)
+        assert built == _sent_on(result, skip=replayed_sends)
+        assert 0 < len(built) <= 5
+
+
+#: ``(trace.digest(), schedule_hash)`` of the controlled runs of
+#: :func:`_lossy`, computed at PR 15, when the engine still built every
+#: channel of a broadcast and passed it to ``copy_decision``.  The runs that
+#: read channels must draw the same streams in the same order now that the
+#: controller resolves them.
+PINNED_CONTROLLED_RUNS = {
+    "random_walk": (
+        "472df039c5227e2e48316f99de19137d16a165656a13bce39c9d290e9caf9c9c",
+        "50637b435e153b10"),
+    "pct": (
+        "3cabb96c645aa31d5be4c21a6d87c84ccc92aa83fe143805017d93bfea5e8b48",
+        "94ca0f9ee7b749d7"),
+    "crash_points": (
+        "7079bdde7089d8ada51dad89d20ef5335fc789914c82c30936850c346ef736ff",
+        "a75d4310de08c4bf"),
+    "default": (
+        "17a940b505386d01fcb8ceb2c96f6e9f5eaea7a8283650c43701d709bc859a82",
+        "4f53cda18c2baa0c"),
+    "replay_truncated": (
+        "207fc642e75d732810e99135a49a6d53f7e45b449f6a84e9368e2c6cf75694d0",
+        "08901dc4c5170098"),
+}
+
+
+class TestPinnedControlledRuns:
+    @staticmethod
+    def _pin(result):
+        return result.trace.digest(), result.schedule.schedule_hash
+
+    @pytest.mark.parametrize("strategy, index", [
+        ("random_walk", 5), ("pct", 2), ("crash_points", 5),
+    ])
+    def test_strategy_schedule(self, strategy, index):
+        result = build_engine(
+            _lossy(explore_strategy=strategy, explore_index=index)).run()
+        assert self._pin(result) == PINNED_CONTROLLED_RUNS[strategy]
+
+    def test_default_controller(self):
+        result = build_engine(
+            _lossy(), controller=DefaultScheduleController()).run()
+        assert self._pin(result) == PINNED_CONTROLLED_RUNS["default"]
+
+    def test_full_and_truncated_replays(self):
+        walk = build_engine(
+            _lossy(explore_strategy="random_walk", explore_index=5)).run()
+        decisions = walk.schedule.decisions
+
+        def replay(trace):
+            return self._pin(build_engine(
+                _lossy(), controller=ReplayController(trace)).run())
+
+        assert replay(decisions) == PINNED_CONTROLLED_RUNS["random_walk"]
+        # 12 replayed decisions, then some 200 copies left to the channels.
+        assert (replay(decisions[:12])
+                == PINNED_CONTROLLED_RUNS["replay_truncated"])

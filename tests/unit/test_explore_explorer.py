@@ -104,8 +104,7 @@ class TestExplorerMechanics:
             def __init__(self):
                 super().__init__("constant", 0)
 
-            def _choose_copy(self, engine, src, dst, payload, key, channel,
-                             now):
+            def _choose_copy(self, engine, src, dst, payload, key, now):
                 return (DELIVER, 0.2)
 
         spec = StrategySpec(
