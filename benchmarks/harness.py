@@ -6,7 +6,8 @@ A plain-Python subsystem that CI can run without plugins:
   (large-n quiescence, flood, lossy channels, raw event-queue churn) plus
   ``exp_*`` wrappers around the experiment modules' quick configurations;
 * a runner that measures wall time, dispatched events/sec, protocol
-  ops/sec (sends) and peak RSS for each scenario;
+  ops/sec (sends) and peak RSS for each scenario, plus — from one more
+  pass with ``repro.obs`` on — the cyclic collector's share (``meta.gc``);
 * a *calibration* loop whose throughput is measured on the same machine in
   the same session, so scores can be normalized (``events_per_sec /
   calibration_mops``) and compared across machines with less noise;
@@ -28,6 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional
 
+from repro import obs
 from repro.experiments.config import Scenario
 from repro.experiments.runner import build_engine
 from repro.network.delay import DelaySpec
@@ -627,6 +629,7 @@ def run_benchmark(
     elapsed, events, ops, meta = best
     meta = dict(meta)
     meta["rss_delta_kb"] = max(0, current_rss_kb() - rss_before)
+    meta["gc"] = observed_gc(spec, quick)
     elapsed = max(elapsed, 1e-9)
     return BenchResult(
         name=name,
@@ -640,6 +643,27 @@ def run_benchmark(
         quick=quick,
         meta=meta,
     )
+
+
+def observed_gc(spec: BenchSpec, quick: bool) -> dict[str, dict[str, float]]:
+    """The cyclic collector's passes and seconds, by generation, over one
+    more untimed pass of *spec* with :mod:`repro.obs` enabled.
+
+    The numbers are the obs layer's own (its ``gc.callbacks`` instrument
+    feeding ``repro_gc_collections_total`` / ``repro_gc_seconds_total``);
+    the timed passes keep running with obs off.  A scenario that resets obs
+    itself (``obs_overhead``) reads zeros.
+    """
+    obs.reset()
+    obs.enable()
+    try:
+        counters = {key: obs.REGISTRY.get(f"repro_gc_{key}_total")
+                    for key in ("collections", "seconds")}
+        spec.run(quick)
+        return {key: {labels[0]: value for labels, value in counter.samples()}
+                for key, counter in counters.items()}
+    finally:
+        obs.reset()
 
 
 def default_scenario_names() -> list[str]:

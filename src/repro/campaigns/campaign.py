@@ -115,9 +115,9 @@ class Campaign:
     shard_size:
         Cells per checkpointed shard.  Results are flushed to the store in
         small :meth:`~repro.campaigns.store.ResultStore.put_many` batches
-        either way (and always at the shard boundary); the shard boundary
-        additionally bounds how much of a :class:`SuiteResult` is held in
-        memory at once.  Defaults to ``max(4 * parallel, 16)``.
+        either way (and always at the shard boundary); the flush buffer is
+        the only place a finished result is held, so memory does not grow
+        with the shard.  Defaults to ``max(4 * parallel, 16)``.
     worker_plugins:
         Modules each worker imports first (third-party registrations).
     """

@@ -34,7 +34,9 @@ DeliveryListener = Callable[[Any], None]
 
 @runtime_checkable
 class EnvironmentAPI(Protocol):
-    """The environment a protocol process runs in (paper §II primitives)."""
+    """The environment a protocol process runs in (paper §II primitives).
+    Good for its run only: the simulator's holds its engine weakly, and with
+    the engine gone every call below raises :class:`ReferenceError`."""
 
     def broadcast(self, payload: Any) -> None:
         """The paper's ``broadcast(m)``: send *payload* to every process,

@@ -49,9 +49,9 @@ from .runner import ScenarioResult, run_scenario
 ProgressCallback = Callable[[int, int, "SuiteItem"], None]
 
 #: Called with every successful result as it completes (completion order):
-#: ``on_result(item, result)``.  This is the hook incremental consumers (the
-#: campaign store) use to persist results before the whole batch finishes.
-ResultCallback = Callable[["SuiteItem", "ScenarioResult"], None]
+#: ``on_result(item, result)``.  The consumer becomes the result's one owner;
+#: the batch keeps what it returns (campaigns nothing, the explorer a digest).
+ResultCallback = Callable[["SuiteItem", "ScenarioResult"], Any]
 
 #: Extracts one number from a result (``None`` = no data for this run).
 MetricFn = Callable[[ScenarioResult], Optional[float]]
@@ -105,9 +105,9 @@ class BatchExecutionError(RuntimeError):
 class SuiteResult:
     """Everything a finished batch produced, in schedule order.
 
-    ``outcomes[i]`` corresponds to ``items[i]`` regardless of the order in
-    which workers finished — ``None`` marks a failed item, whose error is
-    recorded in :attr:`failures`.
+    ``outcomes[i]`` (the result, or what an ``on_result`` consumer returned
+    for it) corresponds to ``items[i]`` whatever order workers finished in;
+    ``None`` marks a failed item, whose error is in :attr:`failures`.
     """
 
     name: str
@@ -369,6 +369,11 @@ def _execute_item(
 class BatchRunner:
     """Executes suites with optional process-level parallelism.
 
+    One owner per result: with no ``on_result`` consumer the returned
+    :class:`SuiteResult` owns them all; with one, each result goes to the
+    consumer and ``outcomes`` keeps only what it returns, so campaigns and
+    explorations hold O(1) finished runs, freed by reference counting.
+
     Parameters
     ----------
     parallel:
@@ -456,7 +461,6 @@ class BatchRunner:
     def _record(self, outcomes: list, failures: list, items: Sequence[SuiteItem],
                 position: int, result: Optional[ScenarioResult],
                 error: Optional[str], details: str) -> None:
-        outcomes[position] = result
         if obs.enabled():
             # Recording always happens in the calling process (inline and
             # pool paths both), so these series aggregate the whole batch
@@ -472,7 +476,8 @@ class BatchRunner:
                 error=error, details=details,
             ))
         elif result is not None and self.on_result is not None:
-            self.on_result(items[position], result)
+            result = self.on_result(items[position], result)
+        outcomes[position] = result
 
     def _run_inline(
         self, items: Sequence[SuiteItem]
@@ -519,7 +524,8 @@ class BatchRunner:
                 _in_flight().inc(len(pending))
             try:
                 for future in as_completed(pending):
-                    position, item = pending[future]
+                    # popped, or the future would keep its result alive
+                    position, item = pending.pop(future)
                     try:
                         position, result, error, details = future.result()
                     except Exception as exc:  # worker died (BrokenProcessPool)
@@ -541,6 +547,6 @@ class BatchRunner:
                 # Cancelled / never-completed submissions (fail_fast, a
                 # crashed pool) must not leave the gauge dangling.
                 if obs.enabled():
-                    _in_flight().dec(len(pending) - done)
+                    _in_flight().dec(len(items) - done)
         failures.sort(key=lambda f: f.index)
         return outcomes, failures

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from ..analysis.anonymity import AnonymityAudit, audit_anonymity
@@ -63,9 +64,9 @@ class ScenarioResult:
         """Whether the three URB properties hold on this run."""
         return self.verdict.all_hold
 
-    @property
+    @cached_property
     def metrics(self):
-        """Shortcut to the aggregate metrics summary."""
+        """The aggregate metrics summary, built once per result."""
         return self.simulation.metrics_summary()
 
     def describe(self) -> str:

@@ -24,7 +24,7 @@ from ..analysis.properties import (
 )
 from ..experiments.batch import BatchRunner
 from ..experiments.config import Scenario
-from ..experiments.runner import build_engine
+from ..experiments.runner import ScenarioResult, build_engine
 from ..registry import strategies
 from ..simulation.engine import SimulationResult, hash_decisions
 from .controller import Decision, ReplayController
@@ -156,6 +156,26 @@ def replay_counterexample(
     return replay_decisions(data["scenario"], decisions)
 
 
+def _digest(_item: object,
+            result: ScenarioResult) -> tuple[str, Optional[Counterexample]]:
+    """All the explorer keeps of a schedule, so the run is freed on the spot:
+    its hash and, if it violates a property, its counterexample."""
+    provenance = result.simulation.schedule
+    assert provenance is not None
+    if result.verdict.all_hold:
+        return provenance.schedule_hash, None
+    return provenance.schedule_hash, Counterexample(
+        scenario=result.scenario,
+        strategy=provenance.strategy,
+        schedule_index=provenance.schedule_index,
+        seed=provenance.seed,
+        schedule_hash=provenance.schedule_hash,
+        decisions=tuple(provenance.decisions),
+        violations=tuple(result.verdict.violations()),
+        signature=violation_signature(result.verdict),
+    )
+
+
 @dataclass
 class Explorer:
     """Adversarial schedule search over one base scenario.
@@ -238,6 +258,7 @@ class Explorer:
         runner = BatchRunner(
             parallel=self.parallel,
             progress=progress,
+            on_result=_digest,
             worker_plugins=tuple(self.worker_plugins),
         )
         suite = runner.run(variants)
@@ -247,29 +268,15 @@ class Explorer:
         property_violations: dict[str, int] = {name: 0 for name in PROPERTY_NAMES}
         counterexamples: list[Counterexample] = []
         shrink_replays = 0
-        for result in suite.results:
-            provenance = result.simulation.schedule
-            assert provenance is not None
-            if provenance.schedule_hash in seen_hashes:
+        for schedule_hash, counterexample in suite.results:
+            if schedule_hash in seen_hashes:
                 duplicates += 1
                 continue
-            seen_hashes.add(provenance.schedule_hash)
-            for verdict in result.verdict.verdicts():
-                if not verdict.holds:
-                    property_violations[verdict.name] = (
-                        property_violations.get(verdict.name, 0) + 1
-                    )
-            if not result.verdict.all_hold:
-                counterexamples.append(Counterexample(
-                    scenario=result.scenario,
-                    strategy=provenance.strategy,
-                    schedule_index=provenance.schedule_index,
-                    seed=provenance.seed,
-                    schedule_hash=provenance.schedule_hash,
-                    decisions=tuple(provenance.decisions),
-                    violations=tuple(result.verdict.violations()),
-                    signature=violation_signature(result.verdict),
-                ))
+            seen_hashes.add(schedule_hash)
+            if counterexample is not None:
+                for name in counterexample.signature:
+                    property_violations[name] = property_violations.get(name, 0) + 1
+                counterexamples.append(counterexample)
 
         if self.shrink:
             for counterexample in counterexamples:

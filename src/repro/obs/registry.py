@@ -27,9 +27,11 @@ simulation layer.
 
 from __future__ import annotations
 
+import gc
 import re
 import threading
-from typing import Any, Iterable, Optional, Sequence
+import time
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 __all__ = [
     "Counter",
@@ -60,25 +62,57 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
 
 
 class _Runtime:
-    """Holder for the process-wide enabled flag (one attribute read)."""
+    """Process-wide state: the enabled flag (one attribute read), the gc hook."""
 
-    __slots__ = ("enabled",)
+    __slots__ = ("enabled", "gc_callback")
 
     def __init__(self) -> None:
         self.enabled = False
+        self.gc_callback: Optional[Callable[[str, dict], None]] = None
 
 
 _RUNTIME = _Runtime()
 
 
+def _gc_instrument() -> Callable[[str, dict], None]:
+    """A ``gc.callbacks`` entry counting collector passes and seconds by
+    generation.  A collection can start on any allocation, even one under the
+    registry's lock or a counter's own: hence both counters and their children
+    are made up front, and instrument locks are re-entrant."""
+    passes = counter("repro_gc_collections_total",
+                     "Cyclic-collector passes.", ("generation",))
+    seconds = counter("repro_gc_seconds_total",
+                      "Cyclic-collector seconds.", ("generation",))
+    for generation in range(3):
+        passes.inc(0, generation=generation)
+        seconds.inc(0, generation=generation)
+    started = 0.0
+
+    def on_gc(phase: str, info: dict) -> None:
+        nonlocal started
+        now = time.perf_counter()
+        if phase == "stop":
+            passes.inc(generation=info["generation"])
+            seconds.inc(now - started, generation=info["generation"])
+        started = now
+
+    return on_gc
+
+
 def enable() -> None:
     """Turn observability on process-wide."""
     _RUNTIME.enabled = True
+    if _RUNTIME.gc_callback is None:
+        _RUNTIME.gc_callback = _gc_instrument()
+        gc.callbacks.append(_RUNTIME.gc_callback)
 
 
 def disable() -> None:
     """Turn observability off process-wide (the default)."""
     _RUNTIME.enabled = False
+    if _RUNTIME.gc_callback is not None:
+        gc.callbacks.remove(_RUNTIME.gc_callback)
+        _RUNTIME.gc_callback = None
 
 
 def enabled() -> bool:
@@ -113,7 +147,7 @@ class _Instrument:
         self.name = name
         self.help = help
         self.labelnames = tuple(labelnames)
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()  # see _gc_instrument
 
     # Subclasses expose ``samples()`` -> list of per-child payloads used
     # by the exposition layer; the list is a consistent point-in-time

@@ -9,11 +9,17 @@ break the paper's system model:
   bookkeeping only),
 * no clock (times are recorded engine-side),
 * no topology or channel access beyond the anonymous ``broadcast``.
+
+Lifetime: the engine is held *weakly*, the one back-edge of a run's object
+graph (engine → processes → environment ⇢ engine).  Whoever runs an engine owns
+it and a result never keeps it alive, so a finished run is freed by reference
+counting; with the engine gone every service call raises ``ReferenceError``.
 """
 
 from __future__ import annotations
 
 import random
+import weakref
 from typing import TYPE_CHECKING, Any
 
 from ..core.messages import TaggedMessage
@@ -28,8 +34,12 @@ class ProcessEnvironment:
 
     def __init__(self, index: int, engine: "SimulationEngine") -> None:
         self._index = index
-        self._engine = engine
+        self._engine: "SimulationEngine" = weakref.proxy(engine)
         self._random = engine.random_source.for_process(index)
+
+    def __getstate__(self) -> dict[str, Any]:
+        """Pickle without the engine: a shipped result has no use for one."""
+        return {"_index": self._index, "_random": self._random}
 
     # ------------------------------------------------------------------ #
     # EnvironmentAPI

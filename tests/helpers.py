@@ -10,6 +10,7 @@ exercised without spinning up the simulator.
 from __future__ import annotations
 
 import random
+import weakref
 from typing import Any
 
 from repro.core.messages import TaggedMessage
@@ -79,3 +80,21 @@ def drain_loopback(process, env: FakeEnvironment, max_rounds: int = 10) -> None:
         for payload in pending:
             process.on_receive(payload)
     raise AssertionError("loopback did not stabilise within max_rounds")
+
+
+def track_live_runs(monkeypatch) -> "weakref.WeakSet":
+    """Wrap the batch runner's ``run_scenario`` so that the trace of every
+    run it executes in this process lands in the returned ``WeakSet``: its
+    length is the number of finished runs somebody still holds."""
+    from repro.experiments import batch
+
+    live: weakref.WeakSet = weakref.WeakSet()
+    run_scenario = batch.run_scenario
+
+    def tracked(scenario):
+        result = run_scenario(scenario)
+        live.add(result.simulation.trace)
+        return result
+
+    monkeypatch.setattr(batch, "run_scenario", tracked)
+    return live

@@ -220,6 +220,19 @@ class TestFailureIsolation:
         assert sorted(seen) == [0, 1]
         assert result.ok
 
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_consumer_owns_the_result_and_the_batch_keeps_its_answer(
+            self, parallel):
+        suite = (ScenarioSuite("s")
+                 .add(fast_scenario(seed=1)).add(fast_scenario(seed=2)))
+        kept = suite.run(parallel=parallel)
+        assert [r.scenario.seed for r in kept.outcomes] == [1, 2]
+        consumed = suite.run(
+            parallel=parallel,
+            on_result=lambda item, result: ("seed", result.scenario.seed))
+        assert consumed.outcomes == (("seed", 1), ("seed", 2))
+        assert consumed.ok
+
     def test_fail_fast_inline_preserves_exception_type(self):
         class CustomError(RuntimeError):
             pass

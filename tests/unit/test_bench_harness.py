@@ -208,6 +208,39 @@ class TestRunBenchmark:
         assert result.meta["rss_delta_kb"] >= 0
         assert result.peak_rss_kb > 0
 
+    def test_run_benchmark_records_the_collectors_share(self, harness):
+        """``meta.gc`` comes from one more pass with obs on, read off the obs
+        layer's own counters; obs is left off afterwards."""
+        import gc
+
+        from repro import obs
+
+        passes = []
+
+        def run(quick):
+            passes.append(obs.enabled())
+            for _ in range(2000):
+                cycle: list = []
+                cycle.append(cycle)
+            return 0.5, 100, 10, {}
+
+        harness.BENCH_SCENARIOS["_test_gc"] = harness.BenchSpec(
+            name="_test_gc", description="test stub", run=run, default=False)
+        callbacks = len(gc.callbacks)
+        try:
+            result = harness.run_benchmark("_test_gc", quick=True, repeat=2,
+                                           calibration_mops=2.0)
+        finally:
+            del harness.BENCH_SCENARIOS["_test_gc"]
+        assert passes == [False, False, True]
+        assert set(result.meta["gc"]) == {"collections", "seconds"}
+        assert set(result.meta["gc"]["collections"]) == {"0", "1", "2"}
+        assert result.meta["gc"]["collections"]["0"] >= 1
+        assert result.meta["gc"]["seconds"]["0"] > 0.0
+        assert json.loads(json.dumps(result.as_dict()))["meta"]["gc"] \
+            == result.meta["gc"]
+        assert not obs.enabled() and len(gc.callbacks) == callbacks
+
 
 class TestBenchScript:
     def test_bench_script_lists_scenarios(self):

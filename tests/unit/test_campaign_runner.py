@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from helpers import track_live_runs
 from repro.campaigns import (
     Campaign,
     ResultStore,
@@ -14,6 +15,7 @@ from repro.campaigns import (
     run_campaign,
     scenario_cell_key,
 )
+from repro.campaigns.campaign import _PERSIST_FLUSH_EVERY
 from repro.experiments.batch import ScenarioSuite
 from repro.experiments.config import Scenario
 from repro.network.loss import LossSpec
@@ -135,6 +137,18 @@ class TestCampaignRun:
                 progress=lambda done, total, item: calls.append((done, total))
             )
         assert calls == [(1, 4), (2, 4), (3, 4), (4, 4)]
+
+    def test_holds_no_more_results_than_the_flush_buffer(
+            self, tmp_path, monkeypatch):
+        live = track_live_runs(monkeypatch)
+        held = []
+        with ResultStore(tmp_path / "store") as store:
+            report = Campaign(store, loss_suite(seeds=12), name="c").run(
+                progress=lambda *_: held.append(len(live)))
+            assert report.executed == 24 and len(store) == 24
+        assert len(held) == 24
+        assert 1 < max(held) <= _PERSIST_FLUSH_EVERY
+        assert not live
 
     def test_failures_are_isolated_and_retried_on_resume(self, tmp_path):
         boom = AlgorithmSpec(

@@ -3,8 +3,11 @@ counterexamples dedup, shrink, serialise and replay."""
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+from helpers import track_live_runs
 from repro.analysis.properties import violation_signature
 from repro.experiments.config import Scenario
 from repro.explore import (
@@ -126,6 +129,35 @@ class TestExplorerMechanics:
         assert parallel.parallel == 2
         assert (sorted(c.schedule_hash for c in sequential.counterexamples)
                 == sorted(c.schedule_hash for c in parallel.counterexamples))
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_report_is_pinned(self, parallel):
+        """Literals computed before the explorer folded digests instead of
+        results: the fold must not move, inline or through the pool."""
+        report = explore(_broken_scenario(), "random_walk", budget=150,
+                         shrink=False, parallel=parallel)
+        assert (report.schedules_run, report.unique_schedules,
+                report.duplicate_schedules) == (150, 138, 12)
+        assert report.property_violations == {
+            "Validity": 65, "Uniform Agreement": 59, "Uniform Integrity": 0}
+        hashes = [c.schedule_hash for c in report.counterexamples]
+        assert len(hashes) == 104
+        assert hashes[:3] == ["486d297cbbc9ce9d", "1130182911596912",
+                              "d0e8b329b5a85fc0"]
+        assert hashes[-3:] == ["332f1e7577202211", "4c9947b774540c31",
+                               "b7e6f3195ade9020"]
+        assert hashlib.sha256(",".join(hashes).encode()).hexdigest()[:16] \
+            == "287784cb874819d8"
+
+    def test_holds_one_run_at_a_time(self, monkeypatch):
+        live = track_live_runs(monkeypatch)
+        held = []
+        report = explore(_broken_scenario(), "random_walk", budget=40,
+                         shrink=False,
+                         progress=lambda *_: held.append(len(live)))
+        assert report.schedules_run == 40 and report.counterexamples
+        assert len(held) == 40 and max(held) <= 1
+        assert not live
 
     def test_invalid_budget_rejected(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ sink, alert-rule evaluation, and thread safety of concurrent updates."""
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import threading
@@ -128,6 +129,64 @@ class TestThreadSafety:
         assert count == 8 * per_thread
         assert cumulative[0] == 8 * per_thread // 2
         assert total == pytest.approx(8 * per_thread // 2)
+
+
+class TestGcInstrument:
+    """``enable()`` installs one ``gc.callbacks`` entry; ``disable()``
+    removes it.  Off by default, nothing installed when disabled."""
+
+    def test_installed_once_by_enable_and_removed_by_disable(self):
+        installed = len(gc.callbacks)
+        obs.enable()
+        obs.enable()
+        assert len(gc.callbacks) == installed + 1
+        obs.disable()
+        assert len(gc.callbacks) == installed
+        obs.disable()
+        obs.enable()
+        obs.reset()
+        assert len(gc.callbacks) == installed
+
+    def test_counts_passes_and_seconds_by_generation(self):
+        obs.enable()
+        passes = obs.REGISTRY.get("repro_gc_collections_total")
+        seconds = obs.REGISTRY.get("repro_gc_seconds_total")
+        # All three children exist from the start (zero-valued series).
+        assert [labels for labels, _ in passes.samples()] == [
+            ("0",), ("1",), ("2",)]
+        before = passes.value(generation="2")
+        cycle: list = []
+        cycle.append(cycle)
+        del cycle
+        gc.collect()
+        assert passes.value(generation="2") == before + 1
+        assert seconds.value(generation="2") > 0.0
+        obs.disable()
+        gc.collect()
+        assert passes.value(generation="2") == before + 1
+
+    def test_a_collection_under_an_instrument_lock_does_not_deadlock(self):
+        """``samples()`` allocates while holding the counter's lock, and a
+        collection can start on any allocation: with a plain ``Lock`` the
+        callback's ``inc`` would wait for its own thread forever."""
+        obs.enable()
+
+        def scrape() -> None:
+            for i in range(2000):
+                obs.snapshot()
+                obs.counter(f"churn_{i % 20}_total", "x").inc()
+
+        thread = threading.Thread(target=scrape, daemon=True)
+        thresholds = gc.get_threshold()
+        gc.set_threshold(2)
+        try:
+            thread.start()
+            thread.join(timeout=30)
+        finally:
+            gc.set_threshold(*thresholds)
+        assert not thread.is_alive(), "deadlocked inside the gc callback"
+        assert obs.REGISTRY.get(
+            "repro_gc_collections_total").value(generation="0") > 0
 
 
 class TestExposition:
