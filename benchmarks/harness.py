@@ -3,8 +3,8 @@
 A plain-Python subsystem that CI can run without plugins:
 
 * a registry of named benchmark scenarios — engine-level hot-path loads
-  (large-n quiescence, flood, lossy channels, raw event-queue churn) plus
-  ``exp_*`` wrappers around the experiment modules' quick configurations;
+  (large-n quiescence, flood, lossy channels, raw event-queue churn) and
+  the durable layer (result store, store merge);
 * a runner that measures wall time, dispatched events/sec, protocol
   ops/sec (sends) and peak RSS for each scenario, plus — from one more
   pass with ``repro.obs`` on — the cyclic collector's share (``meta.gc``);
@@ -510,14 +510,15 @@ def _bench_campaign_merge(quick: bool):
     import shutil
     import tempfile
 
-    from repro.campaigns import ResultStore, scenario_cell_key
+    from repro.campaigns import ResultStore
     from repro.campaigns.distributed import merge_stores
     from repro.experiments.runner import run_scenario
 
-    # Quick mode still merges a sizeable shard set: a merge of a few dozen
-    # cells finishes in milliseconds, where SQLite fsync jitter alone would
-    # blow the CI regression gate.
-    cells = 480 if quick else 1200
+    # Quick mode still merges a sizeable shard set: a source is one SQL
+    # transaction at some 25 us per cell, so a few hundred cells finish in
+    # milliseconds, where SQLite commit jitter alone would blow the CI
+    # regression gate.
+    cells = 2400 if quick else 6000
     shards = 4
     # One real (untimed) simulation provides the payload; seed variants give
     # distinct content addresses.  Each shard holds its slice plus a few
@@ -548,9 +549,7 @@ def _bench_campaign_merge(quick: bool):
             lo = shard * cells // shards
             hi = (shard + 1) * cells // shards
             with ResultStore(shard_root) as store:
-                for result in results[lo:min(hi + overlap, cells)]:
-                    store.put(result,
-                              cell_key=scenario_cell_key(result.scenario))
+                store.put_many(results[lo:min(hi + overlap, cells)])
         with ResultStore(root / "merged") as dest:
             sources = [ResultStore(r, create=False) for r in shard_roots]
             try:
@@ -573,32 +572,6 @@ def _bench_campaign_merge(quick: bool):
         return elapsed, ops, ops, meta
     finally:
         shutil.rmtree(root, ignore_errors=True)
-
-
-def _experiment_bench(module_name: str):
-    """Wrap an experiment module's quick configuration."""
-
-    def run(quick: bool):
-        import importlib
-
-        module = importlib.import_module(f"repro.experiments.{module_name}")
-        start = time.perf_counter()
-        module.run(quick=True, seeds=1)
-        elapsed = time.perf_counter() - start
-        # Experiments do not expose a dispatched-event count; wall time is
-        # the tracked quantity (ops=1 run).
-        return elapsed, 0, 1, {"experiment": module_name, "quick_mode": True}
-
-    return run
-
-
-for _module in ("quiescence_time", "message_complexity", "scalability"):
-    BENCH_SCENARIOS[f"exp_{_module}"] = BenchSpec(
-        name=f"exp_{_module}",
-        description=f"End-to-end experiment module {_module} (quick mode)",
-        run=_experiment_bench(_module),
-        default=False,
-    )
 
 
 # --------------------------------------------------------------------------- #

@@ -37,8 +37,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="comma-separated scenario names (default: the "
                              "registered default set)")
     parser.add_argument("--all", action="store_true",
-                        help="run every registered scenario, including the "
-                             "experiment-module wrappers")
+                        help="run every registered scenario, default or not")
     parser.add_argument("--repeat", type=int, default=1,
                         help="best-of-N repetitions per scenario")
     parser.add_argument("--output-dir", type=Path, default=REPO_ROOT,

@@ -109,7 +109,6 @@ measured on this machine.
 
 * Regenerate with: `python scripts/generate_experiments_md.py`
 * Run a single experiment: `python -m repro run E3`
-* Benchmark (quick) versions of experiment modules: `python scripts/bench.py --list` names the `exp_*` scenarios, `--scenarios exp_scalability` runs one
 
 Numbers vary slightly with the seed set and machine; the *shapes* asserted in
 the "Expected shape" paragraphs are also checked mechanically by the

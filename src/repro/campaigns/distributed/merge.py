@@ -1,20 +1,24 @@
 """Idempotent union of result stores.
 
 ``merge_stores`` copies every cell a source store has and the destination
-lacks — blob bytes and index row travel verbatim, so ``created_at`` and
-``wall_time`` provenance survives the merge.  Because cells are
-content-addressed by :func:`~repro.campaigns.hashing.scenario_cell_key`,
-re-merging the same source is a no-op by construction, and merging the
-partial store of a SIGKILLed worker alongside the store of the worker that
-re-executed its cells deduplicates cleanly.
+lacks — payload bytes and index row travel verbatim, so ``created_at`` and
+``wall_time`` provenance survives the merge.  Each source is one SQL
+transaction inside the destination (:meth:`ResultStore.adopt`: the source
+index attached, one ``INSERT … SELECT`` per table), so a source is merged
+whole or not at all.  Because cells are content-addressed by
+:func:`~repro.campaigns.hashing.scenario_cell_key`, re-merging the same
+source is a no-op by construction, and merging the partial store of a
+SIGKILLed worker alongside the store of the worker that re-executed its
+cells deduplicates cleanly.
 
 The one thing a merge must never do silently is *pick a winner*: when both
 stores hold a cell but the stored payloads differ semantically, either a
 run was not deterministic or one store is corrupt.  That raises
-:class:`MergeConflictError` naming the cell — fail loudly, merge nothing
-further.  "Semantically" means the blob JSON minus the volatile
+:class:`MergeConflictError` naming the cell, before any row of that source
+is copied.  "Semantically" means the payload JSON minus the volatile
 ``created_at`` stamp (two honest executions of one cell differ only there;
-``wall_time`` lives in the index, outside the blob, and is never compared).
+``wall_time`` lives in the index, outside the payload, and is never
+compared).
 
 Campaign manifests merge by name: an unknown campaign is adopted wholesale,
 a known one must carry the identical cell list (same rule as resuming).
@@ -23,8 +27,6 @@ Counterexample artifacts union by their content-hashed ``artifact_id``.
 
 from __future__ import annotations
 
-import json
-import zlib
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -72,34 +74,9 @@ class MergeStats:
         )
 
 
-def _semantic_payload(blob: bytes) -> dict[str, Any]:
-    """A blob's JSON with the volatile write stamp removed."""
-    payload = json.loads(zlib.decompress(blob).decode("utf-8"))
-    payload.pop("created_at", None)
-    return payload
-
-
-def _merge_results(dest: ResultStore, source: ResultStore,
-                   stats: MergeStats) -> None:
-    for cell_key in source.result_cell_keys():
-        if dest.contains(cell_key, count=False):
-            src_blob = source.blob_bytes(cell_key)
-            dst_blob = dest.blob_bytes(cell_key)
-            # Byte-equal compressed blobs are the overwhelmingly common
-            # case (same payload, same writer version) — only fall back to
-            # the semantic comparison when bytes differ.
-            if src_blob != dst_blob and (
-                _semantic_payload(src_blob) != _semantic_payload(dst_blob)
-            ):
-                raise MergeConflictError(cell_key, str(dest.root),
-                                         str(source.root))
-            stats.skipped += 1
-            continue
-        row = source.raw_result_row(cell_key)
-        if row is None:  # pragma: no cover - races with concurrent gc only
-            continue
-        dest.insert_raw_result(row, source.blob_bytes(cell_key))
-        stats.copied += 1
+def _semantic_payload(payload: dict[str, Any]) -> dict[str, Any]:
+    """A stored payload with the volatile write stamp removed."""
+    return {key: value for key, value in payload.items() if key != "created_at"}
 
 
 def _merge_campaigns(dest: ResultStore, source: ResultStore,
@@ -116,21 +93,14 @@ def _merge_campaigns(dest: ResultStore, source: ResultStore,
                                    resume=True)
 
 
-def _merge_artifacts(dest: ResultStore, source: ResultStore,
-                     stats: MergeStats) -> None:
-    for row in source.raw_artifact_rows():
-        if dest.insert_raw_artifact(row):
-            stats.artifacts_added += 1
-
-
 def merge_stores(dest: ResultStore,
                  sources: Sequence[ResultStore]) -> MergeStats:
     """Union every *source* store into *dest*; returns what happened.
 
-    Conflicts raise :class:`MergeConflictError` before any row of the
-    offending source's remaining cells is copied; rows copied earlier stay
-    (each copy is individually durable, and re-running the merge after
-    fixing the cause picks up exactly where it stopped — idempotence again).
+    A conflict raises :class:`MergeConflictError` before anything of the
+    offending source is copied; sources merged earlier stay, and re-running
+    the merge after fixing the cause copies exactly what is still missing —
+    idempotence again.
     """
     stats = MergeStats()
     for source in sources:
@@ -138,9 +108,18 @@ def merge_stores(dest: ResultStore,
             raise StoreError(
                 f"cannot merge {source.root} into itself"
             )
-        _merge_results(dest, source, stats)
+
+        def check(cell_key: str, ours: dict[str, Any],
+                  theirs: dict[str, Any]) -> None:
+            if _semantic_payload(ours) != _semantic_payload(theirs):
+                raise MergeConflictError(cell_key, str(dest.root),
+                                         str(source.root))
+
+        copied, skipped, artifacts_added = dest.adopt(source, check)
+        stats.copied += copied
+        stats.skipped += skipped
+        stats.artifacts_added += artifacts_added
         _merge_campaigns(dest, source, stats)
-        _merge_artifacts(dest, source, stats)
         stats.sources += 1
         stats.source_roots.append(str(source.root))
     return stats

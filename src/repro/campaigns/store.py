@@ -1,32 +1,30 @@
-"""The persistent result store: SQLite index + compressed JSON blobs.
+"""The persistent result store: one SQLite file, one transaction per cell.
 
-A :class:`ResultStore` is a directory::
-
-    store/
-      index.sqlite    -- queryable index (results, campaigns, artifacts)
-      blobs/ab/ab…cd.json.z  -- one zlib-compressed JSON blob per result
-
-The index holds one row per *cell* (content-addressed by
+A :class:`ResultStore` is a directory holding ``index.sqlite`` (plus SQLite's
+``-wal`` / ``-shm`` companions while a handle is open) and nothing else.  The
+``results`` table has one narrow row per *cell* (content-addressed by
 :func:`~repro.campaigns.hashing.scenario_cell_key`) with the columns the
-query layer filters and aggregates on; the blob holds everything the export
-layer records about the run (scenario round-trip, verdict, quiescence,
-metrics, deliveries, schedule provenance).  Counterexamples found by the
-schedule explorer are first-class artifacts in the same store, keyed by
-their schedule hash.
+query layer filters and aggregates on, declared once in
+:data:`RESULT_COLUMNS`; the sibling ``payloads`` table maps the cell key to
+the zlib-compressed JSON of everything the export layer records about the
+run (scenario round-trip, verdict, quiescence, metrics, deliveries, schedule
+provenance), so reading index rows never touches payload pages.
+Counterexamples found by the schedule explorer are first-class ``artifacts``
+in the same file, keyed by a hash of scenario + schedule.
 
 Durability model
 ----------------
-``put`` writes the blob to a temporary file, renames it into place, then
-commits the index row — so a SIGKILL at any point leaves either a fully
-recorded cell or (at worst) an orphan blob, which :meth:`ResultStore.gc`
-removes.  The index row is the source of truth: a cell exists iff its row
-does.
+A cell's index row and its payload are written in the *same* transaction,
+as is a whole :meth:`ResultStore.put_many` batch.  A failed statement, a
+full disk or a SIGKILL at any point therefore leaves a cell fully recorded
+or absent — there is no state in between for anything to repair.
 
 Schema versioning
 -----------------
 ``SCHEMA_VERSION`` is stamped into the index ``meta`` table at creation and
-into every blob.  Opening a store written by a different schema raises
-:class:`SchemaMismatchError` — campaigns never silently mix layouts.
+into every payload.  Stores written under version 1 or 2 (one payload file
+per cell beside the index) migrate in place when opened; any other version
+raises :class:`SchemaMismatchError` — campaigns never silently mix layouts.
 
 Hit accounting
 --------------
@@ -36,12 +34,11 @@ duplicate simulations* — is asserted straight off these counters.
 
 Beyond the per-handle counters, lifetime totals are persisted in the
 ``meta`` table (``stat_hits`` / ``stat_misses`` / ``stat_puts``) so they
-survive handle churn: distributed workers open and close a store handle
-per grant, and before this the totals silently reset every time.  Handle
-deltas are flushed incrementally (piggybacked on ``put`` transactions,
-every :data:`_STAT_FLUSH_EVERY` lookups, and on :meth:`ResultStore.close`)
-as relative ``+= delta`` upserts, so concurrent handles on one store
-never overwrite each other's totals.  The same increments also feed the
+survive handle churn (distributed workers open and close a store handle
+per grant).  Handle deltas are flushed incrementally (piggybacked on
+``put`` transactions, every :data:`_STAT_FLUSH_EVERY` lookups, and on
+:meth:`ResultStore.close`) as relative ``+= delta`` upserts, so concurrent
+handles never overwrite each other's totals.  The same increments feed the
 process-wide :mod:`repro.obs` registry (``repro_store_lookups_total``,
 ``repro_store_puts_total``, ``repro_store_blob_bytes_total``,
 ``repro_store_gc_total``) when observability is enabled.
@@ -51,13 +48,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
+import shutil
 import sqlite3
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 from .. import obs
 from ..experiments.config import Scenario
@@ -69,23 +67,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..experiments.runner import ScenarioResult
     from ..explore.explorer import Counterexample
 
-#: Bump when the index or blob layout changes incompatibly.
-SCHEMA_VERSION = 2
+#: Bump when the index or payload layout changes incompatibly.
+SCHEMA_VERSION = 3
 
-#: Blob payload versions :meth:`ResultStore.load` accepts.  Version 2 added
-#: the per-cell ``wall_time`` *index* column only — the blob layout is
-#: unchanged — so version-1 blobs remain readable (tolerant read).
-_SUPPORTED_BLOB_VERSIONS = frozenset({1, 2})
-
-#: Index schema versions an opening handle knows how to bring up to date.
-#: 1 → 2 adds the nullable ``results.wall_time`` column in place.
-_MIGRATABLE_VERSIONS = frozenset({1})
+#: Versions a handle opens (older ones migrate in place), and so the payload
+#: versions :meth:`ResultStore.load` accepts: 2 and 3 moved things (``wall_time``
+#: into the index, then the payload into the index file), never the payload JSON.
+_READABLE_VERSIONS = frozenset({1, 2, SCHEMA_VERSION})
 
 #: How long a handle waits on another writer before erroring (milliseconds).
 _BUSY_TIMEOUT_MS = 30_000
 
 _INDEX_NAME = "index.sqlite"
-_BLOB_DIR = "blobs"
 
 #: Lookup count between incremental flushes of the lifetime hit/miss
 #: counters into the ``meta`` table.  Puts flush inside their own write
@@ -186,17 +179,12 @@ class CounterexampleRow:
 class GcStats:
     """What one :meth:`ResultStore.gc` pass removed."""
 
-    orphan_blobs: int
-    missing_blobs: int
     dropped_results: int
 
     def describe(self) -> str:
         """One-line summary for the CLI."""
-        return (
-            f"gc: removed {self.orphan_blobs} orphan blob(s), dropped "
-            f"{self.dropped_results} unreferenced result(s), repaired "
-            f"{self.missing_blobs} index row(s) whose blob had vanished"
-        )
+        return (f"gc: dropped {self.dropped_results} unreferenced result(s), "
+                "compacted the index")
 
 
 def _loss_level(scenario: Scenario) -> Optional[float]:
@@ -210,6 +198,80 @@ def _loss_level(scenario: Scenario) -> Optional[float]:
     if scenario.loss.kind == "none":
         return 0.0
     return None
+
+
+#: The results index, declared once: ``(column, SQL type, reader, keyword)``.
+#: The reader takes the finished ``ScenarioResult`` (``None`` for the three
+#: columns :meth:`ResultStore.put_many` supplies itself); the keyword, where
+#: there is one, is the :meth:`ResultStore.query` filter on that column.
+#: The DDL, the insert, the select list, the :class:`StoredRow` construction
+#: and the filter map derive from this table: a new column is one entry here
+#: plus one :class:`StoredRow` field.
+RESULT_COLUMNS: tuple[tuple[str, str, Optional[Callable[..., Any]], Optional[str]], ...] = (
+    ("cell_key", "TEXT PRIMARY KEY", None, None),
+    ("name", "TEXT NOT NULL", attrgetter("scenario.name"), "name"),
+    ("algorithm", "TEXT NOT NULL", attrgetter("scenario.algorithm"), "algorithm"),
+    ("channel_type", "TEXT NOT NULL", attrgetter("scenario.channel_type"), "channel_type"),
+    ("detector_setup", "TEXT NOT NULL", attrgetter("scenario.detector_setup"), "detector_setup"),
+    ("workload", "TEXT",
+     lambda r: r.scenario.workload if isinstance(r.scenario.workload, str) else None,
+     "workload"),
+    ("n_processes", "INTEGER NOT NULL", attrgetter("scenario.n_processes"), "n_processes"),
+    ("n_crashes", "INTEGER NOT NULL", attrgetter("scenario.n_crashes"), "n_crashes"),
+    ("seed", "INTEGER NOT NULL", attrgetter("scenario.seed"), "seed"),
+    ("loss_kind", "TEXT NOT NULL", attrgetter("scenario.loss.kind"), "loss_kind"),
+    ("loss_level", "REAL", lambda r: _loss_level(r.scenario), "loss"),
+    ("delay_kind", "TEXT NOT NULL", attrgetter("scenario.delay.kind"), "delay_kind"),
+    ("explore_strategy", "TEXT", attrgetter("scenario.explore_strategy"), "explore_strategy"),
+    ("explore_index", "INTEGER NOT NULL", attrgetter("scenario.explore_index"), None),
+    ("all_hold", "INTEGER NOT NULL", lambda r: int(r.all_properties_hold), "all_hold"),
+    ("quiescent", "INTEGER NOT NULL", lambda r: int(r.quiescence.quiescent), "quiescent"),
+    ("anonymity_passed", "INTEGER NOT NULL", lambda r: int(r.anonymity.passed),
+     "anonymity_passed"),
+    ("stop_reason", "TEXT NOT NULL", attrgetter("simulation.stop_reason"), "stop_reason"),
+    ("final_time", "REAL NOT NULL", lambda r: float(r.simulation.final_time), None),
+    ("mean_latency", "REAL", attrgetter("metrics.mean_latency"), None),
+    ("total_sends", "INTEGER NOT NULL", attrgetter("metrics.total_sends"), None),
+    ("deliveries", "INTEGER NOT NULL", attrgetter("metrics.deliveries"), None),
+    # A run without provenance (``schedule is None``) reads as the default.
+    ("schedule_strategy", "TEXT NOT NULL",
+     lambda r: getattr(r.simulation.schedule, "strategy", "default"), None),
+    ("schedule_hash", "TEXT NOT NULL",
+     lambda r: getattr(r.simulation.schedule, "schedule_hash", ""), None),
+    ("schema_version", "INTEGER NOT NULL", None, None),
+    ("created_at", "REAL NOT NULL", None, None),
+    ("wall_time", "REAL", attrgetter("wall_time"), None),
+)
+
+_COLUMN_NAMES = tuple(name for name, _sql, _read, _keyword in RESULT_COLUMNS)
+_COLUMN_LIST = ", ".join(_COLUMN_NAMES)
+_INSERT_RESULT_SQL = (f"INSERT OR REPLACE INTO results ({_COLUMN_LIST}) "
+                      f"VALUES ({', '.join('?' * len(_COLUMN_NAMES))})")
+_INSERT_PAYLOAD_SQL = "INSERT OR REPLACE INTO payloads (cell_key, payload) VALUES (?, ?)"
+_ROW_FIELDS = tuple(f.name for f in fields(StoredRow))
+_SELECT_ROW = "SELECT " + ", ".join(f"r.{name}" for name in _ROW_FIELDS)
+#: Positions of the boolean :class:`StoredRow` fields; SQLite has no such type.
+_BOOL_FIELDS = tuple(i for i, f in enumerate(fields(StoredRow)) if f.type == "bool")
+#: Filters accepted by :meth:`ResultStore.query` (keyword -> SQL column).
+_QUERY_COLUMNS = {keyword: name for name, _sql, _read, keyword in RESULT_COLUMNS if keyword}
+
+
+def _stored_row(values: Iterable[Any]) -> StoredRow:
+    """A :class:`StoredRow` from its field values in order, as a
+    :data:`_SELECT_ROW` statement returns them."""
+    values = list(values)
+    for index in _BOOL_FIELDS:
+        values[index] = bool(values[index])
+    return StoredRow(*values)
+
+
+def _pack(data: dict[str, Any]) -> bytes:
+    """The stored form of a result or artifact payload: minified JSON, zlib."""
+    return zlib.compress(json.dumps(data, separators=(",", ":")).encode("utf-8"))
+
+
+def _unpack(payload: bytes) -> dict[str, Any]:
+    return json.loads(zlib.decompress(payload).decode("utf-8"))
 
 
 class ResultStore:
@@ -232,7 +294,6 @@ class ResultStore:
             raise StoreError(f"no result store at {self.root}")
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            (self.root / _BLOB_DIR).mkdir(exist_ok=True)
         except OSError as exc:
             raise StoreError(
                 f"cannot use {self.root} as a result store: {exc}"
@@ -274,120 +335,113 @@ class ResultStore:
         # Version check BEFORE any DDL: a store written under a different
         # schema must raise cleanly, not be mutated towards this layout (or
         # crash mid-script on an incompatible table).
-        has_meta = self._db.execute(
-            "SELECT 1 FROM sqlite_master WHERE type = 'table' AND "
-            "name = 'meta'"
-        ).fetchone() is not None
         recorded_version: Optional[int] = None
-        if has_meta:
+        if self._db.execute(
+            "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'meta'"
+        ).fetchone() is not None:
             recorded = self._db.execute(
                 "SELECT value FROM meta WHERE key = 'schema_version'"
             ).fetchone()
             if recorded is not None:
                 recorded_version = int(recorded["value"])
-            if (recorded_version is not None
-                    and recorded_version != SCHEMA_VERSION
-                    and recorded_version not in _MIGRATABLE_VERSIONS):
-                raise SchemaMismatchError(
-                    f"store at {self.root} has schema version "
-                    f"{recorded_version}, this library writes version "
-                    f"{SCHEMA_VERSION}"
-                )
-        with self._db:
-            self._db.executescript(
-                """
-                CREATE TABLE IF NOT EXISTS meta (
-                    key TEXT PRIMARY KEY,
-                    value TEXT NOT NULL
-                );
-                CREATE TABLE IF NOT EXISTS results (
-                    cell_key TEXT PRIMARY KEY,
-                    name TEXT NOT NULL,
-                    algorithm TEXT NOT NULL,
-                    channel_type TEXT NOT NULL,
-                    detector_setup TEXT NOT NULL,
-                    workload TEXT,
-                    n_processes INTEGER NOT NULL,
-                    n_crashes INTEGER NOT NULL,
-                    seed INTEGER NOT NULL,
-                    loss_kind TEXT NOT NULL,
-                    loss_level REAL,
-                    delay_kind TEXT NOT NULL,
-                    explore_strategy TEXT,
-                    explore_index INTEGER NOT NULL,
-                    all_hold INTEGER NOT NULL,
-                    quiescent INTEGER NOT NULL,
-                    anonymity_passed INTEGER NOT NULL,
-                    stop_reason TEXT NOT NULL,
-                    final_time REAL NOT NULL,
-                    mean_latency REAL,
-                    total_sends INTEGER NOT NULL,
-                    deliveries INTEGER NOT NULL,
-                    schedule_strategy TEXT NOT NULL,
-                    schedule_hash TEXT NOT NULL,
-                    schema_version INTEGER NOT NULL,
-                    created_at REAL NOT NULL,
-                    wall_time REAL
-                );
-                CREATE INDEX IF NOT EXISTS idx_results_algorithm
-                    ON results (algorithm);
-                CREATE INDEX IF NOT EXISTS idx_results_loss
-                    ON results (loss_kind, loss_level);
-                CREATE TABLE IF NOT EXISTS campaigns (
-                    name TEXT PRIMARY KEY,
-                    suite_name TEXT NOT NULL,
-                    total INTEGER NOT NULL,
-                    created_at REAL NOT NULL,
-                    updated_at REAL NOT NULL
-                );
-                CREATE TABLE IF NOT EXISTS campaign_cells (
-                    campaign TEXT NOT NULL,
-                    position INTEGER NOT NULL,
-                    group_label TEXT NOT NULL,
-                    cell_key TEXT NOT NULL,
-                    PRIMARY KEY (campaign, position)
-                );
-                CREATE INDEX IF NOT EXISTS idx_campaign_cells_key
-                    ON campaign_cells (cell_key);
-                CREATE TABLE IF NOT EXISTS artifacts (
-                    artifact_id TEXT PRIMARY KEY,
-                    schedule_hash TEXT NOT NULL,
-                    strategy TEXT NOT NULL,
-                    algorithm TEXT NOT NULL,
-                    signature TEXT NOT NULL,
-                    shrunk_verified INTEGER NOT NULL,
-                    payload BLOB NOT NULL,
-                    schema_version INTEGER NOT NULL,
-                    created_at REAL NOT NULL
-                );
-                """
+        if recorded_version not in (None, *_READABLE_VERSIONS):
+            raise SchemaMismatchError(
+                f"store at {self.root} has schema version "
+                f"{recorded_version}, this library writes version "
+                f"{SCHEMA_VERSION}"
             )
-            if recorded_version in _MIGRATABLE_VERSIONS:
-                # v1 → v2: the results table predates the wall_time column
-                # (the executescript CREATE IF NOT EXISTS was a no-op).
-                # Old rows keep wall_time NULL — readers treat that as
-                # "timing unknown".
-                columns = {row["name"] for row in self._db.execute(
-                    "PRAGMA table_info(results)"
-                ).fetchall()}
-                if "wall_time" not in columns:
-                    self._db.execute(
-                        "ALTER TABLE results ADD COLUMN wall_time REAL"
-                    )
-                self._db.execute(
-                    "UPDATE meta SET value = ? WHERE key = 'schema_version'",
-                    (str(SCHEMA_VERSION),),
-                )
-            self._db.execute(
-                "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
-                ("schema_version", str(SCHEMA_VERSION)),
-            )
+        result_columns = ", ".join(f"{name} {sql}"
+                                   for name, sql, _read, _keyword in RESULT_COLUMNS)
+        self._db.executescript(
+            f"""
+            CREATE TABLE IF NOT EXISTS meta (
+                key TEXT PRIMARY KEY,
+                value TEXT NOT NULL
+            );
+            CREATE TABLE IF NOT EXISTS results ({result_columns});
+            CREATE INDEX IF NOT EXISTS idx_results_algorithm
+                ON results (algorithm);
+            CREATE INDEX IF NOT EXISTS idx_results_loss
+                ON results (loss_kind, loss_level);
+            CREATE TABLE IF NOT EXISTS payloads (
+                cell_key TEXT PRIMARY KEY,
+                payload BLOB NOT NULL
+            );
+            CREATE TABLE IF NOT EXISTS campaigns (
+                name TEXT PRIMARY KEY,
+                suite_name TEXT NOT NULL,
+                total INTEGER NOT NULL,
+                created_at REAL NOT NULL,
+                updated_at REAL NOT NULL
+            );
+            CREATE TABLE IF NOT EXISTS campaign_cells (
+                campaign TEXT NOT NULL,
+                position INTEGER NOT NULL,
+                group_label TEXT NOT NULL,
+                cell_key TEXT NOT NULL,
+                PRIMARY KEY (campaign, position)
+            );
+            CREATE INDEX IF NOT EXISTS idx_campaign_cells_key
+                ON campaign_cells (cell_key);
+            CREATE TABLE IF NOT EXISTS artifacts (
+                artifact_id TEXT PRIMARY KEY,
+                schedule_hash TEXT NOT NULL,
+                strategy TEXT NOT NULL,
+                algorithm TEXT NOT NULL,
+                signature TEXT NOT NULL,
+                shrunk_verified INTEGER NOT NULL,
+                payload BLOB NOT NULL,
+                schema_version INTEGER NOT NULL,
+                created_at REAL NOT NULL
+            );
+            INSERT OR IGNORE INTO meta (key, value)
+                VALUES ('schema_version', '{SCHEMA_VERSION}');
+            """
+        )
+        self._migrate_blob_files(recorded_version)
+
+    def _migrate_blob_files(self, recorded_version: Optional[int]) -> None:
+        """Bring a version 1 or 2 store up to date, in place.
+
+        Those versions kept each payload as ``blobs/<k[:2]>/<k>.json.z``
+        beside the index (version 1 also had no ``wall_time`` column); only
+        this function still knows that layout.  One transaction adds the
+        columns the index lacks (old rows read ``NULL``), moves every payload
+        file into ``payloads`` and stamps the new version, so an interrupted
+        migration leaves the old store intact.  A row whose file has vanished
+        is dropped: the cell gets recomputed instead of failing on
+        :meth:`load`.  The directory goes after the commit; if the process
+        dies in between, the next open sweeps it.
+        """
+        blob_dir = self.root / "blobs"
+        if recorded_version not in (None, SCHEMA_VERSION):
+            with self._db:
+                self._db.execute("BEGIN IMMEDIATE")
+                present = {row["name"] for row in
+                           self._db.execute("PRAGMA table_info(results)")}
+                for name, sql, _read, _keyword in RESULT_COLUMNS:
+                    if name not in present:
+                        self._db.execute(f"ALTER TABLE results ADD COLUMN {name} {sql}")
+                # Only rows still without a payload: a handle that held the
+                # lock first may have moved everything and removed the files.
+                for (key,) in self._db.execute(
+                    "SELECT cell_key FROM results WHERE cell_key NOT IN "
+                    "(SELECT cell_key FROM payloads)"
+                ).fetchall():
+                    path = blob_dir / key[:2] / f"{key}.json.z"
+                    if path.exists():
+                        self._db.execute(_INSERT_PAYLOAD_SQL, (key, path.read_bytes()))
+                    else:
+                        self._db.execute("DELETE FROM results WHERE cell_key = ?", (key,))
+                self._db.execute("UPDATE meta SET value = ? WHERE key = 'schema_version'",
+                                 (str(SCHEMA_VERSION),))
+        if blob_dir.exists():
+            shutil.rmtree(blob_dir, ignore_errors=True)
 
     def close(self) -> None:
         """Flush lifetime counters and close the SQLite handle."""
         try:
-            with self._db:
-                self._flush_stats_locked()
+            self.flush_stats()
         except sqlite3.Error:
             # A close must never fail on accounting; worst case the
             # unflushed tail of the lifetime counters is lost.
@@ -470,95 +524,8 @@ class ResultStore:
         self.close()
 
     # ------------------------------------------------------------------ #
-    # blobs
-    # ------------------------------------------------------------------ #
-    def _blob_path(self, cell_key: str) -> Path:
-        return self.root / _BLOB_DIR / cell_key[:2] / f"{cell_key}.json.z"
-
-    def _write_blob(self, cell_key: str, payload: dict[str, Any]) -> None:
-        path = self._blob_path(cell_key)
-        path.parent.mkdir(exist_ok=True)
-        data = zlib.compress(
-            json.dumps(payload, separators=(",", ":")).encode("utf-8")
-        )
-        tmp = path.with_suffix(".tmp")
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-        self._record_blob_written(len(data))
-
-    def _record_blob_written(self, n_bytes: int) -> None:
-        if obs.enabled():
-            obs.counter(
-                "repro_store_blob_bytes_total",
-                "Compressed blob bytes written to result stores.",
-                ("store",),
-            ).inc(n_bytes, store=self._obs_store_label)
-
-    def _read_blob(self, cell_key: str) -> dict[str, Any]:
-        path = self._blob_path(cell_key)
-        try:
-            raw = path.read_bytes()
-        except FileNotFoundError:
-            raise StoreError(
-                f"blob for cell {cell_key} is missing from {self.root} "
-                "(run `repro-urb campaign gc` to repair the index)"
-            ) from None
-        return json.loads(zlib.decompress(raw).decode("utf-8"))
-
-    # ------------------------------------------------------------------ #
     # results
     # ------------------------------------------------------------------ #
-    _INSERT_RESULT_SQL = """
-        INSERT OR REPLACE INTO results (
-            cell_key, name, algorithm, channel_type, detector_setup,
-            workload, n_processes, n_crashes, seed, loss_kind,
-            loss_level, delay_kind, explore_strategy, explore_index,
-            all_hold, quiescent, anonymity_passed, stop_reason,
-            final_time, mean_latency, total_sends, deliveries,
-            schedule_strategy, schedule_hash, schema_version,
-            created_at, wall_time
-        ) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?,
-                  ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
-    """
-
-    @staticmethod
-    def _index_params(result: "ScenarioResult", key: str,
-                      created_at: float) -> tuple:
-        """The :data:`_INSERT_RESULT_SQL` parameter tuple for one result."""
-        scenario = result.scenario
-        provenance = result.simulation.schedule
-        summary = result.metrics
-        return (
-            key,
-            scenario.name,
-            scenario.algorithm,
-            scenario.channel_type,
-            scenario.detector_setup,
-            scenario.workload if isinstance(scenario.workload, str)
-            else None,
-            scenario.n_processes,
-            scenario.n_crashes,
-            scenario.seed,
-            scenario.loss.kind,
-            _loss_level(scenario),
-            scenario.delay.kind,
-            scenario.explore_strategy,
-            scenario.explore_index,
-            int(result.all_properties_hold),
-            int(result.quiescence.quiescent),
-            int(result.anonymity.passed),
-            result.simulation.stop_reason,
-            float(result.simulation.final_time),
-            summary.mean_latency,
-            summary.total_sends,
-            summary.deliveries,
-            provenance.strategy if provenance is not None else "default",
-            provenance.schedule_hash if provenance is not None else "",
-            SCHEMA_VERSION,
-            created_at,
-            result.wall_time,
-        )
-
     def put(self, result: "ScenarioResult", *,
             cell_key: Optional[str] = None) -> StoredRow:
         """Persist one finished scenario result; returns its index row.
@@ -572,15 +539,12 @@ class ResultStore:
 
     def put_many(self, results: Sequence["ScenarioResult"], *,
                  cell_keys: Optional[Sequence[str]] = None) -> list[StoredRow]:
-        """Persist a batch of finished results in one index transaction.
+        """Persist a batch of finished results in one transaction.
 
-        Every blob is written (and atomically renamed into place) first,
-        then all index rows land in a *single* transaction — the same
-        blob-before-row durability order as :meth:`put`, but with one
-        commit fsync amortised over the whole batch.  A SIGKILL mid-batch
-        therefore leaves fully recorded cells for the committed rows and,
-        at worst, orphan blobs for the rest (:meth:`gc` removes those);
-        never an index row without its blob.
+        Every index row and payload of the batch commits together, so
+        whatever interrupts the call — a failed statement, a full disk, a
+        SIGKILL — the store holds the whole batch or none of it, and never
+        an index row without its payload.
         """
         results = list(results)
         if cell_keys is None:
@@ -592,7 +556,10 @@ class ResultStore:
                     f"put_many got {len(results)} results but "
                     f"{len(keys)} cell keys"
                 )
-        params: list[tuple] = []
+        if not results:
+            return []
+        rows: list[dict[str, Any]] = []
+        payloads: list[tuple[str, bytes]] = []
         for result, key in zip(results, keys):
             payload = {
                 "schema_version": SCHEMA_VERSION,
@@ -601,31 +568,38 @@ class ResultStore:
                 "result": scenario_result_to_dict(result),
                 "created_at": time.time(),
             }
-            self._write_blob(key, payload)
-            params.append(self._index_params(result, key,
-                                             payload["created_at"]))
-        if params:
-            with self._db:
-                self._db.executemany(self._INSERT_RESULT_SQL, params)
-                self.puts += len(params)
-                self._flush_stats_locked()
-        rows: list[StoredRow] = []
-        for key in keys:
-            self._count_put(key)
-            row = self.get(key, count=False)
-            assert row is not None
+            payloads.append((key, _pack(payload)))
+            row = {"cell_key": key, "schema_version": SCHEMA_VERSION,
+                   "created_at": payload["created_at"]}
+            row.update((name, read(result))
+                       for name, _sql, read, _keyword in RESULT_COLUMNS if read)
             rows.append(row)
-        return rows
+        with self._db:
+            self._db.executemany(
+                _INSERT_RESULT_SQL,
+                [[row[name] for name in _COLUMN_NAMES] for row in rows])
+            self._db.executemany(_INSERT_PAYLOAD_SQL, payloads)
+            self.puts += len(rows)
+            self._flush_stats_locked()
+        self._count_puts(keys, sum(len(packed) for _key, packed in payloads))
+        return [_stored_row(row[name] for name in _ROW_FIELDS) for row in rows]
 
-    def _count_put(self, cell_key: str) -> None:
+    def _count_puts(self, cell_keys: Sequence[str], payload_bytes: int) -> None:
+        """Registry and timeline accounting of cells just committed."""
         if obs.enabled():
             obs.counter(
                 "repro_store_puts_total",
                 "Results written to result stores.",
                 ("store",),
-            ).inc(store=self._obs_store_label)
+            ).inc(len(cell_keys), store=self._obs_store_label)
+            obs.counter(
+                "repro_store_blob_bytes_total",
+                "Compressed payload bytes written to result stores.",
+                ("store",),
+            ).inc(payload_bytes, store=self._obs_store_label)
         if obs.timeline_active():
-            obs.emit("store.put", store=str(self.root), cell_key=cell_key)
+            for cell_key in cell_keys:
+                obs.emit("store.put", store=str(self.root), cell_key=cell_key)
 
     def contains(self, cell_key: str, *, count: bool = True) -> bool:
         """Whether a result for *cell_key* is stored (counts hit/miss)."""
@@ -643,83 +617,37 @@ class ResultStore:
     def get(self, cell_key: str, *, count: bool = True) -> Optional[StoredRow]:
         """The index row for *cell_key*, or ``None``."""
         row = self._db.execute(
-            "SELECT * FROM results WHERE cell_key = ?", (cell_key,)
+            f"{_SELECT_ROW} FROM results r WHERE r.cell_key = ?", (cell_key,)
         ).fetchone()
         if count:
             self._count_lookup(row is not None)
-        return None if row is None else self._row_to_stored(row)
+        return None if row is None else _stored_row(row)
 
     def load(self, cell_key: str) -> dict[str, Any]:
         """The full stored payload of one cell, scenario rebuilt live.
 
-        The mapping mirrors the blob: ``scenario`` is a live
+        The mapping mirrors the stored JSON: ``scenario`` is a live
         :class:`Scenario`, ``result`` the export-layer dict with
         ``schedule`` rebuilt into a
         :class:`~repro.simulation.engine.ScheduleProvenance`.
         """
-        payload = self._read_blob(cell_key)
-        if payload.get("schema_version") not in _SUPPORTED_BLOB_VERSIONS:
+        row = self._db.execute(
+            "SELECT payload FROM payloads WHERE cell_key = ?", (cell_key,)
+        ).fetchone()
+        if row is None:
+            raise StoreError(f"no cell {cell_key} in {self.root}")
+        payload = _unpack(row["payload"])
+        if payload.get("schema_version") not in _READABLE_VERSIONS:
             raise SchemaMismatchError(
-                f"blob for cell {cell_key} has schema version "
+                f"payload of cell {cell_key} has schema version "
                 f"{payload.get('schema_version')}, supported: "
-                f"{sorted(_SUPPORTED_BLOB_VERSIONS)}"
+                f"{sorted(_READABLE_VERSIONS)}"
             )
         payload["scenario"] = scenario_from_dict(payload["scenario"])
         payload["result"]["schedule"] = provenance_from_dict(
             payload["result"].get("schedule")
         )
         return payload
-
-    @staticmethod
-    def _row_to_stored(row: sqlite3.Row) -> StoredRow:
-        return StoredRow(
-            cell_key=row["cell_key"],
-            name=row["name"],
-            algorithm=row["algorithm"],
-            channel_type=row["channel_type"],
-            detector_setup=row["detector_setup"],
-            workload=row["workload"],
-            n_processes=row["n_processes"],
-            n_crashes=row["n_crashes"],
-            seed=row["seed"],
-            loss_kind=row["loss_kind"],
-            loss_level=row["loss_level"],
-            delay_kind=row["delay_kind"],
-            explore_strategy=row["explore_strategy"],
-            explore_index=row["explore_index"],
-            all_hold=bool(row["all_hold"]),
-            quiescent=bool(row["quiescent"]),
-            anonymity_passed=bool(row["anonymity_passed"]),
-            stop_reason=row["stop_reason"],
-            final_time=row["final_time"],
-            mean_latency=row["mean_latency"],
-            total_sends=row["total_sends"],
-            deliveries=row["deliveries"],
-            schedule_strategy=row["schedule_strategy"],
-            schedule_hash=row["schedule_hash"],
-            created_at=row["created_at"],
-            wall_time=row["wall_time"],
-        )
-
-    #: Filters accepted by :meth:`query` (name -> SQL column).
-    _QUERY_COLUMNS = {
-        "algorithm": "algorithm",
-        "channel_type": "channel_type",
-        "detector_setup": "detector_setup",
-        "workload": "workload",
-        "n_processes": "n_processes",
-        "n_crashes": "n_crashes",
-        "seed": "seed",
-        "loss_kind": "loss_kind",
-        "loss": "loss_level",
-        "delay_kind": "delay_kind",
-        "explore_strategy": "explore_strategy",
-        "all_hold": "all_hold",
-        "quiescent": "quiescent",
-        "anonymity_passed": "anonymity_passed",
-        "stop_reason": "stop_reason",
-        "name": "name",
-    }
 
     def query(
         self,
@@ -740,11 +668,11 @@ class ResultStore:
         clauses: list[str] = []
         params: list[Any] = []
         for key, value in filters.items():
-            column = self._QUERY_COLUMNS.get(key)
+            column = _QUERY_COLUMNS.get(key)
             if column is None:
                 raise StoreError(
                     f"unknown query filter {key!r}; known: "
-                    f"{', '.join(sorted(self._QUERY_COLUMNS))}, campaign, "
+                    f"{', '.join(sorted(_QUERY_COLUMNS))}, campaign, "
                     "group, limit"
                 )
             if isinstance(value, bool):
@@ -752,10 +680,8 @@ class ResultStore:
             clauses.append(f"r.{column} = ?")
             params.append(value)
         if campaign is not None or group is not None:
-            sql = (
-                "SELECT r.* FROM campaign_cells c "
-                "JOIN results r ON r.cell_key = c.cell_key"
-            )
+            sql = (f"{_SELECT_ROW} FROM campaign_cells c "
+                   "JOIN results r ON r.cell_key = c.cell_key")
             if campaign is not None:
                 clauses.append("c.campaign = ?")
                 params.append(campaign)
@@ -764,7 +690,7 @@ class ResultStore:
                 params.append(group)
             order = "ORDER BY c.campaign, c.position"
         else:
-            sql = "SELECT r.* FROM results r"
+            sql = f"{_SELECT_ROW} FROM results r"
             order = "ORDER BY r.rowid"
         if clauses:
             sql += " WHERE " + " AND ".join(clauses)
@@ -772,12 +698,7 @@ class ResultStore:
         if limit is not None:
             sql += " LIMIT ?"
             params.append(int(limit))
-        rows = self._db.execute(sql, params).fetchall()
-        return [self._row_to_stored(row) for row in rows]
-
-    def count(self, **filters: Any) -> int:
-        """Number of stored rows matching the filters (see :meth:`query`)."""
-        return len(self.query(**filters))
+        return [_stored_row(row) for row in self._db.execute(sql, params)]
 
     def __len__(self) -> int:
         return int(self._db.execute(
@@ -896,85 +817,6 @@ class ResultStore:
                              (name,))
 
     # ------------------------------------------------------------------ #
-    # raw access (store-merge support)
-    # ------------------------------------------------------------------ #
-    def result_cell_keys(self) -> list[str]:
-        """Every stored cell key, in insertion order."""
-        return [row["cell_key"] for row in self._db.execute(
-            "SELECT cell_key FROM results ORDER BY rowid"
-        ).fetchall()]
-
-    def raw_result_row(self, cell_key: str) -> Optional[dict[str, Any]]:
-        """One result row as a plain column→value mapping (``None`` if
-        absent).  This is the copy unit of ``store merge`` — columns travel
-        verbatim, including ``created_at`` and ``wall_time``."""
-        row = self._db.execute(
-            "SELECT * FROM results WHERE cell_key = ?", (cell_key,)
-        ).fetchone()
-        return None if row is None else dict(row)
-
-    def blob_bytes(self, cell_key: str) -> bytes:
-        """The compressed on-disk blob of one cell, verbatim."""
-        path = self._blob_path(cell_key)
-        try:
-            return path.read_bytes()
-        except FileNotFoundError:
-            raise StoreError(
-                f"blob for cell {cell_key} is missing from {self.root} "
-                "(run `repro-urb campaign gc` to repair the index)"
-            ) from None
-
-    def insert_raw_result(self, row: dict[str, Any], blob: bytes) -> None:
-        """Insert a result row copied verbatim from another store.
-
-        Writes the blob bytes first (atomic rename), then the index row —
-        the same durability order as :meth:`put`.  The row's own
-        ``schema_version`` is preserved; both stores were version-checked
-        at open time.
-        """
-        key = row["cell_key"]
-        path = self._blob_path(key)
-        path.parent.mkdir(exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_bytes(blob)
-        os.replace(tmp, path)
-        self._record_blob_written(len(blob))
-        columns = list(row)
-        with self._db:
-            self._db.execute(
-                f"INSERT OR REPLACE INTO results ({', '.join(columns)}) "
-                f"VALUES ({', '.join('?' for _ in columns)})",
-                [row[column] for column in columns],
-            )
-            self.puts += 1
-            self._flush_stats_locked()
-        self._count_put(key)
-
-    def raw_artifact_rows(self) -> list[dict[str, Any]]:
-        """Every counterexample artifact row as a plain mapping (payload
-        bytes included), oldest first — the merge copy unit."""
-        rows = self._db.execute(
-            "SELECT * FROM artifacts ORDER BY created_at, artifact_id"
-        ).fetchall()
-        return [dict(row) for row in rows]
-
-    def insert_raw_artifact(self, row: dict[str, Any]) -> bool:
-        """Adopt an artifact row copied from another store.
-
-        Artifact ids are content hashes (scenario + schedule), so an id
-        collision means the payloads agree — ``INSERT OR IGNORE`` keeps the
-        first copy.  Returns whether a new row was written.
-        """
-        columns = list(row)
-        with self._db:
-            cursor = self._db.execute(
-                f"INSERT OR IGNORE INTO artifacts ({', '.join(columns)}) "
-                f"VALUES ({', '.join('?' for _ in columns)})",
-                [row[column] for column in columns],
-            )
-        return cursor.rowcount > 0
-
-    # ------------------------------------------------------------------ #
     # counterexample artifacts
     # ------------------------------------------------------------------ #
     @staticmethod
@@ -999,9 +841,6 @@ class ResultStore:
         artifact feeds straight into ``repro-urb replay``.
         """
         data = counterexample_to_dict(counterexample)
-        payload = zlib.compress(
-            json.dumps(data, separators=(",", ":")).encode("utf-8")
-        )
         artifact_id = self._artifact_id(data)
         with self._db:
             self._db.execute(
@@ -1016,7 +855,7 @@ class ResultStore:
                     data["scenario"]["algorithm"],
                     json.dumps(list(data["signature"])),
                     int(bool(data["shrunk_verified"])),
-                    payload,
+                    _pack(data),
                     SCHEMA_VERSION,
                     time.time(),
                 ),
@@ -1066,7 +905,7 @@ class ResultStore:
                 "counterexamples; use the artifact id from "
                 "`campaign query --counterexamples`"
             )
-        return json.loads(zlib.decompress(rows[0]["payload"]).decode("utf-8"))
+        return _unpack(rows[0]["payload"])
 
     def export_counterexample(self, reference: str,
                               path: str | Path) -> Path:
@@ -1081,69 +920,75 @@ class ResultStore:
         return path
 
     # ------------------------------------------------------------------ #
-    # maintenance
+    # whole-store operations: merge-in and gc
     # ------------------------------------------------------------------ #
-    def _iter_blob_paths(self) -> Iterator[Path]:
-        yield from (self.root / _BLOB_DIR).glob("*/*.json.z")
-        # Interrupted writes leave .tmp files behind; gc sweeps them too.
-        yield from (self.root / _BLOB_DIR).glob("*/*.tmp")
+    def adopt(self, source: "ResultStore",
+              check: Callable[[str, dict, dict], None]) -> tuple[int, int, int]:
+        """Copy every cell and artifact *source* holds and this store lacks.
+
+        One transaction over the source index, attached with ``ATTACH``.
+        For each cell both stores hold whose payload bytes differ,
+        ``check(cell_key, ours, theirs)`` gets the two decoded payloads and
+        raises to refuse the source, before anything is copied.  Then
+        payloads and index rows travel verbatim (``created_at`` and
+        ``wall_time`` included) and artifacts union by their content-hashed
+        id: all of the source or, on any failure, none of it.  Returns
+        ``(copied, skipped, artifacts_added)``.
+        """
+        db = self._db
+        lacking = "cell_key NOT IN (SELECT cell_key FROM main.results)"
+        db.execute("ATTACH DATABASE ? AS source", (str(source.root / _INDEX_NAME),))
+        try:
+            with db:
+                db.execute("BEGIN IMMEDIATE")
+                for key, ours, theirs in db.execute(
+                    "SELECT cell_key, ours.payload, theirs.payload "
+                    "FROM source.payloads theirs JOIN main.payloads ours USING (cell_key) "
+                    "WHERE ours.payload <> theirs.payload"
+                ).fetchall():
+                    check(key, _unpack(ours), _unpack(theirs))
+                held = db.execute("SELECT COUNT(*) FROM source.results").fetchone()[0]
+                new = db.execute("SELECT cell_key, LENGTH(payload) FROM source.payloads "
+                                 f"WHERE {lacking}").fetchall()
+                db.execute("INSERT INTO payloads (cell_key, payload) SELECT cell_key, "
+                           f"payload FROM source.payloads WHERE {lacking}")
+                # Insertion order is what an unfiltered `query` returns.
+                db.execute(f"INSERT INTO results ({_COLUMN_LIST}) SELECT {_COLUMN_LIST} "
+                           f"FROM source.results WHERE {lacking} ORDER BY rowid")
+                artifacts_added = db.execute(
+                    "INSERT OR IGNORE INTO artifacts SELECT * FROM source.artifacts "
+                    "ORDER BY created_at, artifact_id"
+                ).rowcount
+                self.puts += len(new)
+                self._flush_stats_locked()
+        finally:
+            db.execute("DETACH DATABASE source")
+        self._count_puts([key for key, _size in new], sum(size for _key, size in new))
+        return len(new), held - len(new), artifacts_added
 
     def gc(self, *, drop_unreferenced: bool = False) -> GcStats:
-        """Repair and compact the store.
+        """Compact the store (``VACUUM``); there is never anything to repair.
 
-        * removes blobs (and interrupted ``.tmp`` writes) with no index row;
-        * drops index rows whose blob has vanished (they would fail on
-          :meth:`load`), so the cells get recomputed instead of erroring;
-        * with ``drop_unreferenced=True``, additionally deletes results not
-          referenced by any campaign manifest — the knob for reclaiming
-          space after :meth:`delete_campaign`;
-        * finishes with ``VACUUM``.
+        With ``drop_unreferenced=True``, first delete the results no
+        campaign manifest references — the knob for reclaiming space after
+        :meth:`delete_campaign`.
         """
         dropped_results = 0
         if drop_unreferenced:
+            unreferenced = "cell_key NOT IN (SELECT cell_key FROM campaign_cells)"
             with self._db:
-                cursor = self._db.execute(
-                    "DELETE FROM results WHERE cell_key NOT IN "
-                    "(SELECT cell_key FROM campaign_cells)"
-                )
-                dropped_results = cursor.rowcount
-        indexed = {row["cell_key"] for row in self._db.execute(
-            "SELECT cell_key FROM results"
-        ).fetchall()}
-        orphans = 0
-        on_disk: set[str] = set()
-        for path in list(self._iter_blob_paths()):
-            key = path.name.split(".", 1)[0]
-            if path.suffix == ".tmp" or key not in indexed:
-                path.unlink(missing_ok=True)
-                orphans += 1
-            else:
-                on_disk.add(key)
-        missing = indexed - on_disk
-        if missing:
-            with self._db:
-                self._db.executemany(
-                    "DELETE FROM results WHERE cell_key = ?",
-                    [(key,) for key in missing],
-                )
+                self._db.execute(f"DELETE FROM payloads WHERE {unreferenced}")
+                dropped_results = self._db.execute(
+                    f"DELETE FROM results WHERE {unreferenced}").rowcount
         self._db.execute("VACUUM")
-        stats = GcStats(orphan_blobs=orphans, missing_blobs=len(missing),
-                        dropped_results=dropped_results)
         if obs.enabled():
-            gc_counter = obs.counter(
+            obs.counter(
                 "repro_store_gc_total",
                 "Result-store gc actions by kind.",
                 ("store", "kind"),
-            )
-            gc_counter.inc(stats.orphan_blobs, kind="orphan_blobs",
-                           store=self._obs_store_label)
-            gc_counter.inc(stats.missing_blobs, kind="missing_blobs",
-                           store=self._obs_store_label)
-            gc_counter.inc(stats.dropped_results, kind="dropped_results",
-                           store=self._obs_store_label)
+            ).inc(dropped_results, kind="dropped_results",
+                  store=self._obs_store_label)
         if obs.timeline_active():
             obs.emit("store.gc", store=str(self.root),
-                     orphan_blobs=stats.orphan_blobs,
-                     missing_blobs=stats.missing_blobs,
-                     dropped_results=stats.dropped_results)
-        return stats
+                     dropped_results=dropped_results)
+        return GcStats(dropped_results)

@@ -369,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     cexport.add_argument("--output", required=True, help="output file")
 
     cgc = campaign_sub.add_parser(
-        "gc", help="repair and compact the store", parents=[plugin_parent])
+        "gc", help="compact the store", parents=[plugin_parent])
     store_argument(cgc)
     cgc.add_argument("--drop-campaign", default=None, metavar="NAME",
                      help="delete this campaign's manifest first")

@@ -56,7 +56,7 @@ class ScenarioResult:
     #: by :func:`run_scenario`; ``None`` for results assembled by hand).
     #: Deliberately *not* part of the deterministic result content — the
     #: campaign store indexes it for cost estimation but keeps it out of the
-    #: content-addressed blob.
+    #: content-addressed payload.
     wall_time: float | None = None
 
     @property

@@ -24,7 +24,6 @@ from .loss import (
     NoLoss,
     PartitionLoss,
 )
-from .messagebox import Envelope, TransmissionOutcome
 from .network import Network
 from .reliable import (
     QuasiReliableChannel,
@@ -42,7 +41,6 @@ __all__ = [
     "DelayModel",
     "DelaySpec",
     "DropFirstK",
-    "Envelope",
     "ExponentialDelay",
     "FairLossyChannel",
     "FairLossyChannelFactory",
@@ -58,6 +56,5 @@ __all__ = [
     "QuasiReliableChannelFactory",
     "ReliableChannel",
     "ReliableChannelFactory",
-    "TransmissionOutcome",
     "UniformDelay",
 ]

@@ -7,9 +7,10 @@ that sends ``m`` to *all* processes, including the sender itself (§I, §II).
 :class:`Network` owns the ``n × n`` directed channels (built lazily from a
 channel factory) and implements the broadcast primitive by handing one copy
 of the payload to every directed channel originating at the sender.  It
-returns a :class:`~repro.network.messagebox.TransmissionOutcome` per
-destination so the engine can schedule the corresponding receive events and
-record drops.
+returns a ``(dst, deliver_time)`` pair per destination (``None`` = dropped)
+so the engine can schedule the corresponding receive events and record
+drops.  The source index never reaches protocol code: the engine hands the
+destination only the payload, like the paper's anonymous ``receive(m)``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from ..simulation.rng import RandomSource
 from ..simulation.simtime import SimTime
 from .channel import Channel
 from .loss import DedupKey
-from .messagebox import Envelope, TransmissionOutcome
 
 
 class ChannelFactory(Protocol):
@@ -116,28 +116,11 @@ class Network:
     # ------------------------------------------------------------------ #
     # communication primitives
     # ------------------------------------------------------------------ #
-    def broadcast(self, src: int, payload: Any, now: SimTime) -> list[TransmissionOutcome]:
-        """The paper's ``broadcast(m)``: one copy to every process.
-
-        Returns one :class:`TransmissionOutcome` per destination (including
-        the sender itself when loopback is enabled), in destination-index
-        order so runs stay deterministic.
-        """
-        self._check_index(src)
-        outcomes: list[TransmissionOutcome] = []
-        key = self.dedup_key(payload)
-        for dst in range(self.n_processes):
-            if dst == src and not self.loopback_delivers:
-                continue
-            outcomes.append(self._transmit(src, dst, payload, key, now))
-        return outcomes
-
     def _row(self, src: int) -> list[Optional[Channel]]:
         """Dense destination-ordered channel row for *src* (built lazily).
 
         When loopback is disabled the ``src`` slot holds ``None``: the
-        self-channel must not be instantiated, exactly like in
-        :meth:`broadcast`.
+        self-channel must not be instantiated.
         """
         row = self._rows[src]
         if row is None:
@@ -152,17 +135,15 @@ class Network:
     def broadcast_fast(
         self, src: int, payload: Any, now: SimTime
     ) -> list[tuple[int, Optional[SimTime]]]:
-        """Allocation-light variant of :meth:`broadcast`.
+        """The paper's ``broadcast(m)``: one copy to every process.
 
-        Returns ``(dst, deliver_time)`` pairs in destination order, with
-        ``deliver_time is None`` meaning the copy was dropped — skipping the
-        per-copy :class:`Envelope`/:class:`TransmissionOutcome` objects that
-        :meth:`broadcast` builds.  The returned list is a reusable buffer
-        owned by the network: callers must fully consume it before invoking
-        ``broadcast_fast`` again (the engine does).
-
-        Channel RNG draws happen in exactly the same order as in
-        :meth:`broadcast`, so runs using either path are bit-identical.
+        Returns ``(dst, deliver_time)`` pairs in destination-index order
+        (including the sender itself when loopback is enabled), with
+        ``deliver_time is None`` meaning the copy was dropped.  Each
+        channel draws from its own RNG streams, one copy at a time in that
+        order, so runs stay deterministic.  The returned list is a reusable
+        buffer owned by the network: callers must fully consume it before
+        invoking ``broadcast_fast`` again (the engine does).
         """
         self._check_index(src)
         key = self.dedup_key(payload)
@@ -175,27 +156,6 @@ class Network:
                 continue
             out.append((dst, row[dst].transmit(key, now)))
         return out
-
-    def unicast(self, src: int, dst: int, payload: Any, now: SimTime) -> TransmissionOutcome:
-        """Point-to-point send (not used by the paper's protocols, provided
-        for baseline protocols and tests)."""
-        self._check_index(src)
-        self._check_index(dst)
-        return self._transmit(src, dst, payload, self.dedup_key(payload), now)
-
-    def _transmit(
-        self, src: int, dst: int, payload: Any, key: DedupKey, now: SimTime
-    ) -> TransmissionOutcome:
-        channel = self.channel(src, dst)
-        deliver_time = channel.transmit(key, now)
-        envelope = Envelope(
-            payload=payload,
-            src=src,
-            dst=dst,
-            send_time=now,
-            deliver_time=deliver_time,
-        )
-        return TransmissionOutcome(envelope=envelope)
 
     # ------------------------------------------------------------------ #
     # diagnostics

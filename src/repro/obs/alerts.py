@@ -156,10 +156,6 @@ def default_rules() -> tuple[AlertRule, ...]:
                   metric="repro_batch_cells_total",
                   labels={"status": "failed"},
                   op=">", threshold=0),
-        AlertRule(name="store-missing-blobs",
-                  metric="repro_store_gc_total",
-                  labels={"kind": "missing_blobs"},
-                  op=">", threshold=0),
     )
 
 

@@ -8,7 +8,7 @@ the protocol layer itself.
 """
 
 from .config import SimulationConfig, StopConditions
-from .events import BroadcastCommand, Event, EventKind, EventStats
+from .events import BroadcastCommand, EventKind, EventStats
 from .faults import CrashSchedule
 from .metrics import LatencySample, MetricsCollector, MetricsLevel, MetricsSummary
 from .rng import RandomSource, derive_seed
@@ -52,7 +52,6 @@ __all__ = [
     "CrashSchedule",
     "DeliveryTimelineHook",
     "EngineHook",
-    "Event",
     "EventKind",
     "EventQueue",
     "EventStats",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 from .simtime import SimTime, validate_time
 
@@ -48,56 +48,6 @@ class EventKind(enum.Enum):
 for _slot, _kind in enumerate(EventKind):
     _kind.slot = _slot
 del _slot, _kind
-
-
-@dataclass(frozen=True, slots=True)
-class Event:
-    """A scheduled simulation event.
-
-    Attributes
-    ----------
-    time:
-        Simulated time at which the event fires.
-    seq:
-        Scheduler-assigned sequence number used for deterministic
-        tie-breaking.  Events pushed earlier fire earlier at equal times.
-    kind:
-        The :class:`EventKind`.
-    target:
-        Index of the process the event is addressed to, or ``None`` for
-        engine-level events.
-    payload:
-        Kind-specific data: the protocol payload for ``RECEIVE``, the
-        application content for ``BROADCAST_REQUEST``, ``None`` otherwise.
-    """
-
-    time: SimTime
-    seq: int
-    kind: EventKind
-    target: Optional[int] = None
-    payload: Any = None
-
-    def __post_init__(self) -> None:
-        validate_time(self.time, name="event time")
-        if self.seq < 0:
-            raise ValueError("event sequence number must be non-negative")
-        if self.target is not None and self.target < 0:
-            raise ValueError("event target must be a non-negative index")
-
-    @property
-    def sort_key(self) -> tuple[SimTime, int]:
-        """The total-order key used by the scheduler."""
-        return (self.time, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return self.sort_key < other.sort_key
-
-    def describe(self) -> str:
-        """Human-readable one-line description (used in debug traces)."""
-        target = "engine" if self.target is None else f"p[{self.target}]"
-        return f"{self.kind.value}@{self.time:.4f}->{target}"
 
 
 @dataclass(frozen=True, slots=True)

@@ -33,9 +33,9 @@ None of this changes observable ordering: the pop order is still exactly
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Any, Iterator, Optional, Union
+from typing import Any, Iterator, Optional
 
-from .events import Event, EventKind
+from .events import EventKind
 from .simtime import SimTime, validate_time
 
 #: Upper bound on the entry free list; beyond this, popped entries are left
@@ -53,11 +53,15 @@ class SchedulingError(RuntimeError):
 class QueuedEvent:
     """A pooled, mutable scheduled event.
 
-    Exposes the same read surface as :class:`~repro.simulation.events.Event`
-    (``time``, ``seq``, ``kind``, ``target``, ``payload``, ``sort_key``,
-    ``describe``); unlike ``Event`` it is reused across schedule/pop cycles
-    by the queue's free list, so holders must not retain entries after
-    handing them to :meth:`EventQueue.recycle`.
+    ``time`` is the simulated time at which it fires; ``seq`` the
+    scheduler-assigned sequence number that breaks ties (events scheduled
+    earlier fire earlier at equal times); ``target`` the index of the
+    process it is addressed to, or ``None`` for engine-level events;
+    ``payload`` the kind-specific data (the protocol payload for
+    ``RECEIVE``, the application content for ``BROADCAST_REQUEST``).
+    Entries are reused across schedule/pop cycles by the queue's free
+    list, so holders must not retain one after handing it to
+    :meth:`EventQueue.recycle`.
     """
 
     __slots__ = ("time", "seq", "kind", "target", "payload", "alive")
@@ -156,21 +160,6 @@ class EventQueue:
         self._live += 1
         self._pending[kind.slot] += 1
         return entry
-
-    def push_event(self, event: Union[Event, QueuedEvent]) -> None:
-        """Enqueue an already-constructed event (used in tests)."""
-        if event.time < self._last_popped_time:
-            raise SchedulingError(
-                f"cannot schedule event at t={event.time} before current "
-                f"simulation time t={self._last_popped_time}"
-            )
-        entry = QueuedEvent(
-            event.time, event.seq, event.kind, event.target, event.payload
-        )
-        heappush(self._heap, (entry.time, entry.seq, entry))
-        self._pushed += 1
-        self._live += 1
-        self._pending[entry.kind.slot] += 1
 
     def claim_seqs(self, count: int) -> int:
         """Reserve *count* consecutive sequence numbers and return the first.

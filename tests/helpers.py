@@ -9,8 +9,13 @@ exercised without spinning up the simulator.
 
 from __future__ import annotations
 
+import json
 import random
+import sqlite3
 import weakref
+import zlib
+from contextlib import closing
+from pathlib import Path
 from typing import Any
 
 from repro.core.messages import TaggedMessage
@@ -98,3 +103,34 @@ def track_live_runs(monkeypatch) -> "weakref.WeakSet":
 
     monkeypatch.setattr(batch, "run_scenario", tracked)
     return live
+
+
+def downgrade_store(root: Path, version: int) -> None:
+    """Rewrite a closed schema-3 result store as the version 1 or 2 layout.
+
+    Those versions kept every payload as ``blobs/<k[:2]>/<k>.json.z`` beside
+    the index and had no ``payloads`` table; version 1 also had no
+    ``wall_time`` column.  The migration tests open the result.
+    """
+    with closing(sqlite3.connect(root / "index.sqlite")) as db, db:
+        for key, payload in db.execute("SELECT cell_key, payload FROM payloads"):
+            path = root / "blobs" / key[:2] / f"{key}.json.z"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(payload)
+        db.execute("DROP TABLE payloads")
+        if version == 1:
+            db.execute("ALTER TABLE results DROP COLUMN wall_time")
+        db.execute("UPDATE meta SET value = ? WHERE key = 'schema_version'",
+                   (str(version),))
+
+
+def tamper_with_payload(root: Path, cell_key: str) -> None:
+    """Flip the stored validity verdict of one cell of a closed store, through
+    SQL: same key, different content — what a determinism bug would produce."""
+    with closing(sqlite3.connect(root / "index.sqlite")) as db, db:
+        [(packed,)] = db.execute(
+            "SELECT payload FROM payloads WHERE cell_key = ?", (cell_key,))
+        payload = json.loads(zlib.decompress(packed))
+        payload["result"]["verdict"]["validity"] = False
+        db.execute("UPDATE payloads SET payload = ? WHERE cell_key = ?",
+                   (zlib.compress(json.dumps(payload).encode()), cell_key))

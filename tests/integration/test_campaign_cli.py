@@ -120,7 +120,7 @@ class TestCampaignStatusQueryExportGc:
     def test_gc_reports_and_drop_campaign_frees_cells(self, capsys,
                                                       populated_store):
         assert main(["campaign", "gc", "--store", str(populated_store)]) == 0
-        assert "removed 0 orphan" in capsys.readouterr().out
+        assert "dropped 0 unreferenced" in capsys.readouterr().out
         assert main(["campaign", "gc", "--store", str(populated_store),
                      "--drop-campaign", "cli-camp",
                      "--drop-unreferenced"]) == 0

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-import zlib
+from dataclasses import fields
 
 import pytest
 
@@ -11,10 +11,13 @@ from repro.campaigns import (
     Campaign,
     ResultStore,
     SchemaMismatchError,
+    StoredRow,
     StoreError,
     canonical_scenario_json,
+    merge_stores,
     scenario_cell_key,
 )
+from repro.campaigns import store as store_module
 from repro.campaigns.hashing import scenario_from_canonical_dict
 from repro.experiments.config import Scenario
 from repro.experiments.runner import run_scenario
@@ -238,21 +241,58 @@ class TestResultStore:
         with pytest.raises(StoreError, match="cannot use"):
             ResultStore(target)
 
-    def test_gc_removes_orphans_and_repairs_missing_blobs(self, tmp_path):
+    def test_store_directory_holds_the_index_and_nothing_else(self, tmp_path):
+        # A cell is one transaction in one file: whatever the store is put
+        # through, nothing appears beside the index for gc to sweep.
+        index_files = {"index.sqlite", "index.sqlite-wal", "index.sqlite-shm"}
+
+        def layout(root):
+            return {path.relative_to(root).as_posix()
+                    for path in root.rglob("*")}
+
+        class Killed(BaseException):
+            pass
+
+        def kill_after_ten(done, _total, _item):
+            if done == 10:
+                raise Killed
+
+        results = [run_scenario(quick_scenario(seed=s)) for s in range(3)]
+        with ResultStore(tmp_path / "store") as store, \
+                ResultStore(tmp_path / "other") as other:
+            store.put(results[0])
+            store.put_many(results[1:])
+            other.put(run_scenario(quick_scenario(seed=9)))
+            assert merge_stores(store, [other]).copied == 1
+            with pytest.raises(Killed):
+                Campaign(store, [quick_scenario(seed=s) for s in range(20, 36)],
+                         name="killed").run(progress=kill_after_ten)
+            assert 4 < len(store) < 4 + 16  # some shards landed, not all
+            assert store.gc(drop_unreferenced=True).dropped_results == 4
+            assert layout(store.root) <= index_files
+            assert layout(other.root) <= index_files
+            for row in store.query():
+                assert store.load(row.cell_key)["cell_key"] == row.cell_key
+        assert layout(tmp_path / "store") == {"index.sqlite"}
+
+    def test_results_index_is_declared_once(self, tmp_path):
+        # StoredRow is the typed public view of the column table: same
+        # names, same order, minus the writer's own version stamp.
+        columns = [name for name, _sql, _read, _keyword
+                   in store_module.RESULT_COLUMNS]
+        assert [f.name for f in fields(StoredRow)] == [
+            name for name in columns if name != "schema_version"]
+        # Every query filter names a column of the table ...
+        filters = store_module._QUERY_COLUMNS
+        assert set(filters.values()) <= set(columns)
+        assert len(filters) == 16 and filters["loss"] == "loss_level"
+        # ... and the file on disk has exactly the declared columns.
         with ResultStore(tmp_path / "store") as store:
-            row_a = store.put(run_scenario(quick_scenario(seed=0)))
-            row_b = store.put(run_scenario(quick_scenario(seed=1)))
-            # Orphan blob: on disk, not indexed.
-            orphan = store._blob_path("ff" * 16)
-            orphan.parent.mkdir(exist_ok=True)
-            orphan.write_bytes(zlib.compress(b"{}"))
-            # Missing blob: indexed, vanished from disk.
-            store._blob_path(row_b.cell_key).unlink()
-            stats = store.gc()
-            assert stats.orphan_blobs == 1
-            assert stats.missing_blobs == 1
-            assert store.get(row_b.cell_key, count=False) is None
-            assert store.get(row_a.cell_key, count=False) is not None
+            on_disk = [row["name"] for row in store._db.execute(
+                "PRAGMA table_info(results)")]
+            assert on_disk == columns
+            for keyword in filters:
+                assert store.query(**{keyword: None}) == []
 
     def test_gc_drop_unreferenced(self, tmp_path):
         scenario = quick_scenario()

@@ -3,13 +3,15 @@ store merge, worker/coordinator, and cost planning."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sqlite3
 import threading
-import zlib
+from contextlib import closing
 
 import pytest
 
+from helpers import downgrade_store, tamper_with_payload
 from repro.campaigns import (
     Coordinator,
     MergeConflictError,
@@ -230,7 +232,7 @@ class TestMergeStores:
                 ResultStore(tmp_path / "b") as source:
             stats = merge_stores(dest, [source])
             assert stats.copied == 1 and stats.skipped == 0
-            assert set(dest.result_cell_keys()) == set(keys_a + keys_b)
+            assert [row.cell_key for row in dest.query()] == keys_a + keys_b
             # Copied rows are loadable and keep their provenance columns.
             row = dest.get(keys_b[0], count=False)
             assert row is not None and row.wall_time is not None
@@ -260,12 +262,9 @@ class TestMergeStores:
     def test_semantic_conflict_fails_loudly(self, tmp_path):
         [key] = store_with_results(tmp_path / "a", [0])
         store_with_results(tmp_path / "b", [0])
-        # Tamper with one store's blob: same cell key, different content —
-        # exactly what a determinism bug would produce.
-        blob_path = (tmp_path / "b" / "blobs" / key[:2] / f"{key}.json.z")
-        payload = json.loads(zlib.decompress(blob_path.read_bytes()))
-        payload["result"]["verdict"]["validity"] = False
-        blob_path.write_bytes(zlib.compress(json.dumps(payload).encode()))
+        # Tamper with one store's payload: same cell key, different content
+        # — exactly what a determinism bug would produce.
+        tamper_with_payload(tmp_path / "b", key)
         with ResultStore(tmp_path / "a") as dest, \
                 ResultStore(tmp_path / "b") as source:
             with pytest.raises(MergeConflictError, match=key[:12]):
@@ -502,29 +501,49 @@ class TestWallTimeAndMigration:
                 {k: v for k, v in payload["result"].items() if k != "schedule"}
             )
 
-    def _downgrade_to_v1(self, root) -> None:
-        with sqlite3.connect(root / "index.sqlite") as db:
-            db.execute("ALTER TABLE results DROP COLUMN wall_time")
-            db.execute("UPDATE meta SET value = '1' "
-                       "WHERE key = 'schema_version'")
-
-    def test_v1_store_migrates_in_place(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_store_migrates_in_place(self, tmp_path, version):
         root = tmp_path / "store"
         scenario = quick_scenario()
+        key = scenario_cell_key(scenario)
         with ResultStore(root) as store:
-            store.put(run_scenario(scenario))
-        self._downgrade_to_v1(root)
+            written = store.put(run_scenario(scenario))
+            payload = store.load(key)
+        downgrade_store(root, version)
         with ResultStore(root) as store:
-            # Old rows read tolerantly: timing unknown, everything else
-            # intact; new writes carry timings again.
-            row = store.get(scenario_cell_key(scenario), count=False)
-            assert row is not None and row.wall_time is None
+            # Old rows read tolerantly: v1 timing unknown, everything else
+            # intact, the payload as written; new writes carry timings.
+            row = store.get(key, count=False)
+            assert row == dataclasses.replace(
+                written, wall_time=None if version == 1 else written.wall_time)
+            assert store.load(key) == payload
             other = quick_scenario(seed=5)
             assert store.put(run_scenario(other)).wall_time is not None
-        with sqlite3.connect(root / "index.sqlite") as db:
+        assert not (root / "blobs").exists()
+        with closing(sqlite3.connect(root / "index.sqlite")) as db:
             recorded = db.execute("SELECT value FROM meta WHERE key = "
                                   "'schema_version'").fetchone()[0]
-        assert recorded == "2"
+        assert recorded == "3"
+
+    def test_migration_drops_a_row_whose_payload_file_vanished(self, tmp_path):
+        # What gc used to repair: the cell is recomputed, not an error.
+        root = tmp_path / "store"
+        kept, lost = store_with_results(root, [0, 1])
+        downgrade_store(root, 2)
+        (root / "blobs" / lost[:2] / f"{lost}.json.z").unlink()
+        with ResultStore(root) as store:
+            assert [row.cell_key for row in store.query()] == [kept]
+            assert store.load(kept)["cell_key"] == kept
+
+    def test_files_left_by_a_death_after_commit_are_swept(self, tmp_path):
+        root = tmp_path / "store"
+        [key] = store_with_results(root, [0])
+        leftover = root / "blobs" / key[:2] / f"{key}.json.z"
+        leftover.parent.mkdir(parents=True)
+        leftover.write_bytes(b"stale")
+        with ResultStore(root) as store:
+            assert store.load(key)["cell_key"] == key
+        assert not (root / "blobs").exists()
 
     def test_future_schema_still_rejected(self, tmp_path):
         from repro.campaigns import SchemaMismatchError

@@ -2,40 +2,27 @@
 
 import pytest
 
-from repro.simulation.events import BroadcastCommand, Event, EventKind, EventStats
+from repro.simulation.events import BroadcastCommand, EventKind, EventStats
 from repro.simulation.scheduler import EventQueue, SchedulingError
 
 
-class TestEvent:
-    def test_ordering_by_time(self):
-        early = Event(time=1.0, seq=5, kind=EventKind.TICK, target=0)
-        late = Event(time=2.0, seq=0, kind=EventKind.TICK, target=0)
-        assert early < late
-
-    def test_ordering_tie_broken_by_seq(self):
-        first = Event(time=1.0, seq=0, kind=EventKind.TICK, target=0)
-        second = Event(time=1.0, seq=1, kind=EventKind.TICK, target=0)
-        assert first < second
-
-    def test_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            Event(time=-1.0, seq=0, kind=EventKind.TICK)
-
-    def test_rejects_negative_seq(self):
-        with pytest.raises(ValueError):
-            Event(time=0.0, seq=-1, kind=EventKind.TICK)
-
-    def test_rejects_negative_target(self):
-        with pytest.raises(ValueError):
-            Event(time=0.0, seq=0, kind=EventKind.TICK, target=-2)
+class TestScheduledEvent:
+    def test_ordering_by_time_then_seq(self):
+        queue = EventQueue()
+        late = queue.schedule(2.0, EventKind.TICK, target=0)
+        first = queue.schedule(1.0, EventKind.TICK, target=0)
+        second = queue.schedule(1.0, EventKind.TICK, target=0)
+        assert first < second < late
+        assert [first.sort_key, second.sort_key] == [(1.0, 1), (1.0, 2)]
+        assert [queue.pop() for _ in range(3)] == [first, second, late]
 
     def test_describe_mentions_kind_and_target(self):
-        event = Event(time=1.0, seq=0, kind=EventKind.RECEIVE, target=3)
+        event = EventQueue().schedule(1.0, EventKind.RECEIVE, target=3)
         assert "receive" in event.describe()
         assert "p[3]" in event.describe()
 
     def test_describe_engine_event(self):
-        event = Event(time=1.0, seq=0, kind=EventKind.ENGINE_CHECK)
+        event = EventQueue().schedule(1.0, EventKind.ENGINE_CHECK)
         assert "engine" in event.describe()
 
 
@@ -161,10 +148,3 @@ class TestEventQueue:
         times = [event.time for event in queue]
         assert times == [1.0, 2.0]
         assert len(queue) == 2
-
-    def test_push_event_rejects_past(self):
-        queue = EventQueue()
-        queue.schedule(5.0, EventKind.TICK)
-        queue.pop()
-        with pytest.raises(SchedulingError):
-            queue.push_event(Event(time=1.0, seq=99, kind=EventKind.TICK))

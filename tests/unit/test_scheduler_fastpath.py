@@ -3,7 +3,7 @@ lazy deletion, and the O(1) pending-count bookkeeping."""
 
 import pytest
 
-from repro.simulation.events import Event, EventKind
+from repro.simulation.events import EventKind
 from repro.simulation.scheduler import EventQueue, QueuedEvent, SchedulingError
 
 
@@ -111,10 +111,11 @@ class TestPendingCounts:
         assert set(counts) == set(EventKind)
         assert all(v == 0 for v in counts.values())
 
-    def test_push_event_updates_counts(self):
+    def test_schedule_updates_counts(self):
         queue = EventQueue()
-        queue.push_event(Event(time=1.0, seq=0, kind=EventKind.CRASH, target=1))
+        queue.schedule(1.0, EventKind.CRASH, target=1)
         assert queue.pending_of(EventKind.CRASH) == 1
+        assert queue.pending_by_kind()[EventKind.CRASH] == 1
 
 
 class TestQueuedEventSurface:
