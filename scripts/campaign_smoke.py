@@ -44,21 +44,36 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: The sweep under test: 3 loss levels x 8 seeds = 24 cells.
-SWEEP_ARGS = [
-    "--algorithm", "algorithm2", "--n", "5", "--values", "0.0,0.1,0.2",
-    "--seeds", "8", "--max-time", "120",
-]
+
+def sweep_args(n: int) -> list[str]:
+    """The sweep under test: 3 loss levels x 8 seeds = 24 cells of size *n*."""
+    return [
+        "--algorithm", "algorithm2", "--n", str(n), "--values", "0.0,0.1,0.2",
+        "--seeds", "8", "--max-time", "120",
+    ]
+
+
+SWEEP_ARGS = sweep_args(5)
+#: The distributed phase kills a worker *between two cells of one lease*, a
+#: window it finds by polling the lease table every 20 ms.  An n=5 cell
+#: takes about 5 ms, so a 4-cell lease left the window open for less than
+#: one poll period and one run in four never saw it; an n=24 cell takes
+#: about 0.15 s, which with 8-cell ranges (a claim gets at most
+#: ``ceil(pending / (2 * active))`` cells: 4 to 8 of the 24 while the job is
+#: young) keeps it open for tens of poll periods per lease.
+DISTRIBUTED_SWEEP_ARGS = sweep_args(24)
+DISTRIBUTED_RANGE_SIZE = 8
 
 REPORT_PATTERN = re.compile(
     r"(\d+) cell\(s\) — (\d+) cached, (\d+) executed"
 )
 
 
-def campaign_command(store: Path, *extra: str) -> list[str]:
+def campaign_command(store: Path, *extra: str,
+                     sweep: list[str] = SWEEP_ARGS) -> list[str]:
     return [
         sys.executable, "-m", "repro", "campaign", "run",
-        "--store", str(store), "--name", "smoke", *SWEEP_ARGS, *extra,
+        "--store", str(store), "--name", "smoke", *sweep, *extra,
     ]
 
 
@@ -134,8 +149,8 @@ def distributed_smoke(workdir: Path, env: dict[str, str]) -> int:
     serve = subprocess.Popen(
         [sys.executable, "-m", "repro", "campaign", "serve",
          "--store", str(merged_store), "--workdir", str(job),
-         "--name", "smoke", *SWEEP_ARGS,
-         "--lease-timeout", "5", "--range-size", "4",
+         "--name", "smoke", *DISTRIBUTED_SWEEP_ARGS,
+         "--lease-timeout", "5", "--range-size", str(DISTRIBUTED_RANGE_SIZE),
          "--timeout", "420", "--poll-interval", "0.2"],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
@@ -209,7 +224,7 @@ def distributed_smoke(workdir: Path, env: dict[str, str]) -> int:
     # 4. byte-identical aggregates vs a single-shot run of the same sweep
     # ------------------------------------------------------------------ #
     single = subprocess.run(
-        campaign_command(fresh_store),
+        campaign_command(fresh_store, sweep=DISTRIBUTED_SWEEP_ARGS),
         env=env, capture_output=True, text=True, timeout=600,
     )
     if single.returncode != 0:

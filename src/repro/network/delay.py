@@ -53,9 +53,11 @@ class UniformDelay(DelayModel):
         self.low = float(low)
         self.high = float(high)
         self._rng = rng
+        self._random = rng.random
 
     def sample(self) -> float:
-        return self._rng.uniform(self.low, self.high)
+        # ``random.uniform``'s own expression, without its frame.
+        return self.low + (self.high - self.low) * self._random()
 
     def describe(self) -> str:
         return f"uniform({self.low:g}, {self.high:g})"

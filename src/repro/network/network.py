@@ -6,21 +6,23 @@ that sends ``m`` to *all* processes, including the sender itself (§I, §II).
 
 :class:`Network` owns the ``n × n`` directed channels (built lazily from a
 channel factory) and implements the broadcast primitive by handing one copy
-of the payload to every directed channel originating at the sender.  It
-returns a ``(dst, deliver_time)`` pair per destination (``None`` = dropped)
-so the engine can schedule the corresponding receive events and record
-drops.  The source index never reaches protocol code: the engine hands the
+of the payload to every directed channel originating at the sender, the
+sender's own included.  It returns a fresh list of ``(dst, deliver_time)``
+pairs, one per destination (``None`` = dropped), from which the engine books
+the broadcast: trace rows, receive events, metrics.  A channel recognises
+retransmissions of a protocol message by the payload itself (payloads are
+hashable frozen dataclasses, and identical retransmissions compare equal).
+The source index never reaches protocol code: the engine hands the
 destination only the payload, like the paper's anonymous ``receive(m)``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Protocol
+from typing import Any, Callable, Optional, Protocol
 
 from ..simulation.rng import RandomSource
 from ..simulation.simtime import SimTime
 from .channel import Channel
-from .loss import DedupKey
 
 
 class ChannelFactory(Protocol):
@@ -35,12 +37,6 @@ class ChannelFactory(Protocol):
         ...
 
 
-def default_dedup_key(payload: Any) -> DedupKey:
-    """Default deduplication key: the payload itself (payloads are hashable
-    frozen dataclasses, and identical retransmissions compare equal)."""
-    return payload
-
-
 class Network:
     """Completely connected topology with an anonymous broadcast primitive.
 
@@ -53,14 +49,6 @@ class Network:
     random_source:
         Master random source; each channel gets independent loss and delay
         substreams.
-    loopback_delivers:
-        Whether a broadcast also delivers to the sender itself.  The paper's
-        primitive includes the sender («send a message to all processes
-        (including itself)»), so this defaults to ``True``.
-    dedup_key:
-        Function mapping a payload to its deduplication key (used by loss
-        models and the fairness guard to recognise retransmissions of the
-        same protocol message).
     """
 
     def __init__(
@@ -68,26 +56,18 @@ class Network:
         n_processes: int,
         channel_factory: ChannelFactory,
         random_source: Optional[RandomSource] = None,
-        *,
-        loopback_delivers: bool = True,
-        dedup_key=default_dedup_key,
     ) -> None:
         if n_processes < 1:
             raise ValueError("n_processes must be positive")
         self.n_processes = n_processes
         self.channel_factory = channel_factory
         self.random_source = random_source or RandomSource(0)
-        self.loopback_delivers = loopback_delivers
-        self.dedup_key = dedup_key
         self._channels: dict[tuple[int, int], Channel] = {}
-        #: Per-source dense channel rows, built lazily for the broadcast
-        #: fast path (avoids a dict lookup per destination per send).  The
-        #: ``src`` slot is ``None`` when loopback is disabled.
-        self._rows: list[Optional[list[Optional[Channel]]]] = [None] * n_processes
-        #: Reusable result buffer for :meth:`broadcast_fast`.  Safe because
-        #: the engine fully consumes it before any code path can broadcast
-        #: again (protocol handlers run from later queue events).
-        self._fast_buffer: list[tuple[int, Optional[SimTime]]] = []
+        #: Per-source dense channel rows in destination order, and their
+        #: bound ``transmit`` methods in the same order (what a broadcast
+        #: calls: no lookup per destination per send); both built lazily.
+        self._rows: list[Optional[list[Channel]]] = [None] * n_processes
+        self._transmits: list[Optional[list[Callable]]] = [None] * n_processes
 
     # ------------------------------------------------------------------ #
     # channels
@@ -116,20 +96,13 @@ class Network:
     # ------------------------------------------------------------------ #
     # communication primitives
     # ------------------------------------------------------------------ #
-    def _row(self, src: int) -> list[Optional[Channel]]:
-        """Dense destination-ordered channel row for *src* (built lazily).
-
-        When loopback is disabled the ``src`` slot holds ``None``: the
-        self-channel must not be instantiated.
-        """
+    def _row(self, src: int) -> list[Channel]:
+        """Dense destination-ordered channel row for *src* (built lazily)."""
         row = self._rows[src]
         if row is None:
-            row = [
-                None if dst == src and not self.loopback_delivers
-                else self.channel(src, dst)
-                for dst in range(self.n_processes)
+            row = self._rows[src] = [
+                self.channel(src, dst) for dst in range(self.n_processes)
             ]
-            self._rows[src] = row
         return row
 
     def broadcast_fast(
@@ -137,25 +110,21 @@ class Network:
     ) -> list[tuple[int, Optional[SimTime]]]:
         """The paper's ``broadcast(m)``: one copy to every process.
 
-        Returns ``(dst, deliver_time)`` pairs in destination-index order
-        (including the sender itself when loopback is enabled), with
+        Returns a fresh list of ``(dst, deliver_time)`` pairs in
+        destination-index order, the sender itself included, with
         ``deliver_time is None`` meaning the copy was dropped.  Each
         channel draws from its own RNG streams, one copy at a time in that
-        order, so runs stay deterministic.  The returned list is a reusable
-        buffer owned by the network: callers must fully consume it before
-        invoking ``broadcast_fast`` again (the engine does).
+        order, so runs stay deterministic.
         """
-        self._check_index(src)
-        key = self.dedup_key(payload)
-        row = self._row(src)
-        loopback = self.loopback_delivers
-        out = self._fast_buffer
-        out.clear()
-        for dst in range(self.n_processes):
-            if dst == src and not loopback:
-                continue
-            out.append((dst, row[dst].transmit(key, now)))
-        return out
+        if not 0 <= src < self.n_processes:
+            self._check_index(src)
+        transmits = self._transmits[src]
+        if transmits is None:
+            transmits = self._transmits[src] = [
+                channel.transmit for channel in self._row(src)
+            ]
+        return [(dst, transmit(payload, now))
+                for dst, transmit in enumerate(transmits)]
 
     # ------------------------------------------------------------------ #
     # diagnostics

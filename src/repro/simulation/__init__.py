@@ -12,7 +12,7 @@ from .events import BroadcastCommand, EventKind, EventStats
 from .faults import CrashSchedule
 from .metrics import LatencySample, MetricsCollector, MetricsLevel, MetricsSummary
 from .rng import RandomSource, derive_seed
-from .scheduler import EventQueue, QueuedEvent, SchedulingError
+from .scheduler import EventQueue, SchedulingError
 from .simtime import NEVER, TIME_ZERO, SimTime, TimeWindow
 from .tracing import TraceCategory, TraceEvent, TraceLevel, TraceRecorder
 
@@ -62,7 +62,6 @@ __all__ = [
     "NEVER",
     "ProcessEnvironment",
     "ProcessFactory",
-    "QueuedEvent",
     "RandomSource",
     "SchedulingError",
     "SendBudgetHook",

@@ -9,6 +9,15 @@ The engine is deliberately protocol-agnostic: protocols only see their
 :class:`~repro.simulation.environment.ProcessEnvironment`, and the engine
 only calls the three :class:`~repro.core.interfaces.BroadcastProtocol`
 entry points (``urb_broadcast``, ``on_receive``, ``on_tick``).
+
+Two places carry nearly all of a run's cost, and both are written flat
+(DESIGN.md §8.1, §8.2).  :meth:`SimulationEngine.run` pops heap tuples
+itself and handles ``RECEIVE`` — nearly every event — in place: crashed
+check, metrics / trace gate, ``on_receive``; the four rare kinds go through
+:meth:`SimulationEngine._dispatch`, which the batched backend's loop calls
+too.  :meth:`SimulationEngine.broadcast_from` decides every copy's fate,
+then books the broadcast once: one trace call, one queue call, two metrics
+calls, whatever the fan-out.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from heapq import heappop
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 from .. import obs
@@ -31,7 +41,7 @@ from .faults import CrashSchedule
 from .hooks import EngineHook
 from .metrics import MetricsCollector, MetricsSummary
 from .rng import RandomSource
-from .scheduler import EventQueue, QueuedEvent
+from .scheduler import EventQueue
 from .simtime import SimTime
 from .tracing import TraceCategory, TraceRecorder
 
@@ -44,9 +54,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 #: modelling a crash in the middle of the broadcast primitive).
 CRASH_SENDER: Any = object()
 
-#: The per-copy trace categories, bound once for the two hot recording sites.
-_SEND = TraceCategory.SEND
-_DROP = TraceCategory.DROP
+#: Bound once for the event loop.
+_RECEIVE = EventKind.RECEIVE
 _CHANNEL_DELIVER = TraceCategory.CHANNEL_DELIVER
 
 
@@ -279,50 +288,35 @@ class SimulationEngine:
     def broadcast_from(self, src: int, payload: Any) -> None:
         """Execute the anonymous broadcast primitive on behalf of *src*.
 
-        Every copy's fate is decided first — by the channels, over the
-        network's reusable ``broadcast_fast`` buffer, or by the schedule
-        controller — then the ``on_send`` hooks observe the broadcast, and
-        one loop records the outcomes and schedules the receive events.
-        Channel randomness is drawn in the same order whichever of the
-        three is in play, so their runs are bit-identical.
+        Every copy's fate is decided first — by the channels
+        (``Network.broadcast_fast``) or by the schedule controller — then
+        the ``on_send`` hooks observe the broadcast, and it is booked once:
+        one trace call for the per-copy SEND / DROP rows, one queue call
+        for the receive events, two metrics calls.  A hook that broadcasts
+        from ``on_send`` is booked, whole, before the broadcast it observed.
+        Channel randomness is drawn in the same order whoever decides, so
+        controlled and uncontrolled runs are bit-identical.
         """
         if src in self._crashed:
             # A crashed process executes no further statements; silently
             # dropping the call keeps hooks and protocols simpler.
             return
-        kind = payload_kind(payload)
         now = self._now
         crash_src = False
         if self.controller is not None:
             copies, crash_src = self._controlled_copies(src, payload, now)
         else:
             copies = self.network.broadcast_fast(src, payload, now)
-            if self.hooks:
-                # A hook may broadcast from ``on_send``; the buffer is only
-                # safe while nothing can re-enter the network.
-                copies = list(copies)
         for hook in self.hooks:
             hook.on_send(self, src, payload, now)
+        kind = payload_kind(payload)
+        if self.trace.channel_active:
+            self.trace.record_broadcast(now, src, kind, payload, copies)
+        drops = self.queue.schedule_receives(copies, payload)
         metrics = self.metrics
-        metrics_active = metrics.active
-        trace_channel = self.trace.channel_active
-        record_copy = self.trace.record_copy
-        schedule = self.queue.schedule
-        for dst, deliver_time in copies:
-            if metrics_active:
-                metrics.on_send(now, src, kind)
-            if trace_channel:
-                record_copy(now, _SEND, src, kind, payload, dst)
-            if deliver_time is not None:
-                schedule(
-                    deliver_time, EventKind.RECEIVE,
-                    target=dst, payload=payload,
-                )
-            else:
-                if metrics_active:
-                    metrics.on_drop(now, src, kind)
-                if trace_channel:
-                    record_copy(now, _DROP, src, kind, payload, dst)
+        if metrics.active:
+            metrics.on_send_many(now, src, kind, len(copies))
+            metrics.on_drop_many(now, src, kind, drops)
         if crash_src:
             self._crash_for_exploration(src)
 
@@ -334,22 +328,19 @@ class SimulationEngine:
         Each copy's fate is the controller's ``copy_decision`` (an absolute
         delivery time, ``None`` for a drop, or :data:`CRASH_SENDER` to crash
         the sender mid-broadcast: the remaining copies are never handed to
-        their channels, and the second value returned is ``True``).  No
-        channel is resolved here: a decision-driven schedule builds none,
-        and the default controller, which delegates every copy to its
-        channel, keeps a controlled run bit-identical to an RNG-driven one.
+        their channels, and the second value returned is ``True``).  The
+        deduplication key it is given is the payload, as on the channels'
+        own path.  No channel is resolved here: a decision-driven schedule
+        builds none, and the default controller, which delegates every copy
+        to its channel, keeps a controlled run bit-identical to an
+        RNG-driven one.
         """
         controller = self.controller
         assert controller is not None
-        network = self.network
-        key = network.dedup_key(payload)
-        loopback = network.loopback_delivers
         planned: list[tuple[int, Optional[SimTime]]] = []
-        for dst in range(network.n_processes):
-            if dst == src and not loopback:
-                continue
+        for dst in range(self.network.n_processes):
             decision = controller.copy_decision(
-                self, src, dst, payload, key, now
+                self, src, dst, payload, payload, now
             )
             if decision is CRASH_SENDER:
                 return planned, True
@@ -438,22 +429,47 @@ class SimulationEngine:
         for hook in self.hooks:
             hook.on_run_start(self)
 
+        # The loop pops for itself what ``EventQueue.pop`` would, and handles
+        # RECEIVE (nearly every event) in place; see DESIGN.md §8.1.
         queue = self.queue
+        heap = queue.heap
+        pending = queue.pending
         max_time = self.config.max_time
+        crashed = self._crashed
+        processes = self.processes
+        metrics = self.metrics
+        trace = self.trace
         dispatch = self._dispatch
-        recycle = queue.recycle
-        while queue:
-            if self._stop_requested:
-                break
-            event = queue.pop()
-            if event.time > max_time:
-                self._stop_reason = "horizon"
-                break
-            self._now = event.time
-            if self._stop_deadline is not None and self._now >= self._stop_deadline:
-                break
-            dispatch(event)
-            recycle(event)
+        receives = 0
+        try:
+            while heap and not self._stop_requested:
+                time, _, kind, target, payload = heappop(heap)
+                queue.last_popped_time = time
+                pending[kind.slot] -= 1
+                if time > max_time:
+                    self._stop_reason = "horizon"
+                    break
+                self._now = time
+                if (self._stop_deadline is not None
+                        and time >= self._stop_deadline):
+                    break
+                if kind is not _RECEIVE:
+                    dispatch(kind, target, payload)
+                    continue
+                receives += 1
+                if target in crashed:
+                    # The channel delivered the copy but the process is
+                    # gone; a crashed process executes no statements, so
+                    # the copy is lost.
+                    continue
+                if metrics.active:
+                    metrics.total_channel_deliveries += 1
+                if trace.channel_active:
+                    trace.record_copy(time, _CHANNEL_DELIVER, target,
+                                      payload_kind(payload), payload)
+                processes[target].on_receive(payload)
+        finally:
+            self.event_stats.dispatched[_RECEIVE] += receives
         return self._finish_run()
 
     def _finish_run(self) -> SimulationResult:
@@ -552,26 +568,23 @@ class SimulationEngine:
                 self.config.check_interval, EventKind.ENGINE_CHECK
             )
 
-    def _dispatch(self, event: QueuedEvent) -> None:
-        kind = event.kind
+    def _dispatch(self, kind: EventKind, target: Optional[int],
+                  payload: Any) -> None:
+        """Count and handle one event of the four kinds that are not
+        ``RECEIVE`` (that one the loops handle themselves, in place)."""
         self.event_stats.dispatched[kind] += 1
-        # Branches ordered by frequency: receives and ticks dominate.
-        if kind is EventKind.RECEIVE:
-            self._handle_receive(event)
-        elif kind is EventKind.TICK:
-            self._handle_tick(event)
+        if kind is EventKind.TICK:
+            self._handle_tick(target)
         elif kind is EventKind.CRASH:
-            self._handle_crash(event)
+            self._handle_crash(target)
         elif kind is EventKind.BROADCAST_REQUEST:
-            self._handle_broadcast_request(event)
+            self._handle_broadcast_request(target, payload)
         elif kind is EventKind.ENGINE_CHECK:
-            self._handle_engine_check(event)
-        else:  # pragma: no cover - enum is exhaustive
-            raise RuntimeError(f"unknown event kind {event.kind!r}")
+            self._handle_engine_check()
+        else:
+            raise RuntimeError(f"no handler for event kind {kind!r}")
 
-    def _handle_crash(self, event: QueuedEvent) -> None:
-        index = event.target
-        assert index is not None
+    def _handle_crash(self, index: int) -> None:
         if index in self._crashed:
             return
         self._crashed.add(index)
@@ -579,28 +592,7 @@ class SimulationEngine:
         for hook in self.hooks:
             hook.on_crash(self, index, self._now)
 
-    def _handle_receive(self, event: QueuedEvent) -> None:
-        index = event.target
-        assert index is not None
-        if index in self._crashed:
-            # The channel delivered the copy but the process is gone; a
-            # crashed process executes no statements, so the copy is lost.
-            return
-        payload = event.payload
-        metrics = self.metrics
-        trace = self.trace
-        if metrics.active or trace.channel_active:
-            kind = payload_kind(payload)
-            if metrics.active:
-                metrics.on_channel_deliver(self._now, index, kind)
-            if trace.channel_active:
-                trace.record_copy(
-                    self._now, _CHANNEL_DELIVER, index, kind, payload)
-        self.processes[index].on_receive(payload)
-
-    def _handle_tick(self, event: QueuedEvent) -> None:
-        index = event.target
-        assert index is not None
+    def _handle_tick(self, index: int) -> None:
         if index not in self._crashed:
             if self.trace_ticks:
                 self.trace.record(self._now, TraceCategory.TICK, index)
@@ -615,18 +607,16 @@ class SimulationEngine:
         calls: a tick's sends must claim their sequence numbers before its
         re-arm does.  Nothing is deferred here."""
 
-    def _handle_broadcast_request(self, event: QueuedEvent) -> None:
-        index = event.target
-        assert index is not None
+    def _handle_broadcast_request(self, index: int, content: Any) -> None:
         if index in self._crashed:
             return
-        self.metrics.on_urb_broadcast(self._now, index, event.payload)
+        self.metrics.on_urb_broadcast(self._now, index, content)
         self.trace.record(
-            self._now, TraceCategory.URB_BROADCAST, index, content=event.payload
+            self._now, TraceCategory.URB_BROADCAST, index, content=content
         )
-        self.processes[index].urb_broadcast(event.payload)
+        self.processes[index].urb_broadcast(content)
 
-    def _handle_engine_check(self, event: QueuedEvent) -> None:
+    def _handle_engine_check(self) -> None:
         stop = self.config.stop
         satisfied = None
         if stop.stop_when_quiescent and self._quiescence_reached():

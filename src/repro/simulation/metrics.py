@@ -112,6 +112,8 @@ class MetricsCollector:
         self._refresh_flags()
         self.total_sends: int = 0
         self.total_drops: int = 0
+        #: Copies that reached a live process.  The engines' loops add to
+        #: it themselves (when ``active``): one per event, or one run's sum.
         self.total_channel_deliveries: int = 0
         self.sends_by_kind: dict[str, int] = defaultdict(int)
         self.sends_by_process: dict[int, int] = defaultdict(int)
@@ -141,30 +143,10 @@ class MetricsCollector:
     # ------------------------------------------------------------------ #
     # recording hooks called by the engine
     # ------------------------------------------------------------------ #
-    def on_send(self, time: SimTime, src: int, kind: str) -> None:
-        """Record one protocol payload handed to one directed channel."""
-        if not self.active:
-            return
-        self.total_sends += 1
-        self.sends_by_kind[kind] += 1
-        self.sends_by_process[src] += 1
-        self.last_send_time = time
-        if self._full:
-            self.send_timeline.append((time, self.total_sends))
-
-    def on_drop(self, time: SimTime, src: int, kind: str) -> None:
-        """Record a channel drop."""
-        if not self.active:
-            return
-        self.total_drops += 1
-        self.drops_by_kind[kind] += 1
-
     def on_send_many(self, time: SimTime, src: int, kind: str, count: int) -> None:
-        """Aggregate equivalent of *count* consecutive :meth:`on_send` calls.
-
-        Used by batching engine backends for one broadcast's fan-out; the
-        resulting collector state (counters and, at FULL level, the send
-        timeline) is identical to *count* individual calls at *time*.
+        """Record *count* copies of one protocol payload, each handed to one
+        directed channel at *time*: one broadcast's fan-out.  At FULL level
+        the send timeline gets one cumulative entry per copy.
         """
         if not self.active or count <= 0:
             return
@@ -174,21 +156,16 @@ class MetricsCollector:
         self.sends_by_process[src] += count
         self.last_send_time = time
         if self._full:
-            self.send_timeline.extend(
-                (time, total + offset) for offset in range(1, count + 1)
-            )
+            self.send_timeline.extend([
+                (time, sent) for sent in range(total + 1, total + count + 1)
+            ])
 
     def on_drop_many(self, time: SimTime, src: int, kind: str, count: int) -> None:
-        """Aggregate equivalent of *count* consecutive :meth:`on_drop` calls."""
+        """Record that the channels dropped *count* of those copies."""
         if not self.active or count <= 0:
             return
         self.total_drops += count
         self.drops_by_kind[kind] += count
-
-    def on_channel_deliver(self, time: SimTime, dst: int, kind: str) -> None:
-        """Record a channel delivery (payload reached its destination)."""
-        if self.active:
-            self.total_channel_deliveries += 1
 
     def on_urb_broadcast(self, time: SimTime, sender: int, content: object) -> None:
         """Record the application-level broadcast of *content*."""

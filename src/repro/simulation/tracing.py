@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping, Optional
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
 from .simtime import SimTime
 
@@ -73,6 +73,10 @@ class TraceCategory(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
+
+
+_SEND = TraceCategory.SEND
+_DROP = TraceCategory.DROP
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,6 +221,26 @@ class TraceRecorder:
         """
         if self.channel_active:
             self._rows.append((time, category, process, kind, payload, dst))
+
+    def record_broadcast(
+        self,
+        time: SimTime,
+        process: int,
+        kind: str,
+        payload: Any,
+        copies: Iterable[tuple[int, Optional[SimTime]]],
+    ) -> None:
+        """Append the per-copy records of one broadcast (no-op unless
+        ``channel_active``): for each ``(dst, deliver_time)`` of *copies*,
+        in order, the :meth:`record_copy` row of its SEND, directly followed
+        by that of its DROP when ``deliver_time`` is ``None``."""
+        if not self.channel_active:
+            return
+        append = self._rows.append
+        for dst, deliver_time in copies:
+            append((time, _SEND, process, kind, payload, dst))
+            if deliver_time is None:
+                append((time, _DROP, process, kind, payload, dst))
 
     def _event(self, position: int) -> TraceEvent:
         """The event of the row at *position* (built on first request)."""

@@ -178,8 +178,7 @@ class _RowSampler:
     def __init__(self, network: Any, src: int) -> None:
         self.network = network
         self.src = src
-        channels = [ch for ch in network._row(src) if ch is not None]
-        self.channels = channels
+        self.channels = channels = network._row(src)
         self.m = m = len(channels)
         self.block = block = SAMPLE_BLOCK
         self.broadcasts = 0
@@ -264,10 +263,8 @@ class _RowSampler:
         """
         if not self.vector:
             return self._sample_generic(payloads, nows)
-        dedup_key = self.network.dedup_key
-        keys = [dedup_key(payload) for payload in payloads]
         parts = []
-        pos, total, block = 0, len(keys), self.block
+        pos, total, block = 0, len(payloads), self.block
         while pos < total:
             # At most one block of sends at a time, and never across a loss
             # block boundary: the drop mask is then a plain view, and no
@@ -282,8 +279,10 @@ class _RowSampler:
                 step = min(total - pos, block - cursor)
                 mask = self.loss_drops[cursor:cursor + step]
                 self.loss_cursor = cursor + step
+            # The guard's keys are the payloads themselves, as on the
+            # channels' own path.
             parts.append(self._sample_part(
-                keys[pos:pos + step], nows[pos:pos + step], mask))
+                payloads[pos:pos + step], nows[pos:pos + step], mask))
             pos += step
         return _stack(parts)
 
@@ -615,8 +614,6 @@ class VectorizedEngine(SimulationEngine):
         network = self.network
         for src in range(self.config.n_processes):
             for ch in network._row(src):
-                if ch is None:
-                    continue
                 if type(ch).transmit not in _BOUNDED_TRANSMITS:
                     return 0.0
                 delay = ch.delay_model
@@ -800,7 +797,6 @@ class VectorizedEngine(SimulationEngine):
         queue = self.queue
         max_time = self.config.max_time
         dispatch = self._dispatch
-        recycle = queue.recycle
         receive_count = 0
         deliver_count = 0
         replayed = 0
@@ -808,8 +804,8 @@ class VectorizedEngine(SimulationEngine):
         stop = False
         while not stop:
             head_time = self._pending_head
-            if next_entry is not None and next_entry.time < head_time:
-                w1 = next_entry.time + window
+            if next_entry is not None and next_entry[0] < head_time:
+                w1 = next_entry[0] + window
             elif head_time < _NEVER:
                 w1 = head_time + window
             else:
@@ -827,7 +823,7 @@ class VectorizedEngine(SimulationEngine):
                     if next_entry is None:
                         j = n_w
                     else:
-                        et = next_entry.time
+                        et = next_entry[0]
                         if et > times[n_w - 1]:
                             j = n_w
                         else:
@@ -839,7 +835,7 @@ class VectorizedEngine(SimulationEngine):
                                 # Seqs ascend within equal times, so the
                                 # tie-break is another binary search.
                                 j = j1 + int(np.searchsorted(
-                                    seqs[j1:j2], next_entry.seq,
+                                    seqs[j1:j2], next_entry[1],
                                     side="left"))
                             else:
                                 j = j1
@@ -879,13 +875,12 @@ class VectorizedEngine(SimulationEngine):
                             break
                         continue
                     # The next queue event precedes entry i.
-                elif next_entry is None or next_entry.time >= w1:
+                elif next_entry is None or next_entry[0] >= w1:
                     # Slice exhausted and no queue event left before its
                     # boundary: advance to the next slice (copies created
                     # meanwhile land at >= w1 by construction).
                     break
-                event = queue.pop()
-                et = event.time
+                et, _, kind, target, payload = queue.pop()
                 if et > max_time:
                     self._stop_reason = "horizon"
                     stop = True
@@ -895,9 +890,9 @@ class VectorizedEngine(SimulationEngine):
                 if deadline is not None and et >= deadline:
                     stop = True
                     break
-                dispatch(event)
+                # Never a RECEIVE: on this path copies live in the pool.
+                dispatch(kind, target, payload)
                 self._flush_sends()
-                recycle(event)
                 next_entry = queue.peek()
         return receive_count, deliver_count, replayed
 

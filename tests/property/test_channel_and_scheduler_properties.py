@@ -106,13 +106,10 @@ class TestEventQueueProperties:
         for index, time in enumerate(times):
             queue.schedule(time, EventKind.TICK, target=index)
         popped = [queue.pop() for _ in range(len(times))]
-        # Non-decreasing times.
-        assert all(a.time <= b.time for a, b in zip(popped, popped[1:]))
-        # Stable for equal times: the scheduler-assigned sequence numbers of
-        # equal-time events must appear in increasing order.
-        for a, b in zip(popped, popped[1:]):
-            if a.time == b.time:
-                assert a.seq < b.seq
+        # Non-decreasing times; stable for equal times: the scheduler-assigned
+        # sequence numbers of equal-time events appear in increasing order.
+        assert all(a[:2] < b[:2] for a, b in zip(popped, popped[1:]))
+        assert sorted(event[1] for event in popped) == list(range(len(times)))
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1e3,
                               allow_nan=False, allow_infinity=False),
@@ -123,7 +120,31 @@ class TestEventQueueProperties:
         queue = EventQueue()
         for index, time in enumerate(times):
             queue.schedule(time, EventKind.TICK, target=index)
-        targets = sorted(queue.pop().target for _ in range(len(times)))
+        assert queue.pending_of(EventKind.TICK) == len(queue) == len(times)
+        targets = sorted(queue.pop()[3] for _ in range(len(times)))
         assert targets == list(range(len(times)))
-        assert len(queue) == 0
-        assert queue.pushed_count == queue.popped_count == len(times)
+        assert queue.pending_of(EventKind.TICK) == len(queue) == 0
+
+    @given(st.lists(st.lists(
+        st.one_of(st.none(), st.floats(min_value=0.0, max_value=50.0,
+                                       allow_nan=False)),
+        max_size=8), max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_bulk_push_is_the_per_copy_schedule_calls(self, broadcasts):
+        """``schedule_receives`` leaves the queue exactly as one ``schedule``
+        call per delivered copy does, with claims and ticks in between."""
+        bulk, single = EventQueue(), EventQueue()
+        for index, fates in enumerate(broadcasts):
+            copies = list(enumerate(fates))
+            drops = bulk.schedule_receives(copies, index)
+            assert drops == fates.count(None)
+            for dst, time in copies:
+                if time is not None:
+                    single.schedule(time, EventKind.RECEIVE, target=dst,
+                                    payload=index)
+            for queue in (bulk, single):
+                queue.claim_seqs(index % 3)
+                queue.schedule(float(index), EventKind.TICK, target=0)
+        assert bulk.pending == single.pending
+        assert [bulk.pop() for _ in range(len(bulk))] == \
+            [single.pop() for _ in range(len(single))]

@@ -43,7 +43,7 @@ def build_result(n=3, crashes=None, broadcasts=(), deliveries=(), sends=(),
     for time, src, dst, kind, payload in sends:
         trace.record(time, TraceCategory.SEND, src, dst=dst, kind=kind,
                      payload=payload)
-        metrics.on_send(time, src, kind)
+        metrics.on_send_many(time, src, kind, 1)
     for time, process, content, tag in deliveries:
         trace.record(time, TraceCategory.URB_DELIVER, process, content=content,
                      tag=tag)

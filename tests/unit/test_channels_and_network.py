@@ -131,11 +131,11 @@ class TestReliableChannels:
 
 
 class TestNetwork:
-    def _network(self, n=3, loss=None, loopback=True):
+    def _network(self, n=3, loss=None):
         factory = FairLossyChannelFactory(
             loss_spec=loss or LossSpec.none(), delay_spec=DelaySpec.fixed(1.0)
         )
-        return Network(n, factory, RandomSource(0), loopback_delivers=loopback)
+        return Network(n, factory, RandomSource(0))
 
     def test_broadcast_reaches_every_process_including_self(self):
         network = self._network(4)
@@ -144,11 +144,15 @@ class TestNetwork:
         assert [dst for dst, _time in copies] == [0, 1, 2, 3]
         assert all(time is not None for _dst, time in copies)
 
-    def test_broadcast_without_loopback(self):
-        network = self._network(3, loopback=False)
-        copies = network.broadcast_fast(0, "payload", 0.0)
-        assert [dst for dst, _time in copies] == [1, 2]
-        assert (0, 0) not in network.channels  # never instantiated
+    def test_broadcast_returns_a_fresh_list_each_time(self):
+        # No shared buffer: a caller may hold one broadcast's copies while
+        # another broadcast (a hook's, from on_send) goes through.
+        network = self._network(3)
+        first = network.broadcast_fast(0, "p", 0.0)
+        second = network.broadcast_fast(1, "p", 5.0)
+        assert first is not second
+        assert first == [(0, 1.0), (1, 1.0), (2, 1.0)]
+        assert second == [(0, 6.0), (1, 6.0), (2, 6.0)]
 
     def test_deliver_time_is_send_time_plus_channel_delay(self):
         network = self._network(2)
@@ -197,7 +201,10 @@ class TestNetwork:
         with pytest.raises(IndexError):
             network.broadcast_fast(5, "p", 0.0)
         with pytest.raises(IndexError):
+            network.broadcast_fast(-1, "p", 0.0)
+        with pytest.raises(IndexError):
             network.channel(0, 9)
+        assert network.channels == {}
 
     def test_rejects_zero_processes(self):
         with pytest.raises(ValueError):

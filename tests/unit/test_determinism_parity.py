@@ -150,28 +150,15 @@ class TestGatingParity:
 
 
 class TestFastPathEdgeCases:
-    def test_no_loopback_fast_path_builds_no_self_channels(self):
-        """The broadcast fast path must not instantiate the src->src channel
-        when loopback is disabled (broadcast() never does)."""
-        from repro.network.fair_lossy import FairLossyChannelFactory
-        from repro.network.network import Network
-
-        network = Network(
-            3, FairLossyChannelFactory(), loopback_delivers=False
-        )
-        outcomes = network.broadcast_fast(0, "m", 0.0)
-        assert [dst for dst, _ in outcomes] == [1, 2]
-        assert (0, 0) not in network.channels
-
     def test_metrics_level_setter_refreshes_fast_flags(self):
         collector = MetricsCollector()
         assert collector.active
         collector.level = MetricsLevel.OFF
         assert not collector.active
-        collector.on_send(1.0, 0, "MSG")
+        collector.on_send_many(1.0, 0, "MSG", 1)
         assert collector.total_sends == 0
         collector.level = MetricsLevel.FULL
-        collector.on_send(1.0, 0, "MSG")
+        collector.on_send_many(1.0, 0, "MSG", 1)
         assert collector.total_sends == 1
         assert collector.send_timeline == [(1.0, 1)]
 

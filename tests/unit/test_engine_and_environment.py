@@ -97,6 +97,38 @@ class TestEngineBasics:
         assert result.event_stats.dispatched[EventKind.BROADCAST_REQUEST] == 1
         assert result.event_stats.dispatched[EventKind.RECEIVE] > 0
 
+    def test_event_stats_count_every_popped_event_once(self):
+        """The loop keeps the RECEIVE count in a local: it must land where a
+        per-event count would, copies popped for a crashed process included
+        (they are dispatched, and lost), and agree with the metrics."""
+        result = build_engine(crashes={1: 0.0}, max_time=6.0).run()
+        received = result.event_stats.dispatched[EventKind.RECEIVE]
+        live = result.trace.count(TraceCategory.CHANNEL_DELIVER)
+        assert live == result.metrics.total_channel_deliveries
+        assert received > live > 0
+        # No loss and a fixed delay: every copy sent 0.25 or more before the
+        # horizon was popped.
+        sent_in_time = sum(1 for e in result.trace.filter(TraceCategory.SEND)
+                           if e.time + 0.25 <= 6.0)
+        assert received == sent_in_time
+
+    def test_event_stats_survive_an_exception_in_a_handler(self):
+        engine = build_engine()
+
+        def explode(payload):
+            raise RuntimeError("boom")
+
+        engine.processes[2].on_receive = explode
+        with pytest.raises(RuntimeError, match="boom"):
+            engine.run()
+        stats = engine.event_stats.dispatched
+        # p0's broadcast reached p0 and p1 before p2's copy blew up.
+        assert stats[EventKind.RECEIVE] == 3
+        assert stats[EventKind.BROADCAST_REQUEST] == 1
+        assert engine.queue.pending_of(EventKind.RECEIVE) == len(
+            [event for event in engine.queue
+             if event[2] is EventKind.RECEIVE])
+
     def test_runs_to_horizon_without_stop_condition(self):
         result = build_engine(max_time=12.0).run()
         assert result.stop_reason == "horizon"

@@ -1,145 +1,102 @@
-"""Unit tests for the event queue's hot-path machinery: the entry pool,
-lazy deletion, and the O(1) pending-count bookkeeping."""
+"""Unit tests for the event queue's hot-path machinery: the O(1)
+pending-count bookkeeping, sequence-number claims, and the bulk push of one
+broadcast's receive events."""
 
 import pytest
 
 from repro.simulation.events import EventKind
-from repro.simulation.scheduler import EventQueue, QueuedEvent, SchedulingError
+from repro.simulation.scheduler import EventQueue, SchedulingError
 
-
-class TestEventPool:
-    def test_recycled_entries_are_reused(self):
-        queue = EventQueue()
-        queue.schedule(1.0, EventKind.TICK, target=0)
-        entry = queue.pop()
-        queue.recycle(entry)
-        assert queue.pool_size == 1
-        again = queue.schedule(2.0, EventKind.RECEIVE, target=3, payload="m")
-        assert again is entry  # same object, re-initialised
-        assert again.kind is EventKind.RECEIVE
-        assert again.target == 3
-        assert again.payload == "m"
-        assert queue.pool_size == 0
-
-    def test_recycle_clears_payload_reference(self):
-        queue = EventQueue()
-        queue.schedule(1.0, EventKind.RECEIVE, target=0, payload={"big": "obj"})
-        entry = queue.pop()
-        queue.recycle(entry)
-        assert entry.payload is None
-
-    def test_unrecycled_entries_stay_valid(self):
-        """Callers that never recycle (tests, analysis) keep valid events."""
-        queue = EventQueue()
-        for target in range(5):
-            queue.schedule(1.0, EventKind.TICK, target=target)
-        popped = [queue.pop() for _ in range(5)]
-        assert [e.target for e in popped] == list(range(5))
-
-    def test_steady_state_allocates_no_new_entries(self):
-        queue = EventQueue()
-        queue.schedule(0.0, EventKind.TICK, target=0)
-        seen = set()
-        for i in range(100):
-            entry = queue.pop()
-            queue.recycle(entry)
-            seen.add(id(entry))
-            queue.schedule(float(i + 1), EventKind.TICK, target=0)
-        assert len(seen) == 1  # one pooled entry services the whole loop
-
-
-class TestLazyDeletion:
-    def test_drop_pending_marks_dead_without_rebuilding(self):
-        queue = EventQueue()
-        for i in range(10):
-            queue.schedule(float(i), EventKind.TICK, target=i)
-        queue.schedule(3.5, EventKind.RECEIVE, target=0, payload="x")
-        removed = queue.drop_pending(EventKind.TICK)
-        assert removed == 10
-        assert len(queue) == 1
-        assert queue.dead_count == 10
-        event = queue.pop()
-        assert event.kind is EventKind.RECEIVE
-        assert not queue
-
-    def test_dead_entries_skipped_by_peek(self):
-        queue = EventQueue()
-        queue.schedule(1.0, EventKind.TICK, target=0)
-        queue.schedule(2.0, EventKind.RECEIVE, target=1)
-        queue.drop_pending(EventKind.TICK)
-        assert queue.peek().kind is EventKind.RECEIVE
-        assert queue.peek_time() == 2.0
-
-    def test_iteration_skips_dead_entries(self):
-        queue = EventQueue()
-        queue.schedule(2.0, EventKind.TICK)
-        queue.schedule(1.0, EventKind.RECEIVE, target=0)
-        queue.drop_pending(EventKind.TICK)
-        assert [e.kind for e in queue] == [EventKind.RECEIVE]
-
-    def test_compaction_after_mass_deletion(self):
-        queue = EventQueue()
-        for i in range(3000):
-            queue.schedule(float(i), EventKind.TICK, target=0)
-        queue.schedule(0.5, EventKind.RECEIVE, target=0)
-        removed = queue.drop_pending(EventKind.TICK)
-        assert removed == 3000
-        # Dead entries outnumber live ones beyond the threshold, so the
-        # heap is physically compacted.
-        assert queue.dead_count == 0
-        assert len(queue) == 1
-        assert queue.pop().kind is EventKind.RECEIVE
+RECEIVE = EventKind.RECEIVE
 
 
 class TestPendingCounts:
-    def test_counts_track_schedule_pop_and_drop(self):
+    def test_counts_track_schedule_and_pop(self):
         queue = EventQueue()
         queue.schedule(1.0, EventKind.TICK)
         queue.schedule(1.0, EventKind.TICK)
-        queue.schedule(2.0, EventKind.RECEIVE, target=0)
+        queue.schedule(2.0, RECEIVE, target=0)
         assert queue.pending_of(EventKind.TICK) == 2
-        assert queue.pending_of(EventKind.RECEIVE) == 1
+        assert queue.pending_of(RECEIVE) == 1
         queue.pop()
         assert queue.pending_of(EventKind.TICK) == 1
-        queue.drop_pending(EventKind.TICK)
-        assert queue.pending_of(EventKind.TICK) == 0
-        assert queue.pending_of(EventKind.RECEIVE) == 1
-
-    def test_pending_by_kind_covers_all_kinds(self):
-        queue = EventQueue()
-        counts = queue.pending_by_kind()
-        assert set(counts) == set(EventKind)
-        assert all(v == 0 for v in counts.values())
+        queue.pop()
+        queue.pop()
+        assert [queue.pending_of(kind) for kind in EventKind] == [0] * 5
 
     def test_schedule_updates_counts(self):
         queue = EventQueue()
         queue.schedule(1.0, EventKind.CRASH, target=1)
         assert queue.pending_of(EventKind.CRASH) == 1
-        assert queue.pending_by_kind()[EventKind.CRASH] == 1
+        assert queue.pending_of(RECEIVE) == 0
 
 
-class TestQueuedEventSurface:
-    def test_exposes_event_like_attributes(self):
+class TestClaimSeqs:
+    def test_claims_interleave_with_schedule(self):
         queue = EventQueue()
-        entry = queue.schedule(1.5, EventKind.RECEIVE, target=2, payload="p")
-        assert isinstance(entry, QueuedEvent)
-        assert entry.sort_key == (1.5, 0)
-        assert "receive" in entry.describe()
-        assert "p[2]" in entry.describe()
+        assert queue.schedule(1.0, EventKind.TICK)[1] == 0
+        assert queue.claim_seqs(3) == 1
+        assert queue.schedule(1.0, EventKind.TICK)[1] == 4
+        assert queue.claim_seqs(0) == 5
+        assert queue.schedule_receives([(0, 2.0), (1, None), (2, 2.0)], "m") == 1
+        assert queue.claim_seqs(1) == 7
+        # Claimed numbers never enter the heap.
+        assert [event[1] for event in queue] == [0, 4, 5, 6]
 
-    def test_ordering(self):
-        a = QueuedEvent(1.0, 0, EventKind.TICK, None, None)
-        b = QueuedEvent(1.0, 1, EventKind.TICK, None, None)
-        c = QueuedEvent(2.0, 0, EventKind.TICK, None, None)
-        assert a < b < c
+    def test_rejects_negative_count(self):
+        with pytest.raises(ValueError):
+            EventQueue().claim_seqs(-1)
 
-    def test_schedule_still_rejects_past_and_negative(self):
+
+class TestScheduleReceives:
+    COPIES = [(0, 3.0), (1, None), (2, 1.5), (3, None), (4, 3.0), (5, 0.5)]
+
+    def test_assigns_the_seqs_per_copy_schedule_calls_assign(self):
+        bulk, single = EventQueue(), EventQueue()
+        for queue in (bulk, single):
+            queue.schedule(0.25, EventKind.TICK, target=0)
+        drops = bulk.schedule_receives(self.COPIES, "m")
+        for dst, time in self.COPIES:
+            if time is not None:
+                single.schedule(time, RECEIVE, target=dst, payload="m")
+        assert drops == 2
+        assert list(bulk) == list(single)
+        assert bulk.heap == single.heap
+        assert bulk.pending == single.pending
+        assert bulk.pending_of(RECEIVE) == 4
+        assert bulk.claim_seqs(0) == single.claim_seqs(0) == 5
+        assert [bulk.pop() for _ in range(5)] == [
+            (0.25, 0, EventKind.TICK, 0, None),
+            (0.5, 4, RECEIVE, 5, "m"),
+            (1.5, 2, RECEIVE, 2, "m"),
+            (3.0, 1, RECEIVE, 0, "m"),
+            (3.0, 3, RECEIVE, 4, "m"),
+        ]
+
+    def test_all_dropped_or_empty_broadcast_enqueues_nothing(self):
         queue = EventQueue()
-        queue.schedule(5.0, EventKind.TICK)
+        assert queue.schedule_receives([(0, None), (1, None)], "m") == 2
+        assert queue.schedule_receives([], "m") == 0
+        assert len(queue) == 0 and queue.claim_seqs(0) == 0
+
+    @pytest.mark.parametrize("bad", [1.0, float("nan")], ids=["past", "nan"])
+    def test_decision_in_the_past_keeps_the_earlier_copies(self, bad):
+        queue = EventQueue()
+        queue.schedule(2.0, EventKind.TICK)
         queue.pop()
         with pytest.raises(SchedulingError):
-            queue.schedule(4.0, EventKind.TICK)
-        with pytest.raises(ValueError):
-            queue.schedule(-1.0, EventKind.TICK)
-        with pytest.raises(ValueError):
-            queue.schedule(6.0, EventKind.TICK, target=-2)
+            queue.schedule_receives(
+                [(0, 2.5), (1, None), (2, 2.0), (3, bad), (4, 9.0)], "m")
+        # The two copies before the bad one are queued and counted, with
+        # their seqs; the one after it never got one.
+        assert list(queue) == [(2.0, 2, RECEIVE, 2, "m"),
+                               (2.5, 1, RECEIVE, 0, "m")]
+        assert queue.pending_of(RECEIVE) == len(queue) == 2
+        assert queue.claim_seqs(0) == 3
+
+    def test_copies_at_the_current_time_are_accepted(self):
+        queue = EventQueue()
+        queue.schedule(2.0, EventKind.TICK)
+        queue.pop()
+        assert queue.schedule_receives([(0, 2.0)], "m") == 0
+        assert queue.pop() == (2.0, 1, RECEIVE, 0, "m")

@@ -97,6 +97,28 @@ class TestChannelRows:
         recorder.record_copy(1.0, TraceCategory.SEND, 0, "MSG", "p", 1)
         assert len(recorder) == 0
 
+    @pytest.mark.parametrize("recorder", [
+        TraceRecorder(level=TraceLevel.DELIVERIES),
+        TraceRecorder(enabled=False),
+    ])
+    def test_record_broadcast_honours_the_level(self, recorder):
+        recorder.record_broadcast(1.0, 0, "MSG", "p", [(0, 2.0), (1, None)])
+        assert len(recorder) == 0
+
+    def test_record_broadcast_is_the_per_copy_records_interleaved(self):
+        copies = [(0, 2.0), (1, None), (2, None), (3, 1.5)]
+        bulk, single = TraceRecorder(), TraceRecorder()
+        bulk.record_broadcast(1.0, 4, "MSG", "p", copies)
+        for dst, deliver_time in copies:
+            single.record_copy(1.0, TraceCategory.SEND, 4, "MSG", "p", dst)
+            if deliver_time is None:
+                single.record_copy(1.0, TraceCategory.DROP, 4, "MSG", "p", dst)
+        assert bulk.events == single.events
+        assert [(e.category.value, e.detail("dst")) for e in bulk] == [
+            ("send", 0), ("send", 1), ("drop", 1), ("send", 2), ("drop", 2),
+            ("send", 3)]
+        assert bulk.digest() == single.digest()
+
     def test_an_event_is_built_once(self):
         trace = TraceRecorder()
         trace.record_copy(1.0, TraceCategory.SEND, 0, "MSG", "p", 1)
@@ -141,18 +163,22 @@ class TestChannelRows:
 class TestMetricsCollector:
     def test_send_counters(self):
         metrics = MetricsCollector()
-        metrics.on_send(1.0, 0, "MSG")
-        metrics.on_send(2.0, 1, "ACK")
-        assert metrics.total_sends == 2
-        assert metrics.sends_by_kind == {"MSG": 1, "ACK": 1}
-        assert metrics.sends_by_process == {0: 1, 1: 1}
+        metrics.on_send_many(1.0, 0, "MSG", 1)
+        metrics.on_send_many(2.0, 1, "ACK", 3)
+        metrics.on_send_many(3.0, 1, "ACK", 0)  # an empty broadcast: no-op
+        assert metrics.total_sends == 4
+        assert metrics.sends_by_kind == {"MSG": 1, "ACK": 3}
+        assert metrics.sends_by_process == {0: 1, 1: 3}
         assert metrics.last_send_time == 2.0
+        # One cumulative timeline entry per copy.
+        assert metrics.send_timeline == [(1.0, 1), (2.0, 2), (2.0, 3), (2.0, 4)]
 
     def test_drop_counters(self):
         metrics = MetricsCollector()
-        metrics.on_drop(1.0, 0, "MSG")
-        assert metrics.total_drops == 1
-        assert metrics.drops_by_kind["MSG"] == 1
+        metrics.on_drop_many(1.0, 0, "MSG", 2)
+        metrics.on_drop_many(1.0, 0, "ACK", 0)  # nothing dropped: no key
+        assert metrics.total_drops == 2
+        assert metrics.drops_by_kind == {"MSG": 2}
 
     def test_latency_samples(self):
         metrics = MetricsCollector()
@@ -176,7 +202,7 @@ class TestMetricsCollector:
     def test_cumulative_sends_at(self):
         metrics = MetricsCollector()
         for t in (1.0, 2.0, 3.0):
-            metrics.on_send(t, 0, "MSG")
+            metrics.on_send_many(t, 0, "MSG", 1)
         assert metrics.cumulative_sends_at(0.5) == 0
         assert metrics.cumulative_sends_at(2.0) == 2
         assert metrics.cumulative_sends_at(10.0) == 3
@@ -184,7 +210,7 @@ class TestMetricsCollector:
     def test_sends_in_window(self):
         metrics = MetricsCollector()
         for t in (1.0, 2.0, 3.0):
-            metrics.on_send(t, 0, "MSG")
+            metrics.on_send_many(t, 0, "MSG", 1)
         assert metrics.sends_in_window(1.5, 3.0) == 1
 
     def test_summary_empty(self):
@@ -196,8 +222,8 @@ class TestMetricsCollector:
     def test_summary_populated(self):
         metrics = MetricsCollector()
         metrics.on_urb_broadcast(0.0, 0, "m")
-        metrics.on_send(0.5, 0, "MSG")
-        metrics.on_channel_deliver(1.0, 1, "MSG")
+        metrics.on_send_many(0.5, 0, "MSG", 1)
+        metrics.total_channel_deliveries += 1
         metrics.on_urb_deliver(1.0, 1, "m")
         metrics.on_finish(10.0)
         summary = metrics.summary()
