@@ -87,11 +87,16 @@ def run_env() -> dict[str, str]:
 
 
 def stored_cells(store: Path) -> int:
+    """Cells in *store* (0 before its index exists, or has its tables: the
+    file appears a moment before the schema does)."""
     index = store / "index.sqlite"
     if not index.exists():
         return 0
-    with sqlite3.connect(index) as db:
-        return int(db.execute("SELECT COUNT(*) FROM results").fetchone()[0])
+    try:
+        with sqlite3.connect(index) as db:
+            return int(db.execute("SELECT COUNT(*) FROM results").fetchone()[0])
+    except sqlite3.OperationalError:
+        return 0
 
 
 def fail(message: str) -> "int":

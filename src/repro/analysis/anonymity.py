@@ -42,72 +42,78 @@ class AnonymityAudit:
         return f"anonymity audit {status} ({len(self.violations)} violations)"
 
 
-def audit_ack_tag_uniqueness(result: SimulationResult) -> tuple[bool, list[str]]:
-    """Check that distinct processes never share a ``tag_ack`` for a message."""
-    violations: list[str] = []
+_ACK_TYPES = (AckPayload, LabeledAckPayload)
+
+
+def _audit_sends(result: SimulationResult,
+                 *, allow_identified: bool) -> tuple[list[str], list[str]]:
+    """Both audits from one pass over the sends: ``(tag violations, opacity
+    violations)``, each list as its public audit returns it."""
+    opacity_violations: list[str] = []
     # message -> ack_tag -> set of source processes that sent it
     senders: dict[tuple, dict[int, set[int]]] = {}
     # message -> process -> set of ack tags used (must be a singleton)
     per_process: dict[tuple, dict[int, set[int]]] = {}
-    last_process = last_payload = None
+    last_process = last_payload = finding = None
     for process, payload in result.trace.sends():
         if payload is last_payload and process == last_process:
-            # Another copy of the broadcast just booked: adds nothing.
+            # Another copy of the broadcast just booked: adds nothing but,
+            # for a payload that was flagged, the same finding once more.
+            if finding is not None:
+                opacity_violations.append(finding)
             continue
-        last_process, last_payload = process, payload
-        if not isinstance(payload, (AckPayload, LabeledAckPayload)):
-            continue
-        key = (payload.message.content, payload.message.tag)
-        senders.setdefault(key, {}).setdefault(payload.ack_tag, set()).add(
-            process
-        )
-        per_process.setdefault(key, {}).setdefault(process, set()).add(
-            payload.ack_tag
-        )
+        last_process, last_payload, finding = process, payload, None
+        if isinstance(payload, _ACK_TYPES):
+            key = (payload.message.content, payload.message.tag)
+            senders.setdefault(key, {}).setdefault(payload.ack_tag, set()).add(
+                process
+            )
+            per_process.setdefault(key, {}).setdefault(process, set()).add(
+                payload.ack_tag
+            )
+        elif not (allow_identified or payload is None
+                  or isinstance(payload, MsgPayload)):
+            finding = f"p{process} sent a non-standard payload {type(payload).__name__}"
+            opacity_violations.append(finding)
+    tag_violations: list[str] = []
     for key, tag_map in senders.items():
         for ack_tag, processes in tag_map.items():
             if len(processes) > 1:
-                violations.append(
+                tag_violations.append(
                     f"ack tag {ack_tag} for message {key!r} was used by "
                     f"multiple processes: {sorted(processes)}"
                 )
     for key, proc_map in per_process.items():
         for process, tags in proc_map.items():
             if len(tags) > 1:
-                violations.append(
+                tag_violations.append(
                     f"process p{process} used multiple ack tags for message "
                     f"{key!r}: {sorted(tags)}"
                 )
+    return tag_violations, opacity_violations
+
+
+def audit_ack_tag_uniqueness(result: SimulationResult) -> tuple[bool, list[str]]:
+    """Check that distinct processes never share a ``tag_ack`` for a message."""
+    violations, _opacity = _audit_sends(result, allow_identified=True)
     return (not violations, violations)
 
 
 def audit_payload_opacity(result: SimulationResult,
                           *, allow_identified: bool = False) -> tuple[bool, list[str]]:
     """Check that only the sanctioned anonymous wire types were sent."""
-    violations: list[str] = []
-    allowed = (MsgPayload, AckPayload, LabeledAckPayload)
-    for process, payload in result.trace.sends():
-        if payload is None:
-            continue
-        if not isinstance(payload, allowed):
-            if allow_identified:
-                continue
-            violations.append(
-                f"p{process} sent a non-standard payload "
-                f"{type(payload).__name__}"
-            )
+    _tags, violations = _audit_sends(result, allow_identified=allow_identified)
     return (not violations, violations)
 
 
 def audit_anonymity(result: SimulationResult,
                     *, allow_identified: bool = False) -> AnonymityAudit:
-    """Run every anonymity audit on *result*."""
-    tags_ok, tag_violations = audit_ack_tag_uniqueness(result)
-    opaque_ok, opacity_violations = audit_payload_opacity(
+    """Run every anonymity audit on *result*, in one pass over its sends."""
+    tag_violations, opacity_violations = _audit_sends(
         result, allow_identified=allow_identified
     )
     return AnonymityAudit(
-        ack_tags_unique=tags_ok,
-        payloads_opaque=opaque_ok,
+        ack_tags_unique=not tag_violations,
+        payloads_opaque=not opacity_violations,
         violations=tuple(tag_violations + opacity_violations),
     )

@@ -12,8 +12,10 @@ A :class:`Campaign` binds a declarative
   same configuration);
 * the remainder is sharded over
   :class:`~repro.experiments.batch.BatchRunner` (``parallel=N`` fans shards
-  over the process pool) and completed results are persisted through a
-  small flush buffer (:data:`_PERSIST_FLUSH_EVERY` cells batched into one
+  over the process pool), each finished run is packed where it finished
+  (:meth:`~repro.campaigns.store.ResultStore.pack`) and the packed cells
+  are persisted through a small flush buffer (:data:`_PERSIST_FLUSH_EVERY`
+  cells batched into one
   :meth:`~repro.campaigns.store.ResultStore.put_many` transaction), so a
   SIGKILL loses at most the simulations in flight plus one buffer's worth
   of finished ones;
@@ -30,8 +32,9 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .. import obs
 from ..experiments.batch import (
@@ -44,16 +47,24 @@ from ..experiments.batch import (
 from ..experiments.config import Scenario
 from ..experiments.runner import ScenarioResult
 from .hashing import scenario_cell_key
-from .store import ResultStore, StoredRow
+from .store import PackedCell, ResultStore, StoredRow
 
 #: ``progress(done, total, item)`` over the *pending* (not cached) cells.
 ProgressCallback = Callable[[int, int, SuiteItem], None]
 
-#: Completed results buffered before a :meth:`ResultStore.put_many` flush.
+#: Packed cells buffered before a :meth:`ResultStore.put_many` flush.
 #: Small on purpose: a SIGKILL loses at most the simulations in flight
 #: plus this many already-finished ones, while the batch write amortises
 #: the per-cell index commit (one transaction instead of eight).
 _PERSIST_FLUSH_EVERY = 8
+
+
+def _pack_cell(keys: Mapping[int, str], item: SuiteItem,
+               result: ScenarioResult) -> PackedCell:
+    """The campaign's batch ``reduce``: all that is kept of a finished run,
+    and all a pool worker ships back.  *keys* is bound with ``partial`` and
+    pickled with every pool task, hence one shard's keys, not the suite's."""
+    return ResultStore.pack(result, keys[item.index])
 
 
 @dataclass(frozen=True)
@@ -115,8 +126,8 @@ class Campaign:
     shard_size:
         Cells per checkpointed shard.  Results are flushed to the store in
         small :meth:`~repro.campaigns.store.ResultStore.put_many` batches
-        either way (and always at the shard boundary); the flush buffer is
-        the only place a finished result is held, so memory does not grow
+        either way (and always at the shard boundary); the flush buffer
+        holds packed cells, never a finished run, so memory does not grow
         with the shard.  Defaults to ``max(4 * parallel, 16)``.
     worker_plugins:
         Modules each worker imports first (third-party registrations).
@@ -211,19 +222,18 @@ class Campaign:
 
         failures: list[BatchFailure] = []
         done = 0
-        buffered: list[tuple[str, ScenarioResult]] = []
+        buffered: list[PackedCell] = []
 
         def flush_buffered() -> None:
             if not buffered:
                 return
-            keys_, results_ = zip(*buffered)
             with obs.phase("persist", campaign=self.name,
                            cells=len(buffered)):
-                self.store.put_many(results_, cell_keys=keys_)
+                self.store.put_many(buffered)
             buffered.clear()
 
-        def persist(item: SuiteItem, result: ScenarioResult) -> None:
-            buffered.append((pending_keys[item.index], result))
+        def persist(_item: SuiteItem, cell: PackedCell) -> None:
+            buffered.append(cell)
             if len(buffered) >= _PERSIST_FLUSH_EVERY:
                 flush_buffered()
 
@@ -239,6 +249,8 @@ class Campaign:
             runner = BatchRunner(
                 parallel=self.parallel,
                 progress=shard_progress,
+                reduce=partial(_pack_cell, {item.index: pending_keys[item.index]
+                                            for item in shard}),
                 on_result=persist,
                 worker_plugins=self.worker_plugins,
             )

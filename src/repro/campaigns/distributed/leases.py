@@ -154,6 +154,7 @@ class LeaseTable:
         self._db.execute("PRAGMA journal_mode=WAL")
         self._db.execute("PRAGMA busy_timeout=30000")
         self._db.execute("PRAGMA synchronous=NORMAL")
+        self._lease_timeout: Optional[float] = None
         self._init_schema()
 
     # ------------------------------------------------------------------ #
@@ -306,18 +307,18 @@ class LeaseTable:
     # ------------------------------------------------------------------ #
     # metadata
     # ------------------------------------------------------------------ #
-    def job_meta(self) -> dict[str, str]:
-        """The job's meta table as a plain mapping."""
-        return {
-            row["key"]: row["value"]
-            for row in self._db.execute("SELECT key, value FROM meta")
-        }
-
     @property
     def lease_timeout(self) -> float:
-        """The job's lease duration in seconds."""
-        meta = self.job_meta()
-        return float(meta.get("lease_timeout", DEFAULT_LEASE_TIMEOUT))
+        """The job's lease duration in seconds: read once per handle, since
+        only :meth:`initialise` writes it (before then, the default)."""
+        if self._lease_timeout is None:
+            row = self._db.execute(
+                "SELECT value FROM meta WHERE key = 'lease_timeout'"
+            ).fetchone()
+            if row is None:
+                return DEFAULT_LEASE_TIMEOUT
+            self._lease_timeout = float(row["value"])
+        return self._lease_timeout
 
     def manifest(self) -> list[tuple[int, str, str]]:
         """``(position, group, cell_key)`` rows, in position order."""

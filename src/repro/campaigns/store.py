@@ -55,7 +55,7 @@ import zlib
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .. import obs
 from ..experiments.config import Scenario
@@ -139,6 +139,19 @@ class StoredRow:
         return self.all_hold
 
 
+class PackedCell(NamedTuple):
+    """All :meth:`ResultStore.put_many` writes of one result, as
+    :meth:`ResultStore.pack` builds it with no store at hand (about 1 kB)."""
+
+    row: tuple  #: the index row's values, in :data:`RESULT_COLUMNS` order
+    payload: bytes  #: the compressed payload
+
+    @property
+    def cell_key(self) -> str:
+        """The key the cell was packed under (the first column)."""
+        return self.row[0]
+
+
 @dataclass(frozen=True)
 class CampaignInfo:
     """Summary of one registered campaign: planned vs completed cells."""
@@ -202,7 +215,7 @@ def _loss_level(scenario: Scenario) -> Optional[float]:
 
 #: The results index, declared once: ``(column, SQL type, reader, keyword)``.
 #: The reader takes the finished ``ScenarioResult`` (``None`` for the three
-#: columns :meth:`ResultStore.put_many` supplies itself); the keyword, where
+#: columns :meth:`ResultStore.pack` supplies itself); the keyword, where
 #: there is one, is the :meth:`ResultStore.query` filter on that column.
 #: The DDL, the insert, the select list, the :class:`StoredRow` construction
 #: and the filter map derive from this table: a new column is one entry here
@@ -249,6 +262,8 @@ _INSERT_RESULT_SQL = (f"INSERT OR REPLACE INTO results ({_COLUMN_LIST}) "
                       f"VALUES ({', '.join('?' * len(_COLUMN_NAMES))})")
 _INSERT_PAYLOAD_SQL = "INSERT OR REPLACE INTO payloads (cell_key, payload) VALUES (?, ?)"
 _ROW_FIELDS = tuple(f.name for f in fields(StoredRow))
+#: Where each :class:`StoredRow` field sits in a :class:`PackedCell` row.
+_ROW_POSITIONS = tuple(_COLUMN_NAMES.index(name) for name in _ROW_FIELDS)
 _SELECT_ROW = "SELECT " + ", ".join(f"r.{name}" for name in _ROW_FIELDS)
 #: Positions of the boolean :class:`StoredRow` fields; SQLite has no such type.
 _BOOL_FIELDS = tuple(i for i, f in enumerate(fields(StoredRow)) if f.type == "bool")
@@ -534,55 +549,59 @@ class ResultStore:
         guarantees the payload is equivalent, so this is only reachable via
         an explicit ``recompute``).
         """
-        keys = None if cell_key is None else [cell_key]
-        return self.put_many([result], cell_keys=keys)[0]
+        return self.put_many([self.pack(result, cell_key)])[0]
 
-    def put_many(self, results: Sequence["ScenarioResult"], *,
+    @staticmethod
+    def pack(result: "ScenarioResult",
+             cell_key: Optional[str] = None) -> PackedCell:
+        """The index row and compressed payload of *result*.  Pure, so it
+        runs wherever the run finished (a campaign's pool worker) and only
+        the packed cell has to reach the process holding the store."""
+        key = scenario_cell_key(result.scenario) if cell_key is None else str(cell_key)
+        payload = {
+            "schema_version": SCHEMA_VERSION,
+            "cell_key": key,
+            "scenario": canonical_scenario_dict(result.scenario),
+            "result": scenario_result_to_dict(result),
+            "created_at": time.time(),
+        }
+        supplied = {"cell_key": key, "schema_version": SCHEMA_VERSION,
+                    "created_at": payload["created_at"]}
+        return PackedCell(
+            tuple(read(result) if read else supplied[name]
+                  for name, _sql, read, _keyword in RESULT_COLUMNS),
+            _pack(payload))
+
+    def put_many(self, results: Sequence[Union["ScenarioResult", PackedCell]], *,
                  cell_keys: Optional[Sequence[str]] = None) -> list[StoredRow]:
         """Persist a batch of finished results in one transaction.
 
-        Every index row and payload of the batch commits together, so
-        whatever interrupts the call — a failed statement, a full disk, a
-        SIGKILL — the store holds the whole batch or none of it, and never
-        an index row without its payload.
+        An entry is a :class:`PackedCell` or a bare result, packed here
+        (under its *cell_keys* entry, if given, sparing the hash).  Every
+        index row and payload of the batch commits together, so whatever
+        interrupts the call — a failed statement, a full disk, a SIGKILL —
+        the store holds the whole batch or none of it, and never an index
+        row without its payload.
         """
         results = list(results)
-        if cell_keys is None:
-            keys = [scenario_cell_key(result.scenario) for result in results]
-        else:
-            keys = [str(key) for key in cell_keys]
-            if len(keys) != len(results):
-                raise StoreError(
-                    f"put_many got {len(results)} results but "
-                    f"{len(keys)} cell keys"
-                )
+        if cell_keys is not None and len(cell_keys) != len(results):
+            raise StoreError(
+                f"put_many got {len(results)} results but "
+                f"{len(cell_keys)} cell keys"
+            )
         if not results:
             return []
-        rows: list[dict[str, Any]] = []
-        payloads: list[tuple[str, bytes]] = []
-        for result, key in zip(results, keys):
-            payload = {
-                "schema_version": SCHEMA_VERSION,
-                "cell_key": key,
-                "scenario": canonical_scenario_dict(result.scenario),
-                "result": scenario_result_to_dict(result),
-                "created_at": time.time(),
-            }
-            payloads.append((key, _pack(payload)))
-            row = {"cell_key": key, "schema_version": SCHEMA_VERSION,
-                   "created_at": payload["created_at"]}
-            row.update((name, read(result))
-                       for name, _sql, read, _keyword in RESULT_COLUMNS if read)
-            rows.append(row)
+        cells = [entry if isinstance(entry, PackedCell) else self.pack(entry, key)
+                 for entry, key in zip(results, cell_keys or [None] * len(results))]
         with self._db:
-            self._db.executemany(
-                _INSERT_RESULT_SQL,
-                [[row[name] for name in _COLUMN_NAMES] for row in rows])
-            self._db.executemany(_INSERT_PAYLOAD_SQL, payloads)
-            self.puts += len(rows)
+            self._db.executemany(_INSERT_RESULT_SQL, [cell.row for cell in cells])
+            self._db.executemany(_INSERT_PAYLOAD_SQL,
+                                 [(cell.cell_key, cell.payload) for cell in cells])
+            self.puts += len(cells)
             self._flush_stats_locked()
-        self._count_puts(keys, sum(len(packed) for _key, packed in payloads))
-        return [_stored_row(row[name] for name in _ROW_FIELDS) for row in rows]
+        self._count_puts([cell.cell_key for cell in cells],
+                         sum(len(cell.payload) for cell in cells))
+        return [_stored_row(cell.row[i] for i in _ROW_POSITIONS) for cell in cells]
 
     def _count_puts(self, cell_keys: Sequence[str], payload_bytes: int) -> None:
         """Registry and timeline accounting of cells just committed."""

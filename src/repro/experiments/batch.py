@@ -48,10 +48,14 @@ from .runner import ScenarioResult, run_scenario
 #: Called after each completed item: ``progress(done, total, item)``.
 ProgressCallback = Callable[[int, int, "SuiteItem"], None]
 
-#: Called with every successful result as it completes (completion order):
-#: ``on_result(item, result)``.  The consumer becomes the result's one owner;
-#: the batch keeps what it returns (campaigns nothing, the explorer a digest).
-ResultCallback = Callable[["SuiteItem", "ScenarioResult"], Any]
+#: ``reduce(item, result) -> kept``, applied where the run finished (a pool
+#: worker included): the result dies there and only *kept* travels (the
+#: explorer's digest, a campaign's packed cell).
+ReduceFn = Callable[["SuiteItem", "ScenarioResult"], Any]
+
+#: ``on_result(item, kept)``, called in the calling process as each item
+#: completes; the batch's outcome for the item is what it returns.
+ResultCallback = Callable[["SuiteItem", Any], Any]
 
 #: Extracts one number from a result (``None`` = no data for this run).
 MetricFn = Callable[[ScenarioResult], Optional[float]]
@@ -105,8 +109,8 @@ class BatchExecutionError(RuntimeError):
 class SuiteResult:
     """Everything a finished batch produced, in schedule order.
 
-    ``outcomes[i]`` (the result, or what an ``on_result`` consumer returned
-    for it) corresponds to ``items[i]`` whatever order workers finished in;
+    ``outcomes[i]`` (the result, or what ``reduce`` / ``on_result`` made
+    of it) corresponds to ``items[i]`` whatever order workers finished in;
     ``None`` marks a failed item, whose error is in :attr:`failures`.
     """
 
@@ -326,8 +330,18 @@ class ScenarioSuite:
 def normalise_suite(
     suite: Union[ScenarioSuite, Iterable[Scenario], Sequence[SuiteItem]],
 ) -> tuple[str, tuple[SuiteItem, ...]]:
-    """Public view of suite normalisation (used by the campaign runner)."""
-    return BatchRunner._normalise(suite)
+    """``(name, items)`` of anything a batch accepts: a suite, pre-built
+    items, or plain scenarios (each its own group)."""
+    if isinstance(suite, ScenarioSuite):
+        return suite.name, suite.build()
+    materialised = list(suite)
+    if all(isinstance(entry, SuiteItem) for entry in materialised):
+        return "batch", tuple(materialised)  # type: ignore[arg-type]
+    items = tuple(
+        SuiteItem(index=i, group=scenario.name, scenario=scenario)
+        for i, scenario in enumerate(materialised)  # type: ignore[arg-type]
+    )
+    return "batch", items
 
 
 def _import_worker_plugins(plugins: Sequence[str]) -> None:
@@ -351,28 +365,37 @@ def _in_flight() -> "obs.Gauge":
                      "Batch cells submitted and not yet recorded.")
 
 
-def _execute_item(
-    position: int, item: SuiteItem,
-) -> tuple[int, Optional[ScenarioResult], Optional[str], str]:
-    """Run one item, trapping any exception (top-level: must pickle).
+def _analysed(_item: SuiteItem, result: ScenarioResult) -> ScenarioResult:
+    """The pool's ``reduce`` when the caller gave none: the whole result,
+    analyses computed, so a worker does that work and not the parent."""
+    result.verdict, result.quiescence, result.anonymity
+    return result
 
-    *position* is the item's slot in the batch being run — distinct from
-    ``item.index`` when a caller re-runs a subset of a previously built
-    suite (e.g. only the failed items).
-    """
+
+def _execute_item(
+    item: SuiteItem, reduce: Optional[ReduceFn] = None, *, isolate: bool = True,
+) -> tuple[Any, Optional[float], Optional[str], str]:
+    """Run one item and reduce it on the spot (top-level: must pickle):
+    ``(kept, wall_time, error, details)``, any exception trapped into the
+    last two unless *isolate* is false."""
     try:
-        return position, run_scenario(item.scenario), None, ""
+        result = run_scenario(item.scenario)
+        kept = result if reduce is None else reduce(item, result)
+        return kept, result.wall_time, None, ""
     except Exception as exc:  # noqa: BLE001 - failure isolation by design
-        return position, None, repr(exc), traceback.format_exc()
+        if not isolate:
+            raise
+        return None, None, repr(exc), traceback.format_exc()
 
 
 class BatchRunner:
     """Executes suites with optional process-level parallelism.
 
-    One owner per result: with no ``on_result`` consumer the returned
-    :class:`SuiteResult` owns them all; with one, each result goes to the
-    consumer and ``outcomes`` keeps only what it returns, so campaigns and
-    explorations hold O(1) finished runs, freed by reference counting.
+    One owner per result: with no ``reduce`` the returned
+    :class:`SuiteResult` owns them all; with one, a result lives until
+    ``reduce`` returns, in the process that ran it, so campaigns and
+    explorations hold one finished run at a time and a pool pipe carries
+    the reduced value only.
 
     Parameters
     ----------
@@ -383,11 +406,18 @@ class BatchRunner:
     progress:
         ``progress(done, total, item)`` called after each item completes (in
         completion order; ``done`` is monotonic).
+    reduce:
+        ``reduce(item, result) -> kept``, applied to every *successful*
+        result where its run finished: in-process, or in the pool worker.
+        Pure and picklable (a module-level function or a ``partial`` of
+        one); an exception it raises is that item's failure.  ``None``
+        keeps the whole result, its analyses computed by the pool worker.
     on_result:
-        ``on_result(item, result)`` called with every *successful* result as
-        soon as it is recorded (completion order, always in the calling
-        process).  Campaigns persist results through this hook so a killed
-        batch loses at most the in-flight items.
+        ``on_result(item, kept)`` called with what every *successful* item
+        kept as soon as it is recorded (completion order, always in the
+        calling process); the item's outcome is what it returns.  Campaigns
+        persist through this hook so a killed batch loses at most the
+        in-flight items.
     worker_plugins:
         Module names imported by every worker before running anything —
         the hook for third-party registry registrations (see module docs).
@@ -404,6 +434,7 @@ class BatchRunner:
         parallel: int = 1,
         *,
         progress: Optional[ProgressCallback] = None,
+        reduce: Optional[ReduceFn] = None,
         on_result: Optional[ResultCallback] = None,
         worker_plugins: Sequence[str] = (),
         fail_fast: bool = False,
@@ -412,6 +443,7 @@ class BatchRunner:
             raise ValueError("parallel must be at least 1")
         self.parallel = parallel
         self.progress = progress
+        self.reduce = reduce
         self.on_result = on_result
         self.worker_plugins = tuple(worker_plugins)
         self.fail_fast = fail_fast
@@ -426,7 +458,7 @@ class BatchRunner:
         Accepts a :class:`ScenarioSuite`, pre-built :class:`SuiteItem`
         sequences, or any iterable of scenarios (each its own group).
         """
-        name, items = self._normalise(suite)
+        name, items = normalise_suite(suite)
         started = time.perf_counter()
         workers = min(self.parallel, len(items)) if items else 1
         if workers > 1:
@@ -443,23 +475,8 @@ class BatchRunner:
         )
 
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _normalise(
-        suite: Union[ScenarioSuite, Iterable[Scenario], Sequence[SuiteItem]],
-    ) -> tuple[str, tuple[SuiteItem, ...]]:
-        if isinstance(suite, ScenarioSuite):
-            return suite.name, suite.build()
-        materialised = list(suite)
-        if all(isinstance(entry, SuiteItem) for entry in materialised):
-            return "batch", tuple(materialised)  # type: ignore[arg-type]
-        items = tuple(
-            SuiteItem(index=i, group=scenario.name, scenario=scenario)
-            for i, scenario in enumerate(materialised)  # type: ignore[arg-type]
-        )
-        return "batch", items
-
     def _record(self, outcomes: list, failures: list, items: Sequence[SuiteItem],
-                position: int, result: Optional[ScenarioResult],
+                position: int, kept: Any, wall_time: Optional[float],
                 error: Optional[str], details: str) -> None:
         if obs.enabled():
             # Recording always happens in the calling process (inline and
@@ -467,37 +484,32 @@ class BatchRunner:
             # regardless of where the simulation itself ran.
             _cells_total().inc(status="failed" if error is not None
                                else "ok")
-            if result is not None:
-                _cell_seconds().observe(result.wall_time)
+            if wall_time is not None:
+                _cell_seconds().observe(wall_time)
         if error is not None:
             item = items[position]
             failures.append(BatchFailure(
                 index=position, group=item.group, scenario=item.scenario,
                 error=error, details=details,
             ))
-        elif result is not None and self.on_result is not None:
-            result = self.on_result(items[position], result)
-        outcomes[position] = result
+        elif self.on_result is not None:
+            kept = self.on_result(items[position], kept)
+        outcomes[position] = kept
 
     def _run_inline(
         self, items: Sequence[SuiteItem]
-    ) -> tuple[list[Optional[ScenarioResult]], list[BatchFailure]]:
+    ) -> tuple[list[Any], list[BatchFailure]]:
         _import_worker_plugins(self.worker_plugins)
-        outcomes: list[Optional[ScenarioResult]] = [None] * len(items)
+        outcomes: list[Any] = [None] * len(items)
         failures: list[BatchFailure] = []
         for position, item in enumerate(items):
             if obs.enabled():
                 _in_flight().inc()
             try:
-                if self.fail_fast:
-                    # No isolation: the original exception (type, traceback)
-                    # propagates to the caller unmodified.
-                    result, error, details = (run_scenario(item.scenario),
-                                              None, "")
-                else:
-                    _, result, error, details = _execute_item(position, item)
-                self._record(outcomes, failures, items, position, result,
-                             error, details)
+                # fail_fast: no isolation, the original exception (type,
+                # traceback) propagates to the caller unmodified.
+                self._record(outcomes, failures, items, position, *_execute_item(
+                    item, self.reduce, isolate=not self.fail_fast))
             finally:
                 if obs.enabled():
                     _in_flight().dec()
@@ -507,16 +519,17 @@ class BatchRunner:
 
     def _run_pool(
         self, items: Sequence[SuiteItem], workers: int
-    ) -> tuple[list[Optional[ScenarioResult]], list[BatchFailure]]:
-        outcomes: list[Optional[ScenarioResult]] = [None] * len(items)
+    ) -> tuple[list[Any], list[BatchFailure]]:
+        outcomes: list[Any] = [None] * len(items)
         failures: list[BatchFailure] = []
+        reduce = self.reduce or _analysed
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_import_worker_plugins,
             initargs=(self.worker_plugins,),
         ) as pool:
             pending = {
-                pool.submit(_execute_item, position, item): (position, item)
+                pool.submit(_execute_item, item, reduce): (position, item)
                 for position, item in enumerate(items)
             }
             done = 0
@@ -527,12 +540,12 @@ class BatchRunner:
                     # popped, or the future would keep its result alive
                     position, item = pending.pop(future)
                     try:
-                        position, result, error, details = future.result()
+                        outcome = future.result()
                     except Exception as exc:  # worker died (BrokenProcessPool)
-                        result = None
-                        error, details = repr(exc), traceback.format_exc()
-                    self._record(outcomes, failures, items, position, result,
-                                 error, details)
+                        outcome = (None, None, repr(exc),
+                                   traceback.format_exc())
+                    self._record(outcomes, failures, items, position,
+                                 *outcome)
                     done += 1
                     if obs.enabled():
                         _in_flight().dec()

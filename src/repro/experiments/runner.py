@@ -45,19 +45,36 @@ from .config import Scenario
 
 @dataclass
 class ScenarioResult:
-    """A finished scenario together with its standard analyses."""
+    """A finished scenario; its standard analyses are computed when first
+    read (each once), so a caller pays only for the ones it looks at."""
 
     scenario: Scenario
     simulation: SimulationResult
-    verdict: UrbVerdict
-    quiescence: QuiescenceReport
-    anonymity: AnonymityAudit
-    #: Wall-clock seconds spent building and running this scenario (measured
-    #: by :func:`run_scenario`; ``None`` for results assembled by hand).
-    #: Deliberately *not* part of the deterministic result content — the
-    #: campaign store indexes it for cost estimation but keeps it out of the
-    #: content-addressed payload.
+    #: Wall-clock seconds :func:`run_scenario` spent building and running
+    #: (``None`` for results assembled by hand); an analysis is charged to
+    #: whoever first reads it.  Deliberately *not* part of the deterministic
+    #: result content — the campaign store indexes it for cost estimation
+    #: but keeps it out of the content-addressed payload.
     wall_time: float | None = None
+    #: The anonymity audit's mode, resolved when the run finishes: a scoped
+    #: registration may be gone by the time :attr:`anonymity` is read.
+    allow_identified: bool = False
+
+    @cached_property
+    def verdict(self) -> UrbVerdict:
+        """The three URB properties, checked on the trace."""
+        return check_urb_properties(self.simulation)
+
+    @cached_property
+    def quiescence(self) -> QuiescenceReport:
+        """Whether, and when, the run stopped sending."""
+        return analyze_quiescence(self.simulation)
+
+    @cached_property
+    def anonymity(self) -> AnonymityAudit:
+        """The anonymity audits of everything the run sent."""
+        return audit_anonymity(self.simulation,
+                               allow_identified=self.allow_identified)
 
     @property
     def all_properties_hold(self) -> bool:
@@ -216,23 +233,14 @@ def build_engine(scenario: Scenario, *, controller=None) -> SimulationEngine:
 # running
 # --------------------------------------------------------------------------- #
 def run_scenario(scenario: Scenario) -> ScenarioResult:
-    """Run one scenario and attach the standard analyses to the result."""
+    """Run one scenario; the result computes its analyses when read."""
     started = time.perf_counter()
-    engine = build_engine(scenario)
-    simulation = engine.run()
-    verdict = check_urb_properties(simulation)
-    quiescence = analyze_quiescence(simulation)
-    anonymity = audit_anonymity(
-        simulation,
-        allow_identified=not algorithms.get(scenario.algorithm).anonymous,
-    )
+    simulation = build_engine(scenario).run()
     return ScenarioResult(
         scenario=scenario,
         simulation=simulation,
-        verdict=verdict,
-        quiescence=quiescence,
-        anonymity=anonymity,
         wall_time=time.perf_counter() - started,
+        allow_identified=not algorithms.get(scenario.algorithm).anonymous,
     )
 
 

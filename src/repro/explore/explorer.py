@@ -158,8 +158,9 @@ def replay_counterexample(
 
 def _digest(_item: object,
             result: ScenarioResult) -> tuple[str, Optional[Counterexample]]:
-    """All the explorer keeps of a schedule, so the run is freed on the spot:
-    its hash and, if it violates a property, its counterexample."""
+    """The batch's ``reduce``: all the explorer keeps of a schedule is its
+    hash and, if it violates a property, its counterexample.  Of the
+    result's analyses it reads the verdict, so a schedule pays for no other."""
     provenance = result.simulation.schedule
     assert provenance is not None
     if result.verdict.all_hold:
@@ -258,7 +259,7 @@ class Explorer:
         runner = BatchRunner(
             parallel=self.parallel,
             progress=progress,
-            on_result=_digest,
+            reduce=_digest,
             worker_plugins=tuple(self.worker_plugins),
         )
         suite = runner.run(variants)

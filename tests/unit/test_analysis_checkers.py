@@ -3,7 +3,11 @@ anonymity audits, exercised on hand-built runs."""
 
 import pytest
 
-from repro.analysis.anonymity import audit_ack_tag_uniqueness, audit_anonymity
+from repro.analysis.anonymity import (
+    audit_ack_tag_uniqueness,
+    audit_anonymity,
+    audit_payload_opacity,
+)
 from repro.analysis.properties import (
     check_correct_agreement,
     check_uniform_agreement,
@@ -337,16 +341,24 @@ class TestAnonymityAudit:
                     time, TraceCategory.SEND, src, kind, payload, dst)
         else:
             result = build_result(sends=sends)
-        assert audit_anonymity(result).violations == (
+        tag_violations = [
             "ack tag 100 for message ('m', 1) was used by multiple "
             "processes: [0, 1]",
             "process p0 used multiple ack tags for message ('m', 1): "
             "[100, 101]",
+        ]
+        opacity_violations = [
             "p1 sent a non-standard payload str",
             "p1 sent a non-standard payload str",
             "p2 sent a non-standard payload tuple",
             "p1 sent a non-standard payload str",
-        )
+        ]
+        assert audit_anonymity(result).violations == tuple(
+            tag_violations + opacity_violations)
+        # Each public audit alone reports its own share of that one pass.
+        assert audit_ack_tag_uniqueness(result) == (False, tag_violations)
+        assert audit_payload_opacity(result) == (False, opacity_violations)
+        assert audit_payload_opacity(result, allow_identified=True) == (True, [])
 
     def test_one_payload_object_sent_by_two_processes_is_still_caught(self):
         """Copies of one broadcast are booked once; the same object in

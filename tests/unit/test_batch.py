@@ -1,6 +1,7 @@
 """Unit tests for ScenarioSuite / BatchRunner (repro.experiments.batch)."""
 
 import json
+import os
 
 import pytest
 
@@ -31,6 +32,17 @@ def fast_scenario(**overrides) -> Scenario:
 
 def result_fingerprint(result) -> str:
     return json.dumps(scenario_result_to_dict(result), sort_keys=True)
+
+
+def _seed_and_pid(_item, result):
+    """A ``reduce`` (module level: the pool pickles it by name)."""
+    return result.scenario.seed, os.getpid()
+
+
+def _reject_seed_two(_item, result):
+    if result.scenario.seed == 2:
+        raise RuntimeError("seed two")
+    return result.scenario.seed
 
 
 class TestSuiteConstruction:
@@ -232,6 +244,50 @@ class TestFailureIsolation:
             on_result=lambda item, result: ("seed", result.scenario.seed))
         assert consumed.outcomes == (("seed", 1), ("seed", 2))
         assert consumed.ok
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_reduce_runs_where_the_run_finished(self, parallel):
+        suite = [fast_scenario(seed=1), fast_scenario(seed=2)]
+        seen = []
+        batch = BatchRunner(
+            parallel=parallel, reduce=_seed_and_pid,
+            on_result=lambda item, kept: seen.append((item.index, kept[0]))
+            or kept,
+        ).run(suite)
+        # on_result gets what reduce kept, in the calling process; reduce
+        # itself ran beside the simulation.
+        assert sorted(seen) == [(0, 1), (1, 2)]
+        assert [seed for seed, _pid in batch.outcomes] == [1, 2]
+        in_caller = [pid == os.getpid() for _seed, pid in batch.outcomes]
+        assert in_caller == [parallel == 1] * 2
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_reduce_failure_is_that_items_failure(self, parallel):
+        suite = [fast_scenario(seed=1), fast_scenario(seed=2)]
+        batch = BatchRunner(parallel=parallel, reduce=_reject_seed_two).run(suite)
+        assert batch.outcomes == (1, None)
+        assert [f.index for f in batch.failures] == [1]
+        assert "seed two" in batch.failures[0].details
+
+    def test_fail_fast_inline_reduces_too(self):
+        batch = BatchRunner(fail_fast=True, reduce=_seed_and_pid).run(
+            [fast_scenario(seed=5)])
+        assert batch.outcomes == ((5, os.getpid()),)
+
+    def test_pool_worker_computes_the_analyses_of_a_whole_result(self):
+        """With no reduce the result travels whole, and the work of its
+        analyses stays in the worker that ran it."""
+        computed = ("verdict", "quiescence", "anonymity")
+        inline, pooled = (
+            BatchRunner(parallel=parallel).run(
+                [fast_scenario(seed=1), fast_scenario(seed=2)]).results
+            for parallel in (1, 2))
+        for result in inline:
+            assert not set(computed) & set(vars(result))
+        for result in pooled:
+            assert set(computed) <= set(vars(result))
+        assert [result_fingerprint(r) for r in pooled] == [
+            result_fingerprint(r) for r in inline]
 
     def test_fail_fast_inline_preserves_exception_type(self):
         class CustomError(RuntimeError):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from helpers import track_live_runs
@@ -15,7 +17,6 @@ from repro.campaigns import (
     run_campaign,
     scenario_cell_key,
 )
-from repro.campaigns.campaign import _PERSIST_FLUSH_EVERY
 from repro.experiments.batch import ScenarioSuite
 from repro.experiments.config import Scenario
 from repro.network.loss import LossSpec
@@ -138,16 +139,16 @@ class TestCampaignRun:
             )
         assert calls == [(1, 4), (2, 4), (3, 4), (4, 4)]
 
-    def test_holds_no_more_results_than_the_flush_buffer(
-            self, tmp_path, monkeypatch):
-        live = track_live_runs(monkeypatch)
+    def test_holds_one_live_run(self, tmp_path, monkeypatch):
+        live, at_finish = track_live_runs(monkeypatch)
         held = []
         with ResultStore(tmp_path / "store") as store:
             report = Campaign(store, loss_suite(seeds=12), name="c").run(
                 progress=lambda *_: held.append(len(live)))
             assert report.executed == 24 and len(store) == 24
-        assert len(held) == 24
-        assert 1 < max(held) <= _PERSIST_FLUSH_EVERY
+        # Every run finished with no earlier one alive, and was packed and
+        # freed on the spot: the flush buffer holds packed cells only.
+        assert at_finish == [1] * 24 and held == [0] * 24
         assert not live
 
     def test_failures_are_isolated_and_retried_on_resume(self, tmp_path):
@@ -223,13 +224,18 @@ class TestCampaignAggregates:
                 ResultStore(tmp_path / "par") as parallel:
             Campaign(sequential, suite, name="c").run()
             Campaign(parallel, suite, name="c", parallel=2).run()
-            rows_seq = sequential.query(campaign="c")
-            rows_par = parallel.query(campaign="c")
-            assert [(r.cell_key, r.mean_latency, r.total_sends)
-                    for r in rows_seq] == [
-                (r.cell_key, r.mean_latency, r.total_sends)
-                for r in rows_par
-            ]
+            # Cells packed in pool workers: the same index rows and the same
+            # payloads as cells packed in-process, but for the clock.
+            rows_seq, rows_par = (
+                [replace(row, created_at=0.0, wall_time=None)
+                 for row in store.query(campaign="c")]
+                for store in (sequential, parallel))
+            assert len(rows_seq) == 4 and rows_par == rows_seq
+            for row in rows_seq:
+                loaded_seq, loaded_par = (
+                    store.load(row.cell_key) for store in (sequential, parallel))
+                assert loaded_seq.pop("created_at") and loaded_par.pop("created_at")
+                assert loaded_par == loaded_seq
 
     def test_campaign_rows_align_with_items(self, tmp_path):
         suite = loss_suite()

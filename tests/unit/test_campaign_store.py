@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -152,6 +152,24 @@ class TestResultStore:
             # byte-for-byte what the one-at-a-time path stores.
             assert a == b.__class__(**{**b.__dict__,
                                        "created_at": a.created_at})
+
+    def test_put_many_takes_packed_cells_and_bare_results_alike(self, tmp_path):
+        results = [run_scenario(quick_scenario(seed=s)) for s in range(3)]
+        cells = [ResultStore.pack(result) for result in results]  # no store
+        assert [cell.cell_key for cell in cells] == [
+            scenario_cell_key(result.scenario) for result in results]
+        assert ResultStore.pack(results[0], "given").cell_key == "given"
+        with ResultStore(tmp_path / "bare") as bare, \
+                ResultStore(tmp_path / "packed") as packed:
+            bare_rows = bare.put_many(results)
+            packed_rows = packed.put_many([cells[0], results[1], cells[2]])
+            assert packed.puts == 3
+            for a, b in zip(bare_rows, packed_rows):
+                assert a == replace(b, created_at=a.created_at)
+                assert packed.get(b.cell_key, count=False) == b
+                ours, theirs = bare.load(a.cell_key), packed.load(a.cell_key)
+                assert ours.pop("created_at") and theirs.pop("created_at")
+                assert ours == theirs
 
     def test_put_many_rejects_mismatched_key_count(self, tmp_path):
         result = run_scenario(quick_scenario())

@@ -26,6 +26,7 @@ from repro.campaigns import (
     scenario_cell_key,
 )
 from repro.campaigns.distributed import LeaseError, LeaseTable
+from repro.campaigns.distributed.leases import DEFAULT_LEASE_TIMEOUT
 from repro.campaigns.hashing import canonical_scenario_dict
 from repro.experiments.batch import ScenarioSuite
 from repro.experiments.config import Scenario
@@ -93,6 +94,21 @@ class TestLeaseTable:
             with pytest.raises(LeaseError, match="different manifest"):
                 table.initialise(name="other", suite_name="suite",
                                  cells=manifest_cells(8))
+
+    def test_lease_timeout_is_read_once_per_handle(self, tmp_path):
+        # A worker may open its handle before the coordinator wrote the job.
+        early = LeaseTable(tmp_path / "job", create=True)
+        assert early.lease_timeout == DEFAULT_LEASE_TIMEOUT
+        make_job(tmp_path, n_cells=2, range_size=2, lease_timeout=7.5).close()
+        with early as table:
+            assert table.lease_timeout == 7.5  # the default was not cached
+            statements: list[str] = []
+            table._db.set_trace_callback(statements.append)
+            grant = table.claim("w1", now=100.0)
+            assert grant is not None and grant.lease_expires == 107.5
+            assert table.renew(grant, now=101.0)
+            assert table.record_cell_done(grant, now=102.0)
+            assert statements and not [s for s in statements if "meta" in s]
 
     def test_claim_grants_disjoint_ranges_in_position_order(self, tmp_path):
         with make_job(tmp_path) as table:

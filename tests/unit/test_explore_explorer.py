@@ -26,6 +26,11 @@ from repro.network.loss import LossSpec
 from repro.registry import StrategySpec, strategies
 
 
+#: The counters of an :class:`ExplorationReport`.
+_COUNTS = ("schedules_run", "unique_schedules", "duplicate_schedules",
+           "property_violations", "failures")
+
+
 def _scenario(**overrides) -> Scenario:
     base = dict(
         name="explorer-test",
@@ -127,8 +132,12 @@ class TestExplorerMechanics:
         parallel = explore(scenario, "random_walk", budget=8, shrink=False,
                            parallel=2)
         assert parallel.parallel == 2
-        assert (sorted(c.schedule_hash for c in sequential.counterexamples)
-                == sorted(c.schedule_hash for c in parallel.counterexamples))
+        # Digests made in the workers: same counts, and whole counterexamples
+        # (scenario, decisions, signature) equal and in the same order.
+        assert sequential.counterexamples
+        assert parallel.counterexamples == sequential.counterexamples
+        assert [getattr(parallel, name) for name in _COUNTS] == [
+            getattr(sequential, name) for name in _COUNTS]
 
     @pytest.mark.parametrize("parallel", [1, 2])
     def test_report_is_pinned(self, parallel):
@@ -149,14 +158,40 @@ class TestExplorerMechanics:
         assert hashlib.sha256(",".join(hashes).encode()).hexdigest()[:16] \
             == "287784cb874819d8"
 
+    def test_pays_for_the_verdict_alone(self, monkeypatch):
+        """Of a result's analyses the explorer reads only the verdict, so
+        an explored schedule runs no other."""
+        from repro.experiments import runner
+
+        calls = {name: 0 for name in ("check_urb_properties",
+                                      "analyze_quiescence", "audit_anonymity")}
+
+        def spy(name):
+            real = getattr(runner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(runner, name, counted)
+
+        for name in calls:
+            spy(name)
+        report = explore(_broken_scenario(), "random_walk", budget=12,
+                         shrink=False)
+        assert report.schedules_run == 12 and report.counterexamples
+        assert calls == {"check_urb_properties": 12, "analyze_quiescence": 0,
+                         "audit_anonymity": 0}
+
     def test_holds_one_run_at_a_time(self, monkeypatch):
-        live = track_live_runs(monkeypatch)
+        live, at_finish = track_live_runs(monkeypatch)
         held = []
         report = explore(_broken_scenario(), "random_walk", budget=40,
                          shrink=False,
                          progress=lambda *_: held.append(len(live)))
         assert report.schedules_run == 40 and report.counterexamples
-        assert len(held) == 40 and max(held) <= 1
+        # Alone when it finished, digested and gone before the next step.
+        assert at_finish == [1] * 40 and held == [0] * 40
         assert not live
 
     def test_invalid_budget_rejected(self):

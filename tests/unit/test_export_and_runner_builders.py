@@ -4,6 +4,9 @@ import json
 
 import pytest
 
+from repro.analysis.anonymity import audit_anonymity
+from repro.analysis.properties import check_urb_properties
+from repro.analysis.quiescence import analyze_quiescence
 from repro.core.algorithm1 import MajorityUrbProcess
 from repro.core.algorithm2 import QuiescentUrbProcess
 from repro.core.baselines import (
@@ -38,6 +41,7 @@ from repro.experiments.runner import (
 )
 from repro.network.loss import LossSpec
 from repro.network.reliable import QuasiReliableChannel, ReliableChannel
+from repro.registry import algorithm_names, algorithms, engine_names
 from repro.simulation.rng import RandomSource
 from repro.workloads.generators import SingleBroadcast
 
@@ -254,3 +258,23 @@ class TestRunnerBuilders:
                             stop_when_all_correct_delivered=True)
         result = run_scenario(scenario)
         assert result.simulation.expected_contents == ("m0",)
+
+
+@pytest.mark.parametrize("engine", sorted(engine_names()))
+@pytest.mark.parametrize("algorithm", sorted(algorithm_names()))
+def test_analyses_on_demand_equal_the_eager_ones(algorithm, engine):
+    """A result computes each analysis when first read, once; what it gets
+    is what calling the analysis on the simulation gives."""
+    result = run_scenario(default_scenario(
+        algorithm, seed=3, engine=engine, loss=LossSpec.bernoulli(0.1)))
+    assert not {"verdict", "quiescence", "anonymity"} & set(vars(result))
+    anonymous = algorithms.get(algorithm).anonymous
+    assert result.allow_identified is (not anonymous)
+    assert result.verdict == check_urb_properties(result.simulation)
+    assert result.quiescence == analyze_quiescence(result.simulation)
+    assert result.anonymity == audit_anonymity(
+        result.simulation, allow_identified=not anonymous)
+    assert result.anonymity.passed
+    assert result.verdict is result.verdict
+    assert result.quiescence is result.quiescence
+    assert result.anonymity is result.anonymity

@@ -15,10 +15,15 @@ import gc
 import io
 import pickle
 import weakref
+from functools import partial
 
 import pytest
 
+from helpers import track_live_runs
 from repro import obs
+from repro.campaigns import Campaign, ResultStore, scenario_cell_key
+from repro.campaigns.campaign import _pack_cell
+from repro.experiments.batch import SuiteItem, _execute_item
 from repro.experiments.config import Scenario
 from repro.experiments.export import scenario_result_to_dict
 from repro.experiments.runner import build_engine, default_scenario, run_scenario
@@ -103,6 +108,20 @@ def test_replayed_decisions_free_themselves():
     _assert_freed(ref)
 
 
+def test_campaign_frees_each_run_where_it_finished(tmp_path, monkeypatch):
+    """A campaign packs a run when it finishes and keeps the packed cell:
+    no run is alive when the next one ends, none after the last, and the
+    whole campaign leaves the collector nothing."""
+    suite = [_scenario("algorithm2").with_seed(seed) for seed in range(10)]
+    run_scenario(suite[0]).metrics  # first use: numpy's lazy imports, cyclic
+    gc.collect()
+    live, at_finish = track_live_runs(monkeypatch)
+    with ResultStore(tmp_path / "store") as store:
+        assert Campaign(store, suite, name="c").run().executed == 10
+        assert at_finish == [1] * 10 and not live
+    assert gc.collect() == 0, "a campaign left cyclic garbage behind"
+
+
 def test_hooked_run_frees_itself():
     timeline = DeliveryTimelineHook()
     result = run_scenario(_scenario(
@@ -163,3 +182,20 @@ def test_result_pickles_without_its_engine(engine):
     shipped = pickle.loads(data)
     assert scenario_result_to_dict(shipped) == scenario_result_to_dict(result)
     assert shipped.simulation.trace.digest() == result.simulation.trace.digest()
+
+
+def test_campaign_cell_ships_packed():
+    """What a campaign's pool worker ships back for that same cell: the
+    index row and the compressed payload (the whole result is 90 kB)."""
+    scenario = default_scenario(
+        "algorithm2", n_processes=8, seed=1234, loss=LossSpec.bernoulli(0.1))
+    item = SuiteItem(index=0, group="g", scenario=scenario)
+    key = scenario_cell_key(scenario)
+    shipped = _execute_item(item, partial(_pack_cell, {0: key}))
+    data = pickle.dumps(shipped)
+    assert len(data) < 4_000
+    for name in (b"TraceRecorder", b"SimulationResult", b"ScenarioResult"):
+        assert name not in data
+    cell, wall_time, error, details = pickle.loads(data)
+    assert (error, details) == (None, "") and wall_time > 0
+    assert cell.cell_key == key and len(cell.payload) < 3_000

@@ -171,6 +171,38 @@ def test_put_many_interrupted_at_every_statement(tmp_path, arm, make_error):
             assert campaign_table(store, "c").render() == clean_table.render()
 
 
+@pytest.mark.parametrize("packed", [False, True], ids=["bare", "packed"])
+@pytest.mark.parametrize("make_error", FAULTS)
+def test_put_many_of_either_entry_kind_at_every_statement(
+        tmp_path, arm, make_error, packed):
+    """The campaign above hands ``put_many`` cells packed where the runs
+    finished; ``put`` and the distributed worker hand it bare results."""
+    results = [run_scenario(scenario(seed)) for seed in range(4)]
+    batch = [ResultStore.pack(result) for result in results] if packed else results
+    keys = [scenario_cell_key(result.scenario) for result in results]
+    with ResultStore(tmp_path / "clean") as clean:
+        counting = arm("put_many", 2, Fault())
+        clean.put_many(batch[:2])
+        clean.put_many(batch[2:])
+    assert counting.seen >= 3
+
+    for k in range(counting.seen):
+        root = tmp_path / f"store-{k}"
+        store = ResultStore(root)
+        arm("put_many", 2, Fault(make_error(), after=k))
+        store.put_many(batch[:2])
+        with pytest.raises(type(make_error())):
+            store.put_many(batch[2:])
+        abandon(store)
+
+        with ResultStore(root) as store:
+            assert [row.cell_key for row in store.query()] == keys[:2]
+            assert_whole_cells_only(store)
+            store.put_many(batch[2:])  # the retry lands whole
+            assert [row.cell_key for row in store.query()] == keys
+            assert_whole_cells_only(store)
+
+
 # --------------------------------------------------------------------------- #
 # (b) merge_stores failing mid-source
 # --------------------------------------------------------------------------- #

@@ -147,7 +147,9 @@ class TestChannelRows:
 
         real = tracing.TraceEvent
         monkeypatch.setattr(tracing, "TraceEvent", counting)
-        trace = run_scenario(default_scenario(n_processes=4)).simulation.trace
+        result = run_scenario(default_scenario(n_processes=4))
+        assert result.verdict and result.quiescence and result.anonymity
+        trace = result.simulation.trace
         channel = sum(trace.count(category) for category in TraceCategory
                       if category.level is TraceLevel.FULL)
         assert channel > 100
