@@ -12,8 +12,8 @@ This module is the executable form of that contract:
   fairness-guard state left on the channels, the final sequence counter.
 * :func:`parity_cases` is the scenario battery, chosen so that every
   dispatch path of the vectorized backend is exercised: the homogeneous
-  Bernoulli/uniform rows of its vector sampler, the generic per-channel
-  sampler (all-drop rows, reliable and quasi-reliable channel families),
+  Bernoulli/uniform rows of its block sampler, the rows it fates per send
+  (all-drop rows, reliable and quasi-reliable channel families),
   the fairness guard (heavy loss), crashes, both ways of consuming a
   delivery run (through the repeat filter for Algorithms 1 and 2 — strict
   equality, staggered label learning and a per-query AΘ included — and
@@ -81,6 +81,9 @@ class EngineRun:
     #: the repeat filter, ``"boxed"`` = every entry replayed through
     #: ``on_receive``); ``None`` for backends / paths that do not report one.
     consume_mode: Optional[str] = None
+    #: Source rows the batched path fated one send at a time (``None`` for
+    #: backends that do not report it).
+    generic_rows: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -141,6 +144,7 @@ def run_fingerprint(
         dispatch_mode=getattr(built, "dispatch_mode", None),
         fingerprint={**fingerprint(result), **engine_fingerprint(built)},
         consume_mode=getattr(built, "consume_mode", None),
+        generic_rows=getattr(built, "generic_rows", None),
     )
 
 

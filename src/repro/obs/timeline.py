@@ -16,7 +16,8 @@ instrumented layers:
   observed_unix)`` emitted by the coordinator from lease-table
   observations, used for wall-clock skew normalisation in
   ``trace view``;
-* ``engine.dispatch_mode`` — which dispatch path a backend took;
+* ``engine.dispatch_mode`` — which dispatch path a backend took (and, on
+  the batched path, how many source rows it fated per send);
 * ``lease.claim`` / ``lease.renew`` / ``lease.reclaim`` — distributed
   lease lifecycle;
 * ``store.put`` / ``store.hit`` / ``store.miss`` — result-store traffic.

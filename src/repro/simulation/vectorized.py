@@ -6,14 +6,15 @@ subclass registered as the ``vectorized`` backend (see
 dominant event population — out of the event heap on both sides:
 
 * **Sends.**  ``broadcast_from`` only records ``(src, payload id, now)`` in
-  an *outbox*; :meth:`VectorizedEngine._flush_sends` samples everything
-  recorded since the last flush at once, grouped per source row.  Channel
-  randomness is prefetched per row into NumPy blocks (:class:`_RowSampler`):
-  loss decisions are consecutive rows of a ``(block, m)`` matrix, delay
-  uniforms are gathered per channel column with a running count of
-  deliveries.  Every protocol send in this codebase is a broadcast, so the
-  channels of a row advance their substreams in lockstep and block
-  prefetching consumes each per-channel stream in the reference order.
+  an *outbox*; :meth:`VectorizedEngine._flush_sends` hands everything
+  recorded since the last flush to the run's one :class:`_NetSampler` in a
+  single call.  Channel randomness is prefetched per source row into NumPy
+  blocks, each drawn in C (:func:`_uniform_draws`): loss decisions are
+  consecutive rows of the source's ``(block, n)`` matrix, delay uniforms
+  are gathered per channel column with a running count of deliveries.
+  Every protocol send in this codebase is a broadcast, so the channels of a
+  row advance their substreams in lockstep and block prefetching consumes
+  each per-channel stream in the reference order.
 * **Pending copies.**  A flush appends its delivered copies to a flat pool
   of ``(time, seq, dst, payload id)`` columns, 24 bytes a copy.
 * **Deliveries.**  The main loop advances through *time slices* of width
@@ -63,11 +64,13 @@ records) are active, or no positive minimum delay exists (exponential or
 custom delay models, custom channel classes: slicing is unsound),
 :meth:`run` delegates to the reference per-event loop — same class, same
 results, so explore/replay stay exact.  ``dispatch_mode`` records which
-path ran.
+path ran, and ``generic_rows`` how many source rows of a batched run the
+sampler had to fate one send at a time.
 """
 
 from __future__ import annotations
 
+from random import Random
 from typing import Any, Optional
 
 import numpy as np
@@ -81,7 +84,6 @@ from ..network.loss import BernoulliLoss, NoLoss
 from ..network.reliable import QuasiReliableChannel, ReliableChannel
 from .engine import SimulationEngine, SimulationResult
 from .events import EventKind
-from .simtime import SimTime
 
 #: Prefetched draws per channel block.  Public so tests can shrink it to
 #: force mid-run refills; any value produces identical results (each
@@ -112,19 +114,21 @@ _SEND_BUCKETS = (1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0,
                  65536.0)
 
 
-def _refill_uniform_column(block: np.ndarray, column: int, random,
-                           start: int = 0) -> None:
-    """Fill ``block[start:, column]`` with sequential ``random()`` draws.
+def _uniform_draws(rngs: list, counts: list) -> np.ndarray:
+    """``counts[i]`` sequential ``random()`` draws of each ``rngs[i]``,
+    concatenated — drawn a block at a time in C.
 
-    ``np.fromiter`` consumes the generator straight into the preallocated
-    buffer — no transient list of boxed floats — while still calling
-    ``random()`` once per cell in order, so each per-channel stream is
-    consumed decision-for-decision as the reference path would.
+    ``getrandbits(64 * k)`` is ``2k`` consecutive Mersenne Twister words,
+    least significant first, and ``random()`` is two consecutive words
+    ``a``, ``b`` combined as ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``: the
+    expression below is CPython's, so both the values and the generator's
+    state afterwards are those of ``k`` ``random()`` calls.  Stock
+    ``random.Random`` generators only — a subclass may override ``random()``.
     """
-    n = block.shape[0] - start
-    block[start:, column] = np.fromiter(
-        (random() for _ in range(n)), np.float64, count=n
-    )
+    words = np.frombuffer(b"".join(
+        rng.getrandbits(64 * k).to_bytes(8 * k, "little")
+        for rng, k in zip(rngs, counts) if k), dtype="<u4")
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * 2.0 ** -53
 
 
 def _widened(table: np.ndarray, columns: int, fill: Any) -> np.ndarray:
@@ -143,204 +147,256 @@ def _stack(parts: list) -> tuple:
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-class _RowSampler:
-    """Per-source-row channel sampler replicating ``LossyChannel.transmit``.
+def _row_profile(channels: list) -> Optional[tuple]:
+    """``(p, fairness bound, delay low, delay high)`` of a source row the
+    block sampler can replay, ``None`` for a row it cannot.
 
-    :meth:`sample` takes *all* broadcasts of one outbox flush that originate
-    at this row, in program order.  Two modes, chosen once per row:
+    Replayable: every channel runs :meth:`LossyChannel.transmit` over a
+    Bernoulli/no-loss model and a uniform/fixed delay model (``high`` is
+    ``None`` for fixed), all with the same parameters, and every stream is
+    a stock ``random.Random`` (:func:`_uniform_draws` reads the generator's
+    words; a subclass's ``random()`` would be bypassed).
+    """
+    profiles = set()
+    for ch in channels:
+        if type(ch).transmit is not LossyChannel.transmit:
+            return None
+        loss, delay = ch.loss_model, ch.delay_model
+        if isinstance(loss, NoLoss):
+            probability = 0.0
+        elif isinstance(loss, BernoulliLoss) and type(loss._rng) is Random:
+            probability = loss.probability
+        else:
+            return None
+        if type(delay) is FixedDelay:
+            low, high = delay.delay, None
+        elif type(delay) is UniformDelay and type(delay._rng) is Random:
+            low, high = delay.low, delay.high
+        else:
+            return None
+        profiles.add((probability, ch.fairness_bound, low, high))
+    if len(profiles) != 1:
+        return None
+    profile = profiles.pop()
+    # All-drop rows interleave guard state with every attempt; the per-send
+    # path handles them exactly and they are never hot.
+    return profile if profile[0] < 1.0 else None
 
-    * *vector* — every channel in the row is a :class:`LossyChannel` with a
-      homogeneous Bernoulli/no-loss model and a homogeneous uniform/fixed
-      delay model.  Loss decisions are consecutive rows of a prefetched
-      ``(block, m)`` matrix (one row per broadcast); delay uniforms sit in
-      per-channel columns and are gathered with a column-wise running count
-      of deliveries, so a channel's draws are consumed in send order.  The
-      fairness guard is one table for the row — dedup key → per-channel
-      consecutive-drop vector — loaded from the channels' own
+
+class _NetSampler:
+    """Network-wide channel sampler replicating ``LossyChannel.transmit``.
+
+    :meth:`sample` takes *all* broadcasts of one outbox flush, in program
+    order, and is entered once per flush.  Source rows draw from disjoint
+    streams and touch disjoint guard rows, so only the order *within* a
+    source matters: the sends are grouped by source (stably) and sampled as
+    one matrix, every per-source quantity being a cursor plus a rank within
+    the group.  A row is one of two kinds, decided once (:func:`_row_profile`):
+
+    * *vector* — a homogeneous :class:`LossyChannel` row whose parameters
+      are those of the network's first such row.  Loss decisions are
+      consecutive rows of the source's prefetched ``(block, n)`` drop
+      matrix (one row per broadcast); delay uniforms sit in per-channel
+      columns and are gathered with a running count of the group's
+      deliveries per column, so a channel's draws are consumed in send
+      order.  The fairness guard is one table — ``(source, dedup key)`` →
+      per-channel consecutive-drop vector — loaded from the channels' own
       ``_consecutive_drops`` and written back, with the deferred channel
       stats, by :meth:`flush_stats`.
     * *generic* — anything else (heterogeneous rows, stateful loss models,
-      all-drop rows, non-lossy channel families): ``network.broadcast_fast``
-      per send, which runs each channel's own ``transmit`` and is therefore
-      exact by construction.
+      all-drop rows, non-lossy channel families, non-stock generators):
+      ``network.broadcast_fast`` per send, which runs each channel's own
+      ``transmit`` and is therefore exact by construction.
+      ``generic_rows`` counts them.
     """
 
     __slots__ = (
-        "network", "src", "dst_arr", "channels", "m", "block",
-        "vector", "probability", "no_drop", "fairness_bound",
-        "guard_rows", "guard_counts", "guard_live",
-        "loss_rngs", "loss_block", "loss_drops", "loss_cursor",
-        "delay_fixed", "delay_low", "delay_span", "delay_rngs",
-        "delay_u", "delay_cursors",
-        "broadcasts", "dropped_counts", "forced_counts",
+        "network", "n", "block", "channels", "vector", "generic_rows",
+        "probability", "fairness_bound", "delay_low", "delay_span",
+        "guard_index", "guard_counts", "guard_live",
+        "loss_rngs", "loss_drops", "loss_cursor",
+        "delay_rngs", "delay_u", "delay_cursors", "columns",
+        "broadcasts", "dropped", "forced",
     )
 
-    def __init__(self, network: Any, src: int) -> None:
+    def __init__(self, network: Any, n: int) -> None:
         self.network = network
-        self.src = src
-        self.channels = channels = network._row(src)
-        self.m = m = len(channels)
+        self.n = n
         self.block = block = SAMPLE_BLOCK
-        self.broadcasts = 0
-        self.vector = self._try_vector_mode(channels)
-        if self.vector:
-            self.dst_arr = np.array([ch.dst for ch in channels],
-                                    dtype=np.int32)
-            self.dropped_counts = np.zeros(m, dtype=np.int64)
-            self.forced_counts = np.zeros(m, dtype=np.int64)
-            self.guard_rows: dict = {}
-            self.guard_counts = np.zeros((16, m), dtype=np.int32)
-            # A reused network may carry guard state from a previous run;
-            # the reference path would count on from it, so must we.
-            self.guard_live = False
-            for j, ch in enumerate(channels):
+        self.channels = channels = [network._row(src) for src in range(n)]
+        profiles = [_row_profile(row) for row in channels]
+        profile = next((p for p in profiles if p is not None), None)
+        self.vector = np.array([p is not None and p == profile
+                                for p in profiles])
+        self.generic_rows = n - int(self.vector.sum())
+        self.broadcasts = np.zeros(n, dtype=np.int64)
+        self.dropped = np.zeros((n, n), dtype=np.int64)
+        self.forced = np.zeros((n, n), dtype=np.int64)
+        self.guard_index: dict = {}
+        self.guard_counts = np.zeros((16, n), dtype=np.int32)
+        self.guard_live = False
+        if profile is None:
+            return
+        self.probability, self.fairness_bound, self.delay_low, high = profile
+        self.delay_span = None if high is None else high - self.delay_low
+        # A reused network may carry guard state from a previous run; the
+        # reference path would count on from it, so must we.
+        vector_rows = [(src, channels[src])
+                       for src in np.flatnonzero(self.vector).tolist()]
+        for src, row in vector_rows:
+            for j, ch in enumerate(row):
                 for key, count in ch._consecutive_drops.items():
-                    self.guard_counts[self._guard_row(key), j] = count
+                    (at,) = self._guard_rows([src], [key])
+                    self.guard_counts[at, j] = count
                     self.guard_live = True
-            self.loss_drops = None
-            self.loss_cursor = block
-            if not self.no_drop:
-                self.loss_rngs = [ch.loss_model._rng for ch in channels]
-            if self.delay_fixed is None:
-                self.delay_rngs = [ch.delay_model._rng for ch in channels]
-                self.delay_u = np.empty((block, m), dtype=np.float64)
-                self.delay_cursors = np.full(m, block, dtype=np.int64)
-
-    def _try_vector_mode(self, channels: list) -> bool:
-        """Vector mode needs a homogeneous LossyChannel row (see class doc)."""
-        if not channels:
-            return False
-        bounds = set()
-        probabilities = set()
-        delays: set = set()
-        for ch in channels:
-            if type(ch).transmit is not LossyChannel.transmit:
-                return False
-            bounds.add(ch.fairness_bound)
-            loss = ch.loss_model
-            if isinstance(loss, NoLoss):
-                probabilities.add(0.0)
-            elif isinstance(loss, BernoulliLoss):
-                probabilities.add(loss.probability)
-            else:
-                return False
-            delay = ch.delay_model
-            if type(delay) is FixedDelay:
-                delays.add(("fixed", delay.delay))
-            elif type(delay) is UniformDelay:
-                delays.add(("uniform", delay.low, delay.high))
-            else:
-                return False
-        if len(bounds) != 1 or len(probabilities) != 1 or len(delays) != 1:
-            return False
-        probability = probabilities.pop()
-        if probability >= 1.0:
-            # All-drop rows interleave guard state with every attempt; the
-            # generic path handles them exactly and they are never hot.
-            return False
-        self.probability = probability
-        self.no_drop = probability == 0.0
-        self.fairness_bound = bounds.pop()
-        delay_kind = delays.pop()
-        if delay_kind[0] == "fixed":
-            self.delay_fixed = delay_kind[1]
-        else:
-            self.delay_fixed = None
-            self.delay_low = delay_kind[1]
-            self.delay_span = delay_kind[2] - delay_kind[1]
-        return True
+        if self.probability:
+            self.loss_rngs = {src: [ch.loss_model._rng for ch in row]
+                              for src, row in vector_rows}
+            self.loss_drops = np.empty((n, block, n), dtype=bool)
+            self.loss_cursor = np.full(n, block, dtype=np.int64)
+        if self.delay_span is not None:
+            self.delay_rngs = {src: [ch.delay_model._rng for ch in row]
+                               for src, row in vector_rows}
+            # Zeros, not empty: cells that are not delivered gather a slot
+            # too, possibly one never drawn.
+            self.delay_u = np.zeros((n, block, n), dtype=np.float64)
+            self.delay_cursors = np.full((n, n), block, dtype=np.int64)
+            self.columns = np.arange(n)
 
     # ------------------------------------------------------------------ #
     # sampling
     # ------------------------------------------------------------------ #
-    def sample(self, payloads: list, nows: np.ndarray) -> tuple:
-        """Sample this row's broadcasts of one flush, in program order.
+    def sample(self, srcs: np.ndarray, keys: list,
+               nows: np.ndarray) -> tuple:
+        """Sample the broadcasts of one flush, given in program order.
 
-        Returns ``(per_send, times, dsts)``: the number of delivered copies
-        of each broadcast, and the delivery times / destinations of those
-        copies laid out send by send, destination order within a send — the
-        order in which the reference engine would have scheduled them.
+        *keys* are the payloads themselves, the guard's dedup keys as on
+        the channels' own path.  Returns the ``(len(keys), n)`` delivered
+        matrix and the delivery times of its true cells in row-major order
+        — send by send, destination order within a send: the order in which
+        the reference engine would have scheduled the copies.
         """
-        if not self.vector:
-            return self._sample_generic(payloads, nows)
-        parts = []
-        pos, total, block = 0, len(payloads), self.block
-        while pos < total:
-            # At most one block of sends at a time, and never across a loss
-            # block boundary: the drop mask is then a plain view, and no
-            # delay column can need more than one top-up.
-            if self.no_drop:
-                step = min(total - pos, block)
-                mask = None
-            else:
-                if self.loss_cursor >= block:
-                    self._refill_loss()
-                cursor = self.loss_cursor
-                step = min(total - pos, block - cursor)
-                mask = self.loss_drops[cursor:cursor + step]
-                self.loss_cursor = cursor + step
-            # The guard's keys are the payloads themselves, as on the
-            # channels' own path.
-            parts.append(self._sample_part(
-                payloads[pos:pos + step], nows[pos:pos + step], mask))
-            pos += step
-        return _stack(parts)
+        delivered = np.empty((len(keys), self.n), dtype=bool)
+        times = np.empty((len(keys), self.n), dtype=np.float64)
+        order = np.argsort(srcs, kind="stable")
+        if self.generic_rows:
+            vector = self.vector[srcs]
+            self._sample_generic(np.flatnonzero(~vector).tolist(),
+                                 srcs, keys, nows, delivered, times)
+            order = order[vector[order]]
+        grouped = srcs[order]
+        counts = np.bincount(grouped, minlength=self.n)
+        rank = np.arange(len(order)) - (counts.cumsum() - counts)[grouped]
+        while len(order):
+            # A pass holds what fits the rows' loss blocks (at most one
+            # block of sends a row): the drop mask is then one gather, and
+            # no delay column can need more than one top-up.
+            room = self._loss_room(counts)
+            fits: Any = (slice(None) if (counts <= room).all()
+                         else rank < room[grouped])
+            part = order[fits]
+            delivered[part], times[part] = self._sample_pass(
+                grouped[fits], rank[fits], np.minimum(counts, room),
+                [keys[send] for send in part.tolist()], nows[part])
+            if len(part) == len(order):
+                break
+            order, grouped = order[~fits], grouped[~fits]
+            rank = rank[~fits] - room[grouped]
+            counts = np.maximum(counts - room, 0)
+        return delivered, times[delivered]
 
-    def _sample_part(self, keys: list, nows: np.ndarray,
-                     mask: Optional[np.ndarray]) -> tuple:
-        """One sub-batch of :meth:`sample`: ``len(keys) <= block`` sends whose
-        drop decisions are the rows of *mask* (``None``: a lossless row)."""
-        b = len(keys)
-        if self.guard_live or (mask is not None and mask.any()):
-            delivered = self._replay_guard(keys, mask)
+    def _loss_room(self, counts: np.ndarray) -> np.ndarray:
+        """Sends each row can take before its loss block runs out, after
+        redrawing the exhausted blocks of the rows with *counts* to send."""
+        if not self.probability:
+            return np.full(self.n, self.block)
+        cursor = self.loss_cursor
+        block, n = self.block, self.n
+        for src in np.flatnonzero((cursor >= block) & (counts > 0)).tolist():
+            draws = _uniform_draws(self.loss_rngs[src], [block] * n)
+            np.less(draws.reshape(n, block).T, self.probability,
+                    out=self.loss_drops[src])
+            cursor[src] = 0
+        return block - cursor
+
+    def _sample_pass(self, srcs: np.ndarray, rank: np.ndarray,
+                     counts: np.ndarray, keys: list,
+                     nows: np.ndarray) -> tuple:
+        """One pass of :meth:`sample`: sends grouped by source (*srcs*
+        ascending, ``counts[r]`` of them from row ``r``), send ``i`` the
+        ``rank[i]``-th of its row in the pass.  Returns the delivered matrix
+        and a matrix of delivery times (one column when the delay is fixed)
+        that means nothing where no copy is delivered."""
+        present = np.flatnonzero(counts)
+        sizes = counts[present]
+        firsts = sizes.cumsum() - sizes
+        drops = None
+        if self.probability:
+            drops = self.loss_drops[srcs, self.loss_cursor[srcs] + rank]
+            self.loss_cursor[present] += sizes
+        if self.guard_live or (drops is not None and drops.any()):
+            ok = self._replay_guard(srcs, keys, drops)
+            if drops is not None and self.fairness_bound is not None:
+                # A wanted drop that was delivered is a forced delivery.
+                self.forced[present] += np.add.reduceat(
+                    drops & ok, firsts, axis=0, dtype=np.int64)
         else:
-            delivered = np.ones((b, self.m), dtype=bool)
-        self.broadcasts += b
-        per_col = delivered.sum(axis=0)
-        self.dropped_counts += b - per_col
-        bi, ji = np.nonzero(delivered)
-        if self.delay_fixed is not None:
-            times = nows[bi] + self.delay_fixed
-        else:
-            cursors = self.delay_cursors
-            for j in np.nonzero(cursors + per_col > self.block)[0].tolist():
-                self._top_up_delay(j)
-            # The k-th delivery of the batch on channel j consumes the k-th
-            # pending uniform of column j: its rank is a running count.
-            rank = delivered.cumsum(axis=0)[bi, ji]
-            u = self.delay_u[cursors[ji] + rank - 1, ji]
-            cursors += per_col
-            # Exactly the stdlib's uniform(a, b): a + (b - a) * random().
-            times = nows[bi] + (self.delay_low + self.delay_span * u)
-        return delivered.sum(axis=1), times, self.dst_arr[ji]
+            ok = np.ones((len(keys), self.n), dtype=bool)
+        # Running count of deliveries per column, restarted at each group:
+        # ``cum - base`` of the group.
+        cum = ok.cumsum(axis=0)
+        per_col = cum[firsts + sizes - 1]
+        base = np.zeros_like(per_col)
+        base[1:] = per_col[:-1]
+        per_col -= base
+        self.broadcasts[present] += sizes
+        self.dropped[present] += sizes[:, None] - per_col
+        if self.delay_span is None:
+            return ok, nows[:, None] + self.delay_low
+        cursors = self.delay_cursors
+        short = np.nonzero(cursors[present] + per_col > self.block)
+        if len(short[0]):
+            self._top_up_delays(present[short[0]], short[1])
+        # The k-th delivery of the group on channel j consumes the k-th
+        # pending uniform of column j.
+        group = np.repeat(np.arange(len(present)), sizes)
+        at = cum + (cursors[present] - base - 1)[group]
+        u = self.delay_u[srcs[:, None], at, self.columns]
+        cursors[present] += per_col
+        # Exactly the stdlib's uniform(a, b): a + (b - a) * random().
+        return ok, nows[:, None] + (self.delay_low + self.delay_span * u)
 
-    def _guard_row(self, key: Any) -> int:
-        """Row of *key* in the guard table, appended on first sight."""
-        rows = self.guard_rows
-        row = rows.setdefault(key, len(rows))
-        if row == self.guard_counts.shape[0]:
-            self.guard_counts = np.concatenate(
-                (self.guard_counts, np.zeros_like(self.guard_counts)))
-        return row
+    def _guard_rows(self, srcs: list, keys: list) -> list:
+        """Rows of the ``(source, key)`` pairs in the guard table, appended
+        on first sight."""
+        index = self.guard_index
+        rows = [index.setdefault(pair, len(index))
+                for pair in zip(srcs, keys)]
+        counts = self.guard_counts
+        if len(index) > len(counts):
+            self.guard_counts = np.zeros(
+                (max(2 * len(counts), len(index)), self.n), dtype=np.int32)
+            self.guard_counts[:len(counts)] = counts
+        return rows
 
-    def _replay_guard(self, keys: list,
-                      mask: Optional[np.ndarray]) -> np.ndarray:
-        """Replay the fairness guard over a sub-batch; returns the
-        ``(len(keys), m)`` delivered matrix.
+    def _replay_guard(self, srcs: np.ndarray, keys: list,
+                      drops: Optional[np.ndarray]) -> np.ndarray:
+        """Replay the fairness guard over a pass; returns its
+        ``(len(keys), n)`` delivered matrix.
 
         A channel's consecutive-drop count of a key goes to ``count + 1`` on
         a drop and to zero on a delivery, and a wanted drop at
-        ``count >= fairness_bound`` is forced through.  Distinct keys are
-        independent, so the sends are replayed in *rounds* — round ``r``
-        holds every key's ``r``-th send of the batch — each one matrix
-        operation over the table rows it touches.
+        ``count >= fairness_bound`` is forced through.  Distinct ``(source,
+        key)`` pairs are independent, so the sends are replayed in *rounds*
+        — round ``r`` holds every pair's ``r``-th send of the pass — each
+        one matrix operation over the table rows it touches.
         """
         b = len(keys)
-        if mask is None:
-            mask = np.zeros((b, self.m), dtype=bool)
+        if drops is None:
+            drops = np.zeros((b, self.n), dtype=bool)
         else:
             self.guard_live = True
-        rows = [self._guard_row(key) for key in keys]
+        rows = self._guard_rows(srcs.tolist(), keys)
         if len(set(rows)) == b:
             rounds: Any = (slice(None),)
         else:
@@ -353,53 +409,50 @@ class _RowSampler:
         rows = np.array(rows)
         counts = self.guard_counts
         bound = self.fairness_bound
-        delivered = np.empty((b, self.m), dtype=bool)
+        ok = np.empty((b, self.n), dtype=bool)
         for sel in rounds:
             table_rows = rows[sel]
             count = counts[table_rows]
-            drop = mask[sel]
+            drop = drops[sel]
             if bound is not None:
-                forced = drop & (count >= bound)
-                self.forced_counts += forced.sum(axis=0)
-                drop = drop ^ forced
+                drop = drop & (count < bound)
             counts[table_rows] = (count + 1) * drop
-            delivered[sel] = ~drop
-        return delivered
+            ok[sel] = ~drop
+        return ok
 
-    def _refill_loss(self) -> None:
-        if self.loss_drops is None:
-            self.loss_block = np.empty((self.block, self.m), dtype=np.float64)
-            self.loss_drops = np.empty((self.block, self.m), dtype=bool)
-        for j, rng in enumerate(self.loss_rngs):
-            _refill_uniform_column(self.loss_block, j, rng.random)
-        np.less(self.loss_block, self.probability, out=self.loss_drops)
-        self.loss_cursor = 0
+    def _top_up_delays(self, srcs: np.ndarray, columns: np.ndarray) -> None:
+        """Move the unconsumed uniforms of channels ``(srcs[i], columns[i])``
+        to the front of their columns and draw the rest, all in one call."""
+        srcs, columns = srcs.tolist(), columns.tolist()
+        used = self.delay_cursors[srcs, columns].tolist()
+        draws = _uniform_draws(
+            [self.delay_rngs[src][j] for src, j in zip(srcs, columns)], used)
+        kept_from = 0
+        for src, j, cursor in zip(srcs, columns, used):
+            column = self.delay_u[src, :, j]
+            kept = self.block - cursor
+            column[:kept] = column[cursor:]
+            column[kept:] = draws[kept_from:kept_from + cursor]
+            kept_from += cursor
+        self.delay_cursors[srcs, columns] = 0
 
-    def _top_up_delay(self, column: int) -> None:
-        """Move column's unconsumed uniforms to the front, draw the rest."""
-        cursor = int(self.delay_cursors[column])
-        kept = self.block - cursor
-        self.delay_u[:kept, column] = self.delay_u[cursor:, column]
-        _refill_uniform_column(self.delay_u, column,
-                               self.delay_rngs[column].random, start=kept)
-        self.delay_cursors[column] = 0
-
-    def _sample_generic(self, payloads: list, nows: np.ndarray) -> tuple:
-        """Exact generic path: per-channel ``transmit`` via broadcast_fast."""
-        per_send: list[int] = []
-        times: list[SimTime] = []
-        dsts: list[int] = []
+    def _sample_generic(self, sends: list, srcs: np.ndarray, keys: list,
+                        nows: np.ndarray, delivered: np.ndarray,
+                        times: np.ndarray) -> None:
+        """Exact per-send path: per-channel ``transmit`` via broadcast_fast,
+        in program order."""
+        if not sends:
+            return
         broadcast_fast = self.network.broadcast_fast
-        for payload, now in zip(payloads, nows.tolist()):
-            before = len(times)
-            for dst, deliver_time in broadcast_fast(self.src, payload, now):
-                if deliver_time is not None:
-                    times.append(deliver_time)
-                    dsts.append(dst)
-            per_send.append(len(times) - before)
-        return (np.array(per_send, dtype=np.int64),
-                np.array(times, dtype=np.float64),
-                np.array(dsts, dtype=np.int32))
+        # A dropped copy's ``None`` becomes NaN.
+        fates = np.array(
+            [[deliver_time for _, deliver_time
+              in broadcast_fast(src, keys[send], now)]
+             for send, src, now in zip(sends, srcs[sends].tolist(),
+                                       nows[sends].tolist())],
+            dtype=np.float64)
+        times[sends] = fates
+        delivered[sends] = ~np.isnan(fates)
 
     # ------------------------------------------------------------------ #
     # end-of-run flush
@@ -407,35 +460,35 @@ class _RowSampler:
     def flush_stats(self) -> None:
         """Fold the accumulated per-row counters into the channels' stats.
 
-        Only vector mode defers stats (the generic path goes through each
+        Only vector rows defer stats (a generic row goes through each
         channel's own ``transmit``).  ``delivered = attempts - dropped``
         exactly as the per-transmit updates would have left them, and the
         channels' ``_consecutive_drops`` get the guard table's non-zero
         counts (absent key == zero drops, as ``transmit`` keeps them).
         """
-        if not self.vector or self.broadcasts == 0:
-            return
-        attempts = self.broadcasts
-        dropped_counts = self.dropped_counts
-        forced_counts = self.forced_counts
-        for j, channel in enumerate(self.channels):
-            stats = channel.stats
-            dropped = int(dropped_counts[j])
-            stats.attempts += attempts
-            stats.dropped += dropped
-            stats.delivered += attempts - dropped
-            stats.forced_deliveries += int(forced_counts[j])
-        self.broadcasts = 0
-        dropped_counts[:] = 0
-        forced_counts[:] = 0
+        channels = self.channels
+        for src in np.flatnonzero(self.broadcasts).tolist():
+            attempts = int(self.broadcasts[src])
+            for channel, dropped, forced in zip(
+                    channels[src], self.dropped[src].tolist(),
+                    self.forced[src].tolist()):
+                stats = channel.stats
+                stats.attempts += attempts
+                stats.dropped += dropped
+                stats.delivered += attempts - dropped
+                stats.forced_deliveries += forced
+        self.broadcasts[:] = 0
+        self.dropped[:] = 0
+        self.forced[:] = 0
         if self.guard_live:
-            keys = list(self.guard_rows)
-            live = self.guard_counts[:len(keys)]
-            for channel in self.channels:
-                channel._consecutive_drops.clear()
+            pairs = list(self.guard_index)
+            live = self.guard_counts[:len(pairs)]
+            for src in np.flatnonzero(self.vector).tolist():
+                for channel in channels[src]:
+                    channel._consecutive_drops.clear()
             for row, j in zip(*(axis.tolist() for axis in np.nonzero(live))):
-                self.channels[j]._consecutive_drops[keys[row]] = \
-                    int(live[row, j])
+                src, key = pairs[row]
+                channels[src][j]._consecutive_drops[key] = int(live[row, j])
 
 
 class VectorizedEngine(SimulationEngine):
@@ -458,6 +511,11 @@ class VectorizedEngine(SimulationEngine):
     #: ``repeated_ack_is_noop_once_delivered``).  ``None`` on the per-event
     #: fallback.
     consume_mode: Optional[str] = None
+
+    #: Source rows of the batched run that :class:`_NetSampler` could not
+    #: vectorize and fates per send through ``network.broadcast_fast``
+    #: (counted under the fallback reason ``generic_rows`` when non-zero).
+    generic_rows: int = 0
 
     engine_label = "vectorized"
 
@@ -500,9 +558,13 @@ class VectorizedEngine(SimulationEngine):
                          mode="per-event", reason=reason)
             return super().run()
         self.dispatch_mode = "batched"
+        self._sampler = _NetSampler(self.network, self.config.n_processes)
+        self.generic_rows = self._sampler.generic_rows
+        if self.generic_rows:
+            self._count_fallback("generic_rows")
         if obs.timeline_active():
             obs.emit("engine.dispatch_mode", engine=self.engine_label,
-                     mode="batched")
+                     mode="batched", generic_rows=self.generic_rows)
         return self._run_batched()
 
     # ------------------------------------------------------------------ #
@@ -518,75 +580,49 @@ class VectorizedEngine(SimulationEngine):
     def _flush_sends(self) -> None:
         """Sample every broadcast recorded since the last flush, at once.
 
-        The outbox is grouped per source row (stably, so every per-channel
-        loss and delay substream is consumed in program order) and each
-        group sampled by its :class:`_RowSampler`; then **one**
-        ``claim_seqs`` hands out the numbers in program order of the sends
-        and destination order within a send — exactly the seqs the
-        reference engine's per-copy ``schedule`` calls would have drawn —
-        and the copies join the pending pool as one block.  Invariant: the
-        outbox is empty whenever anything but this method claims a seq or
-        reads ``_batch_pending``; hence the flush points — the end of every
-        ``_consume_run``, inside TICK handling between ``on_tick()`` and
-        the re-arm, and after every other queue-event dispatch.  Deferring
-        is sound because nothing created in a slice is consumed in it, and
-        a process has no way to claim a seq except ``broadcast``.
+        One :meth:`_NetSampler.sample` call fates the whole outbox; its
+        copies come back in program order of the sends and destination
+        order within a send, so **one** ``claim_seqs`` numbers them
+        ``seq0 + k`` — exactly the seqs the reference engine's per-copy
+        ``schedule`` calls would have drawn — and they join the pending
+        pool as one block.  Invariant: the outbox is empty whenever
+        anything but this method claims a seq or reads ``_batch_pending``;
+        hence the flush points — the end of every ``_consume_run``, inside
+        TICK handling between ``on_tick()`` and the re-arm, and after every
+        other queue-event dispatch.  Deferring is sound because nothing
+        created in a slice is consumed in it, and a process has no way to
+        claim a seq except ``broadcast``.
         """
         outbox = self._outbox
         if not outbox:
             return
         srcs, pids, nows = zip(*outbox)
         outbox.clear()
-        srcs, pids = np.array(srcs), np.array(pids)
-        nows = np.array(nows, dtype=np.float64)
-        n = len(srcs)
-        order = np.argsort(srcs, kind="stable")
-        grouped = srcs[order]
-        cuts = [0, *(np.nonzero(grouped[1:] != grouped[:-1])[0] + 1).tolist(),
-                n]
         payloads = self._interner.payloads
-        samplers = self._row_samplers
-        per_send = np.empty(n, dtype=np.int64)
-        attempted = np.empty(n, dtype=np.int64)
-        parts = []
-        for lo, hi in zip(cuts, cuts[1:]):
-            src = int(grouped[lo])
-            sampler = samplers[src]
-            if sampler is None:
-                sampler = samplers[src] = _RowSampler(self.network, src)
-            sends = order[lo:hi]
-            per_send[sends], *columns = sampler.sample(
-                [payloads[pid] for pid in pids[sends].tolist()], nows[sends])
-            attempted[sends] = sampler.m
-            parts.append(columns)
+        delivered, times = self._sampler.sample(
+            np.array(srcs), [payloads[pid] for pid in pids],
+            np.array(nows, dtype=np.float64))
+        per_send = delivered.sum(axis=1)
         metrics = self.metrics
         if metrics.active:
-            for src, pid, now, sent, kept in zip(
-                    srcs.tolist(), pids.tolist(), nows.tolist(),
-                    attempted.tolist(), per_send.tolist()):
+            sent = self.config.n_processes
+            for src, pid, now, kept in zip(srcs, pids, nows,
+                                           per_send.tolist()):
                 kind = payload_kind(payloads[pid])
                 metrics.on_send_many(now, src, kind, sent)
                 metrics.on_drop_many(now, src, kind, sent - kept)
         if self._send_rows_hist is not None:
-            self._send_rows_hist.observe(n)
+            self._send_rows_hist.observe(len(srcs))
             for kept in per_send[per_send > 0].tolist():
                 self._chunk_cells_hist.observe(kept)
-        ends = per_send.cumsum()
-        total = int(ends[-1])
+        total = len(times)
         if not total:
             return
-        # Copy c of send p gets seq0 + (copies of sends before p) + c; the
-        # sampled columns are laid out group by group, so spread each send's
-        # first seq over its copies and add the within-send offset.
-        first_seq = self.queue.claim_seqs(total) + ends - per_send
-        grouped_kept = per_send[order]
-        offsets = grouped_kept.cumsum() - grouped_kept
-        seqs = np.repeat(first_seq[order] - offsets, grouped_kept)
-        seqs += np.arange(total)
-        times, dsts = _stack(parts)
+        sends, dsts = np.nonzero(delivered)
+        seqs = self.queue.claim_seqs(total) + np.arange(total)
         self._fresh.append((
-            times, seqs, dsts,
-            np.repeat(pids[order].astype(np.int32), grouped_kept)))
+            times, seqs, dsts.astype(np.int32),
+            np.array(pids, dtype=np.int32)[sends]))
         self._batch_pending += total
         self._pending_head = min(self._pending_head, float(times.min()))
 
@@ -638,9 +674,6 @@ class VectorizedEngine(SimulationEngine):
         self._pending: list = []
         self._pending_head = _NEVER
         self._batch_pending = 0
-        self._row_samplers: list[Optional[_RowSampler]] = (
-            [None] * self.config.n_processes
-        )
         self._interner = PayloadInterner()
         self._fast_active = True
         try:
@@ -669,9 +702,7 @@ class VectorizedEngine(SimulationEngine):
             self.event_stats.dispatched[EventKind.RECEIVE] += receive_count
         if deliver_count and self.metrics.active:
             self.metrics.total_channel_deliveries += deliver_count
-        for sampler in self._row_samplers:
-            if sampler is not None:
-                sampler.flush_stats()
+        self._sampler.flush_stats()
         if self.consume_mode == "batched" and obs.enabled():
             obs.counter(
                 "repro_engine_batched_consumed_total",
@@ -970,6 +1001,8 @@ class VectorizedEngine(SimulationEngine):
     #: Broadcasts recorded since the last flush: ``(src, pid, now)``.  Only
     #: the batched path fills it; elsewhere the flush hook finds it empty.
     _outbox: Any = ()
+    #: The channel sampler of the current batched run.
+    _sampler: Any = None
     #: Payload interning table of the current batched run.
     _interner: Optional[PayloadInterner] = None
     #: The repeat filter's run-wide tables (``None`` = filter off):

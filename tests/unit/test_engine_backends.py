@@ -39,8 +39,8 @@ from repro.experiments.parity import (
 from repro.experiments.runner import build_engine
 from repro.explore.serialize import scenario_from_dict, scenario_to_dict
 from repro.failure_detectors.labels import Label
-from repro.network.delay import DelaySpec
-from repro.network.loss import LossSpec
+from repro.network.delay import DelaySpec, UniformDelay
+from repro.network.loss import BernoulliLoss, GilbertElliottLoss, LossSpec
 from repro.registry import (
     UnknownComponentError,
     all_registries,
@@ -64,6 +64,11 @@ OFF_RAMP_CASES = {
     "identified-urb": ("batched", "boxed"),
     "best-effort": ("batched", "boxed"),
 }
+
+#: Battery cases none of whose source rows the block sampler can replay
+#: (``p == 1`` rows, channel families with their own ``transmit``): all six
+#: rows are fated per send.
+GENERIC_ROWS = {"all-drop": 6, "reliable": 6, "quasi-reliable": 6}
 
 
 # --------------------------------------------------------------------------- #
@@ -114,66 +119,173 @@ def test_vectorized_matches_reference(name):
                          if run.engine == "vectorized")
     assert (vectorized_run.dispatch_mode, vectorized_run.consume_mode) == \
         OFF_RAMP_CASES.get(name, ("batched", "batched"))
+    assert vectorized_run.generic_rows == GENERIC_ROWS.get(name, 0)
 
 
-@pytest.mark.parametrize("name", ["bernoulli-uniform", "algorithm1",
-                                  "heavy-loss-guard", "crashes-mid-run"])
+#: ``test_small_sample_block_is_bit_identical``'s scenarios: four battery
+#: cases and a flood — Algorithm 1, every process broadcasting, two crashes
+#: mid-run, never quiescent — whose flushes hold sends of every live row in
+#: unequal numbers, so the rows run out of their loss blocks in different
+#: passes of one flush.
+BLOCK_CASES = {
+    **{name: CASES[name] for name in ("bernoulli-uniform", "algorithm1",
+                                      "heavy-loss-guard", "crashes-mid-run")},
+    "flood": CASES["algorithm1"].with_(
+        name="flood", workload="all_to_all", metadata={},
+        crashes={0: 2.0, 1: 4.5}, max_time=6.0,
+        stop_when_all_correct_delivered=False),
+}
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap ``_NetSampler.<name>``; the returned list gets, per call, the
+    number of distinct source rows in its ``srcs`` argument."""
+    method = getattr(vectorized._NetSampler, name)
+    calls = []
+
+    def counting(self, srcs, *args):
+        calls.append(len(set(srcs.tolist())))
+        return method(self, srcs, *args)
+
+    monkeypatch.setattr(vectorized._NetSampler, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
 @pytest.mark.parametrize("block", [1, 3])
 def test_small_sample_block_is_bit_identical(monkeypatch, block, name):
     # Tiny prefetch blocks put every refill boundary inside single flushes:
-    # one row's sends need several loss blocks, delay columns are topped up
-    # mid-batch, and a row group larger than the block is split.  Results
-    # must not depend on the block size.
+    # a row's sends need several loss blocks, so the flush is split into
+    # passes, and delay columns are topped up between them.  Results must
+    # not depend on the block size.
     monkeypatch.setattr(vectorized, "SAMPLE_BLOCK", block)
-    report = compare_engines(CASES[name])
+    flushes = _count_calls(monkeypatch, "sample")
+    passes = _count_calls(monkeypatch, "_sample_pass")
+    report = compare_engines(BLOCK_CASES[name])
     assert report.ok, report.diff()
+    assert len(passes) > len(flushes) and max(passes) >= 3
 
 
+def test_a_flush_enters_the_sampler_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "sample")
+    flush_sends = VectorizedEngine._flush_sends
+    flushes = []
+
+    def counting_flush(self):
+        if self._outbox:
+            flushes.append(len({src for src, _, _ in self._outbox}))
+        flush_sends(self)
+
+    monkeypatch.setattr(VectorizedEngine, "_flush_sends", counting_flush)
+    run = run_fingerprint(CASES["bernoulli-uniform"], "vectorized")
+    assert run.dispatch_mode == "batched"
+    # One call per non-empty flush, however many rows sent in it.
+    assert calls == flushes
+    assert max(calls) >= 3
+
+
+def _bursty_row_4(src, dst, rng):
+    """Custom loss factory: Gilbert–Elliott on row 4, the battery's heavy
+    Bernoulli loss everywhere else."""
+    if src == 4:
+        return GilbertElliottLoss(rng, p_good_to_bad=0.4, loss_bad=0.9)
+    return BernoulliLoss(0.7, rng)
+
+
+@pytest.mark.parametrize("generic_rows, loss", [
+    (0, LossSpec.bernoulli(0.7)),
+    (1, LossSpec.custom(_bursty_row_4)),
+], ids=["vector-rows", "mixed-rows"])
 @pytest.mark.parametrize("block", [2, 5, 256])
-def test_row_sampler_batch_matches_transmit_copy_by_copy(monkeypatch, block):
-    """One ``sample`` call over a batch of sends (repeated keys included)
-    against ``LossyChannel.transmit`` called copy by copy on a twin network
-    built from the same seed."""
+def test_net_sampler_flush_matches_transmit_copy_by_copy(
+        monkeypatch, block, generic_rows, loss):
+    """A flush whose sends interleave three source rows, with repeated keys
+    and guard state already on channels of two of them, handed to ``sample``
+    in two calls, against ``LossyChannel.transmit`` called copy by copy, in
+    program order, on a twin network built from the same seed."""
     monkeypatch.setattr(vectorized, "SAMPLE_BLOCK", block)
-    scenario = CASES["heavy-loss-guard"]
+    scenario = CASES["heavy-loss-guard"].with_(loss=loss)
+    n = scenario.n_processes
     batch_net = build_engine(scenario).network
     twin_net = build_engine(scenario).network
+    srcs = [(2, 0, 2, 4, 2, 4, 0)[i % 7] for i in range(40)]
     payloads = [MsgPayload(TaggedMessage(content=f"m{i % 3}", tag=i % 3))
-                for i in range(17)]
-    nows = np.linspace(1.0, 2.0, len(payloads))
+                for i in range(len(srcs))]
+    nows = np.linspace(1.0, 2.0, len(srcs))
     # Guard state left by an earlier run on a reused network.
     for net in (batch_net, twin_net):
         net.channel(2, 0)._consecutive_drops[payloads[0]] = 2
-        net.channel(2, 4)._consecutive_drops[payloads[1]] = 1
+        net.channel(0, 4)._consecutive_drops[payloads[1]] = 1
 
-    sampler = vectorized._RowSampler(batch_net, 2)
-    assert sampler.vector
-    per_send, times, dsts = [], [], []
-    for lo, hi in ((0, 11), (11, 17)):
-        kept, part_times, part_dsts = sampler.sample(payloads[lo:hi],
-                                                     nows[lo:hi])
-        per_send += kept.tolist()
+    sampler = vectorized._NetSampler(batch_net, n)
+    assert sampler.generic_rows == generic_rows
+    delivered, times = [], []
+    for lo, hi in ((0, 23), (23, len(srcs))):
+        part, part_times = sampler.sample(
+            np.array(srcs[lo:hi]), payloads[lo:hi], nows[lo:hi])
+        delivered += part.tolist()
         times += part_times.tolist()
-        dsts += part_dsts.tolist()
     sampler.flush_stats()
 
-    want_per_send, want_times, want_dsts = [], [], []
-    row = [twin_net.channel(2, dst) for dst in range(scenario.n_processes)]
-    for payload, now in zip(payloads, nows.tolist()):
-        outcomes = [(ch.dst, ch.transmit(payload, now)) for ch in row]
-        delivered = [(dst, t) for dst, t in outcomes if t is not None]
-        want_per_send.append(len(delivered))
-        want_dsts += [dst for dst, _ in delivered]
-        want_times += [t for _, t in delivered]
-    assert per_send == want_per_send
-    assert dsts == want_dsts
+    want_delivered, want_times = [], []
+    for src, payload, now in zip(srcs, payloads, nows.tolist()):
+        fates = [twin_net.channel(src, dst).transmit(payload, now)
+                 for dst in range(n)]
+        want_delivered.append([fate is not None for fate in fates])
+        want_times += [fate for fate in fates if fate is not None]
+    assert delivered == want_delivered
     assert times == want_times
-    assert 0 < sum(want_per_send) < len(payloads) * len(row)
-    assert sum(ch.stats.forced_deliveries for ch in row) > 0
-    for dst, twin in enumerate(row):
-        channel = batch_net.channel(2, dst)
+    assert 0 < len(want_times) < len(srcs) * n
+    assert sum(channel.stats.forced_deliveries
+               for channel in twin_net.channels.values()) > 0
+    for pair, twin in twin_net.channels.items():
+        channel = batch_net.channel(*pair)
         assert channel.stats == twin.stats
         assert channel._consecutive_drops == twin._consecutive_drops
+
+
+class CountingRandom(random.Random):
+    """A generator whose ``random()`` is overridden, as a custom spec's
+    factory may hand to a stock model; ``getrandbits`` would bypass it."""
+
+    calls = 0
+
+    def random(self):
+        CountingRandom.calls += 1
+        return super().random()
+
+
+def _counting_loss_on_row_3(src, dst, rng):
+    if src == 3:
+        rng = CountingRandom(rng.getrandbits(32))
+    return BernoulliLoss(0.25, rng)
+
+
+def _counting_delay_on_row_3(src, dst, rng):
+    if src == 3:
+        rng = CountingRandom(rng.getrandbits(32))
+    return UniformDelay(rng, 0.05, 0.5)
+
+
+@pytest.mark.parametrize("changes", [
+    {"loss": LossSpec.custom(_counting_loss_on_row_3)},
+    {"delay": DelaySpec.custom(_counting_delay_on_row_3)},
+], ids=["loss-stream", "delay-stream"])
+def test_only_stock_generators_take_the_bulk_path(monkeypatch, changes):
+    scenario = CASES["bernoulli-uniform"].with_(**changes)
+    runs, calls = {}, {}
+    for engine in ("reference", "vectorized"):
+        monkeypatch.setattr(CountingRandom, "calls", 0)
+        runs[engine] = run_fingerprint(scenario, engine)
+        calls[engine] = CountingRandom.calls
+    batched = runs["vectorized"]
+    assert batched.dispatch_mode == "batched"
+    assert batched.fingerprint == runs["reference"].fingerprint
+    # The row with the overriding generator is fated send by send through
+    # its channels' own models: the override is called, and exactly as
+    # often as on the reference path.
+    assert batched.generic_rows == 1
+    assert calls["vectorized"] == calls["reference"] > 0
 
 
 def _guarded_run(engine_name, preseed):
@@ -331,8 +443,8 @@ def test_no_positive_min_delay_fallback_reason_counted(obs_on):
     assert _fallback_count("no_positive_min_delay") == 1
 
 
-def _consume_mode_events(run):
-    """Run *run* with a timeline attached; its engine.consume_mode events."""
+def _timeline_events(run, kind="engine.consume_mode"):
+    """Run *run* with a timeline attached; its timeline events of *kind*."""
     stream = io.StringIO()
     obs.set_timeline(obs.Timeline(stream))
     try:
@@ -340,14 +452,13 @@ def _consume_mode_events(run):
     finally:
         obs.set_timeline(None)
     events = [json.loads(line) for line in stream.getvalue().splitlines()]
-    return result, [event for event in events
-                    if event["kind"] == "engine.consume_mode"]
+    return result, [event for event in events if event["kind"] == kind]
 
 
 def test_no_batch_consumer_decline_reason_counted(obs_on):
     # A baseline protocol does not declare that repeated ACKs are no-ops:
     # the one reason a sliced run is replayed entry by entry.
-    run, events = _consume_mode_events(
+    run, events = _timeline_events(
         lambda: run_fingerprint(CASES["eager-rb"], "vectorized"))
     assert run.dispatch_mode == "batched"
     assert run.consume_mode == "boxed"
@@ -355,6 +466,27 @@ def test_no_batch_consumer_decline_reason_counted(obs_on):
     (event,) = events
     assert (event["mode"], event["reason"]) == ("boxed", "no_batch_consumer")
     assert obs.REGISTRY.get("repro_engine_replayed_total") is None
+
+
+def test_generic_rows_are_named_and_counted(obs_on):
+    # A batched run whose rows the block sampler cannot replay stays
+    # batched, and says how many rows it fated one send at a time.
+    run, events = _timeline_events(
+        lambda: run_fingerprint(CASES["reliable"], "vectorized"),
+        kind="engine.dispatch_mode")
+    assert run.dispatch_mode == "batched"
+    assert run.generic_rows == CASES["reliable"].n_processes
+    assert _fallback_count("generic_rows") == 1
+    (event,) = events
+    assert (event["mode"], event["generic_rows"]) == ("batched", 6)
+    # ... and a vectorizable network reports none.
+    run, events = _timeline_events(
+        lambda: run_fingerprint(CASES["bernoulli-uniform"], "vectorized"),
+        kind="engine.dispatch_mode")
+    assert run.generic_rows == 0
+    assert _fallback_count("generic_rows") == 1
+    (event,) = events
+    assert (event["mode"], event["generic_rows"]) == ("batched", 0)
 
 
 # --------------------------------------------------------------------------- #
@@ -372,7 +504,7 @@ def test_unstable_view_windows_run_filtered_with_parity(obs_on):
     # ALL_PROCESSES rebuilds AΘ's output on every query as crashes are
     # detected.  Replay reads env.atheta() at each entry's own time, so the
     # filter needs nothing from the detector and the run stays filtered.
-    report, events = _consume_mode_events(
+    report, events = _timeline_events(
         lambda: compare_engines(CASES["unstable-view-windows"]))
     assert report.ok, report.diff()
     assert report.runs[1].dispatch_mode == "batched"
@@ -397,7 +529,7 @@ def _run_with_delivery_listeners(engine_name):
 
 
 def test_delivery_listeners_run_filtered_with_parity(obs_on):
-    (built, vec_fp, vec_heard), events = _consume_mode_events(
+    (built, vec_fp, vec_heard), events = _timeline_events(
         lambda: _run_with_delivery_listeners("vectorized"))
     assert built.dispatch_mode == "batched"
     assert built.consume_mode == "batched"
