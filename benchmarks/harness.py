@@ -2,9 +2,10 @@
 
 A plain-Python subsystem that CI can run without plugins:
 
-* a registry of named benchmark scenarios — engine-level hot-path loads
-  (large-n quiescence, flood, lossy channels, raw event-queue churn) and
-  the durable layer (result store, store merge);
+* a registry of named benchmark scenarios with no twin among the
+  end-to-end workloads of ``benchmarks/e2e``: the full-size n=40 quiescence
+  headline, the observability tax on it, raw event-queue churn, and the
+  durable layer (result store, store merge);
 * a runner that measures wall time, dispatched events/sec, protocol
   ops/sec (sends) and peak RSS for each scenario, plus — from one more
   pass with ``repro.obs`` on — the cyclic collector's share (``meta.gc``);
@@ -157,35 +158,31 @@ class BenchSpec:
     name: str
     description: str
     run: Callable[[bool], tuple[float, int, int, dict[str, Any]]]
-    default: bool = True
 
 
 BENCH_SCENARIOS: dict[str, BenchSpec] = {}
 
 
-def register_bench(name: str, description: str, *, default: bool = True):
+def register_bench(name: str, description: str):
     """Decorator registering a benchmark scenario under *name*."""
 
     def decorator(fn: Callable[[bool], tuple[float, int, int, dict[str, Any]]]):
-        BENCH_SCENARIOS[name] = BenchSpec(name, description, fn, default)
+        BENCH_SCENARIOS[name] = BenchSpec(name, description, fn)
         return fn
 
     return decorator
 
 
-def _run_engine_scenario(
-    scenario: Scenario, *, metrics_level: Optional[MetricsLevel] = None
-) -> tuple[float, int, int, dict[str, Any]]:
+def _run_engine_scenario(scenario: Scenario) -> tuple[float, int, int, dict[str, Any]]:
     """Build the engine untimed, then time ``engine.run()`` alone.
 
-    ``metrics_level=MetricsLevel.COUNTERS`` puts the collector in its
-    aggregate-counters-only mode — the intended configuration for large
-    benchmark sweeps, where per-event timeline/latency lists would dominate
-    time and memory without being read.
+    The collector is in its aggregate-counters-only mode — the intended
+    configuration for large benchmark sweeps, where per-event
+    timeline/latency lists would dominate time and memory without being
+    read.
     """
     engine = build_engine(scenario)
-    if metrics_level is not None:
-        engine.metrics = MetricsCollector(level=metrics_level)
+    engine.metrics = MetricsCollector(level=MetricsLevel.COUNTERS)
     start = time.perf_counter()
     result = engine.run()
     elapsed = time.perf_counter() - start
@@ -201,14 +198,12 @@ def _run_engine_scenario(
     return elapsed, result.event_stats.total, summary.total_sends, meta
 
 
-@register_bench(
-    "quiescence_large_n",
-    "Algorithm 2 quiescence run at large n (the paper's E4 regime, scaled up)",
-)
-def _bench_quiescence_large_n(quick: bool):
+def _quiescence_scenario(quick: bool, name: str, engine: str) -> Scenario:
+    """Algorithm 2 burst to quiescence at large n (the paper's E4 regime,
+    scaled up): the load of ``quiescence_vectorized`` and ``obs_overhead``."""
     n = 16 if quick else 40
-    scenario = Scenario(
-        name="bench-quiescence-large-n",
+    return Scenario(
+        name=name,
         algorithm="algorithm2",
         n_processes=n,
         seed=1234,
@@ -220,35 +215,18 @@ def _bench_quiescence_large_n(quick: bool):
         drain_grace_period=2.0,
         max_time=400.0,
         trace_enabled=False,
+        engine=engine,
     )
-    return _run_engine_scenario(scenario, metrics_level=MetricsLevel.COUNTERS)
 
 
 @register_bench(
     "quiescence_vectorized",
-    "The quiescence_large_n load under the vectorized engine backend",
+    "Algorithm 2 quiescence run at large n under the vectorized engine backend",
 )
 def _bench_quiescence_vectorized(quick: bool):
-    n = 16 if quick else 40
-    scenario = Scenario(
-        name="bench-quiescence-vectorized",
-        algorithm="algorithm2",
-        n_processes=n,
-        seed=1234,
-        loss=LossSpec.bernoulli(0.05),
-        delay=DelaySpec.uniform(0.05, 0.5),
-        workload="burst",
-        metadata={"burst_size": n},
-        stop_when_quiescent=True,
-        drain_grace_period=2.0,
-        max_time=400.0,
-        trace_enabled=False,
-        engine="vectorized",
-    )
-    # Identical load and seed to quiescence_large_n: the pair quantifies the
-    # backend speedup on the same machine, and parity (same dispatched-event
-    # count) is CI-gated separately by scripts/engine_parity.py.
-    return _run_engine_scenario(scenario, metrics_level=MetricsLevel.COUNTERS)
+    scenario = _quiescence_scenario(quick, "bench-quiescence-vectorized",
+                                    "vectorized")
+    return _run_engine_scenario(scenario)
 
 
 @register_bench(
@@ -258,7 +236,8 @@ def _bench_quiescence_vectorized(quick: bool):
 def _bench_obs_overhead(quick: bool):
     """Quantify the observability tax on the hottest engine path.
 
-    Runs the quiescence_large_n load twice — registry disabled (the
+    Runs the quiescence load twice on the reference engine (the per-event
+    loop is where the obs call sites are) — registry disabled (the
     default, and the configuration the 2% budget applies to) and fully
     enabled with a live timeline sink — and reports both throughputs
     plus the relative overhead in ``meta``.  The timed value is the
@@ -269,31 +248,15 @@ def _bench_obs_overhead(quick: bool):
 
     from repro import obs
 
-    n = 16 if quick else 40
-    scenario = Scenario(
-        name="bench-obs-overhead",
-        algorithm="algorithm2",
-        n_processes=n,
-        seed=1234,
-        loss=LossSpec.bernoulli(0.05),
-        delay=DelaySpec.uniform(0.05, 0.5),
-        workload="burst",
-        metadata={"burst_size": n},
-        stop_when_quiescent=True,
-        drain_grace_period=2.0,
-        max_time=400.0,
-        trace_enabled=False,
-    )
+    scenario = _quiescence_scenario(quick, "bench-obs-overhead", "reference")
 
     obs.reset()
-    disabled = _run_engine_scenario(scenario,
-                                    metrics_level=MetricsLevel.COUNTERS)
+    disabled = _run_engine_scenario(scenario)
     obs.reset()
     obs.enable()
     previous = obs.set_timeline(obs.Timeline(io.StringIO()))
     try:
-        enabled = _run_engine_scenario(scenario,
-                                       metrics_level=MetricsLevel.COUNTERS)
+        enabled = _run_engine_scenario(scenario)
     finally:
         obs.set_timeline(previous)
         obs.reset()
@@ -310,70 +273,6 @@ def _bench_obs_overhead(quick: bool):
             (wall_enabled - wall_disabled) / wall_disabled * 100.0,
     })
     return wall_disabled, events, sends, meta
-
-
-@register_bench(
-    "flood_horizon",
-    "Algorithm 1 all-to-all flood to the horizon (never quiescent)",
-)
-def _bench_flood_horizon(quick: bool):
-    n = 8 if quick else 14
-    scenario = Scenario(
-        name="bench-flood-horizon",
-        algorithm="algorithm1",
-        n_processes=n,
-        seed=99,
-        workload="all_to_all",
-        max_time=25.0 if quick else 60.0,
-        trace_enabled=False,
-    )
-    return _run_engine_scenario(scenario, metrics_level=MetricsLevel.COUNTERS)
-
-
-@register_bench(
-    "lossy_channels",
-    "Algorithm 2 under heavy Bernoulli loss and exponential delays",
-)
-def _bench_lossy_channels(quick: bool):
-    n = 10 if quick else 24
-    scenario = Scenario(
-        name="bench-lossy-channels",
-        algorithm="algorithm2",
-        n_processes=n,
-        seed=7,
-        loss=LossSpec.bernoulli(0.3),
-        delay=DelaySpec.exponential(mean=0.4, cap=5.0),
-        workload="burst",
-        metadata={"burst_size": max(4, n // 2)},
-        stop_when_quiescent=True,
-        drain_grace_period=2.0,
-        max_time=400.0,
-        trace_enabled=False,
-    )
-    return _run_engine_scenario(scenario, metrics_level=MetricsLevel.COUNTERS)
-
-
-@register_bench(
-    "tracing_full",
-    "Mid-size Algorithm 2 run with full tracing and metrics recording on",
-)
-def _bench_tracing_full(quick: bool):
-    n = 8 if quick else 16
-    scenario = Scenario(
-        name="bench-tracing-full",
-        algorithm="algorithm2",
-        n_processes=n,
-        seed=5,
-        loss=LossSpec.bernoulli(0.1),
-        delay=DelaySpec.uniform(0.05, 0.5),
-        workload="burst",
-        metadata={"burst_size": n},
-        stop_when_quiescent=True,
-        drain_grace_period=2.0,
-        max_time=400.0,
-        trace_enabled=True,
-    )
-    return _run_engine_scenario(scenario)
 
 
 @register_bench(
@@ -406,39 +305,6 @@ def _bench_event_queue_churn(quick: bool):
     elapsed = time.perf_counter() - start
     total = pushed + popped
     return elapsed, total, total, {"pushed": pushed, "popped": popped}
-
-
-@register_bench(
-    "explore_quick",
-    "Schedule-explorer throughput: random-walk schedules over a small config",
-)
-def _bench_explore_quick(quick: bool):
-    from repro.explore import Explorer
-
-    budget = 40 if quick else 120
-    scenario = Scenario(
-        name="bench-explore-quick",
-        algorithm="algorithm1",
-        n_processes=4,
-        seed=11,
-        max_time=120.0,
-        stop_when_all_correct_delivered=True,
-        drain_grace_period=2.0,
-    )
-    explorer = Explorer(scenario, strategy="random_walk", budget=budget,
-                        parallel=1, shrink=False)
-    start = time.perf_counter()
-    report = explorer.run()
-    elapsed = time.perf_counter() - start
-    # events == ops == schedules, so events_per_sec (the gated normalized
-    # score) is explorer throughput in schedules/s.
-    meta = {
-        "budget": budget,
-        "schedules_run": report.schedules_run,
-        "unique_schedules": report.unique_schedules,
-        "counterexamples": len(report.counterexamples),
-    }
-    return elapsed, report.schedules_run, report.schedules_run, meta
 
 
 @register_bench(
@@ -635,11 +501,6 @@ def observed_gc(spec: BenchSpec, quick: bool) -> dict[str, dict[str, float]]:
                 for key, counter in counters.items()}
     finally:
         obs.reset()
-
-
-def default_scenario_names() -> list[str]:
-    """Scenarios run when none are named explicitly (CI's quick set)."""
-    return [name for name, spec in BENCH_SCENARIOS.items() if spec.default]
 
 
 def load_baseline(path: Path) -> dict[str, dict[str, Any]]:

@@ -3,7 +3,7 @@
 
 Usage (from the repository root)::
 
-    python scripts/bench.py --quick                 # CI's fast set
+    python scripts/bench.py --quick                 # CI's configuration
     python scripts/bench.py --scenarios a,b --repeat 3
     python scripts/bench.py --quick --update-baseline
     python scripts/bench.py --list
@@ -34,10 +34,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="reduced problem sizes (CI configuration)")
     parser.add_argument("--scenarios", default=None,
-                        help="comma-separated scenario names (default: the "
-                             "registered default set)")
-    parser.add_argument("--all", action="store_true",
-                        help="run every registered scenario, default or not")
+                        help="comma-separated scenario names (default: "
+                             "every registered scenario)")
     parser.add_argument("--repeat", type=int, default=1,
                         help="best-of-N repetitions per scenario")
     parser.add_argument("--output-dir", type=Path, default=REPO_ROOT,
@@ -59,8 +57,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.list:
         for name, spec in sorted(harness.BENCH_SCENARIOS.items()):
-            marker = "*" if spec.default else " "
-            print(f"{marker} {name:24s} {spec.description}")
+            print(f"{name:24s} {spec.description}")
         return 0
 
     if args.scenarios:
@@ -68,10 +65,8 @@ def main(argv: list[str] | None = None) -> int:
         unknown = [n for n in names if n not in harness.BENCH_SCENARIOS]
         if unknown:
             parser.error(f"unknown scenarios: {', '.join(unknown)}")
-    elif args.all:
-        names = sorted(harness.BENCH_SCENARIOS)
     else:
-        names = harness.default_scenario_names()
+        names = list(harness.BENCH_SCENARIOS)
 
     args.output_dir.mkdir(parents=True, exist_ok=True)
     print("calibrating...", flush=True)

@@ -52,9 +52,12 @@ from urllib.request import urlopen
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: The sweep under test: 3 loss levels x 8 seeds = 24 cells.
+#: The sweep under test: 3 loss levels x 8 seeds = 24 cells, of about 0.15 s
+#: each.  At n=5 a cell takes 5 ms and the job 0.1 s: one run in three, the
+#: first worker up had every cell before the second claimed or a snapshot
+#: was flushed, and the per-worker checks below had nothing to read.
 SWEEP_ARGS = [
-    "--algorithm", "algorithm2", "--n", "5", "--values", "0.0,0.1,0.2",
+    "--algorithm", "algorithm2", "--n", "24", "--values", "0.0,0.1,0.2",
     "--seeds", "8", "--max-time", "120",
 ]
 

@@ -168,13 +168,14 @@ class LeaseTable:
             recorded = self._db.execute(
                 "SELECT value FROM meta WHERE key = 'schema_version'"
             ).fetchone()
-            if recorded is not None and int(recorded["value"]) != \
-                    LEASE_SCHEMA_VERSION:
-                raise LeaseError(
-                    f"lease table at {self.workdir} has schema version "
-                    f"{recorded['value']}, this library speaks version "
-                    f"{LEASE_SCHEMA_VERSION}"
-                )
+            if recorded is not None:
+                if int(recorded["value"]) != LEASE_SCHEMA_VERSION:
+                    raise LeaseError(
+                        f"lease table at {self.workdir} has schema version "
+                        f"{recorded['value']}, this library speaks version "
+                        f"{LEASE_SCHEMA_VERSION}"
+                    )
+                return  # a current table: every worker handle opens it unwritten
         self._db.executescript(
             """
             CREATE TABLE IF NOT EXISTS meta (
@@ -430,6 +431,13 @@ class LeaseTable:
                 "UPDATE workers SET last_seen = ? WHERE worker = ?",
                 (now, worker),
             )
+            # Read before the commit: a claim that cannot hand its cells
+            # over has granted nothing.
+            granted_cells = self._db.execute(
+                "SELECT * FROM cells WHERE position >= ? AND position < ? "
+                "ORDER BY position",
+                (int(row["start"]), int(row["start"]) + granted),
+            ).fetchall()
             self._db.execute("COMMIT")
         except BaseException:
             self._db.execute("ROLLBACK")
@@ -444,11 +452,7 @@ class LeaseTable:
                 cell_key=cell["cell_key"],
                 scenario=json.loads(cell["scenario"]),
             )
-            for cell in self._db.execute(
-                "SELECT * FROM cells WHERE position >= ? AND position < ? "
-                "ORDER BY position",
-                (int(row["start"]), int(row["start"]) + granted),
-            ).fetchall()
+            for cell in granted_cells
         )
         return RangeGrant(
             range_id=int(row["range_id"]),
@@ -477,15 +481,21 @@ class LeaseTable:
             obs.emit("lease.claim", worker=worker, range_id=range_id,
                      start=start, count=count)
 
-    def _guarded_update(self, sql: str, params: Sequence[Any]) -> bool:
+    def _guarded_update(self, sql: str, params: Sequence[Any],
+                        worker_update: Optional[tuple[str, tuple]] = None) -> bool:
+        """One fenced transition in one transaction: the ``ranges`` update
+        guarded by ``(worker, epoch)`` and, when the guard matched,
+        *worker_update* on the caller's ``workers`` row, both or neither."""
         self._db.execute("BEGIN IMMEDIATE")
         try:
-            changed = self._db.execute(sql, params).rowcount
+            changed = self._db.execute(sql, params).rowcount > 0
+            if changed and worker_update is not None:
+                self._db.execute(*worker_update)
             self._db.execute("COMMIT")
         except BaseException:
             self._db.execute("ROLLBACK")
             raise
-        return changed > 0
+        return changed
 
     def renew(self, grant: RangeGrant, *,
               now: Optional[float] = None) -> bool:
@@ -498,12 +508,9 @@ class LeaseTable:
             "state = 'leased' AND worker = ? AND epoch = ?",
             (now + self.lease_timeout, grant.range_id, grant.worker,
              grant.epoch),
+            ("UPDATE workers SET last_seen = ? WHERE worker = ?",
+             (now, grant.worker)),
         )
-        if renewed:
-            self._db.execute(
-                "UPDATE workers SET last_seen = ? WHERE worker = ?",
-                (now, grant.worker),
-            )
         if obs.enabled():
             obs.counter("repro_lease_renewals_total",
                         "Lease heartbeats, by outcome.",
@@ -521,20 +528,15 @@ class LeaseTable:
         Returns ``False`` (recording nothing) when the lease was lost.
         """
         now = time.time() if now is None else now
-        recorded = self._guarded_update(
+        return self._guarded_update(
             "UPDATE ranges SET done_cells = done_cells + 1, "
             "lease_expires = ? WHERE range_id = ? AND state = 'leased' AND "
             "worker = ? AND epoch = ?",
             (now + self.lease_timeout, grant.range_id, grant.worker,
              grant.epoch),
+            ("UPDATE workers SET last_seen = ?, cells_done = "
+             "cells_done + 1 WHERE worker = ?", (now, grant.worker)),
         )
-        if recorded:
-            self._db.execute(
-                "UPDATE workers SET last_seen = ?, cells_done = "
-                "cells_done + 1 WHERE worker = ?",
-                (now, grant.worker),
-            )
-        return recorded
 
     def complete_range(self, grant: RangeGrant) -> bool:
         """Mark a leased range done.  ``False`` means the lease was lost —

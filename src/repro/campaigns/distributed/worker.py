@@ -7,12 +7,12 @@ persists results into its *own* :class:`~repro.campaigns.store.ResultStore`
 — workers never share a store, so there is no write contention; the
 coordinator merges the per-worker stores when the job completes.
 
-The worker heartbeats through the same statements that record progress
-(every ``record_cell_done`` refreshes the lease), renews explicitly before
-each cell, and abandons a range the moment any guarded call reports the
-lease lost.  Abandonment is cheap and safe: whatever the worker persisted
-is content-addressed, so the eventual merge deduplicates it against the
-re-execution by the new lease holder.
+The worker heartbeats through the statement that records progress (every
+``record_cell_done`` refreshes the lease ``claim`` granted) and abandons a
+range the moment a guarded call reports the lease lost, which a zombie
+learns one cell late at worst.  Abandonment is cheap and safe: whatever the
+worker persisted is content-addressed, so the eventual merge deduplicates
+it against the re-execution by the new lease holder.
 """
 
 from __future__ import annotations
@@ -239,9 +239,6 @@ class Worker:
     ) -> bool:
         """Process one grant's cells; ``True`` iff the range completed."""
         for cell in grant.cells:
-            if not table.renew(grant):
-                report.ranges_abandoned += 1
-                return False
             cell_cm = obs.span(
                 "cell", cell_key=cell.cell_key, position=cell.position,
                 group=cell.group,

@@ -30,18 +30,12 @@ Hit accounting
 --------------
 The store counts ``hits`` (lookups that found a cell), ``misses`` and
 ``puts`` per open handle.  The campaign runner's resume guarantee — *zero
-duplicate simulations* — is asserted straight off these counters.
-
-Beyond the per-handle counters, lifetime totals are persisted in the
-``meta`` table (``stat_hits`` / ``stat_misses`` / ``stat_puts``) so they
-survive handle churn (distributed workers open and close a store handle
-per grant).  Handle deltas are flushed incrementally (piggybacked on
-``put`` transactions, every :data:`_STAT_FLUSH_EVERY` lookups, and on
-:meth:`ResultStore.close`) as relative ``+= delta`` upserts, so concurrent
-handles never overwrite each other's totals.  The same increments feed the
-process-wide :mod:`repro.obs` registry (``repro_store_lookups_total``,
-``repro_store_puts_total``, ``repro_store_blob_bytes_total``,
-``repro_store_gc_total``) when observability is enabled.
+duplicate simulations* — is asserted straight off these counters.  The
+same increments feed the process-wide :mod:`repro.obs` registry
+(``repro_store_lookups_total``, ``repro_store_puts_total``,
+``repro_store_blob_bytes_total``, ``repro_store_gc_total``) when
+observability is enabled, which is where totals across handles and
+processes are read.
 """
 
 from __future__ import annotations
@@ -79,11 +73,6 @@ _READABLE_VERSIONS = frozenset({1, 2, SCHEMA_VERSION})
 _BUSY_TIMEOUT_MS = 30_000
 
 _INDEX_NAME = "index.sqlite"
-
-#: Lookup count between incremental flushes of the lifetime hit/miss
-#: counters into the ``meta`` table.  Puts flush inside their own write
-#: transaction, so at most this many *lookups* can be lost to a SIGKILL.
-_STAT_FLUSH_EVERY = 64
 
 
 class StoreError(RuntimeError):
@@ -332,10 +321,6 @@ class ResultStore:
         self.misses = 0
         #: Results written through this handle.
         self.puts = 0
-        # Portions of the handle counters already flushed to the meta
-        # table; lifetime totals survive handle churn via += upserts.
-        self._stat_flushed = {"hits": 0, "misses": 0, "puts": 0}
-        self._stat_unflushed = 0
         self._obs_store_label = self.root.name or str(self.root)
         try:
             self._init_schema()
@@ -349,7 +334,8 @@ class ResultStore:
     def _init_schema(self) -> None:
         # Version check BEFORE any DDL: a store written under a different
         # schema must raise cleanly, not be mutated towards this layout (or
-        # crash mid-script on an incompatible table).
+        # crash mid-script on an incompatible table), and one already at
+        # this version is opened without a write.
         recorded_version: Optional[int] = None
         if self._db.execute(
             "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'meta'"
@@ -365,6 +351,13 @@ class ResultStore:
                 f"{recorded_version}, this library writes version "
                 f"{SCHEMA_VERSION}"
             )
+        if recorded_version != SCHEMA_VERSION:
+            self._create_tables()
+        self._migrate_blob_files(recorded_version)
+
+    def _create_tables(self) -> None:
+        """The schema of a fresh file, or what a version 1 / 2 store lacks of
+        it (such a store keeps its version stamp until it has migrated)."""
         result_columns = ", ".join(f"{name} {sql}"
                                    for name, sql, _read, _keyword in RESULT_COLUMNS)
         self._db.executescript(
@@ -413,7 +406,6 @@ class ResultStore:
                 VALUES ('schema_version', '{SCHEMA_VERSION}');
             """
         )
-        self._migrate_blob_files(recorded_version)
 
     def _migrate_blob_files(self, recorded_version: Optional[int]) -> None:
         """Bring a version 1 or 2 store up to date, in place.
@@ -454,66 +446,11 @@ class ResultStore:
             shutil.rmtree(blob_dir, ignore_errors=True)
 
     def close(self) -> None:
-        """Flush lifetime counters and close the SQLite handle."""
-        try:
-            self.flush_stats()
-        except sqlite3.Error:
-            # A close must never fail on accounting; worst case the
-            # unflushed tail of the lifetime counters is lost.
-            pass
+        """Close the SQLite handle."""
         self._db.close()
 
-    # ------------------------------------------------------------------ #
-    # lifetime hit accounting (survives handle churn)
-    # ------------------------------------------------------------------ #
-    def _flush_stats_locked(self) -> None:
-        """Upsert the unflushed handle deltas into ``meta`` (``+=``, not
-        overwrite — concurrent handles both land their increments).
-        Callers hold a transaction (``with self._db``)."""
-        for key, current in (("hits", self.hits), ("misses", self.misses),
-                             ("puts", self.puts)):
-            delta = current - self._stat_flushed[key]
-            if delta:
-                self._db.execute(
-                    "INSERT INTO meta (key, value) VALUES (?, ?) "
-                    "ON CONFLICT(key) DO UPDATE SET value = "
-                    "CAST(value AS INTEGER) + excluded.value",
-                    (f"stat_{key}", str(delta)),
-                )
-                self._stat_flushed[key] = current
-        self._stat_unflushed = 0
-
-    def flush_stats(self) -> None:
-        """Persist the handle's lookup/put counters into the store now."""
-        with self._db:
-            self._flush_stats_locked()
-
-    def _persisted_stat(self, key: str) -> int:
-        row = self._db.execute(
-            "SELECT value FROM meta WHERE key = ?", (f"stat_{key}",)
-        ).fetchone()
-        return int(row["value"]) if row is not None else 0
-
-    def _lifetime(self, key: str, current: int) -> int:
-        return self._persisted_stat(key) + (current - self._stat_flushed[key])
-
-    @property
-    def lifetime_hits(self) -> int:
-        """Hits over the store's whole life (all handles, ever)."""
-        return self._lifetime("hits", self.hits)
-
-    @property
-    def lifetime_misses(self) -> int:
-        """Misses over the store's whole life (all handles, ever)."""
-        return self._lifetime("misses", self.misses)
-
-    @property
-    def lifetime_puts(self) -> int:
-        """Puts over the store's whole life (all handles, ever)."""
-        return self._lifetime("puts", self.puts)
-
     def _count_lookup(self, found: bool) -> None:
-        """One hit/miss: handle counters, registry, timeline, lazy flush."""
+        """One hit/miss: handle counters, registry, timeline."""
         if found:
             self.hits += 1
         else:
@@ -528,9 +465,6 @@ class ResultStore:
         if obs.timeline_active():
             obs.emit("store.hit" if found else "store.miss",
                      store=str(self.root))
-        self._stat_unflushed += 1
-        if self._stat_unflushed >= _STAT_FLUSH_EVERY:
-            self.flush_stats()
 
     def __enter__(self) -> "ResultStore":
         return self
@@ -597,14 +531,13 @@ class ResultStore:
             self._db.executemany(_INSERT_RESULT_SQL, [cell.row for cell in cells])
             self._db.executemany(_INSERT_PAYLOAD_SQL,
                                  [(cell.cell_key, cell.payload) for cell in cells])
-            self.puts += len(cells)
-            self._flush_stats_locked()
         self._count_puts([cell.cell_key for cell in cells],
                          sum(len(cell.payload) for cell in cells))
         return [_stored_row(cell.row[i] for i in _ROW_POSITIONS) for cell in cells]
 
     def _count_puts(self, cell_keys: Sequence[str], payload_bytes: int) -> None:
-        """Registry and timeline accounting of cells just committed."""
+        """Handle, registry and timeline accounting of cells just committed."""
+        self.puts += len(cell_keys)
         if obs.enabled():
             obs.counter(
                 "repro_store_puts_total",
@@ -978,8 +911,6 @@ class ResultStore:
                     "INSERT OR IGNORE INTO artifacts SELECT * FROM source.artifacts "
                     "ORDER BY created_at, artifact_id"
                 ).rowcount
-                self.puts += len(new)
-                self._flush_stats_locked()
         finally:
             db.execute("DETACH DATABASE source")
         self._count_puts([key for key, _size in new], sum(size for _key, size in new))

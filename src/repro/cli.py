@@ -164,30 +164,35 @@ def build_parser() -> argparse.ArgumentParser:
                              help="simulation-engine backend (all backends "
                                   "are bit-identical; pick for speed)")
 
+    def sweep_arguments(sub: argparse.ArgumentParser) -> None:
+        """The one-field sweep grid shared by ``sweep`` and ``campaign
+        run`` / ``serve`` / ``plan``."""
+        sub.add_argument("--algorithm", choices=algorithm_names(),
+                         default="algorithm2")
+        sub.add_argument("--field", default="loss",
+                         help="Scenario field to vary (default: loss; 'loss' "
+                              "values are Bernoulli probabilities)")
+        sub.add_argument("--values", required=True,
+                         help="comma-separated grid, e.g. 0.0,0.2,0.4")
+        sub.add_argument("--n", type=int, default=5,
+                         help="number of processes")
+        sub.add_argument("--crashes", type=int, default=0,
+                         help="number of processes crashed at t=2")
+        sub.add_argument("--seeds", type=int, default=3,
+                         help="replications per grid point")
+        sub.add_argument("--seed", type=int, default=0)
+        sub.add_argument("--max-time", type=float, default=150.0)
+        sub.add_argument("--engine", choices=engine_names(),
+                         default="reference",
+                         help="simulation-engine backend (all backends are "
+                              "bit-identical; pick for speed)")
+
     sweep_parser = subparsers.add_parser(
         "sweep", help="sweep one scenario field through the batch runner",
         parents=[plugin_parent, obs_parent])
-    sweep_parser.add_argument("--algorithm", choices=algorithm_names(),
-                              default="algorithm2")
-    sweep_parser.add_argument("--field", default="loss",
-                              help="Scenario field to vary (default: loss; "
-                                   "'loss' values are Bernoulli probabilities)")
-    sweep_parser.add_argument("--values", required=True,
-                              help="comma-separated grid, e.g. 0.0,0.2,0.4")
-    sweep_parser.add_argument("--n", type=int, default=5,
-                              help="number of processes")
-    sweep_parser.add_argument("--crashes", type=int, default=0,
-                              help="number of processes crashed at t=2")
-    sweep_parser.add_argument("--seeds", type=int, default=3,
-                              help="replications per grid point")
+    sweep_arguments(sweep_parser)
     sweep_parser.add_argument("--parallel", type=int, default=1,
                               help="worker processes (1 = sequential)")
-    sweep_parser.add_argument("--seed", type=int, default=0)
-    sweep_parser.add_argument("--max-time", type=float, default=150.0)
-    sweep_parser.add_argument("--engine", choices=engine_names(),
-                              default="reference",
-                              help="simulation-engine backend (all backends "
-                                   "are bit-identical; pick for speed)")
     sweep_parser.add_argument("--progress", action="store_true",
                               help="print one 'completed/total cells' line "
                                    "per finished run (default: a single "
@@ -262,54 +267,15 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--store", required=True, metavar="DIR",
                          help="result store directory")
 
-    def sweep_arguments(sub: argparse.ArgumentParser) -> None:
-        """The one-field sweep grid shared by run/serve/plan."""
-        sub.add_argument("--algorithm", choices=algorithm_names(),
-                         default="algorithm2")
-        sub.add_argument("--field", default="loss",
-                         help="Scenario field to vary (default: loss; 'loss' "
-                              "values are Bernoulli probabilities)")
-        sub.add_argument("--values", required=True,
-                         help="comma-separated grid, e.g. 0.0,0.2,0.4")
-        sub.add_argument("--n", type=int, default=5,
-                         help="number of processes")
-        sub.add_argument("--crashes", type=int, default=0,
-                         help="number of processes crashed at t=2")
-        sub.add_argument("--seeds", type=int, default=3,
-                         help="replications per grid point")
-        sub.add_argument("--seed", type=int, default=0)
-        sub.add_argument("--max-time", type=float, default=150.0)
-        sub.add_argument("--engine", choices=engine_names(),
-                         default="reference",
-                         help="simulation-engine backend (all backends are "
-                              "bit-identical; pick for speed)")
-
     crun = campaign_sub.add_parser(
         "run", help="run (or resume) a sweep campaign against the store",
         parents=[plugin_parent, obs_parent])
     store_argument(crun)
     crun.add_argument("--name", default=None,
                       help="campaign name (default: derived from the sweep)")
-    crun.add_argument("--algorithm", choices=algorithm_names(),
-                      default="algorithm2")
-    crun.add_argument("--field", default="loss",
-                      help="Scenario field to vary (default: loss; 'loss' "
-                           "values are Bernoulli probabilities)")
-    crun.add_argument("--values", required=True,
-                      help="comma-separated grid, e.g. 0.0,0.2,0.4")
-    crun.add_argument("--n", type=int, default=5, help="number of processes")
-    crun.add_argument("--crashes", type=int, default=0,
-                      help="number of processes crashed at t=2")
-    crun.add_argument("--seeds", type=int, default=3,
-                      help="replications per grid point")
+    sweep_arguments(crun)
     crun.add_argument("--parallel", type=int, default=1,
                       help="worker processes (1 = sequential)")
-    crun.add_argument("--seed", type=int, default=0)
-    crun.add_argument("--max-time", type=float, default=150.0)
-    crun.add_argument("--engine", choices=engine_names(),
-                      default="reference",
-                      help="simulation-engine backend (all backends are "
-                           "bit-identical; pick for speed)")
     crun.add_argument("--resume", action="store_true",
                       help="continue a previously started campaign of the "
                            "same name (completed cells are never re-run)")

@@ -27,7 +27,6 @@ from .runner import (
     run_scenario,
     run_scenarios,
 )
-from .sweeps import SweepPoint, grid, sweep
 
 __all__ = [
     "ALGORITHMS",
@@ -42,16 +41,13 @@ __all__ = [
     "ScenarioSuite",
     "SuiteItem",
     "SuiteResult",
-    "SweepPoint",
     "build_engine",
     "build_workload",
     "default_scenario",
-    "grid",
     "replicate",
     "run_scenario",
     "run_scenarios",
     "scenario_result_to_dict",
-    "sweep",
     "write_artifact_csv",
     "write_experiment_csvs",
     "write_experiment_json",

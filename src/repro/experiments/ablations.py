@@ -31,6 +31,7 @@ from .common import (
     crash_last,
     is_quiescent,
     mean_latency,
+    mean_of,
     properties_hold,
     seeds_for,
 )
@@ -51,13 +52,8 @@ def _row(label: str, scenario, n_seeds: int) -> list:
         sum(1 for r in results if all_correct_delivered(r)),
         sum(1 for r in results if is_quiescent(r)),
         sum(1 for r in results if properties_hold(r)),
-        _mean(results, mean_latency),
+        mean_of(results, mean_latency),
     ]
-
-
-def _mean(results, fn):
-    values = [fn(r) for r in results if fn(r) is not None]
-    return sum(values) / len(values) if values else None
 
 
 def run(seeds: Optional[int] = None, quick: bool = False) -> ExperimentResult:

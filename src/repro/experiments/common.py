@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..workloads.generators import SingleBroadcast, UniformStream
 from .config import Scenario
@@ -83,6 +83,21 @@ def properties_hold(result: ScenarioResult) -> bool:
 def is_quiescent(result: ScenarioResult) -> bool:
     """Whether the run's quiescence report declared it quiescent."""
     return result.quiescence.quiescent
+
+
+def mean_of(results: Sequence[ScenarioResult],
+            metric: Callable[[ScenarioResult], Optional[float]]) -> Optional[float]:
+    """Mean of *metric* over the replications that have one (``None`` if none)."""
+    values = [float(v) for v in map(metric, results) if v is not None]
+    return sum(values) / len(values) if values else None
+
+
+def fraction_of(results: Sequence[ScenarioResult],
+                predicate: Callable[[ScenarioResult], bool]) -> float:
+    """Fraction of the replications satisfying *predicate*."""
+    if not results:
+        return 0.0
+    return sum(1 for r in results if predicate(r)) / len(results)
 
 
 def multi_sender_workload(n_messages: int = 2, senders: Sequence[int] = (0, 1),

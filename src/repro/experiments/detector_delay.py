@@ -14,16 +14,18 @@ from typing import Optional
 
 from ..failure_detectors.policies import DisseminationPolicy
 from ..network.loss import LossSpec
+from .batch import ScenarioSuite
 from .common import (
     algorithm2_scenario,
+    fraction_of,
     is_quiescent,
     last_send_time,
     mean_latency,
+    mean_of,
     properties_hold,
     seeds_for,
 )
 from .report import ExperimentArtifact, ExperimentResult
-from .sweeps import sweep
 
 EXPERIMENT_ID = "E7"
 TITLE = "Failure-detector detection delay vs. latency and quiescence"
@@ -46,26 +48,24 @@ def run(seeds: Optional[int] = None, quick: bool = False) -> ExperimentResult:
         drain_grace_period=5.0,
         max_time=200.0,
     )
-    points = sweep(
+    swept = ScenarioSuite(base.name).add_sweep(
         base,
         "fd_detection_delay",
         delays,
-        seeds=n_seeds,
         scenario_builder=lambda scenario, d: scenario.with_(
             fd_detection_delay=d, apstar_detection_delay=d
         ),
-    )
-    rows = []
-    for point in points:
-        rows.append(
-            [
-                point.value,
-                point.mean_metric(mean_latency),
-                point.mean_metric(last_send_time),
-                point.fraction(is_quiescent),
-                point.fraction(properties_hold),
-            ]
-        )
+    ).with_seeds(n_seeds).run(fail_fast=True)
+    rows = [
+        [
+            d,
+            mean_of(results, mean_latency),
+            mean_of(results, last_send_time),
+            fraction_of(results, is_quiescent),
+            fraction_of(results, properties_hold),
+        ]
+        for d, results in zip(delays, swept.groups().values())
+    ]
     figure = ExperimentArtifact(
         name="Figure 5 — detection delay vs latency / quiescence time",
         kind="figure",

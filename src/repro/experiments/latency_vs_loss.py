@@ -12,15 +12,16 @@ from __future__ import annotations
 from typing import Optional
 
 from ..network.loss import LossSpec
+from .batch import ScenarioSuite
 from .common import (
     algorithm1_scenario,
     algorithm2_scenario,
     max_latency,
     mean_latency,
+    mean_of,
     seeds_for,
 )
 from .report import ExperimentArtifact, ExperimentResult
-from .sweeps import sweep
 
 EXPERIMENT_ID = "E2"
 TITLE = "Delivery latency vs. loss probability"
@@ -39,21 +40,21 @@ def run(seeds: Optional[int] = None, quick: bool = False) -> ExperimentResult:
         ("algorithm1", algorithm1_scenario(n_processes=N_PROCESSES)),
         ("algorithm2", algorithm2_scenario(n_processes=N_PROCESSES)),
     ):
-        points = sweep(
-            base.with_(name=f"E2-{algorithm}"),
+        base = base.with_(name=f"E2-{algorithm}")
+        swept = ScenarioSuite(base.name).add_sweep(
+            base,
             "loss",
             probabilities,
-            seeds=n_seeds,
             scenario_builder=lambda scenario, p: scenario.with_(
                 loss=LossSpec.bernoulli(p) if p else LossSpec.none()
             ),
-        )
+        ).with_seeds(n_seeds).run(fail_fast=True)
         rows = []
-        for point in points:
-            mean = point.mean_metric(mean_latency)
-            worst = point.mean_metric(max_latency)
-            rows.append([point.value, mean, worst])
-            rows_combined.append([algorithm, point.value, mean, worst])
+        for p, results in zip(probabilities, swept.groups().values()):
+            mean = mean_of(results, mean_latency)
+            worst = mean_of(results, max_latency)
+            rows.append([p, mean, worst])
+            rows_combined.append([algorithm, p, mean, worst])
         artifacts.append(
             ExperimentArtifact(
                 name=f"Figure 1{'a' if algorithm == 'algorithm1' else 'b'} — "

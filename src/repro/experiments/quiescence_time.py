@@ -14,9 +14,16 @@ from typing import Optional
 
 from ..failure_detectors.policies import DisseminationPolicy
 from ..network.loss import LossSpec
-from .common import algorithm2_scenario, is_quiescent, last_send_time, seeds_for
+from .batch import ScenarioSuite
+from .common import (
+    algorithm2_scenario,
+    fraction_of,
+    is_quiescent,
+    last_send_time,
+    mean_of,
+    seeds_for,
+)
 from .report import ExperimentArtifact, ExperimentResult
-from .sweeps import sweep
 
 EXPERIMENT_ID = "E4"
 TITLE = "Quiescence time vs. loss probability and detection delay"
@@ -34,20 +41,17 @@ def run(seeds: Optional[int] = None, quick: bool = False) -> ExperimentResult:
     base_loss = algorithm2_scenario(
         n_processes=N_PROCESSES, name="E4-loss", drain_grace_period=5.0
     )
-    loss_points = sweep(
+    by_loss = ScenarioSuite(base_loss.name).add_sweep(
         base_loss,
         "loss",
         losses,
-        seeds=n_seeds,
         scenario_builder=lambda scenario, p: scenario.with_(
             loss=LossSpec.bernoulli(p) if p else LossSpec.none()
         ),
-    )
+    ).with_seeds(n_seeds).run(fail_fast=True)
     loss_rows = [
-        [point.value,
-         point.mean_metric(last_send_time),
-         point.fraction(is_quiescent)]
-        for point in loss_points
+        [p, mean_of(results, last_send_time), fraction_of(results, is_quiescent)]
+        for p, results in zip(losses, by_loss.groups().values())
     ]
 
     # (b) quiescence time vs AP* detection delay, one crash, realistic
@@ -60,20 +64,17 @@ def run(seeds: Optional[int] = None, quick: bool = False) -> ExperimentResult:
         fd_policy=DisseminationPolicy.ALL_PROCESSES,
         drain_grace_period=5.0,
     )
-    delay_points = sweep(
+    by_delay = ScenarioSuite(base_delay.name).add_sweep(
         base_delay,
         "fd_detection_delay",
         delays,
-        seeds=n_seeds,
         scenario_builder=lambda scenario, d: scenario.with_(
             fd_detection_delay=d, apstar_detection_delay=d
         ),
-    )
+    ).with_seeds(n_seeds).run(fail_fast=True)
     delay_rows = [
-        [point.value,
-         point.mean_metric(last_send_time),
-         point.fraction(is_quiescent)]
-        for point in delay_points
+        [d, mean_of(results, last_send_time), fraction_of(results, is_quiescent)]
+        for d, results in zip(delays, by_delay.groups().values())
     ]
 
     return ExperimentResult(

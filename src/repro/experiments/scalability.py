@@ -13,15 +13,16 @@ from __future__ import annotations
 from typing import Optional
 
 from ..network.loss import LossSpec
+from .batch import ScenarioSuite
 from .common import (
     algorithm1_scenario,
     algorithm2_scenario,
     mean_latency,
+    mean_of,
     seeds_for,
     total_sends,
 )
 from .report import ExperimentArtifact, ExperimentResult
-from .sweeps import sweep
 
 EXPERIMENT_ID = "E5"
 TITLE = "Scalability: latency and traffic vs. number of processes"
@@ -42,22 +43,16 @@ def run(seeds: Optional[int] = None, quick: bool = False) -> ExperimentResult:
                                            stop_when_all_correct_delivered=True)),
     ):
         base = base.with_(name=f"E5-{algorithm}", loss=LossSpec.bernoulli(LOSS_P))
-        points = sweep(
-            base,
-            "n_processes",
-            sizes,
-            seeds=n_seeds,
-            scenario_builder=lambda scenario, n: scenario.with_(n_processes=n),
-        )
+        swept = (ScenarioSuite(base.name)
+                 .add_sweep(base, "n_processes", sizes)
+                 .with_seeds(n_seeds).run(fail_fast=True))
         rows = []
-        for point in points:
-            latency = point.mean_metric(mean_latency)
-            sends = point.mean_metric(total_sends)
-            per_delivery = (
-                sends / point.value if sends is not None else None
-            )
-            rows.append([point.value, latency, sends, per_delivery])
-            rows_combined.append([algorithm, point.value, latency, sends])
+        for n, results in zip(sizes, swept.groups().values()):
+            latency = mean_of(results, mean_latency)
+            sends = mean_of(results, total_sends)
+            per_delivery = sends / n if sends is not None else None
+            rows.append([n, latency, sends, per_delivery])
+            rows_combined.append([algorithm, n, latency, sends])
         artifacts.append(
             ExperimentArtifact(
                 name=f"Figure 4{'a' if algorithm == 'algorithm1' else 'b'} — "

@@ -73,30 +73,41 @@ def _label_block(names: tuple[str, ...], values: tuple[str, ...],
     return "{" + ",".join(pairs) + "}" if pairs else ""
 
 
+def _header_lines(name: str, metric: dict[str, Any]) -> list[str]:
+    return [f"# HELP {name} {_escape_help(metric.get('help', ''))}",
+            f"# TYPE {name} {metric.get('type')}"]
+
+
+def _sample_lines(name: str, metric: dict[str, Any]) -> list[str]:
+    """The sample lines of one snapshot-shaped metric (schema above): labels
+    in ``labelnames`` order, histogram buckets in bound order."""
+    lines: list[str] = []
+    kind = metric.get("type")
+    for sample in metric.get("samples", []):
+        labels = sample.get("labels", {})
+        names = tuple(metric.get("labelnames") or sorted(labels))
+        values = tuple(str(labels[n]) for n in names)
+        block = _label_block(names, values)
+        if kind in ("counter", "gauge"):
+            lines.append(f"{name}{block} "
+                         f"{_format_value(float(sample.get('value', 0.0)))}")
+        elif kind == "histogram":
+            buckets = sample.get("buckets", {})
+            for bound in sorted(buckets, key=float):  # "+Inf" parses, and sorts last
+                bucket = _label_block(names, values, extra=("le", bound))
+                lines.append(f"{name}_bucket{bucket} {int(buckets[bound])}")
+            lines.append(f"{name}_sum{block} "
+                         f"{_format_value(float(sample.get('sum', 0.0)))}")
+            lines.append(f"{name}_count{block} {int(sample.get('count', 0))}")
+    return lines
+
+
 def render_prometheus(registry: Optional[MetricsRegistry] = None) -> str:
     """The registry's current state in text exposition format v0.0.4."""
-    registry = registry if registry is not None else REGISTRY
     lines: list[str] = []
-    for inst in registry.instruments():
-        lines.append(f"# HELP {inst.name} {_escape_help(inst.help)}")
-        lines.append(f"# TYPE {inst.name} {inst.kind}")
-        if isinstance(inst, (Counter, Gauge)):
-            for values, value in inst.samples():
-                block = _label_block(inst.labelnames, values)
-                lines.append(f"{inst.name}{block} {_format_value(value)}")
-        elif isinstance(inst, Histogram):
-            for values, (cumulative, total, count) in inst.samples():
-                for bound, cum in zip(inst.buckets, cumulative):
-                    block = _label_block(inst.labelnames, values,
-                                         extra=("le", _format_value(bound)))
-                    lines.append(f"{inst.name}_bucket{block} {cum}")
-                block = _label_block(inst.labelnames, values,
-                                     extra=("le", "+Inf"))
-                lines.append(f"{inst.name}_bucket{block} {count}")
-                block = _label_block(inst.labelnames, values)
-                lines.append(
-                    f"{inst.name}_sum{block} {_format_value(total)}")
-                lines.append(f"{inst.name}_count{block} {count}")
+    for name, metric in snapshot(registry)["metrics"].items():
+        lines += _header_lines(name, metric)
+        lines += _sample_lines(name, metric)
     return "\n".join(lines) + "\n"
 
 

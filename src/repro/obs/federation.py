@@ -263,35 +263,6 @@ def merge_snapshots(snapshots: dict[str, dict[str, Any]]) -> dict[str, Any]:
     return merged
 
 
-def _bucket_order(bound: str) -> float:
-    return float("inf") if bound == "+Inf" else float(bound)
-
-
-def _render_metric_lines(name: str, metric: dict[str, Any],
-                         lines: list[str]) -> None:
-    """Append exposition sample lines for one snapshot-shaped metric."""
-    label_block = _exposition._label_block
-    format_value = _exposition._format_value
-    kind = metric.get("type")
-    for sample in metric.get("samples", []):
-        labels = sample.get("labels", {})
-        names = tuple(sorted(labels))
-        values = tuple(str(labels[n]) for n in names)
-        if kind in ("counter", "gauge"):
-            lines.append(f"{name}{label_block(names, values)} "
-                         f"{format_value(float(sample.get('value', 0.0)))}")
-        elif kind == "histogram":
-            buckets = sample.get("buckets", {})
-            for bound in sorted(buckets, key=_bucket_order):
-                block = label_block(names, values, extra=("le", bound))
-                lines.append(f"{name}_bucket{block} {int(buckets[bound])}")
-            block = label_block(names, values)
-            lines.append(f"{name}_sum{block} "
-                         f"{format_value(float(sample.get('sum', 0.0)))}")
-            lines.append(f"{name}_count{block} "
-                         f"{int(sample.get('count', 0))}")
-
-
 def render_federated_prometheus(
         federated: dict[str, Any],
         registry: Optional[MetricsRegistry] = None) -> str:
@@ -305,14 +276,10 @@ def render_federated_prometheus(
     local = _exposition.snapshot(registry)["metrics"]
     lines: list[str] = []
     for name in sorted(set(local) | set(federated)):
-        meta = local.get(name) or federated[name]
-        help_text = _exposition._escape_help(meta.get("help", ""))
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} {meta.get('type')}")
-        if name in local:
-            _render_metric_lines(name, local[name], lines)
-        if name in federated:
-            _render_metric_lines(name, federated[name], lines)
+        lines += _exposition._header_lines(name, local.get(name) or federated[name])
+        for metrics in (local, federated):
+            if name in metrics:
+                lines += _exposition._sample_lines(name, metrics[name])
     return "\n".join(lines) + "\n"
 
 

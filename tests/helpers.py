@@ -9,6 +9,8 @@ exercised without spinning up the simulator.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import random
 import sqlite3
@@ -137,3 +139,104 @@ def tamper_with_payload(root: Path, cell_key: str) -> None:
         payload["result"]["verdict"]["validity"] = False
         db.execute("UPDATE payloads SET payload = ? WHERE cell_key = ?",
                    (zlib.compress(json.dumps(payload).encode()), cell_key))
+
+
+# --------------------------------------------------------------------------- #
+# fault injection at a SQLite write boundary (result store, lease table)
+# --------------------------------------------------------------------------- #
+class Killed(BaseException):
+    """Stands in for SIGKILL: no ``except Exception`` on the way catches it."""
+
+
+def disk_full() -> sqlite3.OperationalError:
+    return sqlite3.OperationalError("database or disk is full")
+
+
+class Fault:
+    """Lets *after* statements through, then fails the next *failures* (by
+    default every later one, as for a process that died)."""
+
+    def __init__(self, error=None, after=float("inf"),
+                 failures=float("inf")) -> None:
+        self.error = error
+        self.after = after
+        self.failures = failures
+        self.seen = 0
+
+    def step(self) -> None:
+        self.seen += 1
+        if self.after < self.seen <= self.after + self.failures:
+            raise self.error
+
+
+class FaultyConnection(sqlite3.Connection):
+    """A connection that consults its ``fault`` before every statement.
+
+    (The commit that ends ``with connection:`` is not a statement anyone can
+    fail from Python: the context manager calls SQLite's directly, and its
+    atomicity is SQLite's own guarantee.)
+    """
+
+    fault = None
+
+    def _guarded(self, run, *args):
+        if self.fault is not None:
+            self.fault.step()
+        return run(*args)
+
+    def execute(self, *args):
+        return self._guarded(super().execute, *args)
+
+    def executemany(self, *args):
+        return self._guarded(super().executemany, *args)
+
+
+def fault_arming(monkeypatch, owner: type):
+    """``arm(method, nth, fault)`` for *owner*, a class that keeps its
+    connection in ``_db``: the *nth* call of ``owner.<method>`` from now on
+    runs with *fault* on that connection.  A call that survives takes the
+    fault off again; one that does not leaves it on, a handle on which
+    nothing works any more, like the process it stands for."""
+    monkeypatch.setattr(sqlite3, "connect", functools.partial(
+        sqlite3.connect, factory=FaultyConnection))
+    originals: dict = {}
+
+    def arm(method: str, nth: int, fault: Fault) -> Fault:
+        real = originals.setdefault(method, getattr(owner, method))
+        calls = itertools.count(1)
+
+        def armed(self, *args, **kwargs):
+            if next(calls) != nth:
+                return real(self, *args, **kwargs)
+            self._db.fault = fault
+            result = real(self, *args, **kwargs)
+            self._db.fault = None
+            return result
+
+        monkeypatch.setattr(owner, method, armed)
+        return fault
+
+    return arm
+
+
+def trace_statements(monkeypatch, database: str = "") -> list[str]:
+    """Every SQL statement SQLite runs on a connection opened from now on to
+    a file whose path ends in *database* (the ``BEGIN`` the ``sqlite3``
+    module issues by itself included)."""
+    statements: list[str] = []
+    connect = sqlite3.connect
+
+    def traced_connect(path, *args, **kwargs):
+        db = connect(path, *args, **kwargs)
+        if str(path).endswith(database):
+            db.set_trace_callback(statements.append)
+        return db
+
+    monkeypatch.setattr(sqlite3, "connect", traced_connect)
+    return statements
+
+
+def writes(statements: list[str]) -> list[str]:
+    """The statements of *statements* that take SQLite's write lock."""
+    return [sql for sql in statements
+            if not sql.lstrip().upper().startswith(("SELECT", "PRAGMA"))]

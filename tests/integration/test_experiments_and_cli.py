@@ -1,6 +1,8 @@
 """Integration tests for the experiment registry, the experiment modules
 (run in quick mode) and the command-line interface."""
 
+import hashlib
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -28,6 +30,17 @@ class TestRegistry:
             assert entry.module_name.startswith("repro.experiments.")
 
 
+#: SHA-256 of what the four sweep experiments rendered while they ran on
+#: ``experiments/sweeps.py`` (deleted): declaring them as suites moved no
+#: scenario, no seed and no digit.
+RENDERED_BEFORE_SUITES = {
+    "E2": "711b74f9c0aee973cf08ddb88b4a7013f5b4302fdab0c6a1517e9682cc8c9c0f",
+    "E4": "9d9f5560b1c8001576affdd42dadf04615d7b5cfbd0f59758b4ae86702ca1278",
+    "E5": "3fd2ffdc6cc96cdf73dd9765380b78af303a252d0778e11a5462db2221ac4261",
+    "E7": "8a63c5c3801df559400425e50c773613106f5821ab7ca1f28330a9b66d08d7aa",
+}
+
+
 @pytest.mark.parametrize("experiment_id", registry.experiment_ids())
 class TestEveryExperimentQuick:
     def test_runs_and_renders(self, experiment_id):
@@ -40,6 +53,9 @@ class TestEveryExperimentQuick:
             assert len(artifact.headers) == len(artifact.rows[0])
         text = result.render()
         assert experiment_id in text
+        if experiment_id in RENDERED_BEFORE_SUITES:
+            assert (hashlib.sha256(text.encode("utf-8")).hexdigest()
+                    == RENDERED_BEFORE_SUITES[experiment_id])
 
 
 class TestExperimentExpectations:

@@ -7,6 +7,7 @@ from dataclasses import fields, replace
 
 import pytest
 
+from helpers import trace_statements, writes
 from repro.campaigns import (
     Campaign,
     ResultStore,
@@ -248,6 +249,24 @@ class TestResultStore:
             store._db.commit()
         with pytest.raises(SchemaMismatchError):
             ResultStore(root)
+
+    def test_opening_a_current_store_writes_nothing(self, tmp_path, monkeypatch):
+        root = tmp_path / "store"
+        statements = trace_statements(monkeypatch)
+        with ResultStore(root) as store:
+            store.put(run_scenario(quick_scenario()))
+            # what an earlier version's handle left behind; nobody reads it
+            store._db.execute("INSERT INTO meta VALUES ('stat_hits', '7')")
+            store._db.commit()
+        assert any(sql.lstrip().startswith("CREATE TABLE") for sql in statements)
+        del statements[:]
+        with ResultStore(root) as store, ResultStore(root, create=False) as second:
+            assert len(store) == len(second) == 1
+            assert (store.hits, store.misses, store.puts) == (0, 0, 0)
+        assert statements and writes(statements) == []
+        with ResultStore(root) as store:
+            assert dict(store._db.execute("SELECT key, value FROM meta")) == {
+                "schema_version": str(store_module.SCHEMA_VERSION), "stat_hits": "7"}
 
     def test_missing_store_without_create(self, tmp_path):
         with pytest.raises(StoreError, match="no result store"):

@@ -11,7 +11,8 @@ from contextlib import closing
 
 import pytest
 
-from helpers import downgrade_store, tamper_with_payload
+from helpers import (downgrade_store, tamper_with_payload, trace_statements,
+                     writes)
 from repro.campaigns import (
     Coordinator,
     MergeConflictError,
@@ -109,6 +110,15 @@ class TestLeaseTable:
             assert table.renew(grant, now=101.0)
             assert table.record_cell_done(grant, now=102.0)
             assert statements and not [s for s in statements if "meta" in s]
+
+    def test_opening_a_current_table_writes_nothing(self, tmp_path, monkeypatch):
+        make_job(tmp_path).close()
+        statements = trace_statements(monkeypatch)
+        with LeaseTable(tmp_path / "job") as worker_side, \
+                LeaseTable(tmp_path / "job", create=True) as coordinator_side:
+            assert worker_side.status().total_cells == 8
+            assert coordinator_side.lease_timeout == 10.0
+        assert statements and writes(statements) == []
 
     def test_claim_grants_disjoint_ranges_in_position_order(self, tmp_path):
         with make_job(tmp_path) as table:
@@ -387,6 +397,35 @@ class TestWorkerAndCoordinator:
         coordinator.prepare()  # no workers ever start
         with pytest.raises(LeaseError, match="did not complete"):
             coordinator.wait(poll_interval=0.02, timeout=0.1)
+
+    def test_a_grant_of_k_cells_is_k_plus_two_transactions(
+            self, tmp_path, monkeypatch):
+        """``claim``, one ``record_cell_done`` per cell (the heartbeat),
+        ``complete_range``: each one transaction, nothing written outside
+        one, and no ``renew``."""
+        # 8 cells: a lone worker's first grant is a whole range of 4
+        Coordinator(tmp_path / "job", quick_suite(seeds=4), name="dist",
+                    range_size=4).prepare()
+        calls = []
+        for name in ("claim", "renew", "record_cell_done", "complete_range"):
+            def spy(self, *args, _name=name, _real=getattr(LeaseTable, name),
+                    **kwargs):
+                calls.append(_name)
+                return _real(self, *args, **kwargs)
+            monkeypatch.setattr(LeaseTable, name, spy)
+        statements = trace_statements(monkeypatch, "leases.sqlite")
+        report = Worker(tmp_path / "job", worker_id="w0",
+                        poll_interval=0.02).run(max_ranges=1)
+        assert (report.cells_executed, report.ranges_completed) == (4, 1)
+        assert calls == (["claim"] + ["record_cell_done"] * 4
+                         + ["complete_range"])
+        lease_writes = [sql.split()[0] for sql in writes(statements)]
+        # register_worker, then the six calls: begin, update(s), commit
+        assert lease_writes.count("BEGIN") == lease_writes.count("COMMIT") == 7
+        depth = 0
+        for word in lease_writes:
+            depth += {"BEGIN": 1, "COMMIT": -1}.get(word, 0)
+            assert word in ("BEGIN", "COMMIT") or depth == 1, lease_writes
 
     def test_worker_skips_cells_already_in_its_store(self, tmp_path):
         suite = quick_suite(seeds=2)

@@ -148,43 +148,33 @@ class TestStoreCounters:
         assert obs.REGISTRY.get(
             "repro_store_blob_bytes_total").value(store=label) > 0
 
-    def test_lifetime_counters_survive_reopen(self, tmp_path):
+    def test_handle_counters_are_per_handle_and_the_series_sums_them(
+            self, tmp_path):
+        obs.enable()
         root = tmp_path / "store"
+        result = self._result()
+        key = scenario_cell_key(result.scenario)
         with ResultStore(root) as store:
-            result = self._result()
-            key = scenario_cell_key(result.scenario)
             store.contains(key)             # miss
             store.put(result)
             store.contains(key)             # hit
             assert (store.hits, store.misses, store.puts) == (1, 1, 1)
-        with ResultStore(root) as store:
-            # Per-handle counters reset; lifetime counters persisted.
-            assert (store.hits, store.misses, store.puts) == (0, 0, 0)
-            assert store.lifetime_hits == 1
-            assert store.lifetime_misses == 1
-            assert store.lifetime_puts == 1
-            store.contains(scenario_cell_key(
-                self._result(seed=99).scenario))    # one more miss
-        with ResultStore(root) as store:
-            assert store.lifetime_misses == 2
-
-    def test_lifetime_counters_sum_across_handles(self, tmp_path):
-        root = tmp_path / "store"
-        result = self._result()
-        with ResultStore(root) as store:
-            store.put(result)
-        key = scenario_cell_key(result.scenario)
-        first = ResultStore(root)
-        second = ResultStore(root)
+        first, second = ResultStore(root), ResultStore(root)
         try:
+            assert (first.hits, first.misses, first.puts) == (0, 0, 0)
             first.contains(key)
             second.contains(key)
+            assert (first.hits, second.hits) == (1, 1)
         finally:
             first.close()
             second.close()
+        # Totals across handles live in the registry and nowhere else.
+        lookups = obs.REGISTRY.get("repro_store_lookups_total")
+        assert lookups.value(store=root.name, result="hit") == 3
+        assert lookups.value(store=root.name, result="miss") == 1
         with ResultStore(root) as store:
-            assert store.lifetime_hits == 2
-            assert store.lifetime_puts == 1
+            assert [row["key"] for row in store._db.execute(
+                "SELECT key FROM meta")] == ["schema_version"]
 
 
 class TestTimelineFromRuns:

@@ -2,14 +2,16 @@
 
 import pytest
 
+from repro.experiments.batch import ScenarioSuite
 from repro.experiments.common import (
     crash_last,
+    fraction_of,
+    mean_of,
     multi_sender_workload,
     seeds_for,
 )
 from repro.experiments.config import ALGORITHMS, Scenario
 from repro.experiments.report import ExperimentArtifact, ExperimentResult
-from repro.experiments.sweeps import SweepPoint, sweep
 from repro.failure_detectors.policies import DisseminationPolicy
 from repro.network.loss import LossSpec
 from repro.workloads.generators import SingleBroadcast
@@ -159,40 +161,38 @@ class TestSweeps:
             workload=SingleBroadcast(), loss=LossSpec.none(),
         )
 
-    def test_sweep_replaces_field(self, base):
-        points = sweep(base, "n_processes", [3, 4], seeds=1)
-        assert [p.value for p in points] == [3, 4]
-        assert points[1].scenario.n_processes == 4
-        assert all(len(p.results) == 1 for p in points)
+    def swept(self, base, values, seeds, **kwargs):
+        return (ScenarioSuite("sweep")
+                .add_sweep(base, "n_processes", values, **kwargs)
+                .with_seeds(seeds).run(fail_fast=True))
 
-    def test_sweep_with_builder(self, base):
-        points = sweep(
-            base, "loss", [0.0, 0.5], seeds=1,
+    def test_groups_follow_the_declared_values(self, base):
+        groups = self.swept(base, [3, 4], 1).groups()
+        assert list(groups) == ["n_processes=3", "n_processes=4"]
+        assert [[r.scenario.n_processes for r in results]
+                for results in groups.values()] == [[3], [4]]
+
+    def test_builder_points_keep_the_field_label(self, base):
+        groups = self.swept(
+            base, [0.0, 0.5], 1,
             scenario_builder=lambda s, p: s.with_(loss=LossSpec.bernoulli(p)),
-        )
-        assert points[1].scenario.loss.params["probability"] == 0.5
+        ).groups()
+        assert list(groups) == ["n_processes=0.0", "n_processes=0.5"]
+        [result] = groups["n_processes=0.5"]
+        assert result.scenario.loss.params["probability"] == 0.5
 
-    def test_point_metrics(self, base):
-        points = sweep(base, "n_processes", [3], seeds=2)
-        point = points[0]
-        latencies = point.metric(lambda r: r.metrics.mean_latency)
-        assert len(latencies) == 2
-        assert point.mean_metric(lambda r: r.metrics.mean_latency) == pytest.approx(
-            sum(latencies) / 2
-        )
-        assert point.fraction(lambda r: True) == 1.0
-        assert point.fraction(lambda r: False) == 0.0
+    def test_mean_and_fraction_over_replications(self, base):
+        [results] = self.swept(base, [3], 2).groups().values()
+        latencies = [r.metrics.mean_latency for r in results]
+        assert [r.scenario.seed for r in results] == [base.seed, base.seed + 1]
+        assert mean_of(results, lambda r: r.metrics.mean_latency) == sum(latencies) / 2
+        # a replication without the metric leaves the sample, not a zero in it
+        assert mean_of(results, lambda r: r.metrics.mean_latency
+                       if r.scenario.seed == base.seed else None) == latencies[0]
+        assert fraction_of(results, lambda r: r.scenario.seed == base.seed) == 0.5
 
-    def test_point_metric_drops_none(self, base):
-        point = SweepPoint(value=0, scenario=base, results=[])
-        assert point.metric(lambda r: None) == []
-        assert point.mean_metric(lambda r: None) is None
-        assert point.metric_ci(lambda r: None) is None
-        assert point.fraction(lambda r: True) == 0.0
-
-    def test_metric_ci(self, base):
-        points = sweep(base, "n_processes", [3], seeds=3)
-        ci = points[0].metric_ci(lambda r: r.metrics.mean_latency)
-        assert ci is not None
-        mean, low, high = ci
-        assert low <= mean <= high
+    def test_no_data_is_none_and_zero(self, base):
+        [results] = self.swept(base, [3], 1).groups().values()
+        assert mean_of(results, lambda r: None) is None
+        assert mean_of([], lambda r: 1.0) is None
+        assert fraction_of([], lambda r: True) == 0.0

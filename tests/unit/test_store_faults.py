@@ -15,14 +15,14 @@ campaigns must render byte-identical tables.
 from __future__ import annotations
 
 import functools
-import itertools
 import shutil
 import sqlite3
 from contextlib import closing
 
 import pytest
 
-from helpers import downgrade_store, tamper_with_payload
+from helpers import (Fault, Killed, disk_full, downgrade_store, fault_arming,
+                     tamper_with_payload)
 from repro.campaigns import (
     Campaign,
     MergeConflictError,
@@ -35,76 +35,9 @@ from repro.experiments.config import Scenario
 from repro.experiments.runner import run_scenario
 
 
-class Killed(BaseException):
-    """Stands in for SIGKILL: no ``except Exception`` on the way catches it."""
-
-
-def disk_full() -> sqlite3.OperationalError:
-    return sqlite3.OperationalError("database or disk is full")
-
-
-class Fault:
-    """Lets *after* statements through, then fails every later one."""
-
-    def __init__(self, error=None, after=float("inf")) -> None:
-        self.error = error
-        self.after = after
-        self.seen = 0
-
-    def step(self) -> None:
-        if self.seen >= self.after:
-            raise self.error
-        self.seen += 1
-
-
-class FaultyConnection(sqlite3.Connection):
-    """A connection that consults its ``fault`` before every statement.
-
-    (The commit that ends ``with connection:`` is not a statement anyone can
-    fail from Python: the context manager calls SQLite's directly, and its
-    atomicity is SQLite's own guarantee.)
-    """
-
-    fault = None
-
-    def _guarded(self, run, *args):
-        if self.fault is not None:
-            self.fault.step()
-        return run(*args)
-
-    def execute(self, *args):
-        return self._guarded(super().execute, *args)
-
-    def executemany(self, *args):
-        return self._guarded(super().executemany, *args)
-
-
 @pytest.fixture
 def arm(monkeypatch):
-    """``arm(method, nth, fault)``: the *nth* call of ``ResultStore.<method>``
-    from now on runs with *fault* on the store's connection.  A call that
-    survives takes the fault off again; one that does not leaves a handle
-    on which nothing works any more, like the process it stands for."""
-    monkeypatch.setattr(sqlite3, "connect", functools.partial(
-        sqlite3.connect, factory=FaultyConnection))
-    originals: dict = {}
-
-    def arm(method: str, nth: int, fault: Fault) -> Fault:
-        real = originals.setdefault(method, getattr(ResultStore, method))
-        calls = itertools.count(1)
-
-        def armed(self, *args, **kwargs):
-            if next(calls) != nth:
-                return real(self, *args, **kwargs)
-            self._db.fault = fault
-            result = real(self, *args, **kwargs)
-            self._db.fault = None
-            return result
-
-        monkeypatch.setattr(ResultStore, method, armed)
-        return fault
-
-    return arm
+    return fault_arming(monkeypatch, ResultStore)
 
 
 def abandon(store: ResultStore) -> None:
@@ -145,7 +78,7 @@ def test_put_many_interrupted_at_every_statement(tmp_path, arm, make_error):
         Campaign(clean, cells, name="c").run()
         clean_table = campaign_table(clean, "c")
     statements = counting.seen
-    assert statements >= 3  # rows, payloads, lifetime counters
+    assert statements >= 2  # rows, payloads
 
     for k in range(statements + 1):
         root = tmp_path / f"store-{k}"
@@ -184,7 +117,7 @@ def test_put_many_of_either_entry_kind_at_every_statement(
         counting = arm("put_many", 2, Fault())
         clean.put_many(batch[:2])
         clean.put_many(batch[2:])
-    assert counting.seen >= 3
+    assert counting.seen >= 2
 
     for k in range(counting.seen):
         root = tmp_path / f"store-{k}"
