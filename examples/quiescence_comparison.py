@@ -14,7 +14,11 @@ Run with::
 """
 
 from repro import Scenario, run_scenario
-from repro.analysis.quiescence import analyze_quiescence, cumulative_send_curve
+from repro.analysis.quiescence import (
+    analyze_quiescence,
+    cumulative_send_curve,
+    send_histogram,
+)
 from repro.analysis.tables import render_ascii_curve, render_table
 from repro.network import LossSpec
 from repro.workloads import UniformStream
@@ -56,7 +60,7 @@ def main() -> None:
         report = analyze_quiescence(result.simulation)
         print(f"\n{name}: {report.describe()}")
         print(render_ascii_curve(
-            list(report.sends_per_window), width=50,
+            send_histogram(result.simulation, 5.0), width=50,
             label=f"{name} sends per 5-time-unit window:",
         ))
 

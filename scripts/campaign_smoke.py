@@ -13,7 +13,8 @@ Drives the ``repro-urb campaign`` CLI the way an operator would:
 With ``--distributed`` it instead exercises the coordinator/worker path
 (the CI `distributed` job):
 
-1. start ``campaign serve`` plus three ``campaign work`` processes;
+1. start ``campaign serve`` plus three ``campaign work`` processes, the
+   victim first, so that it leases a whole range alone;
 2. SIGKILL one worker while it demonstrably holds a lease with recorded
    progress, and assert the lease table shows the lease was reclaimed;
 3. assert the merged store is complete, the dead worker's partial store
@@ -54,15 +55,21 @@ def sweep_args(n: int) -> list[str]:
 
 
 SWEEP_ARGS = sweep_args(5)
-#: The distributed phase kills a worker *between two cells of one lease*, a
-#: window it finds by polling the lease table every 20 ms.  An n=5 cell
-#: takes about 5 ms, so a 4-cell lease left the window open for less than
-#: one poll period and one run in four never saw it; an n=24 cell takes
-#: about 0.15 s, which with 8-cell ranges (a claim gets at most
-#: ``ceil(pending / (2 * active))`` cells: 4 to 8 of the 24 while the job is
-#: young) keeps it open for tens of poll periods per lease.
+#: The distributed phase kills a worker *between two flushes of one lease*,
+#: a window it finds by polling the lease table every 20 ms.  A worker
+#: records progress once per flush: every 8 cells, at the end of a grant,
+#: and once the time since its last heartbeat plus its last cell's duration
+#: reaches half the lease timeout, so only that last rule can put recorded
+#: progress on a lease that is still held.  An n=24 cell takes 0.12-0.25 s
+#: (up to ~0.4 s with three workers on two cores), and the victim's first
+#: grant is a whole 8-cell range (see ``distributed_smoke``): a 1 s lease
+#: flushes it after its first to third cell and leaves the window open for
+#: the rest, while no cell comes near the half lease plus its predecessor
+#: that would let the lease run out between two heartbeats.  With n=5
+#: cells (~5 ms) the window was shorter than a poll.
 DISTRIBUTED_SWEEP_ARGS = sweep_args(24)
 DISTRIBUTED_RANGE_SIZE = 8
+DISTRIBUTED_LEASE_TIMEOUT = 1.0
 
 REPORT_PATTERN = re.compile(
     r"(\d+) cell\(s\) — (\d+) cached, (\d+) executed"
@@ -132,8 +139,9 @@ def lease_query(job: Path, sql: str, params: tuple = ()) -> int:
 def victim_holds_lease_with_progress(job: Path, worker: str) -> bool:
     """Whether *worker* currently leases a range it has recorded progress
     on — the kill point that guarantees both a reclamation (the range can
-    no longer complete) and a store overlap (the recorded cell was
-    persisted, and will be re-executed elsewhere)."""
+    no longer complete) and a store overlap (the flush that recorded the
+    progress committed its cells first, and they will be re-executed
+    elsewhere)."""
     return lease_query(
         job,
         "SELECT COALESCE(SUM(done_cells), 0) FROM ranges "
@@ -148,28 +156,42 @@ def distributed_smoke(workdir: Path, env: dict[str, str]) -> int:
     fresh_store = workdir / "single-shot"
 
     # ------------------------------------------------------------------ #
-    # 1. coordinator + 3 workers; short leases so reclamation is fast
+    # 1. coordinator + 3 workers; short leases so workers flush mid-grant
+    #    and reclamation is fast
     # ------------------------------------------------------------------ #
     print("starting coordinator and 3 workers, will SIGKILL one mid-lease...")
     serve = subprocess.Popen(
         [sys.executable, "-m", "repro", "campaign", "serve",
          "--store", str(merged_store), "--workdir", str(job),
          "--name", "smoke", *DISTRIBUTED_SWEEP_ARGS,
-         "--lease-timeout", "5", "--range-size", str(DISTRIBUTED_RANGE_SIZE),
+         "--lease-timeout", str(DISTRIBUTED_LEASE_TIMEOUT),
+         "--range-size", str(DISTRIBUTED_RANGE_SIZE),
          "--timeout", "420", "--poll-interval", "0.2"],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
-    workers = {
-        name: subprocess.Popen(
+
+    def start_worker(name: str) -> subprocess.Popen:
+        return subprocess.Popen(
             [sys.executable, "-m", "repro", "campaign", "work",
              "--workdir", str(job), "--worker-id", name,
              "--poll-interval", "0.05", "--wait-for-job", "60"],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True,
         )
-        for name in ("w0", "w1", "w2")
-    }
+
+    # The victim claims first, alone: a claim's cap counts the workers
+    # active at that moment, so its grant is a whole 8-cell range, long
+    # enough for a half-lease flush to land inside it.  Claims made with
+    # three workers active get 4 cells, and then 1 or 2 near the tail.
+    workers = {"w0": start_worker("w0")}
     victim = workers["w0"]
+    deadline = time.monotonic() + 60
+    while (time.monotonic() < deadline and victim.poll() is None
+           and serve.poll() is None
+           and not lease_query(job, "SELECT COUNT(*) FROM ranges "
+                                    "WHERE worker = 'w0'")):
+        time.sleep(0.02)
+    workers.update((name, start_worker(name)) for name in ("w1", "w2"))
 
     # ------------------------------------------------------------------ #
     # 2. SIGKILL the victim while it provably holds a lease mid-range

@@ -21,6 +21,7 @@ from .quiescence import (
     analyze_quiescence,
     cumulative_send_curve,
     retire_times,
+    send_histogram,
 )
 from .stats import SummaryStats, mean_confidence_interval, ratio, summarize
 from .tables import format_cell, render_ascii_curve, render_series, render_table
@@ -48,5 +49,6 @@ __all__ = [
     "render_series",
     "render_table",
     "retire_times",
+    "send_histogram",
     "summarize",
 ]

@@ -40,8 +40,6 @@ class QuiescenceReport:
     quiescent: bool
     #: Total number of sends.
     total_sends: int
-    #: ``(window_start, sends_in_window)`` histogram.
-    sends_per_window: tuple[tuple[SimTime, int], ...]
 
     def describe(self) -> str:
         """One-line summary."""
@@ -62,7 +60,6 @@ def analyze_quiescence(
     result: SimulationResult,
     *,
     required_idle_tail: Optional[float] = None,
-    window: float = 5.0,
 ) -> QuiescenceReport:
     """Build the :class:`QuiescenceReport` of a finished run.
 
@@ -74,8 +71,6 @@ def analyze_quiescence(
         Minimum silent-tail length for the run to count as quiescent.
         Defaults to two retransmission periods — long enough that a
         still-active Task 1 would certainly have sent something.
-    window:
-        Bucket width of the send histogram.
     """
     if required_idle_tail is None:
         required_idle_tail = 2.0 * result.config.tick_interval
@@ -86,9 +81,6 @@ def analyze_quiescence(
     last_retire = result.trace.last_time(TraceCategory.RETIRE)
     final_time = result.final_time
     idle_tail = final_time - last_send if last_send is not None else final_time
-    histogram = tuple(result.trace.timeline(TraceCategory.SEND, window))
-    if not histogram and result.metrics.send_timeline:
-        histogram = tuple(_histogram_from_metrics(result, window))
     return QuiescenceReport(
         last_send_time=last_send,
         last_retire_time=last_retire,
@@ -97,8 +89,18 @@ def analyze_quiescence(
         required_idle_tail=required_idle_tail,
         quiescent=idle_tail >= required_idle_tail,
         total_sends=result.metrics.total_sends,
-        sends_per_window=histogram,
     )
+
+
+def send_histogram(result: SimulationResult,
+                   window: float = 5.0) -> list[tuple[SimTime, int]]:
+    """``(window_start, sends_in_window)`` over the run, in windows of width
+    *window*: read off the trace, or off the metrics' send timeline when
+    the trace recorded no sends (the data series behind E3's figure)."""
+    histogram = result.trace.timeline(TraceCategory.SEND, window)
+    if not histogram and result.metrics.send_timeline:
+        histogram = _histogram_from_metrics(result, window)
+    return histogram
 
 
 def cumulative_send_curve(

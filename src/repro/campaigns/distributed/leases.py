@@ -521,21 +521,21 @@ class LeaseTable:
                      range_id=grant.range_id, renewed=renewed)
         return renewed
 
-    def record_cell_done(self, grant: RangeGrant, *,
+    def record_cell_done(self, grant: RangeGrant, count: int = 1, *,
                          now: Optional[float] = None) -> bool:
-        """Record one completed cell and refresh the lease in one step.
+        """Record *count* completed cells and refresh the lease in one step.
 
         Returns ``False`` (recording nothing) when the lease was lost.
         """
         now = time.time() if now is None else now
         return self._guarded_update(
-            "UPDATE ranges SET done_cells = done_cells + 1, "
+            "UPDATE ranges SET done_cells = done_cells + ?, "
             "lease_expires = ? WHERE range_id = ? AND state = 'leased' AND "
             "worker = ? AND epoch = ?",
-            (now + self.lease_timeout, grant.range_id, grant.worker,
+            (count, now + self.lease_timeout, grant.range_id, grant.worker,
              grant.epoch),
             ("UPDATE workers SET last_seen = ?, cells_done = "
-             "cells_done + 1 WHERE worker = ?", (now, grant.worker)),
+             "cells_done + ? WHERE worker = ?", (now, count, grant.worker)),
         )
 
     def complete_range(self, grant: RangeGrant) -> bool:

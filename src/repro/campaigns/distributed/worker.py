@@ -7,12 +7,19 @@ persists results into its *own* :class:`~repro.campaigns.store.ResultStore`
 — workers never share a store, so there is no write contention; the
 coordinator merges the per-worker stores when the job completes.
 
-The worker heartbeats through the statement that records progress (every
-``record_cell_done`` refreshes the lease ``claim`` granted) and abandons a
-range the moment a guarded call reports the lease lost, which a zombie
-learns one cell late at worst.  Abandonment is cheap and safe: whatever the
-worker persisted is content-addressed, so the eventual merge deduplicates
-it against the re-execution by the new lease holder.
+Each executed cell goes to the store as it finishes, and is committed and
+counted a flush at a time: one store commit, then one ``record_cell_done``
+counting every cell processed since the previous flush.  That record is the
+worker's heartbeat (it refreshes the lease ``claim`` granted), so a flush
+also happens before the time since the last one could outgrow half the
+lease timeout.  The worker abandons a range the moment a guarded call
+reports the lease lost, which a zombie learns at its next flush.
+Abandonment is cheap and safe: whatever the worker persisted is
+content-addressed, so the eventual merge deduplicates it against the
+re-execution by the new lease holder.  A death inside a flush is the same
+case: the reclaimed range re-runs at most that flush's cells, none of them
+stored if the worker died before the commit, and skipped by this worker's
+``store.contains`` after it, should it reclaim the range itself.
 """
 
 from __future__ import annotations
@@ -25,9 +32,11 @@ from typing import Callable, Optional, Sequence
 
 from ... import obs
 from ...experiments.runner import run_scenario
+from ..campaign import _PERSIST_FLUSH_EVERY
 from ..hashing import scenario_from_canonical_dict
 from ..store import ResultStore
-from .leases import LeaseError, LeaseTable, RangeGrant, default_worker_id
+from .leases import (JobCell, LeaseError, LeaseTable, RangeGrant,
+                     default_worker_id)
 
 
 def _cells_total() -> "obs.Counter":
@@ -237,58 +246,91 @@ class Worker:
         progress: Optional[WorkerProgress],
         traced: bool,
     ) -> bool:
-        """Process one grant's cells; ``True`` iff the range completed."""
-        for cell in grant.cells:
-            cell_cm = obs.span(
-                "cell", cell_key=cell.cell_key, position=cell.position,
-                group=cell.group,
-            ) if traced else nullcontext()
-            with cell_cm as cell_span:
-                if store.contains(cell.cell_key, count=False):
-                    # Cached from an earlier lease of this worker (or a
-                    # shared store) — report progress without re-simulating.
-                    report.cells_cached += 1
-                    if obs.enabled():
-                        _cells_total().inc(outcome="cached")
-                    if cell_span is not None:
-                        cell_span.annotate(outcome="cached")
-                else:
-                    try:
-                        scenario = scenario_from_canonical_dict(
-                            cell.scenario)
-                        result = run_scenario(scenario)
-                    except Exception as exc:  # noqa: BLE001 - as batch
-                        report.errors.append(
-                            f"cell {cell.position} ({cell.group}): {exc!r}"
-                        )
-                        if obs.enabled():
-                            _cells_total().inc(outcome="error")
-                        if cell_span is not None:
-                            cell_span.annotate(outcome="error",
-                                               error=repr(exc))
-                        # The cell is not persisted; completing the range
-                        # would silently drop it, so abandon and let the
-                        # lease expire path retry it elsewhere.
-                        report.ranges_abandoned += 1
-                        return False
-                    store.put(result, cell_key=cell.cell_key)
-                    report.cells_executed += 1
-                    if obs.enabled():
-                        _cells_total().inc(outcome="executed")
-                        _cell_seconds().observe(result.wall_time)
-                    if cell_span is not None:
-                        cell_span.annotate(outcome="executed")
-            if progress is not None:
-                progress(self.worker_id,
-                         report.cells_executed + report.cells_cached)
-            if not table.record_cell_done(grant):
-                report.ranges_abandoned += 1
-                return False
+        """Process one grant's cells; ``True`` iff the range completed.
+
+        A flush commits the cells stored since the last one, then records
+        every cell processed since then with one ``record_cell_done`` (the
+        heartbeat).  It happens once ``_PERSIST_FLUSH_EVERY`` cells are
+        unrecorded, at the end of the grant, before the grant is abandoned
+        on an error, and once the time since the last heartbeat plus the
+        last cell's duration reaches half the lease timeout: a next cell as
+        long as that one still ends inside the lease.
+        """
+        unrecorded = 0
+        half_lease = table.lease_timeout / 2
+        heartbeat = time.monotonic()  # the claim refreshed the lease
+        last = len(grant.cells) - 1
+        for index, cell in enumerate(grant.cells):
+            started = time.monotonic()
+            ok = self._run_cell(store, cell, report, traced)
+            if ok:
+                unrecorded += 1
+                if progress is not None:
+                    progress(self.worker_id,
+                             report.cells_executed + report.cells_cached)
+            now = time.monotonic()
+            if (not ok or index == last
+                    or unrecorded >= _PERSIST_FLUSH_EVERY
+                    or (now - heartbeat) + (now - started) >= half_lease):
+                store.commit()
+                held = not unrecorded or table.record_cell_done(grant,
+                                                                unrecorded)
+                unrecorded = 0
+                heartbeat = now
+                if not (ok and held):
+                    # The lease is lost, or a cell failed: it is not
+                    # persisted, and completing the range would silently
+                    # drop it.  Abandon; the lease expire path retries the
+                    # range elsewhere.
+                    report.ranges_abandoned += 1
+                    return False
         if table.complete_range(grant):
             report.ranges_completed += 1
             return True
         report.ranges_abandoned += 1
         return False
+
+    @staticmethod
+    def _run_cell(store: ResultStore, cell: JobCell, report: WorkerReport,
+                  traced: bool) -> bool:
+        """Run one cell and hand it to the store, uncommitted, unless the
+        store has it already; ``False`` iff it failed (recorded in
+        *report*)."""
+        cell_cm = obs.span(
+            "cell", cell_key=cell.cell_key, position=cell.position,
+            group=cell.group,
+        ) if traced else nullcontext()
+        with cell_cm as cell_span:
+            if store.contains(cell.cell_key, count=False):
+                # Cached from an earlier lease of this worker (or a shared
+                # store), or stored earlier in this flush (a duplicated
+                # manifest cell) — report progress without re-simulating.
+                report.cells_cached += 1
+                if obs.enabled():
+                    _cells_total().inc(outcome="cached")
+                if cell_span is not None:
+                    cell_span.annotate(outcome="cached")
+                return True
+            try:
+                result = run_scenario(
+                    scenario_from_canonical_dict(cell.scenario))
+            except Exception as exc:  # noqa: BLE001 - as batch
+                report.errors.append(
+                    f"cell {cell.position} ({cell.group}): {exc!r}")
+                if obs.enabled():
+                    _cells_total().inc(outcome="error")
+                if cell_span is not None:
+                    cell_span.annotate(outcome="error", error=repr(exc))
+                return False
+            store.put_many([ResultStore.pack(result, cell.cell_key)],
+                           commit=False)
+            report.cells_executed += 1
+            if obs.enabled():
+                _cells_total().inc(outcome="executed")
+                _cell_seconds().observe(result.wall_time)
+            if cell_span is not None:
+                cell_span.annotate(outcome="executed")
+            return True
 
 
 def run_worker(

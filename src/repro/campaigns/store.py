@@ -446,8 +446,12 @@ class ResultStore:
             shutil.rmtree(blob_dir, ignore_errors=True)
 
     def close(self) -> None:
-        """Close the SQLite handle."""
+        """Close the SQLite handle (batches not committed are dropped)."""
         self._db.close()
+
+    def commit(self) -> None:
+        """Commit the batches ``put_many(commit=False)`` left open."""
+        self._db.commit()
 
     def _count_lookup(self, found: bool) -> None:
         """One hit/miss: handle counters, registry, timeline."""
@@ -507,7 +511,8 @@ class ResultStore:
             _pack(payload))
 
     def put_many(self, results: Sequence[Union["ScenarioResult", PackedCell]], *,
-                 cell_keys: Optional[Sequence[str]] = None) -> list[StoredRow]:
+                 cell_keys: Optional[Sequence[str]] = None,
+                 commit: bool = True) -> list[StoredRow]:
         """Persist a batch of finished results in one transaction.
 
         An entry is a :class:`PackedCell` or a bare result, packed here
@@ -516,6 +521,12 @@ class ResultStore:
         interrupts the call — a failed statement, a full disk, a SIGKILL —
         the store holds the whole batch or none of it, and never an index
         row without its payload.
+
+        With ``commit=False`` the batch stays in the handle's open
+        transaction (visible to this handle's lookups, to no other) until
+        :meth:`commit` or the next committing write: a caller that hands
+        over one cell at a time pays one commit for several.  An error
+        rolls back every batch not committed yet.
         """
         results = list(results)
         if cell_keys is not None and len(cell_keys) != len(results):
@@ -527,10 +538,15 @@ class ResultStore:
             return []
         cells = [entry if isinstance(entry, PackedCell) else self.pack(entry, key)
                  for entry, key in zip(results, cell_keys or [None] * len(results))]
-        with self._db:
+        try:
             self._db.executemany(_INSERT_RESULT_SQL, [cell.row for cell in cells])
             self._db.executemany(_INSERT_PAYLOAD_SQL,
                                  [(cell.cell_key, cell.payload) for cell in cells])
+            if commit:
+                self._db.commit()
+        except BaseException:
+            self._db.rollback()
+            raise
         self._count_puts([cell.cell_key for cell in cells],
                          sum(len(cell.payload) for cell in cells))
         return [_stored_row(cell.row[i] for i in _ROW_POSITIONS) for cell in cells]

@@ -1,6 +1,8 @@
 """Unit tests for the URB property checkers, quiescence analysis and
 anonymity audits, exercised on hand-built runs."""
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.anonymity import (
@@ -15,7 +17,11 @@ from repro.analysis.properties import (
     check_urb_properties,
     check_validity,
 )
-from repro.analysis.quiescence import analyze_quiescence, cumulative_send_curve
+from repro.analysis.quiescence import (
+    analyze_quiescence,
+    cumulative_send_curve,
+    send_histogram,
+)
 from repro.core.delivery import DeliveryLog
 from repro.core.messages import AckPayload, MsgPayload, TaggedMessage
 from repro.experiments.config import Scenario
@@ -244,8 +250,16 @@ class TestQuiescenceAnalysis:
             sends=[(0.5, 0, 1, "MSG", None), (7.0, 0, 1, "MSG", None)],
             final_time=10.0,
         )
-        report = analyze_quiescence(result, window=5.0)
-        assert dict(report.sends_per_window) == {0.0: 1, 5.0: 1}
+        assert dict(send_histogram(result, 5.0)) == {0.0: 1, 5.0: 1}
+        assert not hasattr(analyze_quiescence(result), "sends_per_window")
+
+    def test_histogram_falls_back_to_the_metrics_timeline(self):
+        sends = [(0.5, 0, 1, "MSG", None), (7.0, 0, 1, "MSG", None)]
+        traced = build_result(sends=sends, final_time=10.0)
+        untraced = dataclasses.replace(traced, trace=TraceRecorder())
+        assert send_histogram(untraced, 5.0) == send_histogram(traced, 5.0)
+        with pytest.raises(ValueError):
+            send_histogram(traced, 0.0)
 
     def test_cumulative_send_curve_monotone(self):
         result = build_result(

@@ -243,3 +243,34 @@ class TestBenchScript:
         )
         assert proc.returncode == 0, proc.stderr
         assert "quiescence_vectorized" in proc.stdout
+
+    def test_e2e_snapshots_carry_every_end_to_end_metric(self):
+        spec = importlib.util.spec_from_file_location(
+            "bench_script_under_test", REPO_ROOT / "scripts" / "bench.py")
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        declared = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+        metrics = {entry["name"]: {"value": 1.0, "unit": entry["unit"],
+                                   "samples": [1.0]}
+                   for entry in declared["end_to_end"]}
+        collected = {"seed": 1234, "seconds": 3, "workloads": {
+            "campaign_leased": {"metrics": metrics, "attempted": 9,
+                                "failed": 0},
+            "flood_n14": {"metrics": metrics, "attempted": 9, "failed": 1}}}
+        documents = bench.e2e_documents(collected)
+        assert sorted(documents) == ["campaign_leased", "flood_n14"]
+        leased = documents["campaign_leased"]
+        assert leased["name"] == "e2e_campaign_leased" and leased["correct"]
+        assert set(leased["metrics"]) == {"setup_s", "wall_s", "ops_per_s",
+                                          "peak_rss_mb"}
+        assert not documents["flood_n14"]["correct"]
+
+    def test_e2e_mode_refuses_an_unknown_workload(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "scripts" / "bench.py"), "--e2e",
+             "--scenarios", "no_such_workload", "--output-dir", str(tmp_path)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode != 0
+        assert "no_such_workload" in proc.stderr
+        assert list(tmp_path.iterdir()) == []

@@ -179,6 +179,27 @@ class TestResultStore:
                 store.put_many([result], cell_keys=["a", "b"])
             assert store.puts == 0
 
+    def test_put_many_can_leave_its_batch_to_a_later_commit(self, tmp_path):
+        results = [run_scenario(quick_scenario(seed=s)) for s in range(3)]
+        keys = [scenario_cell_key(result.scenario) for result in results]
+
+        def held(store):
+            return sorted(row.cell_key for row in store.query())
+
+        with ResultStore(tmp_path / "store") as store, \
+                ResultStore(tmp_path / "store") as other:
+            store.put_many(results[:1], commit=False)
+            store.put_many(results[1:2], commit=False)
+            assert store.puts == 2
+            # The open batches are this handle's to see, no other's.
+            assert store.contains(keys[1], count=False)
+            assert held(other) == []
+            store.commit()
+            assert held(other) == sorted(keys[:2])
+            store.put_many(results[2:], commit=False)
+        with ResultStore(tmp_path / "store") as store:
+            assert held(store) == sorted(keys[:2])  # closed uncommitted
+
     def test_put_many_empty_is_a_noop(self, tmp_path):
         with ResultStore(tmp_path / "store") as store:
             assert store.put_many([]) == []

@@ -212,3 +212,92 @@ class TestNetwork:
 
     def test_describe(self):
         assert "complete-graph" in self._network(3).describe()
+
+
+class RecordingFactory:
+    """Wraps a channel factory, recording every build: the pair and the
+    state of the two generators it was handed."""
+
+    def __init__(self, factory) -> None:
+        self.factory = factory
+        self.built: list[tuple] = []
+
+    def build(self, src, dst, loss_rng, delay_rng):
+        self.built.append((src, dst, loss_rng.getstate(),
+                           delay_rng.getstate()))
+        return self.factory.build(src, dst, loss_rng, delay_rng)
+
+    def describe(self) -> str:
+        return self.factory.describe()
+
+
+#: The channel families ``repro.registry.builtins`` registers.
+BUILTIN_CHANNELS = ("fair_lossy", "reliable", "quasi_reliable")
+
+
+def family_factories(n: int):
+    """``(label, factory)`` for every built-in family and a custom spec."""
+    from repro.experiments.config import Scenario
+    from repro.experiments.runner import build_crash_schedule
+    from repro.network.delay import UniformDelay
+    from repro.registry import channels
+
+    assert set(BUILTIN_CHANNELS) <= set(channels.names())
+    for name in BUILTIN_CHANNELS:
+        scenario = Scenario(n_processes=n, channel_type=name,
+                            loss=LossSpec.bernoulli(0.3),
+                            delay=DelaySpec.uniform(0.1, 1.0),
+                            crashes={0: 2.0})
+        yield name, channels.get(name).factory(
+            scenario, build_crash_schedule(scenario))
+    yield "custom", FairLossyChannelFactory(
+        loss_spec=LossSpec.custom(
+            lambda src, dst, rng: BernoulliLoss(0.1 * (src % 4), rng)),
+        delay_spec=DelaySpec.custom(
+            lambda src, dst, rng: UniformDelay(rng, 0.1, 0.2 + dst)),
+    )
+
+
+class TestChannelRow:
+    """``Network._row(src)`` is ``channel(src, dst)`` for every ``dst`` in
+    order: the same generators in the same states, the same ``_channels``
+    entries in the same order, the same fates."""
+
+    @staticmethod
+    def fates(channels) -> list:
+        return [channel.transmit(payload, float(t))
+                for t, payload in enumerate("abcab")
+                for channel in channels]
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_row_builds_what_channel_builds(self, case):
+        rng = random.Random(case)
+        n, seed = rng.randint(1, 7), rng.randrange(2 ** 32)
+        for label, factory in family_factories(n):
+            by_row = Network(n, RecordingFactory(factory), RandomSource(seed))
+            by_pair = Network(n, RecordingFactory(factory),
+                              RandomSource(seed))
+            # One channel of each built beforehand, through channel():
+            # the row reuses it and keeps its place in the cache.
+            src, dst = rng.randrange(n), rng.randrange(n)
+            by_row.channel(src, dst)
+            by_pair.channel(src, dst)
+            sources = list(range(n))
+            rng.shuffle(sources)
+            for source in sources:
+                row = by_row._row(source)
+                pairs = [by_pair.channel(source, d) for d in range(n)]
+                assert [(c.src, c.dst) for c in row] == \
+                    [(c.src, c.dst) for c in pairs], label
+            assert by_row.channel_factory.built == \
+                by_pair.channel_factory.built, label
+            assert list(by_row._channels) == list(by_pair._channels), label
+            assert self.fates(by_row._channels.values()) == \
+                self.fates(by_pair._channels.values()), label
+            assert list(by_row.random_source._streams) == \
+                list(by_pair.random_source._streams), label
+
+    def test_a_row_is_built_once(self):
+        network = Network(3, RecordingFactory(FairLossyChannelFactory()))
+        assert network._row(1) is network._row(1)
+        assert len(network.channel_factory.built) == 3

@@ -227,6 +227,11 @@ class TestLeaseTable:
             status = table.status(now=1.0)
             assert status.completed_cells == 1
             assert status.leased_cells == grant.count - 1
+            # one record per flush counts every cell of the flush
+            assert table.record_cell_done(grant, grant.count - 1, now=2.0)
+            status = table.status(now=2.0)
+            assert (status.completed_cells, status.leased_cells) == (
+                grant.count, 0)
 
     def test_worker_registration_records_store_paths(self, tmp_path):
         with make_job(tmp_path) as table:
@@ -398,30 +403,42 @@ class TestWorkerAndCoordinator:
         with pytest.raises(LeaseError, match="did not complete"):
             coordinator.wait(poll_interval=0.02, timeout=0.1)
 
-    def test_a_grant_of_k_cells_is_k_plus_two_transactions(
+    def test_a_grant_is_one_put_per_cell_and_one_record_per_flush(
             self, tmp_path, monkeypatch):
-        """``claim``, one ``record_cell_done`` per cell (the heartbeat),
-        ``complete_range``: each one transaction, nothing written outside
-        one, and no ``renew``."""
+        """``claim``, one uncommitted ``put_many`` per executed cell, one
+        store commit, one ``record_cell_done`` counting them all (the
+        heartbeat), ``complete_range``: each lease call one transaction,
+        nothing written outside one, and no ``renew``."""
         # 8 cells: a lone worker's first grant is a whole range of 4
         Coordinator(tmp_path / "job", quick_suite(seeds=4), name="dist",
                     range_size=4).prepare()
         calls = []
-        for name in ("claim", "renew", "record_cell_done", "complete_range"):
-            def spy(self, *args, _name=name, _real=getattr(LeaseTable, name),
-                    **kwargs):
-                calls.append(_name)
-                return _real(self, *args, **kwargs)
-            monkeypatch.setattr(LeaseTable, name, spy)
+
+        def spy(owner, name, summary):
+            real = getattr(owner, name)
+
+            def wrapped(self, *args, **kwargs):
+                calls.append((name, summary(*args, **kwargs)))
+                return real(self, *args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapped)
+
+        spy(LeaseTable, "claim", lambda worker, **_: worker)
+        spy(LeaseTable, "renew", lambda grant, **_: None)
+        spy(LeaseTable, "record_cell_done", lambda grant, count=1, **_: count)
+        spy(LeaseTable, "complete_range", lambda grant: None)
+        spy(ResultStore, "put_many",
+            lambda cells, commit=True, **_: (len(cells), commit))
+        spy(ResultStore, "commit", lambda: None)
         statements = trace_statements(monkeypatch, "leases.sqlite")
         report = Worker(tmp_path / "job", worker_id="w0",
                         poll_interval=0.02).run(max_ranges=1)
         assert (report.cells_executed, report.ranges_completed) == (4, 1)
-        assert calls == (["claim"] + ["record_cell_done"] * 4
-                         + ["complete_range"])
+        assert calls == ([("claim", "w0")] + [("put_many", (1, False))] * 4
+                         + [("commit", None), ("record_cell_done", 4),
+                            ("complete_range", None)])
         lease_writes = [sql.split()[0] for sql in writes(statements)]
-        # register_worker, then the six calls: begin, update(s), commit
-        assert lease_writes.count("BEGIN") == lease_writes.count("COMMIT") == 7
+        # register_worker, then the three calls: begin, update(s), commit
+        assert lease_writes.count("BEGIN") == lease_writes.count("COMMIT") == 4
         depth = 0
         for word in lease_writes:
             depth += {"BEGIN": 1, "COMMIT": -1}.get(word, 0)
@@ -439,6 +456,20 @@ class TestWorkerAndCoordinator:
                         poll_interval=0.02).run()
         assert report.cells_executed == 0
         assert report.cells_cached == 4
+
+    def test_a_cell_scheduled_twice_in_one_flush_runs_once(self, tmp_path):
+        # A lone worker's first grant is positions 0 and 1 (the tail rule
+        # caps it at ceil(4 / 2)): the second finds the first one's result
+        # in the store, not committed yet, and counts as cached.
+        scenarios = [quick_scenario(), quick_scenario(),
+                     quick_scenario(seed=1), quick_scenario(seed=2)]
+        Coordinator(tmp_path / "job", scenarios, name="dist",
+                    range_size=4).prepare()
+        report = Worker(tmp_path / "job", worker_id="w0",
+                        poll_interval=0.02).run()
+        assert (report.cells_executed, report.cells_cached) == (3, 1)
+        with ResultStore(report.store_root, create=False) as store:
+            assert len(store) == 3
 
 
 # --------------------------------------------------------------------------- #

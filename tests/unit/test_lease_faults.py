@@ -11,16 +11,19 @@ retries).  Either way every other participant must find ``ranges`` and
 ``workers`` exactly as they were before the call, and the retry must leave
 what a clean call leaves.
 
-The worker-level cases put a death between ``store.put`` and
-``record_cell_done`` and a clock that steps backwards across a renewal, and
+The worker-level cases put a death on either side of a flush's store commit
+(before its ``record_cell_done``) and a clock that steps backwards across a
+heartbeat, and
 require of both what the lease protocol promises: zombie writes fenced, no
 cell lost, none in the table twice, aggregates byte-identical to a clean run.
+A last case pins when a worker flushes.
 """
 
 from __future__ import annotations
 
 import itertools
 import sqlite3
+import time
 from contextlib import closing
 
 import pytest
@@ -34,6 +37,7 @@ from repro.campaigns import (
     run_campaign,
 )
 from repro.campaigns.distributed import LeaseTable, leases
+from repro.campaigns.distributed import worker as worker_module
 from repro.campaigns.hashing import canonical_scenario_dict
 from repro.experiments.batch import ScenarioSuite
 from repro.experiments.config import Scenario
@@ -198,12 +202,34 @@ def test_a_clock_stepping_backwards_shrinks_the_lease_it_renews(tmp_path, clock)
 
 
 # --------------------------------------------------------------------------- #
-# a worker dying, and a worker's clock stepping back, mid-grant
+# a worker dying in a flush, a zombie, and the flush rule, mid-grant
 # --------------------------------------------------------------------------- #
 def suite() -> ScenarioSuite:
     return ScenarioSuite("lease-fault-suite").add_sweep(
         scenario(), "loss", [LossSpec.none(), LossSpec.bernoulli(0.2)]
     ).with_seeds(4)  # 8 cells
+
+
+class WorkerClock:
+    """Stands in for the ``time`` module inside ``worker.py``: ``monotonic``
+    (what the worker times its heartbeats with) reads ``now``, the rest is
+    the real module."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def monotonic(self) -> float:
+        return self.now
+
+    def __getattr__(self, name: str):
+        return getattr(time, name)
+
+
+@pytest.fixture
+def worker_clock(monkeypatch) -> WorkerClock:
+    clock = WorkerClock()
+    monkeypatch.setattr(worker_module, "time", clock)
+    return clock
 
 
 @pytest.fixture
@@ -213,83 +239,182 @@ def clean_table(tmp_path):
         return campaign_table(store, "job")
 
 
+def prepared_job(root) -> Coordinator:
+    """The 8-cell suite in two ranges of 4 (a lone worker's grant is one
+    whole range: the tail rule caps it at ceil(8 / 2))."""
+    coordinator = Coordinator(root, suite(), name="job",
+                              lease_timeout=LEASE_TIMEOUT, range_size=4)
+    coordinator.prepare()
+    return coordinator
+
+
 def merged_table(coordinator: Coordinator, root):
     with ResultStore(root) as merged:
         stats = coordinator.finalize(merged)
         return stats, campaign_table(merged, "job"), len(merged)
 
 
-def test_death_between_put_and_record_loses_and_repeats_nothing(
-        tmp_path, clock, monkeypatch, clean_table):
+@pytest.mark.parametrize("reclaimer", ["w0", "w1"])
+@pytest.mark.parametrize("dies_in, committed", [
+    ((ResultStore, "commit"), 0),
+    ((LeaseTable, "record_cell_done"), 4),
+], ids=["before-the-commit", "between-commit-and-record"])
+def test_death_in_a_flush_loses_and_repeats_nothing(
+        tmp_path, clock, monkeypatch, clean_table, dies_in, committed,
+        reclaimer):
+    """The worker dies at its first flush: before the store commit, which
+    drops the flush's cells, or after it, which keeps them with their
+    progress unrecorded.  Whoever reclaims the range re-runs what is not
+    counted: the dead worker itself finds committed cells with
+    ``store.contains``; another worker executes them again and the merge
+    keeps one copy of each."""
     job = tmp_path / "job"
-    coordinator = Coordinator(job, suite(), name="job",
-                              lease_timeout=LEASE_TIMEOUT, range_size=4)
-    coordinator.prepare()
-    record_cell_done = LeaseTable.record_cell_done
-    calls = itertools.count(1)
+    coordinator = prepared_job(job)
 
-    def dies_on_second_call(self, grant, **kwargs):
-        if next(calls) == 2:  # cell 2 is in the store, its progress is not
-            raise Killed()
-        return record_cell_done(self, grant, **kwargs)
+    def dies(*_args, **_kwargs):
+        raise Killed()
 
     with monkeypatch.context() as patched:
-        patched.setattr(LeaseTable, "record_cell_done", dies_on_second_call)
+        patched.setattr(*dies_in, dies)
         with pytest.raises(Killed):
             Worker(job, worker_id="w0", poll_interval=0.01).run()
     with LeaseTable(job) as table:
         status = table.status()
-        assert (status.completed_cells, status.leased_ranges) == (1, 1)
+        assert (status.completed_cells, status.leased_ranges) == (0, 1)
     with ResultStore(job / "workers" / "w0" / "store", create=False) as store:
-        assert len(store) == 2
+        assert len(store) == committed  # the whole flush or none of it
 
-    # The same worker comes back after its old lease ran out: it reclaims the
-    # range, finds the two cells it had stored and runs the other six.
-    clock.now += LEASE_TIMEOUT + 1
-    report = Worker(job, worker_id="w0", poll_interval=0.01).run()
-    assert (report.cells_cached, report.cells_executed) == (2, 6)
+    clock.now += LEASE_TIMEOUT + 1  # the dead worker's lease runs out
+    report = Worker(job, worker_id=reclaimer, poll_interval=0.01).run()
     assert report.ranges_abandoned == 0
     with LeaseTable(job) as table:
         status = table.status()
         assert status.complete and status.completed_cells == 8
         assert status.reclaims == 1
     stats, table, held = merged_table(coordinator, tmp_path / "merged")
-    assert (stats.copied, stats.skipped, held) == (8, 0, 8)
+    cached = committed if reclaimer == "w0" else 0
+    assert (report.cells_cached, report.cells_executed) == (cached, 8 - cached)
+    assert (stats.copied, stats.skipped, held) == (8, committed - cached, 8)
     assert table == clean_table and table.render() == clean_table.render()
 
 
 def test_a_worker_whose_clock_steps_back_is_fenced_not_trusted(
-        tmp_path, clock, clean_table):
-    """``w0`` heartbeats with a clock that jumped an hour back, so its lease
-    reads expired to ``w1``, which takes the range over while ``w0`` is still
-    in it.  ``w0`` learns at its next ``record_cell_done``, one cell later."""
+        tmp_path, clock, worker_clock, clean_table):
+    """``w0`` flushes its first cell early (half the lease timeout passed)
+    with a clock that jumped an hour back, so its lease reads expired to
+    ``w1``, which takes the range over while ``w0`` is still in it.  ``w0``
+    learns at its next flush, when the grant ends: it has committed its
+    cells to its own store, and its record is refused."""
     job = tmp_path / "job"
-    coordinator = Coordinator(job, suite(), name="job",
-                              lease_timeout=LEASE_TIMEOUT, range_size=4)
-    coordinator.prepare()
+    coordinator = prepared_job(job)
     clock.now = 5000.0
     rival_reports = []
 
-    def between_put_and_record(_worker: str, done: int) -> None:
+    def before_the_flush_check(_worker: str, done: int) -> None:
         if done == 1:
-            clock.now -= 3600.0  # the step; this cell's heartbeat carries it
+            worker_clock.now += LEASE_TIMEOUT / 2  # this cell flushes
+            clock.now -= 3600.0  # the step; the flush's heartbeat carries it
         elif done == 2:
+            # The early flush wrote the stepped expiry (without it w1 could
+            # never take the range over, and would wait for it forever).
+            [lease] = [row for row in tables(job)[0] if row["worker"] == "w0"]
+            assert lease["lease_expires"] == 1400.0 + LEASE_TIMEOUT
             clock.now = 5001.0   # w1's clock never moved
             rival_reports.append(
                 Worker(job, worker_id="w1", poll_interval=0.01).run())
             clock.now = 1401.0
 
     report = Worker(job, worker_id="w0", poll_interval=0.01).run(
-        progress=between_put_and_record)
+        progress=before_the_flush_check)
     [rival] = rival_reports
     assert (rival.cells_executed, rival.ranges_abandoned) == (8, 0)
     assert (report.cells_executed, report.ranges_completed,
-            report.ranges_abandoned) == (2, 0, 1)
+            report.ranges_abandoned) == (4, 0, 1)
     with LeaseTable(job) as table:
         status = table.status()
         assert status.complete and status.completed_cells == 8
         assert status.reclaims == 1
-    # w0's two cells are in both stores; the table counts each cell once.
+    # w0's four cells are in both stores; the table counts each cell once.
     stats, table, held = merged_table(coordinator, tmp_path / "merged")
-    assert (stats.copied, stats.skipped, held) == (8, 2, 8)
+    assert (stats.copied, stats.skipped, held) == (8, 4, 8)
     assert table == clean_table and table.render() == clean_table.render()
+
+
+@pytest.mark.parametrize("seconds_per_cell, flush_every, flushes", [
+    (0.0, 8, [4]),           # the grant's end
+    (2.0, 8, [2, 2]),        # 4 s since the heartbeat + a 2 s cell >= 5 s
+    (1.5, 8, [3, 1]),        # 4.5 s + 1.5 s: a 4th such cell could end
+                             # 6 s after the heartbeat, so flush before it
+    (LEASE_TIMEOUT / 2, 8, [1, 1, 1, 1]),
+    (0.0, 3, [3, 1]),        # three cells unrecorded
+])
+def test_a_grant_flushes_on_a_count_half_a_lease_and_its_end(
+        tmp_path, clock, worker_clock, monkeypatch, seconds_per_cell,
+        flush_every, flushes):
+    """Each cell is one uncommitted ``put_many`` as it finishes; each flush
+    is one store commit, then one ``record_cell_done`` counting the cells
+    since the last one, which moves the lease on from the lease table's
+    clock at that moment.  A flush comes
+    once the time since the last heartbeat plus the last cell's duration
+    reaches half the 10 s lease."""
+    monkeypatch.setattr(worker_module, "_PERSIST_FLUSH_EVERY", flush_every)
+    prepared_job(tmp_path / "job")
+    calls = []
+    put_many, commit = ResultStore.put_many, ResultStore.commit
+    record_cell_done = LeaseTable.record_cell_done
+
+    def counted_put(self, cells, **kwargs):
+        calls.append(("put_many", len(cells), kwargs["commit"]))
+        return put_many(self, cells, **kwargs)
+
+    def counted_commit(self):
+        calls.append(("commit",))
+        return commit(self)
+
+    def counted_record(self, grant, count=1, **kwargs):
+        recorded = record_cell_done(self, grant, count, **kwargs)
+        [leased] = [row for row in tables(tmp_path / "job")[0]
+                    if row["state"] == "leased"]
+        calls.append(("record_cell_done", count, leased["lease_expires"]))
+        return recorded
+
+    def one_cell_later(_worker: str, _done: int) -> None:
+        worker_clock.now += seconds_per_cell
+        clock.now += 1.0
+
+    monkeypatch.setattr(ResultStore, "put_many", counted_put)
+    monkeypatch.setattr(ResultStore, "commit", counted_commit)
+    monkeypatch.setattr(LeaseTable, "record_cell_done", counted_record)
+    report = Worker(tmp_path / "job", worker_id="w0").run(
+        progress=one_cell_later, max_ranges=1)
+    assert (report.cells_executed, report.ranges_completed) == (4, 1)
+    done = itertools.accumulate(flushes)
+    assert calls == [call for count, cells in zip(flushes, done)
+                     for call in [("put_many", 1, False)] * count + [
+                         ("commit",), ("record_cell_done", count,
+                                       100.0 + cells + LEASE_TIMEOUT)]]
+
+
+def test_a_failing_cell_flushes_what_came_before_it(
+        tmp_path, clock, worker_clock, monkeypatch):
+    """The grant is abandoned at the failed cell (it cannot complete), but
+    the cells already run are committed and counted first."""
+    prepared_job(tmp_path / "job")
+    run_scenario = worker_module.run_scenario
+    runs = itertools.count(1)
+
+    def third_fails(scenario):
+        if next(runs) == 3:
+            raise RuntimeError("cell failed")
+        return run_scenario(scenario)
+
+    monkeypatch.setattr(worker_module, "run_scenario", third_fails)
+    report = Worker(tmp_path / "job", worker_id="w0").run(max_ranges=1)
+    assert (report.cells_executed, report.ranges_abandoned) == (2, 1)
+    assert len(report.errors) == 1 and "cell failed" in report.errors[0]
+    with LeaseTable(tmp_path / "job") as table:
+        status = table.status()
+        assert (status.completed_cells, status.leased_ranges) == (2, 1)
+    with ResultStore(tmp_path / "job" / "workers" / "w0" / "store",
+                     create=False) as store:
+        assert len(store) == 2

@@ -136,6 +136,40 @@ def test_put_many_of_either_entry_kind_at_every_statement(
             assert_whole_cells_only(store)
 
 
+@pytest.mark.parametrize("make_error", FAULTS)
+def test_uncommitted_batches_fall_with_the_batch_that_fails(
+        tmp_path, arm, make_error):
+    """What ``put_many(commit=False)`` left open goes down with the next
+    batch that fails, at any of its statements: the store holds its last
+    commit, whole, and the retry lands everything."""
+    results = [run_scenario(scenario(seed)) for seed in range(3)]
+    keys = [scenario_cell_key(result.scenario) for result in results]
+    with ResultStore(tmp_path / "clean") as clean:
+        counting = arm("put_many", 1, Fault())
+        clean.put_many(results[2:], commit=False)
+    assert counting.seen >= 2
+
+    for k in range(counting.seen):
+        root = tmp_path / f"store-{k}"
+        store = ResultStore(root)
+        store.put_many(results[:1])
+        store.put_many(results[1:2], commit=False)
+        arm("put_many", 1, Fault(make_error(), after=k))
+        with pytest.raises(type(make_error())):
+            store.put_many(results[2:], commit=False)
+        store.commit()  # a caller that lives on commits nothing of it
+        abandon(store)
+
+        with ResultStore(root) as store:
+            assert [row.cell_key for row in store.query()] == keys[:1]
+            assert_whole_cells_only(store)
+            store.put_many(results[1:], commit=False)
+            store.commit()
+            assert sorted(row.cell_key for row in store.query()) == \
+                sorted(keys)
+            assert_whole_cells_only(store)
+
+
 # --------------------------------------------------------------------------- #
 # (b) merge_stores failing mid-source
 # --------------------------------------------------------------------------- #
