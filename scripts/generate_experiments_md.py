@@ -112,8 +112,7 @@ measured on this machine.
 
 Numbers vary slightly with the seed set and machine; the *shapes* asserted in
 the "Expected shape" paragraphs are also checked mechanically by the
-integration tests (`tests/integration/test_experiments_and_cli.py`) and the
-benchmark harness (`benchmarks/`).
+integration tests (`tests/integration/test_experiments_and_cli.py`).
 """
 
 

@@ -137,11 +137,6 @@ class Network:
         """Total drops across all instantiated channels."""
         return sum(c.stats.dropped for c in self._channels.values())
 
-    def observed_drop_rate(self) -> float:
-        """Aggregate observed drop rate across all channels."""
-        attempts = self.total_attempts()
-        return self.total_drops() / attempts if attempts else 0.0
-
     def describe(self) -> str:
         """Human-readable description used in reports."""
         return (

@@ -13,7 +13,7 @@ from .faults import CrashSchedule
 from .metrics import LatencySample, MetricsCollector, MetricsLevel, MetricsSummary
 from .rng import RandomSource, derive_seed
 from .scheduler import EventQueue, SchedulingError
-from .simtime import NEVER, TIME_ZERO, SimTime, TimeWindow
+from .simtime import NEVER, SimTime
 from .tracing import TraceCategory, TraceEvent, TraceLevel, TraceRecorder
 
 #: Names resolved lazily to avoid import cycles with the protocol layer.
@@ -70,8 +70,6 @@ __all__ = [
     "SimulationEngine",
     "SimulationResult",
     "StopConditions",
-    "TIME_ZERO",
-    "TimeWindow",
     "TraceCategory",
     "TraceEvent",
     "TraceLevel",

@@ -107,10 +107,6 @@ class SimulationConfig:
         """Return a copy of the config with a different master seed."""
         return replace(self, seed=seed)
 
-    def with_max_time(self, max_time: SimTime) -> "SimulationConfig":
-        """Return a copy of the config with a different horizon."""
-        return replace(self, max_time=max_time)
-
     @property
     def process_indices(self) -> range:
         """The range of process indices ``0 .. n-1``."""

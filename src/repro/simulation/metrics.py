@@ -207,10 +207,6 @@ class MetricsCollector:
         """Delivery latencies as a NumPy array (possibly empty)."""
         return np.asarray([s.latency for s in self.latency_samples], dtype=float)
 
-    def sends_in_window(self, start: SimTime, end: SimTime) -> int:
-        """Number of sends with ``start <= time < end``."""
-        return sum(1 for t, _ in self.send_timeline if start <= t < end)
-
     def cumulative_sends_at(self, time: SimTime) -> int:
         """Cumulative number of sends up to and including *time*."""
         count = 0

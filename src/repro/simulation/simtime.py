@@ -13,15 +13,10 @@ opaque, totally ordered quantity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
 
 #: Simulated time is represented as a non-negative float (seconds of
 #: simulated time; the unit is arbitrary but consistent across the library).
 SimTime = float
-
-#: The origin of simulated time.
-TIME_ZERO: SimTime = 0.0
 
 #: A sentinel meaning "never happens" (e.g. a process that never crashes).
 NEVER: SimTime = math.inf
@@ -91,73 +86,3 @@ def validate_duration(value: float, *, name: str = "duration",
 def is_never(value: SimTime) -> bool:
     """Return ``True`` if *value* is the "never" sentinel (+inf)."""
     return math.isinf(value) and value > 0
-
-
-@dataclass(frozen=True, slots=True)
-class TimeWindow:
-    """A half-open interval ``[start, end)`` of simulated time.
-
-    Used by workload generators and analysis code to express "during this
-    period" without repeating interval arithmetic everywhere.
-    """
-
-    start: SimTime
-    end: SimTime
-
-    def __post_init__(self) -> None:
-        validate_time(self.start, name="start")
-        if not is_never(self.end):
-            validate_time(self.end, name="end")
-        if self.end < self.start:
-            raise ValueError(
-                f"TimeWindow end ({self.end}) must be >= start ({self.start})"
-            )
-
-    @property
-    def duration(self) -> float:
-        """Length of the window (may be ``inf`` for open-ended windows)."""
-        return self.end - self.start
-
-    def contains(self, t: SimTime) -> bool:
-        """Return ``True`` if ``start <= t < end``."""
-        return self.start <= t < self.end
-
-    def clamp(self, t: SimTime) -> SimTime:
-        """Clamp *t* into the window (useful for plotting helpers)."""
-        return min(max(t, self.start), self.end)
-
-    def subdivide(self, parts: int) -> list["TimeWindow"]:
-        """Split the window into *parts* equal sub-windows.
-
-        Raises
-        ------
-        ValueError
-            If *parts* is not positive or the window is open-ended.
-        """
-        if parts <= 0:
-            raise ValueError("parts must be positive")
-        if is_never(self.end):
-            raise ValueError("cannot subdivide an open-ended window")
-        step = self.duration / parts
-        return [
-            TimeWindow(self.start + i * step, self.start + (i + 1) * step)
-            for i in range(parts)
-        ]
-
-
-def earliest(times: Iterable[SimTime]) -> SimTime:
-    """Return the earliest of *times*, or ``NEVER`` for an empty iterable."""
-    result = NEVER
-    for t in times:
-        if t < result:
-            result = t
-    return result
-
-
-def latest(times: Iterable[SimTime]) -> SimTime:
-    """Return the latest of *times*, or ``TIME_ZERO`` for an empty iterable."""
-    result = TIME_ZERO
-    for t in times:
-        if t > result:
-            result = t
-    return result

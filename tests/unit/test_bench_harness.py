@@ -1,9 +1,12 @@
-"""Unit tests for the benchmark harness subsystem (benchmarks/harness.py)."""
+"""Tests for ``scripts/bench.py``: the loads no e2e workload covers, run at a
+fixed size in their own interpreters, and the ``BENCH_*.json`` documents it
+writes for them and for the end-to-end benchmark."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -11,197 +14,160 @@ from pathlib import Path
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+BENCH = REPO_ROOT / "scripts" / "bench.py"
+LOADS = {"quiescence_vectorized", "obs_overhead", "event_queue_churn",
+         "campaign_store", "campaign_merge"}
+#: Top-level keys of every document, the loads' and the e2e workloads'.
+DOCUMENT_KEYS = {"name", "correct", "attempted", "failed", "metrics",
+                 "python", "platform"}
+COMMITTED = sorted(REPO_ROOT.glob("BENCH_*.json"))
 
 
 @pytest.fixture(scope="module")
-def harness():
-    spec = importlib.util.spec_from_file_location(
-        "bench_harness_under_test", REPO_ROOT / "benchmarks" / "harness.py"
-    )
+def bench():
+    spec = importlib.util.spec_from_file_location("bench_script_under_test",
+                                                  BENCH)
     module = importlib.util.module_from_spec(spec)
-    # dataclasses resolves string annotations through sys.modules, so the
-    # module must be registered before execution.
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-        yield module
-    finally:
-        sys.modules.pop(spec.name, None)
+    spec.loader.exec_module(module)
+    return module
 
 
-def make_result(harness, name="dummy", events_per_sec=1000.0, **overrides):
-    kwargs = dict(
-        name=name,
-        wall_time_s=1.0,
-        events=int(events_per_sec),
-        events_per_sec=events_per_sec,
-        ops=10,
-        ops_per_sec=10.0,
-        peak_rss_kb=1024,
-        calibration_mops=1.0,
-        quick=True,
-    )
-    kwargs.update(overrides)
-    return harness.BenchResult(**kwargs)
+def run_bench(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(BENCH), *args],
+                          capture_output=True, text=True, timeout=600)
 
 
-class TestBenchResult:
-    def test_normalized_score_divides_by_calibration(self, harness):
-        result = make_result(harness, events_per_sec=500.0, calibration_mops=2.0)
-        assert result.normalized_score == pytest.approx(250.0)
-
-    def test_as_dict_schema(self, harness):
-        data = make_result(harness).as_dict()
-        for key in (
-            "schema_version", "name", "wall_time_s", "events",
-            "events_per_sec", "ops", "ops_per_sec", "peak_rss_kb",
-            "normalized_score", "quick", "python", "platform", "meta",
-        ):
-            assert key in data
-
-    def test_write_emits_bench_json(self, harness, tmp_path):
-        path = make_result(harness, name="abc").write(tmp_path)
-        assert path.name == "BENCH_abc.json"
-        assert json.loads(path.read_text())["name"] == "abc"
+@pytest.fixture(scope="module")
+def recorded(tmp_path_factory):
+    """Documents of two invocations: ``--quick`` queue churn then store puts
+    (churn's peak RSS is the higher), and store puts alone at the full
+    sample count."""
+    documents = {}
+    for mode, args in (("quick", ["--quick", "--scenarios",
+                                  "event_queue_churn,campaign_store"]),
+                       ("full", ["--scenarios", "campaign_store"])):
+        out = tmp_path_factory.mktemp(mode)
+        proc = run_bench(*args, "--output-dir", str(out))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        documents[mode] = {
+            path.stem[len("BENCH_"):]: json.loads(path.read_text())
+            for path in out.glob("BENCH_*.json")}
+    return documents
 
 
-class TestBaselineCompare:
-    def test_regression_detected_beyond_tolerance(self, harness):
-        baseline = {"dummy": make_result(harness, events_per_sec=1000.0).as_dict()}
-        current = [make_result(harness, events_per_sec=700.0)]
-        comparisons = harness.compare_to_baseline(
-            current, baseline, tolerance=0.25
-        )
-        assert len(comparisons) == 1
-        assert comparisons[0].regressed
-
-    def test_within_tolerance_passes(self, harness):
-        baseline = {"dummy": make_result(harness, events_per_sec=1000.0).as_dict()}
-        current = [make_result(harness, events_per_sec=800.0)]
-        (comparison,) = harness.compare_to_baseline(
-            current, baseline, tolerance=0.25
-        )
-        assert not comparison.regressed
-
-    def test_improvement_passes(self, harness):
-        baseline = {"dummy": make_result(harness, events_per_sec=1000.0).as_dict()}
-        current = [make_result(harness, events_per_sec=2000.0)]
-        (comparison,) = harness.compare_to_baseline(current, baseline)
-        assert not comparison.regressed
-        assert comparison.ratio == pytest.approx(2.0)
-
-    def test_scenarios_missing_from_baseline_are_skipped(self, harness):
-        current = [make_result(harness, name="brand_new")]
-        assert harness.compare_to_baseline(current, {}) == []
-
-    def test_mode_mismatch_is_skipped(self, harness):
-        # A quick run must not be gated against a full-size baseline entry
-        # (different problem sizes), and vice versa.
-        full_baseline = {
-            "dummy": make_result(harness, events_per_sec=1000.0,
-                                 quick=False).as_dict()
-        }
-        quick_run = [make_result(harness, events_per_sec=100.0, quick=True)]
-        assert harness.compare_to_baseline(quick_run, full_baseline) == []
-        full_run = [make_result(harness, events_per_sec=900.0, quick=False)]
-        (comparison,) = harness.compare_to_baseline(full_run, full_baseline)
-        assert not comparison.regressed
-
-    def test_wall_time_fallback_for_experiment_scenarios(self, harness):
-        baseline = {
-            "exp": make_result(
-                harness, name="exp", events=0, events_per_sec=0.0,
-                wall_time_s=2.0,
-            ).as_dict()
-        }
-        slower = [
-            make_result(harness, name="exp", events=0, events_per_sec=0.0,
-                        wall_time_s=4.0)
-        ]
-        (comparison,) = harness.compare_to_baseline(
-            slower, baseline, tolerance=0.25
-        )
-        assert comparison.regressed
-
-    def test_wall_time_fallback_is_calibration_normalized(self, harness):
-        """Equal wall time on a machine half as fast is an improvement,
-        not a regression."""
-        baseline = {
-            "exp": make_result(
-                harness, name="exp", events=0, events_per_sec=0.0,
-                wall_time_s=2.0, calibration_mops=2.0,
-            ).as_dict()
-        }
-        current = [
-            make_result(harness, name="exp", events=0, events_per_sec=0.0,
-                        wall_time_s=2.0, calibration_mops=1.0)
-        ]
-        (comparison,) = harness.compare_to_baseline(
-            current, baseline, tolerance=0.25
-        )
-        assert not comparison.regressed
-        assert comparison.ratio == pytest.approx(2.0)
-
-    def test_save_and_load_roundtrip(self, harness, tmp_path):
-        path = tmp_path / "baseline.json"
-        harness.save_baseline(path, [make_result(harness, name="x")])
-        loaded = harness.load_baseline(path)
-        assert "x" in loaded
-        assert loaded["x"]["events_per_sec"] == 1000.0
-
-    def test_saving_a_subset_keeps_the_other_entries(self, harness, tmp_path):
-        path = tmp_path / "baseline.json"
-        harness.save_baseline(path, [make_result(harness, name="x"),
-                                     make_result(harness, name="y")])
-        harness.save_baseline(
-            path, [make_result(harness, name="y", events_per_sec=5.0)])
-        loaded = harness.load_baseline(path)
-        assert loaded["x"]["events_per_sec"] == 1000.0
-        assert loaded["y"]["events_per_sec"] == 5.0
+def e2e_collected(declared: dict) -> dict:
+    metrics = {entry["name"]: {"value": 1.0, "unit": entry["unit"],
+                               "samples": [1.0]}
+               for entry in declared["end_to_end"]}
+    return {"seed": 1234, "seconds": 3, "workloads": {
+        "campaign_leased": {"metrics": metrics, "attempted": 9, "failed": 0},
+        "flood_n14": {"metrics": metrics, "attempted": 9, "failed": 1}}}
 
 
-class TestRunBenchmark:
-    def test_every_scenario_has_a_baseline_entry_and_no_e2e_twin(self, harness):
-        # One benchmark per load: what benchmarks/e2e runs with correctness
-        # checks is not registered here, and what is registered is gated
-        # (compare_to_baseline silently skips a scenario without an entry).
-        assert set(harness.BENCH_SCENARIOS) == {
-            "quiescence_vectorized", "obs_overhead", "event_queue_churn",
-            "campaign_store", "campaign_merge"}
-        baseline = harness.load_baseline(harness.DEFAULT_BASELINE)
-        assert set(baseline) == set(harness.BENCH_SCENARIOS)
-        assert all(entry["normalized_score"] > 0 for entry in baseline.values())
+def assert_document(doc: dict) -> None:
+    """The one schema: shared keys plus the load's ``meta`` or the e2e
+    workload's run context; each metric a median of its samples."""
+    extra = set(doc) - DOCUMENT_KEYS
+    assert DOCUMENT_KEYS <= set(doc)
+    assert extra in ({"meta"}, {"workload", "seed", "seconds"}), extra
+    assert doc["correct"] is (doc["failed"] == 0)
+    assert {"wall_s", "ops_per_s", "peak_rss_mb"} <= set(doc["metrics"])
+    for metric in doc["metrics"].values():
+        assert set(metric) == {"value", "unit", "samples"}
+        # e2e's run.py reports peak_rss_mb as one value with no samples.
+        if metric["samples"]:
+            assert metric["value"] == statistics.median(metric["samples"])
 
-    def test_vectorized_quiescence_has_a_full_size_baseline_entry(
-            self, harness):
-        # The ROADMAP perf target is stated on the *full* load (n=40): the
-        # committed baseline must gate full runs, not the CI quick size.
-        baseline = harness.load_baseline(harness.DEFAULT_BASELINE)
-        assert "quiescence_vectorized" in baseline
-        entry = baseline["quiescence_vectorized"]
-        assert entry["quick"] is False
-        assert entry["events_per_sec"] >= 200_000
-        assert entry["peak_rss_kb"] < 200 * 1024
 
-    def test_run_benchmark_produces_normalized_result(self, harness):
-        harness.BENCH_SCENARIOS["_test_dummy"] = harness.BenchSpec(
-            name="_test_dummy",
-            description="test stub",
-            run=lambda quick: (0.5, 100, 10, {"quick": quick}),
-        )
-        try:
-            result = harness.run_benchmark(
-                "_test_dummy", quick=True, calibration_mops=2.0
-            )
-        finally:
-            del harness.BENCH_SCENARIOS["_test_dummy"]
-        assert result.events_per_sec == pytest.approx(200.0)
-        assert result.normalized_score == pytest.approx(100.0)
-        assert result.meta["quick"] is True
-        assert result.meta["rss_delta_kb"] >= 0
-        assert result.peak_rss_kb > 0
+class TestDocuments:
+    def test_committed_documents_are_the_loads_and_the_e2e_workloads(self):
+        names = {path.stem[len("BENCH_"):] for path in COMMITTED}
+        declared = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+        workloads = {entry["name"] for entry in declared["workloads"]}
+        assert names == LOADS | {f"e2e_{w}" for w in workloads}
 
-    def test_run_benchmark_records_the_collectors_share(self, harness):
+    @pytest.mark.parametrize("path", COMMITTED, ids=lambda path: path.name)
+    def test_committed_document_has_the_schema(self, path):
+        doc = json.loads(path.read_text())
+        assert_document(doc)
+        assert doc["correct"], path.name
+        assert doc["name"] == path.stem[len("BENCH_"):]
+
+    def test_fresh_documents_share_the_schema(self, bench, recorded):
+        declared = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+        fresh = [*recorded["quick"].values(), *recorded["full"].values(),
+                 *bench.e2e_documents(e2e_collected(declared)).values()]
+        for doc in fresh:
+            assert_document(doc)
+
+    def test_write_document_writes_the_file_and_flags_wrong_output(
+            self, bench, tmp_path, capsys):
+        doc = bench.document(
+            "_test_written", correct=False, attempted=1, failed=1,
+            metrics={"wall_s": {"value": 0.5, "unit": "s", "samples": [0.5]}},
+            meta={"cells": 3})
+        bench.write_document(doc, tmp_path)
+        path = tmp_path / "BENCH__test_written.json"
+        assert path.read_text() == json.dumps(doc, indent=2,
+                                              sort_keys=True) + "\n"
+        assert json.loads(path.read_text()) == doc
+        printed = capsys.readouterr().out
+        assert "wall_s=0.5 s" in printed and "INCORRECT" in printed
+        assert path.name in printed
+
+    def test_each_load_reads_its_own_peak_rss(self, recorded):
+        # ru_maxrss is a process-lifetime high-water mark: run in the
+        # churn's process, the store load would read the churn's peak.
+        quick, full = recorded["quick"], recorded["full"]
+        churn = quick["event_queue_churn"]["metrics"]["peak_rss_mb"]["value"]
+        store = quick["campaign_store"]["metrics"]["peak_rss_mb"]["value"]
+        alone = full["campaign_store"]["metrics"]["peak_rss_mb"]["value"]
+        assert churn > alone + 5.0
+        assert store == pytest.approx(alone, abs=5.0)
+
+    def test_quick_changes_the_sample_count_not_the_problem(self, bench,
+                                                            recorded):
+        quick = recorded["quick"]["campaign_store"]
+        full = recorded["full"]["campaign_store"]
+        assert quick["attempted"] == bench.QUICK_SAMPLES
+        assert full["attempted"] == bench.FULL_SAMPLES
+        assert len(full["metrics"]["wall_s"]["samples"]) == bench.FULL_SAMPLES
+        problem = {key: value for key, value in quick["meta"].items()
+                   if key != "gc"}
+        assert problem["cells"] == 400
+        assert problem == {key: value for key, value in full["meta"].items()
+                           if key != "gc"}
+
+    def test_e2e_snapshots_carry_every_end_to_end_metric(self, bench):
+        declared = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+        documents = bench.e2e_documents(e2e_collected(declared))
+        assert sorted(documents) == ["campaign_leased", "flood_n14"]
+        leased = documents["campaign_leased"]
+        assert leased["name"] == "e2e_campaign_leased" and leased["correct"]
+        assert set(leased["metrics"]) == {"setup_s", "wall_s", "ops_per_s",
+                                          "peak_rss_mb"}
+        assert not documents["flood_n14"]["correct"]
+
+
+class TestLoads:
+    def test_wrong_output_is_recorded_and_fails_the_run(self, bench,
+                                                        monkeypatch, tmp_path):
+        def load():
+            return {"wall_s": 0.5, "ops_per_s": 20.0}, False, {}
+
+        monkeypatch.setitem(bench.LOADS, "_test_wrong", load)
+        monkeypatch.setattr(bench, "run_load", bench.measure)
+        monkeypatch.setattr(bench, "observed_gc", lambda load: {})
+        assert bench.main(["--quick", "--scenarios", "_test_wrong",
+                           "--output-dir", str(tmp_path)]) == 1
+        doc = json.loads((tmp_path / "BENCH__test_wrong.json").read_text())
+        assert (doc["correct"], doc["attempted"], doc["failed"]) \
+            == (False, bench.QUICK_SAMPLES, bench.QUICK_SAMPLES)
+        assert doc["metrics"]["ops_per_s"] == {
+            "value": 20.0, "unit": "1/s",
+            "samples": [20.0] * bench.QUICK_SAMPLES}
+
+    def test_measure_records_the_collectors_share(self, bench, monkeypatch):
         """``meta.gc`` comes from one more pass with obs on, read off the obs
         layer's own counters; obs is left off afterwards."""
         import gc
@@ -210,67 +176,188 @@ class TestRunBenchmark:
 
         passes = []
 
-        def run(quick):
+        def load():
             passes.append(obs.enabled())
             for _ in range(2000):
                 cycle: list = []
                 cycle.append(cycle)
-            return 0.5, 100, 10, {}
+            return {"wall_s": 0.5, "ops_per_s": 200.0}, True, {}
 
-        harness.BENCH_SCENARIOS["_test_gc"] = harness.BenchSpec(
-            name="_test_gc", description="test stub", run=run)
+        monkeypatch.setitem(bench.LOADS, "_test_gc", load)
         callbacks = len(gc.callbacks)
-        try:
-            result = harness.run_benchmark("_test_gc", quick=True, repeat=2,
-                                           calibration_mops=2.0)
-        finally:
-            del harness.BENCH_SCENARIOS["_test_gc"]
+        doc = bench.measure("_test_gc", 2)
         assert passes == [False, False, True]
-        assert set(result.meta["gc"]) == {"collections", "seconds"}
-        assert set(result.meta["gc"]["collections"]) == {"0", "1", "2"}
-        assert result.meta["gc"]["collections"]["0"] >= 1
-        assert result.meta["gc"]["seconds"]["0"] > 0.0
-        assert json.loads(json.dumps(result.as_dict()))["meta"]["gc"] \
-            == result.meta["gc"]
+        assert set(doc["meta"]["gc"]) == {"collections", "seconds"}
+        assert set(doc["meta"]["gc"]["collections"]) == {"0", "1", "2"}
+        assert doc["meta"]["gc"]["collections"]["0"] >= 1
+        assert doc["meta"]["gc"]["seconds"]["0"] > 0.0
+        assert json.loads(json.dumps(doc)) == doc
         assert not obs.enabled() and len(gc.callbacks) == callbacks
 
+    def test_measure_counts_every_pass_with_wrong_output(self, bench,
+                                                         monkeypatch):
+        verdicts = iter([True, False, True, True])  # three timed, one gc
 
-class TestBenchScript:
-    def test_bench_script_lists_scenarios(self):
-        proc = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "scripts" / "bench.py"), "--list"],
-            capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "quiescence_vectorized" in proc.stdout
+        def load():
+            return {"wall_s": 0.5, "ops_per_s": 20.0}, next(verdicts), {}
 
-    def test_e2e_snapshots_carry_every_end_to_end_metric(self):
-        spec = importlib.util.spec_from_file_location(
-            "bench_script_under_test", REPO_ROOT / "scripts" / "bench.py")
-        bench = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(bench)
+        monkeypatch.setitem(bench.LOADS, "_test_flaky", load)
+        doc = bench.measure("_test_flaky", 3)
+        assert (doc["correct"], doc["attempted"], doc["failed"]) \
+            == (False, 3, 1)
+        assert len(doc["metrics"]["wall_s"]["samples"]) == 3
+
+    def test_quiescence_load_refuses_the_per_event_loop(self, bench,
+                                                        monkeypatch):
+        scenario = bench._quiescence_scenario
+        monkeypatch.setattr(bench, "_quiescence_scenario",
+                            lambda n, engine: scenario(6, engine))
+        assert bench.quiescence_vectorized()[1]
+        # A FULL trace sends the vectorized engine down the per-event loop.
+        monkeypatch.setattr(
+            bench, "_quiescence_scenario",
+            lambda n, engine: scenario(6, engine).with_(trace_enabled=True))
+        assert not bench.quiescence_vectorized()[1]
+
+    def test_quiescence_load_refuses_a_run_cut_at_the_horizon(self, bench,
+                                                              monkeypatch):
+        scenario = bench._quiescence_scenario
+        monkeypatch.setattr(
+            bench, "_quiescence_scenario",
+            lambda n, engine: scenario(6, engine).with_(max_time=1.0))
+        assert not bench.quiescence_vectorized()[1]
+
+    def test_obs_load_does_the_same_work_with_obs_on_and_off(self, bench,
+                                                             monkeypatch):
+        from repro import obs
+
+        scenario = bench._quiescence_scenario
+        monkeypatch.setattr(bench, "_quiescence_scenario",
+                            lambda n, engine: scenario(6, engine))
+        values, correct, meta = bench.obs_overhead()
+        assert correct and meta["n_processes"] == 6
+        assert set(values) == {"wall_s", "ops_per_s", "overhead_pct"}
+        assert not obs.enabled()
+
+    def test_obs_load_refuses_runs_that_differ(self, bench, monkeypatch):
+        from repro import obs
+
+        scenario = bench._quiescence_scenario
+        run_engine = bench._run_engine
+        monkeypatch.setattr(bench, "_quiescence_scenario",
+                            lambda n, engine: scenario(6, engine))
+        # The obs-on run simulates one process more than the obs-off run.
+        monkeypatch.setattr(bench, "_run_engine", lambda s: run_engine(
+            s.with_(n_processes=7) if obs.enabled() else s))
+        assert not bench.obs_overhead()[1]
+
+    def test_churn_load_refuses_a_queue_that_loses_an_event(self, bench,
+                                                            monkeypatch):
+        class LosingQueue(bench.EventQueue):
+            def pop(self):
+                event = super().pop()
+                if event[1] == 1000:
+                    super().pop()  # popped and never handed out
+                return event
+
+        monkeypatch.setattr(bench, "EventQueue", LosingQueue)
+        values, correct, meta = bench.event_queue_churn()
+        assert not correct
+        assert meta["popped"] == 500_000
+
+    def test_store_load_refuses_a_missed_cell(self, bench, monkeypatch):
+        class ForgetfulStore(bench.ResultStore):
+            def put(self, result, *, cell_key=None):
+                if result.scenario.seed == 7:
+                    return None
+                return super().put(result, cell_key=cell_key)
+
+        monkeypatch.setattr(bench, "ResultStore", ForgetfulStore)
+        values, correct, meta = bench.campaign_store()
+        assert not correct
+        assert (meta["misses"], meta["hit_rows"], meta["queried"]) \
+            == (1, 399, 399)
+
+    def test_merge_load_refuses_a_lost_shard(self, bench, monkeypatch):
+        merge_stores = bench.merge_stores
+        monkeypatch.setattr(bench, "merge_stores", lambda dest, sources:
+                            merge_stores(dest, sources[:-1]))
+        values, correct, meta = bench.campaign_merge()
+        assert not correct
+        assert meta["copied"] < meta["cells"] == 6000
+
+
+class TestCommandLine:
+    def test_list_names_the_loads_and_no_e2e_workload(self):
         declared = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
-        metrics = {entry["name"]: {"value": 1.0, "unit": entry["unit"],
-                                   "samples": [1.0]}
-                   for entry in declared["end_to_end"]}
-        collected = {"seed": 1234, "seconds": 3, "workloads": {
-            "campaign_leased": {"metrics": metrics, "attempted": 9,
-                                "failed": 0},
-            "flood_n14": {"metrics": metrics, "attempted": 9, "failed": 1}}}
-        documents = bench.e2e_documents(collected)
-        assert sorted(documents) == ["campaign_leased", "flood_n14"]
-        leased = documents["campaign_leased"]
-        assert leased["name"] == "e2e_campaign_leased" and leased["correct"]
-        assert set(leased["metrics"]) == {"setup_s", "wall_s", "ops_per_s",
-                                          "peak_rss_mb"}
-        assert not documents["flood_n14"]["correct"]
+        proc = run_bench("--list")
+        assert proc.returncode == 0, proc.stderr
+        listed = {line.split()[0] for line in proc.stdout.splitlines()}
+        assert listed == LOADS
+        assert not listed & {entry["name"] for entry in declared["workloads"]}
 
     def test_e2e_mode_refuses_an_unknown_workload(self, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "scripts" / "bench.py"), "--e2e",
-             "--scenarios", "no_such_workload", "--output-dir", str(tmp_path)],
-            capture_output=True, text=True, timeout=120,
-        )
+        proc = run_bench("--e2e", "--scenarios", "no_such_workload",
+                         "--output-dir", str(tmp_path))
         assert proc.returncode != 0
         assert "no_such_workload" in proc.stderr
         assert list(tmp_path.iterdir()) == []
+
+    def test_an_unknown_load_is_refused_before_anything_runs(
+            self, bench, monkeypatch, tmp_path):
+        monkeypatch.setattr(bench, "run_load", pytest.fail)
+        with pytest.raises(SystemExit) as exit_info:
+            bench.main(["--scenarios", "campaign_store,no_such_load",
+                        "--output-dir", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_load_whose_interpreter_fails_stops_the_run(self, bench):
+        with pytest.raises(SystemExit, match="no_such_load"):
+            bench.run_load("no_such_load", 1)
+
+
+FAKE_RUN = """\
+import json, sys
+argv = sys.argv[1:]
+with open(sys.argv[0] + ".argv", "w") as f:
+    json.dump(argv, f)
+if {write}:
+    metrics = {{key: {{"value": 1.0, "unit": "s", "samples": [1.0]}}
+               for key in ("wall_s", "ops_per_s", "peak_rss_mb")}}
+    with open(argv[argv.index("--out") + 1], "w") as f:
+        json.dump({{"seed": 1234, "seconds": 3, "workloads": {{"flood_n14": {{
+            "metrics": metrics, "attempted": 1, "failed": 0}}}}}}, f)
+sys.exit({code})
+"""
+
+
+class TestEndToEndSnapshots:
+    def fake_run(self, bench, monkeypatch, tmp_path, *, write, code):
+        script = tmp_path / "run.py"
+        script.write_text(FAKE_RUN.format(write=write, code=code))
+        monkeypatch.setattr(bench, "E2E_RUN", script)
+        return Path(f"{script}.argv")
+
+    def test_run_results_become_snapshots(self, bench, monkeypatch,
+                                          tmp_path):
+        argv = self.fake_run(bench, monkeypatch, tmp_path, write=True, code=0)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert bench.run_e2e(["flood_n14"], True, out) == 0
+        called = json.loads(argv.read_text())
+        assert called[:4] == ["--workloads", "flood_n14", "--seconds",
+                              str(bench.E2E_QUICK_SECONDS)]
+        doc = json.loads((out / "BENCH_e2e_flood_n14.json").read_text())
+        assert_document(doc)
+        assert (doc["workload"], doc["seed"], doc["seconds"]) \
+            == ("flood_n14", 1234, 3)
+
+    @pytest.mark.parametrize("code,expected", [(0, 1), (3, 3)])
+    def test_a_run_that_writes_no_results_fails(self, bench, monkeypatch,
+                                                tmp_path, code, expected):
+        self.fake_run(bench, monkeypatch, tmp_path, write=False, code=code)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert bench.run_e2e([], False, out) == expected
+        assert list(out.iterdir()) == []

@@ -194,7 +194,6 @@ class TestNetwork:
         assert copies == [(0, None), (1, None)]  # a dropped copy has no time
         assert network.total_attempts() == 2
         assert network.total_drops() == 2
-        assert network.observed_drop_rate() == pytest.approx(1.0)
 
     def test_index_validation(self):
         network = self._network(2)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.simulation.config import SimulationConfig, StopConditions
+from repro.simulation.simtime import NEVER
 
 
 class TestStopConditions:
@@ -57,9 +58,12 @@ class TestSimulationConfig:
         assert config.seed == 1
         assert other.n_processes == 3
 
-    def test_with_max_time(self):
-        config = SimulationConfig(n_processes=3).with_max_time(42.0)
-        assert config.max_time == 42.0
+    def test_rejects_negative_max_time(self):
+        with pytest.raises(ValueError, match="max_time"):
+            SimulationConfig(n_processes=3, max_time=-5.0)
+
+    def test_never_horizon_allowed(self):
+        assert SimulationConfig(n_processes=3, max_time=NEVER).max_time == NEVER
 
     def test_process_indices(self):
         assert list(SimulationConfig(n_processes=4).process_indices) == [0, 1, 2, 3]

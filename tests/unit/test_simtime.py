@@ -6,11 +6,7 @@ import pytest
 
 from repro.simulation.simtime import (
     NEVER,
-    TIME_ZERO,
-    TimeWindow,
-    earliest,
     is_never,
-    latest,
     validate_duration,
     validate_time,
 )
@@ -73,6 +69,20 @@ class TestValidateDuration:
         with pytest.raises(TypeError):
             validate_duration(None)
 
+    def test_rejects_bool(self):
+        with pytest.raises(TypeError):
+            validate_duration(True)
+
+    def test_error_message_uses_name(self):
+        with pytest.raises(ValueError, match="tick_interval"):
+            validate_duration(-1.0, name="tick_interval")
+
+    def test_error_message_says_which_bound(self):
+        with pytest.raises(ValueError, match="must be positive"):
+            validate_duration(0.0)
+        with pytest.raises(ValueError, match="must be non-negative"):
+            validate_duration(-1.0, allow_zero=True)
+
 
 class TestNeverSentinel:
     def test_never_is_infinite(self):
@@ -87,69 +97,9 @@ class TestNeverSentinel:
     def test_is_never_false_for_negative_infinity(self):
         assert not is_never(-math.inf)
 
-    def test_time_zero(self):
-        assert TIME_ZERO == 0.0
+    def test_is_never_false_for_zero(self):
+        assert not is_never(0.0)
 
+    def test_is_never_false_for_nan(self):
+        assert not is_never(math.nan)
 
-class TestTimeWindow:
-    def test_duration(self):
-        assert TimeWindow(1.0, 4.0).duration == 3.0
-
-    def test_contains_start_inclusive(self):
-        assert TimeWindow(1.0, 4.0).contains(1.0)
-
-    def test_contains_end_exclusive(self):
-        assert not TimeWindow(1.0, 4.0).contains(4.0)
-
-    def test_contains_interior(self):
-        assert TimeWindow(1.0, 4.0).contains(2.5)
-
-    def test_rejects_reversed_bounds(self):
-        with pytest.raises(ValueError):
-            TimeWindow(4.0, 1.0)
-
-    def test_clamp_below(self):
-        assert TimeWindow(1.0, 4.0).clamp(0.0) == 1.0
-
-    def test_clamp_above(self):
-        assert TimeWindow(1.0, 4.0).clamp(9.0) == 4.0
-
-    def test_clamp_inside(self):
-        assert TimeWindow(1.0, 4.0).clamp(2.0) == 2.0
-
-    def test_subdivide_counts(self):
-        parts = TimeWindow(0.0, 10.0).subdivide(4)
-        assert len(parts) == 4
-        assert parts[0].start == 0.0
-        assert parts[-1].end == pytest.approx(10.0)
-
-    def test_subdivide_contiguous(self):
-        parts = TimeWindow(0.0, 9.0).subdivide(3)
-        for left, right in zip(parts, parts[1:]):
-            assert left.end == pytest.approx(right.start)
-
-    def test_subdivide_rejects_zero_parts(self):
-        with pytest.raises(ValueError):
-            TimeWindow(0.0, 1.0).subdivide(0)
-
-    def test_subdivide_rejects_open_ended(self):
-        with pytest.raises(ValueError):
-            TimeWindow(0.0, NEVER).subdivide(2)
-
-    def test_open_ended_window_allowed(self):
-        window = TimeWindow(0.0, NEVER)
-        assert window.contains(1e18)
-
-
-class TestEarliestLatest:
-    def test_earliest_of_values(self):
-        assert earliest([3.0, 1.0, 2.0]) == 1.0
-
-    def test_earliest_empty_is_never(self):
-        assert is_never(earliest([]))
-
-    def test_latest_of_values(self):
-        assert latest([3.0, 1.0, 2.0]) == 3.0
-
-    def test_latest_empty_is_zero(self):
-        assert latest([]) == 0.0

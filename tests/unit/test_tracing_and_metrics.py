@@ -209,11 +209,13 @@ class TestMetricsCollector:
         assert metrics.cumulative_sends_at(2.0) == 2
         assert metrics.cumulative_sends_at(10.0) == 3
 
-    def test_sends_in_window(self):
+    def test_cumulative_sends_at_counts_every_copy_of_a_fan_out(self):
         metrics = MetricsCollector()
-        for t in (1.0, 2.0, 3.0):
-            metrics.on_send_many(t, 0, "MSG", 1)
-        assert metrics.sends_in_window(1.5, 3.0) == 1
+        metrics.on_send_many(1.0, 0, "MSG", 3)
+        metrics.on_send_many(2.0, 1, "ACK", 2)
+        assert metrics.cumulative_sends_at(1.0) == 3
+        assert metrics.cumulative_sends_at(1.5) == 3
+        assert metrics.cumulative_sends_at(2.0) == 5
 
     def test_summary_empty(self):
         summary = MetricsCollector().summary()
