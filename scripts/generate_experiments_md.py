@@ -131,7 +131,7 @@ def main() -> int:
         result = entry.run(seeds=args.seeds, quick=args.quick)
         elapsed = time.time() - started
         claim, expectation = CLAIMS[experiment_id]
-        sections.append(f"\n## {experiment_id} — {entry.title}\n")
+        sections.append(f"\n## {experiment_id} — {entry.TITLE}\n")
         sections.append(f"**Paper claim.** {claim}\n")
         sections.append(f"**Expected shape.** {expectation}\n")
         params = ", ".join(f"{k}={v}" for k, v in sorted(result.parameters.items()))

@@ -37,9 +37,7 @@ from .experiments import (
     SuiteResult,
     build_engine,
     default_scenario,
-    replicate,
     run_scenario,
-    run_scenarios,
 )
 from .campaigns import (
     Campaign,
@@ -97,10 +95,8 @@ __all__ = [
     "register_detector_setup",
     "register_strategy",
     "register_workload",
-    "replicate",
     "run_campaign",
     "run_scenario",
-    "run_scenarios",
     "scenario_cell_key",
     "__version__",
 ]

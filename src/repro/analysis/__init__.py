@@ -23,7 +23,7 @@ from .quiescence import (
     retire_times,
     send_histogram,
 )
-from .stats import SummaryStats, mean_confidence_interval, ratio, summarize
+from .stats import SummaryStats, summarize
 from .tables import format_cell, render_ascii_curve, render_series, render_table
 
 __all__ = [
@@ -43,8 +43,6 @@ __all__ = [
     "check_validity",
     "cumulative_send_curve",
     "format_cell",
-    "mean_confidence_interval",
-    "ratio",
     "render_ascii_curve",
     "render_series",
     "render_table",

@@ -1,16 +1,15 @@
 """Small statistics helpers used by the experiment harness.
 
-Experiments repeat every configuration over several seeds and report means,
-spreads and simple confidence intervals.  Nothing here is novel — it exists
+Campaign reports summarise every configuration over its seeds: means,
+spreads and percentiles.  Nothing here is novel — it exists
 so that the experiment modules stay readable and the numerics are tested in
 one place.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -54,66 +53,3 @@ def summarize(values: Iterable[float]) -> Optional[SummaryStats]:
         p95=float(np.percentile(data, 95)),
         maximum=float(data.max()),
     )
-
-
-def mean_confidence_interval(
-    values: Sequence[float], confidence: float = 0.95
-) -> tuple[float, float, float]:
-    """Mean and a normal-approximation confidence interval.
-
-    Returns ``(mean, low, high)``.  With fewer than two samples the interval
-    degenerates to the mean itself.  The normal approximation (rather than a
-    t-interval) keeps the dependency footprint to NumPy; for the 5–20 seeds
-    typically used it is a reasonable, clearly-documented simplification.
-    """
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
-    data = np.asarray(values, dtype=float)
-    if data.size == 0:
-        raise ValueError("cannot summarise an empty sample")
-    mean = float(data.mean())
-    if data.size == 1:
-        return (mean, mean, mean)
-    std_err = float(data.std(ddof=1)) / math.sqrt(data.size)
-    z = _normal_quantile(0.5 + confidence / 2.0)
-    half_width = z * std_err
-    return (mean, mean - half_width, mean + half_width)
-
-
-def ratio(numerator: float, denominator: float) -> float:
-    """Safe ratio that maps ``x / 0`` to ``inf`` (and ``0 / 0`` to ``nan``)."""
-    if denominator == 0:
-        return math.nan if numerator == 0 else math.inf
-    return numerator / denominator
-
-
-def _normal_quantile(p: float) -> float:
-    """Inverse CDF of the standard normal (Acklam's rational approximation).
-
-    Accurate to ~1e-9 over (0, 1); avoids a SciPy dependency for one number.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must be in (0, 1)")
-    # Coefficients of Peter Acklam's approximation.
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    p_low = 0.02425
-    p_high = 1 - p_low
-    if p < p_low:
-        q = math.sqrt(-2 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-               ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1)
-    if p <= p_high:
-        q = p - 0.5
-        r = q * q
-        return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-               (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1)
-    q = math.sqrt(-2 * math.log(1 - p))
-    return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-        ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1)

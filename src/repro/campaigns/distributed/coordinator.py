@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ... import obs
-from ...obs import tracing as obs_tracing
+from ...obs import spans
 from ...experiments.batch import ScenarioSuite, SuiteItem, normalise_suite
 from ...experiments.config import Scenario
 from ..hashing import canonical_scenario_dict, scenario_cell_key
@@ -132,10 +132,10 @@ class Coordinator:
             context = obs.load_context(obs_dir) or obs.mint_context()
             obs.set_context(context)
         self._trace_context = context
-        meta = obs_tracing.load_context_meta(obs_dir)
+        meta = spans.load_context_meta(obs_dir)
         if meta.get("trace_id") != context.trace_id:
             obs.save_context(obs_dir, context, job=self.name)
-            meta = obs_tracing.load_context_meta(obs_dir)
+            meta = spans.load_context_meta(obs_dir)
         self._trace_minted_unix = float(
             meta.get("minted_unix") or time.time())
         obs.set_federation(obs.Federation(obs_dir))
@@ -267,7 +267,7 @@ class Coordinator:
         installed it — an externally installed sink stays untouched.
         """
         if self._trace_context is not None and obs.timeline_active():
-            obs_tracing.emit_root_span(
+            spans.emit_root_span(
                 self._trace_context, "job",
                 start_unix=self._trace_minted_unix or time.time(),
                 job=self.name, cells=len(self.items))

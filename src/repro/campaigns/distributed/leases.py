@@ -560,7 +560,7 @@ class LeaseTable:
         lease_timeout`` and every worker row a ``last_seen`` heartbeat —
         both written with the *worker's* clock and provably before this
         read.  Each sample pairs that worker timestamp with the reader's
-        clock (``observed_unix``); :func:`repro.obs.tracing.skew_offsets`
+        clock (``observed_unix``); :func:`repro.obs.spans.skew_offsets`
         turns the pairs into per-worker clock corrections.  Read-only.
         """
         now = time.time() if now is None else now

@@ -598,7 +598,7 @@ def _command_list() -> int:
     rows = []
     for experiment_id in experiment_registry.experiment_ids():
         entry = experiment_registry.get_experiment(experiment_id)
-        rows.append([entry.experiment_id, entry.title])
+        rows.append([entry.EXPERIMENT_ID, entry.TITLE])
     print(render_table(["id", "title"], rows, title="Registered experiments"))
     return 0
 
@@ -1304,11 +1304,11 @@ def _percentile(sorted_values: Sequence[float], q: float) -> float:
 
 
 def _command_trace(args: argparse.Namespace) -> int:
-    from .obs import tracing
+    from .obs import spans
 
     targets = args.targets[0] if len(args.targets) == 1 else args.targets
     try:
-        tree = tracing.load_trace(targets, trace_id=args.trace_id)
+        tree = spans.load_trace(targets, trace_id=args.trace_id)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1318,7 +1318,7 @@ def _command_trace(args: argparse.Namespace) -> int:
         return 2
 
     if args.trace_command == "export":
-        events = tracing.chrome_trace_events(tree)
+        events = spans.chrome_trace_events(tree)
         body = json.dumps({"traceEvents": events, "displayTimeUnit": "ms"},
                           indent=2, sort_keys=True)
         if args.output is not None:

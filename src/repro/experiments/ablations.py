@@ -25,18 +25,16 @@ from typing import Optional
 
 from ..failure_detectors.policies import DisseminationPolicy
 from ..network.loss import LossSpec
+from .batch import ScenarioSuite
 from .common import (
     algorithm2_scenario,
     all_correct_delivered,
+    count_of,
     crash_last,
-    is_quiescent,
-    mean_latency,
     mean_of,
-    properties_hold,
     seeds_for,
 )
 from .report import ExperimentArtifact, ExperimentResult
-from .runner import replicate
 
 EXPERIMENT_ID = "E10"
 TITLE = "Ablations: failure-detector policy, retirement, equality, fairness"
@@ -44,22 +42,10 @@ TITLE = "Ablations: failure-detector policy, retirement, equality, fairness"
 N_PROCESSES = 6
 
 
-def _row(label: str, scenario, n_seeds: int) -> list:
-    results = replicate(scenario, n_seeds)
-    return [
-        label,
-        len(results),
-        sum(1 for r in results if all_correct_delivered(r)),
-        sum(1 for r in results if is_quiescent(r)),
-        sum(1 for r in results if properties_hold(r)),
-        mean_of(results, mean_latency),
-    ]
-
-
 def run(seeds: Optional[int] = None, quick: bool = False) -> ExperimentResult:
     """Run E10 and return its table."""
     n_seeds = seeds_for(quick, seeds)
-    rows = []
+    suite = ScenarioSuite("E10")
 
     # a) dissemination policy under a minority of correct processes.
     minority_base = algorithm2_scenario(
@@ -69,17 +55,15 @@ def run(seeds: Optional[int] = None, quick: bool = False) -> ExperimentResult:
         loss=LossSpec.bernoulli(0.2),
         max_time=200.0,
     )
-    rows.append(_row(
-        "a) prescient AΘ/AP* (CORRECT_ONLY), minority correct",
+    suite.add(
         minority_base.with_(fd_policy=DisseminationPolicy.CORRECT_ONLY),
-        n_seeds,
-    ))
-    rows.append(_row(
-        "a) detection-based AΘ/AP* (ALL_PROCESSES), minority correct",
+        group="a) prescient AΘ/AP* (CORRECT_ONLY), minority correct",
+    )
+    suite.add(
         minority_base.with_(fd_policy=DisseminationPolicy.ALL_PROCESSES,
                             fd_detection_delay=3.0),
-        n_seeds,
-    ))
+        group="a) detection-based AΘ/AP* (ALL_PROCESSES), minority correct",
+    )
 
     # b) retirement disabled (non-quiescent variant).
     base = algorithm2_scenario(
@@ -89,10 +73,8 @@ def run(seeds: Optional[int] = None, quick: bool = False) -> ExperimentResult:
         stop_when_quiescent=False,
         max_time=60.0,
     )
-    rows.append(_row("b) retirement enabled", base.with_(retire_enabled=True),
-                     n_seeds))
-    rows.append(_row("b) retirement disabled", base.with_(retire_enabled=False),
-                     n_seeds))
+    suite.add(base.with_(retire_enabled=True), group="b) retirement enabled")
+    suite.add(base.with_(retire_enabled=False), group="b) retirement disabled")
 
     # c) strict equality vs robust comparison under a converging detector.
     converge_base = algorithm2_scenario(
@@ -105,10 +87,10 @@ def run(seeds: Optional[int] = None, quick: bool = False) -> ExperimentResult:
         fd_learn_delay=3.0,
         max_time=200.0,
     )
-    rows.append(_row("c) robust comparison (>=)",
-                     converge_base.with_(strict_equality=False), n_seeds))
-    rows.append(_row("c) strict equality (==)",
-                     converge_base.with_(strict_equality=True), n_seeds))
+    suite.add(converge_base.with_(strict_equality=False),
+              group="c) robust comparison (>=)")
+    suite.add(converge_base.with_(strict_equality=True),
+              group="c) strict equality (==)")
 
     # d) fairness guard under heavy loss.
     lossy_base = algorithm2_scenario(
@@ -117,10 +99,10 @@ def run(seeds: Optional[int] = None, quick: bool = False) -> ExperimentResult:
         loss=LossSpec.bernoulli(0.7),
         max_time=250.0,
     )
-    rows.append(_row("d) fairness guard on (bound 25)",
-                     lossy_base.with_(fairness_bound=25), n_seeds))
-    rows.append(_row("d) fairness guard off",
-                     lossy_base.with_(fairness_bound=None), n_seeds))
+    suite.add(lossy_base.with_(fairness_bound=25),
+              group="d) fairness guard on (bound 25)")
+    suite.add(lossy_base.with_(fairness_bound=None),
+              group="d) fairness guard off")
 
     # e) eager first broadcast.
     eager_base = algorithm2_scenario(
@@ -128,10 +110,24 @@ def run(seeds: Optional[int] = None, quick: bool = False) -> ExperimentResult:
         n_processes=N_PROCESSES,
         loss=LossSpec.bernoulli(0.1),
     )
-    rows.append(_row("e) eager first broadcast",
-                     eager_base.with_(eager_first_broadcast=True), n_seeds))
-    rows.append(_row("e) first broadcast at next tick",
-                     eager_base.with_(eager_first_broadcast=False), n_seeds))
+    suite.add(eager_base.with_(eager_first_broadcast=True),
+              group="e) eager first broadcast")
+    suite.add(eager_base.with_(eager_first_broadcast=False),
+              group="e) first broadcast at next tick")
+
+    # One row per group: the group label is the row's text.
+    rows = [
+        [
+            label,
+            len(results),
+            count_of(results, all_correct_delivered),
+            count_of(results, lambda r: r.quiescence.quiescent),
+            count_of(results, lambda r: r.all_properties_hold),
+            mean_of(results, lambda r: r.metrics.mean_latency),
+        ]
+        for label, results in
+        suite.with_seeds(n_seeds).run(fail_fast=True).groups().items()
+    ]
 
     table = ExperimentArtifact(
         name="Table 5 — ablation outcomes",

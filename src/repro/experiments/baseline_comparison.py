@@ -14,10 +14,10 @@ from typing import Optional
 
 from ..analysis.properties import check_correct_agreement
 from ..network.loss import LossSpec
-from .common import delivered_fraction, seeds_for, single_broadcast_workload
+from .batch import ScenarioSuite
+from .common import count_of, delivered_fraction, mean_of, seeds_for
 from .config import Scenario
 from .report import ExperimentArtifact, ExperimentResult
-from .runner import run_scenario
 
 EXPERIMENT_ID = "E9"
 TITLE = "Baseline comparison under a crashing sender and lossy channels"
@@ -30,17 +30,16 @@ SENDER_CRASH_TIME = 0.6
 PROTOCOLS = ("best_effort", "eager_rb", "algorithm1", "identified_urb", "algorithm2")
 
 
-def _scenario(algorithm: str, seed: int) -> Scenario:
+def _scenario(algorithm: str) -> Scenario:
     return Scenario(
         name=f"E9-{algorithm}",
         algorithm=algorithm,
         n_processes=N_PROCESSES,
-        seed=seed,
         crashes={0: SENDER_CRASH_TIME},
         loss=LossSpec.bernoulli(LOSS_P),
-        # The adversarial point is that a *single* transmission can be lost;
-        # the fairness guard only matters for the retransmitting protocols.
-        workload=single_broadcast_workload(),
+        # One broadcast (the default workload): the adversarial point is that
+        # a *single* transmission can be lost; the fairness guard only
+        # matters for the retransmitting protocols.
         max_time=120.0,
         stop_when_all_correct_delivered=(algorithm != "algorithm2"),
         stop_when_quiescent=(algorithm == "algorithm2"),
@@ -51,30 +50,20 @@ def _scenario(algorithm: str, seed: int) -> Scenario:
 def run(seeds: Optional[int] = None, quick: bool = False) -> ExperimentResult:
     """Run E9 and return its table."""
     n_seeds = seeds_for(quick, seeds)
-    rows = []
-    for algorithm in PROTOCOLS:
-        delivered_fracs = []
-        uniform_ok = 0
-        correct_only_ok = 0
-        any_delivered = 0
-        for seed in range(n_seeds):
-            result = run_scenario(_scenario(algorithm, seed))
-            delivered_fracs.append(delivered_fraction(result))
-            uniform_ok += int(result.verdict.uniform_agreement.holds)
-            correct_only_ok += int(
-                check_correct_agreement(result.simulation).holds
-            )
-            any_delivered += int(result.metrics.deliveries > 0)
-        rows.append(
-            [
-                algorithm,
-                n_seeds,
-                any_delivered,
-                sum(delivered_fracs) / len(delivered_fracs),
-                uniform_ok,
-                correct_only_ok,
-            ]
-        )
+    suite = ScenarioSuite("E9").add_many(map(_scenario, PROTOCOLS))
+    groups = suite.with_seeds(n_seeds).run(fail_fast=True).groups()
+    rows = [
+        [
+            algorithm,
+            len(results),
+            count_of(results, lambda r: r.metrics.deliveries > 0),
+            mean_of(results, delivered_fraction),
+            count_of(results, lambda r: r.verdict.uniform_agreement.holds),
+            count_of(results,
+                     lambda r: check_correct_agreement(r.simulation).holds),
+        ]
+        for algorithm, results in zip(PROTOCOLS, groups.values())
+    ]
     table = ExperimentArtifact(
         name="Table 4 — delivery coverage and agreement per protocol",
         kind="table",

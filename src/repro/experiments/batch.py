@@ -1,8 +1,7 @@
 """Declarative scenario suites and the parallel batch runner.
 
-The historic entry points (:func:`~repro.experiments.runner.run_scenarios`,
-:func:`~repro.experiments.runner.replicate`) execute strictly sequentially.
-This module adds the suite layer on top of :func:`run_scenario`:
+This module is the one way to run many scenarios; it adds the suite layer
+on top of :func:`run_scenario`:
 
 * :class:`ScenarioSuite` — declarative construction of a batch: explicit
   scenarios, one-field sweeps, cross-product grids, and seed fan-out, each
@@ -12,8 +11,8 @@ This module adds the suite layer on top of :func:`run_scenario`:
   deterministic result ordering, progress callbacks and failure isolation:
   one crashed scenario (or worker process) records a :class:`BatchFailure`
   instead of sinking the whole suite.
-* :class:`SuiteResult` — the ordered outcomes plus per-group aggregation
-  reusing :mod:`repro.analysis.stats`.
+* :class:`SuiteResult` — the ordered outcomes, grouped by label with
+  :meth:`SuiteResult.groups`.
 
 Because every simulated run is fully determined by its scenario (fields +
 seed), the parallel path produces results identical to the sequential one —
@@ -41,7 +40,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .. import obs
-from ..analysis.stats import SummaryStats, summarize
 from .config import Scenario
 from .runner import ScenarioResult, run_scenario
 
@@ -56,10 +54,6 @@ ReduceFn = Callable[["SuiteItem", "ScenarioResult"], Any]
 #: ``on_result(item, kept)``, called in the calling process as each item
 #: completes; the batch's outcome for the item is what it returns.
 ResultCallback = Callable[["SuiteItem", Any], Any]
-
-#: Extracts one number from a result (``None`` = no data for this run).
-MetricFn = Callable[[ScenarioResult], Optional[float]]
-
 
 @dataclass(frozen=True)
 class SuiteItem:
@@ -151,30 +145,6 @@ class SuiteResult:
             if outcome is not None:
                 bucket.append(outcome)
         return grouped
-
-    def group_stats(self, metric: MetricFn) -> dict[str, Optional[SummaryStats]]:
-        """Per-group summary statistics of *metric* over successful runs.
-
-        Runs for which *metric* returns ``None`` are dropped from that
-        group's sample; a group with no data maps to ``None``.
-        """
-        stats: dict[str, Optional[SummaryStats]] = {}
-        for group, results in self.groups().items():
-            values = [v for v in (metric(r) for r in results) if v is not None]
-            stats[group] = summarize(float(v) for v in values)
-        return stats
-
-    def group_fraction(
-        self, predicate: Callable[[ScenarioResult], bool]
-    ) -> dict[str, float]:
-        """Per-group fraction of successful runs satisfying *predicate*."""
-        fractions: dict[str, float] = {}
-        for group, results in self.groups().items():
-            fractions[group] = (
-                sum(1 for r in results if predicate(r)) / len(results)
-                if results else 0.0
-            )
-        return fractions
 
     def describe(self) -> str:
         """Multi-line human-readable summary of the batch."""
@@ -279,8 +249,7 @@ class ScenarioSuite:
         """Fan every declared scenario out over several seeds.
 
         An integer ``k`` replicates each scenario under seeds
-        ``scenario.seed .. scenario.seed + k - 1`` (matching
-        :func:`~repro.experiments.runner.replicate`); an explicit sequence is
+        ``scenario.seed .. scenario.seed + k - 1``; an explicit sequence is
         used verbatim for every scenario.
         """
         if isinstance(seeds, int) and seeds < 1:
@@ -425,8 +394,7 @@ class BatchRunner:
         Disable failure isolation: in-process runs let the original
         exception propagate unmodified (type, traceback and all); pool runs
         raise :class:`BatchExecutionError` (with the worker traceback in the
-        message) as soon as a failure is observed.  This is how the historic
-        ``run_scenarios``/``replicate`` semantics are preserved.
+        message) as soon as a failure is observed.
     """
 
     def __init__(

@@ -32,21 +32,6 @@ from ..simulation.hooks import EngineHook
 from ..workloads.base import Workload
 
 
-def __getattr__(name: str):
-    """Legacy aliases: live views of the component registries.
-
-    ``ALGORITHMS`` and ``CHANNEL_TYPES`` used to be hardcoded tuples; they now
-    reflect whatever is registered in :mod:`repro.registry` at access time, so
-    code iterating over them keeps working and additionally sees third-party
-    registrations.
-    """
-    if name == "ALGORITHMS":
-        return algorithms.names()
-    if name == "CHANNEL_TYPES":
-        return channels.names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One fully described simulated run (minus the seed-dependent draws).

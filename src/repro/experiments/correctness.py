@@ -12,16 +12,16 @@ from __future__ import annotations
 from typing import Optional
 
 from ..network.loss import LossSpec
+from .batch import ScenarioSuite
 from .common import (
     algorithm1_scenario,
     algorithm2_scenario,
     all_correct_delivered,
+    count_of,
     crash_last,
-    multi_sender_workload,
     seeds_for,
 )
 from .report import ExperimentArtifact, ExperimentResult
-from .runner import replicate
 
 EXPERIMENT_ID = "E1"
 TITLE = "Correctness matrix: URB properties across n, crashes and loss"
@@ -48,30 +48,29 @@ def _configurations(quick: bool):
 def run(seeds: Optional[int] = None, quick: bool = False) -> ExperimentResult:
     """Run E1 and return its table."""
     n_seeds = seeds_for(quick, seeds)
-    rows = []
-    for algorithm, n, crashes, loss in _configurations(quick):
+    configurations = list(_configurations(quick))
+    suite = ScenarioSuite("E1")
+    for algorithm, n, crashes, loss in configurations:
         base = algorithm1_scenario() if algorithm == "algorithm1" else algorithm2_scenario()
-        scenario = base.with_(
+        suite.add(base.with_(
             name=f"E1-{algorithm}-n{n}-c{crashes}-p{loss}",
             n_processes=n,
             crashes=crash_last(n, crashes, time=2.0),
             loss=LossSpec.bernoulli(loss) if loss else LossSpec.none(),
-            workload=multi_sender_workload(),
-        )
-        results = replicate(scenario, n_seeds)
-        rows.append(
-            [
-                algorithm,
-                n,
-                crashes,
-                loss,
-                len(results),
-                sum(1 for r in results if r.verdict.validity.holds),
-                sum(1 for r in results if r.verdict.uniform_agreement.holds),
-                sum(1 for r in results if r.verdict.uniform_integrity.holds),
-                sum(1 for r in results if all_correct_delivered(r)),
-            ]
-        )
+            workload="two_senders",
+        ))
+    groups = suite.with_seeds(n_seeds).run(fail_fast=True).groups()
+    rows = [
+        [
+            *configuration,
+            len(results),
+            count_of(results, lambda r: r.verdict.validity.holds),
+            count_of(results, lambda r: r.verdict.uniform_agreement.holds),
+            count_of(results, lambda r: r.verdict.uniform_integrity.holds),
+            count_of(results, all_correct_delivered),
+        ]
+        for configuration, results in zip(configurations, groups.values())
+    ]
     table = ExperimentArtifact(
         name="Table 1 — URB property verdicts",
         kind="table",

@@ -13,15 +13,16 @@ from __future__ import annotations
 from typing import Optional
 
 from ..network.loss import LossSpec
+from .batch import ScenarioSuite
 from .common import (
     algorithm1_scenario,
     algorithm2_scenario,
     all_correct_delivered,
+    count_of,
     crash_last,
     seeds_for,
 )
 from .report import ExperimentArtifact, ExperimentResult
-from .runner import replicate
 
 EXPERIMENT_ID = "E8"
 TITLE = "Crash tolerance: delivery with k initial crashes"
@@ -34,32 +35,34 @@ def run(seeds: Optional[int] = None, quick: bool = False) -> ExperimentResult:
     """Run E8 and return its table."""
     n_seeds = seeds_for(quick, seeds)
     crash_counts = (0, 3, 4, 7) if quick else tuple(range(N_PROCESSES))
-    rows = []
+    configurations = []
+    suite = ScenarioSuite("E8")
     for k in crash_counts:
-        crashes = crash_last(N_PROCESSES, k, time=0.0)
         for algorithm, base in (
             ("algorithm1", algorithm1_scenario(max_time=60.0)),
             ("algorithm2", algorithm2_scenario(max_time=120.0)),
         ):
-            scenario = base.with_(
+            configurations.append((algorithm, k))
+            suite.add(base.with_(
                 name=f"E8-{algorithm}-k{k}",
                 n_processes=N_PROCESSES,
-                crashes=crashes,
+                crashes=crash_last(N_PROCESSES, k, time=0.0),
                 loss=LossSpec.bernoulli(LOSS_P),
-            )
-            results = replicate(scenario, n_seeds)
-            rows.append(
-                [
-                    algorithm,
-                    k,
-                    k < N_PROCESSES / 2,
-                    len(results),
-                    sum(1 for r in results if all_correct_delivered(r)),
-                    sum(1 for r in results if r.verdict.validity.holds),
-                    sum(1 for r in results if r.verdict.uniform_agreement.holds),
-                    sum(1 for r in results if r.verdict.uniform_integrity.holds),
-                ]
-            )
+            ))
+    groups = suite.with_seeds(n_seeds).run(fail_fast=True).groups()
+    rows = [
+        [
+            algorithm,
+            k,
+            k < N_PROCESSES / 2,
+            len(results),
+            count_of(results, all_correct_delivered),
+            count_of(results, lambda r: r.verdict.validity.holds),
+            count_of(results, lambda r: r.verdict.uniform_agreement.holds),
+            count_of(results, lambda r: r.verdict.uniform_integrity.holds),
+        ]
+        for (algorithm, k), results in zip(configurations, groups.values())
+    ]
     table = ExperimentArtifact(
         name="Table 3 — delivery vs number of initial crashes",
         kind="table",

@@ -15,16 +15,7 @@ from typing import Optional
 from ..failure_detectors.policies import DisseminationPolicy
 from ..network.loss import LossSpec
 from .batch import ScenarioSuite
-from .common import (
-    algorithm2_scenario,
-    fraction_of,
-    is_quiescent,
-    last_send_time,
-    mean_latency,
-    mean_of,
-    properties_hold,
-    seeds_for,
-)
+from .common import algorithm2_scenario, fraction_of, mean_of, seeds_for
 from .report import ExperimentArtifact, ExperimentResult
 
 EXPERIMENT_ID = "E7"
@@ -59,10 +50,10 @@ def run(seeds: Optional[int] = None, quick: bool = False) -> ExperimentResult:
     rows = [
         [
             d,
-            mean_of(results, mean_latency),
-            mean_of(results, last_send_time),
-            fraction_of(results, is_quiescent),
-            fraction_of(results, properties_hold),
+            mean_of(results, lambda r: r.metrics.mean_latency),
+            mean_of(results, lambda r: r.quiescence.last_send_time),
+            fraction_of(results, lambda r: r.quiescence.quiescent),
+            fraction_of(results, lambda r: r.all_properties_hold),
         ]
         for d, results in zip(delays, swept.groups().values())
     ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 from ..simulation.engine import ScheduleProvenance
 from .report import ExperimentArtifact, ExperimentResult
@@ -128,16 +128,6 @@ def write_experiment_json(result: ExperimentResult, path: str | Path) -> Path:
     return path
 
 
-def write_scenario_json(result: ScenarioResult, path: str | Path) -> Path:
-    """Write one scenario result summary as a JSON file; returns the path."""
-    path = Path(path)
-    path.write_text(
-        json.dumps(scenario_result_to_dict(result), indent=2, default=str),
-        encoding="utf-8",
-    )
-    return path
-
-
 def write_artifact_csv(artifact: ExperimentArtifact, path: str | Path) -> Path:
     """Write one table/figure as a CSV file; returns the path."""
     path = Path(path)
@@ -147,51 +137,3 @@ def write_artifact_csv(artifact: ExperimentArtifact, path: str | Path) -> Path:
         for row in artifact.rows:
             writer.writerow(list(row))
     return path
-
-
-def write_experiment_csvs(result: ExperimentResult,
-                          directory: str | Path) -> list[Path]:
-    """Write every artifact of an experiment as CSV files in *directory*.
-
-    File names are derived from the experiment id and the artifact index so
-    they stay filesystem-safe regardless of the artifact titles.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for index, artifact in enumerate(result.artifacts):
-        path = directory / f"{result.experiment_id.lower()}_artifact{index}.csv"
-        paths.append(write_artifact_csv(artifact, path))
-    return paths
-
-
-def load_experiment_json(path: str | Path) -> dict[str, Any]:
-    """Load a JSON file written by :func:`write_experiment_json`."""
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
-def load_scenario_json(path: str | Path) -> dict[str, Any]:
-    """Load a JSON file written by :func:`write_scenario_json`.
-
-    The mapping mirrors the file, with ``schedule`` rebuilt into a live
-    :class:`~repro.simulation.engine.ScheduleProvenance` (``None`` when the
-    export predates provenance tracking).
-    """
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    data["schedule"] = provenance_from_dict(data.get("schedule"))
-    return data
-
-
-def rows_from_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    """Read back a CSV written by :func:`write_artifact_csv`.
-
-    Returns ``(headers, rows)`` with every cell as a string (CSV is untyped);
-    numeric post-processing is left to the caller.
-    """
-    with Path(path).open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        rows: Iterable[list[str]] = list(reader)
-    rows = list(rows)
-    if not rows:
-        return [], []
-    return rows[0], rows[1:]

@@ -26,11 +26,10 @@ from typing import Optional
 
 from ..network.loss import LossSpec
 from ..simulation.hooks import CrashOnDeliveryHook
-from ..workloads.generators import SingleBroadcast
-from .common import seeds_for
+from .batch import ScenarioSuite
+from .common import count_of, seeds_for
 from .config import Scenario
 from .report import ExperimentArtifact, ExperimentResult
-from .runner import run_scenario
 
 EXPERIMENT_ID = "E6"
 TITLE = "Impossibility of URB with t >= n/2 and no failure detector"
@@ -64,7 +63,6 @@ def build_partition_scenario(
         loss=LossSpec.partition(set(group_s1), set(group_s2)),
         fairness_bound=None,
         majority_threshold=majority_threshold,
-        workload=SingleBroadcast(sender=0, time=0.0),
         max_time=HORIZON,
         hooks=(hook,),
     )
@@ -76,28 +74,30 @@ def run(seeds: Optional[int] = None, quick: bool = False) -> ExperimentResult:
     n_seeds = seeds_for(quick, seeds)
     sub_majority = (N_PROCESSES + 1) // 2          # n/2 acknowledgements
     proper_majority = N_PROCESSES // 2 + 1         # > n/2 acknowledgements
-    rows = []
-    for label, threshold in (
+    configurations = (
         ("sub-majority (t >= n/2 tolerated)", sub_majority),
         ("proper majority (t < n/2 required)", proper_majority),
-    ):
-        agreement_violations = 0
-        any_delivered = 0
-        blocked = 0
+    )
+    # One scenario per cell, each with its own (stateful) hook.
+    suite = ScenarioSuite("E6")
+    for label, threshold in configurations:
         for seed in range(n_seeds):
-            scenario, hook = build_partition_scenario(
+            scenario, _hook = build_partition_scenario(
                 majority_threshold=threshold, seed=seed
             )
-            result = run_scenario(scenario)
-            delivered_any = result.metrics.deliveries > 0
-            any_delivered += int(delivered_any)
-            if not result.verdict.uniform_agreement.holds:
-                agreement_violations += 1
-            if not delivered_any:
-                blocked += 1
-        rows.append(
-            [label, threshold, n_seeds, any_delivered, agreement_violations, blocked]
-        )
+            suite.add(scenario, group=label)
+    groups = suite.run(fail_fast=True).groups()
+    rows = [
+        [
+            label,
+            threshold,
+            len(results),
+            count_of(results, lambda r: r.metrics.deliveries > 0),
+            count_of(results, lambda r: not r.verdict.uniform_agreement.holds),
+            count_of(results, lambda r: r.metrics.deliveries == 0),
+        ]
+        for (label, threshold), results in zip(configurations, groups.values())
+    ]
     table = ExperimentArtifact(
         name="Table 2 — partition adversary (run R2 of Theorem 2)",
         kind="table",

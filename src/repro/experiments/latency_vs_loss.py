@@ -13,14 +13,7 @@ from typing import Optional
 
 from ..network.loss import LossSpec
 from .batch import ScenarioSuite
-from .common import (
-    algorithm1_scenario,
-    algorithm2_scenario,
-    max_latency,
-    mean_latency,
-    mean_of,
-    seeds_for,
-)
+from .common import algorithm1_scenario, algorithm2_scenario, mean_of, seeds_for
 from .report import ExperimentArtifact, ExperimentResult
 
 EXPERIMENT_ID = "E2"
@@ -34,25 +27,28 @@ def run(seeds: Optional[int] = None, quick: bool = False) -> ExperimentResult:
     """Run E2 and return its figure (one series per algorithm)."""
     n_seeds = seeds_for(quick, seeds)
     probabilities = (0.0, 0.2, 0.4) if quick else (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
-    artifacts = []
-    rows_combined = []
-    for algorithm, base in (
-        ("algorithm1", algorithm1_scenario(n_processes=N_PROCESSES)),
-        ("algorithm2", algorithm2_scenario(n_processes=N_PROCESSES)),
-    ):
-        base = base.with_(name=f"E2-{algorithm}")
-        swept = ScenarioSuite(base.name).add_sweep(
-            base,
+    algorithms = ("algorithm1", "algorithm2")
+    suite = ScenarioSuite("E2")
+    for base in (algorithm1_scenario(n_processes=N_PROCESSES),
+                 algorithm2_scenario(n_processes=N_PROCESSES)):
+        suite.add_sweep(
+            base.with_(name=f"E2-{base.algorithm}"),
             "loss",
             probabilities,
+            groups=[f"{base.algorithm} p={p}" for p in probabilities],
             scenario_builder=lambda scenario, p: scenario.with_(
                 loss=LossSpec.bernoulli(p) if p else LossSpec.none()
             ),
-        ).with_seeds(n_seeds).run(fail_fast=True)
+        )
+    groups = suite.with_seeds(n_seeds).run(fail_fast=True).groups()
+    artifacts = []
+    rows_combined = []
+    for algorithm in algorithms:
         rows = []
-        for p, results in zip(probabilities, swept.groups().values()):
-            mean = mean_of(results, mean_latency)
-            worst = mean_of(results, max_latency)
+        for p in probabilities:
+            results = groups[f"{algorithm} p={p}"]
+            mean = mean_of(results, lambda r: r.metrics.mean_latency)
+            worst = mean_of(results, lambda r: r.metrics.max_latency)
             rows.append([p, mean, worst])
             rows_combined.append([algorithm, p, mean, worst])
         artifacts.append(

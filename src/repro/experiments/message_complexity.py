@@ -15,10 +15,10 @@ from typing import Optional
 
 from ..analysis.quiescence import cumulative_send_curve
 from ..network.loss import LossSpec
-from .common import seeds_for, single_broadcast_workload
+from .batch import ScenarioSuite
+from .common import count_of, mean_of, seeds_for
 from .config import Scenario
 from .report import ExperimentArtifact, ExperimentResult
-from .runner import replicate
 
 EXPERIMENT_ID = "E3"
 TITLE = "Cumulative messages over time: non-quiescence vs quiescence"
@@ -36,7 +36,6 @@ def _scenario(algorithm: str, horizon: float) -> Scenario:
         n_processes=N_PROCESSES,
         loss=LossSpec.bernoulli(LOSS_P),
         max_time=horizon,
-        workload=single_broadcast_workload(),
         # No early stopping: the whole point is to observe the tail.
         stop_when_all_correct_delivered=False,
         stop_when_quiescent=False,
@@ -47,10 +46,13 @@ def run(seeds: Optional[int] = None, quick: bool = False) -> ExperimentResult:
     """Run E3 and return the send-curve figure plus a summary table."""
     n_seeds = seeds_for(quick, seeds)
     horizon = HORIZON / 2 if quick else HORIZON
+    algorithms = ("algorithm1", "algorithm2")
+    suite = ScenarioSuite("E3").add_many(
+        _scenario(algorithm, horizon) for algorithm in algorithms)
+    groups = suite.with_seeds(n_seeds).run(fail_fast=True).groups()
     curves: dict[str, list[list[float]]] = {}
     summary_rows = []
-    for algorithm in ("algorithm1", "algorithm2"):
-        results = replicate(_scenario(algorithm, horizon), n_seeds)
+    for algorithm, results in zip(algorithms, groups.values()):
         per_seed_curves = [
             cumulative_send_curve(r.simulation, n_points=CURVE_POINTS)
             for r in results
@@ -64,14 +66,13 @@ def run(seeds: Optional[int] = None, quick: bool = False) -> ExperimentResult:
             )
             averaged.append([t, mean_count])
         curves[algorithm] = averaged
-        mean_total = sum(r.metrics.total_sends for r in results) / len(results)
-        mean_last_send = sum(
-            (r.quiescence.last_send_time or 0.0) for r in results
-        ) / len(results)
-        quiescent_runs = sum(1 for r in results if r.quiescence.quiescent)
-        summary_rows.append(
-            [algorithm, len(results), mean_total, mean_last_send, quiescent_runs]
-        )
+        summary_rows.append([
+            algorithm,
+            len(results),
+            mean_of(results, lambda r: r.metrics.total_sends),
+            mean_of(results, lambda r: r.quiescence.last_send_time or 0.0),
+            count_of(results, lambda r: r.quiescence.quiescent),
+        ])
 
     figure_rows = [
         [curves["algorithm1"][i][0],

@@ -15,14 +15,7 @@ from typing import Optional
 from ..failure_detectors.policies import DisseminationPolicy
 from ..network.loss import LossSpec
 from .batch import ScenarioSuite
-from .common import (
-    algorithm2_scenario,
-    fraction_of,
-    is_quiescent,
-    last_send_time,
-    mean_of,
-    seeds_for,
-)
+from .common import algorithm2_scenario, fraction_of, mean_of, seeds_for
 from .report import ExperimentArtifact, ExperimentResult
 
 EXPERIMENT_ID = "E4"
@@ -37,45 +30,45 @@ def run(seeds: Optional[int] = None, quick: bool = False) -> ExperimentResult:
     losses = (0.0, 0.3) if quick else (0.0, 0.2, 0.4, 0.6)
     delays = (0.0, 5.0) if quick else (0.0, 2.0, 5.0, 10.0)
 
+    suite = ScenarioSuite("E4")
     # (a) quiescence time vs loss probability, failure-free.
-    base_loss = algorithm2_scenario(
-        n_processes=N_PROCESSES, name="E4-loss", drain_grace_period=5.0
-    )
-    by_loss = ScenarioSuite(base_loss.name).add_sweep(
-        base_loss,
+    suite.add_sweep(
+        algorithm2_scenario(n_processes=N_PROCESSES, name="E4-loss",
+                            drain_grace_period=5.0),
         "loss",
         losses,
+        groups=[f"loss p={p}" for p in losses],
         scenario_builder=lambda scenario, p: scenario.with_(
             loss=LossSpec.bernoulli(p) if p else LossSpec.none()
         ),
-    ).with_seeds(n_seeds).run(fail_fast=True)
-    loss_rows = [
-        [p, mean_of(results, last_send_time), fraction_of(results, is_quiescent)]
-        for p, results in zip(losses, by_loss.groups().values())
-    ]
-
+    )
     # (b) quiescence time vs AP* detection delay, one crash, realistic
     # (detection-based) oracle so the delay actually matters.
-    base_delay = algorithm2_scenario(
-        n_processes=N_PROCESSES,
-        name="E4-delay",
-        crashes={N_PROCESSES - 1: 1.0},
-        loss=LossSpec.bernoulli(0.2),
-        fd_policy=DisseminationPolicy.ALL_PROCESSES,
-        drain_grace_period=5.0,
-    )
-    by_delay = ScenarioSuite(base_delay.name).add_sweep(
-        base_delay,
+    suite.add_sweep(
+        algorithm2_scenario(
+            n_processes=N_PROCESSES,
+            name="E4-delay",
+            crashes={N_PROCESSES - 1: 1.0},
+            loss=LossSpec.bernoulli(0.2),
+            fd_policy=DisseminationPolicy.ALL_PROCESSES,
+            drain_grace_period=5.0,
+        ),
         "fd_detection_delay",
         delays,
+        groups=[f"delay d={d}" for d in delays],
         scenario_builder=lambda scenario, d: scenario.with_(
             fd_detection_delay=d, apstar_detection_delay=d
         ),
-    ).with_seeds(n_seeds).run(fail_fast=True)
-    delay_rows = [
-        [d, mean_of(results, last_send_time), fraction_of(results, is_quiescent)]
-        for d, results in zip(delays, by_delay.groups().values())
-    ]
+    )
+    groups = suite.with_seeds(n_seeds).run(fail_fast=True).groups()
+
+    def row(value, results):
+        return [value,
+                mean_of(results, lambda r: r.quiescence.last_send_time),
+                fraction_of(results, lambda r: r.quiescence.quiescent)]
+
+    loss_rows = [row(p, groups[f"loss p={p}"]) for p in losses]
+    delay_rows = [row(d, groups[f"delay d={d}"]) for d in delays]
 
     return ExperimentResult(
         experiment_id=EXPERIMENT_ID,

@@ -2,14 +2,14 @@
 
 Every experiment module exposes ``EXPERIMENT_ID``, ``TITLE`` and a
 ``run(seeds=None, quick=False) -> ExperimentResult`` function; the registry
-maps identifiers to those functions so the CLI, the benchmark harness and
-``EXPERIMENTS.md`` generation all drive the same code.
+maps identifiers to those modules so the CLI and ``EXPERIMENTS.md``
+generation drive the same code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from types import ModuleType
+from typing import Optional
 
 from . import (
     ablations,
@@ -25,24 +25,6 @@ from . import (
 )
 from .report import ExperimentResult
 
-#: Signature of every experiment's ``run`` function.
-ExperimentRunner = Callable[..., ExperimentResult]
-
-
-@dataclass(frozen=True)
-class ExperimentEntry:
-    """One registered experiment."""
-
-    experiment_id: str
-    title: str
-    runner: ExperimentRunner
-    module_name: str
-
-    def run(self, seeds: Optional[int] = None, quick: bool = False) -> ExperimentResult:
-        """Run the experiment."""
-        return self.runner(seeds=seeds, quick=quick)
-
-
 _MODULES = (
     correctness,
     latency_vs_loss,
@@ -56,14 +38,8 @@ _MODULES = (
     ablations,
 )
 
-REGISTRY: dict[str, ExperimentEntry] = {
-    module.EXPERIMENT_ID: ExperimentEntry(
-        experiment_id=module.EXPERIMENT_ID,
-        title=module.TITLE,
-        runner=module.run,
-        module_name=module.__name__,
-    )
-    for module in _MODULES
+REGISTRY: dict[str, ModuleType] = {
+    module.EXPERIMENT_ID: module for module in _MODULES
 }
 
 
@@ -72,7 +48,7 @@ def experiment_ids() -> list[str]:
     return sorted(REGISTRY, key=lambda eid: int(eid.lstrip("E")))
 
 
-def get_experiment(experiment_id: str) -> ExperimentEntry:
+def get_experiment(experiment_id: str) -> ModuleType:
     """Look up one experiment (case-insensitive, 'e3' and '3' accepted)."""
     normalised = experiment_id.upper()
     if not normalised.startswith("E"):

@@ -75,7 +75,3 @@ class ExperimentResult:
             parts.append("")
             parts.append(artifact.render())
         return "\n".join(parts)
-
-    def summary_row(self) -> list[Any]:
-        """Row used by the `repro-urb list` CLI command."""
-        return [self.experiment_id, self.title, len(self.artifacts)]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 from ..analysis.anonymity import AnonymityAudit, audit_anonymity
 from ..analysis.properties import UrbVerdict, check_urb_properties
@@ -242,55 +242,6 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         wall_time=time.perf_counter() - started,
         allow_identified=not algorithms.get(scenario.algorithm).anonymous,
     )
-
-
-def run_scenarios(scenarios: Iterable[Scenario], *,
-                  parallel: int = 1,
-                  worker_plugins: Sequence[str] = ()) -> list[ScenarioResult]:
-    """Run several scenarios (thin shim over the batch runner).
-
-    ``parallel=1`` (the default) runs in-process, exactly like the historic
-    sequential implementation — exceptions propagate unmodified; with
-    ``parallel=N`` the scenarios fan out over a process pool with
-    deterministic result ordering and a failure raises
-    :class:`~repro.experiments.batch.BatchExecutionError` carrying the
-    worker traceback.  *worker_plugins* names modules each worker imports
-    first (required for third-party registry components on platforms that
-    spawn rather than fork workers).
-    """
-    from .batch import ScenarioSuite
-
-    suite = ScenarioSuite("run_scenarios").add_many(scenarios)
-    return list(suite.run(parallel=parallel, fail_fast=True,
-                          worker_plugins=worker_plugins).results)
-
-
-def replicate(
-    scenario: Scenario,
-    seeds: Sequence[int] | int,
-    *,
-    parallel: int = 1,
-    worker_plugins: Sequence[str] = (),
-) -> list[ScenarioResult]:
-    """Run the same scenario under several seeds.
-
-    Parameters
-    ----------
-    scenario:
-        The scenario to replicate.
-    seeds:
-        Either an explicit sequence of seeds, or an integer ``k`` meaning
-        seeds ``0 .. k-1`` offset by the scenario's own seed.
-    parallel:
-        Number of worker processes (``1`` = in-process, sequential).
-    worker_plugins:
-        Modules each worker imports first (third-party registrations).
-    """
-    from .batch import ScenarioSuite
-
-    suite = ScenarioSuite("replicate").add(scenario).with_seeds(seeds)
-    return list(suite.run(parallel=parallel, fail_fast=True,
-                          worker_plugins=worker_plugins).results)
 
 
 def default_scenario(algorithm: str = "algorithm2", **overrides) -> Scenario:

@@ -14,14 +14,7 @@ from typing import Optional
 
 from ..network.loss import LossSpec
 from .batch import ScenarioSuite
-from .common import (
-    algorithm1_scenario,
-    algorithm2_scenario,
-    mean_latency,
-    mean_of,
-    seeds_for,
-    total_sends,
-)
+from .common import algorithm1_scenario, algorithm2_scenario, mean_of, seeds_for
 from .report import ExperimentArtifact, ExperimentResult
 
 EXPERIMENT_ID = "E5"
@@ -34,22 +27,29 @@ def run(seeds: Optional[int] = None, quick: bool = False) -> ExperimentResult:
     """Run E5 and return its figure."""
     n_seeds = seeds_for(quick, seeds)
     sizes = (3, 6, 10) if quick else (3, 5, 7, 10, 15, 20)
+    algorithms = ("algorithm1", "algorithm2")
+    suite = ScenarioSuite("E5")
+    for base in (
+        algorithm1_scenario(),
+        algorithm2_scenario(drain_grace_period=0.0,
+                            stop_when_quiescent=False,
+                            stop_when_all_correct_delivered=True),
+    ):
+        suite.add_sweep(
+            base.with_(name=f"E5-{base.algorithm}", loss=LossSpec.bernoulli(LOSS_P)),
+            "n_processes",
+            sizes,
+            groups=[f"{base.algorithm} n={n}" for n in sizes],
+        )
+    groups = suite.with_seeds(n_seeds).run(fail_fast=True).groups()
     rows_combined = []
     artifacts = []
-    for algorithm, base in (
-        ("algorithm1", algorithm1_scenario()),
-        ("algorithm2", algorithm2_scenario(drain_grace_period=0.0,
-                                           stop_when_quiescent=False,
-                                           stop_when_all_correct_delivered=True)),
-    ):
-        base = base.with_(name=f"E5-{algorithm}", loss=LossSpec.bernoulli(LOSS_P))
-        swept = (ScenarioSuite(base.name)
-                 .add_sweep(base, "n_processes", sizes)
-                 .with_seeds(n_seeds).run(fail_fast=True))
+    for algorithm in algorithms:
         rows = []
-        for n, results in zip(sizes, swept.groups().values()):
-            latency = mean_of(results, mean_latency)
-            sends = mean_of(results, total_sends)
+        for n in sizes:
+            results = groups[f"{algorithm} n={n}"]
+            latency = mean_of(results, lambda r: r.metrics.mean_latency)
+            sends = mean_of(results, lambda r: r.metrics.total_sends)
             per_delivery = sends / n if sends is not None else None
             rows.append([n, latency, sends, per_delivery])
             rows_combined.append([algorithm, n, latency, sends])

@@ -29,7 +29,7 @@ Components
 :mod:`~repro.obs.alerts`
     Declarative threshold rules evaluated against a snapshot into
     exit-code-carrying reports for CI.
-:mod:`~repro.obs.tracing`
+:mod:`~repro.obs.spans`
     Dapper-style trace contexts propagated coordinator → workers through
     the job directory; spans ride the timeline as a ``span`` kind and
     merge into one causally-ordered tree (``repro-urb trace view``).
@@ -67,7 +67,7 @@ from .timeline import (
 )
 from .httpd import ObsServer, start_server
 from .alerts import AlertReport, AlertRule, default_rules, evaluate, load_rules
-from .tracing import (
+from .spans import (
     TraceContext,
     current_context,
     load_context,

@@ -411,7 +411,7 @@ def reset() -> None:
     """
     REGISTRY.reset()
     disable()
-    from . import federation, tracing
-    tracing.set_context(None)
-    tracing.set_process_name(None)
+    from . import federation, spans
+    spans.set_context(None)
+    spans.set_process_name(None)
     federation.set_federation(None)

@@ -8,7 +8,7 @@ instrumented layers:
 * ``phase`` — a named span (``expand``, ``shard``, ``execute``,
   ``persist``, ``merge``, …) with wall-clock and CPU seconds and an
   ``ok``/``error`` status;
-* ``span`` — a *traced* phase (see :mod:`repro.obs.tracing`): the same
+* ``span`` — a *traced* phase (see :mod:`repro.obs.spans`): the same
   timing fields plus ``trace_id``/``span_id``/``parent_span_id``,
   ``proc`` and ``start_unix``/``end_unix``, written whenever a trace
   context is active so per-process files merge into one campaign tree;

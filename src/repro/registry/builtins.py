@@ -289,6 +289,15 @@ def _build_uniform_stream(scenario: "Scenario",
 
 
 @register_workload(
+    "two_senders",
+    description="Processes 0 and 1 broadcast one message each, at t=0 and t=1",
+)
+def _build_two_senders(scenario: "Scenario",
+                       rng: random.Random) -> UniformStream:
+    return UniformStream(2, senders=(0, 1), interval=1.0)
+
+
+@register_workload(
     "burst",
     description="Back-to-back burst from process 0 (metadata: burst_size)",
 )

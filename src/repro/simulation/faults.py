@@ -14,7 +14,6 @@ pattern) read it.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
@@ -76,37 +75,6 @@ class CrashSchedule:
         """Crash the given processes at time zero (they never take a step)."""
         return cls(n_processes=n_processes,
                    crash_times={i: 0.0 for i in indices})
-
-    @classmethod
-    def random_crashes(
-        cls,
-        n_processes: int,
-        n_crashes: int,
-        rng: random.Random,
-        *,
-        earliest: SimTime = 0.0,
-        latest: SimTime = 50.0,
-    ) -> "CrashSchedule":
-        """Crash *n_crashes* uniformly chosen processes at uniform times.
-
-        Parameters
-        ----------
-        n_processes:
-            Total number of processes.
-        n_crashes:
-            Number of faulty processes (must leave at least one correct).
-        rng:
-            Random substream used for both the victim choice and the times.
-        earliest, latest:
-            Crash times are drawn uniformly from ``[earliest, latest]``.
-        """
-        if n_crashes < 0:
-            raise ValueError("n_crashes must be non-negative")
-        if n_crashes >= n_processes:
-            raise ValueError("at least one process must remain correct")
-        victims = rng.sample(range(n_processes), n_crashes)
-        times = {v: rng.uniform(earliest, latest) for v in victims}
-        return cls(n_processes=n_processes, crash_times=times)
 
     # ------------------------------------------------------------------ #
     # queries

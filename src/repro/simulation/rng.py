@@ -20,8 +20,6 @@ import hashlib
 import random
 from typing import Optional
 
-import numpy as np
-
 
 def derive_seed(master_seed: int, name: str) -> int:
     """Derive a 64-bit substream seed from *master_seed* and *name*."""
@@ -46,7 +44,6 @@ class RandomSource:
             raise TypeError("master_seed must be an int")
         self._master_seed = master_seed
         self._streams: dict[str, random.Random] = {}
-        self._numpy_streams: dict[str, np.random.Generator] = {}
 
     @property
     def master_seed(self) -> int:
@@ -62,28 +59,6 @@ class RandomSource:
             stream = random.Random(derive_seed(self._master_seed, name))
             self._streams[name] = stream
         return stream
-
-    def fresh_stream(self, name: str) -> random.Random:
-        """Return a brand-new (non-cached) substream called *name*.
-
-        Useful in tests that need to replay a component's stream from the
-        beginning without affecting the cached instance.
-        """
-        return random.Random(derive_seed(self._master_seed, name))
-
-    def numpy_stream(self, name: str) -> np.random.Generator:
-        """Return the (cached) NumPy generator substream called *name*."""
-        if not name:
-            raise ValueError("stream name must be a non-empty string")
-        gen = self._numpy_streams.get(name)
-        if gen is None:
-            gen = np.random.default_rng(derive_seed(self._master_seed, name))
-            self._numpy_streams[name] = gen
-        return gen
-
-    def spawn(self, suffix: str) -> "RandomSource":
-        """Derive a child :class:`RandomSource` (e.g. one per repetition)."""
-        return RandomSource(derive_seed(self._master_seed, f"spawn:{suffix}"))
 
     # Convenience names used throughout the code base ------------------- #
     def for_process(self, index: int) -> random.Random:

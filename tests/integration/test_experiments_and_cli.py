@@ -16,28 +16,47 @@ class TestRegistry:
         assert ids == [f"E{k}" for k in range(1, 11)]
 
     def test_lookup_is_case_insensitive_and_tolerant(self):
-        assert registry.get_experiment("e3").experiment_id == "E3"
-        assert registry.get_experiment("3").experiment_id == "E3"
+        assert registry.get_experiment("e3").EXPERIMENT_ID == "E3"
+        assert registry.get_experiment("3").EXPERIMENT_ID == "E3"
 
     def test_unknown_experiment(self):
         with pytest.raises(KeyError):
             registry.get_experiment("E99")
 
+    def test_unknown_experiment_lists_the_valid_ids(self):
+        with pytest.raises(KeyError, match="E1, E2, .*E10"):
+            registry.get_experiment("E0")
+
+    def test_run_experiment_calls_the_module_run(self, monkeypatch):
+        module = registry.get_experiment("E4")
+        calls = []
+        monkeypatch.setattr(module, "run",
+                            lambda **kwargs: calls.append(kwargs) or "ran")
+        assert registry.run_experiment("e4", seeds=2, quick=True) == "ran"
+        assert calls == [{"seeds": 2, "quick": True}]
+
     def test_entries_have_titles_and_modules(self):
         for experiment_id in registry.experiment_ids():
-            entry = registry.get_experiment(experiment_id)
-            assert entry.title
-            assert entry.module_name.startswith("repro.experiments.")
+            module = registry.get_experiment(experiment_id)
+            assert module.EXPERIMENT_ID == experiment_id
+            assert module.TITLE
+            assert module.__name__.startswith("repro.experiments.")
 
 
-#: SHA-256 of what the four sweep experiments rendered while they ran on
-#: ``experiments/sweeps.py`` (deleted): declaring them as suites moved no
-#: scenario, no seed and no digit.
+#: SHA-256 of what each experiment rendered (quick, one seed) while it still
+#: ran its seeds through ``replicate``, per-seed loops or one suite per
+#: series: declaring each as one suite moved no scenario, seed or digit.
 RENDERED_BEFORE_SUITES = {
+    "E1": "14dbc7e4515eafaf83aeeb18ca933f9459f6d368bccd52001b6f6cf5763bdc60",
     "E2": "711b74f9c0aee973cf08ddb88b4a7013f5b4302fdab0c6a1517e9682cc8c9c0f",
+    "E3": "b2c8135770c71a9ff54df16cd002b740ac771c2e7fe2f215b80bb98337b727de",
     "E4": "9d9f5560b1c8001576affdd42dadf04615d7b5cfbd0f59758b4ae86702ca1278",
     "E5": "3fd2ffdc6cc96cdf73dd9765380b78af303a252d0778e11a5462db2221ac4261",
+    "E6": "d61294b36851dd16b5131e7bddde16ffc6cb7e13082b2774a6660c51e3dbf778",
     "E7": "8a63c5c3801df559400425e50c773613106f5821ab7ca1f28330a9b66d08d7aa",
+    "E8": "45ed88aa10f6c1cc9aaea0e22b9425aa8664a39649dc25be62373d1b122544d8",
+    "E9": "b3c53f2f937b92485f4a99419dc028e7024ddb75f214bc8270ef5438ffb627b2",
+    "E10": "0cbba2e3def0364fd45f0dab1f4993850557e95f7725fb3a4ac604f844b1743c",
 }
 
 
@@ -53,9 +72,8 @@ class TestEveryExperimentQuick:
             assert len(artifact.headers) == len(artifact.rows[0])
         text = result.render()
         assert experiment_id in text
-        if experiment_id in RENDERED_BEFORE_SUITES:
-            assert (hashlib.sha256(text.encode("utf-8")).hexdigest()
-                    == RENDERED_BEFORE_SUITES[experiment_id])
+        assert (hashlib.sha256(text.encode("utf-8")).hexdigest()
+                == RENDERED_BEFORE_SUITES[experiment_id])
 
 
 class TestExperimentExpectations:

@@ -13,7 +13,6 @@ from repro.experiments.batch import (
 )
 from repro.experiments.config import Scenario
 from repro.experiments.export import scenario_result_to_dict
-from repro.experiments.runner import replicate, run_scenarios
 from repro.network.loss import LossSpec
 from repro.registry import AlgorithmSpec, algorithms
 
@@ -116,14 +115,6 @@ class TestSequentialExecution:
         groups = result.groups()
         assert list(groups) == ["a", "b"]
         assert all(len(rs) == 2 for rs in groups.values())
-
-    def test_group_stats_and_fractions(self):
-        result = (ScenarioSuite("s").add(fast_scenario()).with_seeds(2)).run()
-        stats = result.group_stats(lambda r: r.metrics.mean_latency)
-        assert stats["scenario"] is not None
-        assert stats["scenario"].count == 2
-        ok = result.group_fraction(lambda r: r.all_properties_hold)
-        assert ok["scenario"] == 1.0
 
     def test_progress_callback_sequential(self):
         calls = []
@@ -336,27 +327,3 @@ class TestParallelExecution:
         result = (ScenarioSuite("s").add(fast_scenario())).run(parallel=8)
         assert result.parallel == 1  # one item -> inline execution
 
-
-class TestRunnerShims:
-    def test_run_scenarios_matches_individual_runs(self):
-        scenarios = [fast_scenario(seed=s) for s in range(2)]
-        results = run_scenarios(scenarios)
-        assert [r.scenario.seed for r in results] == [0, 1]
-
-    def test_replicate_int_seed_semantics_preserved(self):
-        results = replicate(fast_scenario(seed=5), 3)
-        assert [r.scenario.seed for r in results] == [5, 6, 7]
-
-    def test_replicate_explicit_seeds(self):
-        results = replicate(fast_scenario(), [2, 4])
-        assert [r.scenario.seed for r in results] == [2, 4]
-
-    def test_replicate_rejects_non_positive_count(self):
-        with pytest.raises(ValueError):
-            replicate(fast_scenario(), 0)
-
-    def test_replicate_parallel_matches_sequential(self):
-        sequential = replicate(fast_scenario(), 2)
-        parallel = replicate(fast_scenario(), 2, parallel=2)
-        assert ([result_fingerprint(r) for r in sequential]
-                == [result_fingerprint(r) for r in parallel])

@@ -1,5 +1,6 @@
 """Unit tests for result export (JSON/CSV) and the scenario runner builders."""
 
+import csv
 import json
 
 import pytest
@@ -18,16 +19,11 @@ from repro.experiments.config import Scenario
 from repro.experiments.export import (
     artifact_to_dict,
     experiment_result_to_dict,
-    load_experiment_json,
-    load_scenario_json,
     provenance_from_dict,
     provenance_to_dict,
-    rows_from_csv,
     scenario_result_to_dict,
     write_artifact_csv,
-    write_experiment_csvs,
     write_experiment_json,
-    write_scenario_json,
 )
 from repro.experiments.report import ExperimentArtifact, ExperimentResult
 from repro.experiments.runner import (
@@ -82,27 +78,27 @@ class TestExperimentExport:
 
     def test_write_and_load_json(self, sample_experiment, tmp_path):
         path = write_experiment_json(sample_experiment, tmp_path / "e42.json")
-        loaded = load_experiment_json(path)
+        loaded = json.loads(path.read_text(encoding="utf-8"))
         assert loaded["title"] == "Sample"
         assert loaded["artifacts"][0]["rows"][1] == ["a", True]
+
+    def test_write_json_stringifies_what_json_cannot_hold(self, tmp_path):
+        result = ExperimentResult(
+            experiment_id="E43", title="Odd", artifacts=[],
+            parameters={"policy": LossSpec.none(), "crashes": {4: 0.5}},
+        )
+        loaded = json.loads(write_experiment_json(
+            result, tmp_path / "e43.json").read_text(encoding="utf-8"))
+        assert loaded["parameters"]["crashes"] == {"4": 0.5}
+        assert isinstance(loaded["parameters"]["policy"], str)
 
     def test_write_artifact_csv(self, sample_experiment, tmp_path):
         path = write_artifact_csv(sample_experiment.artifacts[0],
                                   tmp_path / "t.csv")
-        headers, rows = rows_from_csv(path)
+        with path.open(newline="", encoding="utf-8") as handle:
+            headers, *rows = csv.reader(handle)
         assert headers == ["x", "y"]
         assert rows[0] == ["1", "2.5"]
-
-    def test_write_experiment_csvs(self, sample_experiment, tmp_path):
-        paths = write_experiment_csvs(sample_experiment, tmp_path / "out")
-        assert len(paths) == 2
-        assert all(p.exists() for p in paths)
-        assert {p.name for p in paths} == {"e42_artifact0.csv", "e42_artifact1.csv"}
-
-    def test_rows_from_empty_csv(self, tmp_path):
-        empty = tmp_path / "empty.csv"
-        empty.write_text("", encoding="utf-8")
-        assert rows_from_csv(empty) == ([], [])
 
 
 class TestScenarioExport:
@@ -114,9 +110,9 @@ class TestScenarioExport:
         assert data["anonymity_passed"] is True
         assert "m0" in data["deliveries"]["0"]
 
-    def test_scenario_result_json_serialisable(self, sample_scenario_result, tmp_path):
-        path = write_scenario_json(sample_scenario_result, tmp_path / "run.json")
-        loaded = json.loads(path.read_text(encoding="utf-8"))
+    def test_scenario_result_json_serialisable(self, sample_scenario_result):
+        loaded = json.loads(json.dumps(
+            scenario_result_to_dict(sample_scenario_result)))
         assert loaded["metrics"]["deliveries"] >= 3
         assert loaded["stop_reason"] == "quiescent"
 
@@ -136,12 +132,12 @@ class TestScenarioExportRoundTrip:
         assert provenance_to_dict(None) is None
         assert provenance_from_dict(None) is None
 
-    def test_written_file_reloads_equal_to_source(self, sample_scenario_result,
-                                                  tmp_path):
-        path = write_scenario_json(sample_scenario_result, tmp_path / "r.json")
-        loaded = load_scenario_json(path)
+    def test_written_file_reloads_equal_to_source(self, sample_scenario_result):
+        loaded = json.loads(json.dumps(
+            scenario_result_to_dict(sample_scenario_result)))
         source = sample_scenario_result
-        assert loaded["schedule"] == source.simulation.schedule
+        assert (provenance_from_dict(loaded["schedule"])
+                == source.simulation.schedule)
         # JSON object keys are strings; normalise the int-keyed counters.
         assert loaded["metrics"] == {
             key: ({str(k): v for k, v in value.items()}
@@ -158,7 +154,7 @@ class TestScenarioExportRoundTrip:
             for index, log in source.simulation.delivery_logs.items()
         }
 
-    def test_controlled_run_provenance_round_trips_decisions(self, tmp_path):
+    def test_controlled_run_provenance_round_trips_decisions(self):
         # A strategy-driven run records a non-empty decision trace; the
         # export must preserve it tuple-for-tuple.
         scenario = Scenario(
@@ -170,11 +166,11 @@ class TestScenarioExportRoundTrip:
         provenance = result.simulation.schedule
         assert provenance is not None
         assert provenance.decisions  # controlled runs record decisions
-        path = write_scenario_json(result, tmp_path / "controlled.json")
-        loaded = load_scenario_json(path)
-        assert loaded["schedule"] == provenance
-        assert loaded["schedule"].decisions == provenance.decisions
-        assert loaded["schedule"].schedule_hash == provenance.schedule_hash
+        rebuilt = provenance_from_dict(
+            json.loads(json.dumps(provenance_to_dict(provenance))))
+        assert rebuilt == provenance
+        assert rebuilt.decisions == provenance.decisions
+        assert rebuilt.schedule_hash == provenance.schedule_hash
 
 
 class TestRunnerBuilders:

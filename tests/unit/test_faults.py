@@ -1,7 +1,5 @@
 """Unit tests for the crash schedule (failure patterns)."""
 
-import random
-
 import pytest
 
 from repro.simulation.faults import CrashSchedule
@@ -46,26 +44,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CrashSchedule.none(0)
 
-    def test_random_crashes_counts(self):
-        schedule = CrashSchedule.random_crashes(6, 3, random.Random(0))
-        assert schedule.n_faulty == 3
-        assert schedule.n_correct == 3
-
-    def test_random_crashes_times_within_bounds(self):
-        schedule = CrashSchedule.random_crashes(
-            6, 3, random.Random(0), earliest=5.0, latest=10.0
-        )
-        for _, time in schedule:
-            assert 5.0 <= time <= 10.0
-
-    def test_random_crashes_rejects_all(self):
-        with pytest.raises(ValueError):
-            CrashSchedule.random_crashes(3, 3, random.Random(0))
-
-    def test_random_crashes_deterministic(self):
-        a = CrashSchedule.random_crashes(6, 2, random.Random(7))
-        b = CrashSchedule.random_crashes(6, 2, random.Random(7))
-        assert dict(a.crash_times) == dict(b.crash_times)
 
 
 class TestQueries:

@@ -10,7 +10,7 @@ import threading
 import pytest
 
 from repro import obs
-from repro.obs import tracing
+from repro.obs import spans
 
 
 @pytest.fixture(autouse=True)
@@ -50,18 +50,18 @@ class TestTraceContext:
         context = obs.mint_context()
         obs.save_context(tmp_path / "obs", context, job="j")
         loaded = obs.load_context(tmp_path / "obs")
-        assert loaded == tracing.TraceContext(context.trace_id,
+        assert loaded == spans.TraceContext(context.trace_id,
                                               context.span_id)
-        meta = tracing.load_context_meta(tmp_path / "obs")
+        meta = spans.load_context_meta(tmp_path / "obs")
         assert meta["job"] == "j"
-        assert meta["trace_version"] == tracing.TRACE_VERSION
+        assert meta["trace_version"] == spans.TRACE_VERSION
 
     def test_load_missing_returns_none(self, tmp_path):
         assert obs.load_context(tmp_path) is None
 
     def test_load_rejects_foreign_version(self, tmp_path):
         obs.save_context(tmp_path, obs.mint_context())
-        path = tmp_path / tracing.TRACE_FILE
+        path = tmp_path / spans.TRACE_FILE
         data = json.loads(path.read_text())
         data["trace_version"] = 99
         path.write_text(json.dumps(data))
@@ -192,7 +192,7 @@ class TestTreeReconstruction:
             self._span("c2", "w", name="cell", start=5.0, end=6.0),
             self._span("c1", "w", name="cell", start=2.0, end=3.0),
         ]
-        tree = tracing.build_tree(records)
+        tree = spans.build_tree(records)
         assert tree.span_count == 4
         assert not tree.orphans
         (root,) = tree.roots
@@ -202,7 +202,7 @@ class TestTreeReconstruction:
 
     def test_orphans_are_surfaced_not_dropped(self):
         records = [self._span("lost", "missing-parent", name="cell")]
-        tree = tracing.build_tree(records)
+        tree = spans.build_tree(records)
         assert len(tree.orphans) == 1
         assert tree.orphans[0].orphaned
         assert tree.roots  # still visible as a root
@@ -211,10 +211,10 @@ class TestTreeReconstruction:
         records = [self._span("a", None, trace="t1"),
                    self._span("b", None, trace="t2"),
                    self._span("c", "b", trace="t2")]
-        assert tracing.build_tree(records).trace_id == "t2"
-        assert tracing.build_tree(records, trace_id="t1").span_count == 1
+        assert spans.build_tree(records).trace_id == "t2"
+        assert spans.build_tree(records, trace_id="t1").span_count == 1
         with pytest.raises(ValueError, match="not present"):
-            tracing.build_tree(records, trace_id="t9")
+            spans.build_tree(records, trace_id="t9")
 
     def test_critical_path_follows_latest_finishers(self):
         records = [
@@ -223,7 +223,7 @@ class TestTreeReconstruction:
             self._span("slow", "root", name="worker", start=1.0, end=9.0),
             self._span("tail", "slow", name="cell", start=8.0, end=9.0),
         ]
-        path = tracing.build_tree(records).critical_path()
+        path = spans.build_tree(records).critical_path()
         assert [n.span_id for n in path] == ["root", "slow", "tail"]
 
     def test_skew_offsets_only_shift_proven_violations(self):
@@ -234,14 +234,14 @@ class TestTreeReconstruction:
              "observed_unix": 100.0},
             {"worker": "fine", "worker_unix": 99.0, "observed_unix": 100.0},
         ]
-        offsets = tracing.skew_offsets(anchors)
+        offsets = spans.skew_offsets(anchors)
         assert offsets == {"ahead": 5.0}
 
     def test_offsets_applied_to_that_process_only(self):
         records = [self._span("a", None, proc="coordinator", start=10.0,
                               end=20.0),
                    self._span("b", "a", proc="w1", start=15.0, end=16.0)]
-        tree = tracing.build_tree(records, {"w1": 2.0})
+        tree = spans.build_tree(records, {"w1": 2.0})
         assert tree.by_id["b"].start_unix == 13.0
         assert tree.by_id["a"].start_unix == 10.0
 
@@ -253,19 +253,19 @@ class TestTreeReconstruction:
         extra = tmp_path / "coordinator.jsonl"
         extra.write_text(
             json.dumps(self._span("root", None, name="job")) + "\n")
-        tree = tracing.load_trace([tmp_path / "job", extra])
+        tree = spans.load_trace([tmp_path / "job", extra])
         assert tree.span_count == 2
         assert not tree.orphans
 
     def test_load_trace_empty_dir_raises(self, tmp_path):
         with pytest.raises(ValueError, match="no span files"):
-            tracing.load_trace(tmp_path)
+            spans.load_trace(tmp_path)
 
     def test_chrome_export_shape(self):
         records = [self._span("root", None, name="job", start=5.0,
                               end=6.0)]
-        tree = tracing.build_tree(records)
-        events = tracing.chrome_trace_events(tree)
+        tree = spans.build_tree(records)
+        events = spans.chrome_trace_events(tree)
         complete = [e for e in events if e["ph"] == "X"]
         (event,) = complete
         assert event["ts"] == 0.0
@@ -280,4 +280,4 @@ class TestResetHygiene:
         obs.reset()
         assert obs.current_context() is None
         assert not obs.tracing_active()
-        assert tracing.process_name().startswith("proc-")
+        assert spans.process_name().startswith("proc-")

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.baselines import BestEffortBroadcastProcess
-from repro.experiments import config as config_module
 from repro.experiments.config import Scenario
 from repro.registry import (
     AlgorithmSpec,
@@ -42,7 +41,8 @@ class TestBuiltinRegistrations:
 
     def test_builtin_workloads_present(self):
         assert set(workload_names()) >= {"single", "all_to_all",
-                                         "uniform_stream", "burst", "poisson"}
+                                         "uniform_stream", "two_senders",
+                                         "burst", "poisson"}
 
     def test_algorithm_metadata_flags(self):
         assert get_algorithm("algorithm1").requires_majority
@@ -143,20 +143,6 @@ class TestScenarioValidation:
     def test_workload_instances_still_accepted(self):
         workload = SingleBroadcast()
         assert Scenario(workload=workload).workload is workload
-
-    def test_legacy_tuples_are_live_registry_views(self):
-        assert config_module.ALGORITHMS == algorithm_names()
-        assert config_module.CHANNEL_TYPES == channel_names()
-        spec = AlgorithmSpec(
-            name="tmp_live_view",
-            factory=lambda scenario, index, env: BestEffortBroadcastProcess(env),
-        )
-        with algorithms.scoped(spec):
-            assert "tmp_live_view" in config_module.ALGORITHMS
-
-    def test_legacy_module_getattr_unknown_name(self):
-        with pytest.raises(AttributeError):
-            config_module.NOT_A_REGISTRY_VIEW
 
 
 class TestWorkloadPresets:

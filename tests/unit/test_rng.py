@@ -31,47 +31,23 @@ class TestRandomSource:
 
     def test_different_names_independent(self):
         source = RandomSource(5)
-        a = [source.fresh_stream("a").random() for _ in range(3)]
-        b = [source.fresh_stream("b").random() for _ in range(3)]
+        a = [source.stream("a").random() for _ in range(3)]
+        b = [source.stream("b").random() for _ in range(3)]
         assert a != b
+
+    def test_draws_on_one_stream_leave_another_untouched(self):
+        busy, quiet = RandomSource(5), RandomSource(5)
+        for _ in range(100):
+            busy.stream("loss").random()
+        assert busy.stream("tags").random() == quiet.stream("tags").random()
 
     def test_stream_is_cached(self):
         source = RandomSource(0)
         assert source.stream("x") is source.stream("x")
 
-    def test_fresh_stream_not_cached(self):
-        source = RandomSource(0)
-        assert source.fresh_stream("x") is not source.fresh_stream("x")
-
-    def test_fresh_stream_replays_from_start(self):
-        source = RandomSource(0)
-        first = source.stream("x").random()
-        replay = source.fresh_stream("x").random()
-        assert first == replay
-
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):
             RandomSource(0).stream("")
-
-    def test_numpy_stream(self):
-        source = RandomSource(3)
-        values = source.numpy_stream("np").random(4)
-        again = RandomSource(3).numpy_stream("np").random(4)
-        assert list(values) == list(again)
-
-    def test_numpy_empty_name_rejected(self):
-        with pytest.raises(ValueError):
-            RandomSource(0).numpy_stream("")
-
-    def test_spawn_derives_new_master(self):
-        parent = RandomSource(9)
-        child_a = parent.spawn("rep0")
-        child_b = parent.spawn("rep1")
-        assert child_a.master_seed != child_b.master_seed
-        assert child_a.master_seed != parent.master_seed
-
-    def test_spawn_deterministic(self):
-        assert RandomSource(9).spawn("x").master_seed == RandomSource(9).spawn("x").master_seed
 
     def test_for_process_and_channel_names_disjoint(self):
         source = RandomSource(1)

@@ -4,23 +4,24 @@ import pytest
 
 from repro.experiments.batch import ScenarioSuite
 from repro.experiments.common import (
+    count_of,
     crash_last,
     fraction_of,
     mean_of,
-    multi_sender_workload,
     seeds_for,
 )
-from repro.experiments.config import ALGORITHMS, Scenario
+from repro.experiments.config import Scenario
 from repro.experiments.report import ExperimentArtifact, ExperimentResult
 from repro.failure_detectors.policies import DisseminationPolicy
 from repro.network.loss import LossSpec
+from repro.registry import algorithm_names
 from repro.workloads.generators import SingleBroadcast
 
 
 class TestScenario:
     def test_defaults_are_valid(self):
         scenario = Scenario()
-        assert scenario.algorithm in ALGORITHMS
+        assert scenario.algorithm in algorithm_names()
         assert scenario.n_processes >= 1
 
     def test_unknown_algorithm_rejected(self):
@@ -108,11 +109,6 @@ class TestCommonHelpers:
         with pytest.raises(ValueError):
             seeds_for(quick=False, seeds=0)
 
-    def test_multi_sender_workload(self):
-        workload = multi_sender_workload(n_messages=3, senders=(0, 1))
-        assert len(workload) == 3
-        assert workload.senders() == {0, 1}
-
 
 class TestExperimentReport:
     def test_artifact_render_and_column(self):
@@ -146,10 +142,6 @@ class TestExperimentReport:
         assert result.artifact("Table X") is artifact
         with pytest.raises(KeyError):
             result.artifact("missing")
-
-    def test_summary_row(self):
-        result = ExperimentResult("E1", "t", [])
-        assert result.summary_row() == ["E1", "t", 0]
 
 
 class TestSweeps:
@@ -190,9 +182,11 @@ class TestSweeps:
         assert mean_of(results, lambda r: r.metrics.mean_latency
                        if r.scenario.seed == base.seed else None) == latencies[0]
         assert fraction_of(results, lambda r: r.scenario.seed == base.seed) == 0.5
+        assert count_of(results, lambda r: r.scenario.seed == base.seed) == 1
 
     def test_no_data_is_none_and_zero(self, base):
         [results] = self.swept(base, [3], 1).groups().values()
         assert mean_of(results, lambda r: None) is None
         assert mean_of([], lambda r: 1.0) is None
         assert fraction_of([], lambda r: True) == 0.0
+        assert count_of([], lambda r: True) == 0

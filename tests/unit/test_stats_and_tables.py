@@ -1,14 +1,8 @@
 """Unit tests for the statistics helpers and table rendering."""
 
-import math
-
 import pytest
 
-from repro.analysis.stats import (
-    mean_confidence_interval,
-    ratio,
-    summarize,
-)
+from repro.analysis.stats import summarize
 from repro.analysis.tables import (
     format_cell,
     render_ascii_curve,
@@ -39,45 +33,6 @@ class TestSummarize:
     def test_as_dict_keys(self):
         data = summarize([1.0, 2.0]).as_dict()
         assert set(data) == {"count", "mean", "std", "min", "median", "p95", "max"}
-
-
-class TestConfidenceInterval:
-    def test_single_sample_degenerates(self):
-        mean, low, high = mean_confidence_interval([5.0])
-        assert mean == low == high == 5.0
-
-    def test_interval_contains_mean(self):
-        mean, low, high = mean_confidence_interval([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert low <= mean <= high
-        assert mean == pytest.approx(3.0)
-
-    def test_wider_confidence_wider_interval(self):
-        data = [1.0, 2.0, 3.0, 4.0, 5.0]
-        _, low95, high95 = mean_confidence_interval(data, 0.95)
-        _, low80, high80 = mean_confidence_interval(data, 0.80)
-        assert (high95 - low95) > (high80 - low80)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            mean_confidence_interval([])
-        with pytest.raises(ValueError):
-            mean_confidence_interval([1.0], confidence=1.5)
-
-    def test_interval_shrinks_with_more_data(self):
-        narrow = mean_confidence_interval([2.0, 2.1] * 50)
-        wide = mean_confidence_interval([2.0, 2.1] * 2)
-        assert (narrow[2] - narrow[1]) < (wide[2] - wide[1])
-
-
-class TestRatio:
-    def test_normal_division(self):
-        assert ratio(6.0, 3.0) == 2.0
-
-    def test_x_over_zero_is_inf(self):
-        assert math.isinf(ratio(5.0, 0.0))
-
-    def test_zero_over_zero_is_nan(self):
-        assert math.isnan(ratio(0.0, 0.0))
 
 
 class TestFormatCell:
