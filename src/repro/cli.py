@@ -74,14 +74,7 @@ from .experiments.config import Scenario
 from .experiments.common import crash_last
 from .experiments.runner import run_scenario
 from .network.loss import LossSpec
-from .registry import (
-    algorithm_names,
-    all_registries,
-    engine_names,
-    get_algorithm,
-    strategies,
-    strategy_names,
-)
+from .registry import algorithms, all_registries, engines, strategies
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     demo_parser = subparsers.add_parser("demo", help="run a single scenario",
                                         parents=[plugin_parent, obs_parent])
-    demo_parser.add_argument("--algorithm", choices=algorithm_names(),
+    demo_parser.add_argument("--algorithm", choices=algorithms.names(),
                              default="algorithm2")
     demo_parser.add_argument("--n", type=int, default=5, help="number of processes")
     demo_parser.add_argument("--loss", type=float, default=0.2,
@@ -159,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="number of processes crashed at t=2")
     demo_parser.add_argument("--seed", type=int, default=0)
     demo_parser.add_argument("--max-time", type=float, default=150.0)
-    demo_parser.add_argument("--engine", choices=engine_names(),
+    demo_parser.add_argument("--engine", choices=engines.names(),
                              default="reference",
                              help="simulation-engine backend (all backends "
                                   "are bit-identical; pick for speed)")
@@ -167,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     def sweep_arguments(sub: argparse.ArgumentParser) -> None:
         """The one-field sweep grid shared by ``sweep`` and ``campaign
         run`` / ``serve`` / ``plan``."""
-        sub.add_argument("--algorithm", choices=algorithm_names(),
+        sub.add_argument("--algorithm", choices=algorithms.names(),
                          default="algorithm2")
         sub.add_argument("--field", default="loss",
                          help="Scenario field to vary (default: loss; 'loss' "
@@ -182,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="replications per grid point")
         sub.add_argument("--seed", type=int, default=0)
         sub.add_argument("--max-time", type=float, default=150.0)
-        sub.add_argument("--engine", choices=engine_names(),
+        sub.add_argument("--engine", choices=engines.names(),
                          default="reference",
                          help="simulation-engine backend (all backends are "
                               "bit-identical; pick for speed)")
@@ -202,9 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
         "explore",
         help="search the schedule space for URB property violations",
         parents=[plugin_parent, obs_parent])
-    explore_parser.add_argument("--algorithm", choices=algorithm_names(),
+    explore_parser.add_argument("--algorithm", choices=algorithms.names(),
                                 default="algorithm1")
-    explore_parser.add_argument("--strategy", choices=strategy_names(),
+    explore_parser.add_argument("--strategy", choices=strategies.names(),
                                 default="random_walk")
     explore_parser.add_argument("--budget", type=int, default=200,
                                 help="maximum schedules to run (enumerative "
@@ -611,19 +604,15 @@ def _command_components() -> int:
     """One table per registry, driven entirely by the registry enumeration.
 
     ``all_registries()`` supplies the registries and their display order;
-    each spec class's ``TABLE_COLUMNS`` supplies the columns — adding a
-    registry (or a spec column) needs no CLI edit.
+    each registry's spec class's ``TABLE_COLUMNS`` supplies the columns —
+    adding a registry (or a spec column) needs no CLI edit.
     """
     tables = []
     for title, registry in all_registries().items():
-        specs = registry.specs()
-        if specs:
-            columns = type(specs[0]).TABLE_COLUMNS
-        else:  # pragma: no cover - every registry ships built-ins
-            columns = (("name", "name"), ("description", "description"))
+        columns = registry.spec_type.TABLE_COLUMNS
         rows = [
             [_component_cell(getattr(spec, field)) for _, field in columns]
-            for spec in specs
+            for spec in registry.specs()
         ]
         tables.append(render_table([header for header, _ in columns],
                                    rows, title=title))
@@ -652,7 +641,7 @@ def _base_scenario(args: argparse.Namespace, name: str,
                    loss: float = 0.0) -> Scenario:
     """Scenario shared by the demo and sweep commands: crash-last pattern,
     stop conditions derived from the algorithm spec's quiescence metadata."""
-    spec = get_algorithm(args.algorithm)
+    spec = algorithms.get(args.algorithm)
     return Scenario(
         name=name,
         algorithm=args.algorithm,

@@ -131,16 +131,16 @@ class Scenario:
     def __post_init__(self) -> None:
         # Validate component names against the *live* registries so that
         # third-party registrations are accepted exactly like built-ins.
-        algorithms.validate(self.algorithm)
-        channels.validate(self.channel_type)
-        detector_setups.validate(self.detector_setup)
+        algorithms.get(self.algorithm)
+        channels.get(self.channel_type)
+        detector_setups.get(self.detector_setup)
         if isinstance(self.workload, str):
-            workloads.validate(self.workload)
+            workloads.get(self.workload)
         if self.explore_strategy is not None:
-            strategies.validate(self.explore_strategy)
+            strategies.get(self.explore_strategy)
         if self.explore_index < 0:
             raise ValueError("explore_index must be non-negative")
-        engines.validate(self.engine)
+        engines.get(self.engine)
         if self.n_processes < 1:
             raise ValueError("n_processes must be positive")
         if self.tick_interval <= 0:

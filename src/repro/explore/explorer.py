@@ -228,7 +228,7 @@ class Explorer:
                 "exploration requires trace_enabled=True: the URB property "
                 "checkers are trace-driven and would pass vacuously"
             )
-        strategies.validate(self.strategy)
+        strategies.get(self.strategy)
 
     # ------------------------------------------------------------------ #
     def schedule_budget(self) -> int:

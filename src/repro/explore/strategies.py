@@ -113,7 +113,14 @@ def _sound_fairness_bound(scenario: "Scenario") -> int:
 
 # --------------------------------------------------------------------------- #
 # seeded strategies
+#
+# Each controller class is its own registered factory: its constructor takes
+# ``(scenario, schedule_index)``.
 # --------------------------------------------------------------------------- #
+@register_strategy(
+    "random_walk",
+    description="Seeded random walk over drop/delay/crash/FD-staleness choices",
+)
 class RandomWalkController(RecordingController):
     """Seeded random walk over drop / delay / crash / FD-staleness choices.
 
@@ -186,6 +193,11 @@ class RandomWalkController(RecordingController):
         return None
 
 
+@register_strategy(
+    "pct",
+    description="PCT-style channel priorities with d-1 change points "
+                "(pure message reordering)",
+)
 class PctController(RecordingController):
     """PCT-style priority scheduling of message copies.
 
@@ -268,6 +280,13 @@ def delay_bound_schedule_count(scenario: "Scenario") -> int:
     return max(1, len(_enum_choices(scenario)) ** max(0, points))
 
 
+@register_strategy(
+    "delay_bound",
+    description="Exhaustive delay enumeration over the first K transmissions "
+                "(small configs)",
+    enumerative=True,
+    schedule_count=delay_bound_schedule_count,
+)
 class DelayBoundController(RecordingController):
     """Exhaustive delay enumeration over the first *K* transmission points.
 
@@ -325,6 +344,17 @@ def crash_point_schedule_count(scenario: "Scenario") -> int:
     return len(eligible) * max(1, steps)
 
 
+@register_strategy(
+    "crash_points",
+    description="Enumerates one injected crash per schedule: victim x "
+                "transmission step (detector-free algorithms)",
+    enumerative=True,
+    schedule_count=crash_point_schedule_count,
+    # Loss/delay delegate to the channels, so the scenario's own loss spec
+    # applies (unlike the decision-driven strategies, which decide every
+    # copy's fate themselves).
+    channel_loss=True,
+)
 class CrashPointController(RecordingController):
     """Enumerates single-crash schedules: victim × transmission step.
 
@@ -378,52 +408,3 @@ class CrashPointController(RecordingController):
         if deliver_time is None:
             return (DROP,)
         return (DELIVER, deliver_time - now)
-
-
-# --------------------------------------------------------------------------- #
-# registrations
-# --------------------------------------------------------------------------- #
-@register_strategy(
-    "random_walk",
-    description="Seeded random walk over drop/delay/crash/FD-staleness choices",
-)
-def _build_random_walk(scenario: "Scenario",
-                       schedule_index: int) -> RandomWalkController:
-    return RandomWalkController(scenario, schedule_index)
-
-
-@register_strategy(
-    "pct",
-    description="PCT-style channel priorities with d-1 change points "
-                "(pure message reordering)",
-)
-def _build_pct(scenario: "Scenario", schedule_index: int) -> PctController:
-    return PctController(scenario, schedule_index)
-
-
-@register_strategy(
-    "delay_bound",
-    description="Exhaustive delay enumeration over the first K transmissions "
-                "(small configs)",
-    enumerative=True,
-    schedule_count=delay_bound_schedule_count,
-)
-def _build_delay_bound(scenario: "Scenario",
-                       schedule_index: int) -> DelayBoundController:
-    return DelayBoundController(scenario, schedule_index)
-
-
-@register_strategy(
-    "crash_points",
-    description="Enumerates one injected crash per schedule: victim x "
-                "transmission step (detector-free algorithms)",
-    enumerative=True,
-    schedule_count=crash_point_schedule_count,
-    # Loss/delay delegate to the channels, so the scenario's own loss spec
-    # applies (unlike the decision-driven strategies, which decide every
-    # copy's fate themselves).
-    channel_loss=True,
-)
-def _build_crash_points(scenario: "Scenario",
-                        schedule_index: int) -> CrashPointController:
-    return CrashPointController(scenario, schedule_index)

@@ -19,8 +19,10 @@ correct when a new one is added — no per-site edits.
 
 Registering a component makes it a first-class citizen of
 :class:`~repro.experiments.config.Scenario` validation, the scenario runner,
-the CLI's ``--algorithm`` choices, sweeps and the parallel batch runner.  The
-decorators are the intended entry point::
+the CLI's ``--algorithm`` choices, sweeps and the parallel batch runner.
+Every registry registers the same way, through
+:meth:`Registry.decorator`; the ``register_*`` names are those bound
+methods::
 
     from repro.registry import register_algorithm
 
@@ -29,6 +31,9 @@ decorators are the intended entry point::
         return GossipKProcess(env, rounds=scenario.metadata.get("gossip_rounds", 3))
 
     result = run_scenario(Scenario(algorithm="gossip_k"))
+
+Look components up on the registry itself: ``algorithms.get("algorithm2")``,
+``engines.names()``.
 
 Built-in components live in :mod:`repro.registry.builtins` and are loaded
 lazily on the first registry read, so importing this package is cheap and
@@ -41,8 +46,7 @@ perform third-party registrations; pass the registering module names as
 
 from __future__ import annotations
 
-import importlib
-from typing import Any, Callable, Optional
+from typing import Any
 
 from .base import (
     DuplicateComponentError,
@@ -51,17 +55,11 @@ from .base import (
     UnknownComponentError,
 )
 from .specs import (
-    AlgorithmFactory,
     AlgorithmSpec,
-    ChannelFactoryBuilder,
     ChannelSpec,
-    DetectorSetupFactory,
     DetectorSetupSpec,
-    EngineFactory,
     EngineSpec,
-    StrategyFactory,
     StrategySpec,
-    WorkloadFactory,
     WorkloadSpec,
 )
 
@@ -76,21 +74,11 @@ __all__ = [
     "StrategySpec",
     "UnknownComponentError",
     "WorkloadSpec",
-    "algorithm_names",
     "algorithms",
     "all_registries",
-    "channel_names",
     "channels",
-    "detector_setup_names",
     "detector_setups",
-    "engine_names",
     "engines",
-    "get_algorithm",
-    "get_channel",
-    "get_detector_setup",
-    "get_engine",
-    "get_strategy",
-    "get_workload",
     "register_algorithm",
     "register_channel",
     "register_detector_setup",
@@ -98,54 +86,48 @@ __all__ = [
     "register_strategy",
     "register_workload",
     "strategies",
-    "strategy_names",
-    "workload_names",
     "workloads",
 ]
 
-
-def _load_builtins() -> None:
-    importlib.import_module(f"{__name__}.builtins")
-
-
-def _load_strategy_builtins() -> None:
-    # The built-in exploration strategies live with the explore subsystem
-    # (they are controllers first, registry entries second).
-    importlib.import_module("repro.explore.strategies")
-
-
-def _load_engine_builtins() -> None:
-    # The built-in engine backends live with the simulation subsystem (they
-    # are dispatch strategies first, registry entries second).
-    importlib.import_module("repro.simulation.backends")
-
-
-_HINT = "Register new components with the repro.registry.register_* decorators"
+_BUILTINS = f"{__name__}.builtins"
 
 #: Broadcast protocols, selectable via ``Scenario.algorithm``.
 algorithms: Registry[AlgorithmSpec] = Registry(
-    "algorithm", loader=_load_builtins, hint=_HINT
-)
+    "algorithm", AlgorithmSpec, loader=_BUILTINS)
 #: Channel families, selectable via ``Scenario.channel_type``.
 channels: Registry[ChannelSpec] = Registry(
-    "channel type", loader=_load_builtins, hint=_HINT
-)
+    "channel type", ChannelSpec, loader=_BUILTINS)
 #: Failure-detector setups, selectable via ``Scenario.detector_setup``.
 detector_setups: Registry[DetectorSetupSpec] = Registry(
-    "detector setup", loader=_load_builtins, hint=_HINT
-)
+    "detector setup", DetectorSetupSpec, loader=_BUILTINS)
 #: Workload presets, selectable by passing their name as ``Scenario.workload``.
 workloads: Registry[WorkloadSpec] = Registry(
-    "workload", loader=_load_builtins, hint=_HINT
-)
+    "workload", WorkloadSpec, loader=_BUILTINS)
 #: Schedule-exploration strategies, selectable via ``Scenario.explore_strategy``.
+#: The built-ins live with the explore subsystem (they are controllers
+#: first, registry entries second).
 strategies: Registry[StrategySpec] = Registry(
-    "exploration strategy", loader=_load_strategy_builtins, hint=_HINT
-)
-#: Simulation-engine backends, selectable via ``Scenario.engine``.
+    "exploration strategy", StrategySpec, loader="repro.explore.strategies")
+#: Simulation-engine backends, selectable via ``Scenario.engine``.  The
+#: built-ins live with the simulation subsystem.
 engines: Registry[EngineSpec] = Registry(
-    "engine backend", loader=_load_engine_builtins, hint=_HINT
-)
+    "engine backend", EngineSpec, loader="repro.simulation.backends")
+
+#: ``(scenario, index, env) -> protocol``.
+register_algorithm = algorithms.decorator
+#: ``(scenario, crash_schedule) -> channel factory``.
+register_channel = channels.decorator
+#: ``(scenario, crash_schedule, random_source) -> (atheta, apstar)``.
+register_detector_setup = detector_setups.decorator
+#: ``(scenario, rng) -> workload``.
+register_workload = workloads.decorator
+#: ``(scenario, schedule_index) -> controller``.
+register_strategy = strategies.decorator
+#: ``(**engine_kwargs) -> engine``.  Backends must be bit-identical to
+#: ``reference`` on every parity-suite scenario (see
+#: :mod:`repro.experiments.parity`); they may only differ in *how* they
+#: dispatch, never in *what* they compute.
+register_engine = engines.decorator
 
 #: Every registry, keyed by the title ``repro-urb components`` shows, in the
 #: order the tables render.  THE single enumeration point: new registries are
@@ -164,234 +146,3 @@ _ALL_REGISTRIES: dict[str, Registry[Any]] = {
 def all_registries() -> dict[str, Registry[Any]]:
     """Every component registry, keyed by display title, in display order."""
     return dict(_ALL_REGISTRIES)
-
-
-# --------------------------------------------------------------------------- #
-# decorators
-# --------------------------------------------------------------------------- #
-def register_algorithm(
-    name: str,
-    *,
-    description: str = "",
-    requires_majority: bool = False,
-    supports_quiescence: bool = False,
-    uses_failure_detectors: bool = False,
-    anonymous: bool = True,
-    replace: bool = False,
-    **extra: Any,
-) -> Callable[[AlgorithmFactory], AlgorithmFactory]:
-    """Register a ``(scenario, index, env) -> protocol`` factory as *name*."""
-
-    def decorator(factory: AlgorithmFactory) -> AlgorithmFactory:
-        algorithms.register(
-            AlgorithmSpec(
-                name=name,
-                factory=factory,
-                description=description or (factory.__doc__ or "").strip(),
-                requires_majority=requires_majority,
-                supports_quiescence=supports_quiescence,
-                uses_failure_detectors=uses_failure_detectors,
-                anonymous=anonymous,
-                extra=extra,
-            ),
-            replace=replace,
-        )
-        return factory
-
-    return decorator
-
-
-def register_channel(
-    name: str,
-    *,
-    description: str = "",
-    lossy: bool = True,
-    replace: bool = False,
-    **extra: Any,
-) -> Callable[[ChannelFactoryBuilder], ChannelFactoryBuilder]:
-    """Register a ``(scenario, crash_schedule) -> channel factory`` builder."""
-
-    def decorator(factory: ChannelFactoryBuilder) -> ChannelFactoryBuilder:
-        channels.register(
-            ChannelSpec(
-                name=name,
-                factory=factory,
-                description=description or (factory.__doc__ or "").strip(),
-                lossy=lossy,
-                extra=extra,
-            ),
-            replace=replace,
-        )
-        return factory
-
-    return decorator
-
-
-def register_detector_setup(
-    name: str,
-    *,
-    description: str = "",
-    replace: bool = False,
-    **extra: Any,
-) -> Callable[[DetectorSetupFactory], DetectorSetupFactory]:
-    """Register a ``(scenario, crashes, rng) -> (atheta, apstar)`` factory."""
-
-    def decorator(factory: DetectorSetupFactory) -> DetectorSetupFactory:
-        detector_setups.register(
-            DetectorSetupSpec(
-                name=name,
-                factory=factory,
-                description=description or (factory.__doc__ or "").strip(),
-                extra=extra,
-            ),
-            replace=replace,
-        )
-        return factory
-
-    return decorator
-
-
-def register_strategy(
-    name: str,
-    *,
-    description: str = "",
-    enumerative: bool = False,
-    schedule_count: Optional[Callable[..., int]] = None,
-    replace: bool = False,
-    **extra: Any,
-) -> Callable[[StrategyFactory], StrategyFactory]:
-    """Register a ``(scenario, schedule_index) -> controller`` factory."""
-
-    def decorator(factory: StrategyFactory) -> StrategyFactory:
-        strategies.register(
-            StrategySpec(
-                name=name,
-                factory=factory,
-                description=description or (factory.__doc__ or "").strip(),
-                enumerative=enumerative,
-                schedule_count=schedule_count,
-                extra=extra,
-            ),
-            replace=replace,
-        )
-        return factory
-
-    return decorator
-
-
-def register_engine(
-    name: str,
-    *,
-    description: str = "",
-    batched: bool = False,
-    replace: bool = False,
-    **extra: Any,
-) -> Callable[[EngineFactory], EngineFactory]:
-    """Register a ``(**engine_kwargs) -> engine`` backend factory as *name*.
-
-    Backends must be bit-identical to ``reference`` on every parity-suite
-    scenario (see :mod:`repro.experiments.parity`); they may only differ in
-    *how* they dispatch, never in *what* they compute.
-    """
-
-    def decorator(factory: EngineFactory) -> EngineFactory:
-        engines.register(
-            EngineSpec(
-                name=name,
-                factory=factory,
-                description=description or (factory.__doc__ or "").strip(),
-                batched=batched,
-                extra=extra,
-            ),
-            replace=replace,
-        )
-        return factory
-
-    return decorator
-
-
-def register_workload(
-    name: str,
-    *,
-    description: str = "",
-    replace: bool = False,
-    **extra: Any,
-) -> Callable[[WorkloadFactory], WorkloadFactory]:
-    """Register a ``(scenario, rng) -> workload`` preset as *name*."""
-
-    def decorator(factory: WorkloadFactory) -> WorkloadFactory:
-        workloads.register(
-            WorkloadSpec(
-                name=name,
-                factory=factory,
-                description=description or (factory.__doc__ or "").strip(),
-                extra=extra,
-            ),
-            replace=replace,
-        )
-        return factory
-
-    return decorator
-
-
-# --------------------------------------------------------------------------- #
-# lookup helpers (the names most call sites want)
-# --------------------------------------------------------------------------- #
-def algorithm_names() -> tuple[str, ...]:
-    """Registered algorithm names (built-ins first)."""
-    return algorithms.names()
-
-
-def channel_names() -> tuple[str, ...]:
-    """Registered channel-family names (built-ins first)."""
-    return channels.names()
-
-
-def detector_setup_names() -> tuple[str, ...]:
-    """Registered failure-detector setup names (built-ins first)."""
-    return detector_setups.names()
-
-
-def workload_names() -> tuple[str, ...]:
-    """Registered workload preset names (built-ins first)."""
-    return workloads.names()
-
-
-def strategy_names() -> tuple[str, ...]:
-    """Registered exploration strategy names (built-ins first)."""
-    return strategies.names()
-
-
-def engine_names() -> tuple[str, ...]:
-    """Registered engine-backend names (built-ins first)."""
-    return engines.names()
-
-
-def get_algorithm(name: str) -> AlgorithmSpec:
-    """Spec of the algorithm registered as *name* (raises if unknown)."""
-    return algorithms.get(name)
-
-
-def get_channel(name: str) -> ChannelSpec:
-    """Spec of the channel family registered as *name* (raises if unknown)."""
-    return channels.get(name)
-
-
-def get_detector_setup(name: str) -> DetectorSetupSpec:
-    """Spec of the detector setup registered as *name* (raises if unknown)."""
-    return detector_setups.get(name)
-
-
-def get_workload(name: str) -> WorkloadSpec:
-    """Spec of the workload preset registered as *name* (raises if unknown)."""
-    return workloads.get(name)
-
-
-def get_strategy(name: str) -> StrategySpec:
-    """Spec of the exploration strategy registered as *name* (raises if unknown)."""
-    return strategies.get(name)
-
-
-def get_engine(name: str) -> EngineSpec:
-    """Spec of the engine backend registered as *name* (raises if unknown)."""
-    return engines.get(name)

@@ -11,12 +11,16 @@ validation, the CLI and the batch runner.
 
 Design notes
 ------------
+* **One way to register.**  :meth:`Registry.decorator` builds the registry's
+  spec class around the decorated factory; ``repro.registry.register_*`` are
+  these bound methods, and lookups go through the registry itself
+  (``algorithms.get(name)``, ``engines.names()``).
 * **Insertion order is preserved** — ``names()`` lists built-ins first, in
   registration order, which keeps CLI ``choices`` and error messages stable.
-* **Built-ins load lazily.**  Each registry may be given a *loader* callable;
-  it runs once, before the first read, and is expected to import the module
-  that registers the built-in components.  Registration itself never triggers
-  the loader, so built-in modules can register freely while being imported.
+* **Built-ins load lazily.**  Each registry may name a *loader* module; it is
+  imported once, before the first read, and registers the built-in
+  components.  Registration itself never triggers the loader, so built-in
+  modules can register freely while being imported.
 * **Errors are loud and helpful.**  Duplicate names raise
   :class:`DuplicateComponentError`; unknown names raise
   :class:`UnknownComponentError` listing every registered name and how to add
@@ -26,18 +30,17 @@ Design notes
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import threading
 from contextlib import contextmanager
-from typing import Callable, Generic, Iterator, Optional, Protocol, TypeVar
+from typing import Any, Callable, Generic, Iterator, Optional, TypeVar
 
+S = TypeVar("S")
+F = TypeVar("F", bound=Callable[..., Any])
 
-class NamedSpec(Protocol):
-    """Anything a registry can hold: it only needs a ``name``."""
-
-    name: str
-
-
-S = TypeVar("S", bound=NamedSpec)
+#: Appended to every unknown-name error.
+_HINT = "Register new components with the repro.registry.register_* decorators"
 
 #: Shared by every registry while running a built-in loader.  A single lock
 #: (rather than the per-registry one) prevents lock-ordering deadlocks: one
@@ -68,27 +71,55 @@ class Registry(Generic[S]):
     kind:
         Human-readable component kind (``"algorithm"``, ``"channel"``, …) used
         in error messages.
+    spec_type:
+        The frozen spec dataclass this registry holds; :meth:`decorator`
+        builds it and ``repro-urb components`` reads its ``TABLE_COLUMNS``.
     loader:
-        Optional callable importing the built-in components.  Invoked at most
-        once, lazily, before the first *read* operation.
-    hint:
-        One-line "how do I register one?" hint appended to unknown-name
-        errors.
+        Optional name of the module registering the built-in components.
+        Imported at most once, lazily, before the first *read* operation.
     """
 
-    def __init__(self, kind: str, *, loader: Optional[Callable[[], None]] = None,
-                 hint: str = "") -> None:
+    def __init__(self, kind: str, spec_type: type[S], *,
+                 loader: Optional[str] = None) -> None:
         self.kind = kind
+        self.spec_type = spec_type
         self._specs: dict[str, S] = {}
         self._loader = loader
         self._loaded = loader is None
         self._loading = False
         self._lock = threading.RLock()
-        self._hint = hint
 
     # ------------------------------------------------------------------ #
     # writing
     # ------------------------------------------------------------------ #
+    def decorator(self, name: str, *, description: str = "",
+                  replace: bool = False, **fields: Any) -> Callable[[F], F]:
+        """Decorator registering its factory as *name*; returns it unchanged.
+
+        Keywords naming a field of the spec class (``requires_majority``,
+        ``batched``, …) set that field; any other keyword lands in the
+        spec's ``extra``.  *description* defaults to the factory's
+        docstring.
+        """
+        known = {field.name for field in dataclasses.fields(self.spec_type)}
+        extra = {key: fields.pop(key) for key in list(fields)
+                 if key not in known}
+
+        def decorate(factory: F) -> F:
+            self.register(
+                self.spec_type(
+                    name=name,
+                    factory=factory,
+                    description=description or (factory.__doc__ or "").strip(),
+                    extra=extra,
+                    **fields,
+                ),
+                replace=replace,
+            )
+            return factory
+
+        return decorate
+
     def register(self, spec: S, *, replace: bool = False) -> S:
         """Register *spec* under ``spec.name`` and return it.
 
@@ -153,7 +184,7 @@ class Registry(Generic[S]):
             self._loading = True
             try:
                 assert self._loader is not None
-                self._loader()
+                importlib.import_module(self._loader)
                 self._loaded = True
             finally:
                 self._loading = False
@@ -169,14 +200,9 @@ class Registry(Generic[S]):
             return self._specs[name]
         except KeyError:
             known = ", ".join(repr(n) for n in self._specs) or "<none>"
-            message = f"unknown {self.kind} {name!r}; registered: {known}"
-            if self._hint:
-                message += f". {self._hint}"
-            raise UnknownComponentError(message) from None
-
-    def validate(self, name: str) -> S:
-        """Alias of :meth:`get` that reads as an assertion at call sites."""
-        return self.get(name)
+            raise UnknownComponentError(
+                f"unknown {self.kind} {name!r}; registered: {known}. {_HINT}"
+            ) from None
 
     def names(self) -> tuple[str, ...]:
         """All registered names, in registration order (built-ins first)."""

@@ -24,22 +24,18 @@ bit-identical trace digests, delivery logs and metrics.  The parity suite
 
 from __future__ import annotations
 
-from typing import Any
-
 from ..registry import register_engine
 from .engine import SimulationEngine
 from .vectorized import VectorizedEngine
 
-
-@register_engine(
+# The engine classes are their own factories: both take the runner's
+# keyword arguments verbatim.
+register_engine(
     "reference",
     description="per-event heap dispatch (the bit-exact baseline)",
-)
-def _build_reference(**engine_kwargs: Any) -> SimulationEngine:
-    return SimulationEngine(**engine_kwargs)
+)(SimulationEngine)
 
-
-@register_engine(
+register_engine(
     "vectorized",
     batched=True,
     description=(
@@ -47,6 +43,4 @@ def _build_reference(**engine_kwargs: Any) -> SimulationEngine:
         "reference, falls back to per-event under controllers/hooks/FULL "
         "trace"
     ),
-)
-def _build_vectorized(**engine_kwargs: Any) -> VectorizedEngine:
-    return VectorizedEngine(**engine_kwargs)
+)(VectorizedEngine)

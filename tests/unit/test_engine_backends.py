@@ -41,13 +41,7 @@ from repro.explore.serialize import scenario_from_dict, scenario_to_dict
 from repro.failure_detectors.labels import Label
 from repro.network.delay import DelaySpec, UniformDelay
 from repro.network.loss import BernoulliLoss, GilbertElliottLoss, LossSpec
-from repro.registry import (
-    UnknownComponentError,
-    all_registries,
-    engine_names,
-    engines,
-    get_engine,
-)
+from repro.registry import UnknownComponentError, all_registries, engines
 from repro.simulation import vectorized
 from repro.simulation.backends import VectorizedEngine
 from repro.simulation.engine import SimulationEngine
@@ -75,11 +69,11 @@ GENERIC_ROWS = {"all-drop": 6, "reliable": 6, "quasi-reliable": 6}
 # registry surface
 # --------------------------------------------------------------------------- #
 def test_engines_registry_contents():
-    names = engine_names()
+    names = engines.names()
     assert "reference" in names
     assert "vectorized" in names
-    assert get_engine("reference").batched is False
-    assert get_engine("vectorized").batched is True
+    assert engines.get("reference").batched is False
+    assert engines.get("vectorized").batched is True
     engine = build_engine(Scenario(name="vec", algorithm="algorithm1",
                                    n_processes=3, max_time=10.0,
                                    engine="vectorized"))
@@ -102,6 +96,8 @@ def test_reference_engine_factory_is_the_reference_class():
     engine = build_engine(Scenario(name="ref", algorithm="algorithm1",
                                    n_processes=3, max_time=10.0))
     assert type(engine) is SimulationEngine
+    assert engines.get("reference").factory is SimulationEngine
+    assert engines.get("vectorized").factory is VectorizedEngine
 
 
 # --------------------------------------------------------------------------- #

@@ -18,7 +18,7 @@ from repro.explore import (
 )
 from repro.network.delay import DelaySpec
 from repro.network.loss import LossSpec
-from repro.registry import strategies, strategy_names
+from repro.registry import strategies
 from repro.simulation.engine import CRASH_SENDER
 from repro.simulation.tracing import TraceCategory
 
@@ -267,7 +267,7 @@ class TestControllersResolveTheChannelsTheyRead:
     """The engine hands no channel to a controller, so a run builds (and
     seeds) exactly the channels some controller transmitted on."""
 
-    @pytest.mark.parametrize("strategy", sorted(strategy_names()))
+    @pytest.mark.parametrize("strategy", sorted(strategies.names()))
     def test_decision_driven_strategies_build_no_channel(self, strategy):
         engine, result = _run_with_engine(
             _lossy(explore_strategy=strategy, explore_index=1))

@@ -14,7 +14,7 @@ from repro.explore.strategies import (
     delay_lattice,
 )
 from repro.network.delay import DelaySpec
-from repro.registry import UnknownComponentError, strategies, strategy_names
+from repro.registry import UnknownComponentError, strategies
 
 
 def _scenario(**overrides) -> Scenario:
@@ -37,9 +37,23 @@ def _run(scenario: Scenario):
 
 class TestRegistry:
     def test_builtin_strategies_registered(self):
-        assert set(strategy_names()) >= {
+        assert set(strategies.names()) >= {
             "random_walk", "pct", "delay_bound", "crash_points",
         }
+
+    def test_controller_classes_are_their_own_factories(self):
+        from repro.explore.strategies import (
+            CrashPointController,
+            DelayBoundController,
+            PctController,
+            RandomWalkController,
+        )
+
+        assert strategies.get("random_walk").factory is RandomWalkController
+        assert strategies.get("pct").factory is PctController
+        assert strategies.get("delay_bound").factory is DelayBoundController
+        assert strategies.get("crash_points").factory is CrashPointController
+        assert strategies.get("crash_points").extra == {"channel_loss": True}
 
     def test_enumerative_flags(self):
         assert not strategies.get("random_walk").enumerative

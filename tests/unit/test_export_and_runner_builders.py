@@ -37,7 +37,7 @@ from repro.experiments.runner import (
 )
 from repro.network.loss import LossSpec
 from repro.network.reliable import QuasiReliableChannel, ReliableChannel
-from repro.registry import algorithm_names, algorithms, engine_names
+from repro.registry import algorithms, engines
 from repro.simulation.rng import RandomSource
 from repro.workloads.generators import SingleBroadcast
 
@@ -256,8 +256,8 @@ class TestRunnerBuilders:
         assert result.simulation.expected_contents == ("m0",)
 
 
-@pytest.mark.parametrize("engine", sorted(engine_names()))
-@pytest.mark.parametrize("algorithm", sorted(algorithm_names()))
+@pytest.mark.parametrize("engine", sorted(engines.names()))
+@pytest.mark.parametrize("algorithm", sorted(algorithms.names()))
 def test_analyses_on_demand_equal_the_eager_ones(algorithm, engine):
     """A result computes each analysis when first read, once; what it gets
     is what calling the analysis on the simulation gives."""

@@ -21,7 +21,7 @@ from repro.experiments.batch import BatchRunner
 from repro.experiments.config import Scenario
 from repro.experiments.parity import parity_cases, run_fingerprint
 from repro.experiments.runner import run_scenario
-from repro.registry import engine_names
+from repro.registry import engines
 
 
 @pytest.fixture(autouse=True)
@@ -43,7 +43,7 @@ def _battery_subset():
 
 
 class TestObsOffPath:
-    @pytest.mark.parametrize("engine", sorted(engine_names()))
+    @pytest.mark.parametrize("engine", sorted(engines.names()))
     @pytest.mark.parametrize("name", _BATTERY_SUBSET)
     def test_fingerprints_identical_obs_on_vs_off(self, engine, name):
         scenario = {s.name: s for s in parity_cases()}[name]

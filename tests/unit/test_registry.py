@@ -8,18 +8,10 @@ from repro.registry import (
     AlgorithmSpec,
     DuplicateComponentError,
     UnknownComponentError,
-    algorithm_names,
     algorithms,
-    channel_names,
     channels,
-    detector_setup_names,
     detector_setups,
-    get_algorithm,
-    get_channel,
-    get_detector_setup,
-    get_workload,
     register_algorithm,
-    workload_names,
     workloads,
 )
 from repro.workloads.generators import SingleBroadcast
@@ -27,42 +19,42 @@ from repro.workloads.generators import SingleBroadcast
 
 class TestBuiltinRegistrations:
     def test_builtin_algorithms_present(self):
-        names = algorithm_names()
+        names = algorithms.names()
         for expected in ("algorithm1", "algorithm2", "best_effort",
                          "eager_rb", "identified_urb"):
             assert expected in names
 
     def test_builtin_channels_present(self):
-        assert set(channel_names()) >= {"fair_lossy", "reliable",
-                                        "quasi_reliable"}
+        assert set(channels.names()) >= {"fair_lossy", "reliable",
+                                         "quasi_reliable"}
 
     def test_builtin_detector_setups_present(self):
-        assert set(detector_setup_names()) >= {"oracle", "prescient", "none"}
+        assert set(detector_setups.names()) >= {"oracle", "prescient", "none"}
 
     def test_builtin_workloads_present(self):
-        assert set(workload_names()) >= {"single", "all_to_all",
-                                         "uniform_stream", "two_senders",
-                                         "burst", "poisson"}
+        assert set(workloads.names()) >= {"single", "all_to_all",
+                                          "uniform_stream", "two_senders",
+                                          "burst", "poisson"}
 
     def test_algorithm_metadata_flags(self):
-        assert get_algorithm("algorithm1").requires_majority
-        assert not get_algorithm("algorithm1").supports_quiescence
-        algorithm2 = get_algorithm("algorithm2")
+        assert algorithms.get("algorithm1").requires_majority
+        assert not algorithms.get("algorithm1").supports_quiescence
+        algorithm2 = algorithms.get("algorithm2")
         assert algorithm2.supports_quiescence
         assert algorithm2.uses_failure_detectors
         assert algorithm2.anonymous
-        assert not get_algorithm("identified_urb").anonymous
+        assert not algorithms.get("identified_urb").anonymous
 
     def test_registries_support_len_iter_contains(self):
         assert "algorithm2" in algorithms
         assert len(channels) >= 3
-        assert list(iter(detector_setups)) == list(detector_setup_names())
+        assert list(iter(detector_setups)) == list(detector_setups.names())
 
 
 class TestErrorMessages:
     def test_unknown_algorithm_lists_known_names(self):
         with pytest.raises(UnknownComponentError) as excinfo:
-            get_algorithm("paxos")
+            algorithms.get("paxos")
         message = str(excinfo.value)
         assert "paxos" in message
         assert "algorithm2" in message
@@ -70,14 +62,14 @@ class TestErrorMessages:
 
     def test_unknown_lookup_is_a_value_error(self):
         with pytest.raises(ValueError):
-            get_channel("carrier_pigeon")
+            channels.get("carrier_pigeon")
         with pytest.raises(ValueError):
-            get_detector_setup("psychic")
+            detector_setups.get("psychic")
         with pytest.raises(ValueError):
-            get_workload("firehose")
+            workloads.get("firehose")
 
     def test_duplicate_registration_rejected(self):
-        spec = get_algorithm("algorithm1")
+        spec = algorithms.get("algorithm1")
         with pytest.raises(DuplicateComponentError) as excinfo:
             algorithms.register(spec)
         assert "already registered" in str(excinfo.value)
@@ -96,9 +88,45 @@ class TestRegistrationLifecycle:
         decorated = register_algorithm("tmp_decorated")(factory)
         try:
             assert decorated is factory
-            assert "tmp_decorated" in algorithm_names()
+            assert "tmp_decorated" in algorithms.names()
         finally:
             algorithms.unregister("tmp_decorated")
+
+    def test_decorator_sets_spec_fields_and_collects_extras(self):
+        def factory(scenario, index, env):
+            return BestEffortBroadcastProcess(env)
+
+        register_algorithm("tmp_fields", requires_majority=True,
+                           anonymous=False, broken=True)(factory)
+        try:
+            spec = algorithms.get("tmp_fields")
+            assert type(spec) is AlgorithmSpec
+            assert spec.factory is factory
+            assert spec.requires_majority and not spec.anonymous
+            assert dict(spec.extra) == {"broken": True}
+        finally:
+            algorithms.unregister("tmp_fields")
+
+    def test_decorator_refuses_a_duplicate_unless_replacing(self):
+        original = algorithms.get("best_effort")
+        with pytest.raises(DuplicateComponentError):
+            register_algorithm("best_effort")(original.factory)
+        assert algorithms.get("best_effort") is original
+
+    def test_every_registry_registers_through_its_decorator(self):
+        from repro.registry import all_registries
+
+        for registry in all_registries().values():
+            def factory(*args, **kwargs):
+                """A documented factory."""
+
+            registry.decorator("tmp_every")(factory)
+            try:
+                spec = registry.get("tmp_every")
+                assert type(spec) is registry.spec_type
+                assert spec.description == "A documented factory."
+            finally:
+                registry.unregister("tmp_every")
 
     def test_scoped_registration_restores_previous_state(self):
         spec = AlgorithmSpec(
@@ -110,12 +138,12 @@ class TestRegistrationLifecycle:
         assert "tmp_scoped" not in algorithms
 
     def test_scoped_replace_restores_original(self):
-        original = get_algorithm("best_effort")
+        original = algorithms.get("best_effort")
         override = AlgorithmSpec(name="best_effort", factory=original.factory,
                                  description="override")
         with algorithms.scoped(override, replace=True):
-            assert get_algorithm("best_effort").description == "override"
-        assert get_algorithm("best_effort") is original
+            assert algorithms.get("best_effort").description == "override"
+        assert algorithms.get("best_effort") is original
 
 
 class TestScenarioValidation:
@@ -173,7 +201,7 @@ class TestWorkloadPresets:
 
         register_workload("tmp_documented")(factory)
         try:
-            assert (get_workload("tmp_documented").description
+            assert (workloads.get("tmp_documented").description
                     == "A documented preset.")
         finally:
             workloads.unregister("tmp_documented")

@@ -29,7 +29,7 @@ from repro.experiments.export import scenario_result_to_dict
 from repro.experiments.runner import build_engine, default_scenario, run_scenario
 from repro.explore import replay_decisions
 from repro.network.loss import LossSpec
-from repro.registry import algorithm_names, engine_names, strategies
+from repro.registry import algorithms, engines, strategies
 from repro.simulation.hooks import DeliveryTimelineHook, SendBudgetHook
 from repro.simulation.metrics import MetricsCollector, MetricsLevel
 from repro.simulation.tracing import TraceLevel, TraceRecorder
@@ -58,8 +58,8 @@ def _assert_freed(trace_ref: weakref.ref) -> None:
     assert gc.collect() == 0, "a finished run left cyclic garbage behind"
 
 
-@pytest.mark.parametrize("engine", sorted(engine_names()))
-@pytest.mark.parametrize("algorithm", sorted(algorithm_names()))
+@pytest.mark.parametrize("engine", sorted(engines.names()))
+@pytest.mark.parametrize("algorithm", sorted(algorithms.names()))
 class TestEveryAlgorithmAndEngine:
     def test_full_trace_result_frees_itself(self, algorithm, engine):
         result = run_scenario(_scenario(algorithm, engine=engine))
@@ -166,7 +166,7 @@ def test_environment_outlives_its_engine_only_to_raise():
     assert gc.collect() == 0
 
 
-@pytest.mark.parametrize("engine", sorted(engine_names()))
+@pytest.mark.parametrize("engine", sorted(engines.names()))
 def test_result_pickles_without_its_engine(engine):
     """What a pool worker ships back: the n=8 Algorithm 2 Bernoulli
     FULL-trace grid cell was 639 kB while ``env._engine`` dragged the queue,

@@ -14,14 +14,14 @@ from repro.experiments.config import Scenario
 from repro.experiments.report import ExperimentArtifact, ExperimentResult
 from repro.failure_detectors.policies import DisseminationPolicy
 from repro.network.loss import LossSpec
-from repro.registry import algorithm_names
+from repro.registry import algorithms
 from repro.workloads.generators import SingleBroadcast
 
 
 class TestScenario:
     def test_defaults_are_valid(self):
         scenario = Scenario()
-        assert scenario.algorithm in algorithm_names()
+        assert scenario.algorithm in algorithms.names()
         assert scenario.n_processes >= 1
 
     def test_unknown_algorithm_rejected(self):
