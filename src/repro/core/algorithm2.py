@@ -33,7 +33,11 @@ from ..failure_detectors.base import FailureDetectorView
 from .interfaces import EnvironmentAPI
 from .messages import AckPayload, LabeledAckPayload, MsgPayload, TaggedMessage
 from .process_base import AnonymousProcess
-from .state import Algorithm2State
+from .state import Algorithm2State, carriers
+
+#: The label set of an unlabelled ``AckPayload`` (one object, so that a
+#: repeated one is recognised by identity like a labelled one).
+_NO_LABELS: frozenset = frozenset()
 
 
 class QuiescentUrbProcess(AnonymousProcess):
@@ -77,6 +81,9 @@ class QuiescentUrbProcess(AnonymousProcess):
         self.state = Algorithm2State()
         #: Number of messages retired from ``MSG`` by the quiescence rule.
         self.retired_count = 0
+        #: The ACK last built per message: re-sent while AΘ hands out the
+        #: same label-set object (its ``tag_ack`` never changes).
+        self._last_ack: dict[TaggedMessage, LabeledAckPayload] = {}
 
     # ------------------------------------------------------------------ #
     # URB_broadcast (lines 4-6)
@@ -103,15 +110,29 @@ class QuiescentUrbProcess(AnonymousProcess):
         # Lines 14/19: read the label set from AΘ at (re-)acknowledgement
         # time; repeated ACKs keep the same tag_ack but refresh the labels.
         labels = self.env.atheta().labels()
-        self.env.broadcast(LabeledAckPayload(message, ack_tag, labels))
+        ack = self._last_ack.get(message)
+        if ack is None or ack.labels is not labels:
+            ack = self._last_ack[message] = LabeledAckPayload(
+                message, ack_tag, labels)
+        self.env.broadcast(ack)
 
     # ------------------------------------------------------------------ #
     # receive (ACK, m, tag, tag_ack, labels)  (lines 22-51)
     # ------------------------------------------------------------------ #
     def _on_ack(self, payload: Union[AckPayload, LabeledAckPayload]) -> None:
         message = payload.message
-        labels = getattr(payload, "labels", frozenset())
-        self.state.record_labeled_ack(message, payload.ack_tag, labels)
+        labels = getattr(payload, "labels", _NO_LABELS)
+        state = self.state
+        records = state.ack_records.get(message)
+        if records is not None:
+            record = records.get(payload.ack_tag)
+            # A repeat of the label set on record changes nothing once
+            # delivered.  Before delivery it still reaches _try_deliver:
+            # the AΘ view may have changed to one the count already meets.
+            if (record is not None and record.labels is labels
+                    and state.is_delivered(message)):
+                return
+        state.record_labeled_ack(message, payload.ack_tag, labels)
         self._try_deliver(message)
 
     def _try_deliver(self, message: TaggedMessage) -> None:
@@ -131,9 +152,9 @@ class QuiescentUrbProcess(AnonymousProcess):
         # record, so below the view's smallest number no pair can match.
         if len(state.ack_records.get(message, ())) < view.min_number:
             return False
-        counters = state.label_counter.get(message, {})
+        sets = state.label_sets.get(message, {})
         for pair in view:
-            if self._satisfies(counters.get(pair.label, 0), pair.number):
+            if self._satisfies(carriers(sets, pair.label), pair.number):
                 return True
         return False
 
@@ -162,11 +183,12 @@ class QuiescentUrbProcess(AnonymousProcess):
             # conclude that every correct process has acknowledged; keep
             # retransmitting (conservative — affects only liveness).
             return False
-        counters = self.state.label_counter.get(message, {})
+        state = self.state
+        sets = state.label_sets.get(message, {})
         for pair in ap_view:
-            if not self._satisfies(counters.get(pair.label, 0), pair.number):
+            if not self._satisfies(carriers(sets, pair.label), pair.number):
                 return False
-        union = self.state.labels_union(message)
+        union = state.labels_union(message)
         ap_labels = ap_view.labels()
         if self.strict_equality:
             return union == ap_labels

@@ -8,7 +8,7 @@ The paper's algorithms manage a handful of local sets per process:
 * ``ALL_ACK_i`` — acknowledgements received from anyone,
 
 plus, for Algorithm 2, the per-message label bookkeeping
-(``label_counter_i`` and ``all_labels_i``).
+(``all_labels_i``, and ``label_counter_i`` kept as a count per label set).
 
 The containers below encapsulate those sets with the exact update rules the
 algorithms need, so the algorithm classes read like the paper's pseudocode
@@ -238,6 +238,16 @@ class PayloadInterner:
         return self._mid_of.setdefault(message, len(self._mid_of))
 
 
+def carriers(sets: Mapping[frozenset[Label], int], label: Label) -> int:
+    """How many acknowledgers carry *label*, given one message's count of
+    acknowledgers per label set: the paper's ``label_counter``."""
+    count = 0
+    for labels, carrying in sets.items():
+        if label in labels:
+            count += carrying
+    return count
+
+
 class Algorithm2State(Algorithm1State):
     """Local state of Algorithm 2 (paper §VI).
 
@@ -245,19 +255,22 @@ class Algorithm2State(Algorithm1State):
 
     * ``ack_records[msg][tag_ack]`` — the paper's ``all_labels_i[(m, tag),
       tag_ack]``: the label set most recently carried by that ``tag_ack``.
-    * ``label_counter[msg][label]`` — the paper's
-      ``label_counter_i[(m, tag), label]``: how many distinct ``tag_ack``
-      entries currently carry that label.
+    * ``label_sets[msg][labels]`` — how many distinct ``tag_ack`` entries
+      currently carry exactly the label set ``labels`` (no zero entries).
+      The paper's ``label_counter_i[(m, tag), label]`` is the sum of the
+      counts of the sets containing ``label`` (:meth:`label_count`); it is
+      computed where it is read instead of being stored per label, because
+      acknowledgers reading one detector view carry one shared set, so a
+      first ACK is one increment rather than one per label (DESIGN.md §3.4).
 
-    The class maintains the invariant that the counter equals the number of
-    records containing the label; :meth:`check_counter_invariant` verifies it
-    (used by property-based tests).
+    :meth:`check_counter_invariant` verifies the set counts against the
+    records (used by property-based tests).
     """
 
     def __init__(self) -> None:
         super().__init__()
         self.ack_records: dict[TaggedMessage, dict[Tag, AckRecord]] = {}
-        self.label_counter: dict[TaggedMessage, dict[Label, int]] = {}
+        self.label_sets: dict[TaggedMessage, dict[frozenset[Label], int]] = {}
 
     # -- ACK bookkeeping (lines 22–45) ------------------------------------ #
     def record_labeled_ack(
@@ -267,8 +280,9 @@ class Algorithm2State(Algorithm1State):
 
         Implements lines 23–45 of Algorithm 2 with the evident intent of the
         (garbled) "fewer labels" branch: for a repeated ``tag_ack``, labels
-        newly present are added and counted, labels no longer present are
-        removed and un-counted (see DESIGN.md §3.4).
+        newly present are counted and labels no longer present un-counted,
+        which here is moving the acknowledger from its old label set's count
+        to its new one's (see DESIGN.md §3.4).
 
         Returns ``True`` if this ``tag_ack`` was new for *message*.
         """
@@ -276,59 +290,51 @@ class Algorithm2State(Algorithm1State):
         records = self.ack_records.get(message)
         if records is None:
             records = self.ack_records[message] = {}
-            counters = self.label_counter[message] = {}
+            sets = self.label_sets[message] = {}
         else:
-            counters = self.label_counter[message]
+            sets = self.label_sets[message]
         record = records.get(ack_tag)
         if record is None:
             # Lines 27-32: first ACK from this (anonymous) acknowledger.
             records[ack_tag] = AckRecord(ack_tag=ack_tag, labels=labels)
-            for label in labels:
-                counters[label] = counters.get(label, 0) + 1
+            sets[labels] = sets.get(labels, 0) + 1
             # Keep ALL_ACK coherent with Algorithm 1's bookkeeping.
             super().record_ack(message, ack_tag)
             return True
         # Lines 33-45: repeated ACK from the same acknowledger, possibly with
         # an updated label set read from a converging AΘ.
         old_labels = record.labels
+        record.labels = labels
         if old_labels is labels or old_labels == labels:
             # By far the dominant repeat case (a stable detector view keeps
-            # handing out the identical label set); skip the reconciliation
-            # set algebra entirely.
-            record.labels = labels
+            # handing out the identical label set): nothing to reconcile.
             return False
-        added = labels - old_labels
-        removed = old_labels - labels
-        for label in added:
-            counters[label] = counters.get(label, 0) + 1
-        for label in removed:
-            remaining = counters.get(label, 0) - 1
-            if remaining > 0:
-                counters[label] = remaining
-            else:
-                counters.pop(label, None)
-        record.labels = labels
+        remaining = sets[old_labels] - 1
+        if remaining:
+            sets[old_labels] = remaining
+        else:
+            del sets[old_labels]
+        sets[labels] = sets.get(labels, 0) + 1
         return False
 
     # -- queries used by the delivery / quiescence conditions ------------- #
     def counter_for(self, message: TaggedMessage) -> Mapping[Label, int]:
-        """Current ``label_counter`` row for *message* (read-only view)."""
-        return dict(self.label_counter.get(message, {}))
+        """The ``label_counter`` row for *message* (a fresh dict)."""
+        counters: dict[Label, int] = {}
+        for labels, count in self.label_sets.get(message, {}).items():
+            for label in labels:
+                counters[label] = counters.get(label, 0) + count
+        return counters
 
     def label_count(self, message: TaggedMessage, label: Label) -> int:
-        """Current count of *label* for *message* (0 when never seen)."""
-        return self.label_counter.get(message, {}).get(label, 0)
+        """The paper's ``label_counter`` of *label* for *message*: how many
+        acknowledgers currently carry it (0 when never seen)."""
+        return carriers(self.label_sets.get(message, {}), label)
 
     def labels_union(self, message: TaggedMessage) -> frozenset[Label]:
         """Union of the label sets across all recorded ACKs of *message*
         (the paper's ``all_labels_i[(m, tag), −]`` read as a union)."""
-        records = self.ack_records.get(message)
-        if not records:
-            return frozenset()
-        result: set[Label] = set()
-        for record in records.values():
-            result.update(record.labels)
-        return frozenset(result)
+        return frozenset().union(*self.label_sets.get(message, ()))
 
     def ack_tags_for(self, message: TaggedMessage) -> frozenset[Tag]:
         """Distinct ``tag_ack`` values recorded for *message*."""
@@ -336,17 +342,17 @@ class Algorithm2State(Algorithm1State):
 
     # -- invariants -------------------------------------------------------- #
     def check_counter_invariant(self, message: TaggedMessage) -> bool:
-        """Verify ``label_counter`` equals the recount from ``ack_records``."""
-        records = self.ack_records.get(message, {})
-        recount: dict[Label, int] = {}
-        for record in records.values():
-            for label in record.labels:
-                recount[label] = recount.get(label, 0) + 1
-        return recount == self.label_counter.get(message, {})
+        """Verify ``label_sets`` equals the recount from ``ack_records``
+        (which also rules out zero entries)."""
+        recount: dict[frozenset[Label], int] = {}
+        for record in self.ack_records.get(message, {}).values():
+            recount[record.labels] = recount.get(record.labels, 0) + 1
+        return recount == self.label_sets.get(message, {})
 
     def summary(self) -> dict[str, int]:
         """Sizes of the state containers (debugging and tests)."""
         base = super().summary()
         base["ack_records"] = sum(len(v) for v in self.ack_records.values())
-        base["counted_labels"] = sum(len(v) for v in self.label_counter.values())
+        base["counted_labels"] = sum(
+            len(self.labels_union(message)) for message in self.label_sets)
         return base

@@ -85,9 +85,10 @@ def observable(process, env):
         snapshot["ack_records"] = [
             (m, [(tag, record.labels) for tag, record in records.items()])
             for m, records in state.ack_records.items()]
-        snapshot["label_counter"] = [
-            (m, list(counters.items()))
-            for m, counters in state.label_counter.items()]
+        snapshot["label_sets"] = [
+            (m, list(sets.items())) for m, sets in state.label_sets.items()]
+        snapshot["counters"] = [
+            (m, state.counter_for(m)) for m in state.label_sets]
         snapshot["retired"] = process.retired_count
     return snapshot
 

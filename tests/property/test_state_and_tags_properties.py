@@ -5,9 +5,12 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.messages import TaggedMessage
+from helpers import FakeEnvironment
+from repro.core.algorithm2 import QuiescentUrbProcess
+from repro.core.messages import AckPayload, LabeledAckPayload, TaggedMessage
 from repro.core.state import Algorithm2State, MessageSet
 from repro.core.tags import TagGenerator
+from repro.failure_detectors.base import FailureDetectorView, FDPair
 from repro.failure_detectors.labels import Label
 
 # Small universes keep shrinking effective while still covering the
@@ -15,6 +18,10 @@ from repro.failure_detectors.labels import Label
 LABELS = [Label(i) for i in range(1, 6)]
 ACK_TAGS = list(range(1, 6))
 MESSAGE = TaggedMessage("m", 1)
+
+#: Shared label-set objects, as detector views hand them out.
+LABEL_SETS = [frozenset(), frozenset(LABELS[:1]), frozenset(LABELS[:3]),
+              frozenset(LABELS[2:]), frozenset(LABELS)]
 
 ack_event = st.tuples(
     st.sampled_from(ACK_TAGS),
@@ -70,6 +77,40 @@ class TestAlgorithm2StateProperties:
         for record in state.ack_records.get(MESSAGE, {}).values():
             expected |= record.labels
         assert state.labels_union(MESSAGE) == frozenset(expected)
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(ACK_TAGS),
+        st.none() | st.sampled_from(LABEL_SETS),
+        st.booleans(),
+    ), max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_set_counts_match_records_through_the_handler(self, events):
+        """ACKs fed to Algorithm 2 itself — first, repeated (the very label
+        set object, or an equal copy), label-changing and unlabelled — keep
+        the per-set counts equal to what the records say, before and after
+        the message is delivered."""
+        env = FakeEnvironment(
+            atheta_view=FailureDetectorView([FDPair(LABELS[0], 2)]))
+        process = QuiescentUrbProcess(env)
+        state = process.state
+        for ack_tag, labels, copy in events:
+            if labels is None:
+                payload = AckPayload(MESSAGE, ack_tag)
+            else:
+                payload = LabeledAckPayload(
+                    MESSAGE, ack_tag, frozenset(list(labels)) if copy else labels)
+            process.on_receive(payload)
+            records = state.ack_records.get(MESSAGE, {})
+            recount = {}
+            for record in records.values():
+                for label in record.labels:
+                    recount[label] = recount.get(label, 0) + 1
+            assert state.counter_for(MESSAGE) == recount
+            assert state.labels_union(MESSAGE) == frozenset().union(
+                *(record.labels for record in records.values()))
+            counts = state.label_sets.get(MESSAGE, {}).values()
+            assert sum(counts) == len(records)
+            assert 0 not in counts
 
 
 class TestMessageSetProperties:

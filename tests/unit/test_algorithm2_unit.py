@@ -55,6 +55,19 @@ class TestOnMsg:
         assert acks[0].labels == frozenset({L1})
         assert acks[1].labels == frozenset({L1, L2})
 
+    def test_repeated_msg_resends_the_same_ack_until_the_view_changes(self):
+        process, env = make_process(atheta=view((L1, 2)))
+        message = TaggedMessage("m", 1)
+        process.on_receive(MsgPayload(message))
+        process.on_receive(MsgPayload(message))
+        env.atheta_view = view((L1, 2), (L2, 2))
+        process.on_receive(MsgPayload(message))
+        first, second, third = env.broadcasts_of_kind("ACK")
+        assert second is first
+        assert third is not first
+        assert third.ack_tag == first.ack_tag
+        assert third.labels == frozenset({L1, L2})
+
     def test_already_delivered_message_not_readded_to_msg_set(self):
         process, env = make_process(atheta=view((L1, 1)))
         message = TaggedMessage("m", 1)
@@ -97,6 +110,22 @@ class TestDeliveryCondition:
         process.on_receive(LabeledAckPayload(message, 10, frozenset({L1})))
         process.on_receive(LabeledAckPayload(message, 11, frozenset({L1})))
         assert len(env.deliveries) == 1
+
+    def test_repeated_ack_delivers_once_the_view_is_met(self):
+        # The repeat carries the label set on record, so it reconciles
+        # nothing; it still delivers, because the new view's number is one
+        # the count already meets.
+        process, env = make_process(atheta=view((L1, 3)))
+        message = TaggedMessage("m", 1)
+        labels = frozenset({L1})
+        first = LabeledAckPayload(message, 10, labels)
+        process.on_receive(first)
+        process.on_receive(LabeledAckPayload(message, 11, labels))
+        assert env.deliveries == []
+        env.atheta_view = view((L1, 2))
+        process.on_receive(first)
+        assert env.deliveries == [message]
+        assert process.state.label_count(message, L1) == 2
 
     def test_strict_equality_mode_requires_exact_count(self):
         process, env = make_process(atheta=view((L1, 2)), strict_equality=True)

@@ -10,9 +10,13 @@ comparing full digests.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.experiments.config import Scenario
+from repro.experiments.parity import parity_cases, run_fingerprint
 from repro.experiments.runner import build_engine
 from repro.network.delay import DelaySpec
 from repro.network.loss import LossSpec
@@ -203,3 +207,36 @@ class TestPinnedFullTraceDigests:
     def test_digest_and_length_are_the_pinned_ones(self, algorithm):
         trace = run_engine(pinned_scenario(algorithm)).trace
         assert (trace.digest(), len(trace)) == PINNED_FULL_TRACES[algorithm]
+
+
+#: SHA-256 prefix of the reference engine's ``run_fingerprint`` of every
+#: Algorithm 2 case of ``parity_cases()``, recorded at the last commit that
+#: stored ``label_counter`` one label at a time.  Parity cannot see a change
+#: to the protocol's own bookkeeping (both engines run the same handlers):
+#: a bookkeeping change that moves any of these changed what the protocol
+#: does, not just how it keeps count.
+PINNED_ALGORITHM2_FINGERPRINTS = {
+    "bernoulli-uniform": "2b03857764641a1a",
+    "noloss-uniform": "bd9d478465838e4e",
+    "bernoulli-fixed": "9112092997823ef6",
+    "bernoulli-exponential": "1f386ae22c6c0fcd",
+    "heavy-loss-guard": "d03d5ec23e59af7e",
+    "all-drop": "7fd1223a096a2831",
+    "crashes-mid-run": "94b3f35382c9188c",
+    "staggered-learning": "dee2b9986e52283a",
+    "reliable": "bd9d478465838e4e",
+    "quasi-reliable": "2d5dd52c40eedbb1",
+    "strict-equality": "2b03857764641a1a",
+    "strict-equality-crashes": "94b3f35382c9188c",
+    "unstable-view-windows": "6fff01523085d265",
+}
+
+
+@pytest.mark.parametrize("case", [
+    case for case in parity_cases() if case.algorithm == "algorithm2"
+], ids=lambda case: case.name)
+def test_reference_fingerprint_is_the_pinned_one(case):
+    run = run_fingerprint(case, "reference")
+    encoded = json.dumps(run.fingerprint, sort_keys=True).encode("utf-8")
+    assert (hashlib.sha256(encoded).hexdigest()[:16]
+            == PINNED_ALGORITHM2_FINGERPRINTS[case.name])
