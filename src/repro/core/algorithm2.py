@@ -27,17 +27,14 @@ restores literal ``=`` / ``=``; ablation E10 compares both).
 
 from __future__ import annotations
 
-from typing import Any, Union
+from typing import Any, Optional, Union
 
 from ..failure_detectors.base import FailureDetectorView
+from ..failure_detectors.labels import Label
 from .interfaces import EnvironmentAPI
 from .messages import AckPayload, LabeledAckPayload, MsgPayload, TaggedMessage
 from .process_base import AnonymousProcess
 from .state import Algorithm2State, carriers
-
-#: The label set of an unlabelled ``AckPayload`` (one object, so that a
-#: repeated one is recognised by identity like a labelled one).
-_NO_LABELS: frozenset = frozenset()
 
 
 class QuiescentUrbProcess(AnonymousProcess):
@@ -84,6 +81,9 @@ class QuiescentUrbProcess(AnonymousProcess):
         #: The ACK last built per message: re-sent while AΘ hands out the
         #: same label-set object (its ``tag_ack`` never changes).
         self._last_ack: dict[TaggedMessage, LabeledAckPayload] = {}
+        #: The AΘ view under which each undelivered message last failed the
+        #: delivery condition.
+        self._failed_under: dict[TaggedMessage, FailureDetectorView] = {}
 
     # ------------------------------------------------------------------ #
     # URB_broadcast (lines 4-6)
@@ -121,40 +121,47 @@ class QuiescentUrbProcess(AnonymousProcess):
     # ------------------------------------------------------------------ #
     def _on_ack(self, payload: Union[AckPayload, LabeledAckPayload]) -> None:
         message = payload.message
-        labels = getattr(payload, "labels", _NO_LABELS)
-        state = self.state
-        records = state.ack_records.get(message)
-        if records is not None:
-            record = records.get(payload.ack_tag)
-            # A repeat of the label set on record changes nothing once
-            # delivered.  Before delivery it still reaches _try_deliver:
-            # the AΘ view may have changed to one the count already meets.
-            if (record is not None and record.labels is labels
-                    and state.is_delivered(message)):
-                return
-        state.record_labeled_ack(message, payload.ack_tag, labels)
-        self._try_deliver(message)
+        labels = getattr(payload, "labels", frozenset())
+        old = self.state.record_labeled_ack(message, payload.ack_tag, labels)
+        self._try_deliver(message, old, labels)
 
-    def _try_deliver(self, message: TaggedMessage) -> None:
-        """Delivery condition, lines 46-51."""
+    def _try_deliver(self, message: TaggedMessage,
+                     old: Optional[frozenset[Label]],
+                     labels: frozenset[Label]) -> None:
+        """Delivery condition, lines 46-51, after an acknowledger's label
+        set went from *old* (``None``: a first ACK) to *labels*."""
         if self.state.is_delivered(message):
             return
         view = self.env.atheta()
-        if self._delivery_condition(message, view):
+        failed = self._failed_under.get(message)
+        only = None
+        if failed is not None and (view is failed or view == failed):
+            # It failed under these pairs, and since then only the counters
+            # of the labels the acknowledger added or dropped have moved.
+            if old is labels:
+                return
+            only = labels if old is None else old ^ labels
+        if self._delivery_condition(message, view, only):
+            self._failed_under.pop(message, None)
             self.state.mark_delivered(message)          # line 48
             self._record_delivery(message)              # line 49
+        else:
+            self._failed_under[message] = view
 
     def _delivery_condition(self, message: TaggedMessage,
-                            view: FailureDetectorView) -> bool:
-        """∃ (label, number) ∈ a_theta with counter[label] (==|>=) number."""
+                            view: FailureDetectorView,
+                            only: Optional[frozenset[Label]] = None) -> bool:
+        """∃ (label, number) ∈ a_theta with counter[label] (==|>=) number,
+        among the pairs of the labels *only* when given."""
         state = self.state
         # A label's counter never exceeds the number of acknowledgers on
         # record, so below the view's smallest number no pair can match.
         if len(state.ack_records.get(message, ())) < view.min_number:
             return False
         sets = state.label_sets.get(message, {})
-        for pair in view:
-            if self._satisfies(carriers(sets, pair.label), pair.number):
+        labels = view.labels()
+        for label in labels if only is None else labels & only:
+            if self._satisfies(carriers(sets, label), view.number_for(label)):
                 return True
         return False
 
@@ -183,12 +190,11 @@ class QuiescentUrbProcess(AnonymousProcess):
             # conclude that every correct process has acknowledged; keep
             # retransmitting (conservative — affects only liveness).
             return False
-        state = self.state
-        sets = state.label_sets.get(message, {})
+        sets = self.state.label_sets.get(message, {})
         for pair in ap_view:
             if not self._satisfies(carriers(sets, pair.label), pair.number):
                 return False
-        union = state.labels_union(message)
+        union = self.state.labels_union(message)
         ap_labels = ap_view.labels()
         if self.strict_equality:
             return union == ap_labels

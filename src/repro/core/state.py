@@ -258,13 +258,9 @@ class Algorithm2State(Algorithm1State):
     * ``label_sets[msg][labels]`` — how many distinct ``tag_ack`` entries
       currently carry exactly the label set ``labels`` (no zero entries).
       The paper's ``label_counter_i[(m, tag), label]`` is the sum of the
-      counts of the sets containing ``label`` (:meth:`label_count`); it is
-      computed where it is read instead of being stored per label, because
-      acknowledgers reading one detector view carry one shared set, so a
-      first ACK is one increment rather than one per label (DESIGN.md §3.4).
-
-    :meth:`check_counter_invariant` verifies the set counts against the
-    records (used by property-based tests).
+      counts of the sets containing ``label`` (:func:`carriers`), computed
+      where it is read: acknowledgers reading one detector view carry one
+      shared set, so a first ACK is one increment (DESIGN.md §3.4).
     """
 
     def __init__(self) -> None:
@@ -275,7 +271,7 @@ class Algorithm2State(Algorithm1State):
     # -- ACK bookkeeping (lines 22–45) ------------------------------------ #
     def record_labeled_ack(
         self, message: TaggedMessage, ack_tag: Tag, labels: frozenset[Label]
-    ) -> bool:
+    ) -> Optional[frozenset[Label]]:
         """Record an ACK carrying *labels*; reconcile repeats.
 
         Implements lines 23–45 of Algorithm 2 with the evident intent of the
@@ -284,7 +280,8 @@ class Algorithm2State(Algorithm1State):
         which here is moving the acknowledger from its old label set's count
         to its new one's (see DESIGN.md §3.4).
 
-        Returns ``True`` if this ``tag_ack`` was new for *message*.
+        Returns the label set this ``tag_ack`` carried before, ``None`` if
+        it is new for *message*.
         """
         labels = frozenset(labels)
         records = self.ack_records.get(message)
@@ -300,7 +297,7 @@ class Algorithm2State(Algorithm1State):
             sets[labels] = sets.get(labels, 0) + 1
             # Keep ALL_ACK coherent with Algorithm 1's bookkeeping.
             super().record_ack(message, ack_tag)
-            return True
+            return None
         # Lines 33-45: repeated ACK from the same acknowledger, possibly with
         # an updated label set read from a converging AΘ.
         old_labels = record.labels
@@ -308,14 +305,14 @@ class Algorithm2State(Algorithm1State):
         if old_labels is labels or old_labels == labels:
             # By far the dominant repeat case (a stable detector view keeps
             # handing out the identical label set): nothing to reconcile.
-            return False
+            return old_labels
         remaining = sets[old_labels] - 1
         if remaining:
             sets[old_labels] = remaining
         else:
             del sets[old_labels]
         sets[labels] = sets.get(labels, 0) + 1
-        return False
+        return old_labels
 
     # -- queries used by the delivery / quiescence conditions ------------- #
     def counter_for(self, message: TaggedMessage) -> Mapping[Label, int]:
@@ -327,8 +324,7 @@ class Algorithm2State(Algorithm1State):
         return counters
 
     def label_count(self, message: TaggedMessage, label: Label) -> int:
-        """The paper's ``label_counter`` of *label* for *message*: how many
-        acknowledgers currently carry it (0 when never seen)."""
+        """The paper's ``label_counter`` of *label* for *message*."""
         return carriers(self.label_sets.get(message, {}), label)
 
     def labels_union(self, message: TaggedMessage) -> frozenset[Label]:
@@ -342,8 +338,7 @@ class Algorithm2State(Algorithm1State):
 
     # -- invariants -------------------------------------------------------- #
     def check_counter_invariant(self, message: TaggedMessage) -> bool:
-        """Verify ``label_sets`` equals the recount from ``ack_records``
-        (which also rules out zero entries)."""
+        """Verify ``label_sets`` equals the recount from ``ack_records``."""
         recount: dict[frozenset[Label], int] = {}
         for record in self.ack_records.get(message, {}).values():
             recount[record.labels] = recount.get(record.labels, 0) + 1

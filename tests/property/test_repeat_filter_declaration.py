@@ -90,6 +90,7 @@ def observable(process, env):
         snapshot["counters"] = [
             (m, state.counter_for(m)) for m in state.label_sets]
         snapshot["retired"] = process.retired_count
+        snapshot["failed_under"] = list(process._failed_under.items())
     return snapshot
 
 

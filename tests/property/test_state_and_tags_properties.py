@@ -23,6 +23,17 @@ MESSAGE = TaggedMessage("m", 1)
 LABEL_SETS = [frozenset(), frozenset(LABELS[:1]), frozenset(LABELS[:3]),
               frozenset(LABELS[2:]), frozenset(LABELS)]
 
+#: View objects as detectors hand them out: shared between changes, and
+#: (the last) an equal but distinct object, as a detector that builds a
+#: fresh view per query returns.
+VIEWS = [
+    FailureDetectorView([FDPair(LABELS[0], 3), FDPair(LABELS[2], 3)]),
+    FailureDetectorView([FDPair(LABELS[0], 2)]),
+    FailureDetectorView([FDPair(label, 4) for label in LABELS]),
+    FailureDetectorView([FDPair(LABELS[3], 1), FDPair(LABELS[4], 2)]),
+    FailureDetectorView([FDPair(LABELS[0], 3), FDPair(LABELS[2], 3)]),
+]
+
 ack_event = st.tuples(
     st.sampled_from(ACK_TAGS),
     st.frozensets(st.sampled_from(LABELS), max_size=len(LABELS)),
@@ -111,6 +122,34 @@ class TestAlgorithm2StateProperties:
             counts = state.label_sets.get(MESSAGE, {}).values()
             assert sum(counts) == len(records)
             assert 0 not in counts
+
+    @given(st.booleans(), st.lists(st.one_of(
+        st.tuples(st.sampled_from(ACK_TAGS), st.sampled_from(LABEL_SETS)),
+        st.sampled_from(range(len(VIEWS))),
+    ), max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_delivery_is_the_full_condition_at_some_ack(self, strict, steps):
+        """The handler re-checks only the labels an ACK moved while the view
+        that last failed is unchanged; it must still deliver at exactly the
+        first ACK after which the paper's condition holds in full."""
+        env = FakeEnvironment(atheta_view=VIEWS[0])
+        process = QuiescentUrbProcess(env, strict_equality=strict)
+        records = {}
+        expected = False
+        for step in steps:
+            if isinstance(step, int):
+                env.atheta_view = VIEWS[step]
+                continue
+            ack_tag, labels = step
+            process.on_receive(LabeledAckPayload(MESSAGE, ack_tag, labels))
+            records[ack_tag] = labels
+            for pair in env.atheta_view:
+                count = sum(pair.label in carried
+                            for carried in records.values())
+                if count == pair.number or (not strict
+                                            and count > pair.number):
+                    expected = True
+            assert process.state.is_delivered(MESSAGE) == expected
 
 
 class TestMessageSetProperties:

@@ -127,6 +127,31 @@ class TestDeliveryCondition:
         assert env.deliveries == [message]
         assert process.state.label_count(message, L1) == 2
 
+    def test_label_changing_repeat_delivers_under_the_view_that_failed(self):
+        # Both labels at 1 of 2 fail; acker 11 adding L1 moves only L1's
+        # counter, which meets its pair under the unchanged view.
+        process, env = make_process(atheta=view((L1, 2), (L2, 2)))
+        message = TaggedMessage("m", 1)
+        process.on_receive(LabeledAckPayload(message, 10, frozenset({L1})))
+        process.on_receive(LabeledAckPayload(message, 11, frozenset({L2})))
+        assert env.deliveries == []
+        process.on_receive(LabeledAckPayload(message, 11, frozenset({L1, L2})))
+        assert env.deliveries == [message]
+
+    def test_strict_equality_delivers_when_a_counter_drops_to_the_number(self):
+        # Under ``==`` a label leaving a set can satisfy a pair: L1 at 3
+        # overshoots the new view's number 2 until acker 12 drops it.
+        process, env = make_process(atheta=view((L1, 4)), strict_equality=True)
+        message = TaggedMessage("m", 1)
+        for ack_tag in (10, 11, 12):
+            process.on_receive(
+                LabeledAckPayload(message, ack_tag, frozenset({L1})))
+        env.atheta_view = view((L1, 2))
+        process.on_receive(LabeledAckPayload(message, 12, frozenset({L1})))
+        assert env.deliveries == []
+        process.on_receive(LabeledAckPayload(message, 12, frozenset({L2})))
+        assert env.deliveries == [message]
+
     def test_strict_equality_mode_requires_exact_count(self):
         process, env = make_process(atheta=view((L1, 2)), strict_equality=True)
         message = TaggedMessage("m", 1)

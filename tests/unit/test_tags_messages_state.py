@@ -256,7 +256,7 @@ class TestAlgorithm2State:
         state = Algorithm2State()
         message = TaggedMessage("m", 1)
         labels = frozenset({Label(1), Label(2)})
-        assert state.record_labeled_ack(message, 10, labels) is True
+        assert state.record_labeled_ack(message, 10, labels) is None
         assert state.label_count(message, Label(1)) == 1
         assert state.label_count(message, Label(2)) == 1
         assert state.distinct_ack_count(message) == 1
@@ -266,7 +266,7 @@ class TestAlgorithm2State:
         message = TaggedMessage("m", 1)
         labels = frozenset({Label(1)})
         state.record_labeled_ack(message, 10, labels)
-        assert state.record_labeled_ack(message, 10, labels) is False
+        assert state.record_labeled_ack(message, 10, labels) is labels
         assert state.label_count(message, Label(1)) == 1
 
     def test_repeated_ack_with_more_labels(self):
