@@ -1,0 +1,116 @@
+#!/usr/bin/env python
+"""Alternating parent/change pairs of one end-to-end workload.
+
+Usage::
+
+    python scripts/pairs.py PARENT CHANGE --workload NAME \\
+        [--pairs 10] [--seed 1234] [--seconds 18]
+
+PARENT and CHANGE are two checkouts of the repository.  The script first
+deletes every ``__pycache__`` in both, so that neither side starts with
+compiled bytecode the other lacks.  It then makes ``--pairs`` pairs of
+runs of ``benchmarks/e2e/run.py --workload NAME --trace 0``, each run in a
+fresh interpreter from its own checkout, the two sides taking turns to go
+first.  It prints one markdown row per end-to-end metric of
+``BENCHMARK.json``: the parent's median, the change's median, their ratio,
+in how many pairs the change was better, and the parent's interquartile
+range.  It exits non-zero if any run reported ``correct: false``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+from typing import Any
+
+SIDES = ("parent", "change")
+
+
+def clear_bytecode(tree: Path) -> None:
+    for cache in list(tree.rglob("__pycache__")):
+        shutil.rmtree(cache, ignore_errors=True)
+
+
+def run_once(tree: Path, workload: str, seed: int,
+             seconds: int) -> dict[str, Any]:
+    """One run of *tree*'s end-to-end benchmark: its JSON result line."""
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        raise SystemExit(f"{tree}: run.py exited with code "
+                         f"{proc.returncode}\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def iqr(values: list[float]) -> float:
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+def table(metrics: list[dict[str, Any]],
+          runs: dict[str, list[dict[str, Any]]]) -> list[str]:
+    """One markdown row per metric of *metrics* over the paired *runs*."""
+    rows = ["| metric | parent median | change median | ratio "
+            "| change better | parent IQR |", "|---|---|---|---|---|---|"]
+    for metric in metrics:
+        name = metric["name"]
+        parent, change = ([run["metrics"][name]["value"] for run in runs[side]]
+                          for side in SIDES)
+        lower = metric["better"] == "lower"
+        better = sum((c < p) if lower else (c > p)
+                     for p, c in zip(parent, change))
+        p_median = statistics.median(parent)
+        c_median = statistics.median(change)
+        ratio = c_median / p_median if p_median else float("nan")
+        rows.append(f"| {name} | {p_median:.6g} | {c_median:.6g} "
+                    f"| {ratio:.3f} | {better}/{len(parent)} "
+                    f"| {iqr(parent):.3g} |")
+    return rows
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1234)
+    parser.add_argument("--seconds", type=int, default=18)
+    args = parser.parse_args(argv)
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for tree in trees.values():
+        clear_bytecode(tree)
+    runs: dict[str, list[dict[str, Any]]] = {side: [] for side in SIDES}
+    for pair in range(args.pairs):
+        for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+            result = run_once(trees[side], args.workload, args.seed,
+                              args.seconds)
+            runs[side].append(result)
+            print(f"pair {pair + 1} {side}: " + " ".join(
+                f"{name}={entry['value']:.6g}"
+                for name, entry in result["metrics"].items()),
+                  file=sys.stderr, flush=True)
+    declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    print(f"{args.workload}, seed {args.seed}, --seconds {args.seconds}, "
+          f"{args.pairs} pairs")
+    print("\n".join(table(declared["end_to_end"], runs)))
+    incorrect = [side for side in SIDES
+                 for run in runs[side] if not run["correct"]]
+    if incorrect:
+        print(f"incorrect output: {len(incorrect)} run(s) "
+              f"({', '.join(sorted(set(incorrect)))})")
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -51,7 +51,7 @@ class MajorityUrbProcess(AnonymousProcess):
     name = "algorithm1"
 
     #: A repeated ``tag_ack`` leaves ``ALL_ACK`` alone (``record_ack``) and
-    #: the threshold test below finds the message already delivered.
+    #: ``_on_ack`` returns on it at once, delivered or not.
     repeated_ack_is_noop_once_delivered = True
 
     def __init__(
@@ -72,6 +72,9 @@ class MajorityUrbProcess(AnonymousProcess):
             raise ValueError("majority_threshold must be positive")
         self.majority_threshold = majority_threshold
         self.state = Algorithm1State()
+        #: The ACK built at the first reception of each message, re-sent on
+        #: every later one: it holds ``m`` exactly when ``MY_ACK`` does.
+        self._last_ack: dict[TaggedMessage, AckPayload] = {}
 
     # ------------------------------------------------------------------ #
     # URB_broadcast (lines 4-6)
@@ -90,23 +93,29 @@ class MajorityUrbProcess(AnonymousProcess):
     # ------------------------------------------------------------------ #
     def _on_msg(self, payload: MsgPayload) -> None:
         message = payload.message
-        if message not in self.state.msg_set:          # lines 8-10
-            self.state.add_message(message)
-        ack_tag = self.state.my_ack_for(message)
-        if ack_tag is None:                            # lines 13-16
-            ack_tag = self._new_tag()                  # line 14
-            self.state.set_my_ack(message, ack_tag)    # line 15
+        ack = self._last_ack.get(message)
+        if ack is None:                                # m not in MY_ACK
+            if message not in self.state.msg_set:      # lines 8-10
+                self.state.add_message(message)
+            ack_tag = self._new_tag()                  # lines 13-16
+            self.state.set_my_ack(message, ack_tag)
+            ack = self._last_ack[message] = AckPayload(message, ack_tag)
         # Re-broadcasting the *identical* acknowledgement on every reception
         # (lines 11-12 / 16) overcomes message loss on the fair lossy
-        # channels.
-        self.env.broadcast(AckPayload(message, ack_tag))
+        # channels; a repeat finds ``m`` already in MSG (never retired here),
+        # so lines 8-10 have nothing to do either.
+        self.env.broadcast(ack)
 
     # ------------------------------------------------------------------ #
     # receive (ACK, m, tag, tag_ack)  (lines 18-27)
     # ------------------------------------------------------------------ #
     def _on_ack(self, payload: Union[AckPayload, LabeledAckPayload]) -> None:
         message = payload.message
-        self.state.record_ack(message, payload.ack_tag)        # lines 19-21
+        if not self.state.record_ack(message, payload.ack_tag):  # lines 19-21
+            # ALL_ACK only grows here, and every growth is followed by the
+            # threshold test: a repeat leaves the count where that test
+            # last saw it, so lines 22-26 cannot do anything new.
+            return
         if self.state.distinct_ack_count(message) >= self.majority_threshold:
             if not self.state.is_delivered(message):           # lines 23-25
                 self.state.mark_delivered(message)

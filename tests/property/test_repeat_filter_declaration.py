@@ -67,8 +67,8 @@ PROCESSES = {
 
 def observable(process, env):
     """Everything a reception could move: the dict state itself (order
-    included), its summary, the delivery log, what reached the environment
-    and the process RNG."""
+    included), its summary, the kept ACKs, the delivery log, what reached
+    the environment and the process RNG."""
     state = process.state
     snapshot = {
         "summary": state.summary(),
@@ -81,6 +81,10 @@ def observable(process, env):
                 len(env.retirements)),
         "rng": env.random.getstate(),
     }
+    # The ACK each algorithm keeps per message and re-sends on a repeated
+    # MSG: the object itself, not only an equal one.
+    snapshot["last_ack"] = [(m, ack, id(ack))
+                            for m, ack in process._last_ack.items()]
     if hasattr(state, "ack_records"):
         snapshot["ack_records"] = [
             (m, [(tag, record.labels) for tag, record in records.items()])

@@ -87,6 +87,27 @@ class TestOnMsg:
         assert len(acks) == 2
         assert acks[0].ack_tag == acks[1].ack_tag
 
+    def test_repeated_reception_resends_the_identical_ack(self):
+        process, env = make_process()
+        message = TaggedMessage("m", 99)
+        for _ in range(3):
+            process.on_receive(MsgPayload(message))
+        first, *repeats = env.broadcasts_of_kind("ACK")
+        assert all(ack is first for ack in repeats)
+        assert process.state.my_ack_for(message) == first.ack_tag
+
+    def test_tag_stream_is_drawn_once_per_message(self):
+        process, env = make_process()
+        a, b = TaggedMessage("a", 1), TaggedMessage("b", 2)
+        process.on_receive(MsgPayload(a))
+        after_first = env.random.getstate()
+        process.on_receive(MsgPayload(a))
+        assert env.random.getstate() == after_first
+        process.on_receive(MsgPayload(b))
+        process.on_receive(MsgPayload(a))
+        process.on_receive(MsgPayload(b))
+        assert process.tag_generator.issued_count == 2
+
     def test_different_messages_get_different_ack_tags(self):
         process, env = make_process()
         process.on_receive(MsgPayload(TaggedMessage("a", 1)))

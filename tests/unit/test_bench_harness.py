@@ -361,3 +361,76 @@ class TestEndToEndSnapshots:
         out.mkdir()
         assert bench.run_e2e([], False, out) == expected
         assert list(out.iterdir()) == []
+
+
+class TestPairs:
+    """``scripts/pairs.py`` with its runner stubbed: which checkout runs
+    when, and what the table says about the runs."""
+
+    @pytest.fixture
+    def pairs(self):
+        spec = importlib.util.spec_from_file_location(
+            "pairs_script_under_test", REPO_ROOT / "scripts" / "pairs.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    @pytest.fixture
+    def trees(self, tmp_path):
+        trees = []
+        for side in ("parent", "change"):
+            tree = tmp_path / side
+            (tree / "src" / "__pycache__").mkdir(parents=True)
+            (tree / "src" / "__pycache__" / "x.pyc").write_bytes(b"")
+            (tree / "BENCHMARK.json").write_text(
+                (REPO_ROOT / "BENCHMARK.json").read_text())
+            trees.append(tree)
+        return trees
+
+    def stub(self, pairs, monkeypatch, trees, *, change_correct=True):
+        """Parent runs read 10, 11, 12, ... ops/s; change runs twice that."""
+        calls = []
+
+        def run_once(tree, workload, seed, seconds):
+            assert not list(tree.rglob("__pycache__"))
+            side = tree.name
+            calls.append((side, workload, seed, seconds))
+            count = sum(call[0] == side for call in calls)
+            value = (9.0 + count) * (2 if side == "change" else 1)
+            metrics = {"setup_s": value, "wall_s": 1 / value,
+                       "ops_per_s": value, "peak_rss_mb": 50.0}
+            return {"correct": change_correct or side == "parent",
+                    "metrics": {name: {"value": v, "unit": "u"}
+                                for name, v in metrics.items()}}
+
+        monkeypatch.setattr(pairs, "run_once", run_once)
+        return calls
+
+    def test_sides_alternate_and_the_table_reads_the_runs(
+            self, pairs, monkeypatch, trees, capsys):
+        calls = self.stub(pairs, monkeypatch, trees)
+        assert pairs.main([str(trees[0]), str(trees[1]), "--workload",
+                           "flood_n14", "--pairs", "4", "--seed", "7",
+                           "--seconds", "2"]) == 0
+        assert [call[0] for call in calls] == [
+            "parent", "change", "change", "parent"] * 2
+        assert {call[1:] for call in calls} == {("flood_n14", 7, 2)}
+        rows = {line.split(" | ")[0].strip("| "): line.split(" | ")[1:]
+                for line in capsys.readouterr().out.splitlines()
+                if line.startswith("| ") and "metric" not in line}
+        assert set(rows) == {"setup_s", "wall_s", "ops_per_s",
+                             "peak_rss_mb"}
+        # Parent 10..13 (median 11.5, IQR 2.5 by exclusive quartiles),
+        # change 20..26.
+        assert rows["ops_per_s"] == ["11.5", "23", "2.000", "4/4",
+                                     "2.5 |"]
+        assert rows["wall_s"][2:4] == ["0.500", "4/4"]
+        assert rows["setup_s"][3] == "0/4"
+        assert rows["peak_rss_mb"][2:4] == ["1.000", "0/4"]
+
+    def test_an_incorrect_run_fails_the_comparison(self, pairs, monkeypatch,
+                                                   trees, capsys):
+        self.stub(pairs, monkeypatch, trees, change_correct=False)
+        assert pairs.main([str(trees[0]), str(trees[1]), "--workload",
+                           "flood_n14", "--pairs", "1"]) == 1
+        assert "incorrect output: 1 run(s) (change)" in capsys.readouterr().out

@@ -240,3 +240,36 @@ def test_reference_fingerprint_is_the_pinned_one(case):
     encoded = json.dumps(run.fingerprint, sort_keys=True).encode("utf-8")
     assert (hashlib.sha256(encoded).hexdigest()[:16]
             == PINNED_ALGORITHM2_FINGERPRINTS[case.name])
+
+
+#: The same digests for Algorithm 1: the ``algorithm1`` case of
+#: ``parity_cases()``, and every loss, delay, channel and crash variant run
+#: under Algorithm 1 instead (``case.with_(algorithm="algorithm1")``),
+#: recorded at the last commit that built a new ``AckPayload`` on every MSG
+#: reception.  ``strict-equality*`` and ``unstable-view-windows`` differ from
+#: a pinned case only in Algorithm 2 or detector settings, so under
+#: Algorithm 1 they are the same runs and are left out.
+PINNED_ALGORITHM1_FINGERPRINTS = {
+    "algorithm1": "f1da6b91d2c9558f",
+    "bernoulli-uniform": "d16652222ba91d35",
+    "noloss-uniform": "2ce150c939ccc1a4",
+    "bernoulli-fixed": "5f1b9b082a2235e9",
+    "bernoulli-exponential": "f7392d4d9d2e99d4",
+    "heavy-loss-guard": "be2bc0ba73acfb1c",
+    "all-drop": "a897d5eb26095541",
+    "crashes-mid-run": "c58e3302b2c5957e",
+    "staggered-learning": "8025156d203a4476",
+    "reliable": "2ce150c939ccc1a4",
+    "quasi-reliable": "7af690ba48bd09c1",
+}
+
+
+@pytest.mark.parametrize("case", [
+    case.with_(algorithm="algorithm1") for case in parity_cases()
+    if case.name in PINNED_ALGORITHM1_FINGERPRINTS
+], ids=lambda case: case.name)
+def test_algorithm1_reference_fingerprint_is_the_pinned_one(case):
+    run = run_fingerprint(case, "reference")
+    encoded = json.dumps(run.fingerprint, sort_keys=True).encode("utf-8")
+    assert (hashlib.sha256(encoded).hexdigest()[:16]
+            == PINNED_ALGORITHM1_FINGERPRINTS[case.name])
