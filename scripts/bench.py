@@ -156,7 +156,7 @@ def event_queue_churn() -> Pass:
     n_ops = 500_000
     queue = EventQueue()
     kinds = (EventKind.RECEIVE, EventKind.TICK, EventKind.RECEIVE)
-    # Pre-fill so the heap has realistic depth, then run a pop/push cycle
+    # Pre-fill so the queue has realistic depth, then run a pop/push cycle
     # that mirrors the engine's steady state (each popped event schedules
     # one or two successors).
     for i in range(256):

@@ -1,9 +1,9 @@
 #!/usr/bin/env python
-"""Alternating parent/change pairs of one end-to-end workload.
+"""Alternating parent/change pairs of end-to-end workloads.
 
 Usage::
 
-    python scripts/pairs.py PARENT CHANGE --workload NAME \\
+    python scripts/pairs.py PARENT CHANGE --workload NAME[,NAME...] \\
         [--pairs 10] [--seed 1234] [--seconds 18]
 
 PARENT and CHANGE are two checkouts of the repository.  The script first
@@ -11,10 +11,12 @@ deletes every ``__pycache__`` in both, so that neither side starts with
 compiled bytecode the other lacks.  It then makes ``--pairs`` pairs of
 runs of ``benchmarks/e2e/run.py --workload NAME --trace 0``, each run in a
 fresh interpreter from its own checkout, the two sides taking turns to go
-first.  It prints one markdown row per end-to-end metric of
-``BENCHMARK.json``: the parent's median, the change's median, their ratio,
-in how many pairs the change was better, and the parent's interquartile
-range.  It exits non-zero if any run reported ``correct: false``.
+first; with several workloads, all pairs of one are made before the next
+starts.  It prints one table per workload, one markdown row per end-to-end
+metric of ``BENCHMARK.json``: the parent's median, the change's median,
+their ratio, in how many pairs the change was better, and the parent's
+interquartile range.  It exits non-zero if any run reported
+``correct: false``.
 """
 
 from __future__ import annotations
@@ -81,7 +83,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="one workload, or several separated by commas")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1234)
     parser.add_argument("--seconds", type=int, default=18)
@@ -89,22 +92,24 @@ def main(argv: list[str] | None = None) -> int:
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for tree in trees.values():
         clear_bytecode(tree)
-    runs: dict[str, list[dict[str, Any]]] = {side: [] for side in SIDES}
-    for pair in range(args.pairs):
-        for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-            result = run_once(trees[side], args.workload, args.seed,
-                              args.seconds)
-            runs[side].append(result)
-            print(f"pair {pair + 1} {side}: " + " ".join(
-                f"{name}={entry['value']:.6g}"
-                for name, entry in result["metrics"].items()),
-                  file=sys.stderr, flush=True)
     declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    print(f"{args.workload}, seed {args.seed}, --seconds {args.seconds}, "
-          f"{args.pairs} pairs")
-    print("\n".join(table(declared["end_to_end"], runs)))
-    incorrect = [side for side in SIDES
-                 for run in runs[side] if not run["correct"]]
+    incorrect: list[str] = []
+    for workload in args.workload.split(","):
+        runs: dict[str, list[dict[str, Any]]] = {side: [] for side in SIDES}
+        for pair in range(args.pairs):
+            for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+                result = run_once(trees[side], workload, args.seed,
+                                  args.seconds)
+                runs[side].append(result)
+                print(f"{workload} pair {pair + 1} {side}: " + " ".join(
+                    f"{name}={entry['value']:.6g}"
+                    for name, entry in result["metrics"].items()),
+                      file=sys.stderr, flush=True)
+        print(f"{workload}, seed {args.seed}, --seconds {args.seconds}, "
+              f"{args.pairs} pairs")
+        print("\n".join(table(declared["end_to_end"], runs)), flush=True)
+        incorrect += [side for side in SIDES
+                      for run in runs[side] if not run["correct"]]
     if incorrect:
         print(f"incorrect output: {len(incorrect)} run(s) "
               f"({', '.join(sorted(set(incorrect)))})")

@@ -114,15 +114,18 @@ class FailureDetectorView:
         """Whether the view currently outputs no pairs."""
         return not self._pairs
 
-    @classmethod
-    def empty(cls) -> "FailureDetectorView":
-        """The empty view."""
-        return cls(())
+    @staticmethod
+    def empty() -> "FailureDetectorView":
+        """The empty view: one shared instance, as identity checks expect."""
+        return _EMPTY_VIEW
 
     @classmethod
     def from_mapping(cls, mapping: dict[Label, int]) -> "FailureDetectorView":
         """Build a view from a ``label -> number`` mapping."""
         return cls(FDPair(label, number) for label, number in mapping.items())
+
+
+_EMPTY_VIEW = FailureDetectorView()
 
 
 class FailureDetector(abc.ABC):

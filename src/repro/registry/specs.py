@@ -199,6 +199,6 @@ class EngineSpec:
     name: str
     factory: EngineFactory
     description: str = ""
-    #: The backend batches delivery dispatch (vs. per-event heap dispatch).
+    #: The backend batches delivery dispatch (vs. per-event queue dispatch).
     batched: bool = False
     extra: Mapping[str, Any] = field(default_factory=dict)

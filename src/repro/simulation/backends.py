@@ -8,14 +8,14 @@ bit-identical trace digests, delivery logs and metrics.  The parity suite
 (:mod:`repro.experiments.parity`) enforces this pairwise against
 ``reference`` in CI.
 
-* ``reference`` — the per-event heap dispatcher
+* ``reference`` — the per-event queue dispatcher
   (:class:`~repro.simulation.engine.SimulationEngine` itself), byte-for-byte
   unchanged by the backend split.  Always correct, always available; the
   baseline every other backend is measured against.
 * ``vectorized`` — :class:`~repro.simulation.vectorized.VectorizedEngine`,
   a struct-of-arrays core that batches the delivery fan-out of each
   broadcast (NumPy time/seq/destination arrays per batch, prefetched
-  per-channel loss/delay vectors) and merges batches with the event heap on
+  per-channel loss/delay vectors) and merges batches with the event queue on
   the reference ``(time, seq)`` total order.  Falls back to per-event
   dispatch — silently, and bit-identically — whenever a
   :class:`~repro.explore.controller.ScheduleController`, engine hooks or a
@@ -32,7 +32,7 @@ from .vectorized import VectorizedEngine
 # keyword arguments verbatim.
 register_engine(
     "reference",
-    description="per-event heap dispatch (the bit-exact baseline)",
+    description="per-event queue dispatch (the bit-exact baseline)",
 )(SimulationEngine)
 
 register_engine(

@@ -11,7 +11,7 @@ only calls the three :class:`~repro.core.interfaces.BroadcastProtocol`
 entry points (``urb_broadcast``, ``on_receive``, ``on_tick``).
 
 Two places carry nearly all of a run's cost, and both are written flat
-(DESIGN.md §8.1, §8.2).  :meth:`SimulationEngine.run` pops heap tuples
+(DESIGN.md §8.1, §8.2).  :meth:`SimulationEngine.run` pops queue entries
 itself and handles ``RECEIVE`` — nearly every event — in place: crashed
 check, metrics / trace gate, ``on_receive``; the four rare kinds go through
 :meth:`SimulationEngine._dispatch`, which the batched backend's loop calls
@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from heapq import heappop
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 from .. import obs
@@ -432,7 +431,8 @@ class SimulationEngine:
         # The loop pops for itself what ``EventQueue.pop`` would, and handles
         # RECEIVE (nearly every event) in place; see DESIGN.md §8.1.
         queue = self.queue
-        heap = queue.heap
+        current = queue.current
+        refill = queue.refill
         pending = queue.pending
         max_time = self.config.max_time
         crashed = self._crashed
@@ -442,8 +442,10 @@ class SimulationEngine:
         dispatch = self._dispatch
         receives = 0
         try:
-            while heap and not self._stop_requested:
-                time, _, kind, target, payload = heappop(heap)
+            while not self._stop_requested:
+                if not current and not (current := refill()):
+                    break
+                time, _, kind, target, payload = current.pop(0)
                 queue.last_popped_time = time
                 pending[kind.slot] -= 1
                 if time > max_time:

@@ -10,8 +10,10 @@ send timeline (the raw material for the quiescence figures).
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -208,14 +210,11 @@ class MetricsCollector:
         return np.asarray([s.latency for s in self.latency_samples], dtype=float)
 
     def cumulative_sends_at(self, time: SimTime) -> int:
-        """Cumulative number of sends up to and including *time*."""
-        count = 0
-        for t, cumulative in self.send_timeline:
-            if t <= time:
-                count = cumulative
-            else:
-                break
-        return count
+        """Cumulative number of sends up to and including *time* (sends
+        are recorded in time order, so a binary search finds it)."""
+        timeline = self.send_timeline
+        index = bisect_right(timeline, time, key=itemgetter(0))
+        return timeline[index - 1][1] if index else 0
 
     def summary(self) -> MetricsSummary:
         """Build the aggregate :class:`MetricsSummary` for reporting."""

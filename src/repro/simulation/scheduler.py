@@ -1,4 +1,4 @@
-"""Binary-heap event queue used by the simulation engine.
+"""Time-bucketed event queue used by the simulation engine.
 
 The queue enforces two invariants that the rest of the simulator relies on:
 
@@ -8,25 +8,27 @@ The queue enforces two invariants that the rest of the simulator relies on:
   order they were pushed (FIFO tie-break via a monotonically increasing
   sequence counter).
 
-A heap entry is the plain tuple ``(time, seq, kind, target, payload)``:
-``heapq`` orders entries with C-level tuple comparisons, and because the
-sequence numbers handed out here are unique the comparison never reaches
-``kind``.  ``time`` is the simulated time at which the event fires; ``seq``
-the number that breaks ties (scheduled earlier, fired earlier); ``target``
-the index of the process addressed, or ``None`` for engine-level events;
-``payload`` the kind-specific data (the protocol payload for ``RECEIVE``,
-the application content for ``BROADCAST_REQUEST``).  An entry is built once
-and never mutated, so whoever pops one may keep it.
+An entry is the plain tuple ``(time, seq, kind, target, payload)``:
+``time`` is when the event fires; ``seq`` breaks ties (scheduled earlier,
+fired earlier) and is unique, so comparing entries never reaches ``kind``;
+``target`` is the index of the process addressed, or ``None`` for
+engine-level events; ``payload`` is the protocol payload of a ``RECEIVE``,
+the application content of a ``BROADCAST_REQUEST``.  An entry is built
+once and never mutated, so whoever pops one may keep it.
 
-The engine's loops pop from :attr:`EventQueue.heap` themselves (see
-:meth:`EventQueue.pop` for what a pop must keep up to date); everybody else
-goes through the methods.  Pending-event counts per kind are maintained
-incrementally — the engine's quiescence check reads two of them on every
-self-check event.  See DESIGN.md §8.1.
+Entries are filed by bucket, ``time * scale // 1``, never decreasing in
+time: later buckets are unsorted lists, their indices in a heap; the one
+being consumed, :attr:`EventQueue.current`, is sorted when reached and
+takes in order (``insort``) what is filed at or before it, so
+``current[0]`` is the earliest entry.  The scale starts at 0 (one bucket)
+and is derived from the entries when the consumed bucket grows too large.
+The engine's loop pops ``current`` itself (see :meth:`EventQueue.pop`).
+Per-kind pending counts serve the quiescence check.  See DESIGN.md §8.1.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from heapq import heappop, heappush
 from typing import Any, Iterable, Iterator, Optional
 
@@ -37,6 +39,8 @@ from .simtime import SimTime
 Event = tuple[SimTime, int, EventKind, Optional[int], Any]
 
 _RECEIVE = EventKind.RECEIVE
+_FAR = float("inf")  # the bucket of a time whose ``time * scale`` overflows
+_SPLIT = 1024  # entries in the consumed bucket that re-derive the scale
 
 
 class SchedulingError(RuntimeError):
@@ -51,13 +55,19 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        #: The heap of :data:`Event` tuples.
-        self.heap: list[Event] = []
+        #: The bucket being consumed, in order, and its index.
+        self.current: list[Event] = []
+        self._bucket = 0.0
         #: Pending events per kind, indexed by ``EventKind.slot``.
         self.pending: list[int] = [0] * len(EventKind)
         #: Time of the last popped event: nothing is scheduled before it.
         self.last_popped_time: SimTime = 0.0
         self._next_seq: int = 0
+        self._scale = 0.0
+        self._limit = _SPLIT
+        #: Later buckets by index, unsorted, and their indices as a heap.
+        self._later: dict[float, list[Event]] = {}
+        self._indices: list[float] = []
 
     # ------------------------------------------------------------------ #
     # scheduling
@@ -96,8 +106,16 @@ class EventQueue:
         seq = self._next_seq
         self._next_seq = seq + 1
         event = (time, seq, kind, target, payload)
-        heappush(self.heap, event)
         self.pending[kind.slot] += 1
+        bucket = time * self._scale // 1.0
+        if bucket <= self._bucket:
+            insort(self.current, event)
+            if len(self.current) > self._limit:
+                self._rescale()
+        elif (later := self._later.get(bucket)) is not None:
+            later.append(event)
+        else:
+            self._file(event, bucket)
         return event
 
     def schedule_receives(
@@ -118,8 +136,11 @@ class EventQueue:
             At the first delivery time in the past (a controller's
             decision); the copies before it stay queued and counted.
         """
-        heap = self.heap
         floor = self.last_popped_time
+        scale = self._scale
+        consumed = self._bucket
+        get = self._later.get
+        current = self.current
         first = seq = self._next_seq
         drops = 0
         try:
@@ -129,21 +150,65 @@ class EventQueue:
                     continue
                 if not time >= floor:
                     self._reject_time(time)
-                heappush(heap, (time, seq, _RECEIVE, dst, payload))
+                event = (time, seq, _RECEIVE, dst, payload)
                 seq += 1
+                bucket = time * scale // 1.0
+                if bucket <= consumed:
+                    insort(current, event)
+                elif (later := get(bucket)) is not None:
+                    later.append(event)
+                else:
+                    self._file(event, bucket)
         finally:
             self._next_seq = seq
             self.pending[_RECEIVE.slot] += seq - first
+        if len(current) > self._limit:
+            self._rescale()
         return drops
+
+    def _file(self, event: Event, bucket: float) -> None:
+        """File *event* in a new later bucket; a NaN *bucket* means
+        ``time * scale`` overflowed, and the bucket is ``_FAR``."""
+        if bucket != bucket:
+            bucket = _FAR
+            if self._bucket == _FAR:
+                insort(self.current, event)
+                return
+        later = self._later.setdefault(bucket, [])
+        if not later:
+            heappush(self._indices, bucket)
+        later.append(event)
+
+    def _rescale(self) -> None:
+        """Re-file every entry in buckets of about ``_SPLIT / 32`` entries,
+        by their number and time span; a bucket that stays large doubles
+        the limit."""
+        current = self.current
+        events = sorted(current + [
+            event for later in self._later.values() for event in later])
+        span = events[-1][0] - events[0][0]
+        if 0.0 < span < _FAR:
+            self._scale = scale = 32 * len(events) / (span * _SPLIT)
+            self._later.clear()
+            self._indices.clear()
+            self._bucket = events[0][0] * scale // 1.0
+            current.clear()
+            for event in events:
+                bucket = event[0] * scale // 1.0
+                if bucket <= self._bucket:
+                    current.append(event)
+                else:
+                    self._file(event, bucket)
+        self._limit = max(_SPLIT, 2 * len(current))
 
     def claim_seqs(self, count: int) -> int:
         """Reserve *count* consecutive sequence numbers and return the first.
 
         Used by batching engine backends (see
         :mod:`repro.simulation.vectorized`) that keep delivery events outside
-        the heap: claiming the numbers through the queue's counter keeps
+        the queue: claiming the numbers through the queue's counter keeps
         batched events on the same global ``(time, seq)`` total order as
-        heap-scheduled ticks/checks, which is exactly the reference engine's
+        queued ticks/checks, which is exactly the reference engine's
         dispatch order.
         """
         if count < 0:
@@ -155,36 +220,52 @@ class EventQueue:
     # ------------------------------------------------------------------ #
     # consumption
     # ------------------------------------------------------------------ #
+    def refill(self) -> list[Event]:
+        """:attr:`current`; if empty, the next bucket (empty: no events)."""
+        current = self.current
+        if current or not self._indices:
+            return current
+        bucket = heappop(self._indices)
+        current = self._later.pop(bucket)
+        current.sort()
+        self.current = current
+        self._bucket = bucket
+        if len(current) > self._limit:
+            self._rescale()
+        return current
+
     def pop(self) -> Event:
         """Pop and return the earliest event.
 
-        The engine's loops inline exactly this: ``heappop(heap)``, then
-        ``last_popped_time`` and the kind's ``pending`` count.
+        The engine's loop inlines exactly this: ``current.pop(0)`` (after a
+        :meth:`refill` when ``current`` is empty), then ``last_popped_time``
+        and the kind's ``pending`` count.
 
         Raises
         ------
         IndexError
             If the queue is empty.
         """
-        event = heappop(self.heap)
+        event = (self.current or self.refill()).pop(0)
         self.last_popped_time = event[0]
         self.pending[event[2].slot] -= 1
         return event
 
     def peek(self) -> Optional[Event]:
         """Return (without removing) the earliest event, or ``None``."""
-        heap = self.heap
-        return heap[0] if heap else None
+        current = self.current or self.refill()
+        return current[0] if current else None
 
     # ------------------------------------------------------------------ #
     # introspection
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        return len(self.heap)
+        return len(self.current) + sum(map(len, self._later.values()))
 
     def __iter__(self) -> Iterator[Event]:
         """Iterate over pending events in time order (non-destructive)."""
-        return iter(sorted(self.heap))
+        return iter(sorted(self.current + [
+            event for later in self._later.values() for event in later]))
 
     def pending_of(self, kind: EventKind) -> int:
         """Number of pending events of *kind* (O(1))."""

@@ -3,7 +3,7 @@
 :class:`VectorizedEngine` is a drop-in :class:`~.engine.SimulationEngine`
 subclass registered as the ``vectorized`` backend (see
 :mod:`repro.simulation.backends`).  It takes channel copies — by far the
-dominant event population — out of the event heap on both sides:
+dominant event population — out of the event queue on both sides:
 
 * **Sends.**  ``broadcast_from`` only records ``(src, payload id, now)`` in
   an *outbox*; :meth:`VectorizedEngine._flush_sends` hands everything
@@ -44,7 +44,7 @@ Bit-identical parity with ``reference`` is a hard requirement, enforced by
   order within a send — the numbers the reference engine's per-copy
   ``schedule`` calls draw — and the outbox is flushed before anything else
   can claim one (see :meth:`VectorizedEngine._flush_sends`), so the merged
-  dispatch order over copies plus heap events is the reference order,
+  dispatch order over copies plus queue events is the reference order,
   tie-breaks included.
 * The loss draw / fairness guard / delay draw sequence per channel replays
   :meth:`LossyChannel.transmit` exactly: loss uniforms are consumed once per
@@ -820,7 +820,7 @@ class VectorizedEngine(SimulationEngine):
         *without* advancing ``_now``, deadline break after), but maximal
         *runs* of consecutive delivery entries between queue events are
         consumed straight from the column arrays by :meth:`_consume_run` —
-        no per-entry heap operations.  Queue events themselves are
+        no per-entry queue operations.  Queue events themselves are
         dispatched exactly as the reference engine would.  Returns the
         number of pool entries consumed, how many of them reached a live
         process, and how many were replayed through ``on_receive``.

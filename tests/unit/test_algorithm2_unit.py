@@ -1,11 +1,16 @@
 """Unit tests for Algorithm 2 against a fake environment with scripted
 failure-detector views."""
 
+import random
+
 from helpers import FakeEnvironment
 from repro.core.algorithm2 import QuiescentUrbProcess
 from repro.core.messages import LabeledAckPayload, MsgPayload, TaggedMessage
+from repro.failure_detectors.atheta import AThetaOracle
 from repro.failure_detectors.base import FailureDetectorView, FDPair
 from repro.failure_detectors.labels import Label
+from repro.failure_detectors.oracle import GroundTruthOracle
+from repro.simulation.faults import CrashSchedule
 
 L1, L2, L3 = Label(101), Label(102), Label(103)
 
@@ -67,6 +72,23 @@ class TestOnMsg:
         assert third is not first
         assert third.ack_tag == first.ack_tag
         assert third.labels == frozenset({L1, L2})
+
+    def test_faulty_process_resends_the_same_ack_before_it_crashes(self):
+        # The prescient AΘ shows a faulty viewer the empty view, asked anew
+        # at every reception: it is one shared object, so the identity
+        # check on the label set hits and the kept ACK goes out again.
+        schedule = CrashSchedule.crash_at(3, {2: 50.0})
+        atheta = AThetaOracle(GroundTruthOracle(schedule,
+                                                rng=random.Random(0)))
+        env = FakeEnvironment(seed=2)
+        env.atheta = lambda: atheta.view(2, 1.0)
+        process = QuiescentUrbProcess(env)
+        message = TaggedMessage("m", 1)
+        process.on_receive(MsgPayload(message))
+        process.on_receive(MsgPayload(message))
+        first, second = env.broadcasts_of_kind("ACK")
+        assert second is first
+        assert first.labels == frozenset()
 
     def test_already_delivered_message_not_readded_to_msg_set(self):
         process, env = make_process(atheta=view((L1, 1)))

@@ -434,3 +434,32 @@ class TestPairs:
         assert pairs.main([str(trees[0]), str(trees[1]), "--workload",
                            "flood_n14", "--pairs", "1"]) == 1
         assert "incorrect output: 1 run(s) (change)" in capsys.readouterr().out
+
+    def test_several_workloads_get_one_table_each(self, pairs, monkeypatch,
+                                                  trees, capsys):
+        calls = self.stub(pairs, monkeypatch, trees)
+        assert pairs.main([str(trees[0]), str(trees[1]), "--workload",
+                           "flood_n14,explore_walk", "--pairs", "2"]) == 0
+        # All pairs of one workload, then all pairs of the next.
+        assert [call[:2] for call in calls] == [
+            ("parent", "flood_n14"), ("change", "flood_n14"),
+            ("change", "flood_n14"), ("parent", "flood_n14"),
+            ("parent", "explore_walk"), ("change", "explore_walk"),
+            ("change", "explore_walk"), ("parent", "explore_walk")]
+        out = capsys.readouterr().out.splitlines()
+        headers = [line for line in out if "pairs" in line]
+        assert headers == ["flood_n14, seed 1234, --seconds 18, 2 pairs",
+                           "explore_walk, seed 1234, --seconds 18, 2 pairs"]
+        ops_rows = [line for line in out if line.startswith("| ops_per_s")]
+        # Parent 10, 11 then 12, 13; change twice each.
+        assert [row.split(" | ")[1:3] for row in ops_rows] == [
+            ["10.5", "21"], ["12.5", "25"]]
+
+    def test_an_incorrect_run_of_any_workload_fails(self, pairs, monkeypatch,
+                                                    trees, capsys):
+        self.stub(pairs, monkeypatch, trees, change_correct=False)
+        assert pairs.main([str(trees[0]), str(trees[1]), "--workload",
+                           "flood_n14,explore_walk", "--pairs", "1"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("| ops_per_s") == 2
+        assert "incorrect output: 2 run(s) (change)" in out

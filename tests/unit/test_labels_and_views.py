@@ -99,6 +99,10 @@ class TestFailureDetectorView:
         assert len(view) == 0
         assert not view
 
+    def test_empty_view_is_one_shared_instance(self):
+        assert FailureDetectorView.empty() is FailureDetectorView.empty()
+        assert FailureDetectorView.empty() == FailureDetectorView()
+
     def test_labels_and_number_for(self):
         view = FailureDetectorView([FDPair(Label(1), 3), FDPair(Label(2), 3)])
         assert view.labels() == frozenset({Label(1), Label(2)})

@@ -2,8 +2,12 @@
 pending-count bookkeeping, sequence-number claims, and the bulk push of one
 broadcast's receive events."""
 
+import math
+from unittest import mock
+
 import pytest
 
+from repro.simulation import scheduler
 from repro.simulation.events import EventKind
 from repro.simulation.scheduler import EventQueue, SchedulingError
 
@@ -40,7 +44,7 @@ class TestClaimSeqs:
         assert queue.claim_seqs(0) == 5
         assert queue.schedule_receives([(0, 2.0), (1, None), (2, 2.0)], "m") == 1
         assert queue.claim_seqs(1) == 7
-        # Claimed numbers never enter the heap.
+        # Claimed numbers never enter the queue.
         assert [event[1] for event in queue] == [0, 4, 5, 6]
 
     def test_rejects_negative_count(self):
@@ -61,11 +65,12 @@ class TestScheduleReceives:
                 single.schedule(time, RECEIVE, target=dst, payload="m")
         assert drops == 2
         assert list(bulk) == list(single)
-        assert bulk.heap == single.heap
         assert bulk.pending == single.pending
         assert bulk.pending_of(RECEIVE) == 4
         assert bulk.claim_seqs(0) == single.claim_seqs(0) == 5
-        assert [bulk.pop() for _ in range(5)] == [
+        drained = [bulk.pop() for _ in range(5)]
+        assert drained == [single.pop() for _ in range(5)]
+        assert drained == [
             (0.25, 0, EventKind.TICK, 0, None),
             (0.5, 4, RECEIVE, 5, "m"),
             (1.5, 2, RECEIVE, 2, "m"),
@@ -100,3 +105,32 @@ class TestScheduleReceives:
         queue.pop()
         assert queue.schedule_receives([(0, 2.0)], "m") == 0
         assert queue.pop() == (2.0, 1, RECEIVE, 0, "m")
+
+
+class TestBuckets:
+    def test_times_whose_bucket_overflows_keep_their_order(self):
+        with mock.patch.object(scheduler, "_SPLIT", 2):
+            queue = EventQueue()
+            for time in (0.0, 0.5, 1.0):  # the third re-derives the scale
+                queue.schedule(time, EventKind.TICK)
+            assert queue._scale > 1.0
+            queue.schedule(1.7e308, EventKind.TICK)  # time * scale overflows
+            queue.schedule(math.inf, EventKind.TICK)
+            assert [queue.pop()[0] for _ in range(4)] == [0.0, 0.5, 1.0,
+                                                          1.7e308]
+            # Scheduled while the overflow bucket is being consumed.
+            queue.schedule(1.7e308, EventKind.TICK)
+            assert [queue.pop()[:2] for _ in range(2)] == [(1.7e308, 5),
+                                                           (math.inf, 4)]
+
+    def test_a_later_bucket_is_sorted_when_reached(self):
+        with mock.patch.object(scheduler, "_SPLIT", 3):
+            queue = EventQueue()
+            for time in (0.0, 0.5, 1.0, 1.5):  # the fourth re-derives it
+                queue.schedule(time, EventKind.TICK)
+            # One later bucket (1/28 wide), filled latest first, and not so
+            # large that reaching it re-derives the scale.
+            for time in (9.02, 9.01, 9.0):
+                queue.schedule(time, EventKind.TICK)
+            assert [queue.pop()[0] for _ in range(len(queue))] == [
+                0.0, 0.5, 1.0, 1.5, 9.0, 9.01, 9.02]

@@ -1,6 +1,8 @@
 """Unit tests for trace recording and metric collection."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.runner import default_scenario, run_scenario
 from repro.simulation import tracing
@@ -216,6 +218,32 @@ class TestMetricsCollector:
         assert metrics.cumulative_sends_at(1.0) == 3
         assert metrics.cumulative_sends_at(1.5) == 3
         assert metrics.cumulative_sends_at(2.0) == 5
+
+    @given(st.lists(st.tuples(st.integers(0, 8), st.integers(1, 4)),
+                    max_size=20),
+           st.lists(st.integers(-1, 10), min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_cumulative_sends_at_is_the_linear_scan(self, steps, queries):
+        """The binary search answers as the scan of the whole timeline
+        did: ties, times before the first send and after the last."""
+        metrics = MetricsCollector()
+        time = 0.0
+        for gap, fan_out in steps:
+            time += gap / 4  # a gap of 0 repeats the previous send time
+            metrics.on_send_many(time, 0, "MSG", fan_out)
+
+        def scan(at):
+            count = 0
+            for t, cumulative in metrics.send_timeline:
+                if t > at:
+                    break
+                count = cumulative
+            return count
+
+        probes = [q / 2 for q in queries] + [t for t, _ in
+                                             metrics.send_timeline]
+        for at in probes:
+            assert metrics.cumulative_sends_at(at) == scan(at)
 
     def test_summary_empty(self):
         summary = MetricsCollector().summary()
