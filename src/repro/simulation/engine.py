@@ -432,6 +432,7 @@ class SimulationEngine:
         # RECEIVE (nearly every event) in place; see DESIGN.md §8.1.
         queue = self.queue
         current = queue.current
+        pop = current.pop
         refill = queue.refill
         pending = queue.pending
         max_time = self.config.max_time
@@ -443,9 +444,9 @@ class SimulationEngine:
         receives = 0
         try:
             while not self._stop_requested:
-                if not current and not (current := refill()):
+                if not current and not refill():
                     break
-                time, _, kind, target, payload = current.pop(0)
+                time, _, kind, target, payload = pop(0)
                 queue.last_popped_time = time
                 pending[kind.slot] -= 1
                 if time > max_time:

@@ -16,20 +16,19 @@ engine-level events; ``payload`` is the protocol payload of a ``RECEIVE``,
 the application content of a ``BROADCAST_REQUEST``.  An entry is built
 once and never mutated, so whoever pops one may keep it.
 
-Entries are filed by bucket, ``time * scale // 1``, never decreasing in
+Entries are filed by bucket, ``time * scale // 1.0``, never decreasing in
 time: later buckets are unsorted lists, their indices in a heap; the one
-being consumed, :attr:`EventQueue.current`, is sorted when reached and
-takes in order (``insort``) what is filed at or before it, so
-``current[0]`` is the earliest entry.  The scale starts at 0 (one bucket)
-and is derived from the entries when the consumed bucket grows too large.
-The engine's loop pops ``current`` itself (see :meth:`EventQueue.pop`).
-Per-kind pending counts serve the quiescence check.  See DESIGN.md §8.1.
+being consumed is sorted when reached, and the engine's loop pops it from
+:attr:`EventQueue.current`, a chunk of it at a time.  The scale is derived
+from the front of the queue (see DESIGN.md §8.1).
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect, insort
 from heapq import heappop, heappush
+from itertools import groupby
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, Optional
 
 from .events import EventKind
@@ -40,7 +39,8 @@ Event = tuple[SimTime, int, EventKind, Optional[int], Any]
 
 _RECEIVE = EventKind.RECEIVE
 _FAR = float("inf")  # the bucket of a time whose ``time * scale`` overflows
-_SPLIT = 1024  # entries in the consumed bucket that re-derive the scale
+_SPLIT = 1024  # front entries that set the width; least consumed-bucket limit
+_CHUNK = 128  # most entries ``current`` takes from the consumed bucket
 
 
 class SchedulingError(RuntimeError):
@@ -55,16 +55,24 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        #: The bucket being consumed, in order, and its index.
+        #: The next entries to pop, in order (always this one list); then
+        #: the consumed bucket's other entries, in order, and its index.
         self.current: list[Event] = []
+        self._rest: list[Event] = []
         self._bucket = 0.0
         #: Pending events per kind, indexed by ``EventKind.slot``.
         self.pending: list[int] = [0] * len(EventKind)
         #: Time of the last popped event: nothing is scheduled before it.
         self.last_popped_time: SimTime = 0.0
         self._next_seq: int = 0
-        self._scale = 0.0
+        self._scale = 0.0  # one bucket until the first rescale
+        #: Re-derive the scale when the consumed bucket passes the limit or
+        #: the buckets reached run thin (under 4 entries each).
         self._limit = _SPLIT
+        self._thin = 0
+        #: Inserts that may go straight into ``current``: only while the
+        #: scale is 0 and every entry is in it, and never past the limit.
+        self._room = _SPLIT
         #: Later buckets by index, unsorted, and their indices as a heap.
         self._later: dict[float, list[Event]] = {}
         self._indices: list[float] = []
@@ -107,11 +115,19 @@ class EventQueue:
         self._next_seq = seq + 1
         event = (time, seq, kind, target, payload)
         self.pending[kind.slot] += 1
-        bucket = time * self._scale // 1.0
-        if bucket <= self._bucket:
+        if self._room:  # one bucket, all in current: no test to make
+            self._room -= 1
             insort(self.current, event)
-            if len(self.current) > self._limit:
+        elif (bucket := time * self._scale // 1.0) <= self._bucket:
+            # Its seq is the largest: it precedes the consumed bucket's rest
+            # only if its time does.
+            rest = self._rest
+            into = rest if rest and rest[0] < event else self.current
+            insort(into, event)
+            if len(into) > self._limit:
                 self._rescale()
+            elif not (self._scale or self._rest or self._later):
+                self._room = self._limit - len(self.current)
         elif (later := self._later.get(bucket)) is not None:
             later.append(event)
         else:
@@ -141,6 +157,8 @@ class EventQueue:
         consumed = self._bucket
         get = self._later.get
         current = self.current
+        rest = self._rest
+        room = self._room
         first = seq = self._next_seq
         drops = 0
         try:
@@ -152,9 +170,12 @@ class EventQueue:
                     self._reject_time(time)
                 event = (time, seq, _RECEIVE, dst, payload)
                 seq += 1
-                bucket = time * scale // 1.0
-                if bucket <= consumed:
+                if room:
+                    room -= 1
                     insort(current, event)
+                elif (bucket := time * scale // 1.0) <= consumed:
+                    insort(rest if rest and rest[0] < event else current,
+                           event)
                 elif (later := get(bucket)) is not None:
                     later.append(event)
                 else:
@@ -162,44 +183,55 @@ class EventQueue:
         finally:
             self._next_seq = seq
             self.pending[_RECEIVE.slot] += seq - first
+            self._room = room
         if len(current) > self._limit:
             self._rescale()
         return drops
 
     def _file(self, event: Event, bucket: float) -> None:
-        """File *event* in a new later bucket; a NaN *bucket* means
-        ``time * scale`` overflowed, and the bucket is ``_FAR``."""
+        """File *event* in a new later bucket; a NaN *bucket* means that
+        ``time * scale`` overflowed, and ``_FAR`` may be the consumed one."""
         if bucket != bucket:
             bucket = _FAR
-            if self._bucket == _FAR:
-                insort(self.current, event)
-                return
+        if bucket <= self._bucket:
+            rest = self._rest
+            insort(rest if rest and rest[0] < event else self.current,
+                   event)
+            return
         later = self._later.setdefault(bucket, [])
         if not later:
             heappush(self._indices, bucket)
+            self._room = 0
         later.append(event)
 
+    def _entries(self) -> list[Event]:
+        """Every queued entry: the consumed bucket's first, in order."""
+        return self.current + self._rest + [
+            event for later in self._later.values() for event in later]
+
     def _rescale(self) -> None:
-        """Re-file every entry in buckets of about ``_SPLIT / 32`` entries,
-        by their number and time span; a bucket that stays large doubles
-        the limit."""
-        current = self.current
-        events = sorted(current + [
-            event for later in self._later.values() for event in later])
-        span = events[-1][0] - events[0][0]
-        if 0.0 < span < _FAR:
-            self._scale = scale = 32 * len(events) / (span * _SPLIT)
-            self._later.clear()
-            self._indices.clear()
-            self._bucket = events[0][0] * scale // 1.0
-            current.clear()
-            for event in events:
-                bucket = event[0] * scale // 1.0
-                if bucket <= self._bucket:
-                    current.append(event)
-                else:
-                    self._file(event, bucket)
-        self._limit = max(_SPLIT, 2 * len(current))
+        """Re-file every entry in buckets 1/32 as wide as the span of the
+        queue's first ``_SPLIT`` entries (counted from the last of its first
+        time), and let the limit be twice the consumed bucket's size."""
+        events = sorted(self._entries(), key=itemgetter(0))  # by time only
+        lo = bisect(events, (events[0][0], _FAR)) - 1
+        hi = min(len(events), lo + _SPLIT) - 1
+        span = events[hi][0] - events[lo][0]
+        if 0.0 < span < _FAR and (hi - lo) / 32 / span < _FAR:
+            self._scale = (hi - lo) / 32 / span
+        scale = self._scale
+        groups = groupby(events, lambda event: bucket if (
+            bucket := event[0] * scale // 1.0) == bucket else _FAR)
+        buckets = [(bucket, list(group)) for bucket, group in groups]
+        (self._bucket, events), *later = buckets
+        events.sort()
+        self._later = dict(later)
+        self._indices = [bucket for bucket, _ in later]  # sorted: a heap
+        self.current[:] = events[:_CHUNK]
+        self._rest = events[_CHUNK:]
+        self._limit = max(_SPLIT, 2 * len(events))
+        self._thin = 0
+        self._room = 0
 
     def claim_seqs(self, count: int) -> int:
         """Reserve *count* consecutive sequence numbers and return the first.
@@ -221,17 +253,23 @@ class EventQueue:
     # consumption
     # ------------------------------------------------------------------ #
     def refill(self) -> list[Event]:
-        """:attr:`current`; if empty, the next bucket (empty: no events)."""
+        """Return :attr:`current`, refilled in place when empty from the
+        consumed bucket or else the next one (still empty: no events).
+        Buckets that hold under 4 entries on average re-derive the scale."""
         current = self.current
-        if current or not self._indices:
-            return current
-        bucket = heappop(self._indices)
-        current = self._later.pop(bucket)
-        current.sort()
-        self.current = current
-        self._bucket = bucket
-        if len(current) > self._limit:
-            self._rescale()
+        if not current and (self._rest or self._indices):
+            rest = self._rest
+            if not rest:
+                self._bucket = bucket = heappop(self._indices)
+                self._rest = rest = self._later.pop(bucket)
+                rest.sort()
+                thin = self._thin + 4 - len(rest)
+                self._thin = thin if thin > 0 else 0
+            if len(rest) > self._limit or self._thin > _SPLIT:
+                self._rescale()
+                rest = self._rest
+            current += rest[:_CHUNK]
+            del rest[:_CHUNK]
         return current
 
     def pop(self) -> Event:
@@ -260,12 +298,11 @@ class EventQueue:
     # introspection
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        return len(self.current) + sum(map(len, self._later.values()))
+        return sum(self.pending)
 
     def __iter__(self) -> Iterator[Event]:
         """Iterate over pending events in time order (non-destructive)."""
-        return iter(sorted(self.current + [
-            event for later in self._later.values() for event in later]))
+        return iter(sorted(self._entries()))
 
     def pending_of(self, kind: EventKind) -> int:
         """Number of pending events of *kind* (O(1))."""

@@ -4,9 +4,11 @@ Random interleavings of ``schedule``, ``schedule_receives`` (dropped copies
 and a bad time among them), ``pop``, ``peek`` and ``claim_seqs`` run on the
 queue and on a binary heap of the same tuples.  Times are drawn relative to
 the last popped time, so that entries tie, land at the last popped time, in
-the bucket being consumed, before a bucket that ``peek`` moved on to, or at
-very large finite times.  Every operation must
-return, raise and leave behind exactly what the model does.
+the bucket being consumed (in its current chunk or in its rest), before a
+bucket that ``peek`` moved on to, or at very large finite times.  Small
+``_SPLIT`` and ``_CHUNK`` values make the queue re-derive its scale (both
+ways) and split its consumed bucket often.  Every operation must return,
+raise and leave behind exactly what the model does.
 """
 
 import heapq
@@ -110,12 +112,15 @@ def outcome(call):
         return "raised", type(error)
 
 
-@given(st.sampled_from((2, 8, 64, 1024)), st.lists(ops, max_size=80))
+@given(st.sampled_from((2, 8, 64, 1024)), st.sampled_from((1, 3, 128)),
+       st.lists(ops, max_size=80))
 @settings(max_examples=300, deadline=None)
-def test_queue_matches_the_heap_model(split, program):
+def test_queue_matches_the_heap_model(split, chunk, program):
     # A small split makes the queue re-derive its scale, and file entries
-    # in later buckets, many times in one program.
-    with mock.patch.object(scheduler, "_SPLIT", split):
+    # in later buckets, many times in one program; a small chunk leaves
+    # most of the consumed bucket in its rest.
+    with mock.patch.object(scheduler, "_SPLIT", split), \
+            mock.patch.object(scheduler, "_CHUNK", chunk):
         run_against_model(program)
 
 

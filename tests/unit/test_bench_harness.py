@@ -463,3 +463,45 @@ class TestPairs:
         out = capsys.readouterr().out
         assert out.count("| ops_per_s") == 2
         assert "incorrect output: 2 run(s) (change)" in out
+
+
+class TestEngineShapes:
+    """``scripts/engine_shapes.py``: one real run of a shape, then the
+    alternation and the table with the runner stubbed."""
+
+    @pytest.fixture
+    def shapes(self):
+        spec = importlib.util.spec_from_file_location(
+            "engine_shapes_under_test",
+            REPO_ROOT / "scripts" / "engine_shapes.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_a_shape_runs_from_the_given_checkout(self, shapes):
+        run = shapes.run_once(REPO_ROOT, "flood_fixed")
+        assert run["seconds"] > 0 and run["events"] > 1000
+        assert run["final_time"] <= 6.0
+
+    def test_sides_alternate_and_a_different_run_fails(self, shapes,
+                                                       monkeypatch, capsys):
+        calls = []
+
+        def run_once(tree, shape):
+            calls.append((tree.name, shape))
+            count = sum(call == (tree.name, shape) for call in calls)
+            seconds = count * (1.0 if tree.name == "parent" else 0.5)
+            events = 7 if shape == "flood_fixed" and tree.name == "change" \
+                else 5
+            return {"seconds": seconds, "events": events, "final_time": 6.0}
+
+        monkeypatch.setattr(shapes, "run_once", run_once)
+        assert shapes.main(["parent", "change", "--rounds", "2",
+                            "--shapes", "flood,flood_fixed"]) == 1
+        assert calls == [("parent", "flood"), ("change", "flood"),
+                         ("parent", "flood_fixed"), ("change", "flood_fixed"),
+                         ("change", "flood"), ("parent", "flood"),
+                         ("change", "flood_fixed"), ("parent", "flood_fixed")]
+        out = capsys.readouterr().out
+        assert "| flood | 1.000 / 1.500 | 0.500 / 0.750 | 0.500 | 2/2 |" in out
+        assert out.splitlines()[-1] == "different runs on: flood_fixed"

@@ -111,12 +111,12 @@ class TestBuckets:
     def test_times_whose_bucket_overflows_keep_their_order(self):
         with mock.patch.object(scheduler, "_SPLIT", 2):
             queue = EventQueue()
-            for time in (0.0, 0.5, 1.0):  # the third re-derives the scale
+            for time in (0.0, 0.01, 0.02):  # the third re-derives the scale
                 queue.schedule(time, EventKind.TICK)
             assert queue._scale > 1.0
             queue.schedule(1.7e308, EventKind.TICK)  # time * scale overflows
             queue.schedule(math.inf, EventKind.TICK)
-            assert [queue.pop()[0] for _ in range(4)] == [0.0, 0.5, 1.0,
+            assert [queue.pop()[0] for _ in range(4)] == [0.0, 0.01, 0.02,
                                                           1.7e308]
             # Scheduled while the overflow bucket is being consumed.
             queue.schedule(1.7e308, EventKind.TICK)
@@ -126,11 +126,39 @@ class TestBuckets:
     def test_a_later_bucket_is_sorted_when_reached(self):
         with mock.patch.object(scheduler, "_SPLIT", 3):
             queue = EventQueue()
-            for time in (0.0, 0.5, 1.0, 1.5):  # the fourth re-derives it
+            for time in (0.0, 0.01, 0.02, 0.03):  # the fourth re-derives it
                 queue.schedule(time, EventKind.TICK)
-            # One later bucket (1/28 wide), filled latest first, and not so
-            # large that reaching it re-derives the scale.
+            # One later bucket, filled latest first, and not so large that
+            # reaching it re-derives the scale.
             for time in (9.02, 9.01, 9.0):
                 queue.schedule(time, EventKind.TICK)
+            assert len(queue._later) == 1
             assert [queue.pop()[0] for _ in range(len(queue))] == [
-                0.0, 0.5, 1.0, 1.5, 9.0, 9.01, 9.02]
+                0.0, 0.01, 0.02, 0.03, 9.0, 9.01, 9.02]
+
+    def test_a_far_entry_does_not_widen_the_buckets(self):
+        # A crash far past the traffic: the width comes from the front.
+        with mock.patch.object(scheduler, "_SPLIT", 8):
+            queue = EventQueue()
+            queue.schedule(1000.0, EventKind.CRASH, target=0)
+            for step in range(8):
+                queue.schedule(step / 100, EventKind.TICK)
+            assert 0.0 < 1 / queue._scale < 1.0
+            assert [event[0] for event in queue._later[
+                1000.0 * queue._scale // 1.0]] == [1000.0]
+            assert [queue.pop()[0] for _ in range(9)][-2:] == [0.07, 1000.0]
+
+    def test_one_time_pops_in_chunks_and_in_seq_order(self):
+        # Entries that share one time cannot be split by any width: the
+        # limit doubles, and the loop pops chunks of them.
+        with mock.patch.object(scheduler, "_SPLIT", 4), \
+                mock.patch.object(scheduler, "_CHUNK", 2):
+            queue = EventQueue()
+            for target in range(9):
+                queue.schedule(1.0, RECEIVE, target=target)
+            assert queue._scale == 0.0 and queue._limit > 4
+            assert len(queue.current) == 2 and len(queue._rest) == 7
+            popped = [queue.pop()[3] for _ in range(3)]
+            queue.schedule(1.0, RECEIVE, target=9)  # after the whole group
+            popped += [queue.pop()[3] for _ in range(len(queue))]
+            assert popped == list(range(10))
