@@ -54,6 +54,7 @@ from repro import obs  # noqa: E402  (needs the path setup above)
 from repro.campaigns import ResultStore, scenario_cell_key  # noqa: E402
 from repro.campaigns.distributed import merge_stores  # noqa: E402
 from repro.experiments.config import Scenario  # noqa: E402
+from repro.experiments.parity import run_fingerprint  # noqa: E402
 from repro.experiments.runner import build_engine, run_scenario  # noqa: E402
 from repro.network.delay import DelaySpec  # noqa: E402
 from repro.network.loss import LossSpec  # noqa: E402
@@ -68,7 +69,7 @@ E2E_QUICK_SECONDS = 3
 FULL_SAMPLES = 5
 QUICK_SAMPLES = 1
 UNITS = {"wall_s": "s", "ops_per_s": "1/s", "peak_rss_mb": "MB",
-         "overhead_pct": "%"}
+         "overhead_pct": "%", "reference_s": "s", "vectorized_s": "s"}
 
 #: One pass of a load: ``({metric: value}, correct, meta)``.  The timed
 #: region covers the measured work only, never set-up.
@@ -149,6 +150,43 @@ def obs_overhead() -> Pass:
     return _rates(off_seconds, events, overhead_pct=overhead), correct, {
         "n_processes": scenario.n_processes, "events": events,
         "sends": sends}
+
+
+def _fd_all_processes_scenario(n: int) -> Scenario:
+    """Algorithm 2 under the detection-based AΘ / AP\\*: every label, a
+    staggered learn delay, and two crashes the detectors must notice."""
+    return _quiescence_scenario(n, "reference").with_(
+        name="bench-fd-all-processes",
+        metadata={"burst_size": 4},
+        fd_policy="all_processes",
+        fd_learn_delay=3.0,
+        crashes={n - 1: 2.0, n - 2: 5.0},
+    )
+
+
+def fd_all_processes() -> Pass:
+    """Algorithm 2 at n=16 under ALL_PROCESSES detectors, on both engines."""
+    # Each engine's timed region is its whole ``run_fingerprint``: the
+    # detectors' tables are made when the engine is built, so the build is
+    # part of what this load measures.
+    scenario = _fd_all_processes_scenario(16)
+    runs, seconds = {}, {}
+    for engine in ("reference", "vectorized"):
+        start = time.perf_counter()
+        runs[engine] = run_fingerprint(scenario, engine)
+        seconds[engine] = time.perf_counter() - start
+    reference, vectorized = runs["reference"], runs["vectorized"]
+    correct = (reference.fingerprint == vectorized.fingerprint
+               and all(run.fingerprint["stop_reason"] == "quiescent"
+                       for run in runs.values()))
+    events = sum(sum(run.fingerprint["event_stats"].values())
+                 for run in runs.values())
+    return _rates(sum(seconds.values()), events,
+                  reference_s=seconds["reference"],
+                  vectorized_s=seconds["vectorized"]), correct, {
+        "n_processes": scenario.n_processes, "events": events,
+        "final_time": reference.fingerprint["final_time"],
+        "dispatch_mode": vectorized.dispatch_mode}
 
 
 def event_queue_churn() -> Pass:
@@ -258,6 +296,7 @@ def campaign_merge() -> Pass:
 
 LOADS: dict[str, Callable[[], Pass]] = {
     "quiescence_vectorized": quiescence_vectorized,
+    "fd_all_processes": fd_all_processes,
     "obs_overhead": obs_overhead,
     "event_queue_churn": event_queue_churn,
     "campaign_store": campaign_store,

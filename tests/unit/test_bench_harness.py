@@ -15,8 +15,8 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 BENCH = REPO_ROOT / "scripts" / "bench.py"
-LOADS = {"quiescence_vectorized", "obs_overhead", "event_queue_churn",
-         "campaign_store", "campaign_merge"}
+LOADS = {"quiescence_vectorized", "fd_all_processes", "obs_overhead",
+         "event_queue_churn", "campaign_store", "campaign_merge"}
 #: Top-level keys of every document, the loads' and the e2e workloads'.
 DOCUMENT_KEYS = {"name", "correct", "attempted", "failed", "metrics",
                  "python", "platform"}
@@ -226,6 +226,22 @@ class TestLoads:
             bench, "_quiescence_scenario",
             lambda n, engine: scenario(6, engine).with_(max_time=1.0))
         assert not bench.quiescence_vectorized()[1]
+
+    def test_fd_load_refuses_engines_that_differ(self, bench, monkeypatch):
+        scenario = bench._fd_all_processes_scenario
+        monkeypatch.setattr(bench, "_fd_all_processes_scenario",
+                            lambda n: scenario(6))
+        values, correct, meta = bench.fd_all_processes()
+        assert correct and meta["n_processes"] == 6
+        assert values["wall_s"] == pytest.approx(
+            values["reference_s"] + values["vectorized_s"])
+        # The vectorized run simulates one process more than the reference.
+        run_fingerprint = bench.run_fingerprint
+        monkeypatch.setattr(bench, "run_fingerprint", lambda s, engine:
+                            run_fingerprint(s.with_(n_processes=7)
+                                            if engine == "vectorized" else s,
+                                            engine))
+        assert not bench.fd_all_processes()[1]
 
     def test_obs_load_does_the_same_work_with_obs_on_and_off(self, bench,
                                                              monkeypatch):
