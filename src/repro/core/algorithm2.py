@@ -135,7 +135,7 @@ class QuiescentUrbProcess(AnonymousProcess):
         view = self.env.atheta()
         failed = self._failed_under.get(message)
         only = None
-        if failed is not None and (view is failed or view == failed):
+        if view is failed:
             # It failed under these pairs, and since then only the counters
             # of the labels the acknowledger added or dropped have moved.
             if old is labels:

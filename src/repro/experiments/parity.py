@@ -282,10 +282,16 @@ def parity_cases() -> tuple[Scenario, ...]:
         # Only the sender's channel row ever carries traffic.
         base.with_(name="best-effort", algorithm="best_effort",
                    stop_when_quiescent=False, max_time=20.0),
-        # An AΘ that rebuilds its output on every query as crashes are
-        # detected: replay reads it at each entry's own time.
+        # An AΘ whose number shrinks and whose pairs drop out as crashes
+        # are detected: replay reads it at each entry's own time.
         base.with_(name="unstable-view-windows", fd_policy="all_processes",
                    crashes={5: 4.0}),
+        # Both kinds of breakpoint in one view: labels learnt one by one
+        # while detections remove pairs and shrink the number.
+        base.with_(name="all-processes-learning", fd_policy="all_processes",
+                   fd_learn_delay=6.0, crashes={4: 3.0, 5: 9.0}),
+        # One singleton view per process, never rebuilt.
+        base.with_(name="own-only", fd_policy="own_only"),
     )
 
 

@@ -1,15 +1,14 @@
-"""Failure detectors: the paper's anonymous classes AΘ and AP\\*, the ground
-truth oracle they are built on, and classic Θ/P for identified baselines."""
+"""Failure detectors: the paper's anonymous classes AΘ and AP\\*, and the
+ground truth oracle they are built on."""
 
 from .apstar import APStarOracle
-from .atheta import AnonymousDetectorBase, AThetaKeepCrashed, AThetaOracle
+from .atheta import AnonymousDetectorBase, AThetaOracle
 from .base import (
     FailureDetector,
     FailureDetectorView,
     FDPair,
     StaticFailureDetector,
 )
-from .classic import PerfectDetector, ThetaDetector
 from .labels import Label, LabelAssigner
 from .oracle import GroundTruthOracle
 from .policies import DisseminationPolicy
@@ -17,7 +16,6 @@ from .policies import DisseminationPolicy
 __all__ = [
     "AnonymousDetectorBase",
     "APStarOracle",
-    "AThetaKeepCrashed",
     "AThetaOracle",
     "DisseminationPolicy",
     "FailureDetector",
@@ -26,7 +24,5 @@ __all__ = [
     "GroundTruthOracle",
     "Label",
     "LabelAssigner",
-    "PerfectDetector",
     "StaticFailureDetector",
-    "ThetaDetector",
 ]

@@ -15,45 +15,17 @@ message may stop (quiescence): once ACKs covering every AP\*-listed pair have
 been collected for an already-delivered message, the message is retired from
 the ``MSG`` set.
 
-The implementation shares all machinery with the AΘ oracle
-(:class:`~repro.failure_detectors.atheta.AnonymousDetectorBase`); the only
-AP\*-specific constraint is that crashed processes' pairs *must* be removed
-after the detection delay, which is exactly the ``remove_crashed=True``
-behaviour (forced here).
+The implementation is the AΘ oracle's view rule
+(:class:`~repro.failure_detectors.atheta.AnonymousDetectorBase`): a crashed
+process's pair leaves every view at its detection instant, which is what
+AP\*-accuracy asks for.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Optional
-
 from .atheta import AnonymousDetectorBase
-from .oracle import GroundTruthOracle
-from .policies import DisseminationPolicy
 
 
 class APStarOracle(AnonymousDetectorBase):
-    r"""The AP\* oracle.
-
-    Identical machinery to :class:`~repro.failure_detectors.atheta.AThetaOracle`
-    except that removal of crashed processes' pairs cannot be disabled
-    (AP\*-accuracy requires it).
-    """
-
-    def __init__(
-        self,
-        oracle: GroundTruthOracle,
-        *,
-        policy: DisseminationPolicy | str = DisseminationPolicy.CORRECT_ONLY,
-        detection_delay: float = 0.0,
-        learn_delay: float = 0.0,
-        rng: Optional[random.Random] = None,
-    ) -> None:
-        super().__init__(
-            oracle,
-            policy=policy,
-            detection_delay=detection_delay,
-            learn_delay=learn_delay,
-            remove_crashed=True,
-            rng=rng,
-        )
+    r"""The AP\* oracle: the same view rule as
+    :class:`~repro.failure_detectors.atheta.AThetaOracle`."""

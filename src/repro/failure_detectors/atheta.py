@@ -15,12 +15,14 @@ The oracle implementation is parameterised by a
 knows which labels, a *detection delay* governing how long after a crash the
 crashed process's pair disappears, and a *learning delay* that staggers when
 each viewer first sees each label (exercising Algorithm 2's reconciliation of
-repeated ACKs carrying more/fewer labels).  See DESIGN.md §3.3 for which
-parameterisations satisfy the formal properties in which runs.
+repeated ACKs carrying more/fewer labels).  All three feed one view rule
+(:class:`AnonymousDetectorBase`); see DESIGN.md §3.3 for the rule and for
+which parameterisations satisfy the formal properties in which runs.
 """
 
 from __future__ import annotations
 
+import bisect
 import random
 from typing import Optional
 
@@ -30,9 +32,23 @@ from .labels import Label
 from .oracle import GroundTruthOracle
 from .policies import DisseminationPolicy
 
+_INF = float("inf")
+
+#: ``(valid_from, valid_until, view)``: a view and the half-open time
+#: window over which it is a viewer's output.
+Window = tuple[float, float, FailureDetectorView]
+
 
 class AnonymousDetectorBase(FailureDetector):
-    """Shared machinery of the AΘ and AP\\* oracles.
+    r"""Shared machinery of the AΘ and AP\* oracles.
+
+    Viewer ``v``'s output at time ``t`` is, under every policy::
+
+        {(label_j, |S_v| - #{j in S_v : d_j <= t}) : j in S_v, l_vj <= t < d_j}
+
+    ``l_vj`` is when ``v`` learns ``j``'s label, ``S_v`` the viewer's
+    subject set and ``d_j`` the instant ``j``'s crash is detected.  The
+    policy fixes only the last two tables.
 
     Parameters
     ----------
@@ -42,14 +58,12 @@ class AnonymousDetectorBase(FailureDetector):
         Label dissemination policy (see :mod:`repro.failure_detectors.policies`).
     detection_delay:
         Time after a crash at which the crashed process's pair is removed
-        from views (only relevant when ``remove_crashed`` is true and the
-        policy exposes faulty labels at all).
+        from views (only relevant when the policy exposes faulty labels at
+        all, i.e. under ``ALL_PROCESSES``).
     learn_delay:
         Upper bound of the uniform per-(viewer, subject) delay before the
         subject's label first appears in the viewer's view.  ``0`` makes all
         labels visible from the start.
-    remove_crashed:
-        Whether crashed processes' pairs are removed after detection.
     rng:
         Random substream for the staggered learning delays.
     """
@@ -61,7 +75,6 @@ class AnonymousDetectorBase(FailureDetector):
         policy: DisseminationPolicy | str = DisseminationPolicy.CORRECT_ONLY,
         detection_delay: float = 0.0,
         learn_delay: float = 0.0,
-        remove_crashed: bool = True,
         rng: Optional[random.Random] = None,
     ) -> None:
         if detection_delay < 0:
@@ -72,116 +85,75 @@ class AnonymousDetectorBase(FailureDetector):
         self.policy = DisseminationPolicy.from_string(policy)
         self.detection_delay = float(detection_delay)
         self.learn_delay = float(learn_delay)
-        self.remove_crashed = remove_crashed
         rng = rng or random.Random(0)
-        n = oracle.n_processes
-        # Staggered learning times: viewer i first sees subject j's label at
-        # learn_time[(i, j)].  A process always knows its own label at once.
-        self._learn_time: dict[tuple[int, int], float] = {}
-        for viewer in range(n):
-            for subject in range(n):
-                if viewer == subject or self.learn_delay == 0.0:
-                    self._learn_time[(viewer, subject)] = 0.0
-                else:
-                    self._learn_time[(viewer, subject)] = rng.uniform(
-                        0.0, self.learn_delay
-                    )
-        # Per-viewer view cache for the stable policies: maps viewer to
-        # ``(valid_from, valid_until, view)``.  Views are immutable, and for
-        # CORRECT_ONLY the output only changes when ``now`` crosses one of
-        # the (static) learning times, so a cached view can be returned for
-        # the whole half-open validity window — the hot path of Algorithm 2,
-        # which reads AΘ on every tick of every process.
-        self._view_cache: dict[int, tuple[float, float, FailureDetectorView]] = {}
-
-    # ------------------------------------------------------------------ #
-    # helpers
-    # ------------------------------------------------------------------ #
-    def learn_time(self, viewer: int, subject: int) -> float:
-        """Time at which *viewer* first sees *subject*'s label."""
-        return self._learn_time[(viewer, subject)]
-
-    def _knows(self, viewer: int, subject: int, now: SimTime) -> bool:
-        """Whether *viewer*'s view may contain *subject*'s label at *now*."""
-        return now >= self._learn_time[(viewer, subject)]
-
-    def _subject_removed(self, subject: int, now: SimTime) -> bool:
-        """Whether *subject*'s pair has been removed due to a detected crash."""
-        if not self.remove_crashed:
-            return False
-        return self.oracle.is_detected_crashed(subject, now, self.detection_delay)
-
-    def _detection_based_number(self, now: SimTime) -> int:
-        """``n`` minus the number of detected crashes (ALL_PROCESSES policy)."""
-        return self.oracle.n_processes - self.oracle.detected_crash_count(
-            now, self.detection_delay
-        )
+        everyone = tuple(range(oracle.n_processes))
+        # Staggered learning times: viewer v first sees subject j's label at
+        # self._learn[v][j].  A process always knows its own label at once.
+        self._learn = [
+            [0.0 if viewer == subject or self.learn_delay == 0.0
+             else rng.uniform(0.0, self.learn_delay)
+             for subject in everyone]
+            for viewer in everyone
+        ]
+        # The policy's two tables: each viewer's subject set S_v, and each
+        # process's detection instant d_j.
+        if self.policy is DisseminationPolicy.OWN_ONLY:
+            self._subjects = [(viewer,) for viewer in everyone]
+            self._detected = [_INF for _ in everyone]
+        elif self.policy is DisseminationPolicy.CORRECT_ONLY:
+            correct = oracle.correct_indices()
+            self._subjects = [correct if oracle.is_correct(viewer) else ()
+                              for viewer in everyone]
+            self._detected = [_INF for _ in everyone]
+        else:
+            self._subjects = [everyone for _ in everyone]
+            self._detected = [oracle.crash_time(j) + self.detection_delay
+                              for j in everyone]
+        # A view changes only where one of its subjects is learnt or
+        # detected: each viewer's sorted breakpoints.
+        self._breaks = [
+            sorted({t for j in self._subjects[viewer]
+                    for t in (self._learn[viewer][j], self._detected[j])
+                    if t < _INF})
+            for viewer in everyone
+        ]
+        #: Each viewer's window around its last query.
+        self._windows: dict[int, Window] = {}
+        #: Views by content ``(visible subjects, number)``, so that equal
+        #: views are one object, at one viewer or at several.
+        self._views: dict[tuple[tuple[int, ...], int], FailureDetectorView] = {}
 
     # ------------------------------------------------------------------ #
     # FailureDetector interface
     # ------------------------------------------------------------------ #
     def view(self, process_index: int, now: SimTime) -> FailureDetectorView:
-        if not (0 <= process_index < self.oracle.n_processes):
+        window = self._windows.get(process_index)
+        if window is None or not window[0] <= now < window[1]:
+            window = self._windows[process_index] = self._window(
+                process_index, now)
+        return window[2]
+
+    def _window(self, viewer: int, now: SimTime) -> Window:
+        """*viewer*'s view at *now*, between the breakpoints around *now*."""
+        if not (0 <= viewer < self.oracle.n_processes):
             raise IndexError(
-                f"process index {process_index} out of range "
+                f"process index {viewer} out of range "
                 f"[0, {self.oracle.n_processes})"
             )
-        if self.policy is DisseminationPolicy.OWN_ONLY:
-            return self._own_only_view(process_index)
-        if self.policy is DisseminationPolicy.CORRECT_ONLY:
-            return self._correct_only_view(process_index, now)
-        return self._all_processes_view(process_index, now)
-
-    # -- policy implementations ------------------------------------------ #
-    def _own_only_view(self, viewer: int) -> FailureDetectorView:
-        cached = self._view_cache.get(viewer)
-        if cached is not None:
-            return cached[2]
-        label = self.oracle.label_of(viewer)
-        view = FailureDetectorView([FDPair(label, 1)])
-        self._view_cache[viewer] = (0.0, float("inf"), view)
-        return view
-
-    def _correct_only_view(self, viewer: int, now: SimTime) -> FailureDetectorView:
-        # Prescient oracle: only correct processes' labels, visible only to
-        # correct viewers; the associated number is |Correct| from the start,
-        # so every output pair satisfies accuracy in every run (S(label) is a
-        # subset of Correct) and completeness once learning delays elapse.
-        cached = self._view_cache.get(viewer)
-        if cached is not None and cached[0] <= now < cached[1]:
-            return cached[2]
-        if self.oracle.is_faulty(viewer):
-            return FailureDetectorView.empty()
-        number = self.oracle.n_correct
-        learn_time = self._learn_time
-        valid_from = 0.0
-        valid_until = float("inf")
-        pairs = []
-        for subject in self.oracle.correct_indices():
-            lt = learn_time[(viewer, subject)]
-            if lt <= now:
-                pairs.append(FDPair(self.oracle.label_of(subject), number))
-                if lt > valid_from:
-                    valid_from = lt
-            elif lt < valid_until:
-                valid_until = lt
-        view = FailureDetectorView(pairs)
-        self._view_cache[viewer] = (valid_from, valid_until, view)
-        return view
-
-    def _all_processes_view(self, viewer: int, now: SimTime) -> FailureDetectorView:
-        # Detection-based oracle: every not-yet-detected process appears,
-        # with a number that shrinks as crashes are detected.  Satisfies the
-        # formal properties only in majority-correct runs (see policies.py).
-        number = self._detection_based_number(now)
-        pairs = []
-        for subject in range(self.oracle.n_processes):
-            if self._subject_removed(subject, now):
-                continue
-            if not self._knows(viewer, subject, now):
-                continue
-            pairs.append(FDPair(self.oracle.label_of(subject), number))
-        return FailureDetectorView(pairs)
+        subjects, learn = self._subjects[viewer], self._learn[viewer]
+        detected = self._detected
+        visible = tuple(j for j in subjects if learn[j] <= now < detected[j])
+        number = len(subjects) - sum(1 for j in subjects if detected[j] <= now)
+        key = (visible, number)
+        view = self._views.get(key)
+        if view is None:
+            pairs = [FDPair(self.oracle.label_of(j), number) for j in visible]
+            view = self._views[key] = (FailureDetectorView(pairs) if pairs
+                                       else FailureDetectorView.empty())
+        breaks = self._breaks[viewer]
+        i = bisect.bisect_right(breaks, now)
+        return (breaks[i - 1] if i else -_INF,
+                breaks[i] if i < len(breaks) else _INF, view)
 
     # ------------------------------------------------------------------ #
     # analysis helpers
@@ -194,7 +166,7 @@ class AnonymousDetectorBase(FailureDetector):
         for viewer in range(self.oracle.n_processes):
             # A crashed viewer can only have known the label before crashing.
             effective_horizon = min(horizon, self.oracle.crash_time(viewer))
-            probe_times = [0.0, self._learn_time[(viewer, subject)], effective_horizon]
+            probe_times = [0.0, self._learn[viewer][subject], effective_horizon]
             for t in probe_times:
                 if t > effective_horizon:
                     continue
@@ -234,16 +206,3 @@ class AThetaOracle(AnonymousDetectorBase):
     processes crash — which is what Algorithm 2 needs to circumvent the
     majority impossibility (paper Theorem 2).
     """
-
-
-class AThetaKeepCrashed(AThetaOracle):
-    """AΘ variant that never removes crashed processes' pairs.
-
-    AΘ-completeness only constrains the pairs of correct processes, so
-    keeping stale pairs is allowed by the definition; this variant exists to
-    exercise Algorithm 2 under a detector that converges "from above" only.
-    """
-
-    def __init__(self, oracle: GroundTruthOracle, **kwargs) -> None:
-        kwargs["remove_crashed"] = False
-        super().__init__(oracle, **kwargs)

@@ -96,10 +96,12 @@ class FailureDetectorView:
     def labels(self) -> frozenset[Label]:
         """The set of labels in the view (what Algorithm 2 attaches to ACKs).
 
-        Cached: views are immutable and oracles return the same view object
-        for every query inside its validity window, so protocol code that
-        attaches the label set to each outgoing ACK gets one shared (and
-        hash-cached) frozenset instead of a fresh allocation per send.
+        Cached: views are immutable, and the AΘ / AP\\* oracles intern them
+        by content, so every query that finds equal pairs, at any process
+        and in any window, gets one view object and hence one shared,
+        hash-cached frozenset.  Protocol code that attaches the label set
+        to each outgoing ACK allocates nothing per send, and Algorithm 2
+        can compare views and label sets by identity.
         """
         labels = self._labels
         if labels is None:

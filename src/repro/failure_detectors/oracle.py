@@ -5,8 +5,7 @@ of a run (which processes crash, and when).  The simulator knows the failure
 pattern exactly — it is the :class:`~repro.simulation.faults.CrashSchedule`
 injected into the run — so the detectors are implemented on top of a
 :class:`GroundTruthOracle` that answers questions like "is process ``j``
-correct in this run?" and "has the crash of ``j`` been detected by time
-``t``, given a detection delay ``δ``?".
+correct in this run?" and "when does ``j`` crash?".
 
 The oracle also owns the process → label assignment used by the anonymous
 detectors; protocol code never sees this object.
@@ -90,32 +89,6 @@ class GroundTruthOracle:
     def is_crashed_at(self, index: int, now: SimTime) -> bool:
         """Whether process *index* has crashed by time *now*."""
         return self.crash_schedule.is_crashed_at(index, now)
-
-    def is_detected_crashed(self, index: int, now: SimTime,
-                            detection_delay: float) -> bool:
-        """Whether the crash of *index* is *detected* by time *now*.
-
-        A crash that happened at time ``c`` is detected from ``c + δ`` on,
-        where ``δ`` is the detector's detection delay.
-        """
-        crash = self.crash_schedule.crash_time(index)
-        return crash + detection_delay <= now
-
-    def detected_crash_count(self, now: SimTime, detection_delay: float) -> int:
-        """Number of crashes detected by time *now* for delay ``δ``."""
-        return sum(
-            1
-            for index in range(self.n_processes)
-            if self.is_detected_crashed(index, now, detection_delay)
-        )
-
-    def undetected_indices(self, now: SimTime, detection_delay: float) -> tuple[int, ...]:
-        """Processes not (yet) detected as crashed at time *now*."""
-        return tuple(
-            index
-            for index in range(self.n_processes)
-            if not self.is_detected_crashed(index, now, detection_delay)
-        )
 
     # ------------------------------------------------------------------ #
     # label queries (oracle / analysis side only)

@@ -4,7 +4,9 @@
 :class:`repro.core.interfaces.EnvironmentAPI` used by the protocol *unit*
 tests: it records everything the process broadcasts and lets the test control
 the failure-detector views directly, so each pseudocode branch can be
-exercised without spinning up the simulator.
+exercised without spinning up the simulator.  `LiteralAnonymousDetector`
+computes AΘ / AP\\* views from their per-policy definitions on every query,
+as the reference the shipped windowed oracle is checked against.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.messages import TaggedMessage
-from repro.failure_detectors.base import FailureDetectorView
+from repro.failure_detectors.base import FailureDetectorView, FDPair
+from repro.failure_detectors.oracle import GroundTruthOracle
+from repro.failure_detectors.policies import DisseminationPolicy
 
 
 class FakeEnvironment:
@@ -240,3 +244,58 @@ def writes(statements: list[str]) -> list[str]:
     """The statements of *statements* that take SQLite's write lock."""
     return [sql for sql in statements
             if not sql.lstrip().upper().startswith(("SELECT", "PRAGMA"))]
+
+
+class LiteralAnonymousDetector:
+    """AΘ / AP\\* views built from each policy's definition on every query,
+    with no cache: the three per-policy view builders the shipped
+    ``AnonymousDetectorBase`` replaced with one windowed rule.  It draws its
+    learn times exactly as the shipped oracle does, so two detectors given
+    equally seeded *rng* have equal learn times."""
+
+    def __init__(self, oracle: GroundTruthOracle, *,
+                 policy: DisseminationPolicy | str,
+                 detection_delay: float = 0.0, learn_delay: float = 0.0,
+                 rng: random.Random) -> None:
+        self.oracle = oracle
+        self.policy = DisseminationPolicy.from_string(policy)
+        self.detection_delay = float(detection_delay)
+        n = oracle.n_processes
+        self.learn_time: dict[tuple[int, int], float] = {}
+        for viewer in range(n):
+            for subject in range(n):
+                if viewer == subject or learn_delay == 0.0:
+                    self.learn_time[(viewer, subject)] = 0.0
+                else:
+                    self.learn_time[(viewer, subject)] = rng.uniform(
+                        0.0, learn_delay)
+
+    def _knows(self, viewer: int, subject: int, now: float) -> bool:
+        return now >= self.learn_time[(viewer, subject)]
+
+    def _detected(self, subject: int, now: float) -> bool:
+        return self.oracle.crash_time(subject) + self.detection_delay <= now
+
+    def view(self, viewer: int, now: float) -> FailureDetectorView:
+        if self.policy is DisseminationPolicy.OWN_ONLY:
+            return FailureDetectorView([FDPair(self.oracle.label_of(viewer), 1)])
+        if self.policy is DisseminationPolicy.CORRECT_ONLY:
+            # Only correct processes' labels, only at correct viewers, with
+            # number |Correct| from the start.
+            if self.oracle.is_faulty(viewer):
+                return FailureDetectorView.empty()
+            number = self.oracle.n_correct
+            return FailureDetectorView(
+                FDPair(self.oracle.label_of(subject), number)
+                for subject in self.oracle.correct_indices()
+                if self._knows(viewer, subject, now))
+        # ALL_PROCESSES: every not-yet-detected process, with a number that
+        # shrinks as crashes are detected.
+        n = self.oracle.n_processes
+        number = n - sum(1 for subject in range(n)
+                         if self._detected(subject, now))
+        return FailureDetectorView(
+            FDPair(self.oracle.label_of(subject), number)
+            for subject in range(n)
+            if not self._detected(subject, now)
+            and self._knows(viewer, subject, now))

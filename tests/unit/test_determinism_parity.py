@@ -229,6 +229,9 @@ PINNED_ALGORITHM2_FINGERPRINTS = {
     "strict-equality": "2b03857764641a1a",
     "strict-equality-crashes": "94b3f35382c9188c",
     "unstable-view-windows": "6fff01523085d265",
+    # Recorded at the last commit with one view builder per policy.
+    "all-processes-learning": "8eaab0be11dbc26c",
+    "own-only": "efaf5515c811f98b",
 }
 
 
@@ -246,9 +249,10 @@ def test_reference_fingerprint_is_the_pinned_one(case):
 #: ``parity_cases()``, and every loss, delay, channel and crash variant run
 #: under Algorithm 1 instead (``case.with_(algorithm="algorithm1")``),
 #: recorded at the last commit that built a new ``AckPayload`` on every MSG
-#: reception.  ``strict-equality*`` and ``unstable-view-windows`` differ from
-#: a pinned case only in Algorithm 2 or detector settings, so under
-#: Algorithm 1 they are the same runs and are left out.
+#: reception.  ``strict-equality*``, ``unstable-view-windows``,
+#: ``all-processes-learning`` and ``own-only`` differ from a pinned case
+#: only in Algorithm 2 or detector settings, so under Algorithm 1 they are
+#: the same runs and are left out.
 PINNED_ALGORITHM1_FINGERPRINTS = {
     "algorithm1": "f1da6b91d2c9558f",
     "bernoulli-uniform": "d16652222ba91d35",

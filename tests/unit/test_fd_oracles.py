@@ -1,12 +1,12 @@
-"""Unit tests for the AΘ / AP* oracles and the classic Θ / P detectors."""
+"""Unit tests for the AΘ / AP* oracles and the ground-truth oracle under them."""
 
 import random
 
 import pytest
 
 from repro.failure_detectors.apstar import APStarOracle
-from repro.failure_detectors.atheta import AThetaKeepCrashed, AThetaOracle
-from repro.failure_detectors.classic import PerfectDetector, ThetaDetector
+from repro.failure_detectors.atheta import AThetaOracle
+from repro.failure_detectors.base import FailureDetectorView
 from repro.failure_detectors.oracle import GroundTruthOracle
 from repro.failure_detectors.policies import DisseminationPolicy
 from repro.simulation.faults import CrashSchedule
@@ -24,22 +24,6 @@ class TestGroundTruthOracle:
         assert oracle.is_faulty(3)
         assert oracle.correct_indices() == (0, 1, 2)
         assert oracle.n_correct == 3
-
-    def test_detection_delay(self):
-        oracle = make_oracle(4, {3: 5.0})
-        assert not oracle.is_detected_crashed(3, 6.0, detection_delay=2.0)
-        assert oracle.is_detected_crashed(3, 7.0, detection_delay=2.0)
-        assert not oracle.is_detected_crashed(0, 100.0, detection_delay=2.0)
-
-    def test_detected_crash_count(self):
-        oracle = make_oracle(5, {3: 5.0, 4: 10.0})
-        assert oracle.detected_crash_count(4.0, 0.0) == 0
-        assert oracle.detected_crash_count(6.0, 0.0) == 1
-        assert oracle.detected_crash_count(20.0, 0.0) == 2
-
-    def test_undetected_indices(self):
-        oracle = make_oracle(4, {3: 5.0})
-        assert oracle.undetected_indices(10.0, 0.0) == (0, 1, 2)
 
     def test_labels_are_consistent(self):
         oracle = make_oracle(4, {3: 5.0})
@@ -142,11 +126,20 @@ class TestAThetaAllProcesses:
         atheta = AThetaOracle(oracle, policy=DisseminationPolicy.ALL_PROCESSES)
         assert not atheta.view(4, 1.0).is_empty()
 
-    def test_keep_crashed_variant_never_removes(self):
-        oracle = make_oracle(5, {4: 10.0})
-        atheta = AThetaKeepCrashed(oracle, policy=DisseminationPolicy.ALL_PROCESSES,
-                                   detection_delay=1.0)
-        assert oracle.label_of(4) in atheta.view(0, 500.0)
+    def test_pair_leaves_at_the_detection_instant(self):
+        # Detected from crash time + detection delay on, not after it.
+        oracle = make_oracle(4, {3: 5.0})
+        atheta = AThetaOracle(oracle, policy=DisseminationPolicy.ALL_PROCESSES,
+                              detection_delay=2.0)
+        assert oracle.label_of(3) in atheta.view(0, 6.999)
+        assert oracle.label_of(3) not in atheta.view(0, 7.0)
+        assert oracle.label_of(0) in atheta.view(0, 100.0)
+
+    def test_number_counts_each_detection(self):
+        oracle = make_oracle(5, {3: 5.0, 4: 10.0})
+        atheta = AThetaOracle(oracle, policy=DisseminationPolicy.ALL_PROCESSES)
+        assert [atheta.view(0, t).min_number for t in (4.0, 6.0, 20.0)] \
+            == [5, 4, 3]
 
 
 class TestAThetaOwnOnly:
@@ -156,6 +149,34 @@ class TestAThetaOwnOnly:
         view = atheta.view(2, 5.0)
         assert view.labels() == frozenset({oracle.label_of(2)})
         assert view.number_for(oracle.label_of(2)) == 1
+
+    def test_crashed_viewer_keeps_its_label(self):
+        oracle = make_oracle(4, {2: 1.0})
+        atheta = AThetaOracle(oracle, policy=DisseminationPolicy.OWN_ONLY,
+                              detection_delay=1.0)
+        assert oracle.label_of(2) in atheta.view(2, 500.0)
+
+
+class TestViewWindows:
+    def test_equal_views_are_one_object(self):
+        oracle = make_oracle(4, {3: 2.0})
+        atheta = AThetaOracle(oracle, policy=DisseminationPolicy.CORRECT_ONLY)
+        assert atheta.view(0, 1.0) is atheta.view(1, 50.0) is atheta.view(0, 0.0)
+
+    def test_a_query_outside_the_window_rebuilds_it(self):
+        oracle = make_oracle(5, {4: 10.0})
+        atheta = AThetaOracle(oracle, policy=DisseminationPolicy.ALL_PROCESSES,
+                              detection_delay=2.0)
+        before, after = atheta.view(0, 11.0), atheta.view(0, 12.0)
+        assert len(before) == 5 and len(after) == 4
+        # Backwards into the earlier window: the earlier view, same object.
+        assert atheta.view(0, 3.0) is before
+        assert atheta.view(0, 13.0) is after
+
+    def test_faulty_viewer_gets_the_shared_empty_view(self):
+        oracle = make_oracle(4, {3: 2.0})
+        atheta = AThetaOracle(oracle, policy=DisseminationPolicy.CORRECT_ONLY)
+        assert atheta.view(3, 1.0) is FailureDetectorView.empty()
 
 
 class TestAPStar:
@@ -192,6 +213,8 @@ class TestAPStar:
         apstar = APStarOracle(oracle)
         with pytest.raises(IndexError):
             apstar.view(7, 0.0)
+        with pytest.raises(IndexError):
+            apstar.view(-1, 0.0)
 
     def test_describe(self):
         oracle = make_oracle(3)
@@ -212,51 +235,6 @@ class TestKnowerSet:
         atheta = AThetaOracle(oracle, policy=DisseminationPolicy.ALL_PROCESSES)
         knowers = atheta.knower_set(oracle.label_of(1), horizon=100.0)
         assert knowers == set(range(4))
-
-
-class TestClassicDetectors:
-    def test_theta_trusts_alive_processes(self):
-        oracle = make_oracle(4, {3: 5.0})
-        theta = ThetaDetector(oracle, detection_delay=1.0)
-        assert theta.trusted(0, 0.0) == frozenset({0, 1, 2, 3})
-        assert theta.trusted(0, 7.0) == frozenset({0, 1, 2})
-
-    def test_theta_always_contains_a_correct_process(self):
-        oracle = make_oracle(4, {2: 1.0, 3: 2.0})
-        theta = ThetaDetector(oracle, detection_delay=0.5)
-        for t in (0.0, 1.0, 2.0, 5.0, 50.0):
-            assert theta.trusted(0, t) & set(oracle.correct_indices())
-
-    def test_perfect_never_suspects_correct(self):
-        oracle = make_oracle(4, {3: 5.0})
-        perfect = PerfectDetector(oracle, detection_delay=2.0)
-        for t in (0.0, 10.0, 100.0):
-            assert not perfect.suspected(0, t) & set(oracle.correct_indices())
-
-    def test_perfect_eventually_suspects_crashed(self):
-        oracle = make_oracle(4, {3: 5.0})
-        perfect = PerfectDetector(oracle, detection_delay=2.0)
-        assert 3 not in perfect.suspected(0, 6.0)
-        assert 3 in perfect.suspected(0, 7.5)
-
-    def test_alive_is_complement(self):
-        oracle = make_oracle(4, {3: 5.0})
-        perfect = PerfectDetector(oracle)
-        assert perfect.alive(0, 10.0) == frozenset({0, 1, 2})
-
-    def test_invalid_delay(self):
-        oracle = make_oracle(3)
-        with pytest.raises(ValueError):
-            ThetaDetector(oracle, detection_delay=-1.0)
-        with pytest.raises(ValueError):
-            PerfectDetector(oracle, detection_delay=-1.0)
-
-    def test_index_validation(self):
-        oracle = make_oracle(3)
-        with pytest.raises(IndexError):
-            ThetaDetector(oracle).trusted(9, 0.0)
-        with pytest.raises(IndexError):
-            PerfectDetector(oracle).suspected(9, 0.0)
 
 
 class TestDisseminationPolicy:
