@@ -16,7 +16,7 @@ This module is the executable form of that contract:
   (all-drop rows, reliable and quasi-reliable channel families),
   the fairness guard (heavy loss), crashes, both ways of consuming a
   delivery run (through the repeat filter for Algorithms 1 and 2 — strict
-  equality, staggered label learning and a per-query AΘ included — and
+  equality, staggered label learning and every detector policy included — and
   boxed for the baselines, which do not declare the filter's property), and
   the per-event fallback for unbounded-below delays.
 * :func:`compare_engines` runs one scenario under several backends and

@@ -22,7 +22,6 @@ which parameterisations satisfy the formal properties in which runs.
 
 from __future__ import annotations
 
-import bisect
 import random
 from typing import Optional
 
@@ -86,7 +85,8 @@ class AnonymousDetectorBase(FailureDetector):
         self.detection_delay = float(detection_delay)
         self.learn_delay = float(learn_delay)
         rng = rng or random.Random(0)
-        everyone = tuple(range(oracle.n_processes))
+        n = oracle.n_processes
+        everyone = tuple(range(n))
         # Staggered learning times: viewer v first sees subject j's label at
         # self._learn[v][j].  A process always knows its own label at once.
         self._learn = [
@@ -99,24 +99,16 @@ class AnonymousDetectorBase(FailureDetector):
         # process's detection instant d_j.
         if self.policy is DisseminationPolicy.OWN_ONLY:
             self._subjects = [(viewer,) for viewer in everyone]
-            self._detected = [_INF for _ in everyone]
+            self._detected = [_INF] * n
         elif self.policy is DisseminationPolicy.CORRECT_ONLY:
             correct = oracle.correct_indices()
             self._subjects = [correct if oracle.is_correct(viewer) else ()
                               for viewer in everyone]
-            self._detected = [_INF for _ in everyone]
+            self._detected = [_INF] * n
         else:
-            self._subjects = [everyone for _ in everyone]
+            self._subjects = [everyone] * n
             self._detected = [oracle.crash_time(j) + self.detection_delay
                               for j in everyone]
-        # A view changes only where one of its subjects is learnt or
-        # detected: each viewer's sorted breakpoints.
-        self._breaks = [
-            sorted({t for j in self._subjects[viewer]
-                    for t in (self._learn[viewer][j], self._detected[j])
-                    if t < _INF})
-            for viewer in everyone
-        ]
         #: Each viewer's window around its last query.
         self._windows: dict[int, Window] = {}
         #: Views by content ``(visible subjects, number)``, so that equal
@@ -134,7 +126,9 @@ class AnonymousDetectorBase(FailureDetector):
         return window[2]
 
     def _window(self, viewer: int, now: SimTime) -> Window:
-        """*viewer*'s view at *now*, between the breakpoints around *now*."""
+        """*viewer*'s view at *now*, valid from the last learn time or
+        detection instant of its subjects at or before *now* until the
+        first one after."""
         if not (0 <= viewer < self.oracle.n_processes):
             raise IndexError(
                 f"process index {viewer} out of range "
@@ -142,6 +136,9 @@ class AnonymousDetectorBase(FailureDetector):
             )
         subjects, learn = self._subjects[viewer], self._learn[viewer]
         detected = self._detected
+        breaks = [t for j in subjects for t in (learn[j], detected[j])]
+        valid_from = max((t for t in breaks if t <= now), default=-_INF)
+        valid_until = min((t for t in breaks if t > now), default=_INF)
         visible = tuple(j for j in subjects if learn[j] <= now < detected[j])
         number = len(subjects) - sum(1 for j in subjects if detected[j] <= now)
         key = (visible, number)
@@ -150,10 +147,7 @@ class AnonymousDetectorBase(FailureDetector):
             pairs = [FDPair(self.oracle.label_of(j), number) for j in visible]
             view = self._views[key] = (FailureDetectorView(pairs) if pairs
                                        else FailureDetectorView.empty())
-        breaks = self._breaks[viewer]
-        i = bisect.bisect_right(breaks, now)
-        return (breaks[i - 1] if i else -_INF,
-                breaks[i] if i < len(breaks) else _INF, view)
+        return valid_from, valid_until, view
 
     # ------------------------------------------------------------------ #
     # analysis helpers

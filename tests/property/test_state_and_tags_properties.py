@@ -24,8 +24,8 @@ LABEL_SETS = [frozenset(), frozenset(LABELS[:1]), frozenset(LABELS[:3]),
               frozenset(LABELS[2:]), frozenset(LABELS)]
 
 #: View objects as detectors hand them out: shared between changes, and
-#: (the last) an equal but distinct object, as a detector that builds a
-#: fresh view per query returns.
+#: (the last) an equal but distinct object, as a detector that does not
+#: intern its views returns (it costs only the partial re-check).
 VIEWS = [
     FailureDetectorView([FDPair(LABELS[0], 3), FDPair(LABELS[2], 3)]),
     FailureDetectorView([FDPair(LABELS[0], 2)]),
