@@ -75,6 +75,9 @@ class MajorityUrbProcess(AnonymousProcess):
         #: The ACK built at the first reception of each message, re-sent on
         #: every later one: it holds ``m`` exactly when ``MY_ACK`` does.
         self._last_ack: dict[TaggedMessage, AckPayload] = {}
+        #: ACK payloads already handled: their ``tag_ack`` is in ``ALL_ACK``
+        #: for good, so receiving one again is a no-op.
+        self._settled: set[Union[AckPayload, LabeledAckPayload]] = set()
 
     # ------------------------------------------------------------------ #
     # URB_broadcast (lines 4-6)
@@ -110,6 +113,9 @@ class MajorityUrbProcess(AnonymousProcess):
     # receive (ACK, m, tag, tag_ack)  (lines 18-27)
     # ------------------------------------------------------------------ #
     def _on_ack(self, payload: Union[AckPayload, LabeledAckPayload]) -> None:
+        if payload in self._settled:
+            return
+        self._settled.add(payload)
         message = payload.message
         if not self.state.record_ack(message, payload.ack_tag):  # lines 19-21
             # ALL_ACK only grows here, and every growth is followed by the

@@ -36,6 +36,10 @@ from .messages import AckPayload, LabeledAckPayload, MsgPayload, TaggedMessage
 from .process_base import AnonymousProcess
 from .state import Algorithm2State, carriers
 
+#: The label set of an unlabelled ``AckPayload``: one object, so that a
+#: repeat of one finds ``old is labels`` in ``_try_deliver``.
+_NO_LABELS: frozenset[Label] = frozenset()
+
 
 class QuiescentUrbProcess(AnonymousProcess):
     """One anonymous process running Algorithm 2.
@@ -84,6 +88,11 @@ class QuiescentUrbProcess(AnonymousProcess):
         #: The AΘ view under which each undelivered message last failed the
         #: delivery condition.
         self._failed_under: dict[TaggedMessage, FailureDetectorView] = {}
+        #: ACK payloads of delivered messages whose labels are still the
+        #: ones on record for their ``tag_ack``: receiving one again is a
+        #: no-op.  A payload leaves when its acknowledger moves to another
+        #: label set, since receiving it again would move it back.
+        self._settled: set[Union[AckPayload, LabeledAckPayload]] = set()
 
     # ------------------------------------------------------------------ #
     # URB_broadcast (lines 4-6)
@@ -120,18 +129,30 @@ class QuiescentUrbProcess(AnonymousProcess):
     # receive (ACK, m, tag, tag_ack, labels)  (lines 22-51)
     # ------------------------------------------------------------------ #
     def _on_ack(self, payload: Union[AckPayload, LabeledAckPayload]) -> None:
+        if payload in self._settled:
+            return
         message = payload.message
-        labels = getattr(payload, "labels", frozenset())
-        old = self.state.record_labeled_ack(message, payload.ack_tag, labels)
-        self._try_deliver(message, old, labels)
+        ack_tag = payload.ack_tag
+        labels = getattr(payload, "labels", _NO_LABELS)
+        old = self.state.record_labeled_ack(message, ack_tag, labels)
+        if old is not None and old is not labels and old != labels:
+            # The acknowledger moved: unsettle what it carried before, in
+            # either form when that was no label at all.
+            settled = self._settled
+            settled.discard(LabeledAckPayload(message, ack_tag, old))
+            if not old:
+                settled.discard(AckPayload(message, ack_tag))
+        if self._try_deliver(message, old, labels):
+            self._settled.add(payload)
 
     def _try_deliver(self, message: TaggedMessage,
                      old: Optional[frozenset[Label]],
-                     labels: frozenset[Label]) -> None:
+                     labels: frozenset[Label]) -> bool:
         """Delivery condition, lines 46-51, after an acknowledger's label
-        set went from *old* (``None``: a first ACK) to *labels*."""
+        set went from *old* (``None``: a first ACK) to *labels*.  Returns
+        whether *message* is delivered."""
         if self.state.is_delivered(message):
-            return
+            return True
         view = self.env.atheta()
         failed = self._failed_under.get(message)
         only = None
@@ -139,14 +160,15 @@ class QuiescentUrbProcess(AnonymousProcess):
             # It failed under these pairs, and since then only the counters
             # of the labels the acknowledger added or dropped have moved.
             if old is labels:
-                return
+                return False
             only = labels if old is None else old ^ labels
         if self._delivery_condition(message, view, only):
             self._failed_under.pop(message, None)
             self.state.mark_delivered(message)          # line 48
             self._record_delivery(message)              # line 49
-        else:
-            self._failed_under[message] = view
+            return True
+        self._failed_under[message] = view
+        return False
 
     def _delivery_condition(self, message: TaggedMessage,
                             view: FailureDetectorView,

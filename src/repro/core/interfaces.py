@@ -15,7 +15,12 @@ Two interfaces decouple the protocol implementations from the simulator:
   :attr:`BroadcastProtocol.repeated_ack_is_noop_once_delivered`: the
   protocols state a property of their ACK handler, the engine decides what
   to do with it (the vectorized backend's repeat filter), and a property
-  test checks the statement against the handlers themselves.
+  test checks the statement against the handlers themselves.  The two
+  paper algorithms also apply it themselves, to every engine's receptions:
+  each answers an ACK payload it has settled (one whose reception can
+  change nothing) with one set lookup before its bookkeeping, and
+  ``tests/property/test_repeat_filter_declaration.py`` re-feeds every
+  settled payload through the full handler to check that as well.
 """
 
 from __future__ import annotations

@@ -153,7 +153,10 @@ class Algorithm1State:
 
         Returns ``True`` if this ``tag_ack`` was new for *message*.
         """
-        acks = self.all_ack.setdefault(message, set())
+        acks = self.all_ack.get(message)
+        if acks is None:
+            self.all_ack[message] = {ack_tag}
+            return True
         if ack_tag in acks:
             return False
         acks.add(ack_tag)

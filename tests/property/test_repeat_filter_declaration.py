@@ -11,6 +11,13 @@ views, and after every step re-feeds the last-handled payload of every cell
 of every delivered message — and show, with a subclass that declares the
 property without having it, both that the check has teeth and that the
 engines really do diverge when the declaration is false.
+
+Both paper algorithms also apply the declaration themselves: each keeps a
+set, ``_settled``, of ACK payloads it answers with one set lookup.  A
+re-feed of a settled payload returns at that set, so the checks below also
+take each settled payload out of it first and re-feed it through the full
+handler, and a subclass that never takes a payload out of the set shows
+that this check has teeth too.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -25,7 +32,11 @@ from repro.core.messages import (
     MsgPayload,
     TaggedMessage,
 )
-from repro.experiments.parity import compare_engines, parity_cases
+from repro.experiments.parity import (
+    compare_engines,
+    parity_cases,
+    run_fingerprint,
+)
 from repro.failure_detectors.base import FailureDetectorView, FDPair
 from repro.failure_detectors.labels import Label
 from repro.registry import AlgorithmSpec, algorithms
@@ -56,6 +67,15 @@ events = st.lists(
     ),
     max_size=60,
 )
+
+M = MESSAGES[0]
+A = frozenset(LABELS[:2])
+B = frozenset(LABELS[:1])
+#: Delivers ``M`` under the starting view ``VIEWS[2]`` on every algorithm
+#: below.  Few short drawn sequences deliver anything, so half the draws
+#: start with it, and their cells' later moves meet settled payloads.
+DELIVERING = [("msg", M)] + [("ack", M, tag, A) for tag in (1, 2, 3)]
+sequences = events | events.map(lambda drawn: DELIVERING + drawn)
 
 PROCESSES = {
     "algorithm1": lambda env: MajorityUrbProcess(env, 5),
@@ -120,10 +140,23 @@ def apply(process, env, event):
     return None
 
 
+def check_settled(process, env):
+    """Re-feed every settled payload through the full handler: it must
+    leave :func:`observable` where it was and be settled again."""
+    settled = set(process._settled)
+    for payload in settled:
+        process._settled.remove(payload)
+        before = observable(process, env)
+        process.on_receive(payload)
+        assert observable(process, env) == before, payload
+        assert process._settled == settled, payload
+
+
 def check_declaration(build, sequence):
     """Drive one process through *sequence*; after every step, re-feeding
     the last-handled payload of any cell of a delivered message must leave
-    :func:`observable` exactly where it was.  Returns the process."""
+    :func:`observable` exactly where it was, and so must re-feeding every
+    settled payload (:func:`check_settled`).  Returns the process."""
     env = FakeEnvironment(seed=7, atheta_view=VIEWS[2], apstar_view=VIEWS[2])
     process = build(env)
     assert process.repeated_ack_is_noop_once_delivered
@@ -137,11 +170,12 @@ def check_declaration(build, sequence):
                 before = observable(process, env)
                 process.on_receive(payload)
                 assert observable(process, env) == before, payload
+        check_settled(process, env)
     return process
 
 
 @pytest.mark.parametrize("name", sorted(PROCESSES))
-@given(sequence=events)
+@given(sequence=sequences)
 @settings(max_examples=150, deadline=None)
 def test_repeated_ack_is_a_noop_once_delivered(name, sequence):
     check_declaration(PROCESSES[name], sequence)
@@ -170,8 +204,39 @@ def test_sequences_reach_deliveries_under_changing_labels_and_views():
         check_declaration(build, sequence)
 
 
+#: Delivered by the second ACK under ``VIEWS[2]``; then acknowledger 1 goes
+#: A, B, A and acknowledger 3 goes unlabelled, labelled, unlabelled, each
+#: first change after its earlier payload was settled.
+A_B_A = [
+    ("msg", M),
+    ("ack", M, 1, A),
+    ("ack", M, 2, A),
+    ("ack", M, 1, A),
+    ("ack", M, 3, None),
+    ("ack", M, 1, B),
+    ("ack", M, 3, B),
+    ("ack", M, 1, A),
+    ("ack", M, 3, None),
+]
+
+
+@pytest.mark.parametrize("name", ["algorithm2", "algorithm2-strict"])
+def test_a_settled_payload_received_after_a_move_moves_the_set_back(name):
+    env = FakeEnvironment(seed=7, atheta_view=VIEWS[2], apstar_view=VIEWS[2])
+    process = PROCESSES[name](env)
+    sets = []
+    for event in A_B_A:
+        apply(process, env, event)
+        sets.append(dict(process.state.label_sets.get(M, {})))
+    assert process.state.is_delivered(M)
+    assert sets[4] == {A: 2, frozenset(): 1}
+    assert sets[6] == {A: 1, B: 2}
+    assert sets[8] == sets[4]
+    check_declaration(PROCESSES[name], A_B_A)
+
+
 # --------------------------------------------------------------------------- #
-# negative control: a declaration that does not hold
+# negative controls: a declaration that does not hold, a set never emptied
 # --------------------------------------------------------------------------- #
 class GossipingMajorityUrb(MajorityUrbProcess):
     """Algorithm 1, except that it counts ACK receptions and passes every
@@ -225,3 +290,39 @@ def test_a_false_declaration_breaks_engine_parity():
     report = _gossip_report(HonestGossipingMajorityUrb)
     assert report.runs[1].consume_mode == "boxed"
     assert report.ok, report.diff()
+
+
+class _Unforgetting(set):
+    """A settled set that keeps what it is told to discard."""
+
+    def discard(self, item):
+        pass
+
+
+class NeverEvictingQuiescentUrb(QuiescentUrbProcess):
+    """Algorithm 2, except that a payload once settled stays settled after
+    its acknowledger moved to another label set."""
+
+    def __init__(self, env, **options):
+        super().__init__(env, **options)
+        self._settled = _Unforgetting()
+
+
+def test_the_check_rejects_a_settled_set_that_is_never_emptied():
+    with pytest.raises(AssertionError):
+        check_declaration(NeverEvictingQuiescentUrb, A_B_A)
+
+
+def test_a_settled_set_that_is_never_emptied_changes_a_whole_run():
+    (case,) = (case for case in parity_cases()
+               if case.name == "staggered-learning")
+    spec = AlgorithmSpec(
+        name="never_evicting_test",
+        factory=lambda scenario, index, env: NeverEvictingQuiescentUrb(env),
+        supports_quiescence=True,
+        uses_failure_detectors=True,
+    )
+    with algorithms.scoped(spec):
+        mutant = run_fingerprint(
+            case.with_(algorithm="never_evicting_test"), "reference")
+    assert mutant.fingerprint != run_fingerprint(case, "reference").fingerprint
