@@ -12,8 +12,8 @@ Canonicalisation rules (documented in DESIGN.md §10):
 * The scenario is first serialised field-by-field through
   :func:`repro.explore.serialize.scenario_to_dict` — the same registry-
   validated round-trip counterexample artifacts use.  Scenarios that cannot
-  be serialised faithfully (engine hooks, inline workload objects, custom
-  callable-backed loss/delay specs) cannot be cached and raise
+  be serialised faithfully (inline workload objects, custom callable-backed
+  loss/delay specs, non-JSON field values) cannot be cached and raise
   :class:`ValueError`.
 * The dict is rendered as minified JSON with **sorted keys** at every
   nesting level, so the hash is independent of field declaration order,
@@ -58,7 +58,7 @@ def canonical_scenario_dict(scenario: Scenario) -> dict[str, Any]:
     """The scenario's canonical JSON-friendly form (see module docs).
 
     Raises :class:`ValueError` for scenarios with no stable serialised form
-    (hooks, inline workloads, custom loss/delay callables).
+    (inline workloads, custom loss/delay callables).
     """
     data = scenario_to_dict(scenario)
     for field in _FLOAT_FIELDS:
@@ -69,15 +69,26 @@ def canonical_scenario_dict(scenario: Scenario) -> dict[str, Any]:
 
 def canonical_scenario_json(scenario: Scenario) -> str:
     """Minified, key-sorted JSON of the canonical form (the hashed bytes)."""
+    data = canonical_scenario_dict(scenario)
     try:
-        return json.dumps(canonical_scenario_dict(scenario),
-                          sort_keys=True, separators=(",", ":"))
+        return json.dumps(data, sort_keys=True, separators=(",", ":"))
     except TypeError as exc:
-        # Non-JSON metadata values have no canonical byte form.
+        # A non-JSON value (in metadata or a spec's params) has no
+        # canonical byte form; name the fields that hold one.
+        bad = [name for name, value in sorted(data.items())
+               if not _has_json_form(value)]
         raise ValueError(
-            f"scenario {scenario.name!r} has unserialisable metadata and "
-            f"cannot be content-addressed: {exc}"
+            f"scenario {scenario.name!r} cannot be content-addressed: "
+            f"field(s) {', '.join(bad)} have no JSON form ({exc})"
         ) from None
+
+
+def _has_json_form(value: Any) -> bool:
+    try:
+        json.dumps(value, sort_keys=True)
+    except TypeError:
+        return False
+    return True
 
 
 def scenario_cell_key(scenario: Scenario) -> str:

@@ -15,22 +15,15 @@ algorithms need, so the algorithm classes read like the paper's pseudocode
 and the invariants (insertion-order determinism, counter consistency) are
 testable in isolation.  They are the only representation of protocol state:
 every engine backend drives the same handlers over the same dicts.
-
-:class:`PayloadInterner` is not protocol state but the vectorized engine's
-id tables for wire payloads (dense ids for payloads, messages and
-``(m, tag_ack)`` ACK cells); it lives here because it is defined by the
-payload classes and nothing else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping, Optional
-
-import numpy as np
+from typing import Iterable, Iterator, Mapping, Optional
 
 from ..failure_detectors.labels import Label
-from .messages import AckPayload, LabeledAckPayload, MsgPayload, TaggedMessage
+from .messages import TaggedMessage
 from .tags import Tag
 
 
@@ -175,70 +168,6 @@ class Algorithm1State:
             "my_ack": len(self.my_ack),
             "all_ack": sum(len(v) for v in self.all_ack.values()),
         }
-
-
-class PayloadInterner:
-    """Dense integer ids for wire payloads and what the repeat filter keys on.
-
-    The vectorized engine carries channel copies as integer columns, not
-    payload objects: every distinct payload gets a *pid* (``payloads`` boxes
-    it back for ``on_receive``), every distinct ``(m, tag)`` message a
-    *mid*, and every distinct acknowledgement ``(m, tag, tag_ack)`` — label
-    set *not* included — an ACK *cell*.  ``mid_arr`` and ``cell_arr`` map a
-    pid to its message and cell (``-1`` where it has none), in
-    amortised-growth NumPy columns so a whole delivery run is classified by
-    two gathers; the engine's repeat filter keeps "payload last handled" per
-    destination and cell, and "delivered" per destination and message.
-
-    Interning relies on the payload classes' cached hashes (one dict lookup
-    per broadcast).  Ids are assigned in first-appearance order and never
-    change, so tables sized by ``n_mids``/``n_cells`` only ever grow.
-    """
-
-    __slots__ = ("_pid_of", "payloads", "mid_arr", "cell_arr", "_mid_of",
-                 "_cell_of")
-
-    def __init__(self) -> None:
-        self._pid_of: dict[Any, int] = {}
-        #: pid -> payload object.
-        self.payloads: list[Any] = []
-        self.mid_arr = np.empty(256, dtype=np.intp)
-        self.cell_arr = np.empty(256, dtype=np.intp)
-        self._mid_of: dict[TaggedMessage, int] = {}
-        self._cell_of: dict[tuple[int, Tag], int] = {}
-
-    @property
-    def n_mids(self) -> int:
-        """Number of distinct interned messages."""
-        return len(self._mid_of)
-
-    @property
-    def n_cells(self) -> int:
-        """Number of distinct interned ACK cells."""
-        return len(self._cell_of)
-
-    def pid_for(self, payload: Any) -> int:
-        """The dense id of *payload*, interning it on first sight."""
-        pid = self._pid_of.get(payload)
-        if pid is None:
-            pid = self._pid_of[payload] = len(self.payloads)
-            self.payloads.append(payload)
-            if pid == len(self.mid_arr):
-                self.mid_arr = np.concatenate((self.mid_arr, self.mid_arr))
-                self.cell_arr = np.concatenate((self.cell_arr, self.cell_arr))
-            mid = cell = -1
-            if isinstance(payload, (MsgPayload, AckPayload, LabeledAckPayload)):
-                mid = self.mid_for(payload.message)
-                if not isinstance(payload, MsgPayload):
-                    cells = self._cell_of
-                    cell = cells.setdefault((mid, payload.ack_tag), len(cells))
-            self.mid_arr[pid] = mid
-            self.cell_arr[pid] = cell
-        return pid
-
-    def mid_for(self, message: TaggedMessage) -> int:
-        """The dense id of *message*, interning it on first sight."""
-        return self._mid_of.setdefault(message, len(self._mid_of))
 
 
 def carriers(sets: Mapping[frozenset[Label], int], label: Label) -> int:

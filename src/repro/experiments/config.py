@@ -14,7 +14,7 @@ seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Mapping, Optional, Union
 
 from ..network.delay import DelaySpec
 from ..network.fair_lossy import DEFAULT_FAIRNESS_BOUND
@@ -28,7 +28,6 @@ from ..registry import (
     strategies,
     workloads,
 )
-from ..simulation.hooks import EngineHook
 from ..workloads.base import Workload
 
 
@@ -71,8 +70,6 @@ class Scenario:
         by process 0 at time 0).
     trace_enabled, trace_ticks:
         Trace recording switches (disable for very large benchmark runs).
-    hooks:
-        Engine hooks (e.g. the impossibility adversary).
     explore_strategy, explore_index:
         Schedule exploration (see :mod:`repro.explore`): the name of a
         registered exploration strategy driving the run's nondeterminism,
@@ -116,7 +113,6 @@ class Scenario:
 
     trace_enabled: bool = True
     trace_ticks: bool = False
-    hooks: Sequence[EngineHook] = ()
 
     explore_strategy: Optional[str] = None
     explore_index: int = 0

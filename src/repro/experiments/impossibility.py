@@ -11,6 +11,11 @@ runs; run ``R2`` is the damning one:
 * no process of ``S2`` ever receives anything → Uniform Agreement is
   violated.
 
+The partition already keeps every ``S1`` message from ``S2``, so *when* the
+``S1`` processes crash cannot be seen from ``S2``: the scenario declares
+their crashes at the horizon, and every cell is a plain, content-addressed
+scenario.
+
 The experiment *constructs* run ``R2`` against a sub-majority variant of
 Algorithm 1 (acknowledgement threshold lowered to ``⌈n/2⌉`` — the largest
 threshold an algorithm could wait for if it is to make progress with only
@@ -25,7 +30,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..network.loss import LossSpec
-from ..simulation.hooks import CrashOnDeliveryHook
 from .batch import ScenarioSuite
 from .common import count_of, seeds_for
 from .config import Scenario
@@ -43,16 +47,14 @@ def build_partition_scenario(
     majority_threshold: int,
     seed: int = 0,
     n_processes: int = N_PROCESSES,
-) -> tuple[Scenario, CrashOnDeliveryHook]:
+) -> Scenario:
     """Build the run-``R2`` scenario of the proof for a given ACK threshold.
 
-    Returns the scenario and the adversarial hook (so callers can inspect
-    which processes were crashed on delivery).
+    The ``S1`` side (the first ⌈n/2⌉ processes) crashes at the horizon.
     """
-    group_s1 = frozenset(range((n_processes + 1) // 2))          # ⌈n/2⌉
-    group_s2 = frozenset(range((n_processes + 1) // 2, n_processes))
-    hook = CrashOnDeliveryHook(targets=group_s1)
-    scenario = Scenario(
+    group_s1 = range((n_processes + 1) // 2)                    # ⌈n/2⌉
+    group_s2 = range((n_processes + 1) // 2, n_processes)
+    return Scenario(
         name=f"E6-threshold{majority_threshold}",
         algorithm="algorithm1",
         n_processes=n_processes,
@@ -60,13 +62,12 @@ def build_partition_scenario(
         # The partition loses every message crossing from S1 to S2 (and back,
         # which only strengthens the indistinguishability); the fairness
         # guard must be off — the adversary controls the channel.
-        loss=LossSpec.partition(set(group_s1), set(group_s2)),
+        loss=LossSpec.partition(group_s1, group_s2),
         fairness_bound=None,
         majority_threshold=majority_threshold,
         max_time=HORIZON,
-        hooks=(hook,),
+        crashes={index: HORIZON for index in group_s1},
     )
-    return scenario, hook
 
 
 def run(seeds: Optional[int] = None, quick: bool = False) -> ExperimentResult:
@@ -78,15 +79,11 @@ def run(seeds: Optional[int] = None, quick: bool = False) -> ExperimentResult:
         ("sub-majority (t >= n/2 tolerated)", sub_majority),
         ("proper majority (t < n/2 required)", proper_majority),
     )
-    # One scenario per cell, each with its own (stateful) hook.
     suite = ScenarioSuite("E6")
     for label, threshold in configurations:
-        for seed in range(n_seeds):
-            scenario, _hook = build_partition_scenario(
-                majority_threshold=threshold, seed=seed
-            )
-            suite.add(scenario, group=label)
-    groups = suite.run(fail_fast=True).groups()
+        suite.add(build_partition_scenario(majority_threshold=threshold),
+                  group=label)
+    groups = suite.with_seeds(n_seeds).run(fail_fast=True).groups()
     rows = [
         [
             label,

@@ -223,7 +223,6 @@ def build_engine(scenario: Scenario, *, controller=None) -> SimulationEngine:
         atheta=atheta,
         apstar=apstar,
         trace=TraceRecorder(enabled=scenario.trace_enabled),
-        hooks=tuple(scenario.hooks),
         trace_ticks=scenario.trace_ticks,
         controller=controller,
     )

@@ -29,11 +29,9 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     """JSON-friendly dict capturing every field needed to rebuild *scenario*.
 
     Raises :class:`ValueError` for scenarios that cannot be serialised
-    faithfully: engine hooks, inline workload objects, and custom
-    (callable-backed) loss/delay specs have no stable JSON form.
+    faithfully: inline workload objects and custom (callable-backed)
+    loss/delay specs have no stable JSON form.
     """
-    if scenario.hooks:
-        raise ValueError("scenarios with engine hooks cannot be serialised")
     if scenario.workload is not None and not isinstance(scenario.workload, str):
         raise ValueError(
             "only registered (named) workloads can be serialised; got an "

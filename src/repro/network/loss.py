@@ -23,7 +23,7 @@ import abc
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Optional
+from typing import Callable, Hashable, Iterable, Optional
 
 DedupKey = Hashable
 
@@ -329,12 +329,17 @@ class LossSpec:
         return cls(kind="adversarial_finite", params={"budget": budget})
 
     @classmethod
-    def partition(cls, group_a: set[int], group_b: set[int],
+    def partition(cls, group_a: Iterable[int], group_b: Iterable[int],
                   **kwargs) -> "LossSpec":
-        """Permanent partition between two process groups."""
+        """Permanent partition between two process groups.
+
+        The groups are kept as sorted lists, so the spec has a JSON form
+        (campaign cell keys, counterexample artifacts); :class:`PartitionLoss`
+        turns them back into sets.
+        """
         return cls(kind="partition",
-                   params={"group_a": frozenset(group_a),
-                           "group_b": frozenset(group_b), **kwargs})
+                   params={"group_a": sorted(group_a),
+                           "group_b": sorted(group_b), **kwargs})
 
     @classmethod
     def custom(cls, factory: Callable[[int, int, random.Random], LossModel]) -> "LossSpec":

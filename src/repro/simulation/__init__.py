@@ -1,7 +1,7 @@
 """Discrete-event simulation substrate for the anonymous system model.
 
-The engine-level names (:class:`SimulationEngine`, :class:`ProcessEnvironment`,
-the hooks) are exported lazily (PEP 562): the engine imports protocol-layer
+The engine-level names (:class:`SimulationEngine`, :class:`ProcessEnvironment`)
+are exported lazily (PEP 562): the engine imports protocol-layer
 modules, and loading it eagerly here would create an import cycle when
 low-level modules such as :mod:`repro.simulation.simtime` are pulled in by
 the protocol layer itself.
@@ -22,10 +22,6 @@ _LAZY_EXPORTS = {
     "SimulationResult": ("repro.simulation.engine", "SimulationResult"),
     "ProcessFactory": ("repro.simulation.engine", "ProcessFactory"),
     "ProcessEnvironment": ("repro.simulation.environment", "ProcessEnvironment"),
-    "EngineHook": ("repro.simulation.hooks", "EngineHook"),
-    "CrashOnDeliveryHook": ("repro.simulation.hooks", "CrashOnDeliveryHook"),
-    "DeliveryTimelineHook": ("repro.simulation.hooks", "DeliveryTimelineHook"),
-    "SendBudgetHook": ("repro.simulation.hooks", "SendBudgetHook"),
 }
 
 
@@ -48,10 +44,7 @@ def __dir__() -> list[str]:
 
 __all__ = [
     "BroadcastCommand",
-    "CrashOnDeliveryHook",
     "CrashSchedule",
-    "DeliveryTimelineHook",
-    "EngineHook",
     "EventKind",
     "EventQueue",
     "EventStats",
@@ -64,7 +57,6 @@ __all__ = [
     "ProcessFactory",
     "RandomSource",
     "SchedulingError",
-    "SendBudgetHook",
     "SimTime",
     "SimulationConfig",
     "SimulationEngine",

@@ -18,8 +18,8 @@ bit-identical trace digests, delivery logs and metrics.  The parity suite
   per-channel loss/delay vectors) and merges batches with the event queue on
   the reference ``(time, seq)`` total order.  Falls back to per-event
   dispatch — silently, and bit-identically — whenever a
-  :class:`~repro.explore.controller.ScheduleController`, engine hooks or a
-  FULL trace level are active, so explore/replay stay exact.
+  :class:`~repro.explore.controller.ScheduleController` or a FULL trace
+  level is active, so explore/replay stay exact.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ register_engine(
     batched=True,
     description=(
         "struct-of-arrays batched delivery dispatch; bit-identical to "
-        "reference, falls back to per-event under controllers/hooks/FULL "
+        "reference, falls back to per-event under a controller or FULL "
         "trace"
     ),
 )(VectorizedEngine)

@@ -37,7 +37,6 @@ from .config import SimulationConfig
 from .environment import ProcessEnvironment
 from .events import BroadcastCommand, EventKind, EventStats
 from .faults import CrashSchedule
-from .hooks import EngineHook
 from .metrics import MetricsCollector, MetricsSummary
 from .rng import RandomSource
 from .scheduler import EventQueue
@@ -176,8 +175,6 @@ class SimulationEngine:
         ``None`` yields empty views (Algorithm 1 never reads them).
     trace / metrics:
         Optional pre-built recorders (auto-created otherwise).
-    hooks:
-        Engine hooks (observation / adversarial steering).
     trace_ticks:
         Whether to record a trace event per retransmission round.  Disabled
         by default because tick events dominate trace size without adding
@@ -205,7 +202,6 @@ class SimulationEngine:
         apstar: Optional[FailureDetector] = None,
         trace: Optional[TraceRecorder] = None,
         metrics: Optional[MetricsCollector] = None,
-        hooks: Sequence[EngineHook] = (),
         trace_ticks: bool = False,
         controller: Optional["ScheduleController"] = None,
     ) -> None:
@@ -230,7 +226,6 @@ class SimulationEngine:
         self.apstar = apstar
         self.trace = trace if trace is not None else TraceRecorder()
         self.metrics = metrics if metrics is not None else MetricsCollector()
-        self.hooks: list[EngineHook] = list(hooks)
         self.trace_ticks = trace_ticks
         self.controller = controller
 
@@ -289,16 +284,14 @@ class SimulationEngine:
 
         Every copy's fate is decided first — by the channels
         (``Network.broadcast_fast``) or by the schedule controller — then
-        the ``on_send`` hooks observe the broadcast, and it is booked once:
-        one trace call for the per-copy SEND / DROP rows, one queue call
-        for the receive events, two metrics calls.  A hook that broadcasts
-        from ``on_send`` is booked, whole, before the broadcast it observed.
-        Channel randomness is drawn in the same order whoever decides, so
-        controlled and uncontrolled runs are bit-identical.
+        the broadcast is booked once: one trace call for the per-copy SEND /
+        DROP rows, one queue call for the receive events, two metrics
+        calls.  Channel randomness is drawn in the same order whoever
+        decides, so controlled and uncontrolled runs are bit-identical.
         """
         if src in self._crashed:
             # A crashed process executes no further statements; silently
-            # dropping the call keeps hooks and protocols simpler.
+            # dropping the call keeps protocols simpler.
             return
         now = self._now
         crash_src = False
@@ -306,8 +299,6 @@ class SimulationEngine:
             copies, crash_src = self._controlled_copies(src, payload, now)
         else:
             copies = self.network.broadcast_fast(src, payload, now)
-        for hook in self.hooks:
-            hook.on_send(self, src, payload, now)
         kind = payload_kind(payload)
         if self.trace.channel_active:
             self.trace.record_broadcast(now, src, kind, payload, copies)
@@ -352,7 +343,8 @@ class SimulationEngine:
         if index in self._crashed:
             return
         self._forced_crashes[index] = self._now
-        self.crash_now(index)
+        self._crashed.add(index)
+        self.trace.record(self._now, TraceCategory.CRASH, index, forced=True)
 
     def atheta_view(self, index: int) -> FailureDetectorView:
         """AΘ output for process *index* at the current time."""
@@ -375,7 +367,7 @@ class SimulationEngine:
         return self.apstar.view(index, self._now)
 
     def on_process_delivered(self, index: int, message: TaggedMessage) -> None:
-        """Record a URB-delivery and fire hooks."""
+        """Record a URB-delivery."""
         if self.metrics.active:
             self.metrics.on_urb_deliver(self._now, index, message.content)
         if self.trace.protocol_active:
@@ -386,8 +378,6 @@ class SimulationEngine:
                 content=message.content,
                 tag=message.tag,
             )
-        for hook in self.hooks:
-            hook.on_deliver(self, index, message, self._now)
 
     def on_process_retired(self, index: int, message: TaggedMessage) -> None:
         """Record the retirement of a message from a process's MSG set."""
@@ -399,18 +389,6 @@ class SimulationEngine:
                 content=message.content,
                 tag=message.tag,
             )
-
-    # ------------------------------------------------------------------ #
-    # adversarial / external control
-    # ------------------------------------------------------------------ #
-    def crash_now(self, index: int) -> None:
-        """Crash process *index* immediately (used by adversarial hooks)."""
-        if index in self._crashed:
-            return
-        self._crashed.add(index)
-        self.trace.record(self._now, TraceCategory.CRASH, index, forced=True)
-        for hook in self.hooks:
-            hook.on_crash(self, index, self._now)
 
     def request_stop(self, reason: str) -> None:
         """Ask the engine to stop at the end of the current event."""
@@ -425,8 +403,6 @@ class SimulationEngine:
         if self.controller is not None:
             self.controller.begin_run(self)
         self._seed_initial_events()
-        for hook in self.hooks:
-            hook.on_run_start(self)
 
         # The loop pops for itself what ``EventQueue.pop`` would, and handles
         # RECEIVE (nearly every event) in place; see DESIGN.md §8.1.
@@ -479,8 +455,6 @@ class SimulationEngine:
         """Close the books of a run whose loop has ended; package its result."""
         final_time = min(self._now, self.config.max_time)
         self.metrics.on_finish(final_time)
-        for hook in self.hooks:
-            hook.on_run_end(self, final_time)
         provenance = self._schedule_provenance()
         self.trace.header.update(provenance.as_dict())
         if obs.enabled():
@@ -545,9 +519,7 @@ class SimulationEngine:
 
     def _effective_crash_schedule(self) -> CrashSchedule:
         """The scenario's crash schedule plus any controller-injected
-        crashes (hook-driven :meth:`crash_now` calls are deliberately *not*
-        folded in — the impossibility adversary relies on its victims being
-        classified against the declared schedule)."""
+        crashes."""
         if not self._forced_crashes:
             return self.crash_schedule
         merged = dict(self.crash_schedule.crash_times)
@@ -592,8 +564,6 @@ class SimulationEngine:
             return
         self._crashed.add(index)
         self.trace.record(self._now, TraceCategory.CRASH, index)
-        for hook in self.hooks:
-            hook.on_crash(self, index, self._now)
 
     def _handle_tick(self, index: int) -> None:
         if index not in self._crashed:

@@ -62,7 +62,7 @@ class ProcessEnvironment:
         return self._engine.apstar_view(self._index)
 
     def notify_delivery(self, message: TaggedMessage) -> None:
-        """Report a URB-delivery to the platform (tracing/metrics/hooks)."""
+        """Report a URB-delivery to the platform (tracing/metrics)."""
         self._engine.on_process_delivered(self._index, message)
 
     def notify_retire(self, message: TaggedMessage) -> None:

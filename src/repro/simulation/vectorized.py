@@ -55,11 +55,11 @@ Bit-identical parity with ``reference`` is a hard requirement, enforced by
   ``low + (high - low) * u`` expression the stdlib uses.
 * Aggregate bookkeeping (metrics counters, channel stats, event stats)
   is flushed in forms that are arithmetically identical to the reference
-  engine's per-event updates; nothing observes the intermediate values on
-  the batched path because that path only runs with no hooks attached.
+  engine's per-event updates; nothing outside the engine observes the
+  intermediate values on the batched path.
 
-Fallback: when a :class:`~repro.explore.controller.ScheduleController`,
-engine hooks, or a FULL trace level (per-copy SEND/DROP/CHANNEL_DELIVER
+Fallback: when a :class:`~repro.explore.controller.ScheduleController`
+or a FULL trace level (per-copy SEND/DROP/CHANNEL_DELIVER
 records) are active, or no positive minimum delay exists (exponential or
 custom delay models, custom channel classes: slicing is unsound),
 :meth:`run` delegates to the reference per-event loop — same class, same
@@ -76,8 +76,10 @@ from typing import Any, Optional
 import numpy as np
 
 from .. import obs
-from ..core.messages import TaggedMessage, payload_kind
-from ..core.state import PayloadInterner
+from ..core.messages import (
+    AckPayload, LabeledAckPayload, MsgPayload, TaggedMessage, payload_kind,
+)
+from ..core.tags import Tag
 from ..network.channel import LossyChannel
 from ..network.delay import FixedDelay, UniformDelay
 from ..network.loss import BernoulliLoss, NoLoss
@@ -181,6 +183,70 @@ def _row_profile(channels: list) -> Optional[tuple]:
     # All-drop rows interleave guard state with every attempt; the per-send
     # path handles them exactly and they are never hot.
     return profile if profile[0] < 1.0 else None
+
+
+class PayloadInterner:
+    """Dense integer ids for wire payloads and what the repeat filter keys on.
+
+    The vectorized engine carries channel copies as integer columns, not
+    payload objects: every distinct payload gets a *pid* (``payloads`` boxes
+    it back for ``on_receive``), every distinct ``(m, tag)`` message a
+    *mid*, and every distinct acknowledgement ``(m, tag, tag_ack)`` — label
+    set *not* included — an ACK *cell*.  ``mid_arr`` and ``cell_arr`` map a
+    pid to its message and cell (``-1`` where it has none), in
+    amortised-growth NumPy columns so a whole delivery run is classified by
+    two gathers; the engine's repeat filter keeps "payload last handled" per
+    destination and cell, and "delivered" per destination and message.
+
+    Interning relies on the payload classes' cached hashes (one dict lookup
+    per broadcast).  Ids are assigned in first-appearance order and never
+    change, so tables sized by ``n_mids``/``n_cells`` only ever grow.
+    """
+
+    __slots__ = ("_pid_of", "payloads", "mid_arr", "cell_arr", "_mid_of",
+                 "_cell_of")
+
+    def __init__(self) -> None:
+        self._pid_of: dict[Any, int] = {}
+        #: pid -> payload object.
+        self.payloads: list[Any] = []
+        self.mid_arr = np.empty(256, dtype=np.intp)
+        self.cell_arr = np.empty(256, dtype=np.intp)
+        self._mid_of: dict[TaggedMessage, int] = {}
+        self._cell_of: dict[tuple[int, Tag], int] = {}
+
+    @property
+    def n_mids(self) -> int:
+        """Number of distinct interned messages."""
+        return len(self._mid_of)
+
+    @property
+    def n_cells(self) -> int:
+        """Number of distinct interned ACK cells."""
+        return len(self._cell_of)
+
+    def pid_for(self, payload: Any) -> int:
+        """The dense id of *payload*, interning it on first sight."""
+        pid = self._pid_of.get(payload)
+        if pid is None:
+            pid = self._pid_of[payload] = len(self.payloads)
+            self.payloads.append(payload)
+            if pid == len(self.mid_arr):
+                self.mid_arr = np.concatenate((self.mid_arr, self.mid_arr))
+                self.cell_arr = np.concatenate((self.cell_arr, self.cell_arr))
+            mid = cell = -1
+            if isinstance(payload, (MsgPayload, AckPayload, LabeledAckPayload)):
+                mid = self.mid_for(payload.message)
+                if not isinstance(payload, MsgPayload):
+                    cells = self._cell_of
+                    cell = cells.setdefault((mid, payload.ack_tag), len(cells))
+            self.mid_arr[pid] = mid
+            self.cell_arr[pid] = cell
+        return pid
+
+    def mid_for(self, message: TaggedMessage) -> int:
+        """The dense id of *message*, interning it on first sight."""
+        return self._mid_of.setdefault(message, len(self._mid_of))
 
 
 class _NetSampler:
@@ -495,8 +561,8 @@ class VectorizedEngine(SimulationEngine):
     """SimulationEngine with sliced (struct-of-arrays) delivery dispatch.
 
     Bit-identical to the reference engine by construction (see module docs);
-    falls back to the inherited per-event loop whenever a controller, hooks
-    or a FULL trace level require per-copy observability, or the channels
+    falls back to the inherited per-event loop whenever a controller or a
+    FULL trace level require per-copy observability, or the channels
     have no positive minimum delay to slice by.
     """
 
@@ -522,16 +588,14 @@ class VectorizedEngine(SimulationEngine):
     def _fallback_reason(self) -> Optional[str]:
         """Why this run needs the per-event loop (``None`` = batchable).
 
-        Controllers decide per-copy fates, hooks observe per-copy events,
-        and FULL tracing records per-copy SEND/DROP/CHANNEL_DELIVER entries
-        — all three need the per-event loop, and without a positive minimum
-        delay there is no slice to batch.  DELIVERIES-level tracing and
-        every metrics level are exactly reproduced by the batched path.
+        Controllers decide per-copy fates and FULL tracing records per-copy
+        SEND/DROP/CHANNEL_DELIVER entries — both need the per-event loop —
+        and without a positive minimum delay there is no slice to batch.
+        DELIVERIES-level tracing and every metrics level are exactly
+        reproduced by the batched path.
         """
         if self.controller is not None:
             return "controller"
-        if self.hooks:
-            return "hooks"
         if self.trace.channel_active:
             return "full_trace"
         self._window = self._min_delay_window()

@@ -155,24 +155,24 @@ class TestDetectorVariants:
         # The deliberately unsound OWN_ONLY policy lets a process deliver as
         # soon as its own acknowledgement loops back (counter[own label] = 1
         # = number).  Combined with the impossibility-style adversary — the
-        # deliverer is isolated and crashes right after delivering — Uniform
+        # deliverer is isolated and crashes after delivering (at the horizon:
+        # the partition hides the crash time from everyone else) — Uniform
         # Agreement breaks, demonstrating why AΘ-accuracy matters.
         from repro.network.loss import LossSpec as _LossSpec
-        from repro.simulation.hooks import CrashOnDeliveryHook
 
-        hook = CrashOnDeliveryHook(targets={0})
         result = run_scenario(
             scenario(
                 fd_policy=DisseminationPolicy.OWN_ONLY,
                 loss=_LossSpec.partition({0}, {1, 2, 3, 4}),
                 fairness_bound=None,
-                hooks=(hook,),
+                crashes={0: 40.0},
                 stop_when_quiescent=False,
                 max_time=40.0,
             )
         )
         assert result.metrics.deliveries >= 1
-        assert hook.crashes and hook.crashes[0][0] == 0
+        assert result.simulation.deliveries_of(0) == ["m0"]
+        assert result.simulation.crash_schedule.crash_times == {0: 40.0}
         assert not result.verdict.uniform_agreement.holds
         # Integrity (at-most-once, only broadcast messages) still holds.
         assert result.verdict.uniform_integrity.holds

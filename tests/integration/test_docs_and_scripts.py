@@ -1,6 +1,7 @@
 """Integration tests for repository-level artefacts: the EXPERIMENTS.md
 generator script and the presence/consistency of the documentation files."""
 
+import os
 import re
 import subprocess
 import sys
@@ -60,7 +61,15 @@ class TestDocumentationFiles:
             )
 
     def test_every_example_is_runnable_python(self):
-        for example in (REPO_ROOT / "examples").glob("*.py"):
-            source = example.read_text(encoding="utf-8")
-            compile(source, str(example), "exec")
-            assert '__main__' in source
+        """Each example runs to exit 0 as its docstring says to run it."""
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        for example in sorted((REPO_ROOT / "examples").glob("*.py")):
+            assert "__main__" in example.read_text(encoding="utf-8")
+            completed = subprocess.run(
+                [sys.executable, str(example)], cwd=REPO_ROOT, env=env,
+                capture_output=True, text=True, timeout=120,
+            )
+            assert completed.returncode == 0, (
+                f"examples/{example.name} exited {completed.returncode}:\n"
+                f"{completed.stderr}"
+            )

@@ -1,16 +1,20 @@
 """Each experiment E1–E10 is one suite run once, and its cells hash.
 
 An experiment declares every cell in one ``ScenarioSuite`` and runs it with
-one ``BatchRunner`` pass.  Every cell except E6's (which carries a stateful
-crash-on-delivery hook) has a campaign content address, so a later change
-can move the experiments onto the result store without touching a scenario.
+one ``BatchRunner`` pass.  Every cell has a campaign content address and
+rebuilds from its canonical form, so a later change can move the
+experiments onto the result store without touching a scenario.
 """
 
 import pytest
 
 import repro
 import repro.experiments
-from repro.campaigns.hashing import scenario_cell_key
+from repro.campaigns.hashing import (
+    canonical_scenario_dict,
+    scenario_cell_key,
+    scenario_from_canonical_dict,
+)
 from repro.cli import main
 from repro.experiments import registry
 from repro.experiments.batch import BatchRunner
@@ -41,13 +45,11 @@ def test_one_pass_per_experiment(experiment_id, passes):
     assert len(passes) == 1
     cells = [item.scenario for item in passes[0]]
     assert cells
-    if experiment_id == "E6":
-        for scenario in cells:
-            with pytest.raises(ValueError, match="hooks"):
-                scenario_cell_key(scenario)
-    else:
-        keys = [scenario_cell_key(scenario) for scenario in cells]
-        assert len(set(keys)) == len(keys)
+    keys = [scenario_cell_key(scenario) for scenario in cells]
+    assert len(set(keys)) == len(keys)
+    for scenario in cells:
+        canonical = canonical_scenario_dict(scenario)
+        assert scenario_from_canonical_dict(canonical) == scenario
 
 
 @pytest.mark.parametrize("preset, inline", [
@@ -73,15 +75,7 @@ def test_every_group_runs_each_seed_once(experiment_id, passes):
     for scenarios in groups.values():
         first, second = scenarios
         assert second.seed == first.seed + 1
-        assert second.with_seed(first.seed).with_(hooks=first.hooks) == first
-
-
-def test_e6_cells_each_carry_their_own_hook(passes):
-    registry.run_experiment("E6", quick=True, seeds=3)
-    hooks = [item.scenario.hooks for item in passes[0]]
-    assert len(hooks) == 6
-    assert all(len(cell_hooks) == 1 for cell_hooks in hooks)
-    assert len({id(cell_hooks[0]) for cell_hooks in hooks}) == 6
+        assert second.with_seed(first.seed) == first
 
 
 def test_e10_rows_are_its_groups_in_declaration_order(passes):

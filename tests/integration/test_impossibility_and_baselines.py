@@ -4,7 +4,7 @@ baseline protocols' failure modes."""
 import pytest
 
 from repro.experiments.config import Scenario
-from repro.experiments.impossibility import build_partition_scenario
+from repro.experiments.impossibility import HORIZON, build_partition_scenario
 from repro.experiments.runner import run_scenario
 from repro.network.loss import LossSpec
 from repro.workloads.generators import SingleBroadcast
@@ -13,14 +13,19 @@ from repro.workloads.generators import SingleBroadcast
 class TestImpossibilityConstruction:
     def test_sub_majority_threshold_violates_uniform_agreement(self):
         # Run R2 of the proof: S1 delivers then crashes; S2 hears nothing.
-        scenario, hook = build_partition_scenario(majority_threshold=2)
+        scenario = build_partition_scenario(majority_threshold=2)
         result = run_scenario(scenario)
+        simulation = result.simulation
         assert result.metrics.deliveries > 0
-        assert hook.crashes, "the adversary must have crashed a deliverer"
+        deliverers = {index for index in range(scenario.n_processes)
+                      if simulation.deliveries_of(index)}
+        crashed = simulation.crash_schedule.crash_times
+        assert deliverers and deliverers <= set(crashed), \
+            "every deliverer must be a crashed process"
         assert not result.verdict.uniform_agreement.holds
 
     def test_partitioned_side_never_delivers(self):
-        scenario, _ = build_partition_scenario(majority_threshold=2)
+        scenario = build_partition_scenario(majority_threshold=2)
         result = run_scenario(scenario)
         n = scenario.n_processes
         s2 = range((n + 1) // 2, n)
@@ -28,15 +33,17 @@ class TestImpossibilityConstruction:
             assert result.simulation.deliveries_of(index) == []
 
     def test_proper_majority_blocks_instead_of_violating(self):
-        scenario, hook = build_partition_scenario(majority_threshold=3)
+        scenario = build_partition_scenario(majority_threshold=3)
         result = run_scenario(scenario)
         assert result.metrics.deliveries == 0
-        assert not hook.crashes
+        # S1 crashes only at the horizon, long after it could have delivered.
+        crashed = result.simulation.crash_schedule.crash_times
+        assert crashed == {0: HORIZON, 1: HORIZON}
         assert result.verdict.uniform_agreement.holds
 
     def test_construction_is_reproducible(self):
         for seed in range(3):
-            scenario, _ = build_partition_scenario(majority_threshold=2, seed=seed)
+            scenario = build_partition_scenario(majority_threshold=2, seed=seed)
             result = run_scenario(scenario)
             assert not result.verdict.uniform_agreement.holds
 

@@ -26,7 +26,6 @@ from repro.explore import (
 from repro.network.delay import DelaySpec
 from repro.network.loss import LossSpec
 from repro.simulation.events import EventKind
-from repro.simulation.hooks import EngineHook
 from repro.simulation.scheduler import SchedulingError
 from repro.simulation.tracing import TraceCategory
 
@@ -44,26 +43,6 @@ LOSSY = Scenario(
     drain_grace_period=2.0,
     max_time=150.0,
 )
-
-
-class EchoHook(EngineHook):
-    """Re-enters the engine from ``on_send``: the first *budget* broadcasts
-    it sees are echoed, same payload, by the sender's right neighbour —
-    while the outer broadcast's copies are decided but not yet booked."""
-
-    def __init__(self, budget: int = 25) -> None:
-        self.budget = budget
-        self.echoed = 0
-        self._nested = False
-
-    def on_send(self, engine, process, payload, now):
-        if self._nested or self.echoed >= self.budget:
-            return
-        self._nested = True
-        self.echoed += 1
-        engine.broadcast_from((process + 1) % engine.config.n_processes,
-                              payload)
-        self._nested = False
 
 
 def booking_print(result) -> tuple:
@@ -88,11 +67,6 @@ def booking_print(result) -> tuple:
 
 
 def run_variant(variant: str):
-    if variant == "hooked":
-        hook = EchoHook()
-        result = build_engine(LOSSY.with_(hooks=(hook,))).run()
-        assert hook.echoed == hook.budget
-        return result
     if variant == "default_controller":
         return build_engine(
             LOSSY, controller=DefaultScheduleController()).run()
@@ -104,9 +78,6 @@ PINNED_BOOKS = {
     "plain": (
         "892a46f4018aa84e57eb68b4d2b8fdfaa3e98a37bb3b82472f8a25dba5d006b0",
         1329, 660, 212, "6962e4c075df9418"),
-    "hooked": (
-        "5e80344657232f0116aa62d15dc3c3a1008728c4069ada75c98019bb52b92b0d",
-        1478, 725, 234, "ca0470a85a6245f4"),
     "default_controller": (
         "892a46f4018aa84e57eb68b4d2b8fdfaa3e98a37bb3b82472f8a25dba5d006b0",
         1329, 660, 212, "6962e4c075df9418"),

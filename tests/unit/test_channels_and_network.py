@@ -146,7 +146,7 @@ class TestNetwork:
 
     def test_broadcast_returns_a_fresh_list_each_time(self):
         # No shared buffer: a caller may hold one broadcast's copies while
-        # another broadcast (a hook's, from on_send) goes through.
+        # another broadcast goes through.
         network = self._network(3)
         first = network.broadcast_fast(0, "p", 0.0)
         second = network.broadcast_fast(1, "p", 5.0)

@@ -20,9 +20,8 @@ from repro.experiments.parity import parity_cases, run_fingerprint
 from repro.experiments.runner import build_engine
 from repro.network.delay import DelaySpec
 from repro.network.loss import LossSpec
-from repro.simulation.hooks import DeliveryTimelineHook
 from repro.simulation.metrics import MetricsCollector, MetricsLevel
-from repro.simulation.tracing import TraceCategory, TraceLevel, TraceRecorder
+from repro.simulation.tracing import TraceLevel, TraceRecorder
 
 
 def run_engine(scenario: Scenario, **engine_overrides):
@@ -129,28 +128,6 @@ class TestGatingParity:
         assert counters.metrics.send_timeline == []
         assert counters.metrics.latency_samples == []
         assert counters_summary.mean_latency is None
-
-    def test_hooks_path_matches_fast_path(self):
-        """A hooked broadcast and a hook-free one must produce identical
-        traces — an observation-only hook cannot perturb the run."""
-        plain = run_engine(BASE)
-        hooked = run_engine(BASE.with_(hooks=(DeliveryTimelineHook(),)))
-        assert fingerprint(plain) == fingerprint(hooked)
-
-    @pytest.mark.parametrize("recorders", [
-        lambda: {"trace": TraceRecorder(level=TraceLevel.DELIVERIES),
-                 "metrics": MetricsCollector(level=MetricsLevel.COUNTERS)},
-        lambda: {"trace": TraceRecorder(enabled=False),
-                 "metrics": MetricsCollector(level=MetricsLevel.OFF)},
-    ], ids=["gated", "off"])
-    def test_hooked_broadcast_gates_like_hook_free(self, recorders):
-        """The outcome loop reads the recording gates once for hooked and
-        hook-free broadcasts alike, so gated-out levels stay gated out."""
-        plain = run_engine(BASE, **recorders())
-        hooked = run_engine(
-            BASE.with_(hooks=(DeliveryTimelineHook(),)), **recorders())
-        assert fingerprint(plain) == fingerprint(hooked)
-        assert plain.trace.count(TraceCategory.SEND) == 0
 
 
 class TestFastPathEdgeCases:

@@ -1,5 +1,5 @@
-"""Unit tests for the simulation engine, process environment and hooks,
-driven with tiny hand-assembled runs."""
+"""Unit tests for the simulation engine and process environment, driven
+with tiny hand-assembled runs."""
 
 import pytest
 
@@ -14,18 +14,12 @@ from repro.simulation.config import SimulationConfig, StopConditions
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.events import BroadcastCommand, EventKind
 from repro.simulation.faults import CrashSchedule
-from repro.simulation.hooks import (
-    CrashOnDeliveryHook,
-    DeliveryTimelineHook,
-    EngineHook,
-    SendBudgetHook,
-)
 from repro.simulation.rng import RandomSource
 from repro.simulation.tracing import TraceCategory
 
 
 def build_engine(n=3, *, loss=None, crashes=None, workload=None, max_time=30.0,
-                 stop=None, hooks=(), algorithm="algorithm1", seed=0,
+                 stop=None, algorithm="algorithm1", seed=0,
                  tick_interval=1.0):
     config = SimulationConfig(
         n_processes=n, max_time=max_time, seed=seed,
@@ -49,7 +43,6 @@ def build_engine(n=3, *, loss=None, crashes=None, workload=None, max_time=30.0,
         crash_schedule=CrashSchedule.crash_at(n, crashes or {}),
         workload=workload if workload is not None
         else [BroadcastCommand(time=0.0, sender=0, content="m0")],
-        hooks=hooks,
     )
 
 
@@ -147,12 +140,14 @@ class TestCrashHandling:
         result = build_engine(crashes={2: 20.0}, max_time=25.0).run()
         assert result.deliveries_of(2) == ["m0"]
 
-    def test_crash_now_is_idempotent(self):
+    def test_crash_for_exploration_is_idempotent_and_folded(self):
         engine = build_engine()
-        engine.crash_now(1)
-        engine.crash_now(1)
+        engine._crash_for_exploration(1)
+        engine._crash_for_exploration(1)
         assert engine.is_crashed(1)
         assert engine.alive_indices() == (0, 2)
+        assert engine.trace.count(TraceCategory.CRASH) == 1
+        assert engine.run().crash_schedule.crash_times == {1: 0.0}
 
     def test_messages_to_crashed_process_are_discarded(self):
         result = build_engine(crashes={1: 0.0}).run()
@@ -233,58 +228,9 @@ class TestAnonymityOfEnvironment:
 
     def test_broadcast_from_crashed_process_is_dropped(self):
         engine = build_engine()
-        engine.crash_now(0)
+        engine._crash_for_exploration(0)
         engine.broadcast_from(0, "anything")
         assert engine.metrics.total_sends == 0
-
-
-class TestHooks:
-    def test_delivery_timeline_hook_records(self):
-        hook = DeliveryTimelineHook()
-        build_engine(hooks=(hook,)).run()
-        assert len(hook.deliveries) == 3
-        assert all(content == "m0" for _, _, content in hook.deliveries)
-
-    def test_crash_on_delivery_hook(self):
-        hook = CrashOnDeliveryHook(targets={0})
-        result = build_engine(hooks=(hook,), max_time=40.0).run()
-        assert len(hook.crashes) == 1
-        assert hook.crashes[0][0] == 0
-        # Process 0 delivered exactly once (it crashed right afterwards).
-        assert result.deliveries_of(0) == ["m0"]
-
-    def test_crash_on_delivery_hook_all_targets(self):
-        hook = CrashOnDeliveryHook()
-        result = build_engine(hooks=(hook,), max_time=40.0).run()
-        assert len(hook.crashes) == 3
-
-    def test_send_budget_hook_stops_run(self):
-        hook = SendBudgetHook(max_sends=10)
-        result = build_engine(hooks=(hook,), max_time=100.0).run()
-        assert hook.exceeded
-        assert result.stop_reason == "send budget exceeded"
-
-    def test_send_budget_rejects_bad_budget(self):
-        with pytest.raises(ValueError):
-            SendBudgetHook(0)
-
-    def test_base_hook_callbacks_are_noops(self):
-        # The default EngineHook must be safe to install as-is.
-        result = build_engine(hooks=(EngineHook(),)).run()
-        assert result.metrics.deliveries == 3
-
-    def test_run_start_and_end_called(self):
-        calls = []
-
-        class Recorder(EngineHook):
-            def on_run_start(self, engine):
-                calls.append("start")
-
-            def on_run_end(self, engine, now):
-                calls.append("end")
-
-        build_engine(hooks=(Recorder(),)).run()
-        assert calls == ["start", "end"]
 
 
 class TestDeterminism:

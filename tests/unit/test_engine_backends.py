@@ -3,8 +3,8 @@
 The ``engines`` registry's contract is that a backend is a dispatch
 strategy, never a semantics change: every backend must be bit-identical to
 ``reference`` on the parity battery, must fall back to per-event dispatch
-whenever per-copy observability is required (controllers, hooks, FULL
-traces) or the channels have no positive minimum delay, must name and count
+whenever per-copy observability is required (controllers, FULL traces)
+or the channels have no positive minimum delay, must name and count
 every such off-ramp, and must round-trip through scenario serialisation
 like any other registry-named component.  The vectorized backend's repeat
 filter gets its own section: a fixed-seed differential sweep, the in-run
@@ -27,7 +27,7 @@ from repro.core.messages import (
     MsgPayload,
     TaggedMessage,
 )
-from repro.core.state import PayloadInterner
+from repro.simulation.vectorized import PayloadInterner
 from repro.experiments.config import Scenario
 from repro.experiments.parity import (
     compare_engines,
@@ -109,8 +109,7 @@ def test_vectorized_matches_reference(name):
     assert report.ok, report.diff()
     # The comparison must not be vacuous: the vectorized run has to take
     # the path the case was written for (these scenarios attach no
-    # controller/hooks and the parity runner keeps traces at DELIVERIES
-    # level).
+    # controller and the parity runner keeps traces at DELIVERIES level).
     (vectorized_run,) = (run for run in report.runs
                          if run.engine == "vectorized")
     assert (vectorized_run.dispatch_mode, vectorized_run.consume_mode) == \
@@ -373,16 +372,6 @@ def test_full_trace_forces_per_event_dispatch_with_parity():
     assert run.fingerprint == reference.fingerprint
 
 
-def test_hooks_force_per_event_dispatch():
-    from repro.simulation.hooks import DeliveryTimelineHook
-
-    scenario = CASES["bernoulli-uniform"].with_(engine="vectorized",
-                                                hooks=(DeliveryTimelineHook(),))
-    engine = build_engine(scenario)
-    engine.run()
-    assert engine.dispatch_mode == "per-event"
-
-
 # --------------------------------------------------------------------------- #
 # fallback reasons: one test per _fallback_reason() branch and one for the
 # consume gate, each asserting the mode attributes AND the
@@ -409,17 +398,6 @@ def test_controller_fallback_reason_counted(obs_on):
     assert run.dispatch_mode == "per-event"
     assert run.consume_mode is None
     assert _fallback_count("controller") == 1
-
-
-def test_hooks_fallback_reason_counted(obs_on):
-    from repro.simulation.hooks import DeliveryTimelineHook
-
-    scenario = CASES["bernoulli-uniform"].with_(
-        hooks=(DeliveryTimelineHook(),))
-    run = run_fingerprint(scenario, "vectorized")
-    assert run.dispatch_mode == "per-event"
-    assert run.consume_mode is None
-    assert _fallback_count("hooks") == 1
 
 
 def test_full_trace_fallback_reason_counted(obs_on):

@@ -62,26 +62,6 @@ class TestDefaultControllerParity:
                 == controlled.metrics_summary().as_dict())
         assert plain.final_time == controlled.final_time
 
-    def test_default_controller_parity_with_hooks(self):
-        from repro.simulation.hooks import EngineHook
-
-        class CountingHook(EngineHook):
-            def __init__(self):
-                self.sends = 0
-
-            def on_send(self, engine, src, payload, now):
-                self.sends += 1
-
-        scenario = _scenario(loss=LossSpec.bernoulli(0.2))
-        hook_a, hook_b = CountingHook(), CountingHook()
-        plain = build_engine(scenario.with_(hooks=(hook_a,))).run()
-        controlled = build_engine(
-            scenario.with_(hooks=(hook_b,)),
-            controller=DefaultScheduleController(),
-        ).run()
-        assert plain.trace.digest() == controlled.trace.digest()
-        assert hook_a.sends == hook_b.sends > 0
-
 
 class TestScheduleProvenance:
     def test_default_run_records_provenance(self):
@@ -187,14 +167,6 @@ class TestControllerCrashes:
         result = engine.run()
         assert not result.crash_schedule.is_correct(0)
         assert 0 not in result.correct_indices()
-
-    def test_hook_crash_now_not_folded_into_schedule(self):
-        # The impossibility adversary's crash_now must keep the declared
-        # schedule: only controller decisions are folded in.
-        engine = build_engine(_scenario())
-        engine.crash_now(1)
-        result = engine.run()
-        assert result.crash_schedule.is_correct(1)
 
 
 class TestReplayController:

@@ -12,6 +12,7 @@ from repro.analysis.properties import violation_signature
 from repro.experiments.config import Scenario
 from repro.explore import (
     DELIVER,
+    Counterexample,
     Explorer,
     RecordingController,
     explore,
@@ -20,6 +21,7 @@ from repro.explore import (
     replay_decisions,
     scenario_from_dict,
     scenario_to_dict,
+    write_counterexample,
 )
 from repro.network.delay import DelaySpec
 from repro.network.loss import LossSpec
@@ -272,11 +274,22 @@ class TestScenarioSerialization:
         rebuilt = scenario_from_dict(scenario_to_dict(scenario))
         assert rebuilt == scenario
 
-    def test_rejects_unserialisable_scenarios(self):
-        from repro.simulation.hooks import EngineHook
+    def test_partition_scenario_round_trips_keys_and_is_written(self, tmp_path):
+        from repro.campaigns import scenario_cell_key
+        from repro.experiments.impossibility import build_partition_scenario
 
-        with pytest.raises(ValueError, match="hooks"):
-            scenario_to_dict(_scenario(hooks=(EngineHook(),)))
+        scenario = build_partition_scenario(majority_threshold=2, seed=3)
+        rebuilt = scenario_from_dict(scenario_to_dict(scenario))
+        assert rebuilt == scenario
+        assert scenario_cell_key(rebuilt) == scenario_cell_key(scenario)
+        path = write_counterexample(Counterexample(
+            scenario=scenario, strategy="random_walk", schedule_index=0,
+            seed=3, schedule_hash="0" * 16, decisions=((DELIVER, 0.5),),
+            violations=("uniform_agreement",),
+            signature=("uniform_agreement",)), tmp_path)
+        assert load_counterexample(path)["scenario"] == scenario
+
+    def test_rejects_unserialisable_scenarios(self):
         with pytest.raises(ValueError, match="custom"):
             scenario_to_dict(_scenario(
                 loss=LossSpec(kind="custom",

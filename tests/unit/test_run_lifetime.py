@@ -5,8 +5,8 @@ The one back-edge of a run's object graph — environment ⇢ engine — is weak
 result never reaches one.  Every case here runs with the collector switched
 off, drops the last reference, and requires (a) that the trace died right
 there and (b) that a full collection afterwards finds nothing: no cycle
-anywhere in what a run allocates.  A hook or span that captured the engine
-would show up as a non-zero count — a finding to report, not to hide.
+anywhere in what a run allocates.  A span that captured the engine would
+show up as a non-zero count — a finding to report, not to hide.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.experiments.runner import build_engine, default_scenario, run_scenari
 from repro.explore import replay_decisions
 from repro.network.loss import LossSpec
 from repro.registry import algorithms, engines, strategies
-from repro.simulation.hooks import DeliveryTimelineHook, SendBudgetHook
 from repro.simulation.metrics import MetricsCollector, MetricsLevel
 from repro.simulation.tracing import TraceLevel, TraceRecorder
 from repro.workloads.generators import SingleBroadcast
@@ -120,16 +119,6 @@ def test_campaign_frees_each_run_where_it_finished(tmp_path, monkeypatch):
         assert Campaign(store, suite, name="c").run().executed == 10
         assert at_finish == [1] * 10 and not live
     assert gc.collect() == 0, "a campaign left cyclic garbage behind"
-
-
-def test_hooked_run_frees_itself():
-    timeline = DeliveryTimelineHook()
-    result = run_scenario(_scenario(
-        "algorithm2", hooks=(timeline, SendBudgetHook(10_000))))
-    assert timeline.deliveries
-    ref = weakref.ref(result.simulation.trace)
-    del result
-    _assert_freed(ref)
 
 
 def test_obs_enabled_run_frees_itself():
