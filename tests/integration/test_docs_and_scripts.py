@@ -7,7 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
+EXAMPLES = sorted((REPO_ROOT / "examples").glob("*.py"))
 WALL_CLOCK = re.compile(r"\(wall-clock [0-9.]+s\)")
 
 
@@ -61,15 +64,20 @@ class TestDocumentationFiles:
             )
 
     def test_every_example_is_runnable_python(self):
+        for example in EXAMPLES:
+            source = example.read_text(encoding="utf-8")
+            compile(source, str(example), "exec")
+            assert '__main__' in source
+
+    @pytest.mark.parametrize("example", EXAMPLES, ids=lambda p: p.name)
+    def test_example_runs_to_exit_zero(self, example):
         """Each example runs to exit 0 as its docstring says to run it."""
         env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-        for example in sorted((REPO_ROOT / "examples").glob("*.py")):
-            assert "__main__" in example.read_text(encoding="utf-8")
-            completed = subprocess.run(
-                [sys.executable, str(example)], cwd=REPO_ROOT, env=env,
-                capture_output=True, text=True, timeout=120,
-            )
-            assert completed.returncode == 0, (
-                f"examples/{example.name} exited {completed.returncode}:\n"
-                f"{completed.stderr}"
-            )
+        completed = subprocess.run(
+            [sys.executable, str(example)], cwd=REPO_ROOT, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert completed.returncode == 0, (
+            f"examples/{example.name} exited {completed.returncode}:\n"
+            f"{completed.stderr}"
+        )

@@ -41,6 +41,16 @@ class TestImpossibilityConstruction:
         assert crashed == {0: HORIZON, 1: HORIZON}
         assert result.verdict.uniform_agreement.holds
 
+    def test_proper_majority_validity_is_vacuous(self):
+        # The blocked sender p0 is on the S1 side, faulty at the horizon:
+        # Validity checks no broadcast rather than reporting p0's block.
+        scenario = build_partition_scenario(majority_threshold=3)
+        result = run_scenario(scenario)
+        assert not result.simulation.crash_schedule.is_correct(0)
+        assert result.simulation.deliveries_of(0) == []
+        assert result.verdict.validity.holds
+        assert result.verdict.validity.checked == 0
+
     def test_construction_is_reproducible(self):
         for seed in range(3):
             scenario = build_partition_scenario(majority_threshold=2, seed=seed)

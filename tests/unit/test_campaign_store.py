@@ -106,6 +106,13 @@ class TestScenarioCellKey:
         with pytest.raises(ValueError, match="field.s. metadata have"):
             scenario_cell_key(quick_scenario(metadata={"bad": object()}))
 
+    def test_key_error_names_the_spec_field_without_a_json_form(self):
+        # A spec parameter with no JSON form is blamed on its field, not on
+        # the scenario's metadata.
+        spec = LossSpec(kind="drop_first_k", params={"k": frozenset({2})})
+        with pytest.raises(ValueError, match="field.s. loss have"):
+            scenario_cell_key(quick_scenario(loss=spec))
+
 
 class TestResultStore:
     def test_put_get_round_trip(self, tmp_path):

@@ -149,6 +149,23 @@ class TestCrashHandling:
         assert engine.trace.count(TraceCategory.CRASH) == 1
         assert engine.run().crash_schedule.crash_times == {1: 0.0}
 
+    @pytest.mark.parametrize("crashed", [(0,), (0, 1)], ids=["one", "two"])
+    def test_crash_at_the_horizon_changes_only_who_is_correct(self, crashed):
+        """A crash declared at ``max_time`` takes no delivery away: only the
+        crashed processes' last Task 1 round, at ``max_time`` itself, is
+        not sent, and the crashed processes are faulty in the result (E6's
+        run R2 relies on this)."""
+        plain = build_engine(max_time=30.0).run()
+        result = build_engine(crashes={i: 30.0 for i in crashed},
+                              max_time=30.0).run()
+        for index in range(3):
+            assert result.deliveries_of(index) == plain.deliveries_of(index)
+            lost = (plain.metrics.sends_by_process[index]
+                    - result.metrics.sends_by_process[index])
+            assert lost == (3 if index in crashed else 0)
+        assert result.crash_schedule.faulty_indices() == crashed
+        assert set(result.correct_indices()).isdisjoint(crashed)
+
     def test_messages_to_crashed_process_are_discarded(self):
         result = build_engine(crashes={1: 0.0}).run()
         deliveries_to_crashed = [

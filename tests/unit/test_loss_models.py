@@ -1,5 +1,6 @@
 """Unit tests for the channel loss models."""
 
+import json
 import random
 
 import pytest
@@ -179,6 +180,28 @@ class TestLossSpec:
     def test_partition_spec(self):
         model = LossSpec.partition({0}, {1}).build(0, 1, random.Random(0))
         assert isinstance(model, PartitionLoss)
+
+    @pytest.mark.parametrize("group_a, group_b, kwargs", [
+        ({2, 0}, {3, 1}, {}),
+        (frozenset({0, 1}), frozenset({2, 3}), {}),
+        (range(2), range(2, 4), {}),
+        ([3, 1], (2, 0), {}),
+        ({0}, {1, 2, 3}, {"drop_b_to_a": False}),
+    ], ids=["sets", "frozensets", "ranges", "unsorted-iterables", "one-way"])
+    def test_partition_spec_is_json_and_drops_the_same(self, group_a, group_b,
+                                                       kwargs):
+        group_a, group_b = list(group_a), list(group_b)
+        spec = LossSpec.partition(iter(group_a), iter(group_b), **kwargs)
+        assert spec.params == {"group_a": sorted(group_a),
+                               "group_b": sorted(group_b), **kwargs}
+        assert json.loads(json.dumps(spec.params)) == spec.params
+        built = spec.build(0, 1, random.Random(0))
+        direct = PartitionLoss(set(group_a), set(group_b), **kwargs)
+        assert built.describe() == direct.describe()
+        for src in range(4):
+            for dst in range(4):
+                assert (built.should_drop(src, dst, "m")
+                        == direct.should_drop(src, dst, "m"))
 
     def test_custom_spec(self):
         spec = LossSpec.custom(lambda src, dst, rng: DropFirstK(src + dst))
