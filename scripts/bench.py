@@ -54,13 +54,18 @@ from repro import obs  # noqa: E402  (needs the path setup above)
 from repro.campaigns import ResultStore, scenario_cell_key  # noqa: E402
 from repro.campaigns.distributed import merge_stores  # noqa: E402
 from repro.experiments.config import Scenario  # noqa: E402
-from repro.experiments.parity import run_fingerprint  # noqa: E402
+from repro.experiments.parity import (  # noqa: E402
+    engine_fingerprint,
+    fingerprint,
+    run_fingerprint,
+)
 from repro.experiments.runner import build_engine, run_scenario  # noqa: E402
 from repro.network.delay import DelaySpec  # noqa: E402
 from repro.network.loss import LossSpec  # noqa: E402
 from repro.simulation.events import EventKind  # noqa: E402
 from repro.simulation.metrics import MetricsCollector, MetricsLevel  # noqa: E402
 from repro.simulation.scheduler import EventQueue  # noqa: E402
+from repro.simulation.tracing import TraceLevel, TraceRecorder  # noqa: E402
 
 E2E_RUN = REPO_ROOT / "benchmarks" / "e2e" / "run.py"
 #: Seconds of passes per workload with ``--e2e --quick`` (CI's setting).
@@ -150,6 +155,46 @@ def obs_overhead() -> Pass:
     return _rates(off_seconds, events, overhead_pct=overhead), correct, {
         "n_processes": scenario.n_processes, "events": events,
         "sends": sends}
+
+
+def _flood_scenario(n: int) -> Scenario:
+    """The ``flood_n14`` workload's scenario at its golden seed (as
+    ``benchmarks/e2e/workloads.py`` builds it): Algorithm 1, every process
+    broadcasts once, Bernoulli loss 0.2, two crashes, a 6 s horizon."""
+    return Scenario(
+        name="bench-flood",
+        algorithm="algorithm1",
+        n_processes=n,
+        seed=1234,
+        loss=LossSpec.bernoulli(0.2),
+        delay=DelaySpec.uniform(0.05, 0.5),
+        workload="all_to_all",
+        crashes={0: 6.0 * 0.3, 1: 6.0 * 0.7},
+        max_time=6.0,
+    )
+
+
+def flood_reference() -> Pass:
+    """The flood_n14 scenario on the per-event loop alone (reference engine)."""
+    # Built as the e2e engine pass builds a run (DELIVERIES trace, COUNTERS
+    # metrics); only the reference run is timed, and its fingerprint, the
+    # channels' settled counts included, must equal the vectorized run's.
+    scenario = _flood_scenario(14)
+    prints, seconds, events = {}, 0.0, 0
+    for engine in ("vectorized", "reference"):
+        built = build_engine(scenario.with_(engine=engine))
+        built.trace = TraceRecorder(enabled=True, level=TraceLevel.DELIVERIES)
+        built.metrics = MetricsCollector(level=MetricsLevel.COUNTERS)
+        start = time.perf_counter()
+        result = built.run()
+        seconds = time.perf_counter() - start
+        events = result.event_stats.total
+        prints[engine] = {**fingerprint(result), **engine_fingerprint(built)}
+    correct = (prints["reference"] == prints["vectorized"]
+               and prints["reference"]["stop_reason"] == "horizon")
+    return _rates(seconds, events), correct, {
+        "n_processes": scenario.n_processes, "events": events,
+        "sends": prints["reference"]["metrics"]["total_sends"]}
 
 
 def _fd_all_processes_scenario(n: int) -> Scenario:
@@ -297,6 +342,7 @@ def campaign_merge() -> Pass:
 LOADS: dict[str, Callable[[], Pass]] = {
     "quiescence_vectorized": quiescence_vectorized,
     "fd_all_processes": fd_all_processes,
+    "flood_reference": flood_reference,
     "obs_overhead": obs_overhead,
     "event_queue_churn": event_queue_churn,
     "campaign_store": campaign_store,

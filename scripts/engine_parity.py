@@ -19,7 +19,11 @@ ever took its batched dispatch path, or if either way of consuming a
 delivery run (``batched``: through the repeat filter; ``boxed``: every
 entry replayed) never ran — that would make the gate vacuous (everything
 silently falling back to per-event dispatch *is* bit-identical, but proves
-nothing).
+nothing).  Likewise for the per-event loop's row path (``Network.broadcast_fast``
+fating a source row's broadcast as a row): each case prints how many rows
+its per-event runs fated that way, and the script fails if no case used the
+row path or if a case whose rows the rule rejects (:data:`PER_COPY_CASES`)
+did.
 """
 
 from __future__ import annotations
@@ -37,6 +41,12 @@ from repro.experiments.parity import (  # noqa: E402
     DEFAULT_ENGINES,
     check_parity,
 )
+
+#: Battery cases whose channel rows ``row_profile`` rejects (all-drop loss,
+#: exponential delay, reliable and quasi-reliable channels): their
+#: per-event runs must fate every copy through its channel's ``transmit``.
+PER_COPY_CASES = ("all-drop", "bernoulli-exponential", "reliable",
+                  "quasi-reliable")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -57,6 +67,7 @@ def main(argv: list[str] | None = None) -> int:
     failed = [report for report in reports if not report.ok]
     batched_runs = 0
     consume_runs = {"batched": 0, "boxed": 0}
+    row_fated = {}
     for report in reports:
         modes = {run.engine: run.dispatch_mode for run in report.runs}
         batched_runs += sum(1 for mode in modes.values() if mode == "batched")
@@ -66,8 +77,12 @@ def main(argv: list[str] | None = None) -> int:
         verdict = "ok" if report.ok else "MISMATCH " + ",".join(report.mismatched)
         consumes = {run.engine: run.consume_mode for run in report.runs
                     if run.consume_mode is not None}
+        # Rows fated as rows by the per-event loop (a batched run fates its
+        # rows in its own sampler).
+        row_fated[report.name] = sum(run.row_fated for run in report.runs
+                                     if run.dispatch_mode != "batched")
         print(f"{report.name:24s} {verdict}  modes={modes}  "
-              f"consume={consumes}")
+              f"consume={consumes}  row-fated={row_fated[report.name]}")
 
     if failed:
         args.artifacts.mkdir(parents=True, exist_ok=True)
@@ -90,10 +105,27 @@ def main(argv: list[str] | None = None) -> int:
                   f"{mode!r} — that path's parity coverage would be vacuous")
             return 1
 
+    missing = [name for name in PER_COPY_CASES if name not in row_fated]
+    if missing:
+        print(f"FAIL: per-copy case(s) {', '.join(missing)} not in the "
+              f"battery — the row-path check would be vacuous")
+        return 1
+    misfated = [name for name in PER_COPY_CASES if row_fated[name]]
+    if misfated:
+        print(f"FAIL: rows the rule rejects were fated as rows in "
+              f"{', '.join(misfated)}")
+        return 1
+    if not any(row_fated.values()):
+        print("FAIL: no per-event run fated a row as a row — the row path's "
+              "parity coverage would be vacuous")
+        return 1
+
     print(f"parity OK: {len(reports)} scenarios, "
           f"{batched_runs} batched backend runs, "
           f"{consume_runs['batched']} batched-receiver runs, "
-          f"{consume_runs['boxed']} boxed-adapter runs")
+          f"{consume_runs['boxed']} boxed-adapter runs, "
+          f"{sum(1 for count in row_fated.values() if count)} cases with "
+          f"row-fated per-event runs")
     return 0
 
 

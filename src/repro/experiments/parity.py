@@ -84,6 +84,8 @@ class EngineRun:
     #: Source rows the batched path fated one send at a time (``None`` for
     #: backends that do not report it).
     generic_rows: Optional[int] = None
+    #: Source rows the network fated as rows (``Network.fated_sources``).
+    row_fated: int = 0
 
 
 @dataclass(frozen=True)
@@ -145,6 +147,7 @@ def run_fingerprint(
         fingerprint={**fingerprint(result), **engine_fingerprint(built)},
         consume_mode=getattr(built, "consume_mode", None),
         generic_rows=getattr(built, "generic_rows", None),
+        row_fated=len(built.network.fated_sources),
     )
 
 

@@ -14,15 +14,26 @@ retransmissions of a protocol message by the payload itself (payloads are
 hashable frozen dataclasses, and identical retransmissions compare equal).
 The source index never reaches protocol code: the engine hands the
 destination only the payload, like the paper's anonymous ``receive(m)``.
+
+A row :func:`row_profile` accepts is fated a row at a time (DESIGN.md §8.14).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Protocol
+from random import Random
+from typing import Any, Optional, Protocol
 
 from ..simulation.rng import RandomSource
 from ..simulation.simtime import SimTime
-from .channel import Channel
+from .channel import Channel, LossyChannel
+from .delay import FixedDelay, UniformDelay
+from .loss import BernoulliLoss, NoLoss
+
+#: What a source row's broadcast returns: ``(dst, deliver_time)`` pairs.
+Fates = list[tuple[int, Optional[SimTime]]]
+#: Narrower rows stay per copy: a row pass saves too little a broadcast to
+#: repay making and settling the row in a short run (DESIGN.md §8.14).
+FATED_ROW_MIN_WIDTH = 6
 
 
 class ChannelFactory(Protocol):
@@ -35,6 +46,137 @@ class ChannelFactory(Protocol):
     def describe(self) -> str:
         """Human-readable factory description."""
         ...
+
+
+def row_profile(channels: list) -> Optional[tuple]:
+    """``(p, fairness bound, delay low, delay high)`` of a row fated as a
+    row — by :class:`_FatedRow` and by the vectorized engine's sampler —
+    else ``None``: every channel runs :meth:`LossyChannel.transmit` over
+    no loss or Bernoulli ``p < 1`` and a fixed (``high`` None) or uniform
+    delay, all alike, each stream a stock ``random.Random`` of its own (a
+    block draw bypasses a subclass's ``random()``; a shared stream would be
+    drawn out of ``transmit``'s order).  All-drop rows are never hot."""
+    profiles = set()
+    streams = []
+    for ch in channels:
+        if type(ch).transmit is not LossyChannel.transmit:
+            return None
+        loss, delay = ch.loss_model, ch.delay_model
+        if type(loss) is NoLoss:
+            probability = 0.0
+        elif type(loss) is BernoulliLoss and type(loss._rng) is Random:
+            probability = loss.probability
+            if probability:
+                streams.append(loss._rng)
+        else:
+            return None
+        if type(delay) is FixedDelay:
+            low, high = delay.delay, None
+        elif type(delay) is UniformDelay and type(delay._rng) is Random:
+            low, high = delay.low, delay.high
+            streams.append(delay._rng)
+        else:
+            return None
+        profiles.add((probability, ch.fairness_bound, low, high))
+    if len(profiles) != 1 or len(set(map(id, streams))) != len(streams):
+        return None
+    profile = profiles.pop()
+    return profile if profile[0] < 1.0 else None
+
+
+def settle_row(channels: list, broadcasts: int, dropped: list, forced: list,
+               guard: dict) -> None:
+    """Fold a row's deferred counters into its channels (*broadcasts*
+    attempts each, ``dropped[j]`` / ``forced[j]`` on channel ``j``, so
+    ``delivered = attempts - dropped`` as ``transmit`` leaves it) and make
+    *guard*, ``key -> {j: consecutive drops}``, their guard state."""
+    for channel, drops, forces in zip(channels, dropped, forced):
+        stats = channel.stats
+        stats.attempts += broadcasts
+        stats.dropped += drops
+        stats.delivered += broadcasts - drops
+        stats.forced_deliveries += forces
+        channel._consecutive_drops.clear()
+    for key, counts in guard.items():
+        for j, count in counts.items():
+            channels[j]._consecutive_drops[key] = count
+
+
+class _FatedRow:
+    """A source row whose broadcasts are fated a row at a time.
+
+    The fates are ``transmit``'s, copy by copy: each channel's own streams
+    drawn in its order (a loss uniform a copy when ``p > 0``, a delay
+    uniform per delivered copy, forced ones included), the same ``low +
+    (high - low) * random()``.  The bookkeeping is per row: one guard table
+    ``payload -> {dst: consecutive drops}``, looked up once a broadcast and
+    loaded from the channels when the row is made, and one broadcast count
+    plus per-destination drops and forced deliveries (:meth:`Network.settle`).
+    """
+
+    __slots__ = ("channels", "probability", "bound", "low", "span",
+                 "loss_randoms", "delay_randoms", "guard", "broadcasts",
+                 "dropped", "forced")
+
+    def __init__(self, channels: list, profile: tuple) -> None:
+        self.channels = channels
+        p, self.bound, low, high = profile
+        self.probability, self.low = p, low
+        self.span = None if high is None else high - low
+        self.loss_randoms = [c.loss_model._rng.random for c in channels] if p else []
+        self.delay_randoms = [c.delay_model._rng.random for c in channels] if high else []
+        guard: dict[Any, dict[int, int]] = {}
+        for dst, ch in enumerate(channels):
+            for key, count in ch._consecutive_drops.items():
+                guard.setdefault(key, {})[dst] = count
+        self.guard = guard
+        self.broadcasts = 0
+        self.dropped = [0] * len(channels)
+        self.forced = [0] * len(channels)
+
+    def fate(self, payload: Any, now: SimTime) -> Fates:
+        """The copies of one broadcast of *payload* at *now*."""
+        self.broadcasts += 1
+        p = self.probability
+        drops = [random() < p for random in self.loss_randoms]
+        guard = self.guard
+        low, span = self.low, self.span
+        if True not in drops:
+            # Every copy delivered: every streak of the payload ends.
+            if guard and payload in guard:
+                del guard[payload]
+            if span is None:
+                at = now + low
+                return [(dst, at) for dst in range(len(self.channels))]
+            return [(dst, now + (low + span * random()))
+                    for dst, random in enumerate(self.delay_randoms)]
+        counts = guard.get(payload)
+        if counts is None:
+            counts = guard[payload] = {}
+        else:
+            for dst in [dst for dst in counts if not drops[dst]]:
+                del counts[dst]  # a delivery ends a streak
+        bound = self.bound
+        for dst, drop in enumerate(drops):
+            if drop:
+                count = counts.get(dst, 0)
+                if bound is not None and count >= bound:
+                    # The fairness guard forces the copy through.
+                    drops[dst] = False
+                    self.forced[dst] += 1
+                    del counts[dst]
+                else:
+                    counts[dst] = count + 1
+                    self.dropped[dst] += 1
+        if not counts:
+            del guard[payload]
+        if span is None:
+            at = now + low
+            return [(dst, None if drop else at)
+                    for dst, drop in enumerate(drops)]
+        return [(dst, None if drop else now + (low + span * random()))
+                for dst, (drop, random)
+                in enumerate(zip(drops, self.delay_randoms))]
 
 
 class Network:
@@ -63,11 +205,14 @@ class Network:
         self.channel_factory = channel_factory
         self.random_source = random_source or RandomSource(0)
         self._channels: dict[tuple[int, int], Channel] = {}
-        #: Per-source dense channel rows in destination order, and their
-        #: bound ``transmit`` methods in the same order (what a broadcast
-        #: calls: no lookup per destination per send); both built lazily.
+        #: Per-source dense channel rows in destination order, and each
+        #: source's fated row's ``fate`` or bound ``transmit`` methods in
+        #: that order (``_fate_of``); both built lazily.
         self._rows: list[Optional[list[Channel]]] = [None] * n_processes
-        self._transmits: list[Optional[list[Callable]]] = [None] * n_processes
+        self._fates: list[Any] = [None] * n_processes
+        #: Fated rows :meth:`settle` writes back, and every source fated so.
+        self._unsettled: list[_FatedRow] = []
+        self.fated_sources: set[int] = set()
 
     # ------------------------------------------------------------------ #
     # channels
@@ -105,38 +250,49 @@ class Network:
             ]
         return row
 
-    def broadcast_fast(
-        self, src: int, payload: Any, now: SimTime
-    ) -> list[tuple[int, Optional[SimTime]]]:
+    def broadcast_fast(self, src: int, payload: Any, now: SimTime) -> Fates:
         """The paper's ``broadcast(m)``: one copy to every process.
 
         Returns a fresh list of ``(dst, deliver_time)`` pairs in
         destination-index order, the sender itself included, with
         ``deliver_time is None`` meaning the copy was dropped.  Each
         channel draws from its own RNG streams, one copy at a time in that
-        order, so runs stay deterministic.
+        order, so runs stay deterministic.  A fated row's channel counts
+        and guard state are current only after :meth:`settle`.
         """
         if not 0 <= src < self.n_processes:
             self._check_index(src)
-        transmits = self._transmits[src]
-        if transmits is None:
-            transmits = self._transmits[src] = [
-                channel.transmit for channel in self._row(src)
-            ]
-        return [(dst, transmit(payload, now))
-                for dst, transmit in enumerate(transmits)]
+        fate = self._fates[src]
+        if fate is None:
+            fate = self._fates[src] = self._fate_of(src)
+        if type(fate) is list:
+            # A row fated copy by copy: its channels' bound ``transmit``.
+            return [(dst, transmit(payload, now))
+                    for dst, transmit in enumerate(fate)]
+        return fate(payload, now)
+
+    def _fate_of(self, src: int) -> Any:
+        row = self._row(src)
+        profile = row_profile(row) if len(row) >= FATED_ROW_MIN_WIDTH else None
+        if profile is None:
+            return [channel.transmit for channel in row]
+        fated = _FatedRow(row, profile)
+        self._unsettled.append(fated)
+        self.fated_sources.add(src)
+        return fated.fate
+
+    def settle(self) -> None:
+        """Write the fated rows' counts and guard state into their channels
+        (once, when a run ends); a row is made again on its next broadcast."""
+        for row in self._unsettled:
+            settle_row(row.channels, row.broadcasts, row.dropped, row.forced,
+                       row.guard)
+        self._unsettled.clear()
+        self._fates = [None] * self.n_processes
 
     # ------------------------------------------------------------------ #
     # diagnostics
     # ------------------------------------------------------------------ #
-    def total_attempts(self) -> int:
-        """Total transmission attempts across all instantiated channels."""
-        return sum(c.stats.attempts for c in self._channels.values())
-
-    def total_drops(self) -> int:
-        """Total drops across all instantiated channels."""
-        return sum(c.stats.dropped for c in self._channels.values())
-
     def describe(self) -> str:
         """Human-readable description used in reports."""
         return (

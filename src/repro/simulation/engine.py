@@ -259,24 +259,6 @@ class SimulationEngine:
             self.processes[index] = process_factory(index, env)
 
     # ------------------------------------------------------------------ #
-    # state queries
-    # ------------------------------------------------------------------ #
-    @property
-    def now(self) -> SimTime:
-        """Current simulated time (time of the event being dispatched)."""
-        return self._now
-
-    def is_crashed(self, index: int) -> bool:
-        """Whether process *index* has crashed already."""
-        return index in self._crashed
-
-    def alive_indices(self) -> tuple[int, ...]:
-        """Processes that have not crashed yet."""
-        return tuple(
-            i for i in range(self.config.n_processes) if i not in self._crashed
-        )
-
-    # ------------------------------------------------------------------ #
     # services used by ProcessEnvironment
     # ------------------------------------------------------------------ #
     def broadcast_from(self, src: int, payload: Any) -> None:
@@ -453,6 +435,9 @@ class SimulationEngine:
 
     def _finish_run(self) -> SimulationResult:
         """Close the books of a run whose loop has ended; package its result."""
+        # Fated rows defer their channels' counters and guard state: from
+        # here on, every reader of the network sees them settled.
+        self.network.settle()
         final_time = min(self._now, self.config.max_time)
         self.metrics.on_finish(final_time)
         provenance = self._schedule_provenance()

@@ -70,7 +70,6 @@ sampler had to fate one send at a time.
 
 from __future__ import annotations
 
-from random import Random
 from typing import Any, Optional
 
 import numpy as np
@@ -82,7 +81,7 @@ from ..core.messages import (
 from ..core.tags import Tag
 from ..network.channel import LossyChannel
 from ..network.delay import FixedDelay, UniformDelay
-from ..network.loss import BernoulliLoss, NoLoss
+from ..network.network import row_profile, settle_row
 from ..network.reliable import QuasiReliableChannel, ReliableChannel
 from .engine import SimulationEngine, SimulationResult
 from .events import EventKind
@@ -147,42 +146,6 @@ def _stack(parts: list) -> tuple:
     if len(parts) == 1:
         return parts[0]
     return tuple(np.concatenate(column) for column in zip(*parts))
-
-
-def _row_profile(channels: list) -> Optional[tuple]:
-    """``(p, fairness bound, delay low, delay high)`` of a source row the
-    block sampler can replay, ``None`` for a row it cannot.
-
-    Replayable: every channel runs :meth:`LossyChannel.transmit` over a
-    Bernoulli/no-loss model and a uniform/fixed delay model (``high`` is
-    ``None`` for fixed), all with the same parameters, and every stream is
-    a stock ``random.Random`` (:func:`_uniform_draws` reads the generator's
-    words; a subclass's ``random()`` would be bypassed).
-    """
-    profiles = set()
-    for ch in channels:
-        if type(ch).transmit is not LossyChannel.transmit:
-            return None
-        loss, delay = ch.loss_model, ch.delay_model
-        if isinstance(loss, NoLoss):
-            probability = 0.0
-        elif isinstance(loss, BernoulliLoss) and type(loss._rng) is Random:
-            probability = loss.probability
-        else:
-            return None
-        if type(delay) is FixedDelay:
-            low, high = delay.delay, None
-        elif type(delay) is UniformDelay and type(delay._rng) is Random:
-            low, high = delay.low, delay.high
-        else:
-            return None
-        profiles.add((probability, ch.fairness_bound, low, high))
-    if len(profiles) != 1:
-        return None
-    profile = profiles.pop()
-    # All-drop rows interleave guard state with every attempt; the per-send
-    # path handles them exactly and they are never hot.
-    return profile if profile[0] < 1.0 else None
 
 
 class PayloadInterner:
@@ -257,7 +220,8 @@ class _NetSampler:
     streams and touch disjoint guard rows, so only the order *within* a
     source matters: the sends are grouped by source (stably) and sampled as
     one matrix, every per-source quantity being a cursor plus a rank within
-    the group.  A row is one of two kinds, decided once (:func:`_row_profile`):
+    the group.  A row is one of two kinds, decided once by the rule the
+    per-event loop takes too (:func:`~repro.network.network.row_profile`):
 
     * *vector* — a homogeneous :class:`LossyChannel` row whose parameters
       are those of the network's first such row.  Loss decisions are
@@ -290,7 +254,7 @@ class _NetSampler:
         self.n = n
         self.block = block = SAMPLE_BLOCK
         self.channels = channels = [network._row(src) for src in range(n)]
-        profiles = [_row_profile(row) for row in channels]
+        profiles = [row_profile(row) for row in channels]
         profile = next((p for p in profiles if p is not None), None)
         self.vector = np.array([p is not None and p == profile
                                 for p in profiles])
@@ -524,37 +488,19 @@ class _NetSampler:
     # end-of-run flush
     # ------------------------------------------------------------------ #
     def flush_stats(self) -> None:
-        """Fold the accumulated per-row counters into the channels' stats.
-
-        Only vector rows defer stats (a generic row goes through each
-        channel's own ``transmit``).  ``delivered = attempts - dropped``
-        exactly as the per-transmit updates would have left them, and the
-        channels' ``_consecutive_drops`` get the guard table's non-zero
-        counts (absent key == zero drops, as ``transmit`` keeps them).
-        """
-        channels = self.channels
-        for src in np.flatnonzero(self.broadcasts).tolist():
-            attempts = int(self.broadcasts[src])
-            for channel, dropped, forced in zip(
-                    channels[src], self.dropped[src].tolist(),
-                    self.forced[src].tolist()):
-                stats = channel.stats
-                stats.attempts += attempts
-                stats.dropped += dropped
-                stats.delivered += attempts - dropped
-                stats.forced_deliveries += forced
-        self.broadcasts[:] = 0
-        self.dropped[:] = 0
-        self.forced[:] = 0
-        if self.guard_live:
-            pairs = list(self.guard_index)
-            live = self.guard_counts[:len(pairs)]
-            for src in np.flatnonzero(self.vector).tolist():
-                for channel in channels[src]:
-                    channel._consecutive_drops.clear()
-            for row, j in zip(*(axis.tolist() for axis in np.nonzero(live))):
-                src, key = pairs[row]
-                channels[src][j]._consecutive_drops[key] = int(live[row, j])
+        """Fold the vector rows' counters and guard table into their
+        channels, once, when the run ends (generic rows: the network's)."""
+        guards: dict[int, dict] = {
+            src: {} for src in np.flatnonzero(self.vector).tolist()}
+        pairs = list(self.guard_index)
+        live = self.guard_counts[:len(pairs)]
+        for row, j in zip(*(axis.tolist() for axis in np.nonzero(live))):
+            src, key = pairs[row]
+            guards[src].setdefault(key, {})[j] = int(live[row, j])
+        for src, guard in guards.items():
+            settle_row(self.channels[src], int(self.broadcasts[src]),
+                       self.dropped[src].tolist(), self.forced[src].tolist(),
+                       guard)
 
 
 class VectorizedEngine(SimulationEngine):

@@ -13,10 +13,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.network import Network
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 BENCH = REPO_ROOT / "scripts" / "bench.py"
-LOADS = {"quiescence_vectorized", "fd_all_processes", "obs_overhead",
-         "event_queue_churn", "campaign_store", "campaign_merge"}
+LOADS = {"quiescence_vectorized", "fd_all_processes", "flood_reference",
+         "obs_overhead", "event_queue_churn", "campaign_store",
+         "campaign_merge"}
 #: Top-level keys of every document, the loads' and the e2e workloads'.
 DOCUMENT_KEYS = {"name", "correct", "attempted", "failed", "metrics",
                  "python", "platform"}
@@ -242,6 +245,22 @@ class TestLoads:
                                             if engine == "vectorized" else s,
                                             engine))
         assert not bench.fd_all_processes()[1]
+
+    def test_flood_load_refuses_engines_that_differ(self, bench, monkeypatch):
+        scenario = bench._flood_scenario
+        monkeypatch.setattr(bench, "_flood_scenario", lambda n: scenario(6))
+        values, correct, meta = bench.flood_reference()
+        assert correct and meta["n_processes"] == 6
+        assert values["ops_per_s"] == meta["events"] / values["wall_s"]
+        # Channel counts left unsettled read as zeros on the reference run.
+        with monkeypatch.context() as patch:
+            patch.setattr(Network, "settle", lambda self: None)
+            assert not bench.flood_reference()[1]
+        # The vectorized run simulates another seed.
+        build_engine = bench.build_engine
+        monkeypatch.setattr(bench, "build_engine", lambda s: build_engine(
+            s.with_(seed=5) if s.engine == "vectorized" else s))
+        assert not bench.flood_reference()[1]
 
     def test_obs_load_does_the_same_work_with_obs_on_and_off(self, bench,
                                                              monkeypatch):

@@ -151,7 +151,7 @@ class TestControlledBooking:
         assert dict(metrics.sends_by_process) == {2: 2}
         assert engine.queue.pending_of(EventKind.RECEIVE) == 1
         assert list(engine.queue) == [(0.25, 0, EventKind.RECEIVE, 0, "m")]
-        assert engine.is_crashed(2)
+        assert engine._crashed == {2}
 
     def test_decision_in_the_past_raises_with_earlier_copies_queued(self):
         engine = _controlled_engine([(DELIVER, 0.5), (DELIVER, -1.0)])

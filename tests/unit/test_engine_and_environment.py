@@ -144,8 +144,7 @@ class TestCrashHandling:
         engine = build_engine()
         engine._crash_for_exploration(1)
         engine._crash_for_exploration(1)
-        assert engine.is_crashed(1)
-        assert engine.alive_indices() == (0, 2)
+        assert engine._crashed == {1}
         assert engine.trace.count(TraceCategory.CRASH) == 1
         assert engine.run().crash_schedule.crash_times == {1: 0.0}
 
