@@ -11,12 +11,13 @@ deletes every ``__pycache__`` in both, so that neither side starts with
 compiled bytecode the other lacks.  It then makes ``--pairs`` pairs of
 runs of ``benchmarks/e2e/run.py --workload NAME --trace 0``, each run in a
 fresh interpreter from its own checkout, the two sides taking turns to go
-first; with several workloads, all pairs of one are made before the next
-starts.  It prints one table per workload, one markdown row per end-to-end
-metric of ``BENCHMARK.json``: the parent's median, the change's median,
-their ratio, in how many pairs the change was better, and the parent's
-interquartile range.  It exits non-zero if any run reported
-``correct: false``.
+first.  With several workloads, each round makes one pair of every workload
+in turn, so that a slow spell of the machine falls on all of them alike
+rather than on the pairs of one.  It prints one table per workload, one
+markdown row per end-to-end metric of ``BENCHMARK.json``: the parent's
+median, the change's median, their ratio, in how many pairs the change was
+better, and the parent's interquartile range.  It exits non-zero if any
+run reported ``correct: false``.
 """
 
 from __future__ import annotations
@@ -93,23 +94,27 @@ def main(argv: list[str] | None = None) -> int:
     for tree in trees.values():
         clear_bytecode(tree)
     declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    incorrect: list[str] = []
-    for workload in args.workload.split(","):
-        runs: dict[str, list[dict[str, Any]]] = {side: [] for side in SIDES}
-        for pair in range(args.pairs):
+    workloads = args.workload.split(",")
+    runs: dict[str, dict[str, list[dict[str, Any]]]] = {
+        workload: {side: [] for side in SIDES} for workload in workloads}
+    for pair in range(args.pairs):
+        for workload in workloads:
             for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
                 result = run_once(trees[side], workload, args.seed,
                                   args.seconds)
-                runs[side].append(result)
+                runs[workload][side].append(result)
                 print(f"{workload} pair {pair + 1} {side}: " + " ".join(
                     f"{name}={entry['value']:.6g}"
                     for name, entry in result["metrics"].items()),
                       file=sys.stderr, flush=True)
+    incorrect: list[str] = []
+    for workload in workloads:
         print(f"{workload}, seed {args.seed}, --seconds {args.seconds}, "
               f"{args.pairs} pairs")
-        print("\n".join(table(declared["end_to_end"], runs)), flush=True)
+        print("\n".join(table(declared["end_to_end"], runs[workload])),
+              flush=True)
         incorrect += [side for side in SIDES
-                      for run in runs[side] if not run["correct"]]
+                      for run in runs[workload][side] if not run["correct"]]
     if incorrect:
         print(f"incorrect output: {len(incorrect)} run(s) "
               f"({', '.join(sorted(set(incorrect)))})")

@@ -50,31 +50,24 @@ def _audit_sends(result: SimulationResult,
     """Both audits from one pass over the sends: ``(tag violations, opacity
     violations)``, each list as its public audit returns it."""
     opacity_violations: list[str] = []
-    # message -> ack_tag -> set of source processes that sent it
-    senders: dict[tuple, dict[int, set[int]]] = {}
-    # message -> process -> set of ack tags used (must be a singleton)
-    per_process: dict[tuple, dict[int, set[int]]] = {}
-    last_process = last_payload = finding = None
-    for process, payload in result.trace.sends():
-        if payload is last_payload and process == last_process:
-            # Another copy of the broadcast just booked: adds nothing but,
-            # for a payload that was flagged, the same finding once more.
-            if finding is not None:
-                opacity_violations.append(finding)
-            continue
-        last_process, last_payload, finding = process, payload, None
+    # (message, ack tag, process) of every ACK sent, in first-sent order
+    acks: dict[tuple, None] = {}
+    # A broadcast's copies add nothing but a flagged payload's finding.
+    for process, payload, copies in result.trace.send_runs():
         if isinstance(payload, _ACK_TYPES):
-            key = (payload.message.content, payload.message.tag)
-            senders.setdefault(key, {}).setdefault(payload.ack_tag, set()).add(
-                process
-            )
-            per_process.setdefault(key, {}).setdefault(process, set()).add(
-                payload.ack_tag
-            )
+            acks[payload.message, payload.ack_tag, process] = None
         elif not (allow_identified or payload is None
                   or isinstance(payload, MsgPayload)):
-            finding = f"p{process} sent a non-standard payload {type(payload).__name__}"
-            opacity_violations.append(finding)
+            opacity_violations += [f"p{process} sent a non-standard payload "
+                                   f"{type(payload).__name__}"] * copies
+    # message -> ack_tag -> set of source processes that sent it, and
+    # message -> process -> set of ack tags used (must be a singleton)
+    senders: dict[tuple, dict[int, set[int]]] = {}
+    per_process: dict[tuple, dict[int, set[int]]] = {}
+    for message, ack_tag, process in acks:
+        key = (message.content, message.tag)
+        senders.setdefault(key, {}).setdefault(ack_tag, set()).add(process)
+        per_process.setdefault(key, {}).setdefault(process, set()).add(ack_tag)
     tag_violations: list[str] = []
     for key, tag_map in senders.items():
         for ack_tag, processes in tag_map.items():

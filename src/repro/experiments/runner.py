@@ -157,14 +157,15 @@ def build_workload(scenario: Scenario, random_source: RandomSource) -> Workload:
     ``None`` means the registered ``"single"`` preset; a string is looked up
     in the :data:`repro.registry.workloads` registry; a :class:`Workload`
     instance is used as-is.  Presets draw randomness from the dedicated
-    ``"workload"`` substream of the run's master seed.
+    ``"workload"`` substream of the run's master seed, seeded only for a
+    preset that draws.
     """
     workload = scenario.workload
     if workload is None:
         workload = "single"
     if isinstance(workload, str):
         spec = workloads.get(workload)
-        return spec.factory(scenario, random_source.stream("workload"))
+        return spec.factory(scenario, random_source.stream("workload") if spec.draws else None)
     return workload
 
 

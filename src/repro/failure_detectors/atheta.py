@@ -64,7 +64,7 @@ class AnonymousDetectorBase(FailureDetector):
         subject's label first appears in the viewer's view.  ``0`` makes all
         labels visible from the start.
     rng:
-        Random substream for the staggered learning delays.
+        Random substream of the staggered learning delays (drawn if ``learn_delay`` > 0).
     """
 
     def __init__(
@@ -84,14 +84,14 @@ class AnonymousDetectorBase(FailureDetector):
         self.policy = DisseminationPolicy.from_string(policy)
         self.detection_delay = float(detection_delay)
         self.learn_delay = float(learn_delay)
-        rng = rng or random.Random(0)
+        rng = rng or (random.Random(0) if self.learn_delay else None)
         n = oracle.n_processes
         everyone = tuple(range(n))
         # Staggered learning times: viewer v first sees subject j's label at
         # self._learn[v][j].  A process always knows its own label at once.
         self._learn = [
             [0.0 if viewer == subject or self.learn_delay == 0.0
-             else rng.uniform(0.0, self.learn_delay)
+             else rng.uniform(0.0, self.learn_delay)  # type: ignore[union-attr]
              for subject in everyone]
             for viewer in everyone
         ]

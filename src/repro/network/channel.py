@@ -122,10 +122,6 @@ class LossyChannel(Channel):
             del consecutive_drops[key]
         return now + self.delay_model.sample()
 
-    def consecutive_drops(self, key: DedupKey) -> int:
-        """Current consecutive-drop count for *key* (fairness bookkeeping)."""
-        return self._consecutive_drops.get(key, 0)
-
     def describe(self) -> str:
         guard = (
             f", fairness_bound={self.fairness_bound}"

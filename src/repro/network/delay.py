@@ -155,7 +155,12 @@ class DelaySpec:
         """Arbitrary user-supplied per-channel factory."""
         return cls(kind="custom", factory=factory)
 
-    def build(self, src: int, dst: int, rng: random.Random) -> DelayModel:
+    @property
+    def draws(self) -> bool:
+        """Whether the models built may draw from their rng."""
+        return self.kind != "fixed"
+
+    def build(self, src: int, dst: int, rng: Optional[random.Random]) -> DelayModel:
         """Instantiate the delay model for the directed channel *src* → *dst*."""
         if self.kind == "fixed":
             return FixedDelay(**self.params)

@@ -73,9 +73,11 @@ class FairLossyChannelFactory:
         self.loss_spec = loss_spec or LossSpec.none()
         self.delay_spec = delay_spec or DelaySpec.fixed(1.0)
         self.fairness_bound = fairness_bound
+        #: Whether the channels draw from their (loss, delay) streams.
+        self.draws = (self.loss_spec.draws, self.delay_spec.draws)
 
-    def build(self, src: int, dst: int, loss_rng: random.Random,
-              delay_rng: random.Random) -> FairLossyChannel:
+    def build(self, src: int, dst: int, loss_rng: Optional[random.Random],
+              delay_rng: Optional[random.Random]) -> FairLossyChannel:
         """Instantiate the channel for the directed pair *src* → *dst*."""
         return FairLossyChannel(
             src,

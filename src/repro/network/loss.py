@@ -346,8 +346,15 @@ class LossSpec:
         """Arbitrary user-supplied per-channel factory."""
         return cls(kind="custom", factory=factory)
 
+    @property
+    def draws(self) -> bool:
+        """Whether the models built may draw from their rng (a Bernoulli one
+        at ``p`` 0 or 1 does not)."""
+        return self.kind in ("gilbert_elliott", "custom") or (
+            self.kind == "bernoulli" and 0 < self.params.get("probability", 0) < 1)
+
     # ------------------------------------------------------------------ #
-    def build(self, src: int, dst: int, rng: random.Random) -> LossModel:
+    def build(self, src: int, dst: int, rng: Optional[random.Random]) -> LossModel:
         """Instantiate the loss model for the directed channel *src* → *dst*."""
         if self.kind == "none":
             return NoLoss()

@@ -37,7 +37,9 @@ FATED_ROW_MIN_WIDTH = 6
 
 
 class ChannelFactory(Protocol):
-    """Anything that can build a directed channel for a process pair."""
+    """Anything that can build a directed channel for a process pair.  An
+    optional ``draws`` pair of booleans says which of the ``(loss, delay)``
+    streams its channels draw; the :class:`Network` hands ``None`` for the other."""
 
     def build(self, src: int, dst: int, loss_rng, delay_rng) -> Channel:
         """Create the channel for the directed pair ``src -> dst``."""
@@ -62,12 +64,11 @@ def row_profile(channels: list) -> Optional[tuple]:
         if type(ch).transmit is not LossyChannel.transmit:
             return None
         loss, delay = ch.loss_model, ch.delay_model
-        if type(loss) is NoLoss:
+        if type(loss) is NoLoss or (type(loss) is BernoulliLoss and not loss.probability):
             probability = 0.0
         elif type(loss) is BernoulliLoss and type(loss._rng) is Random:
             probability = loss.probability
-            if probability:
-                streams.append(loss._rng)
+            streams.append(loss._rng)
         else:
             return None
         if type(delay) is FixedDelay:
@@ -190,7 +191,7 @@ class Network:
         Factory building each directed channel (fair lossy by default).
     random_source:
         Master random source; each channel gets independent loss and delay
-        substreams.
+        substreams (those the factory's ``draws`` names).
     """
 
     def __init__(
@@ -204,6 +205,7 @@ class Network:
         self.n_processes = n_processes
         self.channel_factory = channel_factory
         self.random_source = random_source or RandomSource(0)
+        self._draws = getattr(channel_factory, "draws", (True, True))
         self._channels: dict[tuple[int, int], Channel] = {}
         #: Per-source dense channel rows in destination order, and each
         #: source's fated row's ``fate`` or bound ``transmit`` methods in
@@ -224,11 +226,12 @@ class Network:
         key = (src, dst)
         channel = self._channels.get(key)
         if channel is None:
+            index = src * self.n_processes + dst
             channel = self.channel_factory.build(
                 src,
                 dst,
-                self.random_source.for_component("loss", src * self.n_processes + dst),
-                self.random_source.for_component("delay", src * self.n_processes + dst),
+                self.random_source.for_component("loss", index) if self._draws[0] else None,
+                self.random_source.for_component("delay", index) if self._draws[1] else None,
             )
             self._channels[key] = channel
         return channel

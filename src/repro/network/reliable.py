@@ -95,9 +95,10 @@ class ReliableChannelFactory:
 
     def __init__(self, delay_spec: Optional[DelaySpec] = None) -> None:
         self.delay_spec = delay_spec or DelaySpec.fixed(1.0)
+        self.draws = (False, self.delay_spec.draws)
 
-    def build(self, src: int, dst: int, loss_rng: random.Random,
-              delay_rng: random.Random) -> ReliableChannel:
+    def build(self, src: int, dst: int, loss_rng: Optional[random.Random],
+              delay_rng: Optional[random.Random]) -> ReliableChannel:
         """Instantiate the channel for the directed pair *src* → *dst*."""
         return ReliableChannel(
             src, dst, delay_model=self.delay_spec.build(src, dst, delay_rng)
@@ -117,10 +118,11 @@ class QuasiReliableChannelFactory:
         delay_spec: Optional[DelaySpec] = None,
     ) -> None:
         self.delay_spec = delay_spec or DelaySpec.fixed(1.0)
+        self.draws = (False, self.delay_spec.draws)
         self._sender_crash_time = sender_crash_time
 
-    def build(self, src: int, dst: int, loss_rng: random.Random,
-              delay_rng: random.Random) -> QuasiReliableChannel:
+    def build(self, src: int, dst: int, loss_rng: Optional[random.Random],
+              delay_rng: Optional[random.Random]) -> QuasiReliableChannel:
         """Instantiate the channel for the directed pair *src* → *dst*."""
         return QuasiReliableChannel(
             src,

@@ -209,14 +209,14 @@ def _build_oracle_detectors(scenario: "Scenario", crash_schedule: "CrashSchedule
         policy=scenario.fd_policy,
         detection_delay=scenario.fd_detection_delay,
         learn_delay=scenario.fd_learn_delay,
-        rng=random_source.stream("atheta-learn"),
+        rng=random_source.stream("atheta-learn") if scenario.fd_learn_delay else None,
     )
     apstar = APStarOracle(
         ground_truth,
         policy=scenario.fd_policy,
         detection_delay=scenario.effective_apstar_delay,
         learn_delay=scenario.fd_learn_delay,
-        rng=random_source.stream("apstar-learn"),
+        rng=random_source.stream("apstar-learn") if scenario.fd_learn_delay else None,
     )
     return atheta, apstar
 
@@ -234,12 +234,10 @@ def _build_prescient_detectors(scenario: "Scenario",
     atheta = AThetaOracle(
         ground_truth, policy=scenario.fd_policy,
         detection_delay=0.0, learn_delay=0.0,
-        rng=random_source.stream("atheta-learn"),
     )
     apstar = APStarOracle(
         ground_truth, policy=scenario.fd_policy,
         detection_delay=0.0, learn_delay=0.0,
-        rng=random_source.stream("apstar-learn"),
     )
     return atheta, apstar
 
@@ -259,16 +257,18 @@ def _build_no_detectors(scenario: "Scenario", crash_schedule: "CrashSchedule",
 @register_workload(
     "single",
     description="One broadcast by process 0 at t=0 (the proofs' pattern)",
+    draws=False,
 )
-def _build_single(scenario: "Scenario", rng: random.Random) -> SingleBroadcast:
+def _build_single(scenario: "Scenario", rng: None) -> SingleBroadcast:
     return SingleBroadcast(sender=0, time=0.0)
 
 
 @register_workload(
     "all_to_all",
     description="Every process broadcasts one message",
+    draws=False,
 )
-def _build_all_to_all(scenario: "Scenario", rng: random.Random) -> AllToAll:
+def _build_all_to_all(scenario: "Scenario", rng: None) -> AllToAll:
     return AllToAll(
         scenario.n_processes,
         spacing=float(scenario.metadata.get("workload_spacing", 0.0)),
@@ -279,9 +279,10 @@ def _build_all_to_all(scenario: "Scenario", rng: random.Random) -> AllToAll:
     "uniform_stream",
     description="Fixed-rate stream from process 0 (metadata: stream_messages, "
                 "stream_interval)",
+    draws=False,
 )
 def _build_uniform_stream(scenario: "Scenario",
-                          rng: random.Random) -> UniformStream:
+                          rng: None) -> UniformStream:
     return UniformStream(
         int(scenario.metadata.get("stream_messages", scenario.n_processes)),
         interval=float(scenario.metadata.get("stream_interval", 5.0)),
@@ -291,17 +292,19 @@ def _build_uniform_stream(scenario: "Scenario",
 @register_workload(
     "two_senders",
     description="Processes 0 and 1 broadcast one message each, at t=0 and t=1",
+    draws=False,
 )
 def _build_two_senders(scenario: "Scenario",
-                       rng: random.Random) -> UniformStream:
+                       rng: None) -> UniformStream:
     return UniformStream(2, senders=(0, 1), interval=1.0)
 
 
 @register_workload(
     "burst",
     description="Back-to-back burst from process 0 (metadata: burst_size)",
+    draws=False,
 )
-def _build_burst(scenario: "Scenario", rng: random.Random) -> BurstWorkload:
+def _build_burst(scenario: "Scenario", rng: None) -> BurstWorkload:
     return BurstWorkload(
         int(scenario.metadata.get("burst_size", scenario.n_processes))
     )

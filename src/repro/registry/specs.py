@@ -63,8 +63,9 @@ DetectorSetupFactory = Callable[
 ]
 
 #: ``(scenario, rng) -> workload`` — *rng* is a dedicated substream of the
-#: run's master seed so randomised presets stay reproducible.
-WorkloadFactory = Callable[["Scenario", random.Random], "Workload"]
+#: run's master seed so randomised presets stay reproducible (``None`` for
+#: a preset registered with ``draws=False``).
+WorkloadFactory = Callable[["Scenario", Optional[random.Random]], "Workload"]
 
 #: ``(scenario, schedule_index) -> controller`` — one schedule per index.
 StrategyFactory = Callable[["Scenario", int], "ScheduleController"]
@@ -149,6 +150,8 @@ class WorkloadSpec:
     name: str
     factory: WorkloadFactory
     description: str = ""
+    #: Whether the factory draws from its rng (else it is handed ``None``).
+    draws: bool = True
     extra: Mapping[str, Any] = field(default_factory=dict)
 
 

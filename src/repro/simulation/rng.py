@@ -16,6 +16,7 @@ are stable across Python versions and processes (unlike ``hash()``).
 
 from __future__ import annotations
 
+import _random
 import hashlib
 import random
 from typing import Optional
@@ -44,6 +45,7 @@ class RandomSource:
             raise TypeError("master_seed must be an int")
         self._master_seed = master_seed
         self._streams: dict[str, random.Random] = {}
+        self._prefix = hashlib.sha256(f"{master_seed}:".encode("utf-8"))
 
     @property
     def master_seed(self) -> int:
@@ -51,12 +53,18 @@ class RandomSource:
         return self._master_seed
 
     def stream(self, name: str) -> random.Random:
-        """Return the (cached) ``random.Random`` substream called *name*."""
-        if not name:
-            raise ValueError("stream name must be a non-empty string")
+        """Return the (cached) ``random.Random`` substream called *name*:
+        ``Random(derive_seed(master_seed, name))``, the prefix hashed once."""
         stream = self._streams.get(name)
         if stream is None:
-            stream = random.Random(derive_seed(self._master_seed, name))
+            if not name:
+                raise ValueError("stream name must be a non-empty string")
+            digest = self._prefix.copy()
+            digest.update(name.encode("utf-8"))
+            # Random(seed) without its Python-level __init__ and seed frames.
+            stream = random.Random.__new__(random.Random)
+            _random.Random.seed(stream, int.from_bytes(digest.digest()[:8], "big"))
+            stream.gauss_next = None
             self._streams[name] = stream
         return stream
 
@@ -64,10 +72,6 @@ class RandomSource:
     def for_process(self, index: int) -> random.Random:
         """Substream used by process *index* for tag generation."""
         return self.stream(f"process:{index}")
-
-    def for_channel(self, src: int, dst: int) -> random.Random:
-        """Substream used by the directed channel *src* → *dst*."""
-        return self.stream(f"channel:{src}->{dst}")
 
     def for_component(self, name: str, index: Optional[int] = None) -> random.Random:
         """Substream for an arbitrary named component."""

@@ -308,14 +308,27 @@ class TraceRecorder:
 
     def sends(self) -> Iterator[tuple[int, Any]]:
         """``(process, payload)`` of every SEND event, in recording order,
-        without building an event for any of them, a generator frame per
-        row, or a tuple that outlives its step: ``zip`` over two columns
-        allocates nothing the collector would count as growth."""
+        without building an event for any of them."""
+        return ((process, payload) for process, payload, copies
+                in self.send_runs() for _ in range(copies))
+
+    def send_runs(self) -> Iterator[tuple[int, Any, int]]:
+        """``(process, payload, copies)`` per run of SEND rows of one payload
+        object by one process, rows of other categories between them not
+        ending it: one broadcast's copies in one step, read off the rows."""
         send = TraceCategory.SEND
-        rows = [row for row in self._rows if row[1] is send]
-        return zip([row[2] for row in rows],
-                   [row[3].details.get("payload") if len(row) == 4 else row[4]
-                    for row in rows])
+        process, payload, copies = None, None, 0
+        for row in self._rows:
+            if row[1] is send:
+                this = row[4] if len(row) == 6 else row[3].details.get("payload")
+                if this is payload and row[2] == process:
+                    copies += 1
+                    continue
+                if copies:
+                    yield process, payload, copies
+                process, payload, copies = row[2], this, 1
+        if copies:
+            yield process, payload, copies
 
     def count(self, category: TraceCategory) -> int:
         """Number of recorded events of *category*."""

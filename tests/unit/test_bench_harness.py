@@ -475,20 +475,22 @@ class TestPairs:
         calls = self.stub(pairs, monkeypatch, trees)
         assert pairs.main([str(trees[0]), str(trees[1]), "--workload",
                            "flood_n14,explore_walk", "--pairs", "2"]) == 0
-        # All pairs of one workload, then all pairs of the next.
+        # Each round makes one pair of every workload, sides alternating
+        # by round.
         assert [call[:2] for call in calls] == [
             ("parent", "flood_n14"), ("change", "flood_n14"),
-            ("change", "flood_n14"), ("parent", "flood_n14"),
             ("parent", "explore_walk"), ("change", "explore_walk"),
+            ("change", "flood_n14"), ("parent", "flood_n14"),
             ("change", "explore_walk"), ("parent", "explore_walk")]
         out = capsys.readouterr().out.splitlines()
         headers = [line for line in out if "pairs" in line]
         assert headers == ["flood_n14, seed 1234, --seconds 18, 2 pairs",
                            "explore_walk, seed 1234, --seconds 18, 2 pairs"]
         ops_rows = [line for line in out if line.startswith("| ops_per_s")]
-        # Parent 10, 11 then 12, 13; change twice each.
+        # Parent 10, 12 for flood_n14 and 11, 13 for explore_walk; change
+        # twice each.
         assert [row.split(" | ")[1:3] for row in ops_rows] == [
-            ["10.5", "21"], ["12.5", "25"]]
+            ["11", "22"], ["12", "24"]]
 
     def test_an_incorrect_run_of_any_workload_fails(self, pairs, monkeypatch,
                                                     trees, capsys):

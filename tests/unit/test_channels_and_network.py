@@ -62,12 +62,14 @@ class TestLossyChannel:
         assert delivered == [False, False, True, False, False, True, False]
 
     def test_fairness_guard_is_per_key(self):
+        # Every copy would be lost.  One drop of "a" does not force the
+        # first copy of "b"; the next copy of each key is forced, and a
+        # forced delivery starts that key's count again.
         channel = LossyChannel(0, 1, BernoulliLoss(1.0, random.Random(0)),
                                FixedDelay(0.1), fairness_bound=1)
-        assert channel.transmit("a", 0.0) is None
-        assert channel.transmit("b", 0.0) is None
-        assert channel.consecutive_drops("a") == 1
-        assert channel.consecutive_drops("b") == 1
+        outcomes = [channel.transmit(key, 0.0) for key in "ababa"]
+        assert outcomes == [None, None, 0.1, 0.1, None]
+        assert channel.stats.forced_deliveries == 2
 
     def test_rejects_invalid_fairness_bound(self):
         with pytest.raises(ValueError):
