@@ -174,12 +174,12 @@ def _flood_scenario(n: int) -> Scenario:
     )
 
 
-def flood_reference() -> Pass:
-    """The flood_n14 scenario on the per-event loop alone (reference engine)."""
+def _reference_pass(scenario: Scenario, expect_stop: str) -> Pass:
+    """*scenario* on the per-event loop alone: only the reference run is
+    timed, and its fingerprint, the channels' settled counts included, must
+    equal an untimed vectorized run's."""
     # Built as the e2e engine pass builds a run (DELIVERIES trace, COUNTERS
-    # metrics); only the reference run is timed, and its fingerprint, the
-    # channels' settled counts included, must equal the vectorized run's.
-    scenario = _flood_scenario(14)
+    # metrics).
     prints, seconds, events = {}, 0.0, 0
     for engine in ("vectorized", "reference"):
         built = build_engine(scenario.with_(engine=engine))
@@ -191,10 +191,28 @@ def flood_reference() -> Pass:
         events = result.event_stats.total
         prints[engine] = {**fingerprint(result), **engine_fingerprint(built)}
     correct = (prints["reference"] == prints["vectorized"]
-               and prints["reference"]["stop_reason"] == "horizon")
+               and prints["reference"]["stop_reason"] == expect_stop)
     return _rates(seconds, events), correct, {
         "n_processes": scenario.n_processes, "events": events,
         "sends": prints["reference"]["metrics"]["total_sends"]}
+
+
+def flood_reference() -> Pass:
+    """The flood_n14 scenario on the per-event loop alone (reference engine)."""
+    return _reference_pass(_flood_scenario(14), "horizon")
+
+
+def _quiescence_e2e_scenario(n: int) -> Scenario:
+    """The ``quiescence_n24`` workload's scenario at its golden seed (as
+    ``benchmarks/e2e/workloads.py`` builds it): Algorithm 2, a burst of four
+    broadcasts, Bernoulli loss 0.05, to quiescence with a 2 s drain."""
+    return _quiescence_scenario(n, "reference").with_(
+        name="bench-quiescence-reference", metadata={"burst_size": 4})
+
+
+def quiescence_reference() -> Pass:
+    """The quiescence_n24 scenario on the per-event loop alone (reference engine)."""
+    return _reference_pass(_quiescence_e2e_scenario(24), "quiescent")
 
 
 def _fd_all_processes_scenario(n: int) -> Scenario:
@@ -343,6 +361,7 @@ LOADS: dict[str, Callable[[], Pass]] = {
     "quiescence_vectorized": quiescence_vectorized,
     "fd_all_processes": fd_all_processes,
     "flood_reference": flood_reference,
+    "quiescence_reference": quiescence_reference,
     "obs_overhead": obs_overhead,
     "event_queue_churn": event_queue_churn,
     "campaign_store": campaign_store,

@@ -115,6 +115,11 @@ class BroadcastProtocol(abc.ABC):
     def on_tick(self) -> None:
         """One round of the paper's Task 1 «repeat forever» loop."""
 
+    def receive_table(self) -> dict[type, Callable[[Any], None]]:
+        """``{payload class: bound handler}``, made once a run; an engine
+        hands a payload whose class is not in it to :meth:`on_receive`."""
+        return {}
+
     # ------------------------------------------------------------------ #
     # delivery bookkeeping
     # ------------------------------------------------------------------ #

@@ -10,7 +10,7 @@ received payloads to MSG/ACK handlers, and provides the delivery plumbing of
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable, Optional
 
 from .interfaces import BroadcastProtocol, EnvironmentAPI
 from .messages import AckPayload, LabeledAckPayload, MsgPayload
@@ -38,7 +38,7 @@ class AnonymousProcess(BroadcastProtocol):
     def __init__(self, env: EnvironmentAPI, *, eager_first_broadcast: bool = True) -> None:
         super().__init__(env)
         self.eager_first_broadcast = eager_first_broadcast
-        self._tags = TagGenerator(env.random)
+        self._tags: Optional[TagGenerator] = None  # made at the first tag
 
     # ------------------------------------------------------------------ #
     # receive dispatch
@@ -60,6 +60,14 @@ class AnonymousProcess(BroadcastProtocol):
                 f"{payload!r}"
             )
 
+    def receive_table(self) -> dict[type, Callable[[Any], None]]:
+        """MSG / ACK handlers, unless :meth:`on_receive` is replaced."""
+        if getattr(self.on_receive, "__func__", None) is not AnonymousProcess.on_receive:
+            return {}
+        on_ack = self._on_ack
+        return {MsgPayload: self._on_msg, AckPayload: on_ack,
+                LabeledAckPayload: on_ack}
+
     def _on_msg(self, payload: MsgPayload) -> None:
         """Handle a ``(MSG, m, tag)`` reception.  Overridden by protocols."""
         raise NotImplementedError
@@ -73,9 +81,11 @@ class AnonymousProcess(BroadcastProtocol):
     # ------------------------------------------------------------------ #
     def _new_tag(self) -> int:
         """Draw a fresh random tag from the process-local stream."""
-        return self._tags.next()
+        return (self._tags or self.tag_generator).next()
 
     @property
     def tag_generator(self) -> TagGenerator:
         """The process's tag generator (exposed for tests and analysis)."""
+        if self._tags is None:
+            self._tags = TagGenerator(self.env.random)
         return self._tags

@@ -7,9 +7,9 @@ that sends ``m`` to *all* processes, including the sender itself (§I, §II).
 :class:`Network` owns the ``n × n`` directed channels (built lazily from a
 channel factory) and implements the broadcast primitive by handing one copy
 of the payload to every directed channel originating at the sender, the
-sender's own included.  It returns a fresh list of ``(dst, deliver_time)``
-pairs, one per destination (``None`` = dropped), from which the engine books
-the broadcast: trace rows, receive events, metrics.  A channel recognises
+sender's own included.  It returns a fresh list of delivery times indexed
+by destination (``None`` = dropped), from which the engine books the
+broadcast: trace rows, receive events, metrics.  A channel recognises
 retransmissions of a protocol message by the payload itself (payloads are
 hashable frozen dataclasses, and identical retransmissions compare equal).
 The source index never reaches protocol code: the engine hands the
@@ -20,6 +20,7 @@ A row :func:`row_profile` accepts is fated a row at a time (DESIGN.md §8.14).
 
 from __future__ import annotations
 
+from itertools import compress
 from random import Random
 from typing import Any, Optional, Protocol
 
@@ -29,8 +30,9 @@ from .channel import Channel, LossyChannel
 from .delay import FixedDelay, UniformDelay
 from .loss import BernoulliLoss, NoLoss
 
-#: What a source row's broadcast returns: ``(dst, deliver_time)`` pairs.
-Fates = list[tuple[int, Optional[SimTime]]]
+#: What a source row's broadcast returns: the delivery time of the copy to
+#: each destination, by position (``None`` = dropped).
+Fates = list[Optional[SimTime]]
 #: Narrower rows stay per copy: a row pass saves too little a broadcast to
 #: repay making and settling the row in a short run (DESIGN.md §8.14).
 FATED_ROW_MIN_WIDTH = 6
@@ -115,12 +117,13 @@ class _FatedRow:
     plus per-destination drops and forced deliveries (:meth:`Network.settle`).
     """
 
-    __slots__ = ("channels", "probability", "bound", "low", "span",
+    __slots__ = ("channels", "dsts", "probability", "bound", "low", "span",
                  "loss_randoms", "delay_randoms", "guard", "broadcasts",
                  "dropped", "forced")
 
     def __init__(self, channels: list, profile: tuple) -> None:
         self.channels = channels
+        self.dsts = range(len(channels))
         p, self.bound, low, high = profile
         self.probability, self.low = p, low
         self.span = None if high is None else high - low
@@ -147,10 +150,9 @@ class _FatedRow:
             if guard and payload in guard:
                 del guard[payload]
             if span is None:
-                at = now + low
-                return [(dst, at) for dst in range(len(self.channels))]
-            return [(dst, now + (low + span * random()))
-                    for dst, random in enumerate(self.delay_randoms)]
+                return [now + low] * len(self.channels)
+            return [now + (low + span * random())
+                    for random in self.delay_randoms]
         counts = guard.get(payload)
         if counts is None:
             counts = guard[payload] = {}
@@ -158,26 +160,23 @@ class _FatedRow:
             for dst in [dst for dst in counts if not drops[dst]]:
                 del counts[dst]  # a delivery ends a streak
         bound = self.bound
-        for dst, drop in enumerate(drops):
-            if drop:
-                count = counts.get(dst, 0)
-                if bound is not None and count >= bound:
-                    # The fairness guard forces the copy through.
-                    drops[dst] = False
-                    self.forced[dst] += 1
-                    del counts[dst]
-                else:
-                    counts[dst] = count + 1
-                    self.dropped[dst] += 1
+        for dst in compress(self.dsts, drops):
+            count = counts.get(dst, 0)
+            if bound is not None and count >= bound:
+                # The fairness guard forces the copy through.
+                drops[dst] = False
+                self.forced[dst] += 1
+                del counts[dst]
+            else:
+                counts[dst] = count + 1
+                self.dropped[dst] += 1
         if not counts:
             del guard[payload]
         if span is None:
             at = now + low
-            return [(dst, None if drop else at)
-                    for dst, drop in enumerate(drops)]
-        return [(dst, None if drop else now + (low + span * random()))
-                for dst, (drop, random)
-                in enumerate(zip(drops, self.delay_randoms))]
+            return [None if drop else at for drop in drops]
+        return [None if drop else now + (low + span * random())
+                for drop, random in zip(drops, self.delay_randoms)]
 
 
 class Network:
@@ -256,9 +255,8 @@ class Network:
     def broadcast_fast(self, src: int, payload: Any, now: SimTime) -> Fates:
         """The paper's ``broadcast(m)``: one copy to every process.
 
-        Returns a fresh list of ``(dst, deliver_time)`` pairs in
-        destination-index order, the sender itself included, with
-        ``deliver_time is None`` meaning the copy was dropped.  Each
+        Returns a fresh list of delivery times indexed by destination, the
+        sender itself included, ``None`` meaning the copy was dropped.  Each
         channel draws from its own RNG streams, one copy at a time in that
         order, so runs stay deterministic.  A fated row's channel counts
         and guard state are current only after :meth:`settle`.
@@ -270,8 +268,7 @@ class Network:
             fate = self._fates[src] = self._fate_of(src)
         if type(fate) is list:
             # A row fated copy by copy: its channels' bound ``transmit``.
-            return [(dst, transmit(payload, now))
-                    for dst, transmit in enumerate(fate)]
+            return [transmit(payload, now) for transmit in fate]
         return fate(payload, now)
 
     def _fate_of(self, src: int) -> Any:

@@ -13,7 +13,8 @@ entry points (``urb_broadcast``, ``on_receive``, ``on_tick``).
 Two places carry nearly all of a run's cost, and both are written flat
 (DESIGN.md §8.1, §8.2).  :meth:`SimulationEngine.run` pops queue entries
 itself and handles ``RECEIVE`` — nearly every event — in place: crashed
-check, metrics / trace gate, ``on_receive``; the four rare kinds go through
+check, then the handler the process's ``receive_table`` names for the
+payload's class; the four rare kinds go through
 :meth:`SimulationEngine._dispatch`, which the batched backend's loop calls
 too.  :meth:`SimulationEngine.broadcast_from` decides every copy's fate,
 then books the broadcast once: one trace call, one queue call, two metrics
@@ -39,7 +40,7 @@ from .events import BroadcastCommand, EventKind, EventStats
 from .faults import CrashSchedule
 from .metrics import MetricsCollector, MetricsSummary
 from .rng import RandomSource
-from .scheduler import EventQueue
+from .scheduler import EventQueue, reject_time
 from .simtime import SimTime
 from .tracing import TraceCategory, TraceRecorder
 
@@ -276,48 +277,52 @@ class SimulationEngine:
             # dropping the call keeps protocols simpler.
             return
         now = self._now
-        crash_src = False
+        cut = None
         if self.controller is not None:
-            copies, crash_src = self._controlled_copies(src, payload, now)
+            times, cut = self._controlled_copies(src, payload, now)
         else:
-            copies = self.network.broadcast_fast(src, payload, now)
+            times = self.network.broadcast_fast(src, payload, now)
         kind = payload_kind(payload)
         if self.trace.channel_active:
-            self.trace.record_broadcast(now, src, kind, payload, copies)
-        drops = self.queue.schedule_receives(copies, payload)
+            self.trace.record_broadcast(now, src, kind, payload, times)
+        drops = self.queue.schedule_receives(times, payload)
         metrics = self.metrics
         if metrics.active:
-            metrics.on_send_many(now, src, kind, len(copies))
+            metrics.on_send_many(now, src, kind, len(times))
             metrics.on_drop_many(now, src, kind, drops)
-        if crash_src:
+        if cut is CRASH_SENDER:
             self._crash_for_exploration(src)
+        elif cut is not None:
+            reject_time(cut, now)
 
     def _controlled_copies(
         self, src: int, payload: Any, now: SimTime
-    ) -> tuple[list[tuple[int, Optional[SimTime]]], bool]:
+    ) -> tuple[list[Optional[SimTime]], Any]:
         """The copies of one broadcast as a schedule controller decides them.
 
         Each copy's fate is the controller's ``copy_decision`` (an absolute
-        delivery time, ``None`` for a drop, or :data:`CRASH_SENDER` to crash
-        the sender mid-broadcast: the remaining copies are never handed to
-        their channels, and the second value returned is ``True``).  The
-        deduplication key it is given is the payload, as on the channels'
-        own path.  No channel is resolved here: a decision-driven schedule
-        builds none, and the default controller, which delegates every copy
-        to its channel, keeps a controlled run bit-identical to an
-        RNG-driven one.
+        delivery time, ``None`` for a drop, or :data:`CRASH_SENDER`), up to
+        the first that is :data:`CRASH_SENDER` or a time before *now*,
+        returned second: later copies never reach their channels, earlier
+        ones are booked, then the sender crashes or ``SchedulingError`` is
+        raised.  The deduplication key it is given is the payload, as on the
+        channels' own path.  No channel is resolved here: a decision-driven
+        schedule builds none, and the default controller, which delegates
+        every copy to its channel, keeps a controlled run bit-identical to
+        an RNG-driven one.
         """
         controller = self.controller
         assert controller is not None
-        planned: list[tuple[int, Optional[SimTime]]] = []
+        planned: list[Optional[SimTime]] = []
         for dst in range(self.network.n_processes):
             decision = controller.copy_decision(
                 self, src, dst, payload, payload, now
             )
-            if decision is CRASH_SENDER:
-                return planned, True
-            planned.append((dst, decision))
-        return planned, False
+            if decision is CRASH_SENDER or not (
+                    decision is None or decision >= now):  # NaN too
+                return planned, decision
+            planned.append(decision)
+        return planned, None
 
     def _crash_for_exploration(self, index: int) -> None:
         """Crash *index* on a controller's decision, remembering the time so
@@ -386,8 +391,9 @@ class SimulationEngine:
             self.controller.begin_run(self)
         self._seed_initial_events()
 
-        # The loop pops for itself what ``EventQueue.pop`` would, and handles
-        # RECEIVE (nearly every event) in place; see DESIGN.md §8.1.
+        # The loop pops for itself and handles RECEIVE (nearly every event)
+        # in place; the books a reception changes are kept before any other
+        # event and at the end, and stop state re-read after one (DESIGN §8.1).
         queue = self.queue
         current = queue.current
         pop = current.pop
@@ -395,43 +401,67 @@ class SimulationEngine:
         pending = queue.pending
         max_time = self.config.max_time
         crashed = self._crashed
-        processes = self.processes
-        metrics = self.metrics
-        trace = self.trace
+        tables = [process.receive_table() for process in self.processes.values()]
+        record = self.trace.record_copy if self.trace.channel_active else None
         dispatch = self._dispatch
-        receives = 0
+        book = self._book_receives
+        stopped = self._stop_requested
+        stop_at = max_time  # or the drain deadline, once set and earlier
+        time = queue.last_popped_time
+        receives = lost = 0  # RECEIVEs popped since the last booking
         try:
-            while not self._stop_requested:
+            while not stopped:
                 if not current and not refill():
                     break
                 time, _, kind, target, payload = pop(0)
-                queue.last_popped_time = time
-                pending[kind.slot] -= 1
-                if time > max_time:
-                    self._stop_reason = "horizon"
+                if time >= stop_at and (time > max_time or (
+                        self._stop_deadline is not None
+                        and time >= self._stop_deadline)):
+                    pending[kind.slot] -= 1
+                    if time > max_time:
+                        self._stop_reason = "horizon"
+                    else:  # the clock reaches the drain deadline
+                        self._now = time
                     break
                 self._now = time
-                if (self._stop_deadline is not None
-                        and time >= self._stop_deadline):
-                    break
-                if kind is not _RECEIVE:
-                    dispatch(kind, target, payload)
+                if kind is _RECEIVE:
+                    receives += 1
+                    if target in crashed:
+                        # The channel delivered the copy but the process is
+                        # gone; a crashed process executes no statements, so
+                        # the copy is lost.
+                        lost += 1
+                        continue
+                    if record is not None:
+                        record(time, _CHANNEL_DELIVER, target, None, payload)
+                    try:
+                        handler = tables[target][payload.__class__]
+                    except KeyError:  # not in the table: on_receive decides
+                        handler = tables[target][payload.__class__] = \
+                            self.processes[target].on_receive
+                    handler(payload)
                     continue
-                receives += 1
-                if target in crashed:
-                    # The channel delivered the copy but the process is
-                    # gone; a crashed process executes no statements, so
-                    # the copy is lost.
-                    continue
-                if metrics.active:
-                    metrics.total_channel_deliveries += 1
-                if trace.channel_active:
-                    trace.record_copy(time, _CHANNEL_DELIVER, target,
-                                      payload_kind(payload), payload)
-                processes[target].on_receive(payload)
+                pending[kind.slot] -= 1
+                queue.last_popped_time = time
+                if receives:
+                    book(receives, lost)
+                    receives = lost = 0
+                dispatch(kind, target, payload)
+                stopped = self._stop_requested
+                if self._stop_deadline is not None:
+                    stop_at = min(max_time, self._stop_deadline)
         finally:
-            self.event_stats.dispatched[_RECEIVE] += receives
+            queue.last_popped_time = time
+            book(receives, lost)
         return self._finish_run()
+
+    def _book_receives(self, receives: int, lost: int) -> None:
+        """Book *receives* RECEIVEs the loop popped, *lost* of them by crashed
+        processes: pending count, event count, channel deliveries."""
+        self.queue.pending[_RECEIVE.slot] -= receives
+        self.event_stats.dispatched[_RECEIVE] += receives
+        if self.metrics.active:
+            self.metrics.total_channel_deliveries += receives - lost
 
     def _finish_run(self) -> SimulationResult:
         """Close the books of a run whose loop has ended; package its result."""
@@ -612,7 +642,7 @@ class SimulationEngine:
     def _quiescence_reached(self) -> bool:
         # Every alive process has no retransmission obligation and nothing
         # is in flight or still scheduled to be injected.  The pending-event
-        # counts are O(1) reads maintained by the queue.
+        # counts are O(1) reads, booked by the loop before every dispatch.
         queue = self.queue
         if (queue.pending_of(EventKind.RECEIVE)
                 or queue.pending_of(EventKind.BROADCAST_REQUEST)):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 import weakref
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Optional
 
 from ..core.messages import TaggedMessage
 from ..failure_detectors.base import FailureDetectorView
@@ -35,7 +35,7 @@ class ProcessEnvironment:
     def __init__(self, index: int, engine: "SimulationEngine") -> None:
         self._index = index
         self._engine: "SimulationEngine" = weakref.proxy(engine)
-        self._random = engine.random_source.for_process(index)
+        self._random: Optional[random.Random] = None
 
     def __getstate__(self) -> dict[str, Any]:
         """Pickle without the engine: a shipped result has no use for one."""
@@ -50,7 +50,9 @@ class ProcessEnvironment:
 
     @property
     def random(self) -> random.Random:
-        """Process-local random substream (tags)."""
+        """Process-local random substream (tags), seeded when first read."""
+        if self._random is None:
+            self._random = self._engine.random_source.for_process(self._index)
         return self._random
 
     def atheta(self) -> FailureDetectorView:

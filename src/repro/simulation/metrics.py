@@ -17,8 +17,6 @@ from functools import reduce
 from operator import add, itemgetter
 from typing import Optional
 
-import numpy as np
-
 from .simtime import SimTime
 
 
@@ -231,9 +229,9 @@ class MetricsCollector:
         """Total number of URB-deliveries across all processes."""
         return self._deliveries
 
-    def latencies(self) -> np.ndarray:
-        """Delivery latencies as a NumPy array (possibly empty)."""
-        return np.asarray([s.latency for s in self.latency_samples], dtype=float)
+    def latencies(self) -> list[float]:
+        """Delivery latencies, in delivery order (possibly empty)."""
+        return [s.latency for s in self.latency_samples]
 
     def cumulative_sends_at(self, time: SimTime) -> int:
         """Cumulative number of sends up to and including *time* (sends

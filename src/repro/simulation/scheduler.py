@@ -3,7 +3,8 @@
 The queue enforces two invariants that the rest of the simulator relies on:
 
 * *Monotonicity* — events are popped in non-decreasing time order and an
-  event can never be scheduled in the past relative to the last popped time.
+  event can never be scheduled in the past relative to the last popped time
+  (:meth:`EventQueue.schedule` checks; the engine checks a broadcast's).
 * *Determinism* — events scheduled for the same instant are popped in the
   order they were pushed (FIFO tie-break via a monotonically increasing
   sequence counter).
@@ -29,7 +30,7 @@ from bisect import bisect, insort
 from heapq import heappop, heappush
 from itertools import groupby
 from operator import itemgetter
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterator, Optional, Sequence
 
 from .events import EventKind
 from .simtime import SimTime
@@ -45,6 +46,15 @@ _CHUNK = 128  # most entries ``current`` takes from the consumed bucket
 
 class SchedulingError(RuntimeError):
     """Raised when an event would violate the scheduler's invariants."""
+
+
+def reject_time(time: SimTime, floor: SimTime) -> None:
+    """Raise for a *time* that is not ``>= floor``, the current time."""
+    if time < 0.0:
+        raise ValueError(f"scheduled time must be non-negative, got {time}")
+    raise SchedulingError(  # in the past, or NaN
+        f"cannot schedule event at t={time} before current simulation "
+        f"time t={floor}")
 
 
 class EventQueue:
@@ -80,16 +90,6 @@ class EventQueue:
     # ------------------------------------------------------------------ #
     # scheduling
     # ------------------------------------------------------------------ #
-    def _reject_time(self, time: SimTime) -> None:
-        """Raise for a *time* that is not ``>= last_popped_time``."""
-        if time < 0.0:
-            raise ValueError(
-                f"scheduled time must be non-negative, got {time}")
-        raise SchedulingError(  # in the past, or NaN
-            f"cannot schedule event at t={time} before current "
-            f"simulation time t={self.last_popped_time}"
-        )
-
     def schedule(
         self,
         time: SimTime,
@@ -108,7 +108,7 @@ class EventQueue:
             If *time* or *target* is negative.
         """
         if not time >= self.last_popped_time:  # also catches NaN
-            self._reject_time(time)
+            reject_time(time, self.last_popped_time)
         if target is not None and target < 0:
             raise ValueError("event target must be a non-negative index")
         seq = self._next_seq
@@ -135,24 +135,17 @@ class EventQueue:
         return event
 
     def schedule_receives(
-        self, copies: Iterable[tuple[int, Optional[SimTime]]], payload: Any
+        self, times: Sequence[Optional[SimTime]], payload: Any
     ) -> int:
         """Enqueue the ``RECEIVE`` of every delivered copy of one broadcast.
 
-        *copies* are the broadcast's ``(dst, deliver_time)`` fates in
-        destination order (``None`` = dropped, nothing enqueued); the
-        delivered ones get the sequence numbers that one :meth:`schedule`
-        call each, in that order, would have given them.  Destinations come
-        from the network's own row indices and are not checked again.
+        *times* are the broadcast's fates, each destination's delivery time
+        by position (``None`` = dropped, nothing enqueued); the delivered
+        ones get the seqs one :meth:`schedule` call each, in that order,
+        would have given them.  They are not checked: a channel delivers
+        after now, and the engine checks a controller's decision.
         Returns the number of dropped copies.
-
-        Raises
-        ------
-        SchedulingError
-            At the first delivery time in the past (a controller's
-            decision); the copies before it stay queued and counted.
         """
-        floor = self.last_popped_time
         scale = self._scale
         consumed = self._bucket
         get = self._later.get
@@ -160,33 +153,26 @@ class EventQueue:
         rest = self._rest
         room = self._room
         first = seq = self._next_seq
-        drops = 0
-        try:
-            for dst, time in copies:
-                if time is None:
-                    drops += 1
-                    continue
-                if not time >= floor:
-                    self._reject_time(time)
-                event = (time, seq, _RECEIVE, dst, payload)
-                seq += 1
-                if room:
-                    room -= 1
-                    insort(current, event)
-                elif (bucket := time * scale // 1.0) <= consumed:
-                    insort(rest if rest and rest[0] < event else current,
-                           event)
-                elif (later := get(bucket)) is not None:
-                    later.append(event)
-                else:
-                    self._file(event, bucket)
-        finally:
-            self._next_seq = seq
-            self.pending[_RECEIVE.slot] += seq - first
-            self._room = room
+        for dst, time in enumerate(times):
+            if time is None:
+                continue
+            event = (time, seq, _RECEIVE, dst, payload)
+            seq += 1
+            if room:
+                room -= 1
+                insort(current, event)
+            elif (bucket := time * scale // 1.0) <= consumed:
+                insort(rest if rest and rest[0] < event else current, event)
+            elif (later := get(bucket)) is not None:
+                later.append(event)
+            else:
+                self._file(event, bucket)
+        self._next_seq = seq
+        self.pending[_RECEIVE.slot] += seq - first
+        self._room = room
         if len(current) > self._limit:
             self._rescale()
-        return drops
+        return len(times) - (seq - first)
 
     def _file(self, event: Event, bucket: float) -> None:
         """File *event* in a new later bucket; a NaN *bucket* means that
@@ -275,9 +261,9 @@ class EventQueue:
     def pop(self) -> Event:
         """Pop and return the earliest event.
 
-        The engine's loop inlines exactly this: ``current.pop(0)`` (after a
-        :meth:`refill` when ``current`` is empty), then ``last_popped_time``
-        and the kind's ``pending`` count.
+        The engine's loop inlines this (``current.pop(0)`` after a
+        :meth:`refill` when ``current`` is empty), booking the rest before
+        each event that is not a ``RECEIVE`` and when it ends.
 
         Raises
         ------

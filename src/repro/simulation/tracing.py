@@ -18,6 +18,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
+from ..core.messages import payload_kind
 from .simtime import SimTime
 
 
@@ -208,7 +209,7 @@ class TraceRecorder:
         time: SimTime,
         category: TraceCategory,
         process: int,
-        kind: str,
+        kind: Optional[str],
         payload: Any,
         dst: Optional[int] = None,
     ) -> None:
@@ -217,7 +218,8 @@ class TraceRecorder:
 
         The same event as ``record(time, category, process, dst=dst,
         kind=kind, payload=payload)`` — without ``dst`` when it is ``None``,
-        the CHANNEL_DELIVER form — at the price of one tuple.
+        the CHANNEL_DELIVER form — at the price of one tuple.  A ``None``
+        *kind* is derived (:func:`payload_kind`) when the row is read.
         """
         if self.channel_active:
             self._rows.append((time, category, process, kind, payload, dst))
@@ -228,16 +230,16 @@ class TraceRecorder:
         process: int,
         kind: str,
         payload: Any,
-        copies: Iterable[tuple[int, Optional[SimTime]]],
+        times: Iterable[Optional[SimTime]],
     ) -> None:
         """Append the per-copy records of one broadcast (no-op unless
-        ``channel_active``): for each ``(dst, deliver_time)`` of *copies*,
-        in order, the :meth:`record_copy` row of its SEND, directly followed
-        by that of its DROP when ``deliver_time`` is ``None``."""
+        ``channel_active``): for each destination's delivery time in
+        *times*, in order, the :meth:`record_copy` row of its SEND, directly
+        followed by that of its DROP when the time is ``None``."""
         if not self.channel_active:
             return
         append = self._rows.append
-        for dst, deliver_time in copies:
+        for dst, deliver_time in enumerate(times):
             append((time, _SEND, process, kind, payload, dst))
             if deliver_time is None:
                 append((time, _DROP, process, kind, payload, dst))
@@ -248,7 +250,7 @@ class TraceRecorder:
         if len(row) == 4:
             return row[3]
         time, category, process, kind, payload, dst = row
-        details = {"kind": kind, "payload": payload}
+        details = {"kind": kind or payload_kind(payload), "payload": payload}
         if dst is not None:
             details = {"dst": dst, **details}
         event = TraceEvent(time=time, category=category, process=process,

@@ -24,9 +24,9 @@ dominant event population — out of the event queue on both sides:
   ``lexsort`` into the reference ``(time, seq)`` total order, and consumed in
   maximal runs between queue events.
 * **The repeat filter.**  A run is replayed entry by entry through the
-  processes' own ``on_receive``, in run order with the clock set per entry
-  — the reference engine's loop — minus the entries the engine can prove
-  change nothing: when every process declares
+  processes' own handlers (``receive_table``), in run order with the clock
+  set per entry — the reference engine's loop — minus the entries the
+  engine can prove change nothing: when every process declares
   ``repeated_ack_is_noop_once_delivered`` (both paper algorithms re-send
   the identical ACK on every MSG reception, so nearly every ACK received is
   an exact repeat), one gather over the run against two tables — payload
@@ -476,8 +476,7 @@ class _NetSampler:
         broadcast_fast = self.network.broadcast_fast
         # A dropped copy's ``None`` becomes NaN.
         fates = np.array(
-            [[deliver_time for _, deliver_time
-              in broadcast_fast(src, keys[send], now)]
+            [broadcast_fast(src, keys[send], now)
              for send, src, now in zip(sends, srcs[sends].tolist(),
                                        nows[sends].tolist())],
             dtype=np.float64)
@@ -942,10 +941,10 @@ class VectorizedEngine(SimulationEngine):
         """Consume run entries ``[lo, hi)``: filter, then replay in order.
 
         Every entry that is not dropped is handed to its destination's
-        ``on_receive`` in run order with ``_now`` set per entry — the loop
-        the reference engine runs, so tags are drawn, views read, listeners
-        called and broadcasts recorded in the reference order; the flush
-        that ends the run samples the broadcasts.  Dropped are the copies
+        handler (``receive_table``) in run order, ``_now`` set per entry —
+        the loop the reference engine runs, so tags are drawn, views read,
+        listeners called and broadcasts recorded in the reference order; the
+        flush that ends the run samples the broadcasts.  Dropped are the copies
         addressed to crashed processes and, when the repeat filter is on,
         the ACK receptions two run-wide tables prove to be no-ops under
         ``repeated_ack_is_noop_once_delivered``: ``delivered[dst, mid]``
@@ -996,11 +995,20 @@ class VectorizedEngine(SimulationEngine):
         replay = slice(lo, hi) if keep is None else np.nonzero(keep)[0] + lo
         replay_dsts = dsts[replay].tolist()
         payloads = self._interner.payloads
-        processes = self.processes
+        tables = self._tables
+        if tables is None:
+            tables = self._tables = [process.receive_table() for process
+                                     in self.processes.values()]
         for dst, pid, now in zip(replay_dsts, pids[replay].tolist(),
                                  times[replay].tolist()):
             self._now = now
-            processes[dst].on_receive(payloads[pid])
+            payload = payloads[pid]
+            try:
+                handler = tables[dst][payload.__class__]
+            except KeyError:  # not in the table: on_receive decides
+                handler = tables[dst][payload.__class__] = \
+                    self.processes[dst].on_receive
+            handler(payload)
         self._flush_sends()
         return live, len(replay_dsts)
 
@@ -1022,6 +1030,8 @@ class VectorizedEngine(SimulationEngine):
     _handled: Optional[np.ndarray] = None
     _delivered: Optional[np.ndarray] = None
     _cell_changed: Optional[np.ndarray] = None
+    #: The processes' receive tables, made at the run's first replay.
+    _tables: Optional[list] = None
     #: Cached obs instrument handles (resolved once per run, outside the
     #: hot loop); ``None`` when obs is disabled.
     _send_rows_hist: Any = None

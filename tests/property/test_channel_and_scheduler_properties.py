@@ -135,10 +135,10 @@ class TestEventQueueProperties:
         call per delivered copy does, with claims and ticks in between."""
         bulk, single = EventQueue(), EventQueue()
         for index, fates in enumerate(broadcasts):
-            copies = list(enumerate(fates))
+            copies = list(fates)
             drops = bulk.schedule_receives(copies, index)
             assert drops == fates.count(None)
-            for dst, time in copies:
+            for dst, time in enumerate(copies):
                 if time is not None:
                     single.schedule(time, EventKind.RECEIVE, target=dst,
                                     payload=index)

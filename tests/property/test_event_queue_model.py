@@ -1,8 +1,10 @@
 """The time-bucketed ``EventQueue`` against a ``heapq`` model.
 
-Random interleavings of ``schedule``, ``schedule_receives`` (dropped copies
-and a bad time among them), ``pop``, ``peek`` and ``claim_seqs`` run on the
-queue and on a binary heap of the same tuples.  Times are drawn relative to
+Random interleavings of ``schedule`` (a bad time among them),
+``schedule_receives`` (dropped copies among them; its times are never
+before the last popped one, as the engine guarantees), ``pop``, ``peek``
+and ``claim_seqs`` run on the queue and on a binary heap of the same
+tuples.  Times are drawn relative to
 the last popped time, so that entries tie, land at the last popped time, in
 the bucket being consumed (in its current chunk or in its rest), before a
 bucket that ``peek`` moved on to, or at very large finite times.  Small
@@ -51,11 +53,10 @@ class HeapModel:
 
     def schedule_receives(self, copies, payload):
         drops = 0
-        for dst, time in copies:
+        for dst, time in enumerate(copies):
             if time is None:
                 drops += 1
                 continue
-            self.check_time(time)
             heapq.heappush(self.heap, (time, self.next_seq, EventKind.RECEIVE,
                                        dst, payload))
             self.next_seq += 1
@@ -86,12 +87,17 @@ times = st.one_of(
     st.tuples(st.just("fixed"), st.sampled_from(
         (0.0, -1.0, math.nan) + HUGE)),
 )
+#: A copy's time: at or after the last popped time, or a very large one.
+receive_times = st.one_of(
+    st.tuples(st.just("last"), st.integers(0, 40)),
+    st.tuples(st.just("at least"), st.sampled_from(HUGE)),
+)
 ops = st.one_of(
     st.tuples(st.just("schedule"), times, st.sampled_from(KINDS),
               st.sampled_from((None, 0, 3, -1))),
     st.tuples(st.just("receives"),
-              st.lists(st.one_of(st.none(), times), max_size=8)),
-    st.tuples(st.just("receives"), st.lists(times, max_size=8)),
+              st.lists(st.one_of(st.none(), receive_times), max_size=8)),
+    st.tuples(st.just("receives"), st.lists(receive_times, max_size=8)),
     st.tuples(st.just("pop")),
     st.tuples(st.just("peek")),
     st.tuples(st.just("claim"), st.integers(-1, 3)),
@@ -102,6 +108,8 @@ def resolve(spec, model):
     base, value = spec
     if base == "fixed":
         return value
+    if base == "at least":
+        return max(value, model.last_popped_time)
     return model.last_popped_time + value / 16
 
 
@@ -134,9 +142,8 @@ def run_against_model(program):
             got = outcome(lambda: queue.schedule(*args))
             want = outcome(lambda: model.schedule(*args))
         elif name == "receives":
-            copies = [(dst, None if spec is None else
-                       resolve(spec, model))
-                      for dst, spec in enumerate(op[1])]
+            copies = [None if spec is None else resolve(spec, model)
+                      for spec in op[1]]
             got = outcome(lambda: queue.schedule_receives(copies, "m"))
             want = outcome(lambda: model.schedule_receives(copies, "m"))
         elif name == "pop":

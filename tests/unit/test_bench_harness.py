@@ -18,8 +18,8 @@ from repro.network import Network
 REPO_ROOT = Path(__file__).resolve().parents[2]
 BENCH = REPO_ROOT / "scripts" / "bench.py"
 LOADS = {"quiescence_vectorized", "fd_all_processes", "flood_reference",
-         "obs_overhead", "event_queue_churn", "campaign_store",
-         "campaign_merge"}
+         "quiescence_reference", "obs_overhead", "event_queue_churn",
+         "campaign_store", "campaign_merge"}
 #: Top-level keys of every document, the loads' and the e2e workloads'.
 DOCUMENT_KEYS = {"name", "correct", "attempted", "failed", "metrics",
                  "python", "platform"}
@@ -261,6 +261,25 @@ class TestLoads:
         monkeypatch.setattr(bench, "build_engine", lambda s: build_engine(
             s.with_(seed=5) if s.engine == "vectorized" else s))
         assert not bench.flood_reference()[1]
+
+    def test_quiescence_reference_load_refuses_engines_that_differ(
+            self, bench, monkeypatch):
+        scenario = bench._quiescence_e2e_scenario
+        monkeypatch.setattr(bench, "_quiescence_e2e_scenario",
+                            lambda n: scenario(6))
+        values, correct, meta = bench.quiescence_reference()
+        assert correct and meta["n_processes"] == 6
+        assert values["ops_per_s"] == meta["events"] / values["wall_s"]
+        # A run cut at the horizon is not the load.
+        with monkeypatch.context() as patch:
+            patch.setattr(bench, "_quiescence_e2e_scenario",
+                          lambda n: scenario(6).with_(max_time=2.0))
+            assert not bench.quiescence_reference()[1]
+        # The vectorized run simulates another seed.
+        build_engine = bench.build_engine
+        monkeypatch.setattr(bench, "build_engine", lambda s: build_engine(
+            s.with_(seed=5) if s.engine == "vectorized" else s))
+        assert not bench.quiescence_reference()[1]
 
     def test_obs_load_does_the_same_work_with_obs_on_and_off(self, bench,
                                                              monkeypatch):

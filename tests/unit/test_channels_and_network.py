@@ -143,8 +143,8 @@ class TestNetwork:
         network = self._network(4)
         copies = network.broadcast_fast(1, "payload", 0.0)
         # Destination-index order, the sender's own copy included.
-        assert [dst for dst, _time in copies] == [0, 1, 2, 3]
-        assert all(time is not None for _dst, time in copies)
+        assert [dst for dst, _time in enumerate(copies)] == [0, 1, 2, 3]
+        assert all(time is not None for time in copies)
 
     def test_broadcast_returns_a_fresh_list_each_time(self):
         # No shared buffer: a caller may hold one broadcast's copies while
@@ -153,12 +153,12 @@ class TestNetwork:
         first = network.broadcast_fast(0, "p", 0.0)
         second = network.broadcast_fast(1, "p", 5.0)
         assert first is not second
-        assert first == [(0, 1.0), (1, 1.0), (2, 1.0)]
-        assert second == [(0, 6.0), (1, 6.0), (2, 6.0)]
+        assert first == [1.0, 1.0, 1.0]
+        assert second == [6.0, 6.0, 6.0]
 
     def test_deliver_time_is_send_time_plus_channel_delay(self):
         network = self._network(2)
-        assert network.broadcast_fast(0, "p", 3.0)[1] == (1, 4.0)
+        assert network.broadcast_fast(0, "p", 3.0)[1] == 4.0
 
     def test_each_copy_draws_from_its_own_channel_in_destination_order(self):
         # One broadcast = one transmit per directed channel, in destination
@@ -168,16 +168,16 @@ class TestNetwork:
         loss = LossSpec.bernoulli(0.5)
         network, twin = self._network(4, loss=loss), self._network(4, loss=loss)
         for now in (0.0, 1.0, 2.0):
-            expected = [(dst, twin.channel(2, dst).transmit("p", now))
+            expected = [twin.channel(2, dst).transmit("p", now)
                         for dst in range(4)]
             assert network.broadcast_fast(2, "p", now) == expected
-        assert {time for _dst, time in expected} != {None}
+        assert {time for time in expected} != {None}
 
     def test_fairness_guard_forces_a_copy_through(self):
         # An always-drop loss model cannot starve a retransmitted message:
         # the fair lossy channel delivers one copy within its bound.
         network = self._network(2, loss=LossSpec.bernoulli(1.0))
-        fates = [network.broadcast_fast(0, "p", float(t))[1][1]
+        fates = [network.broadcast_fast(0, "p", float(t))[1]
                  for t in range(DEFAULT_FAIRNESS_BOUND + 1)]
         assert fates[0] is None and any(time is not None for time in fates)
 
@@ -193,7 +193,7 @@ class TestNetwork:
         network = self._network(2, loss=LossSpec.bernoulli(1.0))
         # fairness guard eventually forces delivery, so use few attempts
         copies = network.broadcast_fast(0, "p", 0.0)
-        assert copies == [(0, None), (1, None)]  # a dropped copy has no time
+        assert copies == [None, None]  # a dropped copy has no time
         stats = [channel.stats for channel in network.channels.values()]
         assert sum(s.attempts for s in stats) == 2
         assert sum(s.dropped for s in stats) == 2

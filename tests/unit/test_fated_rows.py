@@ -60,7 +60,7 @@ def fate_both(n, factory, seed, sends, preseed, settle_at=()):
             rows.settle()
         got.append(rows.broadcast_fast(src, key, now))
     rows.settle()
-    want = [[(dst, twin.channel(src, dst).transmit(key, now))
+    want = [[twin.channel(src, dst).transmit(key, now)
              for dst in range(n)] for src, key, now in sends]
     assert got == want
     wide = n >= FATED_ROW_MIN_WIDTH

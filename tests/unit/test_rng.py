@@ -99,8 +99,10 @@ def seeded(monkeypatch):
     return record
 
 
-#: Streams only a model draws from: each must have been drawn by the run's end.
-MODEL_STREAMS = ("loss", "delay", "workload", "atheta-learn", "apstar-learn")
+#: Streams only a model or a process draws from: each must have been drawn
+#: by the run's end.
+MODEL_STREAMS = ("loss", "delay", "workload", "atheta-learn", "apstar-learn",
+                 "process")
 
 
 @pytest.mark.parametrize("case", parity_cases(), ids=lambda case: case.name)

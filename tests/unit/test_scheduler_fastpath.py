@@ -1,17 +1,40 @@
 """Unit tests for the event queue's hot-path machinery: the O(1)
 pending-count bookkeeping, sequence-number claims, and the bulk push of one
-broadcast's receive events."""
+broadcast's receive events (and the engine's check of the one kind of fate
+that can lie in the past, a controller's decision)."""
 
 import math
 from unittest import mock
 
 import pytest
 
+from repro.core.baselines import BestEffortBroadcastProcess
+from repro.network import FairLossyChannelFactory, Network
 from repro.simulation import scheduler
+from repro.simulation.config import SimulationConfig
+from repro.simulation.engine import SimulationEngine
 from repro.simulation.events import EventKind
+from repro.simulation.rng import RandomSource
 from repro.simulation.scheduler import EventQueue, SchedulingError
 
 RECEIVE = EventKind.RECEIVE
+
+
+def _engine_deciding(times):
+    """An engine, not yet run, whose controller fates the copies of a
+    broadcast with *times*, absolute, by destination."""
+
+    class Deciding:
+        def copy_decision(self, engine, src, dst, payload, key, now):
+            return times[dst]
+
+    n = len(times)
+    return SimulationEngine(
+        SimulationConfig(n_processes=n),
+        Network(n, FairLossyChannelFactory(), RandomSource(0)),
+        lambda index, env: BestEffortBroadcastProcess(env),
+        controller=Deciding(),
+    )
 
 
 class TestPendingCounts:
@@ -42,7 +65,7 @@ class TestClaimSeqs:
         assert queue.claim_seqs(3) == 1
         assert queue.schedule(1.0, EventKind.TICK)[1] == 4
         assert queue.claim_seqs(0) == 5
-        assert queue.schedule_receives([(0, 2.0), (1, None), (2, 2.0)], "m") == 1
+        assert queue.schedule_receives([2.0, None, 2.0], "m") == 1
         assert queue.claim_seqs(1) == 7
         # Claimed numbers never enter the queue.
         assert [event[1] for event in queue] == [0, 4, 5, 6]
@@ -53,14 +76,14 @@ class TestClaimSeqs:
 
 
 class TestScheduleReceives:
-    COPIES = [(0, 3.0), (1, None), (2, 1.5), (3, None), (4, 3.0), (5, 0.5)]
+    COPIES = [3.0, None, 1.5, None, 3.0, 0.5]
 
     def test_assigns_the_seqs_per_copy_schedule_calls_assign(self):
         bulk, single = EventQueue(), EventQueue()
         for queue in (bulk, single):
             queue.schedule(0.25, EventKind.TICK, target=0)
         drops = bulk.schedule_receives(self.COPIES, "m")
-        for dst, time in self.COPIES:
+        for dst, time in enumerate(self.COPIES):
             if time is not None:
                 single.schedule(time, RECEIVE, target=dst, payload="m")
         assert drops == 2
@@ -80,18 +103,22 @@ class TestScheduleReceives:
 
     def test_all_dropped_or_empty_broadcast_enqueues_nothing(self):
         queue = EventQueue()
-        assert queue.schedule_receives([(0, None), (1, None)], "m") == 2
+        assert queue.schedule_receives([None, None], "m") == 2
         assert queue.schedule_receives([], "m") == 0
         assert len(queue) == 0 and queue.claim_seqs(0) == 0
 
     @pytest.mark.parametrize("bad", [1.0, float("nan")], ids=["past", "nan"])
     def test_decision_in_the_past_keeps_the_earlier_copies(self, bad):
-        queue = EventQueue()
+        # Only a controller's decision can lie in the past: the engine checks
+        # it where it enters and books the copies before it (the queue
+        # takes the times it is given).
+        engine = _engine_deciding([2.5, None, 2.0, bad, 9.0])
+        queue = engine.queue
         queue.schedule(2.0, EventKind.TICK)
         queue.pop()
+        engine._now = 2.0
         with pytest.raises(SchedulingError):
-            queue.schedule_receives(
-                [(0, 2.5), (1, None), (2, 2.0), (3, bad), (4, 9.0)], "m")
+            engine.broadcast_from(0, "m")
         # The two copies before the bad one are queued and counted, with
         # their seqs; the one after it never got one.
         assert list(queue) == [(2.0, 2, RECEIVE, 2, "m"),
@@ -103,7 +130,7 @@ class TestScheduleReceives:
         queue = EventQueue()
         queue.schedule(2.0, EventKind.TICK)
         queue.pop()
-        assert queue.schedule_receives([(0, 2.0)], "m") == 0
+        assert queue.schedule_receives([2.0], "m") == 0
         assert queue.pop() == (2.0, 1, RECEIVE, 0, "m")
 
 

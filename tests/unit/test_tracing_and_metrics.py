@@ -104,14 +104,14 @@ class TestChannelRows:
         TraceRecorder(enabled=False),
     ])
     def test_record_broadcast_honours_the_level(self, recorder):
-        recorder.record_broadcast(1.0, 0, "MSG", "p", [(0, 2.0), (1, None)])
+        recorder.record_broadcast(1.0, 0, "MSG", "p", [2.0, None])
         assert len(recorder) == 0
 
     def test_record_broadcast_is_the_per_copy_records_interleaved(self):
-        copies = [(0, 2.0), (1, None), (2, None), (3, 1.5)]
+        copies = [2.0, None, None, 1.5]
         bulk, single = TraceRecorder(), TraceRecorder()
         bulk.record_broadcast(1.0, 4, "MSG", "p", copies)
-        for dst, deliver_time in copies:
+        for dst, deliver_time in enumerate(copies):
             single.record_copy(1.0, TraceCategory.SEND, 4, "MSG", "p", dst)
             if deliver_time is None:
                 single.record_copy(1.0, TraceCategory.DROP, 4, "MSG", "p", dst)
