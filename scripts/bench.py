@@ -51,6 +51,7 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro import obs  # noqa: E402  (needs the path setup above)
+from repro.analysis.properties import check_urb_properties  # noqa: E402
 from repro.campaigns import ResultStore, scenario_cell_key  # noqa: E402
 from repro.campaigns.distributed import merge_stores  # noqa: E402
 from repro.experiments.config import Scenario  # noqa: E402
@@ -65,7 +66,11 @@ from repro.network.loss import LossSpec  # noqa: E402
 from repro.simulation.events import EventKind  # noqa: E402
 from repro.simulation.metrics import MetricsCollector, MetricsLevel  # noqa: E402
 from repro.simulation.scheduler import EventQueue  # noqa: E402
-from repro.simulation.tracing import TraceLevel, TraceRecorder  # noqa: E402
+from repro.simulation.tracing import (  # noqa: E402
+    TraceCategory,
+    TraceLevel,
+    TraceRecorder,
+)
 
 E2E_RUN = REPO_ROOT / "benchmarks" / "e2e" / "run.py"
 #: Seconds of passes per workload with ``--e2e --quick`` (CI's setting).
@@ -200,6 +205,32 @@ def _reference_pass(scenario: Scenario, expect_stop: str) -> Pass:
 def flood_reference() -> Pass:
     """The flood_n14 scenario on the per-event loop alone (reference engine)."""
     return _reference_pass(_flood_scenario(14), "horizon")
+
+
+def flood_full_trace() -> Pass:
+    """The flood_n14 scenario on the reference engine with FULL trace and metrics."""
+    # What a campaign cell records, on the flood: one trace row per
+    # broadcast and one send mark.  The timed region is the run and the
+    # reads that check it, which answer from those rows as they are.
+    built = build_engine(_flood_scenario(14).with_(engine="reference"))
+    built.trace = TraceRecorder(enabled=True, level=TraceLevel.FULL)
+    built.metrics = MetricsCollector(level=MetricsLevel.FULL)
+    start = time.perf_counter()
+    result = built.run()
+    trace, metrics = result.trace, result.metrics
+    counts = {category.value: trace.count(category) for category in (
+        TraceCategory.SEND, TraceCategory.DROP, TraceCategory.CHANNEL_DELIVER)}
+    correct = (check_urb_properties(result).all_hold
+               and result.stop_reason == "horizon"
+               and counts == {"send": metrics.total_sends,
+                              "drop": metrics.total_drops,
+                              "channel_deliver":
+                                  metrics.total_channel_deliveries})
+    seconds = time.perf_counter() - start
+    events = result.event_stats.total
+    return _rates(seconds, events), correct, {
+        "n_processes": built.config.n_processes, "events": events,
+        "trace_records": len(trace), **counts}
 
 
 def _quiescence_e2e_scenario(n: int) -> Scenario:
@@ -361,6 +392,7 @@ LOADS: dict[str, Callable[[], Pass]] = {
     "quiescence_vectorized": quiescence_vectorized,
     "fd_all_processes": fd_all_processes,
     "flood_reference": flood_reference,
+    "flood_full_trace": flood_full_trace,
     "quiescence_reference": quiescence_reference,
     "obs_overhead": obs_overhead,
     "event_queue_churn": event_queue_churn,

@@ -98,7 +98,7 @@ def send_histogram(result: SimulationResult,
     *window*: read off the trace, or off the metrics' send timeline when
     the trace recorded no sends (the data series behind E3's figure)."""
     histogram = result.trace.timeline(TraceCategory.SEND, window)
-    if not histogram and result.metrics.send_timeline:
+    if not histogram and result.metrics.send_marks:
         histogram = _histogram_from_metrics(result, window)
     return histogram
 
@@ -130,12 +130,14 @@ def _histogram_from_metrics(result: SimulationResult,
     """Send histogram computed from metrics when the trace is disabled."""
     if window <= 0:
         raise ValueError("window must be positive")
-    times = [t for t, _ in result.metrics.send_timeline]
-    if not times:
+    marks = result.metrics.send_marks
+    if not marks:
         return []
-    end = max(times)
+    end = max(t for t, _ in marks)
     n_buckets = int(end // window) + 1
     counts = [0] * n_buckets
-    for t in times:
-        counts[int(t // window)] += 1
+    sent = 0
+    for t, total in marks:
+        counts[int(t // window)] += total - sent
+        sent = total
     return [(i * window, counts[i]) for i in range(n_buckets)]

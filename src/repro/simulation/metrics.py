@@ -145,8 +145,9 @@ class MetricsCollector:
         self.sends_by_process: dict[int, int] = defaultdict(int)
         self.drops_by_kind: dict[str, int] = defaultdict(int)
         self.latency_samples: list[LatencySample] = []
-        #: ``(time, cumulative_send_count)`` pairs, one per send.
-        self.send_timeline: list[tuple[SimTime, int]] = []
+        #: ``(time, cumulative_send_count)`` after each broadcast: its copies
+        #: share the time, so this is :attr:`send_timeline` one per broadcast.
+        self.send_marks: list[tuple[SimTime, int]] = []
         self.broadcast_times: dict[object, SimTime] = {}
         self.last_send_time: Optional[SimTime] = None
         self.final_time: SimTime = 0.0
@@ -172,7 +173,7 @@ class MetricsCollector:
     def on_send_many(self, time: SimTime, src: int, kind: str, count: int) -> None:
         """Record *count* copies of one protocol payload, each handed to one
         directed channel at *time*: one broadcast's fan-out.  At FULL level
-        the send timeline gets one cumulative entry per copy.
+        it is one mark of the send timeline.
         """
         if not self.active or count <= 0:
             return
@@ -182,9 +183,7 @@ class MetricsCollector:
         self.sends_by_process[src] += count
         self.last_send_time = time
         if self._full:
-            self.send_timeline.extend([
-                (time, sent) for sent in range(total + 1, total + count + 1)
-            ])
+            self.send_marks.append((time, total + count))
 
     def on_drop_many(self, time: SimTime, src: int, kind: str, count: int) -> None:
         """Record that the channels dropped *count* of those copies."""
@@ -233,12 +232,23 @@ class MetricsCollector:
         """Delivery latencies, in delivery order (possibly empty)."""
         return [s.latency for s in self.latency_samples]
 
+    @property
+    def send_timeline(self) -> list[tuple[SimTime, int]]:
+        """``(time, cumulative_send_count)`` pairs, one per send: each
+        of :attr:`send_marks` spread over its copies."""
+        timeline: list[tuple[SimTime, int]] = []
+        sent = 0
+        for time, total in self.send_marks:
+            timeline.extend([(time, count) for count in range(sent + 1, total + 1)])
+            sent = total
+        return timeline
+
     def cumulative_sends_at(self, time: SimTime) -> int:
         """Cumulative number of sends up to and including *time* (sends
         are recorded in time order, so a binary search finds it)."""
-        timeline = self.send_timeline
-        index = bisect_right(timeline, time, key=itemgetter(0))
-        return timeline[index - 1][1] if index else 0
+        marks = self.send_marks
+        index = bisect_right(marks, time, key=itemgetter(0))
+        return marks[index - 1][1] if index else 0
 
     def summary(self) -> MetricsSummary:
         """Build the aggregate :class:`MetricsSummary` for reporting (numpy's

@@ -9,14 +9,16 @@ protocol implementations being checked.
 
 Storage is a list of positional rows whose layout only this module knows.
 Per-copy channel records (over 99 % of a FULL trace) stay bare rows until
-a caller asks for them as events; see :class:`TraceRecorder`.
+a caller asks for them as events, and a broadcast's SEND / DROP records
+are one row until a caller reads by position; see :class:`TraceRecorder`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
+from operator import methodcaller
+from typing import Any, Callable, Iterator, Mapping, Optional
 
 from ..core.messages import payload_kind
 from .simtime import SimTime
@@ -76,8 +78,14 @@ class TraceCategory(enum.Enum):
         return self.value
 
 
+class _Broadcast:
+    """Marks a broadcast row; a class, so it pickles by reference."""
+
+
 _SEND = TraceCategory.SEND
 _DROP = TraceCategory.DROP
+#: Records of a category per broadcast row, by its fates.
+_COPIES = {_SEND: len, _DROP: methodcaller("count", None)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,6 +140,10 @@ class TraceRecorder:
     counting and timing queries read the heads alone.  Rows of the
     protocol-level categories are also kept per category, so queries on
     them cost their matches, not the trace.
+
+    :meth:`record_broadcast` appends one row for a broadcast's SEND / DROP
+    records, replaced by their bare rows (:meth:`_expand`) before anything
+    reads by position; ``len()``, :meth:`send_runs` and the heads read it.
     """
 
     def __init__(self, enabled: bool = True,
@@ -139,6 +151,8 @@ class TraceRecorder:
         self._enabled = bool(enabled)
         self._level = TraceLevel(level)
         self._rows: list[tuple] = []
+        #: Whether ``_rows`` holds a broadcast row (see :meth:`_expand`).
+        self._packed = False
         self._by_category: dict[TraceCategory, list[tuple]] = {
             category: [] for category in TraceCategory
             if category.level is TraceLevel.DELIVERIES
@@ -230,22 +244,50 @@ class TraceRecorder:
         process: int,
         kind: str,
         payload: Any,
-        times: Iterable[Optional[SimTime]],
+        times: list[Optional[SimTime]],
     ) -> None:
         """Append the per-copy records of one broadcast (no-op unless
         ``channel_active``): for each destination's delivery time in
         *times*, in order, the :meth:`record_copy` row of its SEND, directly
-        followed by that of its DROP when the time is ``None``."""
-        if not self.channel_active:
-            return
-        append = self._rows.append
-        for dst, deliver_time in enumerate(times):
-            append((time, _SEND, process, kind, payload, dst))
-            if deliver_time is None:
-                append((time, _DROP, process, kind, payload, dst))
+        followed by that of its DROP when the time is ``None`` — kept as one
+        row holding *times*, which the caller must not change afterwards."""
+        if self.channel_active and times:
+            self._rows.append((time, _Broadcast, process, kind, payload, times))
+            self._packed = True
+
+    def _expand(self) -> None:
+        """Replace every broadcast row by the bare rows it stands for."""
+        rows: list[tuple] = []
+        append = rows.append
+        for row in self._rows:
+            if row[1] is not _Broadcast:
+                append(row)
+                continue
+            time, _, process, kind, payload, times = row
+            for dst, deliver_time in enumerate(times):
+                append((time, _SEND, process, kind, payload, dst))
+                if deliver_time is None:
+                    append((time, _DROP, process, kind, payload, dst))
+        self._rows = rows
+        self._packed = False
+
+    def _weighted(self, category: TraceCategory,
+                  reverse: bool = False) -> Iterator[tuple[SimTime, int]]:
+        """``(time, records of *category*)`` of each row holding any, in
+        recording order (or reversed), broadcast rows left as they are."""
+        rows = self._by_category.get(category, self._rows)
+        copies = _COPIES.get(category)
+        for row in reversed(rows) if reverse else rows:
+            if row[1] is category:
+                yield row[0], 1
+            elif (copies is not None and row[1] is _Broadcast
+                    and (count := copies(row[5]))):
+                yield row[0], count
 
     def _event(self, position: int) -> TraceEvent:
-        """The event of the row at *position* (built on first request)."""
+        """The event of the record at *position* (built on first request)."""
+        if self._packed:
+            self._expand()
         row = self._rows[position]
         if len(row) == 4:
             return row[3]
@@ -258,10 +300,6 @@ class TraceRecorder:
         self._rows[position] = (time, category, process, event)
         return event
 
-    def _scope(self, category: TraceCategory) -> list[tuple]:
-        """The shortest row list that holds every row of *category*."""
-        return self._by_category.get(category, self._rows)
-
     # ------------------------------------------------------------------ #
     # access
     # ------------------------------------------------------------------ #
@@ -271,9 +309,14 @@ class TraceRecorder:
         return tuple(self)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        rows = self._rows
+        return len(rows) + (sum(len(row[5]) + row[5].count(None) - 1
+                                for row in rows if row[1] is _Broadcast)
+                            if self._packed else 0)
 
     def __iter__(self) -> Iterator[TraceEvent]:
+        if self._packed:
+            self._expand()
         return map(self._event, range(len(self._rows)))
 
     def filter(
@@ -297,6 +340,8 @@ class TraceRecorder:
         if rows is not None:
             events = [row[3] for row in rows]
         else:
+            if self._packed:
+                self._expand()
             events = [
                 self._event(position)
                 for position, row in enumerate(self._rows)
@@ -315,36 +360,40 @@ class TraceRecorder:
                 in self.send_runs() for _ in range(copies))
 
     def send_runs(self) -> Iterator[tuple[int, Any, int]]:
-        """``(process, payload, copies)`` per run of SEND rows of one payload
-        object by one process, rows of other categories between them not
-        ending it: one broadcast's copies in one step, read off the rows."""
-        send = TraceCategory.SEND
+        """``(process, payload, copies)`` per run of SEND records of one
+        payload object by one process, records of other categories between
+        them not ending it: one broadcast's copies (or adjacent broadcasts')
+        in one step, read off the rows."""
         process, payload, copies = None, None, 0
         for row in self._rows:
-            if row[1] is send:
+            if row[1] is _Broadcast:
+                this, count = row[4], len(row[5])
+            elif row[1] is _SEND:
                 this = row[4] if len(row) == 6 else row[3].details.get("payload")
-                if this is payload and row[2] == process:
-                    copies += 1
-                    continue
-                if copies:
-                    yield process, payload, copies
-                process, payload, copies = row[2], this, 1
+                count = 1
+            else:
+                continue
+            if this is payload and row[2] == process:
+                copies += count
+                continue
+            if copies:
+                yield process, payload, copies
+            process, payload, copies = row[2], this, count
         if copies:
             yield process, payload, copies
 
     def count(self, category: TraceCategory) -> int:
         """Number of recorded events of *category*."""
-        return sum(1 for row in self._scope(category) if row[1] is category)
+        return sum(count for _, count in self._weighted(category))
 
     def last_time(self, category: TraceCategory) -> Optional[SimTime]:
         """Time of the last event of *category*, or ``None`` if none."""
-        return next((row[0] for row in reversed(self._scope(category))
-                     if row[1] is category), None)
+        return next((time for time, _ in self._weighted(category, True)),
+                    None)
 
     def first_time(self, category: TraceCategory) -> Optional[SimTime]:
         """Time of the first event of *category*, or ``None`` if none."""
-        return next((row[0] for row in self._scope(category)
-                     if row[1] is category), None)
+        return next((time for time, _ in self._weighted(category)), None)
 
     def timeline(self, category: TraceCategory,
                  bucket: float) -> list[tuple[SimTime, int]]:
@@ -355,15 +404,14 @@ class TraceRecorder:
         """
         if bucket <= 0:
             raise ValueError("bucket width must be positive")
-        selected = [row[0] for row in self._scope(category)
-                    if row[1] is category]
+        selected = list(self._weighted(category))
         if not selected:
             return []
-        end = max(selected)
+        end = max(t for t, _ in selected)
         n_buckets = int(end // bucket) + 1
         counts = [0] * n_buckets
-        for t in selected:
-            counts[int(t // bucket)] += 1
+        for t, count in selected:
+            counts[int(t // bucket)] += count
         return [(i * bucket, counts[i]) for i in range(n_buckets)]
 
     def digest(self) -> str:

@@ -2,17 +2,26 @@
 fed the same events one by one through ``record(**details)`` does.
 
 Per-copy channel records are kept as bare rows and only become
-``TraceEvent`` objects on request (see ``repro.simulation.tracing``); these
-properties make sure nobody can tell — on generated record sequences that
-mix rows and ready-made events at every recording level, and on the traces
-of generated scenario runs.
+``TraceEvent`` objects on request, and a broadcast's SEND / DROP records
+are one row until something reads by position (see
+``repro.simulation.tracing``); these properties make sure nobody can tell —
+on generated record sequences that mix broadcast rows, bare rows and
+ready-made events at every recording level, with reads in the middle and a
+pickle round trip, and on the traces of generated scenario runs.  The
+metrics collector's one mark per broadcast gets the same treatment against
+a per-copy send timeline.
 """
+
+import pickle
+from types import SimpleNamespace
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.analysis.quiescence import send_histogram
 from repro.experiments.config import Scenario
 from repro.experiments.runner import build_engine
 from repro.network.loss import LossSpec
+from repro.simulation.metrics import MetricsCollector
 from repro.simulation.tracing import TraceCategory, TraceLevel, TraceRecorder
 
 N_PROCESSES = 4
@@ -37,10 +46,14 @@ def same_answers(trace: TraceRecorder, reference: TraceRecorder) -> None:
     def ordered_dicts(recorder):
         return [list(entry.items()) for entry in recorder.to_dicts()]
 
+    rows = len(trace._rows)
     assert len(trace) == len(reference)
-    # Head-only queries first, while every channel record is still a row.
+    # Head-only queries first, while every broadcast is still one row and
+    # every other channel record a bare one.
     assert heads(trace) == heads(reference)
+    assert list(trace.send_runs()) == list(reference.send_runs())
     assert list(trace.sends()) == list(reference.sends())
+    assert len(trace._rows) == rows
     events = reference.events
     for category in (None, *TraceCategory):
         for process in (None, *range(N_PROCESSES)):
@@ -64,6 +77,7 @@ def same_answers(trace: TraceRecorder, reference: TraceRecorder) -> None:
             == reference.filter(predicate=only_acks))
     # ... and again over rows that now carry their events.
     assert heads(trace) == heads(reference)
+    assert list(trace.send_runs()) == list(reference.send_runs())
     assert list(trace.sends()) == list(reference.sends())
     assert list(trace) == list(reference)
     assert trace.events == reference.events
@@ -71,43 +85,106 @@ def same_answers(trace: TraceRecorder, reference: TraceRecorder) -> None:
     assert trace.digest() == reference.digest()
 
 
-records = st.lists(
-    st.tuples(
-        st.floats(0.0, 20.0, allow_nan=False),
-        st.sampled_from(list(TraceCategory)),
-        st.integers(0, N_PROCESSES - 1),
-        st.sampled_from(["MSG", "ACK"]),
-        st.sampled_from([None, "m0", "m1", ("m", 7)]),
-        st.integers(0, N_PROCESSES - 1),
-        st.booleans(),
+times = st.floats(0.0, 20.0, allow_nan=False)
+processes = st.integers(0, N_PROCESSES - 1)
+kinds = st.sampled_from(["MSG", "ACK"])
+payloads = st.sampled_from([None, "m0", "m1", ("m", 7)])
+#: A broadcast's fates, one per destination up to a controller's cut.
+fates = st.lists(st.none() | times, max_size=N_PROCESSES)
+steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("record"), times, st.sampled_from(list(TraceCategory)),
+                  processes, kinds, payloads, processes, st.booleans()),
+        st.tuples(st.just("broadcast"), times, processes, kinds, payloads,
+                  fates),
+        st.tuples(st.just("read")),
     ),
     max_size=60,
 )
 
 
-@given(
-    records=records,
-    level=st.sampled_from(list(TraceLevel)),
-    enabled=st.booleans(),
-)
-@settings(max_examples=150, deadline=None)
-def test_rows_and_recorded_events_answer_alike(records, level, enabled):
+def record_one(trace, reference, time, category, process, kind, payload, dst,
+               as_row):
+    """Record one event in both: through ``record`` in *reference*, as a
+    bare row in *trace* when it is a channel record and *as_row*."""
+    if category not in CHANNEL:
+        details = {"content": payload}
+    elif category is TraceCategory.CHANNEL_DELIVER:
+        details = {"kind": kind, "payload": payload}
+    else:
+        details = {"dst": dst, "kind": kind, "payload": payload}
+    reference.record(time, category, process, **details)
+    if category in CHANNEL and as_row:
+        trace.record_copy(time, category, process, kind, payload,
+                          details.get("dst"))
+    else:
+        trace.record(time, category, process, **details)
+
+
+@given(steps=steps, level=st.sampled_from(list(TraceLevel)),
+       enabled=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_rows_and_recorded_events_answer_alike(steps, level, enabled):
     trace = TraceRecorder(enabled=enabled, level=level)
     reference = TraceRecorder(enabled=enabled, level=level)
-    for time, category, process, kind, payload, dst, as_row in records:
-        if category not in CHANNEL:
-            details = {"content": payload}
-        elif category is TraceCategory.CHANNEL_DELIVER:
-            details = {"kind": kind, "payload": payload}
+    for step in steps:
+        if step[0] == "record":
+            record_one(trace, reference, *step[1:])
+        elif step[0] == "broadcast":
+            _, time, process, kind, payload, times = step
+            trace.record_broadcast(time, process, kind, payload, list(times))
+            for dst, deliver_time in enumerate(times):
+                reference.record(time, TraceCategory.SEND, process, dst=dst,
+                                 kind=kind, payload=payload)
+                if deliver_time is None:
+                    reference.record(time, TraceCategory.DROP, process,
+                                     dst=dst, kind=kind, payload=payload)
         else:
-            details = {"dst": dst, "kind": kind, "payload": payload}
-        reference.record(time, category, process, **details)
-        if category in CHANNEL and as_row:
-            trace.record_copy(time, category, process, kind, payload,
-                              details.get("dst"))
-        else:
-            trace.record(time, category, process, **details)
+            # A read by position in the middle of recording expands what
+            # is there; later broadcasts are rows again.
+            assert len(trace) == len(reference)
+            assert list(trace.send_runs()) == list(reference.send_runs())
+            assert list(trace) == list(reference)
+    copy = pickle.loads(pickle.dumps(trace))
+    assert len(copy._rows) == len(trace._rows)
+    same_answers(copy, reference)
     same_answers(trace, reference)
+
+
+broadcasts = st.lists(
+    st.tuples(st.floats(0.0, 3.0, allow_nan=False), processes, kinds,
+              st.integers(0, 2 * N_PROCESSES)),
+    max_size=30,
+)
+
+
+@given(broadcasts=broadcasts,
+       queries=st.lists(st.floats(-1.0, 60.0, allow_nan=False), max_size=10),
+       window=st.floats(0.25, 8.0, allow_nan=False))
+@settings(max_examples=150, deadline=None)
+def test_send_marks_answer_as_a_per_copy_timeline(broadcasts, queries, window):
+    metrics = MetricsCollector()
+    timeline, time = [], 0.0
+    for delta, src, kind, copies in broadcasts:
+        time += delta  # sends are booked in time order, ties included
+        metrics.on_send_many(time, src, kind, copies)
+        for _ in range(copies):
+            timeline.append((time, len(timeline) + 1))
+    assert metrics.send_timeline == timeline
+    assert metrics.total_sends == len(timeline)
+    for at in queries + [t for t, _ in timeline]:
+        assert metrics.cumulative_sends_at(at) == sum(
+            1 for t, _ in timeline if t <= at)
+    # send_histogram falls back to the metrics when the trace has no sends.
+    result = SimpleNamespace(trace=TraceRecorder(enabled=False),
+                             metrics=metrics)
+    expected = []
+    if timeline:
+        counts = [0] * (int(max(t for t, _ in timeline) // window) + 1)
+        for t, _ in timeline:
+            counts[int(t // window)] += 1
+        expected = [(i * window, count) for i, count in enumerate(counts)]
+    assert send_histogram(result, window) == expected
 
 
 @st.composite

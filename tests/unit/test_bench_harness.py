@@ -14,12 +14,13 @@ from pathlib import Path
 import pytest
 
 from repro.network import Network
+from repro.simulation.tracing import TraceRecorder
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 BENCH = REPO_ROOT / "scripts" / "bench.py"
 LOADS = {"quiescence_vectorized", "fd_all_processes", "flood_reference",
-         "quiescence_reference", "obs_overhead", "event_queue_churn",
-         "campaign_store", "campaign_merge"}
+         "flood_full_trace", "quiescence_reference", "obs_overhead",
+         "event_queue_churn", "campaign_store", "campaign_merge"}
 #: Top-level keys of every document, the loads' and the e2e workloads'.
 DOCUMENT_KEYS = {"name", "correct", "attempted", "failed", "metrics",
                  "python", "platform"}
@@ -261,6 +262,22 @@ class TestLoads:
         monkeypatch.setattr(bench, "build_engine", lambda s: build_engine(
             s.with_(seed=5) if s.engine == "vectorized" else s))
         assert not bench.flood_reference()[1]
+
+    def test_full_trace_load_refuses_a_trace_that_loses_a_copy(
+            self, bench, monkeypatch):
+        scenario = bench._flood_scenario
+        monkeypatch.setattr(bench, "_flood_scenario", lambda n: scenario(6))
+        values, correct, meta = bench.flood_full_trace()
+        assert correct and meta["n_processes"] == 6
+        assert meta["send"] > meta["drop"] > 0 and meta["channel_deliver"] > 0
+        assert values["ops_per_s"] == meta["events"] / values["wall_s"]
+        # Each broadcast's trace row is one copy short of its metrics.
+        record = TraceRecorder.record_broadcast
+        monkeypatch.setattr(
+            TraceRecorder, "record_broadcast",
+            lambda self, time, process, kind, payload, times:
+                record(self, time, process, kind, payload, times[1:]))
+        assert not bench.flood_full_trace()[1]
 
     def test_quiescence_reference_load_refuses_engines_that_differ(
             self, bench, monkeypatch):

@@ -1,9 +1,12 @@
 """Unit tests for trace recording and metric collection."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.campaigns import ResultStore
 from repro.experiments.runner import default_scenario, run_scenario
 from repro.simulation import tracing
 from repro.simulation.metrics import MetricsCollector
@@ -138,30 +141,68 @@ class TestChannelRows:
         trace.events
         assert list(trace.sends()) == [(0, "a"), (1, "b"), (2, None)]
 
-    def test_full_trace_run_builds_no_channel_event(self, monkeypatch):
-        """A run and its three analyses must leave every channel record a
-        row: an eager ``TraceEvent`` per copy is half of a campaign cell."""
-        built = []
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    @pytest.mark.parametrize("algorithm", ["algorithm1", "algorithm2"])
+    def test_full_trace_run_builds_no_channel_event(self, monkeypatch,
+                                                    algorithm, engine):
+        """A run, its three analyses and packing it for a store must leave
+        every broadcast one row and every other channel record a row: an
+        eager ``TraceEvent`` per copy is half of a campaign cell."""
+        built, expanded = [], []
 
         def counting(**fields):
             built.append(fields["category"])
             return real(**fields)
 
-        real = tracing.TraceEvent
+        def expand(self):
+            expanded.append(len(self._rows))
+            real_expand(self)
+
+        real, real_expand = tracing.TraceEvent, TraceRecorder._expand
         monkeypatch.setattr(tracing, "TraceEvent", counting)
-        result = run_scenario(default_scenario(n_processes=4))
+        monkeypatch.setattr(TraceRecorder, "_expand", expand)
+        result = run_scenario(default_scenario(
+            algorithm, n_processes=4, engine=engine))
         assert result.verdict and result.quiescence and result.anonymity
+        ResultStore.pack(result)
         trace = result.simulation.trace
         channel = sum(trace.count(category) for category in TraceCategory
                       if category.level is TraceLevel.FULL)
         assert channel > 100
+        assert expanded == []
         assert all(category.level is TraceLevel.DELIVERIES
                    for category in built)
         assert len(built) == len(trace) - channel
-        # Asking builds each exactly once.
+        rows = len(trace._rows)
+        # Asking expands the broadcasts once and builds each event once.
         assert len(trace.events) == len(built) == len(trace)
+        assert len(expanded) == 1 and expanded[0] == rows < len(trace)
         trace.digest()
-        assert len(built) == len(trace)
+        assert len(built) == len(trace) and len(expanded) == 1
+
+    def test_broadcast_rows_answer_head_queries_unexpanded(self):
+        trace = TraceRecorder()
+        trace.record_broadcast(1.0, 0, "MSG", "a", [2.0, None, 3.0])
+        trace.record(1.5, TraceCategory.URB_DELIVER, 1, content="m")
+        trace.record_broadcast(2.0, 0, "MSG", "a", [None])
+        trace.record_broadcast(2.5, 1, "ACK", "b", [None, None])
+        trace.record_broadcast(3.0, 1, "ACK", "c", [])  # books nothing
+        assert len(trace) == 11 and len(trace._rows) == 4
+        assert (trace.count(TraceCategory.SEND), trace.count(TraceCategory.DROP)) \
+            == (6, 4)
+        assert trace.first_time(TraceCategory.DROP) == 1.0
+        assert trace.last_time(TraceCategory.SEND) == 2.5
+        assert trace.timeline(TraceCategory.DROP, 1.0) == [(0.0, 0), (1.0, 1),
+                                                           (2.0, 3)]
+        # Adjacent broadcasts of one payload object by one sender are one run.
+        assert list(trace.send_runs()) == [(0, "a", 4), (1, "b", 2)]
+        # A pickled trace keeps its broadcast rows and still knows them.
+        copy = pickle.loads(pickle.dumps(trace))
+        assert len(trace._rows) == len(copy._rows) == 4 and len(copy) == 11
+        assert [event.category.value for event in trace][:4] == [
+            "send", "send", "drop", "send"]
+        assert len(trace._rows) == len(trace) == 11
+        assert copy.to_dicts() == trace.to_dicts()
 
 
 class TestMetricsCollector:
