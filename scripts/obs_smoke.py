@@ -23,9 +23,13 @@ operator would watch one:
    snapshots and run the alert rules (``repro-urb obs check``) over
    every final snapshot — a reclaim storm or failed cells fails CI;
 5. reconstruct the distributed trace with ``repro-urb trace view
-   --json`` and require a single trace id, zero orphan spans, and
+   --json`` and require a single trace id, zero orphan spans,
    correctly parented worker → claim → cell span chains from *every*
-   worker.
+   worker, and causal order on the raw timestamps of every process:
+   each child starts at or after its parent and ends at or before it
+   (all processes share the one host's clock).  A ``worker`` span may
+   end after the ``job`` span: an idle worker sees the job complete
+   only at its next poll, which can come after the coordinator merged.
 
 Exits non-zero with a diagnostic on any violated invariant.  The workdir
 is left behind so CI can upload it as an artifact.
@@ -265,9 +269,20 @@ def check_trace(workdir: Path, job: Path, env: dict[str, str],
             if worker_span["parent_span_id"] != roots[0]["span_id"]:
                 fail(f"worker span of {worker_id} is not parented to the "
                      f"job root")
+    for parent in spans.values():
+        for child_id in parent["children"]:
+            child = spans[child_id]
+            outlives = child["end_unix"] > parent["end_unix"] \
+                and child["name"] != "worker"
+            if child["start_unix"] < parent["start_unix"] or outlives:
+                fail(f"span {child['name']} {child_id} ({child['proc']}) "
+                     f"is not inside its parent {parent['name']} "
+                     f"({parent['proc']}) on raw timestamps")
     print(f"trace ok: 1 trace id, {doc['span_count']} spans, "
           f"{doc['cells']['count']} cell spans, no orphans, "
-          f"claim->cell chains verified for {len(worker_ids)} worker(s)")
+          f"claim->cell chains verified for {len(worker_ids)} worker(s), "
+          f"causal order on raw timestamps across "
+          f"{len(doc['procs'])} process(es)")
 
 
 def run_alerts(path: Path) -> None:
@@ -394,12 +409,9 @@ def main() -> int:
         fail("coordinator timeline was not written")
     kinds = {json.loads(line)["kind"]
              for line in timeline.read_text().splitlines()}
-    # A traced coordinator upgrades its phase records to spans and emits
-    # clock anchors from its lease-table polls.
-    for required_kind in ("span", "anchor"):
-        if required_kind not in kinds:
-            fail(f"coordinator timeline has no {required_kind!r} events "
-                 f"(kinds: {kinds})")
+    # A traced coordinator upgrades its phase records to spans.
+    if "span" not in kinds:
+        fail(f"coordinator timeline has no 'span' events (kinds: {kinds})")
 
     # ---- federation: per-worker series + exact _total aggregates ----- #
     if federated_series is None:

@@ -102,7 +102,6 @@ class Coordinator:
         self._trace_context: Optional[obs.TraceContext] = None
         self._trace_minted_unix: Optional[float] = None
         self._own_timeline: Optional[obs.Timeline] = None
-        self._anchor_seen: set[tuple[str, float]] = set()
 
     # ------------------------------------------------------------------ #
     def manifest_rows(self) -> list[tuple[int, str, str]]:
@@ -175,7 +174,6 @@ class Coordinator:
             while True:
                 status = table.status()
                 self._record_status(status)
-                self._record_anchors(table)
                 if on_status is not None:
                     on_status(status)
                 if status.complete:
@@ -213,23 +211,6 @@ class Coordinator:
         obs.gauge("repro_lease_reclaims",
                   "Lease reclaims recorded in the lease table.").set(
             status.reclaims)
-
-    def _record_anchors(self, table: LeaseTable) -> None:
-        """Emit cross-process clock anchors observed in the lease table.
-
-        Each new ``(worker, worker_unix)`` pair becomes one ``anchor``
-        timeline record — the raw material ``trace view`` uses for
-        wall-clock skew normalisation.  Only runs when this job is
-        traced, so untraced timelines stay exactly as before.
-        """
-        if self._trace_context is None or not obs.timeline_active():
-            return
-        for sample in table.lease_observations():
-            key = (sample["worker"], sample["worker_unix"])
-            if key in self._anchor_seen:
-                continue
-            self._anchor_seen.add(key)
-            obs.emit("anchor", **sample)
 
     def finalize(self, store: ResultStore) -> MergeStats:
         """Merge every registered worker store into *store* and register

@@ -4,9 +4,9 @@ A *job* is one suite expansion shared by a coordinator and any number of
 worker processes.  The coordinator writes it once (the cell manifest plus an
 initial partition into contiguous *ranges*); workers then lease ranges,
 heartbeat while executing them, and mark them done.  All coordination state
-lives in a single SQLite database (WAL mode) on a path every participant can
-reach — the same protocol works for N processes on one machine or N machines
-over a shared filesystem.
+lives in a single SQLite database in WAL mode, so every participant runs on
+the one host that holds the job directory: WAL does not work over a network
+filesystem.  Any number of worker processes on that host share the job.
 
 Lease protocol
 --------------
@@ -552,42 +552,6 @@ class LeaseTable:
     # ------------------------------------------------------------------ #
     # status
     # ------------------------------------------------------------------ #
-    def lease_observations(
-            self, *, now: Optional[float] = None) -> list[dict[str, Any]]:
-        """Worker-clock samples visible in the table (trace skew anchors).
-
-        Every live lease row carries ``lease_expires = worker_now +
-        lease_timeout`` and every worker row a ``last_seen`` heartbeat —
-        both written with the *worker's* clock and provably before this
-        read.  Each sample pairs that worker timestamp with the reader's
-        clock (``observed_unix``); :func:`repro.obs.spans.skew_offsets`
-        turns the pairs into per-worker clock corrections.  Read-only.
-        """
-        now = time.time() if now is None else now
-        timeout = self.lease_timeout
-        observations: list[dict[str, Any]] = []
-        for row in self._db.execute(
-            "SELECT worker, range_id, epoch, lease_expires FROM ranges "
-            "WHERE state = 'leased' AND worker IS NOT NULL "
-            "AND lease_expires IS NOT NULL"
-        ).fetchall():
-            observations.append({
-                "worker": str(row["worker"]),
-                "range_id": int(row["range_id"]),
-                "epoch": int(row["epoch"]),
-                "worker_unix": float(row["lease_expires"]) - timeout,
-                "observed_unix": now,
-            })
-        for row in self._db.execute(
-            "SELECT worker, last_seen FROM workers"
-        ).fetchall():
-            observations.append({
-                "worker": str(row["worker"]),
-                "worker_unix": float(row["last_seen"]),
-                "observed_unix": now,
-            })
-        return observations
-
     def status(self, *, now: Optional[float] = None) -> JobStatus:
         """Aggregate job progress (does not mutate lease state)."""
         now = time.time() if now is None else now

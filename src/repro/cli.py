@@ -1333,7 +1333,6 @@ def _command_trace(args: argparse.Namespace) -> int:
             "span_count": tree.span_count,
             "procs": list(tree.procs),
             "orphan_span_ids": [node.span_id for node in tree.orphans],
-            "skew_offsets": tree.offsets,
             "spans": {span_id: node.as_dict()
                       for span_id, node in tree.by_id.items()},
             "cells": {
@@ -1353,10 +1352,6 @@ def _command_trace(args: argparse.Namespace) -> int:
 
     print(f"trace {tree.trace_id}: {tree.span_count} span(s) across "
           f"{len(tree.procs)} process(es) ({', '.join(tree.procs)})")
-    if tree.offsets:
-        shifts = ", ".join(f"{proc}: -{offset * 1000:.1f}ms"
-                           for proc, offset in sorted(tree.offsets.items()))
-        print(f"clock skew normalised: {shifts}")
     if tree.orphans:
         print(f"WARNING: {len(tree.orphans)} orphan span(s) — a parent "
               "record is missing (partial files or broken propagation)")

@@ -21,14 +21,14 @@ Components
 :mod:`~repro.obs.exposition`
     Prometheus text format v0.0.4 and a key-sorted JSON snapshot.
 :mod:`~repro.obs.timeline`
-    Structured JSON-lines run events: phase spans with wall/CPU time,
+    The JSON-lines sink for run events: timed phases and spans,
     dispatch-mode transitions, lease and store activity.
 :mod:`~repro.obs.httpd`
     A stdlib ``ThreadingHTTPServer`` serving ``/metrics``, ``/healthz``
     and ``/snapshot`` (CLI opt-in via ``--metrics-port``).
 :mod:`~repro.obs.alerts`
     Declarative threshold rules evaluated against a snapshot into
-    exit-code-carrying reports for CI.
+    exit-code-carrying reports; ``repro-urb obs check`` runs them.
 :mod:`~repro.obs.spans`
     Dapper-style trace contexts propagated coordinator → workers through
     the job directory; spans ride the timeline as a ``span`` kind and
@@ -37,10 +37,10 @@ Components
     Worker metric snapshots flushed into the job directory and merged by
     the coordinator into ``worker="..."`` + ``worker="_total"`` series.
 
-The package-level :func:`phase` is the *trace-aware* one: with no active
-trace context it behaves exactly like the plain timeline phase, and with
-one it upgrades the record to a ``span`` — instrumented callsites never
-need to know which.
+:func:`phase` and :func:`span` time a block through one stopwatch: with
+no active trace context :func:`phase` writes a plain ``phase`` record,
+and with one a ``span`` — instrumented callsites never need to know
+which.
 """
 
 from .registry import (

@@ -22,22 +22,20 @@ from the snapshot evaluates as ``0`` (the natural reading for counters)
 unless ``if_absent`` is ``"skip"`` or ``"fire"``.
 
 :func:`evaluate` returns an :class:`AlertReport` whose ``exit_code`` is
-non-zero iff any rule fired — the CI ``obs`` job runs
-``repro-urb obs check`` (or ``python -m repro.obs.alerts``) against the
-final snapshot of a smoke campaign.
+non-zero iff any rule fired.  ``repro-urb obs check SNAPSHOT [--rules
+FILE]`` is the one command-line entry point; the CI ``obs`` job runs it
+against the final snapshots of a smoke campaign.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Union
 
 __all__ = ["AlertRule", "RuleResult", "AlertReport", "default_rules",
-           "load_rules", "evaluate", "main"]
+           "load_rules", "evaluate"]
 
 _OPS = {
     ">": lambda a, b: a > b,
@@ -156,6 +154,10 @@ def default_rules() -> tuple[AlertRule, ...]:
                   metric="repro_batch_cells_total",
                   labels={"status": "failed"},
                   op=">", threshold=0),
+        AlertRule(name="worker-cell-errors",
+                  metric="repro_worker_cells_total",
+                  labels={"outcome": "error"},
+                  op=">", threshold=0),
     )
 
 
@@ -267,25 +269,3 @@ def evaluate(snapshot: Mapping[str, Any],
         firing = _OPS[rule.op](value, rule.threshold)
         results.append(RuleResult(rule, value, firing, detail))
     return AlertReport(results=tuple(results))
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """``python -m repro.obs.alerts SNAPSHOT [--rules FILE]``."""
-    parser = argparse.ArgumentParser(
-        prog="repro.obs.alerts",
-        description="Evaluate threshold alert rules on a metrics snapshot.",
-    )
-    parser.add_argument("snapshot", help="JSON snapshot file "
-                        "(--metrics-out / GET /snapshot output)")
-    parser.add_argument("--rules", default=None,
-                        help="JSON rules file (default: built-in rules)")
-    args = parser.parse_args(argv)
-    snapshot = json.loads(Path(args.snapshot).read_text(encoding="utf-8"))
-    rules = load_rules(args.rules) if args.rules else None
-    report = evaluate(snapshot, rules)
-    sys.stdout.write(report.describe() + "\n")
-    return report.exit_code
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -16,18 +16,13 @@ falls back to the plain ``phase`` record.  Ids come from :mod:`uuid`, not
 from any simulation RNG, so enabling tracing never perturbs determinism —
 and with observability disabled nothing here runs at all.
 
-Clock-skew normalisation
-------------------------
-Span timestamps are per-process wall clocks.  The lease table doubles as a
-cross-process clock anchor: every claim/renew writes ``lease_expires =
-worker_now + timeout`` into shared SQLite, and the coordinator's status
-polls observe those rows at coordinator time, emitting ``anchor`` records
-``(worker, worker_unix, observed_unix)`` — the *claim/grant pair*.  Since
-the write provably happened before the observation, ``worker_unix >
-observed_unix`` proves the worker clock runs at least that far ahead;
-:func:`skew_offsets` takes the per-worker maximum of that violation (and
-never shifts a worker whose clock cannot be proven ahead), which is exactly
-enough to restore causal order in the merged tree.
+One host, one clock
+-------------------
+Span timestamps are raw ``time.time()`` readings.  Every process of a job
+runs on one host, because the lease table and the result stores are
+SQLite files in WAL mode, which does not work over a network filesystem;
+so all spans read the same wall clock and nest in causal order as
+recorded, with no correction.
 """
 
 from __future__ import annotations
@@ -59,7 +54,6 @@ __all__ = [
     "set_context",
     "set_process_name",
     "process_name",
-    "skew_offsets",
     "span",
     "SpanHandle",
     "tracing_active",
@@ -186,50 +180,81 @@ class SpanHandle:
         self._fields.update(fields)
 
 
+def _write_span(context: TraceContext, name: str, fields: dict[str, Any],
+                **timing: Any) -> None:
+    """Emit one ``span`` record through the timeline sink."""
+    _timeline.emit("span", trace_id=context.trace_id,
+                   span_id=context.span_id,
+                   parent_span_id=context.parent_span_id, name=name,
+                   proc=process_name(), **timing, **fields)
+
+
+@contextmanager
+def _stopwatch(name: str, fields: dict[str, Any],
+               context: Optional[TraceContext]) -> Iterator[None]:
+    """The one timed block behind :func:`span` and :func:`phase`.
+
+    Reads the clocks once on entry and once on exit.  An exception marks
+    the record ``status: error`` (keeping a caller-supplied ``error``
+    field) and re-raises.  Under *context* the block is the thread's
+    active context and the record is a ``span``; otherwise a plain
+    ``phase`` (``name``, ``status``, wall and CPU seconds).
+    """
+    if context is not None:
+        previous = getattr(_ACTIVE, "context", None)
+        _ACTIVE.context = context
+    start_unix = time.time()
+    wall0 = time.perf_counter()
+    cpu0 = time.process_time()
+    status = "ok"
+    try:
+        yield
+    except BaseException as exc:
+        status = "error"
+        fields.setdefault("error", f"{type(exc).__name__}: {exc}")
+        raise
+    finally:
+        timing = {"status": status,
+                  "wall_seconds": time.perf_counter() - wall0,
+                  "cpu_seconds": time.process_time() - cpu0}
+        if context is None:
+            _timeline.emit("phase", name=name, **timing, **fields)
+        else:
+            _ACTIVE.context = previous
+            _write_span(context, name, fields, start_unix=start_unix,
+                        end_unix=time.time(), **timing)
+
+
 @contextmanager
 def span(name: str, **fields: Any) -> Iterator[Optional[SpanHandle]]:
     """Record one timed span under the current context.
 
     Yields a :class:`SpanHandle` (``None`` when tracing is off, making
-    the wrapper free to leave in place).  The span record is emitted on
-    exit through the timeline sink — one JSON line of kind ``span`` with
-    ids, ``start_unix``/``end_unix``, wall/CPU seconds and an
-    ``ok``/``error`` status; an exception inside the block records
-    ``status: error`` and re-raises, mirroring ``Timeline.phase``.
+    the wrapper free to leave in place).  The ``span`` record is emitted
+    on exit through the timeline sink.
     """
     parent = current_context()
     if parent is None:
         yield None
         return
     context = parent.child()
-    previous = getattr(_ACTIVE, "context", None)
-    _ACTIVE.context = context
-    start_unix = time.time()
-    wall0 = time.perf_counter()
-    cpu0 = time.process_time()
-    status = "ok"
-    try:
+    with _stopwatch(name, fields, context):
         yield SpanHandle(context, fields)
-    except BaseException as exc:
-        status = "error"
-        fields.setdefault("error", f"{type(exc).__name__}: {exc}")
-        raise
-    finally:
-        _ACTIVE.context = previous
-        _timeline.emit(
-            "span",
-            trace_id=context.trace_id,
-            span_id=context.span_id,
-            parent_span_id=context.parent_span_id,
-            name=name,
-            proc=process_name(),
-            status=status,
-            start_unix=start_unix,
-            end_unix=start_unix + (time.perf_counter() - wall0),
-            wall_seconds=time.perf_counter() - wall0,
-            cpu_seconds=time.process_time() - cpu0,
-            **fields,
-        )
+
+
+@contextmanager
+def phase(name: str, **fields: Any) -> Iterator[None]:
+    """Time a block: a ``span`` under an active context, else a plain
+    ``phase`` record, and free when there is neither a context nor a
+    sink — no instrumented layer needs to know about tracing.
+    """
+    parent = current_context()
+    if parent is None and not _timeline.timeline_active():
+        yield
+        return
+    with _stopwatch(name, fields,
+                    None if parent is None else parent.child()):
+        yield
 
 
 def emit_root_span(context: TraceContext, name: str, *,
@@ -237,40 +262,14 @@ def emit_root_span(context: TraceContext, name: str, *,
     """Emit the trace's root span record (the coordinator's job span).
 
     The root context is minted long before its span can be closed, so the
-    record is written explicitly at job completion rather than through the
-    :func:`span` context manager.
+    record is written explicitly at job completion rather than through
+    :func:`span`.
     """
-    _timeline.emit(
-        "span",
-        trace_id=context.trace_id,
-        span_id=context.span_id,
-        parent_span_id=None,
-        name=name,
-        proc=process_name(),
-        status="ok",
-        start_unix=start_unix,
-        end_unix=time.time(),
-        wall_seconds=time.time() - start_unix,
-        cpu_seconds=0.0,
-        **fields,
-    )
-
-
-@contextmanager
-def phase(name: str, **fields: Any) -> Iterator[None]:
-    """Trace-aware drop-in for :func:`repro.obs.timeline.phase`.
-
-    With no active context this is exactly the plain timeline phase; with
-    one, the callsite upgrades for free to a ``span`` record with ids and
-    parenting (same sink, same ``name``/``status``/``wall_seconds``
-    fields) — no instrumented layer needs to know about tracing.
-    """
-    if current_context() is None:
-        with _timeline.phase(name, **fields):
-            yield
-        return
-    with span(name, **fields):
-        yield
+    end_unix = time.time()
+    _write_span(TraceContext(context.trace_id, context.span_id), name,
+                fields, status="ok", start_unix=start_unix,
+                end_unix=end_unix, wall_seconds=end_unix - start_unix,
+                cpu_seconds=0.0)
 
 
 # --------------------------------------------------------------------- #
@@ -332,7 +331,7 @@ def load_context_meta(obs_dir: Union[str, Path]) -> dict[str, Any]:
 # --------------------------------------------------------------------- #
 @dataclass
 class SpanNode:
-    """One span in the merged tree, timestamps already skew-normalised."""
+    """One span in the merged tree, with its raw wall-clock timestamps."""
 
     trace_id: str
     span_id: str
@@ -375,7 +374,6 @@ class TraceTree:
     roots: list[SpanNode]
     by_id: dict[str, SpanNode]
     orphans: list[SpanNode]
-    offsets: dict[str, float]
     procs: tuple[str, ...]
 
     @property
@@ -474,16 +472,14 @@ def discover_span_files(jobdir: Union[str, Path]) -> list[Path]:
     return sorted(obs_dir.rglob("*.jsonl"))
 
 
-def read_records(paths: Iterable[Union[str, Path]]) \
-        -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
-    """``(span_records, anchor_records)`` from timeline JSON-lines files.
+def read_records(paths: Iterable[Union[str, Path]]) -> list[dict[str, Any]]:
+    """The ``span`` records of timeline JSON-lines files.
 
     Lines of other kinds (phases, lease traffic) are skipped; malformed
     lines raise — a truncated span file should be loud, not silently
     shorten the tree.
     """
     spans: list[dict[str, Any]] = []
-    anchors: list[dict[str, Any]] = []
     for path in paths:
         for line_number, line in enumerate(
                 Path(path).read_text(encoding="utf-8").splitlines(),
@@ -496,40 +492,12 @@ def read_records(paths: Iterable[Union[str, Path]]) \
                 raise ValueError(
                     f"{path}:{line_number}: malformed timeline line: {exc}"
                 ) from exc
-            kind = record.get("kind")
-            if kind == "span":
+            if record.get("kind") == "span":
                 spans.append(record)
-            elif kind == "anchor":
-                anchors.append(record)
-    return spans, anchors
-
-
-def skew_offsets(anchors: Sequence[dict[str, Any]]) -> dict[str, float]:
-    """Per-process clock corrections from claim/grant anchor pairs.
-
-    Each anchor says: the worker's clock read ``worker_unix`` strictly
-    *before* the coordinator's clock read ``observed_unix``.  When
-    ``worker_unix > observed_unix`` the worker clock is provably at least
-    that far ahead; the offset (subtracted from that worker's timestamps)
-    is the maximum proven violation.  Workers never proven ahead keep
-    offset 0 — a conservative rule that restores causal order without
-    distorting well-synchronised runs.
-    """
-    offsets: dict[str, float] = {}
-    for anchor in anchors:
-        worker = anchor.get("worker")
-        try:
-            ahead = float(anchor["worker_unix"]) - \
-                float(anchor["observed_unix"])
-        except (KeyError, TypeError, ValueError):
-            continue
-        if worker and ahead > 0:
-            offsets[worker] = max(offsets.get(worker, 0.0), ahead)
-    return offsets
+    return spans
 
 
 def build_tree(span_records: Sequence[dict[str, Any]],
-               offsets: Optional[dict[str, float]] = None,
                *, trace_id: Optional[str] = None) -> TraceTree:
     """Merge span records from any number of processes into one tree.
 
@@ -539,13 +507,12 @@ def build_tree(span_records: Sequence[dict[str, Any]],
     ``orphaned`` flag — ``trace view`` treats any orphan as a propagation
     bug worth seeing.
     """
-    offsets = offsets or {}
     by_trace: dict[str, list[dict[str, Any]]] = {}
     for record in span_records:
         by_trace.setdefault(str(record.get("trace_id")), []).append(record)
     if not by_trace:
         return TraceTree(trace_id="", roots=[], by_id={}, orphans=[],
-                         offsets=dict(offsets), procs=())
+                         procs=())
     if trace_id is None:
         trace_id = max(by_trace, key=lambda t: len(by_trace[t]))
     elif trace_id not in by_trace:
@@ -554,19 +521,15 @@ def build_tree(span_records: Sequence[dict[str, Any]],
 
     nodes: dict[str, SpanNode] = {}
     for record in by_trace[trace_id]:
-        proc = str(record.get("proc", "?"))
-        shift = offsets.get(proc, 0.0)
         node = SpanNode(
             trace_id=trace_id,
             span_id=str(record["span_id"]),
             parent_span_id=record.get("parent_span_id"),
             name=str(record.get("name", "?")),
-            proc=proc,
+            proc=str(record.get("proc", "?")),
             status=str(record.get("status", "ok")),
-            start_unix=float(record.get("start_unix", record.get("ts", 0.0)))
-            - shift,
-            end_unix=float(record.get("end_unix", record.get("ts", 0.0)))
-            - shift,
+            start_unix=float(record.get("start_unix", record.get("ts", 0.0))),
+            end_unix=float(record.get("end_unix", record.get("ts", 0.0))),
             fields={key: value for key, value in record.items()
                     if key not in _SPAN_CORE_FIELDS},
         )
@@ -590,7 +553,7 @@ def build_tree(span_records: Sequence[dict[str, Any]],
     roots.sort(key=lambda n: (n.orphaned, n.start_unix, n.span_id))
     procs = tuple(sorted({node.proc for node in nodes.values()}))
     return TraceTree(trace_id=trace_id, roots=roots, by_id=nodes,
-                     orphans=orphans, offsets=dict(offsets), procs=procs)
+                     orphans=orphans, procs=procs)
 
 
 def load_trace(target: Union[str, Path, Sequence[Union[str, Path]]],
@@ -619,8 +582,7 @@ def load_trace(target: Union[str, Path, Sequence[Union[str, Path]]],
     if missing:
         raise ValueError(f"no such span file(s): "
                          f"{', '.join(str(p) for p in missing)}")
-    spans, anchors = read_records(paths)
-    return build_tree(spans, skew_offsets(anchors), trace_id=trace_id)
+    return build_tree(read_records(paths), trace_id=trace_id)
 
 
 def chrome_trace_events(tree: TraceTree) -> list[dict[str, Any]]:

@@ -5,17 +5,13 @@ While the registry answers "how much / how fast", the timeline answers
 ``tail -f`` and trivially machine-parseable.  Event kinds written by the
 instrumented layers:
 
-* ``phase`` — a named span (``expand``, ``shard``, ``execute``,
+* ``phase`` — a named timed block (``expand``, ``shard``, ``execute``,
   ``persist``, ``merge``, …) with wall-clock and CPU seconds and an
   ``ok``/``error`` status;
-* ``span`` — a *traced* phase (see :mod:`repro.obs.spans`): the same
-  timing fields plus ``trace_id``/``span_id``/``parent_span_id``,
-  ``proc`` and ``start_unix``/``end_unix``, written whenever a trace
-  context is active so per-process files merge into one campaign tree;
-* ``anchor`` — a cross-process clock sample ``(worker, worker_unix,
-  observed_unix)`` emitted by the coordinator from lease-table
-  observations, used for wall-clock skew normalisation in
-  ``trace view``;
+* ``span`` — a *traced* phase: the same timing fields plus
+  ``trace_id``/``span_id``/``parent_span_id``, ``proc`` and
+  ``start_unix``/``end_unix``, written whenever a trace context is
+  active so per-process files merge into one campaign tree;
 * ``engine.dispatch_mode`` — which dispatch path a backend took (and, on
   the batched path, how many source rows it fated per send);
 * ``lease.claim`` / ``lease.renew`` / ``lease.reclaim`` — distributed
@@ -23,10 +19,12 @@ instrumented layers:
 * ``store.put`` / ``store.hit`` / ``store.miss`` — result-store traffic.
 
 Every record carries ``ts`` (unix seconds) and ``kind``; everything else
-is event-specific.  Like the metrics registry the timeline is off by
-default: the module-level sink is ``None`` and :func:`emit` returns
-after one attribute read.  Writes are serialised under a lock so worker
-threads never interleave partial lines.
+is event-specific.  This module is only the sink; both timed kinds are
+written by :func:`repro.obs.spans.phase` and :func:`repro.obs.spans.span`.
+Like the metrics registry the timeline is off by default: the
+module-level sink is ``None`` and :func:`emit` returns after one
+attribute read.  Writes are serialised under a lock so worker threads
+never interleave partial lines.
 """
 
 from __future__ import annotations
@@ -34,11 +32,10 @@ from __future__ import annotations
 import json
 import threading
 import time
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, IO, Iterator, Optional, Union
+from typing import Any, IO, Optional, Union
 
-__all__ = ["Timeline", "emit", "get_timeline", "phase", "set_timeline",
+__all__ = ["Timeline", "emit", "get_timeline", "set_timeline",
            "timeline_active"]
 
 
@@ -64,28 +61,6 @@ class Timeline:
         with self._lock:
             self._stream.write(line + "\n")
             self._stream.flush()
-
-    @contextmanager
-    def phase(self, name: str, **fields: Any) -> Iterator[None]:
-        """Record a span: wall + CPU seconds, ``ok`` or ``error`` status."""
-        wall0 = time.perf_counter()
-        cpu0 = time.process_time()
-        status = "ok"
-        try:
-            yield
-        except BaseException as exc:
-            status = "error"
-            fields.setdefault("error", f"{type(exc).__name__}: {exc}")
-            raise
-        finally:
-            self.emit(
-                "phase",
-                name=name,
-                status=status,
-                wall_seconds=time.perf_counter() - wall0,
-                cpu_seconds=time.process_time() - cpu0,
-                **fields,
-            )
 
     def close(self) -> None:
         if self._owns_stream:
@@ -122,14 +97,3 @@ def emit(kind: str, **fields: Any) -> None:
     timeline = _TIMELINE
     if timeline is not None:
         timeline.emit(kind, **fields)
-
-
-@contextmanager
-def phase(name: str, **fields: Any) -> Iterator[None]:
-    """Span on the process-wide sink; transparent when none installed."""
-    timeline = _TIMELINE
-    if timeline is None:
-        yield
-        return
-    with timeline.phase(name, **fields):
-        yield

@@ -143,7 +143,7 @@ class TestObsVerbs:
     def test_check_passes_quiet_snapshot(self, tmp_path, capsys):
         path = self._write_snapshot(tmp_path, reclaims=0)
         assert main(["obs", "check", str(path)]) == 0
-        assert "0 of 4 rule(s) firing" in capsys.readouterr().out
+        assert "0 of 5 rule(s) firing" in capsys.readouterr().out
 
     def test_check_fires_on_reclaim_storm(self, tmp_path, capsys):
         path = self._write_snapshot(tmp_path, reclaims=100)

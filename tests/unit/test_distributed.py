@@ -4,6 +4,7 @@ store merge, worker/coordinator, and cost planning."""
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import sqlite3
 import threading
@@ -13,6 +14,7 @@ import pytest
 
 from helpers import (downgrade_store, tamper_with_payload, trace_statements,
                      writes)
+from repro import obs
 from repro.campaigns import (
     Coordinator,
     MergeConflictError,
@@ -27,12 +29,14 @@ from repro.campaigns import (
     scenario_cell_key,
 )
 from repro.campaigns.distributed import LeaseError, LeaseTable
+from repro.campaigns.distributed import worker as worker_module
 from repro.campaigns.distributed.leases import DEFAULT_LEASE_TIMEOUT
 from repro.campaigns.hashing import canonical_scenario_dict
 from repro.experiments.batch import ScenarioSuite
 from repro.experiments.config import Scenario
 from repro.experiments.runner import run_scenario
 from repro.network.loss import LossSpec
+from repro.obs import spans
 
 
 def quick_scenario(**overrides) -> Scenario:
@@ -470,6 +474,71 @@ class TestWorkerAndCoordinator:
         assert (report.cells_executed, report.cells_cached) == (3, 1)
         with ResultStore(report.store_root, create=False) as store:
             assert len(store) == 3
+
+
+# --------------------------------------------------------------------------- #
+# an observed job: trace tree and alert rules
+# --------------------------------------------------------------------------- #
+class TestObservedJob:
+    @pytest.fixture(autouse=True)
+    def sink(self):
+        """Obs on, every record of the job in one in-memory timeline."""
+        obs.reset()
+        obs.enable()
+        stream = io.StringIO()
+        obs.set_timeline(obs.Timeline(stream))
+        yield stream
+        obs.reset()
+        obs.set_timeline(None)
+
+    def test_traced_job_spans_nest_on_raw_timestamps(self, tmp_path, sink):
+        coordinator = Coordinator(tmp_path / "job", quick_suite(seeds=2),
+                                  name="traced", lease_timeout=30.0,
+                                  range_size=2)
+        coordinator.prepare()
+        threads = [threading.Thread(target=Worker(
+            tmp_path / "job", worker_id=f"w{index}", poll_interval=0.02,
+        ).run) for index in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+            assert not thread.is_alive()
+        coordinator.serve(tmp_path / "merged", poll_interval=0.05,
+                          timeout=120.0)
+        records = [json.loads(line) for line in sink.getvalue().splitlines()]
+        assert "anchor" not in {record["kind"] for record in records}
+        tree = spans.build_tree(
+            [record for record in records if record["kind"] == "span"])
+        assert not tree.orphans
+        assert [root.name for root in tree.roots] == ["job"]
+        assert set(tree.procs) == {"coordinator", "w0", "w1"}
+        assert len(tree.cell_spans()) == 4
+        # One host, one clock: every child lies inside its parent as
+        # recorded, with no correction applied.
+        for node in tree.by_id.values():
+            for child in node.children:
+                assert node.start_unix <= child.start_unix
+                assert child.end_unix <= node.end_unix
+
+    def test_a_failed_worker_cell_fires_the_default_rules(self, tmp_path,
+                                                          monkeypatch):
+        Coordinator(tmp_path / "job", quick_suite(seeds=2), name="failing",
+                    range_size=2).prepare()
+        calls = []
+
+        def first_cell_raises(scenario):
+            calls.append(scenario)
+            if len(calls) == 1:
+                raise RuntimeError("cell exploded")
+            return run_scenario(scenario)
+
+        monkeypatch.setattr(worker_module, "run_scenario", first_cell_raises)
+        report = Worker(tmp_path / "job", worker_id="w0").run(max_ranges=1)
+        assert len(report.errors) == 1 and report.ranges_abandoned == 1
+        firing = {result.rule.name
+                  for result in obs.evaluate(obs.snapshot()).firing}
+        assert firing == {"worker-cell-errors"}
 
 
 # --------------------------------------------------------------------------- #

@@ -257,11 +257,11 @@ class TestTimeline:
         assert lines[2]["status"] == "error"
         assert "boom" in lines[2]["error"]
 
-    def test_direct_phase_error_records_status_and_reraises(self):
+    def test_phase_error_records_status_and_reraises(self):
         stream = io.StringIO()
-        timeline = obs.Timeline(stream)
+        obs.set_timeline(obs.Timeline(stream))
         with pytest.raises(KeyError, match="gone"):
-            with timeline.phase("load", attempt=2):
+            with obs.phase("load", attempt=2):
                 raise KeyError("gone")
         (record,) = [json.loads(line) for line
                      in stream.getvalue().splitlines()]
@@ -272,11 +272,11 @@ class TestTimeline:
         assert record["attempt"] == 2
         assert record["wall_seconds"] >= 0
 
-    def test_direct_phase_keeps_caller_supplied_error_field(self):
+    def test_phase_keeps_caller_supplied_error_field(self):
         stream = io.StringIO()
-        timeline = obs.Timeline(stream)
+        obs.set_timeline(obs.Timeline(stream))
         with pytest.raises(RuntimeError):
-            with timeline.phase("load", error="preset"):
+            with obs.phase("load", error="preset"):
                 raise RuntimeError("shadowed")
         (record,) = [json.loads(line) for line
                      in stream.getvalue().splitlines()]

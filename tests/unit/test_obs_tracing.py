@@ -1,5 +1,5 @@
-"""Distributed tracing: context propagation, span records, tree merge,
-skew normalisation and Chrome export."""
+"""Distributed tracing: context propagation, span records, tree merge
+and Chrome export."""
 
 from __future__ import annotations
 
@@ -225,25 +225,6 @@ class TestTreeReconstruction:
         ]
         path = spans.build_tree(records).critical_path()
         assert [n.span_id for n in path] == ["root", "slow", "tail"]
-
-    def test_skew_offsets_only_shift_proven_violations(self):
-        anchors = [
-            {"worker": "ahead", "worker_unix": 105.0,
-             "observed_unix": 100.0},
-            {"worker": "ahead", "worker_unix": 103.0,
-             "observed_unix": 100.0},
-            {"worker": "fine", "worker_unix": 99.0, "observed_unix": 100.0},
-        ]
-        offsets = spans.skew_offsets(anchors)
-        assert offsets == {"ahead": 5.0}
-
-    def test_offsets_applied_to_that_process_only(self):
-        records = [self._span("a", None, proc="coordinator", start=10.0,
-                              end=20.0),
-                   self._span("b", "a", proc="w1", start=15.0, end=16.0)]
-        tree = spans.build_tree(records, {"w1": 2.0})
-        assert tree.by_id["b"].start_unix == 13.0
-        assert tree.by_id["a"].start_unix == 10.0
 
     def test_load_trace_discovers_jobdir_and_mixes_files(self, tmp_path):
         obs_dir = tmp_path / "job" / "obs" / "w1"
