@@ -23,7 +23,11 @@ nothing).  Likewise for the per-event loop's row path (``Network.broadcast_fast`
 fating a source row's broadcast as a row): each case prints how many rows
 its per-event runs fated that way, and the script fails if no case used the
 row path or if a case whose rows the rule rejects (:data:`PER_COPY_CASES`)
-did.
+did.  The batched loop's sharing of one flush among the TICKs of an
+instant is held to the same standard, by the counters the engine exposes:
+the script fails if no batched run shared a flush among two or more TICKs,
+or if no run cut such a TICK run short because a copy was due at or before
+its instant (the case whose ties make the cut matter).
 """
 
 from __future__ import annotations
@@ -68,12 +72,15 @@ def main(argv: list[str] | None = None) -> int:
     batched_runs = 0
     consume_runs = {"batched": 0, "boxed": 0}
     row_fated = {}
+    ticks = {"tick_flushes_shared": 0, "tick_runs_cut": 0}
     for report in reports:
         modes = {run.engine: run.dispatch_mode for run in report.runs}
         batched_runs += sum(1 for mode in modes.values() if mode == "batched")
         for run in report.runs:
             if run.consume_mode is not None:
                 consume_runs[run.consume_mode] += 1
+            for counter in ticks:
+                ticks[counter] += getattr(run, counter) or 0
         verdict = "ok" if report.ok else "MISMATCH " + ",".join(report.mismatched)
         consumes = {run.engine: run.consume_mode for run in report.runs
                     if run.consume_mode is not None}
@@ -81,8 +88,11 @@ def main(argv: list[str] | None = None) -> int:
         # rows in its own sampler).
         row_fated[report.name] = sum(run.row_fated for run in report.runs
                                      if run.dispatch_mode != "batched")
+        shared, cut = (sum(getattr(run, counter) or 0 for run in report.runs)
+                       for counter in ticks)
         print(f"{report.name:24s} {verdict}  modes={modes}  "
-              f"consume={consumes}  row-fated={row_fated[report.name]}")
+              f"consume={consumes}  row-fated={row_fated[report.name]}  "
+              f"tick-flushes-shared={shared}  tick-runs-cut={cut}")
 
     if failed:
         args.artifacts.mkdir(parents=True, exist_ok=True)
@@ -105,6 +115,17 @@ def main(argv: list[str] | None = None) -> int:
                   f"{mode!r} — that path's parity coverage would be vacuous")
             return 1
 
+    if not ticks["tick_flushes_shared"]:
+        print("FAIL: no batched run shared one flush among two or more "
+              "TICKs of an instant — that path's parity coverage would be "
+              "vacuous")
+        return 1
+    if not ticks["tick_runs_cut"]:
+        print("FAIL: no batched run cut a run of same-instant TICKs short "
+              "because a copy was due — the tie stop's parity coverage "
+              "would be vacuous")
+        return 1
+
     missing = [name for name in PER_COPY_CASES if name not in row_fated]
     if missing:
         print(f"FAIL: per-copy case(s) {', '.join(missing)} not in the "
@@ -125,7 +146,8 @@ def main(argv: list[str] | None = None) -> int:
           f"{consume_runs['batched']} batched-receiver runs, "
           f"{consume_runs['boxed']} boxed-adapter runs, "
           f"{sum(1 for count in row_fated.values() if count)} cases with "
-          f"row-fated per-event runs")
+          f"row-fated per-event runs, {ticks['tick_flushes_shared']} "
+          f"shared tick flushes, {ticks['tick_runs_cut']} tick runs cut")
     return 0
 
 

@@ -217,10 +217,13 @@ class Coordinator:
         the campaign manifest there.
 
         Idempotent: cells already merged are skipped by content hash, and
-        re-registering the identical manifest is the resume path.
+        re-registering the identical manifest is the resume path.  Cells
+        whose run raised have no result to merge: after the merge and the
+        registration, :class:`LeaseError` names each with its error.
         """
         with LeaseTable(self.workdir) as table:
             worker_roots = table.worker_stores()
+            failures = table.failures()
         sources = [ResultStore(root, create=False) for root in worker_roots]
         try:
             with obs.phase("merge", job=self.name,
@@ -237,6 +240,11 @@ class Coordinator:
         store.register_campaign(self.name, self.suite_name,
                                 self.manifest_rows(), resume=resume)
         self._finish_trace()
+        if failures:
+            raise LeaseError(
+                f"job {self.name!r}: {len(failures)} cell(s) failed: "
+                + "; ".join(f"cell {position} ({group}): {error}"
+                            for position, group, error in failures))
         return stats
 
     def _finish_trace(self) -> None:

@@ -22,6 +22,11 @@ Lease protocol
   renew, complete, or corrupt the progress counters of the new owner.  Its
   already-persisted cells are harmless: stores are content-addressed, so the
   merge step deduplicates them.
+* A cell that raises is recorded with its error by the fenced call that
+  counts it (``record_cell_done(..., failed=...)``) and its range runs on
+  to completion: a cell's run is deterministic, so a retry would raise
+  again.  The record goes with the lease: a reclaim deletes the failures
+  of the ranges it returns to pending, whose cells run again.
 * Near the tail, grants shrink: a claim never receives more than
   ``ceil(pending_cells / (2 * active_workers))`` cells (the remainder of the
   range is split off back to ``pending``), so the last ranges spread over
@@ -54,7 +59,7 @@ from typing import Any, Optional, Sequence
 from ... import obs
 
 #: Bump when the lease-table layout changes incompatibly.
-LEASE_SCHEMA_VERSION = 1
+LEASE_SCHEMA_VERSION = 2
 
 #: Default lease duration: a worker must heartbeat within this window.
 DEFAULT_LEASE_TIMEOUT = 60.0
@@ -115,16 +120,20 @@ class JobStatus:
     pending_ranges: int
     active_workers: int
     reclaims: int
+    #: Cells of leased or done ranges whose run raised (not completed).
+    failed_cells: int = 0
 
     @property
     def complete(self) -> bool:
-        """Whether every range has been executed to completion."""
+        """Whether every range has been executed to completion; a failed
+        cell is executed, and waits for nothing."""
         return self.done_ranges >= self.total_ranges
 
     def describe(self) -> str:
         """One-line progress summary for the CLI."""
         return (
             f"{self.completed_cells}/{self.total_cells} cells completed, "
+            f"{self.failed_cells} failed, "
             f"{self.leased_cells} leased, {self.pending_cells} pending "
             f"({self.active_workers} active worker(s), "
             f"{self.reclaims} lease reclaim(s))"
@@ -202,6 +211,10 @@ class LeaseTable:
             );
             CREATE INDEX IF NOT EXISTS idx_ranges_state
                 ON ranges (state, start);
+            CREATE TABLE IF NOT EXISTS failed_cells (
+                position INTEGER PRIMARY KEY,
+                error TEXT NOT NULL
+            );
             CREATE TABLE IF NOT EXISTS workers (
                 worker TEXT PRIMARY KEY,
                 store_path TEXT NOT NULL,
@@ -381,7 +394,15 @@ class LeaseTable:
         try:
             # 1. Reclamation: strictly-expired leases return to pending.
             #    A lease whose expiry equals `now` is still honoured — the
-            #    heartbeat landed exactly at the timeout.
+            #    heartbeat landed exactly at the timeout.  Their cells run
+            #    again, so the failures recorded under them go.
+            self._db.execute(
+                "DELETE FROM failed_cells WHERE EXISTS (SELECT 1 FROM ranges "
+                "WHERE state = 'leased' AND lease_expires < ? AND "
+                "failed_cells.position >= start AND "
+                "failed_cells.position < start + count)",
+                (now,),
+            )
             reclaimed = self._db.execute(
                 "UPDATE ranges SET state = 'pending', worker = NULL, "
                 "lease_expires = NULL, done_cells = 0 "
@@ -482,15 +503,16 @@ class LeaseTable:
                      start=start, count=count)
 
     def _guarded_update(self, sql: str, params: Sequence[Any],
-                        worker_update: Optional[tuple[str, tuple]] = None) -> bool:
+                        *then: tuple[str, Sequence[Any]]) -> bool:
         """One fenced transition in one transaction: the ``ranges`` update
-        guarded by ``(worker, epoch)`` and, when the guard matched,
-        *worker_update* on the caller's ``workers`` row, both or neither."""
+        guarded by ``(worker, epoch)`` and, when the guard matched, the
+        ``(sql, params)`` statements *then* (the caller's ``workers`` row,
+        failed cells), all or nothing."""
         self._db.execute("BEGIN IMMEDIATE")
         try:
             changed = self._db.execute(sql, params).rowcount > 0
-            if changed and worker_update is not None:
-                self._db.execute(*worker_update)
+            for statement in then if changed else ():
+                self._db.execute(*statement)
             self._db.execute("COMMIT")
         except BaseException:
             self._db.execute("ROLLBACK")
@@ -522,20 +544,25 @@ class LeaseTable:
         return renewed
 
     def record_cell_done(self, grant: RangeGrant, count: int = 1, *,
+                         failed: Sequence[tuple[int, str]] = (),
                          now: Optional[float] = None) -> bool:
-        """Record *count* completed cells and refresh the lease in one step.
+        """Record *count* completed cells and the *failed* ones, ``(position,
+        error)`` each, and refresh the lease in one step.
 
         Returns ``False`` (recording nothing) when the lease was lost.
         """
         now = time.time() if now is None else now
+        then = [("UPDATE workers SET last_seen = ?, cells_done = "
+                 "cells_done + ? WHERE worker = ?", (now, count, grant.worker))]
+        then += [("INSERT OR REPLACE INTO failed_cells (position, error) "
+                  "VALUES (?, ?)", failure) for failure in failed]
         return self._guarded_update(
             "UPDATE ranges SET done_cells = done_cells + ?, "
             "lease_expires = ? WHERE range_id = ? AND state = 'leased' AND "
             "worker = ? AND epoch = ?",
-            (count, now + self.lease_timeout, grant.range_id, grant.worker,
-             grant.epoch),
-            ("UPDATE workers SET last_seen = ?, cells_done = "
-             "cells_done + ? WHERE worker = ?", (now, count, grant.worker)),
+            (count + len(failed), now + self.lease_timeout, grant.range_id,
+             grant.worker, grant.epoch),
+            *then,
         )
 
     def complete_range(self, grant: RangeGrant) -> bool:
@@ -581,10 +608,12 @@ class LeaseTable:
             "SELECT COALESCE(SUM(attempts - 1), 0) AS c FROM ranges "
             "WHERE attempts > 1"
         ).fetchone()["c"])
+        failed = int(self._db.execute(
+            "SELECT COUNT(*) AS c FROM failed_cells").fetchone()["c"])
         total_cells = cells("pending") + cells("leased") + cells("done")
         return JobStatus(
             total_cells=total_cells,
-            completed_cells=cells("done") + leased_done,
+            completed_cells=cells("done") + leased_done - failed,
             leased_cells=cells("leased") - leased_done,
             pending_cells=cells("pending"),
             total_ranges=ranges("pending") + ranges("leased") + ranges("done"),
@@ -593,4 +622,16 @@ class LeaseTable:
             pending_ranges=ranges("pending"),
             active_workers=active,
             reclaims=reclaims,
+            failed_cells=failed,
         )
+
+    def failures(self) -> list[tuple[int, str, str]]:
+        """``(position, group, error)`` of every failed cell, in position
+        order."""
+        return [
+            (row["position"], row["group_label"], row["error"])
+            for row in self._db.execute(
+                "SELECT position, group_label, error FROM failed_cells "
+                "JOIN cells USING (position) ORDER BY position"
+            ).fetchall()
+        ]

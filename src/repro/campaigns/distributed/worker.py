@@ -12,8 +12,11 @@ counted a flush at a time: one store commit, then one ``record_cell_done``
 counting every cell processed since the previous flush.  That record is the
 worker's heartbeat (it refreshes the lease ``claim`` granted), so a flush
 also happens before the time since the last one could outgrow half the
-lease timeout.  The worker abandons a range the moment a guarded call
-reports the lease lost, which a zombie learns at its next flush.
+lease timeout.  A cell that raises is recorded as failed, with its error,
+by the flush that follows it, and the range runs on: a cell's run is
+deterministic, so a retry elsewhere would only raise again.  The worker
+abandons a range the moment a guarded call reports the lease lost, which a
+zombie learns at its next flush.
 Abandonment is cheap and safe: whatever the worker persisted is
 content-addressed, so the eventual merge deduplicates it against the
 re-execution by the new lease holder.  A death inside a flush is the same
@@ -249,39 +252,41 @@ class Worker:
         """Process one grant's cells; ``True`` iff the range completed.
 
         A flush commits the cells stored since the last one, then records
-        every cell processed since then with one ``record_cell_done`` (the
-        heartbeat).  It happens once ``_PERSIST_FLUSH_EVERY`` cells are
-        unrecorded, at the end of the grant, before the grant is abandoned
-        on an error, and once the time since the last heartbeat plus the
-        last cell's duration reaches half the lease timeout: a next cell as
-        long as that one still ends inside the lease.
+        every cell processed since then, the failed ones with their errors,
+        with one ``record_cell_done`` (the heartbeat).  It happens once
+        ``_PERSIST_FLUSH_EVERY`` cells are unrecorded, at the end of the
+        grant, after a failed cell, and once the time since the last
+        heartbeat plus the last cell's duration reaches half the lease
+        timeout: a next cell as long as that one still ends inside the
+        lease.
         """
         unrecorded = 0
+        failed: list[tuple[int, str]] = []
         half_lease = table.lease_timeout / 2
         heartbeat = time.monotonic()  # the claim refreshed the lease
         last = len(grant.cells) - 1
         for index, cell in enumerate(grant.cells):
             started = time.monotonic()
-            ok = self._run_cell(store, cell, report, traced)
-            if ok:
+            error = self._run_cell(store, cell, report, traced)
+            if error is None:
                 unrecorded += 1
                 if progress is not None:
                     progress(self.worker_id,
                              report.cells_executed + report.cells_cached)
+            else:
+                failed.append((cell.position, error))
             now = time.monotonic()
-            if (not ok or index == last
+            if (failed or index == last
                     or unrecorded >= _PERSIST_FLUSH_EVERY
                     or (now - heartbeat) + (now - started) >= half_lease):
                 store.commit()
-                held = not unrecorded or table.record_cell_done(grant,
-                                                                unrecorded)
+                held = not (unrecorded or failed) or table.record_cell_done(
+                    grant, unrecorded, failed=failed)
                 unrecorded = 0
+                failed = []
                 heartbeat = now
-                if not (ok and held):
-                    # The lease is lost, or a cell failed: it is not
-                    # persisted, and completing the range would silently
-                    # drop it.  Abandon; the lease expire path retries the
-                    # range elsewhere.
+                if not held:
+                    # The lease is lost: the new holder runs the range.
                     report.ranges_abandoned += 1
                     return False
         if table.complete_range(grant):
@@ -292,9 +297,9 @@ class Worker:
 
     @staticmethod
     def _run_cell(store: ResultStore, cell: JobCell, report: WorkerReport,
-                  traced: bool) -> bool:
+                  traced: bool) -> Optional[str]:
         """Run one cell and hand it to the store, uncommitted, unless the
-        store has it already; ``False`` iff it failed (recorded in
+        store has it already; the error iff it failed (recorded in
         *report*)."""
         cell_cm = obs.span(
             "cell", cell_key=cell.cell_key, position=cell.position,
@@ -310,7 +315,7 @@ class Worker:
                     _cells_total().inc(outcome="cached")
                 if cell_span is not None:
                     cell_span.annotate(outcome="cached")
-                return True
+                return None
             try:
                 result = run_scenario(
                     scenario_from_canonical_dict(cell.scenario))
@@ -321,7 +326,7 @@ class Worker:
                     _cells_total().inc(outcome="error")
                 if cell_span is not None:
                     cell_span.annotate(outcome="error", error=repr(exc))
-                return False
+                return repr(exc)
             store.put_many([ResultStore.pack(result, cell.cell_key)],
                            commit=False)
             report.cells_executed += 1
@@ -330,7 +335,7 @@ class Worker:
                 _cell_seconds().observe(result.wall_time)
             if cell_span is not None:
                 cell_span.annotate(outcome="executed")
-            return True
+            return None
 
 
 def run_worker(

@@ -17,8 +17,10 @@ This module is the executable form of that contract:
   the fairness guard (heavy loss), crashes, both ways of consuming a
   delivery run (through the repeat filter for Algorithms 1 and 2 — strict
   equality, staggered label learning and every detector policy included — and
-  boxed for the baselines, which do not declare the filter's property), and
-  the per-event fallback for unbounded-below delays.
+  boxed for the baselines, which do not declare the filter's property), the
+  TICKs of one instant sharing a flush and that run cut where a copy is due
+  at the instant itself, and the per-event fallback for unbounded-below
+  delays.
 * :func:`compare_engines` runs one scenario under several backends and
   reports exactly which fingerprint components disagree.
 
@@ -37,6 +39,7 @@ from ..network.loss import LossSpec
 from ..simulation.engine import SimulationResult
 from ..simulation.metrics import MetricsCollector, MetricsLevel
 from ..simulation.tracing import TraceLevel, TraceRecorder
+from ..workloads.generators import AllToAll
 from .config import Scenario
 from .runner import build_engine
 
@@ -86,6 +89,11 @@ class EngineRun:
     generic_rows: Optional[int] = None
     #: Source rows the network fated as rows (``Network.fated_sources``).
     row_fated: int = 0
+    #: Flushes that sampled the sends of two or more same-instant TICKs,
+    #: and runs of such TICKs cut short because a copy was due (``None``
+    #: for backends that do not report them).
+    tick_flushes_shared: Optional[int] = None
+    tick_runs_cut: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -148,6 +156,8 @@ def run_fingerprint(
         consume_mode=getattr(built, "consume_mode", None),
         generic_rows=getattr(built, "generic_rows", None),
         row_fated=len(built.network.fated_sources),
+        tick_flushes_shared=getattr(built, "tick_flushes_shared", None),
+        tick_runs_cut=getattr(built, "tick_runs_cut", None),
     )
 
 
@@ -234,6 +244,16 @@ def parity_cases() -> tuple[Scenario, ...]:
         stop_when_quiescent=True,
         drain_grace_period=2.0,
     )
+    # A delay of one tick interval: every copy a tick sends is due exactly
+    # at the next tick instant, so the batched loop must stop sharing a
+    # flush among that instant's TICKs where a copy may come between them.
+    # Broadcasts half a tick off the instants leave the first instant's
+    # TICKs one shared flush whose copies then tie with their re-arms.
+    tick = base.tick_interval
+    tick_ties = base.with_(
+        delay=DelaySpec.fixed(tick), loss=LossSpec.bernoulli(0.2),
+        workload=AllToAll(base.n_processes, start=tick / 2), metadata={},
+        crashes={5: 3 * tick})
     return (
         # Vector sampler + sliced merge (the headline fast path).
         base.with_(name="bernoulli-uniform"),
@@ -295,6 +315,12 @@ def parity_cases() -> tuple[Scenario, ...]:
                    fd_learn_delay=6.0, crashes={4: 3.0, 5: 9.0}),
         # One singleton view per process, never rebuilt.
         base.with_(name="own-only", fd_policy="own_only"),
+        # Copies due at tick instants, a crash at one, under both paper
+        # algorithms.
+        tick_ties.with_(name="tick-ties"),
+        tick_ties.with_(name="tick-ties-algorithm1", algorithm="algorithm1",
+                        stop_when_quiescent=False,
+                        stop_when_all_correct_delivered=True),
     )
 
 

@@ -585,15 +585,9 @@ class SimulationEngine:
             if self.trace_ticks:
                 self.trace.record(self._now, TraceCategory.TICK, index)
             self.processes[index].on_tick()
-            self._flush_sends()
             next_tick = self._now + self.config.tick_interval
             if next_tick <= self.config.max_time:
                 self.queue.schedule(next_tick, EventKind.TICK, target=index)
-
-    def _flush_sends(self) -> None:
-        """Hook for backends that defer the sampling of ``broadcast_from``
-        calls: a tick's sends must claim their sequence numbers before its
-        re-arm does.  Nothing is deferred here."""
 
     def _handle_broadcast_request(self, index: int, content: Any) -> None:
         if index in self._crashed:

@@ -14,7 +14,8 @@ dominant event population — out of the event queue on both sides:
   are gathered per channel column with a running count of deliveries.
   Every protocol send in this codebase is a broadcast, so the channels of a
   row advance their substreams in lockstep and block prefetching consumes
-  each per-channel stream in the reference order.
+  each per-channel stream in the reference order.  The TICKs of one
+  instant (every process ticks at ``k * tick_interval``) share one flush.
 * **Pending copies.**  A flush appends its delivered copies to a flat pool
   of ``(time, seq, dst, payload id)`` columns, 24 bytes a copy.
 * **Deliveries.**  The main loop advances through *time slices* of width
@@ -40,12 +41,12 @@ Bit-identical parity with ``reference`` is a hard requirement, enforced by
 
 * Sequence numbers are *claimed* from the shared
   :class:`~.scheduler.EventQueue` counter (:meth:`EventQueue.claim_seqs`),
-  one claim per flush laid out in program order of the sends and destination
-  order within a send — the numbers the reference engine's per-copy
-  ``schedule`` calls draw — and the outbox is flushed before anything else
-  can claim one (see :meth:`VectorizedEngine._flush_sends`), so the merged
-  dispatch order over copies plus queue events is the reference order,
-  tie-breaks included.
+  laid out in program order of the sends and destination order within a
+  send, each TICK's re-arm scheduled after its own sends' copies — the
+  numbers the reference engine's per-copy ``schedule`` calls draw — and the
+  outbox is flushed before anything else can claim one (see
+  :meth:`VectorizedEngine._flush_sends`), so the merged dispatch order over
+  copies plus queue events is the reference order, tie-breaks included.
 * The loss draw / fairness guard / delay draw sequence per channel replays
   :meth:`LossyChannel.transmit` exactly: loss uniforms are consumed once per
   attempt only for ``0 < p < 1`` (the ``p == 0``/``p == 1`` shortcuts draw
@@ -85,6 +86,7 @@ from ..network.network import row_profile, settle_row
 from ..network.reliable import QuasiReliableChannel, ReliableChannel
 from .engine import SimulationEngine, SimulationResult
 from .events import EventKind
+from .tracing import TraceCategory
 
 #: Prefetched draws per channel block.  Public so tests can shrink it to
 #: force mid-run refills; any value produces identical results (each
@@ -528,6 +530,12 @@ class VectorizedEngine(SimulationEngine):
     #: (counted under the fallback reason ``generic_rows`` when non-zero).
     generic_rows: int = 0
 
+    #: Flushes of the batched run that sampled the sends of two or more
+    #: TICKs of one instant, and runs of such TICKs cut short because a
+    #: pooled copy was due at or before their instant.
+    tick_flushes_shared: int = 0
+    tick_runs_cut: int = 0
+
     engine_label = "vectorized"
 
     def _fallback_reason(self) -> Optional[str]:
@@ -586,24 +594,41 @@ class VectorizedEngine(SimulationEngine):
             self._outbox.append(
                 (src, self._interner.pid_for(payload), self._now))
 
+    def _handle_tick(self, index: int) -> None:
+        # On the batched path the re-arm waits for the flush, which claims
+        # the seqs of the tick's sends first.
+        if not self._fast_active:
+            super()._handle_tick(index)
+        elif index not in self._crashed:
+            if self.trace_ticks:
+                self.trace.record(self._now, TraceCategory.TICK, index)
+            self.processes[index].on_tick()
+            next_tick = self._now + self.config.tick_interval
+            if next_tick <= self.config.max_time:
+                self._rearms.append((len(self._outbox), next_tick, index))
+
     def _flush_sends(self) -> None:
         """Sample every broadcast recorded since the last flush, at once.
 
         One :meth:`_NetSampler.sample` call fates the whole outbox; its
         copies come back in program order of the sends and destination
-        order within a send, so **one** ``claim_seqs`` numbers them
-        ``seq0 + k`` — exactly the seqs the reference engine's per-copy
-        ``schedule`` calls would have drawn — and they join the pending
-        pool as one block.  Invariant: the outbox is empty whenever
-        anything but this method claims a seq or reads ``_batch_pending``;
-        hence the flush points — the end of every ``_consume_run``, inside
-        TICK handling between ``on_tick()`` and the re-arm, and after every
-        other queue-event dispatch.  Deferring is sound because nothing
-        created in a slice is consumed in it, and a process has no way to
-        claim a seq except ``broadcast``.
+        order within a send, and the TICKs of the flush (a run of them at
+        one instant, see :meth:`_merge_sliced`) each claim, in dispatch
+        order, their copies' seqs and then their re-arm's: exactly the seqs
+        the reference engine's per-copy ``schedule`` calls would have drawn.
+        The copies join the pending pool as one block.  Invariant: the
+        outbox is empty whenever anything but this method claims a seq or
+        reads ``_batch_pending``; hence the flush points — the end of every
+        ``_consume_run``, and after every queue-event dispatch or run of
+        same-instant TICKs.  Deferring is sound because nothing created in
+        a slice is consumed in it, and a process has no way to claim a seq
+        except ``broadcast``.
         """
-        outbox = self._outbox
+        outbox, rearms, queue = self._outbox, self._rearms, self.queue
         if not outbox:
+            for _, next_tick, index in rearms:
+                queue.schedule(next_tick, EventKind.TICK, target=index)
+            self._rearms = []
             return
         srcs, pids, nows = zip(*outbox)
         outbox.clear()
@@ -625,10 +650,21 @@ class VectorizedEngine(SimulationEngine):
             for kept in per_send[per_send > 0].tolist():
                 self._chunk_cells_hist.observe(kept)
         total = len(times)
+        first, claimed = queue.claim_seqs(0), 0
+        before = [0, *per_send.cumsum().tolist()] if rearms else ()
+        for at, next_tick, index in rearms:  # copies first, then the re-arm
+            queue.claim_seqs(before[at] - claimed)
+            claimed = before[at]
+            queue.schedule(next_tick, EventKind.TICK, target=index)
+        queue.claim_seqs(total - claimed)
+        self._rearms = []
         if not total:
             return
         sends, dsts = np.nonzero(delivered)
-        seqs = self.queue.claim_seqs(total) + np.arange(total)
+        seqs = first + np.arange(total)
+        if rearms:
+            seqs += np.searchsorted([at for at, _, _ in rearms], sends,
+                                    side="right")
         self._fresh.append((
             times, seqs, dsts.astype(np.int32),
             np.array(pids, dtype=np.int32)[sends]))
@@ -679,6 +715,7 @@ class VectorizedEngine(SimulationEngine):
 
     def _run_batched(self) -> SimulationResult:
         self._outbox: list = []
+        self._rearms: list = []
         self._fresh: list = []
         self._pending: list = []
         self._pending_head = _NEVER
@@ -932,6 +969,22 @@ class VectorizedEngine(SimulationEngine):
                     break
                 # Never a RECEIVE: on this path copies live in the pool.
                 dispatch(kind, target, payload)
+                if kind is EventKind.TICK:
+                    # This instant's TICKs share one flush, up to one that a
+                    # pooled copy may precede (a tie too: seqs not compared).
+                    ticks = 1
+                    while not self._stop_requested:
+                        entry = queue.peek()
+                        if not (entry and entry[0] == et and entry[2] is kind):
+                            break
+                        if (i < n_w and times[i] <= et) or \
+                                self._pending_head <= et:
+                            self.tick_runs_cut += 1
+                            break
+                        queue.pop()
+                        dispatch(kind, entry[3], None)
+                        ticks += 1
+                    self.tick_flushes_shared += ticks > 1
                 self._flush_sends()
                 next_entry = queue.peek()
         return receive_count, deliver_count, replayed
@@ -1017,8 +1070,11 @@ class VectorizedEngine(SimulationEngine):
     _fast_active: bool = False
     _batch_pending: int = 0
     #: Broadcasts recorded since the last flush: ``(src, pid, now)``.  Only
-    #: the batched path fills it; elsewhere the flush hook finds it empty.
+    #: the batched path fills it.
     _outbox: Any = ()
+    #: ``(outbox position, next tick time, process)`` of each TICK since the
+    #: last flush, in dispatch order: the re-arms the flush schedules.
+    _rearms: Any = ()
     #: The channel sampler of the current batched run.
     _sampler: Any = None
     #: Payload interning table of the current batched run.

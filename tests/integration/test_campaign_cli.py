@@ -188,6 +188,40 @@ class TestDistributedCli:
         assert "assumed" in output
         assert "suggested workers" in output
 
+    def test_serve_names_failed_cells_and_exits_non_zero(
+            self, capsys, tmp_path, monkeypatch):
+        import threading
+
+        from repro.campaigns.distributed import worker as worker_module
+
+        def raises(scenario):
+            raise RuntimeError("cell exploded")
+
+        monkeypatch.setattr(worker_module, "run_scenario", raises)
+        workdir = tmp_path / "job"
+        worker = threading.Thread(target=main, args=([
+            "campaign", "work", "--workdir", str(workdir),
+            "--worker-id", "cli-w0", "--poll-interval", "0.05",
+            "--wait-for-job", "30",
+        ],))
+        worker.start()
+        try:
+            code = main([
+                "campaign", "serve", "--store", str(tmp_path / "merged"),
+                "--workdir", str(workdir), "--name", "cli-fail",
+                "--algorithm", "algorithm2", "--n", "4",
+                "--values", "0.0,0.2", "--seeds", "1", "--max-time", "60",
+                "--lease-timeout", "0.5", "--timeout", "60",
+                "--poll-interval", "0.1",
+            ])
+        finally:
+            worker.join(timeout=60)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "2 cell(s) failed" in err
+        assert "cell 0 (" in err and "cell 1 (" in err
+        assert "cell exploded" in err
+
 
 class TestStoreMergeCli:
     def test_merge_unions_stores_and_is_idempotent(self, capsys, tmp_path):

@@ -209,6 +209,8 @@ PINNED_ALGORITHM2_FINGERPRINTS = {
     # Recorded at the last commit with one view builder per policy.
     "all-processes-learning": "8eaab0be11dbc26c",
     "own-only": "efaf5515c811f98b",
+    # Recorded at the last commit that flushed the outbox once per TICK.
+    "tick-ties": "508dddbf96487e05",
 }
 
 
@@ -229,7 +231,8 @@ def test_reference_fingerprint_is_the_pinned_one(case):
 #: reception.  ``strict-equality*``, ``unstable-view-windows``,
 #: ``all-processes-learning`` and ``own-only`` differ from a pinned case
 #: only in Algorithm 2 or detector settings, so under Algorithm 1 they are
-#: the same runs and are left out.
+#: the same runs and are left out; ``tick-ties`` has its own Algorithm 1
+#: case, ``tick-ties-algorithm1``.
 PINNED_ALGORITHM1_FINGERPRINTS = {
     "algorithm1": "f1da6b91d2c9558f",
     "bernoulli-uniform": "d16652222ba91d35",
@@ -242,6 +245,8 @@ PINNED_ALGORITHM1_FINGERPRINTS = {
     "staggered-learning": "8025156d203a4476",
     "reliable": "2ce150c939ccc1a4",
     "quasi-reliable": "7af690ba48bd09c1",
+    # Recorded at the last commit that flushed the outbox once per TICK.
+    "tick-ties-algorithm1": "02b1db0beea071f5",
 }
 
 

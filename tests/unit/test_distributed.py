@@ -535,7 +535,8 @@ class TestObservedJob:
 
         monkeypatch.setattr(worker_module, "run_scenario", first_cell_raises)
         report = Worker(tmp_path / "job", worker_id="w0").run(max_ranges=1)
-        assert len(report.errors) == 1 and report.ranges_abandoned == 1
+        assert len(report.errors) == 1
+        assert (report.ranges_completed, report.ranges_abandoned) == (1, 0)
         firing = {result.rule.name
                   for result in obs.evaluate(obs.snapshot()).firing}
         assert firing == {"worker-cell-errors"}

@@ -179,6 +179,69 @@ def test_a_flush_enters_the_sampler_once(monkeypatch):
     assert max(calls) >= 3
 
 
+#: The engine workloads of the repo benchmark, as ``benchmarks/e2e``
+#: builds them (``build_flood``, ``build_quiescence``), at seed 1234.
+WORKLOADS = {
+    "flood_n14": Scenario(
+        name="e2e-flood", algorithm="algorithm1", n_processes=14, seed=1234,
+        loss=LossSpec.bernoulli(0.2), delay=DelaySpec.uniform(0.05, 0.5),
+        workload="all_to_all", crashes={0: 6.0 * 0.3, 1: 6.0 * 0.7},
+        max_time=6.0),
+    "quiescence_n24": Scenario(
+        name="e2e-quiescence", algorithm="algorithm2", n_processes=24,
+        seed=1234, loss=LossSpec.bernoulli(0.05),
+        delay=DelaySpec.uniform(0.05, 0.5), workload="burst",
+        metadata={"burst_size": 4}, stop_when_quiescent=True,
+        drain_grace_period=2.0, max_time=400.0),
+}
+
+#: ``_NetSampler.sample`` calls of each workload's vectorized run.  With one
+#: flush per TICK they were 146 and 79: every tick instant cost one call
+#: per process.
+PINNED_SAMPLE_CALLS = {"flood_n14": 75, "quiescence_n24": 33}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_sampler_calls_of_the_engine_workloads_are_the_pinned_ones(
+        monkeypatch, name):
+    calls = _count_calls(monkeypatch, "sample")
+    run = run_fingerprint(WORKLOADS[name], "vectorized")
+    assert (run.dispatch_mode, run.consume_mode) == ("batched", "batched")
+    assert len(calls) == PINNED_SAMPLE_CALLS[name]
+
+
+def test_the_ticks_of_one_instant_reach_the_sampler_in_one_call(
+        monkeypatch):
+    ticks: dict = {}  # tick instant -> TICKs dispatched at it
+    senders = []  # per sample call: send time -> distinct sources
+    handle_tick, sample = (VectorizedEngine._handle_tick,
+                           vectorized._NetSampler.sample)
+
+    def counted_tick(self, index):
+        ticks[self._now] = ticks.get(self._now, 0) + 1
+        handle_tick(self, index)
+
+    def recorded_sample(self, srcs, keys, nows):
+        by_time: dict = {}
+        for src, now in zip(srcs.tolist(), nows.tolist()):
+            by_time.setdefault(now, set()).add(src)
+        senders.append(by_time)
+        return sample(self, srcs, keys, nows)
+
+    monkeypatch.setattr(VectorizedEngine, "_handle_tick", counted_tick)
+    monkeypatch.setattr(vectorized._NetSampler, "sample", recorded_sample)
+    run = run_fingerprint(CASES["bernoulli-uniform"], "vectorized")
+    assert run.dispatch_mode == "batched"
+    # Uniform delays put no copy on a tick instant: no run of ticks is cut,
+    # so each instant's ticks share one flush, and it samples once.
+    assert run.tick_runs_cut == 0 and min(ticks.values()) > 1
+    assert run.tick_flushes_shared == len(ticks)
+    calls_at = [[call[instant] for call in senders if instant in call]
+                for instant in ticks]
+    assert max(len(calls) for calls in calls_at) == 1
+    assert max(len(sources) for calls in calls_at for sources in calls) > 1
+
+
 def _bursty_row_4(src, dst, rng):
     """Custom loss factory: Gilbert–Elliott on row 4, the battery's heavy
     Bernoulli loss everywhere else."""

@@ -397,8 +397,8 @@ def test_a_grant_flushes_on_a_count_half_a_lease_and_its_end(
 
 def test_a_failing_cell_flushes_what_came_before_it(
         tmp_path, clock, worker_clock, monkeypatch):
-    """The grant is abandoned at the failed cell (it cannot complete), but
-    the cells already run are committed and counted first."""
+    """The failed cell's flush commits and counts the cells already run and
+    records the failure; the grant then runs on and completes."""
     prepared_job(tmp_path / "job")
     run_scenario = worker_module.run_scenario
     runs = itertools.count(1)
@@ -408,13 +408,71 @@ def test_a_failing_cell_flushes_what_came_before_it(
             raise RuntimeError("cell failed")
         return run_scenario(scenario)
 
+    records = []
+    record_cell_done = LeaseTable.record_cell_done
+
+    def counted_record(self, grant, count=1, **kwargs):
+        records.append((count, [position for position, _ in
+                                kwargs.get("failed", ())]))
+        return record_cell_done(self, grant, count, **kwargs)
+
     monkeypatch.setattr(worker_module, "run_scenario", third_fails)
+    monkeypatch.setattr(LeaseTable, "record_cell_done", counted_record)
     report = Worker(tmp_path / "job", worker_id="w0").run(max_ranges=1)
-    assert (report.cells_executed, report.ranges_abandoned) == (2, 1)
+    assert (report.cells_executed, report.ranges_completed,
+            report.ranges_abandoned) == (3, 1, 0)
     assert len(report.errors) == 1 and "cell failed" in report.errors[0]
+    assert records == [(2, [2]), (1, [])]
     with LeaseTable(tmp_path / "job") as table:
         status = table.status()
-        assert (status.completed_cells, status.leased_ranges) == (2, 1)
+        assert (status.completed_cells, status.failed_cells,
+                status.leased_ranges, status.done_ranges) == (3, 1, 0, 1)
+        [(position, _group, error)] = table.failures()
+        assert position == 2 and "cell failed" in error
     with ResultStore(tmp_path / "job" / "workers" / "w0" / "store",
                      create=False) as store:
-        assert len(store) == 2
+        assert len(store) == 3
+
+
+def test_a_cell_that_always_raises_fails_once_and_the_job_completes(
+        tmp_path, monkeypatch):
+    """Every cell raises, the lease is half a second, one worker: each
+    failure is recorded under the lease that ran it, every range completes,
+    nothing is reclaimed, and the coordinator names every failed cell."""
+    coordinator = Coordinator(tmp_path / "job", suite(), name="job",
+                              lease_timeout=0.5, range_size=4)
+    coordinator.prepare()
+
+    def raises(scenario):
+        raise RuntimeError("always")
+
+    monkeypatch.setattr(worker_module, "run_scenario", raises)
+    # A bound on grants, so a job that never completes fails, not hangs.
+    report = Worker(tmp_path / "job", worker_id="w0",
+                    poll_interval=0.01).run(max_ranges=8)
+    assert (report.cells_executed, report.ranges_abandoned) == (0, 0)
+    assert len(report.errors) == 8
+    with LeaseTable(tmp_path / "job") as table:
+        status = table.status()
+        assert status.complete and status.reclaims == 0
+        assert (status.failed_cells, status.completed_cells) == (8, 0)
+        assert [position for position, _, _ in table.failures()] == list(
+            range(8))
+    with ResultStore(tmp_path / "merged") as merged:
+        with pytest.raises(leases.LeaseError,
+                           match=r"8 cell\(s\) failed: cell 0 .*always"):
+            coordinator.finalize(merged)
+        assert len(merged) == 0 and merged.campaign_info("job") is not None
+
+
+def test_a_reclaim_forgets_the_failures_it_reruns(tmp_path, clock):
+    """A failure recorded under a lease that then expires is not the job's:
+    the reclaim returns its cells to pending, and they run again."""
+    table, grant = leased_job(tmp_path / "job")
+    assert table.record_cell_done(grant, 0, failed=[(1, "boom")], now=102.0)
+    assert table.status(now=102.0).failed_cells == 1
+    assert table.claim("w1", now=200.0).range_id == grant.range_id
+    status = table.status(now=200.0)
+    assert (status.failed_cells, status.completed_cells) == (0, 0)
+    assert table.failures() == []
+    table.close()
