@@ -121,7 +121,7 @@ class JobStatus:
     active_workers: int
     reclaims: int
     #: Cells of leased or done ranges whose run raised (not completed).
-    failed_cells: int = 0
+    failed_cells: int
 
     @property
     def complete(self) -> bool:
