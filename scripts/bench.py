@@ -112,22 +112,23 @@ def _quiescence_scenario(n: int, engine: str) -> Scenario:
 def _run_engine(scenario: Scenario):
     """Build the engine untimed, then time ``engine.run()`` alone, with the
     collector in its counters-only mode (per-event lists are never read
-    here).  Returns ``(engine, result, seconds)``."""
+    here).  Returns ``(result, seconds)``."""
     engine = build_engine(scenario)
     engine.metrics = MetricsCollector(level=MetricsLevel.COUNTERS)
     start = time.perf_counter()
     result = engine.run()
-    return engine, result, time.perf_counter() - start
+    return result, time.perf_counter() - start
 
 
 def quiescence_vectorized() -> Pass:
     """Algorithm 2 quiescence at n=40 on the vectorized engine's batched path."""
     scenario = _quiescence_scenario(40, "vectorized")
-    engine, result, seconds = _run_engine(scenario)
+    result, seconds = _run_engine(scenario)
     summary = result.metrics_summary()
     # A fallback would time the per-event loop under this load's name.
-    correct = (engine.dispatch_mode == engine.consume_mode == "batched"
-               and engine.generic_rows == 0
+    execution = result.execution
+    correct = (execution.dispatch_mode == execution.consume_mode == "batched"
+               and execution.generic_rows == 0
                and result.stop_reason == "quiescent")
     events = result.event_stats.total
     return _rates(seconds, events), correct, {
@@ -143,11 +144,11 @@ def obs_overhead() -> Pass:
     # obs-on run has a live timeline sink.  Both must do the same work.
     scenario = _quiescence_scenario(16, "reference")
     obs.reset()
-    _, off, off_seconds = _run_engine(scenario)
+    off, off_seconds = _run_engine(scenario)
     obs.enable()
     previous = obs.set_timeline(obs.Timeline(io.StringIO()))
     try:
-        _, on, on_seconds = _run_engine(scenario)
+        on, on_seconds = _run_engine(scenario)
     finally:
         obs.set_timeline(previous)
         obs.reset()
@@ -280,7 +281,7 @@ def fd_all_processes() -> Pass:
                   vectorized_s=seconds["vectorized"]), correct, {
         "n_processes": scenario.n_processes, "events": events,
         "final_time": reference.fingerprint["final_time"],
-        "dispatch_mode": vectorized.dispatch_mode}
+        "dispatch_mode": vectorized.execution.dispatch_mode}
 
 
 def event_queue_churn() -> Pass:

@@ -24,10 +24,10 @@ fating a source row's broadcast as a row): each case prints how many rows
 its per-event runs fated that way, and the script fails if no case used the
 row path or if a case whose rows the rule rejects (:data:`PER_COPY_CASES`)
 did.  The batched loop's sharing of one flush among the TICKs of an
-instant is held to the same standard, by the counters the engine exposes:
-the script fails if no batched run shared a flush among two or more TICKs,
-or if no run cut such a TICK run short because a copy was due at or before
-its instant (the case whose ties make the cut matter).
+instant is held to the same standard, by the counts of each run's
+execution record: the script fails if no batched run shared a flush among
+two or more TICKs, or if no run cut such a TICK run short because a copy
+was due at or before its instant (the case whose ties make the cut matter).
 """
 
 from __future__ import annotations
@@ -74,22 +74,24 @@ def main(argv: list[str] | None = None) -> int:
     row_fated = {}
     ticks = {"tick_flushes_shared": 0, "tick_runs_cut": 0}
     for report in reports:
-        modes = {run.engine: run.dispatch_mode for run in report.runs}
-        batched_runs += sum(1 for mode in modes.values() if mode == "batched")
-        for run in report.runs:
-            if run.consume_mode is not None:
-                consume_runs[run.consume_mode] += 1
-            for counter in ticks:
-                ticks[counter] += getattr(run, counter) or 0
+        records = [run.execution for run in report.runs]
+        modes = {record.engine: record.dispatch_mode for record in records}
+        batched_runs += sum(1 for record in records
+                            if record.dispatch_mode == "batched")
+        for record in records:
+            if record.consume_mode is not None:
+                consume_runs[record.consume_mode] += 1
         verdict = "ok" if report.ok else "MISMATCH " + ",".join(report.mismatched)
-        consumes = {run.engine: run.consume_mode for run in report.runs
-                    if run.consume_mode is not None}
+        consumes = {record.engine: record.consume_mode for record in records
+                    if record.consume_mode is not None}
         # Rows fated as rows by the per-event loop (a batched run fates its
         # rows in its own sampler).
-        row_fated[report.name] = sum(run.row_fated for run in report.runs
-                                     if run.dispatch_mode != "batched")
-        shared, cut = (sum(getattr(run, counter) or 0 for run in report.runs)
-                       for counter in ticks)
+        row_fated[report.name] = sum(record.rows_fated for record in records
+                                     if record.dispatch_mode != "batched")
+        shared = sum(record.tick_flushes_shared for record in records)
+        cut = sum(record.tick_runs_cut for record in records)
+        ticks["tick_flushes_shared"] += shared
+        ticks["tick_runs_cut"] += cut
         print(f"{report.name:24s} {verdict}  modes={modes}  "
               f"consume={consumes}  row-fated={row_fated[report.name]}  "
               f"tick-flushes-shared={shared}  tick-runs-cut={cut}")

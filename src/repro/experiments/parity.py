@@ -9,7 +9,8 @@ This module is the executable form of that contract:
   per-process delivery logs, per-kind event statistics, final time and
   stop reason; :func:`run_fingerprint` adds what lives on the built engine
   instead of the result — per-channel transmission statistics, the
-  fairness-guard state left on the channels, the final sequence counter.
+  fairness-guard state left on the channels, the final sequence counter —
+  and keeps the run's execution record beside the fingerprint, never in it.
 * :func:`parity_cases` is the scenario battery, chosen so that every
   dispatch path of the vectorized backend is exercised: the homogeneous
   Bernoulli/uniform rows of its block sampler, the rows it fates per send
@@ -36,7 +37,7 @@ from typing import Any, Optional, Sequence
 
 from ..network.delay import DelaySpec
 from ..network.loss import LossSpec
-from ..simulation.engine import SimulationResult
+from ..simulation.engine import ExecutionRecord, SimulationResult
 from ..simulation.metrics import MetricsCollector, MetricsLevel
 from ..simulation.tracing import TraceLevel, TraceRecorder
 from ..workloads.generators import AllToAll
@@ -76,24 +77,9 @@ class EngineRun:
     """One engine's run of a parity scenario."""
 
     engine: str
-    #: Which dispatch path the backend took (``None`` for backends that do
-    #: not report one, e.g. ``reference``).
-    dispatch_mode: Optional[str]
     fingerprint: dict[str, Any]
-    #: How the batched path consumed deliveries (``"batched"`` = through
-    #: the repeat filter, ``"boxed"`` = every entry replayed through
-    #: ``on_receive``); ``None`` for backends / paths that do not report one.
-    consume_mode: Optional[str] = None
-    #: Source rows the batched path fated one send at a time (``None`` for
-    #: backends that do not report it).
-    generic_rows: Optional[int] = None
-    #: Source rows the network fated as rows (``Network.fated_sources``).
-    row_fated: int = 0
-    #: Flushes that sampled the sends of two or more same-instant TICKs,
-    #: and runs of such TICKs cut short because a copy was due (``None``
-    #: for backends that do not report them).
-    tick_flushes_shared: Optional[int] = None
-    tick_runs_cut: Optional[int] = None
+    #: How the run ran (the result's record): which path, and its counts.
+    execution: ExecutionRecord
 
 
 @dataclass(frozen=True)
@@ -119,8 +105,7 @@ class ParityReport:
             "runs": [
                 {
                     "engine": run.engine,
-                    "dispatch_mode": run.dispatch_mode,
-                    "consume_mode": run.consume_mode,
+                    "execution": run.execution._asdict(),
                     **{key: run.fingerprint[key] for key in self.mismatched},
                 }
                 for run in self.runs
@@ -151,13 +136,8 @@ def run_fingerprint(
     result = built.run()
     return EngineRun(
         engine=engine,
-        dispatch_mode=getattr(built, "dispatch_mode", None),
         fingerprint={**fingerprint(result), **engine_fingerprint(built)},
-        consume_mode=getattr(built, "consume_mode", None),
-        generic_rows=getattr(built, "generic_rows", None),
-        row_fated=len(built.network.fated_sources),
-        tick_flushes_shared=getattr(built, "tick_flushes_shared", None),
-        tick_runs_cut=getattr(built, "tick_runs_cut", None),
+        execution=result.execution,
     )
 
 

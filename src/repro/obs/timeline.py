@@ -12,8 +12,9 @@ instrumented layers:
   ``trace_id``/``span_id``/``parent_span_id``, ``proc`` and
   ``start_unix``/``end_unix``, written whenever a trace context is
   active so per-process files merge into one campaign tree;
-* ``engine.dispatch_mode`` — which dispatch path a backend took (and, on
-  the batched path, how many source rows it fated per send);
+* ``engine.run`` — one per finished simulation run, carrying its
+  execution record (:class:`~repro.simulation.engine.ExecutionRecord`):
+  the engine, which loop it took and why, and the loop's counts;
 * ``lease.claim`` / ``lease.renew`` / ``lease.reclaim`` — distributed
   lease lifecycle;
 * ``store.put`` / ``store.hit`` / ``store.miss`` — result-store traffic.

@@ -26,7 +26,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
+from typing import (
+    TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Optional, Sequence,
+)
 
 from .. import obs
 from ..core.delivery import DeliveryLog
@@ -101,6 +103,38 @@ class ScheduleProvenance:
             "schedule_hash": self.schedule_hash,
         }
 
+
+class ExecutionRecord(NamedTuple):
+    """How one run ran, built once by :meth:`SimulationEngine._finish_run`
+    and carried on the result.  No fingerprint includes it: the engines
+    reproduce a scenario bit-identically along different paths.
+
+    ``dispatch_mode`` is the loop :meth:`SimulationEngine.run` took
+    (``"batched"``/``"per-event"``), ``consume_mode`` how the batched loop
+    consumed deliveries (``"batched"`` through the repeat filter,
+    ``"boxed"`` every reception replayed, ``None`` per-event),
+    ``fallback_reason`` why a batching backend took the per-event loop, and
+    ``rows_fated`` the rows the network fated as rows
+    (``Network.fated_sources``).  The rest are the batched loop's counts,
+    0 on the per-event loop: source rows fated one send at a time, sampler
+    calls (one per non-empty outbox flush), flushes shared by the TICKs of
+    one instant and such TICK runs cut short by a due copy, and pool
+    entries consumed and, of those, replayed through the handlers.
+    """
+
+    engine: str
+    dispatch_mode: str
+    consume_mode: Optional[str]
+    fallback_reason: Optional[str]
+    rows_fated: int
+    generic_rows: int = 0
+    sampler_calls: int = 0
+    tick_flushes_shared: int = 0
+    tick_runs_cut: int = 0
+    consumed: int = 0
+    replayed: int = 0
+
+
 #: Factory building the protocol process for index ``i`` given its
 #: environment.  The index is provided so that *builders* (not the processes
 #: themselves) can construct identified baselines; anonymous protocols must
@@ -121,6 +155,7 @@ class SimulationResult:
     expected_contents: tuple[Any, ...]
     final_time: SimTime
     stop_reason: str
+    execution: ExecutionRecord
     event_stats: EventStats = field(default_factory=EventStats)
     schedule: Optional[ScheduleProvenance] = None
 
@@ -155,9 +190,10 @@ class SimulationEngine:
     """Drives one simulated run of an anonymous broadcast protocol.
 
     Observability: the engine records aggregate run counters into the
-    :mod:`repro.obs` registry **once per run**, at the end of
-    :meth:`run` — never inside the dispatch loop — so the disabled cost
-    is a single flag check per simulation and the hot path is untouched.
+    :mod:`repro.obs` registry **once per run**, from the run's
+    :class:`ExecutionRecord` at the end of :meth:`run` — never inside the
+    dispatch loop — so the disabled cost is a single flag check per
+    simulation and the hot path is untouched.
 
     Parameters
     ----------
@@ -190,6 +226,12 @@ class SimulationEngine:
     #: Registry label of this backend ("reference" for the per-event
     #: engine; subclasses registered under other names override it).
     engine_label = "reference"
+
+    #: The run's path (:class:`ExecutionRecord`), decided before its loop
+    #: starts; a batching backend sets them.
+    dispatch_mode: str = "per-event"
+    consume_mode: Optional[str] = None
+    _fallback: Optional[str] = None
 
     def __init__(
         self,
@@ -463,8 +505,9 @@ class SimulationEngine:
         if self.metrics.active:
             self.metrics.total_channel_deliveries += receives - lost
 
-    def _finish_run(self) -> SimulationResult:
-        """Close the books of a run whose loop has ended; package its result."""
+    def _finish_run(self, **counts: int) -> SimulationResult:
+        """Close the books of a run whose loop has ended; package its result
+        (*counts*: the :class:`ExecutionRecord` counts a batched loop kept)."""
         # Fated rows defer their channels' counters and guard state: from
         # here on, every reader of the network sees them settled.
         self.network.settle()
@@ -472,9 +515,7 @@ class SimulationEngine:
         self.metrics.on_finish(final_time)
         provenance = self._schedule_provenance()
         self.trace.header.update(provenance.as_dict())
-        if obs.enabled():
-            self._record_obs_run()
-        return SimulationResult(
+        result = SimulationResult(
             config=self.config,
             crash_schedule=self._effective_crash_schedule(),
             trace=self.trace,
@@ -487,27 +528,15 @@ class SimulationEngine:
             expected_contents=tuple(cmd.content for cmd in self.workload),
             final_time=final_time,
             stop_reason=self._stop_reason,
+            execution=ExecutionRecord(
+                self.engine_label, self.dispatch_mode, self.consume_mode,
+                self._fallback, len(self.network.fated_sources), **counts),
             event_stats=self.event_stats,
             schedule=provenance,
         )
-
-    def _record_obs_run(self) -> None:
-        """Aggregate run counters into the process-wide obs registry.
-
-        Called once per finished run (and only when observability is
-        enabled); reads post-run aggregates exclusively, so it cannot
-        perturb the deterministic simulation state.
-        """
-        mode = getattr(self, "dispatch_mode", None) or "per-event"
-        obs.counter(
-            "repro_sim_runs_total", "Simulation runs completed.",
-            ("engine", "dispatch_mode"),
-        ).inc(engine=self.engine_label, dispatch_mode=mode)
-        obs.counter(
-            "repro_sim_events_total",
-            "Simulation events dispatched, all kinds.",
-            ("engine",),
-        ).inc(self.event_stats.total, engine=self.engine_label)
+        if obs.enabled():
+            _record_obs_run(result)
+        return result
 
     # ------------------------------------------------------------------ #
     # internals
@@ -647,3 +676,42 @@ class SimulationEngine:
             if index not in crashed and processes[index].pending_retransmissions > 0:
                 return False
         return True
+
+
+def _record_obs_run(result: SimulationResult) -> None:
+    """The one writer of run-level obs, once per run when obs is enabled:
+    counters from *result*'s execution record and event count, and one
+    ``engine.run`` timeline event carrying the record.  It reads the
+    finished result alone, so it cannot perturb the simulation."""
+    execution = result.execution
+    engine = execution.engine
+    obs.counter(
+        "repro_sim_runs_total", "Simulation runs completed.",
+        ("engine", "dispatch_mode"),
+    ).inc(engine=engine, dispatch_mode=execution.dispatch_mode)
+    obs.counter(
+        "repro_sim_events_total",
+        "Simulation events dispatched, all kinds.",
+        ("engine",),
+    ).inc(result.event_stats.total, engine=engine)
+    reasons = (execution.fallback_reason,
+               "no_batch_consumer" if execution.consume_mode == "boxed" else None,
+               "generic_rows" if execution.generic_rows else None)
+    for reason in filter(None, reasons):
+        obs.counter(
+            "repro_engine_fallback_total",
+            "Vectorized runs that fell back to a slower dispatch path, "
+            "by reason.",
+            ("reason",),
+        ).inc(reason=reason)
+    if execution.consume_mode == "batched":
+        obs.counter(
+            "repro_engine_batched_consumed_total",
+            "Channel deliveries of runs consumed through the repeat filter.",
+        ).inc(execution.consumed)
+        obs.counter(
+            "repro_engine_replayed_total",
+            "Channel deliveries the repeat filter replayed through "
+            "on_receive (the others: proven no-ops, crashed destinations).",
+        ).inc(execution.replayed)
+    obs.emit("engine.run", **execution._asdict())

@@ -64,9 +64,9 @@ or a FULL trace level (per-copy SEND/DROP/CHANNEL_DELIVER
 records) are active, or no positive minimum delay exists (exponential or
 custom delay models, custom channel classes: slicing is unsound),
 :meth:`run` delegates to the reference per-event loop — same class, same
-results, so explore/replay stay exact.  ``dispatch_mode`` records which
-path ran, and ``generic_rows`` how many source rows of a batched run the
-sampler had to fate one send at a time.
+results, so explore/replay stay exact.  The result's
+:class:`~.engine.ExecutionRecord` says which path ran and why, and how many
+source rows of a batched run the sampler had to fate one send at a time.
 """
 
 from __future__ import annotations
@@ -240,6 +240,8 @@ class _NetSampler:
       ``network.broadcast_fast`` per send, which runs each channel's own
       ``transmit`` and is therefore exact by construction.
       ``generic_rows`` counts them.
+
+    ``calls`` counts the calls of :meth:`sample`.
     """
 
     __slots__ = (
@@ -248,7 +250,7 @@ class _NetSampler:
         "guard_index", "guard_counts", "guard_live",
         "loss_rngs", "loss_drops", "loss_cursor",
         "delay_rngs", "delay_u", "delay_cursors", "columns",
-        "broadcasts", "dropped", "forced",
+        "broadcasts", "dropped", "forced", "calls",
     )
 
     def __init__(self, network: Any, n: int) -> None:
@@ -261,6 +263,7 @@ class _NetSampler:
         self.vector = np.array([p is not None and p == profile
                                 for p in profiles])
         self.generic_rows = n - int(self.vector.sum())
+        self.calls = 0
         self.broadcasts = np.zeros(n, dtype=np.int64)
         self.dropped = np.zeros((n, n), dtype=np.int64)
         self.forced = np.zeros((n, n), dtype=np.int64)
@@ -308,6 +311,7 @@ class _NetSampler:
         — send by send, destination order within a send: the order in which
         the reference engine would have scheduled the copies.
         """
+        self.calls += 1
         delivered = np.empty((len(keys), self.n), dtype=bool)
         times = np.empty((len(keys), self.n), dtype=np.float64)
         order = np.argsort(srcs, kind="stable")
@@ -513,29 +517,6 @@ class VectorizedEngine(SimulationEngine):
     have no positive minimum delay to slice by.
     """
 
-    #: ``"batched"`` or ``"per-event"`` — which dispatch path :meth:`run`
-    #: took.  ``None`` until :meth:`run` is called.
-    dispatch_mode: Optional[str] = None
-
-    #: How the batched path consumed deliveries: ``"batched"`` — through
-    #: the repeat filter, which drops the ACK receptions it can prove to be
-    #: no-ops and replays the rest through ``on_receive``; ``"boxed"`` —
-    #: every reception replayed (some process's protocol does not declare
-    #: ``repeated_ack_is_noop_once_delivered``).  ``None`` on the per-event
-    #: fallback.
-    consume_mode: Optional[str] = None
-
-    #: Source rows of the batched run that :class:`_NetSampler` could not
-    #: vectorize and fates per send through ``network.broadcast_fast``
-    #: (counted under the fallback reason ``generic_rows`` when non-zero).
-    generic_rows: int = 0
-
-    #: Flushes of the batched run that sampled the sends of two or more
-    #: TICKs of one instant, and runs of such TICKs cut short because a
-    #: pooled copy was due at or before their instant.
-    tick_flushes_shared: int = 0
-    tick_runs_cut: int = 0
-
     engine_label = "vectorized"
 
     def _fallback_reason(self) -> Optional[str]:
@@ -556,32 +537,12 @@ class VectorizedEngine(SimulationEngine):
             return "no_positive_min_delay"
         return None
 
-    def _count_fallback(self, reason: str) -> None:
-        if obs.enabled():
-            obs.counter(
-                "repro_engine_fallback_total",
-                "Vectorized runs that fell back to a slower dispatch "
-                "path, by reason.",
-                ("reason",),
-            ).inc(reason=reason)
-
     def run(self) -> SimulationResult:
-        reason = self._fallback_reason()
-        if reason is not None:
-            self.dispatch_mode = "per-event"
-            self._count_fallback(reason)
-            if obs.timeline_active():
-                obs.emit("engine.dispatch_mode", engine=self.engine_label,
-                         mode="per-event", reason=reason)
+        self._fallback = self._fallback_reason()
+        if self._fallback is not None:
             return super().run()
         self.dispatch_mode = "batched"
         self._sampler = _NetSampler(self.network, self.config.n_processes)
-        self.generic_rows = self._sampler.generic_rows
-        if self.generic_rows:
-            self._count_fallback("generic_rows")
-        if obs.timeline_active():
-            obs.emit("engine.dispatch_mode", engine=self.engine_label,
-                     mode="batched", generic_rows=self.generic_rows)
         return self._run_batched()
 
     # ------------------------------------------------------------------ #
@@ -736,8 +697,8 @@ class VectorizedEngine(SimulationEngine):
                 )
             self._seed_initial_events()
             self._open_filter()
-            receive_count, deliver_count, replayed = self._merge_sliced(
-                self._window)
+            (receive_count, deliver_count, replayed, shared,
+             cut) = self._merge_sliced(self._window)
         finally:
             self._fast_active = False
             self._handled = self._delivered = self._cell_changed = None
@@ -748,19 +709,12 @@ class VectorizedEngine(SimulationEngine):
             self.event_stats.dispatched[EventKind.RECEIVE] += receive_count
         if deliver_count and self.metrics.active:
             self.metrics.total_channel_deliveries += deliver_count
-        self._sampler.flush_stats()
-        if self.consume_mode == "batched" and obs.enabled():
-            obs.counter(
-                "repro_engine_batched_consumed_total",
-                "Channel deliveries of runs consumed through the repeat "
-                "filter.",
-            ).inc(receive_count)
-            obs.counter(
-                "repro_engine_replayed_total",
-                "Channel deliveries the repeat filter replayed through "
-                "on_receive (the others: proven no-ops, crashed destinations).",
-            ).inc(replayed)
-        return self._finish_run()
+        sampler = self._sampler
+        sampler.flush_stats()
+        return self._finish_run(
+            generic_rows=sampler.generic_rows, sampler_calls=sampler.calls,
+            tick_flushes_shared=shared, tick_runs_cut=cut,
+            consumed=receive_count, replayed=replayed)
 
     # ------------------------------------------------------------------ #
     # batched receiver (the repeat filter)
@@ -782,15 +736,8 @@ class VectorizedEngine(SimulationEngine):
             self._handled = np.full((n, 256), -1, dtype=np.int32)
             self._cell_changed = np.zeros((n, 256), dtype=bool)
             self._delivered = np.zeros((n, 64), dtype=bool)
-            if obs.timeline_active():
-                obs.emit("engine.consume_mode", engine=self.engine_label,
-                         mode="batched")
             return
         self.consume_mode = "boxed"
-        self._count_fallback("no_batch_consumer")
-        if obs.timeline_active():
-            obs.emit("engine.consume_mode", engine=self.engine_label,
-                     mode="boxed", reason="no_batch_consumer")
 
     def on_process_delivered(self, index: int, message: TaggedMessage) -> None:
         super().on_process_delivered(index, message)
@@ -858,7 +805,7 @@ class VectorizedEngine(SimulationEngine):
         return (times[order], seqs[order], dsts[order].astype(np.intp),
                 pids[order].astype(np.intp))
 
-    def _merge_sliced(self, window: float) -> tuple[int, int, int]:
+    def _merge_sliced(self, window: float) -> tuple[int, int, int, int, int]:
         """Main loop: slice-merged pool entries + queue events.
 
         Replicates the reference loop's ``(time, seq)`` total order across
@@ -869,7 +816,8 @@ class VectorizedEngine(SimulationEngine):
         no per-entry queue operations.  Queue events themselves are
         dispatched exactly as the reference engine would.  Returns the
         number of pool entries consumed, how many of them reached a live
-        process, and how many were replayed through ``on_receive``.
+        process, how many were replayed through ``on_receive``, and the
+        :class:`~.engine.ExecutionRecord`'s two tick counts.
         """
         queue = self.queue
         max_time = self.config.max_time
@@ -877,6 +825,7 @@ class VectorizedEngine(SimulationEngine):
         receive_count = 0
         deliver_count = 0
         replayed = 0
+        shared = cut = 0
         next_entry = queue.peek()
         stop = False
         while not stop:
@@ -979,15 +928,15 @@ class VectorizedEngine(SimulationEngine):
                             break
                         if (i < n_w and times[i] <= et) or \
                                 self._pending_head <= et:
-                            self.tick_runs_cut += 1
+                            cut += 1
                             break
                         queue.pop()
                         dispatch(kind, entry[3], None)
                         ticks += 1
-                    self.tick_flushes_shared += ticks > 1
+                    shared += ticks > 1
                 self._flush_sends()
                 next_entry = queue.peek()
-        return receive_count, deliver_count, replayed
+        return receive_count, deliver_count, replayed, shared, cut
 
     def _consume_run(self, times: np.ndarray, dsts: np.ndarray,
                      pids: np.ndarray, lo: int, hi: int) -> tuple[int, int]:

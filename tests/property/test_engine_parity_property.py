@@ -66,4 +66,4 @@ def tick_scenarios(draw):
 def test_reference_and_vectorized_fingerprints_are_equal(scenario):
     report = compare_engines(scenario)
     assert report.ok, report.diff()
-    assert report.runs[1].dispatch_mode == "batched"
+    assert report.runs[1].execution.dispatch_mode == "batched"

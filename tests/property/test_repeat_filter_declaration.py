@@ -282,13 +282,13 @@ def test_a_false_declaration_breaks_engine_parity():
     # Filtered, the vectorized engine never shows the process the repeats
     # it would have counted: the runs diverge and the comparison says so.
     report = _gossip_report(GossipingMajorityUrb)
-    assert report.runs[1].consume_mode == "batched"
+    assert report.runs[1].execution.consume_mode == "batched"
     assert not report.ok
     assert "metrics" in report.mismatched
     # The same protocol without the declaration is replayed entry by entry
     # and is bit-identical again.
     report = _gossip_report(HonestGossipingMajorityUrb)
-    assert report.runs[1].consume_mode == "boxed"
+    assert report.runs[1].execution.consume_mode == "boxed"
     assert report.ok, report.diff()
 
 

@@ -27,7 +27,7 @@ from repro.core.messages import AckPayload, MsgPayload, TaggedMessage
 from repro.experiments.config import Scenario
 from repro.experiments.runner import run_scenario
 from repro.network.loss import LossSpec
-from repro.simulation.engine import SimulationResult
+from repro.simulation.engine import ExecutionRecord, SimulationResult
 from repro.simulation.config import SimulationConfig
 from repro.simulation.events import EventStats
 from repro.simulation.faults import CrashSchedule
@@ -73,6 +73,7 @@ def build_result(n=3, crashes=None, broadcasts=(), deliveries=(), sends=(),
         expected_contents=tuple(content for _, _, content in broadcasts),
         final_time=final_time,
         stop_reason="horizon",
+        execution=ExecutionRecord("reference", "per-event", None, None, 0),
         event_stats=EventStats(),
     )
 

@@ -44,8 +44,9 @@ from repro.network.loss import BernoulliLoss, GilbertElliottLoss, LossSpec
 from repro.registry import UnknownComponentError, all_registries, engines
 from repro.simulation import vectorized
 from repro.simulation.backends import VectorizedEngine
-from repro.simulation.engine import SimulationEngine
+from repro.simulation.engine import ExecutionRecord, SimulationEngine
 from repro.simulation.tracing import TraceLevel, TraceRecorder
+from repro.workloads.generators import BurstWorkload
 
 CASES = {scenario.name: scenario for scenario in parity_cases()}
 
@@ -110,11 +111,11 @@ def test_vectorized_matches_reference(name):
     # The comparison must not be vacuous: the vectorized run has to take
     # the path the case was written for (these scenarios attach no
     # controller and the parity runner keeps traces at DELIVERIES level).
-    (vectorized_run,) = (run for run in report.runs
-                         if run.engine == "vectorized")
-    assert (vectorized_run.dispatch_mode, vectorized_run.consume_mode) == \
+    (execution,) = (run.execution for run in report.runs
+                    if run.engine == "vectorized")
+    assert (execution.dispatch_mode, execution.consume_mode) == \
         OFF_RAMP_CASES.get(name, ("batched", "batched"))
-    assert vectorized_run.generic_rows == GENERIC_ROWS.get(name, 0)
+    assert execution.generic_rows == GENERIC_ROWS.get(name, 0)
 
 
 #: ``test_small_sample_block_is_bit_identical``'s scenarios: four battery
@@ -154,15 +155,14 @@ def test_small_sample_block_is_bit_identical(monkeypatch, block, name):
     # passes, and delay columns are topped up between them.  Results must
     # not depend on the block size.
     monkeypatch.setattr(vectorized, "SAMPLE_BLOCK", block)
-    flushes = _count_calls(monkeypatch, "sample")
     passes = _count_calls(monkeypatch, "_sample_pass")
     report = compare_engines(BLOCK_CASES[name])
     assert report.ok, report.diff()
-    assert len(passes) > len(flushes) and max(passes) >= 3
+    assert len(passes) > report.runs[1].execution.sampler_calls
+    assert max(passes) >= 3
 
 
 def test_a_flush_enters_the_sampler_once(monkeypatch):
-    calls = _count_calls(monkeypatch, "sample")
     flush_sends = VectorizedEngine._flush_sends
     flushes = []
 
@@ -172,11 +172,12 @@ def test_a_flush_enters_the_sampler_once(monkeypatch):
         flush_sends(self)
 
     monkeypatch.setattr(VectorizedEngine, "_flush_sends", counting_flush)
-    run = run_fingerprint(CASES["bernoulli-uniform"], "vectorized")
-    assert run.dispatch_mode == "batched"
+    execution = run_fingerprint(CASES["bernoulli-uniform"],
+                                "vectorized").execution
+    assert execution.dispatch_mode == "batched"
     # One call per non-empty flush, however many rows sent in it.
-    assert calls == flushes
-    assert max(calls) >= 3
+    assert execution.sampler_calls == len(flushes)
+    assert max(flushes) >= 3
 
 
 #: The engine workloads of the repo benchmark, as ``benchmarks/e2e``
@@ -202,12 +203,11 @@ PINNED_SAMPLE_CALLS = {"flood_n14": 75, "quiescence_n24": 33}
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_sampler_calls_of_the_engine_workloads_are_the_pinned_ones(
-        monkeypatch, name):
-    calls = _count_calls(monkeypatch, "sample")
-    run = run_fingerprint(WORKLOADS[name], "vectorized")
-    assert (run.dispatch_mode, run.consume_mode) == ("batched", "batched")
-    assert len(calls) == PINNED_SAMPLE_CALLS[name]
+def test_sampler_calls_of_the_engine_workloads_are_the_pinned_ones(name):
+    execution = run_fingerprint(WORKLOADS[name], "vectorized").execution
+    assert (execution.dispatch_mode, execution.consume_mode) == \
+        ("batched", "batched")
+    assert execution.sampler_calls == PINNED_SAMPLE_CALLS[name]
 
 
 def test_the_ticks_of_one_instant_reach_the_sampler_in_one_call(
@@ -230,12 +230,13 @@ def test_the_ticks_of_one_instant_reach_the_sampler_in_one_call(
 
     monkeypatch.setattr(VectorizedEngine, "_handle_tick", counted_tick)
     monkeypatch.setattr(vectorized._NetSampler, "sample", recorded_sample)
-    run = run_fingerprint(CASES["bernoulli-uniform"], "vectorized")
-    assert run.dispatch_mode == "batched"
+    execution = run_fingerprint(CASES["bernoulli-uniform"],
+                                "vectorized").execution
+    assert execution.dispatch_mode == "batched"
     # Uniform delays put no copy on a tick instant: no run of ticks is cut,
     # so each instant's ticks share one flush, and it samples once.
-    assert run.tick_runs_cut == 0 and min(ticks.values()) > 1
-    assert run.tick_flushes_shared == len(ticks)
+    assert execution.tick_runs_cut == 0 and min(ticks.values()) > 1
+    assert execution.tick_flushes_shared == len(ticks)
     calls_at = [[call[instant] for call in senders if instant in call]
                 for instant in ticks]
     assert max(len(calls) for calls in calls_at) == 1
@@ -337,12 +338,12 @@ def test_only_stock_generators_take_the_bulk_path(monkeypatch, changes):
         runs[engine] = run_fingerprint(scenario, engine)
         calls[engine] = CountingRandom.calls
     batched = runs["vectorized"]
-    assert batched.dispatch_mode == "batched"
+    assert batched.execution.dispatch_mode == "batched"
     assert batched.fingerprint == runs["reference"].fingerprint
     # The row with the overriding generator is fated send by send through
     # its channels' own models: the override is called, and exactly as
     # often as on the reference path.
-    assert batched.generic_rows == 1
+    assert batched.execution.generic_rows == 1
     assert calls["vectorized"] == calls["reference"] > 0
 
 
@@ -353,14 +354,15 @@ def _guarded_run(engine_name, preseed):
     for (src, dst), drops in preseed.items():
         built.network.channel(src, dst)._consecutive_drops.update(drops)
     result = built.run()
-    return built, {**fingerprint(result), **engine_fingerprint(built)}
+    return built, result.execution, {**fingerprint(result),
+                                     **engine_fingerprint(built)}
 
 
 def test_preseeded_guard_state_is_counted_on_and_written_back():
     # A reused network: two channels start with consecutive-drop counts for
     # payloads the run is going to send (taken from a first run, so the
     # keys are real), one of them already at the fairness bound.
-    first, unseeded = _guarded_run("reference", {})
+    first, _, unseeded = _guarded_run("reference", {})
     leftovers = {
         pair: dict(channel._consecutive_drops)
         for pair, channel in sorted(first.network.channels.items())
@@ -369,9 +371,9 @@ def test_preseeded_guard_state_is_counted_on_and_written_back():
     (pair_a, drops_a), (pair_b, drops_b) = list(leftovers.items())[:2]
     preseed = {pair_a: {key: 2 for key in drops_a},
                pair_b: {key: 1 for key in drops_b}}
-    _, reference = _guarded_run("reference", preseed)
-    built, batched = _guarded_run("vectorized", preseed)
-    assert built.dispatch_mode == built.consume_mode == "batched"
+    _, _, reference = _guarded_run("reference", preseed)
+    _, execution, batched = _guarded_run("vectorized", preseed)
+    assert execution.dispatch_mode == execution.consume_mode == "batched"
     assert batched == reference
     assert reference["channel_guards"]
     # The seeded state mattered: the run differs from the unseeded one.
@@ -387,11 +389,19 @@ def test_tick_sends_claim_their_seqs_before_the_rearm(name):
     # tick land at exactly the time of that process's next tick, so the
     # order of the two is decided by their sequence numbers alone: a flush
     # that ran after the re-arm would deliver the copies after the tick.
+    # The burst goes out half a tick off the instants, so no copy is due at
+    # the first one and its TICKs share a flush: each must claim its copies'
+    # seqs before its own re-arm and after the previous TICK's.
     scenario = CASES[name]
-    report = compare_engines(
-        scenario.with_(delay=DelaySpec.fixed(scenario.tick_interval)))
+    tick = scenario.tick_interval
+    report = compare_engines(scenario.with_(
+        delay=DelaySpec.fixed(tick), metadata={},
+        workload=BurstWorkload(scenario.metadata["burst_size"],
+                               time=tick / 2)))
     assert report.ok, report.diff()
-    assert report.runs[1].dispatch_mode == "batched"
+    execution = report.runs[1].execution
+    assert execution.dispatch_mode == "batched"
+    assert execution.tick_flushes_shared > 0
 
 
 def test_engine_check_between_sends_sees_the_copies_in_flight():
@@ -403,7 +413,8 @@ def test_engine_check_between_sends_sees_the_copies_in_flight():
     report = compare_engines(scenario)
     assert report.ok, report.diff()
     reference, batched = report.runs
-    assert batched.dispatch_mode == batched.consume_mode == "batched"
+    assert batched.execution.dispatch_mode == \
+        batched.execution.consume_mode == "batched"
     assert batched.fingerprint["stop_reason"] == "quiescent"
     assert batched.fingerprint["final_time"] == \
         reference.fingerprint["final_time"]
@@ -420,16 +431,17 @@ def test_controller_forces_per_event_dispatch_with_parity():
     for engine in ("reference", "vectorized"):
         built = build_engine(scenario.with_(engine=engine))
         assert built.controller is not None
-        results[engine] = (built, fingerprint(built.run()))
-    vec_engine, vec_fp = results["vectorized"]
-    assert vec_engine.dispatch_mode == "per-event"
+        result = built.run()
+        results[engine] = (result.execution, fingerprint(result))
+    vec_execution, vec_fp = results["vectorized"]
+    assert vec_execution.dispatch_mode == "per-event"
     assert vec_fp == results["reference"][1]
 
 
 def test_full_trace_forces_per_event_dispatch_with_parity():
     run = run_fingerprint(CASES["bernoulli-uniform"], "vectorized",
                           trace_level=TraceLevel.FULL)
-    assert run.dispatch_mode == "per-event"
+    assert run.execution.dispatch_mode == "per-event"
     reference = run_fingerprint(CASES["bernoulli-uniform"], "reference",
                                 trace_level=TraceLevel.FULL)
     assert run.fingerprint == reference.fingerprint
@@ -437,7 +449,7 @@ def test_full_trace_forces_per_event_dispatch_with_parity():
 
 # --------------------------------------------------------------------------- #
 # fallback reasons: one test per _fallback_reason() branch and one for the
-# consume gate, each asserting the mode attributes AND the
+# consume gate, each asserting the execution record AND the
 # repro_engine_fallback_total reason label
 # --------------------------------------------------------------------------- #
 @pytest.fixture()
@@ -454,34 +466,9 @@ def _fallback_count(reason):
     return counter.value(reason=reason)
 
 
-def test_controller_fallback_reason_counted(obs_on):
-    scenario = CASES["bernoulli-uniform"].with_(
-        explore_strategy="random_walk", explore_index=0, max_time=40.0)
-    run = run_fingerprint(scenario, "vectorized")
-    assert run.dispatch_mode == "per-event"
-    assert run.consume_mode is None
-    assert _fallback_count("controller") == 1
-
-
-def test_full_trace_fallback_reason_counted(obs_on):
-    run = run_fingerprint(CASES["bernoulli-uniform"], "vectorized",
-                          trace_level=TraceLevel.FULL)
-    assert run.dispatch_mode == "per-event"
-    assert run.consume_mode is None
-    assert _fallback_count("full_trace") == 1
-
-
-def test_no_positive_min_delay_fallback_reason_counted(obs_on):
-    # Exponential delays are unbounded below: no positive slice window, so
-    # the run takes the per-event loop like every other fallback.
-    run = run_fingerprint(CASES["bernoulli-exponential"], "vectorized")
-    assert run.dispatch_mode == "per-event"
-    assert run.consume_mode is None
-    assert _fallback_count("no_positive_min_delay") == 1
-
-
-def _timeline_events(run, kind="engine.consume_mode"):
-    """Run *run* with a timeline attached; its timeline events of *kind*."""
+def _timeline_events(run):
+    """Run *run* with a timeline attached; the execution records its
+    ``engine.run`` events carry, in order."""
     stream = io.StringIO()
     obs.set_timeline(obs.Timeline(stream))
     try:
@@ -489,7 +476,40 @@ def _timeline_events(run, kind="engine.consume_mode"):
     finally:
         obs.set_timeline(None)
     events = [json.loads(line) for line in stream.getvalue().splitlines()]
-    return result, [event for event in events if event["kind"] == kind]
+    return result, [
+        ExecutionRecord(**{field: event[field]
+                           for field in ExecutionRecord._fields})
+        for event in events if event["kind"] == "engine.run"]
+
+
+def _assert_per_event_fallback(run, events, reason):
+    execution = run.execution
+    assert (execution.dispatch_mode, execution.consume_mode,
+            execution.fallback_reason) == ("per-event", None, reason)
+    assert _fallback_count(reason) == 1
+    assert events == [execution]
+
+
+def test_controller_fallback_reason_counted(obs_on):
+    scenario = CASES["bernoulli-uniform"].with_(
+        explore_strategy="random_walk", explore_index=0, max_time=40.0)
+    run, events = _timeline_events(
+        lambda: run_fingerprint(scenario, "vectorized"))
+    _assert_per_event_fallback(run, events, "controller")
+
+
+def test_full_trace_fallback_reason_counted(obs_on):
+    run, events = _timeline_events(lambda: run_fingerprint(
+        CASES["bernoulli-uniform"], "vectorized", trace_level=TraceLevel.FULL))
+    _assert_per_event_fallback(run, events, "full_trace")
+
+
+def test_no_positive_min_delay_fallback_reason_counted(obs_on):
+    # Exponential delays are unbounded below: no positive slice window, so
+    # the run takes the per-event loop like every other fallback.
+    run, events = _timeline_events(
+        lambda: run_fingerprint(CASES["bernoulli-exponential"], "vectorized"))
+    _assert_per_event_fallback(run, events, "no_positive_min_delay")
 
 
 def test_no_batch_consumer_decline_reason_counted(obs_on):
@@ -497,11 +517,11 @@ def test_no_batch_consumer_decline_reason_counted(obs_on):
     # the one reason a sliced run is replayed entry by entry.
     run, events = _timeline_events(
         lambda: run_fingerprint(CASES["eager-rb"], "vectorized"))
-    assert run.dispatch_mode == "batched"
-    assert run.consume_mode == "boxed"
+    execution = run.execution
+    assert (execution.dispatch_mode, execution.consume_mode,
+            execution.fallback_reason) == ("batched", "boxed", None)
     assert _fallback_count("no_batch_consumer") == 1
-    (event,) = events
-    assert (event["mode"], event["reason"]) == ("boxed", "no_batch_consumer")
+    assert events == [execution]
     assert obs.REGISTRY.get("repro_engine_replayed_total") is None
 
 
@@ -509,21 +529,17 @@ def test_generic_rows_are_named_and_counted(obs_on):
     # A batched run whose rows the block sampler cannot replay stays
     # batched, and says how many rows it fated one send at a time.
     run, events = _timeline_events(
-        lambda: run_fingerprint(CASES["reliable"], "vectorized"),
-        kind="engine.dispatch_mode")
-    assert run.dispatch_mode == "batched"
-    assert run.generic_rows == CASES["reliable"].n_processes
+        lambda: run_fingerprint(CASES["reliable"], "vectorized"))
+    assert run.execution.dispatch_mode == "batched"
+    assert run.execution.generic_rows == CASES["reliable"].n_processes
     assert _fallback_count("generic_rows") == 1
-    (event,) = events
-    assert (event["mode"], event["generic_rows"]) == ("batched", 6)
+    assert events == [run.execution]
     # ... and a vectorizable network reports none.
     run, events = _timeline_events(
-        lambda: run_fingerprint(CASES["bernoulli-uniform"], "vectorized"),
-        kind="engine.dispatch_mode")
-    assert run.generic_rows == 0
+        lambda: run_fingerprint(CASES["bernoulli-uniform"], "vectorized"))
+    assert run.execution.generic_rows == 0
     assert _fallback_count("generic_rows") == 1
-    (event,) = events
-    assert (event["mode"], event["generic_rows"]) == ("batched", 0)
+    assert events == [run.execution]
 
 
 # --------------------------------------------------------------------------- #
@@ -544,11 +560,11 @@ def test_unstable_view_windows_run_filtered_with_parity(obs_on):
     report, events = _timeline_events(
         lambda: compare_engines(CASES["unstable-view-windows"]))
     assert report.ok, report.diff()
-    assert report.runs[1].dispatch_mode == "batched"
-    assert report.runs[1].consume_mode == "batched"
+    assert events == [run.execution for run in report.runs]
+    execution = events[1]
+    assert (execution.dispatch_mode, execution.consume_mode,
+            execution.fallback_reason) == ("batched", "batched", None)
     assert obs.REGISTRY.get("repro_engine_fallback_total") is None
-    (event,) = events
-    assert event["mode"] == "batched" and "reason" not in event
     consumed, replayed = _filter_counts()
     assert 0 < replayed < consumed
 
@@ -562,17 +578,16 @@ def _run_with_delivery_listeners(engine_name):
     for index, process in built.processes.items():
         process.add_delivery_listener(
             lambda content, index=index: heard.append((index, content)))
-    return built, fingerprint(built.run()), heard
+    result = built.run()
+    return result.execution, fingerprint(result), heard
 
 
 def test_delivery_listeners_run_filtered_with_parity(obs_on):
-    (built, vec_fp, vec_heard), events = _timeline_events(
+    (execution, vec_fp, vec_heard), events = _timeline_events(
         lambda: _run_with_delivery_listeners("vectorized"))
-    assert built.dispatch_mode == "batched"
-    assert built.consume_mode == "batched"
+    assert execution.dispatch_mode == execution.consume_mode == "batched"
     assert obs.REGISTRY.get("repro_engine_fallback_total") is None
-    (event,) = events
-    assert event["mode"] == "batched"
+    assert events == [execution]
     # Listeners observe the global reception order: what the filter does
     # not drop is replayed entry by entry exactly as the reference loop
     # dispatches it, and what it drops delivers nothing.
@@ -583,11 +598,12 @@ def test_delivery_listeners_run_filtered_with_parity(obs_on):
 
 def test_batched_receiver_records_consumed_and_replayed(obs_on):
     run = run_fingerprint(CASES["bernoulli-uniform"], "vectorized")
-    assert run.dispatch_mode == "batched"
-    assert run.consume_mode == "batched"
+    execution = run.execution
+    assert execution.dispatch_mode == execution.consume_mode == "batched"
     fallbacks = obs.REGISTRY.get("repro_engine_fallback_total")
     assert fallbacks is None or not any(v for _, v in fallbacks.samples())
     consumed, replayed = _filter_counts()
+    assert (consumed, replayed) == (execution.consumed, execution.replayed)
     # Every pool entry is a dispatched RECEIVE; the filter drops most.
     assert consumed == run.fingerprint["event_stats"]["receive"]
     assert 0 < replayed < consumed / 2
@@ -598,7 +614,7 @@ def test_staggered_learning_still_skips_receptions(obs_on):
     # While AΘ converges, ACKs of one cell carry changing label sets; those
     # cells are replayed, the settled ones are not.
     run = run_fingerprint(CASES["staggered-learning"], "vectorized")
-    assert run.consume_mode == "batched"
+    assert run.execution.consume_mode == "batched"
     consumed, replayed = _filter_counts()
     assert 0 < replayed < consumed
 
@@ -718,7 +734,8 @@ def _sweep_scenarios(count=30, seed=20150525):
 def test_filtered_runs_match_reference_on_random_scenarios(scenario):
     report = compare_engines(scenario)
     assert report.ok, report.diff()
-    assert (report.runs[1].dispatch_mode, report.runs[1].consume_mode) == \
+    execution = report.runs[1].execution
+    assert (execution.dispatch_mode, execution.consume_mode) == \
         ("batched", "batched")
 
 

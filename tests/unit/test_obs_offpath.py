@@ -4,8 +4,9 @@ The invariant the whole obs layer is built around: enabling metrics (or
 the timeline) changes **nothing** observable about a run — traces,
 metrics summaries, delivery logs and channel statistics stay
 bit-identical, under every engine backend.  These tests pin that on a
-subset of the PR 7 parity battery, and cover the instrumentation
-call sites themselves (batch runner, result store, engine counters)."""
+subset of the PR 7 parity battery (and the run's execution record on all
+of it), and cover the instrumentation call sites themselves (batch
+runner, result store, engine counters)."""
 
 from __future__ import annotations
 
@@ -37,6 +38,13 @@ def clean_registry():
 _BATTERY_SUBSET = ("bernoulli-uniform", "heavy-loss-guard", "crashes-mid-run")
 
 
+#: The components of a parity fingerprint: ``fingerprint()`` and
+#: ``engine_fingerprint()``, without the execution record.
+_FINGERPRINT_KEYS = {"trace_digest", "metrics", "deliveries", "event_stats",
+                     "final_time", "stop_reason", "channel_stats",
+                     "channel_guards", "final_seq"}
+
+
 def _battery_subset():
     by_name = {scenario.name: scenario for scenario in parity_cases()}
     return [by_name[name] for name in _BATTERY_SUBSET]
@@ -57,6 +65,23 @@ class TestObsOffPath:
         finally:
             obs.set_timeline(None)
         assert instrumented == baseline
+
+    @pytest.mark.parametrize("engine", sorted(engines.names()))
+    @pytest.mark.parametrize("name", [s.name for s in parity_cases()])
+    def test_execution_record_does_not_depend_on_obs(self, engine, name):
+        scenario = {s.name: s for s in parity_cases()}[name]
+        obs.disable()
+        baseline = run_fingerprint(scenario, engine)
+        obs.enable()
+        obs.set_timeline(obs.Timeline(io.StringIO()))
+        try:
+            instrumented = run_fingerprint(scenario, engine)
+        finally:
+            obs.set_timeline(None)
+        assert instrumented.execution == baseline.execution
+        assert baseline.execution.engine == engine
+        # How a run ran is not part of what the engines must agree on.
+        assert set(baseline.fingerprint) == _FINGERPRINT_KEYS
 
     def test_enabled_run_actually_records(self):
         obs.enable()

@@ -175,7 +175,8 @@ def test_a_protocol_with_only_on_receive_gets_every_payload(engine, registered):
     result = built.run()
     assert all(result.deliveries_of(index) == [result.expected_contents[0]]
                for index in range(4))
-    assert getattr(built, "dispatch_mode", "batched") == "batched"
+    assert result.execution.dispatch_mode == \
+        ("batched" if engine == "vectorized" else "per-event")
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -197,7 +198,8 @@ def test_a_payload_subclass_falls_through_to_on_receive(engine, registered,
     result = built.run()
     assert set(handed) == {LoudMsg} and handed[LoudMsg] > 0
     assert all(result.deliveries_of(index) for index in range(4))
-    assert getattr(built, "dispatch_mode", "batched") == "batched"
+    assert result.execution.dispatch_mode == \
+        ("batched" if engine == "vectorized" else "per-event")
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -75,7 +75,7 @@ class TestEveryAlgorithmAndEngine:
         built.metrics = MetricsCollector(level=MetricsLevel.COUNTERS)
         result = built.run()
         if engine == "vectorized":
-            assert built.dispatch_mode == "batched"
+            assert result.execution.dispatch_mode == "batched"
         ref = weakref.ref(result.trace)
         del built, result
         _assert_freed(ref)
