@@ -16,8 +16,11 @@ in turn, so that a slow spell of the machine falls on all of them alike
 rather than on the pairs of one.  It prints one table per workload, one
 markdown row per end-to-end metric of ``BENCHMARK.json``: the parent's
 median, the change's median, their ratio, in how many pairs the change was
-better, and the parent's interquartile range.  It exits non-zero if any
-run reported ``correct: false``.
+better, the parent's interquartile range, the metric's ``bound`` and
+``PAST`` when the change's median is worse than the parent's by more than
+``bound`` times the parent's median.  It exits non-zero, naming the
+workload and metric, if any row is past its bound, and if any run reported
+``correct: false``.
 """
 
 from __future__ import annotations
@@ -59,11 +62,21 @@ def iqr(values: list[float]) -> float:
     return q3 - q1
 
 
+def past_bound(metric: dict[str, Any], parent: float, change: float) -> bool:
+    """Whether *change* is worse than *parent* by more than the metric's
+    ``bound`` times *parent*."""
+    worse = change - parent if metric["better"] == "lower" else parent - change
+    return worse > metric["bound"] * parent
+
+
 def table(metrics: list[dict[str, Any]],
-          runs: dict[str, list[dict[str, Any]]]) -> list[str]:
-    """One markdown row per metric of *metrics* over the paired *runs*."""
+          runs: dict[str, list[dict[str, Any]]]) -> tuple[list[str], list[str]]:
+    """One markdown row per metric of *metrics* over the paired *runs*, and
+    the names of the metrics past their bound."""
     rows = ["| metric | parent median | change median | ratio "
-            "| change better | parent IQR |", "|---|---|---|---|---|---|"]
+            "| change better | parent IQR | bound | past bound |",
+            "|---|---|---|---|---|---|---|---|"]
+    past: list[str] = []
     for metric in metrics:
         name = metric["name"]
         parent, change = ([run["metrics"][name]["value"] for run in runs[side]]
@@ -74,10 +87,14 @@ def table(metrics: list[dict[str, Any]],
         p_median = statistics.median(parent)
         c_median = statistics.median(change)
         ratio = c_median / p_median if p_median else float("nan")
+        flagged = past_bound(metric, p_median, c_median)
+        if flagged:
+            past.append(name)
         rows.append(f"| {name} | {p_median:.6g} | {c_median:.6g} "
                     f"| {ratio:.3f} | {better}/{len(parent)} "
-                    f"| {iqr(parent):.3g} |")
-    return rows
+                    f"| {iqr(parent):.3g} | {metric['bound']} "
+                    f"| {'PAST' if flagged else 'ok'} |")
+    return rows, past
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -108,18 +125,21 @@ def main(argv: list[str] | None = None) -> int:
                     for name, entry in result["metrics"].items()),
                       file=sys.stderr, flush=True)
     incorrect: list[str] = []
+    past: list[str] = []
     for workload in workloads:
         print(f"{workload}, seed {args.seed}, --seconds {args.seconds}, "
               f"{args.pairs} pairs")
-        print("\n".join(table(declared["end_to_end"], runs[workload])),
-              flush=True)
+        rows, flagged = table(declared["end_to_end"], runs[workload])
+        print("\n".join(rows), flush=True)
+        past += [f"{workload} {name}" for name in flagged]
         incorrect += [side for side in SIDES
                       for run in runs[workload][side] if not run["correct"]]
+    if past:
+        print(f"past bound: {', '.join(past)}")
     if incorrect:
         print(f"incorrect output: {len(incorrect)} run(s) "
               f"({', '.join(sorted(set(incorrect)))})")
-        return 1
-    return 0
+    return 1 if past or incorrect else 0
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Persistent campaigns: content-addressed result store, resumable sharded
+"""Persistent campaigns: content-addressed result store, resumable
 sweeps, and the query/report layer over stored data.
 
 The subsystem turns the in-memory suite runner into a durable, incremental
@@ -37,7 +37,6 @@ from .distributed import (
 )
 from .hashing import (
     HASH_VERSION,
-    canonical_scenario_dict,
     canonical_scenario_json,
     scenario_cell_key,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "campaign_groups",
     "campaign_report",
     "campaign_table",
-    "canonical_scenario_dict",
     "canonical_scenario_json",
     "format_group_rows",
     "merge_store_paths",

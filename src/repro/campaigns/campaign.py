@@ -1,4 +1,4 @@
-"""Resumable, sharded campaign execution over a persistent result store.
+"""Resumable campaign execution over a persistent result store.
 
 A :class:`Campaign` binds a declarative
 :class:`~repro.experiments.batch.ScenarioSuite` to a
@@ -10,10 +10,11 @@ A :class:`Campaign` binds a declarative
   recomputed, whether they came from a previous run of this campaign, a
   killed run, or an entirely different campaign that happened to cover the
   same configuration);
-* the remainder is sharded over
-  :class:`~repro.experiments.batch.BatchRunner` (``parallel=N`` fans shards
-  over the process pool), each finished run is packed where it finished
-  (:meth:`~repro.campaigns.store.ResultStore.pack`) and the packed cells
+* the remainder runs in one
+  :class:`~repro.experiments.batch.BatchRunner` pass (``parallel=N`` fans
+  it over one process pool), each finished run is packed where it finished
+  (:meth:`~repro.campaigns.store.ResultStore.pack`, which derives the cell
+  key from the canonical form it writes) and the packed cells
   are persisted through a small flush buffer (:data:`_PERSIST_FLUSH_EVERY`
   cells batched into one
   :meth:`~repro.campaigns.store.ResultStore.put_many` transaction), so a
@@ -32,9 +33,8 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .. import obs
 from ..experiments.batch import (
@@ -59,12 +59,10 @@ ProgressCallback = Callable[[int, int, SuiteItem], None]
 _PERSIST_FLUSH_EVERY = 8
 
 
-def _pack_cell(keys: Mapping[int, str], item: SuiteItem,
-               result: ScenarioResult) -> PackedCell:
+def _pack_cell(_item: SuiteItem, result: ScenarioResult) -> PackedCell:
     """The campaign's batch ``reduce``: all that is kept of a finished run,
-    and all a pool worker ships back.  *keys* is bound with ``partial`` and
-    pickled with every pool task, hence one shard's keys, not the suite's."""
-    return ResultStore.pack(result, keys[item.index])
+    and all a pool worker ships back."""
+    return ResultStore.pack(result)
 
 
 @dataclass(frozen=True)
@@ -122,13 +120,7 @@ class Campaign:
         Reusing a name requires ``resume=True`` on :meth:`run` and an
         identical suite expansion.
     parallel:
-        Worker processes per shard (see :class:`BatchRunner`).
-    shard_size:
-        Cells per checkpointed shard.  Results are flushed to the store in
-        small :meth:`~repro.campaigns.store.ResultStore.put_many` batches
-        either way (and always at the shard boundary); the flush buffer
-        holds packed cells, never a finished run, so memory does not grow
-        with the shard.  Defaults to ``max(4 * parallel, 16)``.
+        Worker processes of the one batch pass (see :class:`BatchRunner`).
     worker_plugins:
         Modules each worker imports first (third-party registrations).
     """
@@ -140,7 +132,6 @@ class Campaign:
         *,
         name: Optional[str] = None,
         parallel: int = 1,
-        shard_size: Optional[int] = None,
         worker_plugins: Sequence[str] = (),
     ) -> None:
         self.store = store
@@ -149,9 +140,6 @@ class Campaign:
         if parallel < 1:
             raise ValueError("parallel must be at least 1")
         self.parallel = parallel
-        self.shard_size = shard_size or max(4 * parallel, 16)
-        if self.shard_size < 1:
-            raise ValueError("shard_size must be positive")
         self.worker_plugins = tuple(worker_plugins)
 
     # ------------------------------------------------------------------ #
@@ -201,7 +189,6 @@ class Campaign:
             )
 
             pending: list[SuiteItem] = []
-            pending_keys: dict[int, str] = {}
             seen: set[str] = set()
             cached = 0
             duplicates = 0
@@ -218,10 +205,7 @@ class Campaign:
                     cached += 1
                     continue
                 pending.append(item)
-                pending_keys[item.index] = key
 
-        failures: list[BatchFailure] = []
-        done = 0
         buffered: list[PackedCell] = []
 
         def flush_buffered() -> None:
@@ -237,42 +221,21 @@ class Campaign:
             if len(buffered) >= _PERSIST_FLUSH_EVERY:
                 flush_buffered()
 
-        for shard_start in range(0, len(pending), self.shard_size):
-            shard = pending[shard_start:shard_start + self.shard_size]
-
-            def shard_progress(shard_done: int, _shard_total: int,
-                               item: SuiteItem,
-                               *, base: int = done) -> None:
-                if progress is not None:
-                    progress(base + shard_done, len(pending), item)
-
-            runner = BatchRunner(
-                parallel=self.parallel,
-                progress=shard_progress,
-                reduce=partial(_pack_cell, {item.index: pending_keys[item.index]
-                                            for item in shard}),
-                on_result=persist,
-                worker_plugins=self.worker_plugins,
-            )
-            try:
-                with obs.phase("execute", campaign=self.name,
-                               shard_start=shard_start, cells=len(shard)):
-                    outcome = runner.run(shard)
-            finally:
-                # Results buffered when the shard ends (or dies) must land
-                # before anything else happens — the completion counters
-                # and the resume guarantee both read straight off the store.
-                flush_buffered()
-            done += len(shard)
-            for failure in outcome.failures:
-                # Batch positions are shard-relative; report suite positions.
-                failures.append(BatchFailure(
-                    index=shard[failure.index].index,
-                    group=failure.group,
-                    scenario=failure.scenario,
-                    error=failure.error,
-                    details=failure.details,
-                ))
+        runner = BatchRunner(
+            parallel=self.parallel,
+            progress=progress,
+            reduce=_pack_cell,
+            on_result=persist,
+            worker_plugins=self.worker_plugins,
+        )
+        try:
+            with obs.phase("execute", campaign=self.name, cells=len(pending)):
+                failures = runner.run(pending).failures
+        finally:
+            # Results buffered when the pass ends (or dies) must land
+            # before anything else happens — the completion counters and
+            # the resume guarantee both read straight off the store.
+            flush_buffered()
 
         if obs.enabled():
             cells = obs.counter("repro_campaign_cells_total",
@@ -290,7 +253,7 @@ class Campaign:
             cached=cached,
             executed=len(pending) - len(failures),
             duplicates=duplicates,
-            failures=tuple(failures),
+            failures=failures,
             parallel=self.parallel,
             elapsed_seconds=time.perf_counter() - started,
         )
@@ -310,7 +273,6 @@ def run_campaign(
     parallel: int = 1,
     resume: bool = False,
     recompute: bool = False,
-    shard_size: Optional[int] = None,
     worker_plugins: Sequence[str] = (),
     progress: Optional[ProgressCallback] = None,
 ) -> CampaignReport:
@@ -322,9 +284,9 @@ def run_campaign(
         with ResultStore(store) as handle:
             return Campaign(
                 handle, suite, name=name, parallel=parallel,
-                shard_size=shard_size, worker_plugins=worker_plugins,
+                worker_plugins=worker_plugins,
             ).run(resume=resume, recompute=recompute, progress=progress)
     return Campaign(
-        store, suite, name=name, parallel=parallel, shard_size=shard_size,
+        store, suite, name=name, parallel=parallel,
         worker_plugins=worker_plugins,
     ).run(resume=resume, recompute=recompute, progress=progress)

@@ -29,7 +29,8 @@ from ... import obs
 from ...obs import spans
 from ...experiments.batch import ScenarioSuite, SuiteItem, normalise_suite
 from ...experiments.config import Scenario
-from ..hashing import canonical_scenario_dict, scenario_cell_key
+from ...explore.serialize import scenario_to_dict
+from ..hashing import cell_key_of
 from ..store import ResultStore
 from .leases import (
     DEFAULT_LEASE_TIMEOUT,
@@ -96,8 +97,10 @@ class Coordinator:
         self.name = name or self.suite_name
         self.lease_timeout = lease_timeout
         self.range_size = range_size
-        self._keys = tuple(scenario_cell_key(item.scenario)
-                           for item in self.items)
+        # Each cell is serialised once, for its key and its lease row.
+        self._scenarios = tuple(scenario_to_dict(item.scenario)
+                                for item in self.items)
+        self._keys = tuple(cell_key_of(data) for data in self._scenarios)
         # Tracing/federation state, populated by prepare() when obs is on.
         self._trace_context: Optional[obs.TraceContext] = None
         self._trace_minted_unix: Optional[float] = None
@@ -148,9 +151,9 @@ class Coordinator:
                     name=self.name,
                     suite_name=self.suite_name,
                     cells=[
-                        (item.index, item.group, key,
-                         canonical_scenario_dict(item.scenario))
-                        for item, key in zip(self.items, self._keys)
+                        (item.index, item.group, key, data)
+                        for item, key, data in zip(self.items, self._keys,
+                                                   self._scenarios)
                     ],
                     lease_timeout=self.lease_timeout,
                     range_size=self.range_size,

@@ -35,8 +35,8 @@ from typing import Callable, Optional, Sequence
 
 from ... import obs
 from ...experiments.runner import run_scenario
+from ...explore.serialize import scenario_from_dict
 from ..campaign import _PERSIST_FLUSH_EVERY
-from ..hashing import scenario_from_canonical_dict
 from ..store import ResultStore
 from .leases import (JobCell, LeaseError, LeaseTable, RangeGrant,
                      default_worker_id)
@@ -317,8 +317,7 @@ class Worker:
                     cell_span.annotate(outcome="cached")
                 return None
             try:
-                result = run_scenario(
-                    scenario_from_canonical_dict(cell.scenario))
+                result = run_scenario(scenario_from_dict(cell.scenario))
             except Exception as exc:  # noqa: BLE001 - as batch
                 report.errors.append(
                     f"cell {cell.position} ({cell.group}): {exc!r}")

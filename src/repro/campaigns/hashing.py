@@ -9,12 +9,13 @@ lookup.
 
 Canonicalisation rules (documented in DESIGN.md §10):
 
-* The scenario is first serialised field-by-field through
-  :func:`repro.explore.serialize.scenario_to_dict` — the same registry-
-  validated round-trip counterexample artifacts use.  Scenarios that cannot
-  be serialised faithfully (inline workload objects, custom callable-backed
-  loss/delay specs, non-JSON field values) cannot be cached and raise
-  :class:`ValueError`.
+* The canonical form is :func:`repro.explore.serialize.scenario_to_dict` —
+  the same registry-validated round-trip counterexample artifacts use, and
+  the one place that decides it (it writes every float field as a float, so
+  ``max_time=60`` and ``max_time=60.0`` are one cell).  Scenarios that
+  cannot be serialised faithfully (inline workload objects, custom
+  callable-backed loss/delay specs, non-JSON field values) cannot be cached
+  and raise :class:`ValueError`.
 * The dict is rendered as minified JSON with **sorted keys** at every
   nesting level, so the hash is independent of field declaration order,
   crash-map insertion order and metadata ordering.
@@ -36,49 +37,22 @@ import json
 from typing import Any
 
 from ..experiments.config import Scenario
-from ..explore.serialize import scenario_from_dict, scenario_to_dict
+from ..explore.serialize import scenario_to_dict
 
 #: Bump when the canonical form changes (invalidates every cached cell).
 HASH_VERSION = 1
 
-#: Scenario fields the simulator treats as floats: an int-specified value
-#: (``max_time=60``) compares equal to its float form and must hash equally.
-_FLOAT_FIELDS = (
-    "tick_interval",
-    "max_time",
-    "check_interval",
-    "drain_grace_period",
-    "fd_detection_delay",
-    "fd_learn_delay",
-    "apstar_detection_delay",
-)
 
-
-def canonical_scenario_dict(scenario: Scenario) -> dict[str, Any]:
-    """The scenario's canonical JSON-friendly form (see module docs).
-
-    Raises :class:`ValueError` for scenarios with no stable serialised form
-    (inline workloads, custom loss/delay callables).
-    """
-    data = scenario_to_dict(scenario)
-    for field in _FLOAT_FIELDS:
-        if data.get(field) is not None:
-            data[field] = float(data[field])
-    return data
-
-
-def canonical_scenario_json(scenario: Scenario) -> str:
-    """Minified, key-sorted JSON of the canonical form (the hashed bytes)."""
-    data = canonical_scenario_dict(scenario)
+def _canonical_json(data: dict[str, Any]) -> str:
+    """Minified, key-sorted JSON of *data*; a value with no JSON form is a
+    :class:`ValueError` that names its fields."""
     try:
         return json.dumps(data, sort_keys=True, separators=(",", ":"))
     except TypeError as exc:
-        # A non-JSON value (in metadata or a spec's params) has no
-        # canonical byte form; name the fields that hold one.
         bad = [name for name, value in sorted(data.items())
                if not _has_json_form(value)]
         raise ValueError(
-            f"scenario {scenario.name!r} cannot be content-addressed: "
+            f"scenario {data['name']!r} cannot be content-addressed: "
             f"field(s) {', '.join(bad)} have no JSON form ({exc})"
         ) from None
 
@@ -91,16 +65,22 @@ def _has_json_form(value: Any) -> bool:
     return True
 
 
+def canonical_scenario_json(scenario: Scenario) -> str:
+    """Minified, key-sorted JSON of the canonical form (the hashed bytes)."""
+    return _canonical_json(scenario_to_dict(scenario))
+
+
+def cell_key_of(data: dict[str, Any]) -> str:
+    """The cell key of a :func:`scenario_to_dict` form, for a caller that
+    holds one already (it serialises each scenario once)."""
+    payload = f"cell:v{HASH_VERSION}:{_canonical_json(data)}"
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
+
+
 def scenario_cell_key(scenario: Scenario) -> str:
     """Content address of one campaign cell (hex, 32 chars).
 
     Stable across processes, Python versions and field ordering; changes
     whenever any field that influences the simulation changes.
     """
-    payload = f"cell:v{HASH_VERSION}:{canonical_scenario_json(scenario)}"
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
-
-
-def scenario_from_canonical_dict(data: dict[str, Any]) -> Scenario:
-    """Rebuild a scenario from its canonical form (registry-validated)."""
-    return scenario_from_dict(data)
+    return cell_key_of(scenario_to_dict(scenario))

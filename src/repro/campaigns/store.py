@@ -54,8 +54,12 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Optional,
 from .. import obs
 from ..experiments.config import Scenario
 from ..experiments.export import provenance_from_dict, scenario_result_to_dict
-from ..explore.serialize import counterexample_to_dict, scenario_from_dict
-from .hashing import canonical_scenario_dict, scenario_cell_key
+from ..explore.serialize import (
+    counterexample_to_dict,
+    scenario_from_dict,
+    scenario_to_dict,
+)
+from .hashing import cell_key_of
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..experiments.runner import ScenarioResult
@@ -494,12 +498,14 @@ class ResultStore:
              cell_key: Optional[str] = None) -> PackedCell:
         """The index row and compressed payload of *result*.  Pure, so it
         runs wherever the run finished (a campaign's pool worker) and only
-        the packed cell has to reach the process holding the store."""
-        key = scenario_cell_key(result.scenario) if cell_key is None else str(cell_key)
+        the packed cell has to reach the process holding the store.  The
+        key, unless given, is that of the canonical form the payload holds."""
+        scenario = scenario_to_dict(result.scenario)
+        key = cell_key_of(scenario) if cell_key is None else str(cell_key)
         payload = {
             "schema_version": SCHEMA_VERSION,
             "cell_key": key,
-            "scenario": canonical_scenario_dict(result.scenario),
+            "scenario": scenario,
             "result": scenario_result_to_dict(result),
             "created_at": time.time(),
         }
@@ -516,7 +522,7 @@ class ResultStore:
         """Persist a batch of finished results in one transaction.
 
         An entry is a :class:`PackedCell` or a bare result, packed here
-        (under its *cell_keys* entry, if given, sparing the hash).  Every
+        (under its *cell_keys* entry, if given).  Every
         index row and payload of the batch commits together, so whatever
         interrupts the call — a failed statement, a full disk, a SIGKILL —
         the store holds the whole batch or none of it, and never an index

@@ -261,7 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="result store directory")
 
     crun = campaign_sub.add_parser(
-        "run", help="run (or resume) a sweep campaign against the store",
+        "run", help="run (or resume) a sweep campaign against the store: "
+                    "stored cells are skipped, the rest run in one batch "
+                    "pass, each persisted as it finishes",
         parents=[plugin_parent, obs_parent])
     store_argument(crun)
     crun.add_argument("--name", default=None,
@@ -274,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "same name (completed cells are never re-run)")
     crun.add_argument("--recompute", action="store_true",
                       help="ignore and overwrite stored cells")
-    crun.add_argument("--shard-size", type=int, default=None,
-                      help="cells per checkpointed shard")
     crun.add_argument("--progress", action="store_true",
                       help="print one 'completed/total cells' line per "
                            "finished cell")
@@ -932,7 +932,6 @@ def _campaign_run(store: "ResultStore", args: argparse.Namespace) -> int:
         store, suite,
         name=args.name,
         parallel=args.parallel,
-        shard_size=args.shard_size,
         worker_plugins=tuple(args.plugin),
     )
     report = campaign.run(

@@ -66,7 +66,8 @@ class SuiteItem:
 
 @dataclass(frozen=True)
 class BatchFailure:
-    """One isolated failure inside a batch run."""
+    """One isolated failure inside a batch run; *index* is the failed
+    item's :attr:`SuiteItem.index` (its suite position)."""
 
     index: int
     group: str
@@ -457,7 +458,7 @@ class BatchRunner:
         if error is not None:
             item = items[position]
             failures.append(BatchFailure(
-                index=position, group=item.group, scenario=item.scenario,
+                index=item.index, group=item.group, scenario=item.scenario,
                 error=error, details=details,
             ))
         elif self.on_result is not None:

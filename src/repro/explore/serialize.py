@@ -45,9 +45,10 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
         "algorithm": scenario.algorithm,
         "n_processes": scenario.n_processes,
         "seed": scenario.seed,
-        # Times are floats on the wire (mirroring scenario_from_dict's
-        # coercion), so int-specified crash times serialise — and hash, see
-        # repro.campaigns.hashing — identically to their float equals.
+        # This dict is the scenario's one canonical form (the campaign cell
+        # key and the artifact id hash it), so every float field is written
+        # as a float: ``max_time=60`` equals ``max_time=60.0`` and must
+        # serialise, and hash, the same.
         "crashes": {str(index): float(time)
                     for index, time in dict(scenario.crashes).items()},
         "loss": {"kind": scenario.loss.kind,
@@ -56,17 +57,19 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
                   "params": dict(scenario.delay.params)},
         "fairness_bound": scenario.fairness_bound,
         "channel_type": scenario.channel_type,
-        "tick_interval": scenario.tick_interval,
-        "max_time": scenario.max_time,
-        "check_interval": scenario.check_interval,
+        "tick_interval": float(scenario.tick_interval),
+        "max_time": float(scenario.max_time),
+        "check_interval": float(scenario.check_interval),
         "stop_when_all_correct_delivered": scenario.stop_when_all_correct_delivered,
         "stop_when_quiescent": scenario.stop_when_quiescent,
-        "drain_grace_period": scenario.drain_grace_period,
+        "drain_grace_period": float(scenario.drain_grace_period),
         "detector_setup": scenario.detector_setup,
         "fd_policy": scenario.fd_policy.value,
-        "fd_detection_delay": scenario.fd_detection_delay,
-        "fd_learn_delay": scenario.fd_learn_delay,
-        "apstar_detection_delay": scenario.apstar_detection_delay,
+        "fd_detection_delay": float(scenario.fd_detection_delay),
+        "fd_learn_delay": float(scenario.fd_learn_delay),
+        "apstar_detection_delay": (
+            None if scenario.apstar_detection_delay is None
+            else float(scenario.apstar_detection_delay)),
         "strict_equality": scenario.strict_equality,
         "retire_enabled": scenario.retire_enabled,
         "eager_first_broadcast": scenario.eager_first_broadcast,
@@ -98,7 +101,7 @@ def scenario_from_dict(data: dict[str, Any]) -> Scenario:
     fields.setdefault("explore_index", 0)
     fields.setdefault("engine", "reference")
     fields["crashes"] = {
-        int(index): float(time)
+        int(index): time
         for index, time in dict(fields.get("crashes", {})).items()
     }
     loss = fields.get("loss", {"kind": "none", "params": {}})

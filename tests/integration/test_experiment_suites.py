@@ -6,20 +6,19 @@ rebuilds from its canonical form, so a later change can move the
 experiments onto the result store without touching a scenario.
 """
 
+import hashlib
+
 import pytest
 
 import repro
 import repro.experiments
-from repro.campaigns.hashing import (
-    canonical_scenario_dict,
-    scenario_cell_key,
-    scenario_from_canonical_dict,
-)
+from repro.campaigns.hashing import scenario_cell_key
 from repro.cli import main
 from repro.experiments import registry
 from repro.experiments.batch import BatchRunner
 from repro.experiments.config import Scenario
 from repro.experiments.runner import build_workload
+from repro.explore.serialize import scenario_from_dict, scenario_to_dict
 from repro.simulation.rng import RandomSource
 from repro.workloads.generators import SingleBroadcast, UniformStream
 
@@ -39,6 +38,22 @@ def passes(monkeypatch):
     return recorded
 
 
+#: SHA-256 (16 hex) of each experiment's sorted quick cell keys: a change to
+#: the canonical form that re-keys a stored cell fails here.
+CELL_KEY_DIGESTS = {
+    "E1": "de4b1ac64436fd1b",
+    "E2": "1a0d1a971f8317b7",
+    "E3": "7f7d1b76e415bbe1",
+    "E4": "1cfb9294843fb5f6",
+    "E5": "1b86f9625b7a3892",
+    "E6": "c45f0d3a15f3603c",
+    "E7": "8c022537a245c29d",
+    "E8": "87952b4ed47fd48b",
+    "E9": "bffa45373d198d46",
+    "E10": "fd6b394e48899408",
+}
+
+
 @pytest.mark.parametrize("experiment_id", registry.experiment_ids())
 def test_one_pass_per_experiment(experiment_id, passes):
     registry.run_experiment(experiment_id, quick=True, seeds=1)
@@ -47,9 +62,10 @@ def test_one_pass_per_experiment(experiment_id, passes):
     assert cells
     keys = [scenario_cell_key(scenario) for scenario in cells]
     assert len(set(keys)) == len(keys)
+    digest = hashlib.sha256("\n".join(sorted(keys)).encode()).hexdigest()
+    assert digest[:16] == CELL_KEY_DIGESTS[experiment_id]
     for scenario in cells:
-        canonical = canonical_scenario_dict(scenario)
-        assert scenario_from_canonical_dict(canonical) == scenario
+        assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
 
 
 @pytest.mark.parametrize("preset, inline", [

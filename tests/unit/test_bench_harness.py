@@ -458,8 +458,10 @@ class TestPairs:
             trees.append(tree)
         return trees
 
-    def stub(self, pairs, monkeypatch, trees, *, change_correct=True):
-        """Parent runs read 10, 11, 12, ... ops/s; change runs twice that."""
+    def stub(self, pairs, monkeypatch, trees, *, change_correct=True,
+             factor=2.0):
+        """Parent runs read 10, 11, 12, ... ops/s; change runs *factor*
+        times that."""
         calls = []
 
         def run_once(tree, workload, seed, seconds):
@@ -467,7 +469,7 @@ class TestPairs:
             side = tree.name
             calls.append((side, workload, seed, seconds))
             count = sum(call[0] == side for call in calls)
-            value = (9.0 + count) * (2 if side == "change" else 1)
+            value = (9.0 + count) * (factor if side == "change" else 1)
             metrics = {"setup_s": value, "wall_s": 1 / value,
                        "ops_per_s": value, "peak_rss_mb": 50.0}
             return {"correct": change_correct or side == "parent",
@@ -480,24 +482,43 @@ class TestPairs:
     def test_sides_alternate_and_the_table_reads_the_runs(
             self, pairs, monkeypatch, trees, capsys):
         calls = self.stub(pairs, monkeypatch, trees)
+        # The change's setup_s doubles: past its 0.25 bound.
         assert pairs.main([str(trees[0]), str(trees[1]), "--workload",
                            "flood_n14", "--pairs", "4", "--seed", "7",
-                           "--seconds", "2"]) == 0
+                           "--seconds", "2"]) == 1
         assert [call[0] for call in calls] == [
             "parent", "change", "change", "parent"] * 2
         assert {call[1:] for call in calls} == {("flood_n14", 7, 2)}
+        out = capsys.readouterr().out.splitlines()
         rows = {line.split(" | ")[0].strip("| "): line.split(" | ")[1:]
-                for line in capsys.readouterr().out.splitlines()
+                for line in out
                 if line.startswith("| ") and "metric" not in line}
         assert set(rows) == {"setup_s", "wall_s", "ops_per_s",
                              "peak_rss_mb"}
         # Parent 10..13 (median 11.5, IQR 2.5 by exclusive quartiles),
         # change 20..26.
         assert rows["ops_per_s"] == ["11.5", "23", "2.000", "4/4",
-                                     "2.5 |"]
+                                     "2.5", "0.25", "ok |"]
         assert rows["wall_s"][2:4] == ["0.500", "4/4"]
         assert rows["setup_s"][3] == "0/4"
+        assert rows["setup_s"][5:] == ["0.25", "PAST |"]
         assert rows["peak_rss_mb"][2:4] == ["1.000", "0/4"]
+        assert rows["peak_rss_mb"][5:] == ["0.1", "ok |"]
+        assert out[-1] == "past bound: flood_n14 setup_s"
+
+    @pytest.mark.parametrize("factor,past", [
+        (1.1, None),  # setup_s 10% worse, inside its bound
+        (0.5, "past bound: flood_n14 wall_s, flood_n14 ops_per_s"),
+    ])
+    def test_a_metric_past_its_bound_is_named(self, pairs, monkeypatch,
+                                              trees, capsys, factor, past):
+        self.stub(pairs, monkeypatch, trees, factor=factor)
+        assert pairs.main([str(trees[0]), str(trees[1]), "--workload",
+                           "flood_n14", "--pairs", "2"]) == (past is not None)
+        out = capsys.readouterr().out
+        assert ("past bound:" in out) == (past is not None)
+        if past is not None:
+            assert out.splitlines()[-1] == past
 
     def test_an_incorrect_run_fails_the_comparison(self, pairs, monkeypatch,
                                                    trees, capsys):
@@ -510,7 +531,7 @@ class TestPairs:
                                                   trees, capsys):
         calls = self.stub(pairs, monkeypatch, trees)
         assert pairs.main([str(trees[0]), str(trees[1]), "--workload",
-                           "flood_n14,explore_walk", "--pairs", "2"]) == 0
+                           "flood_n14,explore_walk", "--pairs", "2"]) == 1
         # Each round makes one pair of every workload, sides alternating
         # by round.
         assert [call[:2] for call in calls] == [
@@ -527,6 +548,8 @@ class TestPairs:
         # twice each.
         assert [row.split(" | ")[1:3] for row in ops_rows] == [
             ["11", "22"], ["12", "24"]]
+        assert out[-1] == ("past bound: flood_n14 setup_s, "
+                           "explore_walk setup_s")
 
     def test_an_incorrect_run_of_any_workload_fails(self, pairs, monkeypatch,
                                                     trees, capsys):

@@ -118,14 +118,14 @@ class TestCampaignRun:
             assert report.cached == 0
             assert store.puts == 8
 
-    def test_sharding_is_invisible_in_the_results(self, tmp_path):
-        with ResultStore(tmp_path / "s1") as one_shard, \
-                ResultStore(tmp_path / "s2") as tiny_shards:
-            Campaign(one_shard, loss_suite(), name="c").run()
-            Campaign(tiny_shards, loss_suite(), name="c",
-                     shard_size=1).run()
-            rows_a = one_shard.query(campaign="c")
-            rows_b = tiny_shards.query(campaign="c")
+    def test_the_pool_is_invisible_in_the_results(self, tmp_path):
+        with ResultStore(tmp_path / "s1") as inline, \
+                ResultStore(tmp_path / "s2") as pooled:
+            one = Campaign(inline, loss_suite(), name="c").run()
+            two = Campaign(pooled, loss_suite(), name="c", parallel=2).run()
+            assert (one.executed, one.cached) == (two.executed, two.cached)
+            rows_a = inline.query(campaign="c")
+            rows_b = pooled.query(campaign="c")
             assert [r.cell_key for r in rows_a] == [r.cell_key for r in rows_b]
             assert [r.mean_latency for r in rows_a] == [
                 r.mean_latency for r in rows_b
@@ -134,7 +134,7 @@ class TestCampaignRun:
     def test_progress_reports_pending_cells(self, tmp_path):
         calls = []
         with ResultStore(tmp_path / "store") as store:
-            Campaign(store, loss_suite(), name="c", shard_size=3).run(
+            Campaign(store, loss_suite(), name="c").run(
                 progress=lambda done, total, item: calls.append((done, total))
             )
         assert calls == [(1, 4), (2, 4), (3, 4), (4, 4)]
@@ -176,6 +176,8 @@ class TestCampaignRun:
                 retry = Campaign(store, suite, name="mixed").run(resume=True)
                 assert retry.cached == 1
                 assert len(retry.failures) == 1
+                # Pending position 0, suite position 1.
+                assert retry.failures[0].index == 1
 
     def test_run_campaign_accepts_a_path(self, tmp_path):
         report = run_campaign(tmp_path / "store", loss_suite(), name="c")

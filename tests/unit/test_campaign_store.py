@@ -19,10 +19,11 @@ from repro.campaigns import (
     scenario_cell_key,
 )
 from repro.campaigns import store as store_module
-from repro.campaigns.hashing import scenario_from_canonical_dict
 from repro.experiments.config import Scenario
 from repro.experiments.runner import run_scenario
 from repro.explore.explorer import Counterexample
+from repro.explore.serialize import scenario_from_dict, scenario_to_dict
+from repro.network.delay import DelaySpec
 from repro.network.loss import LossSpec
 from repro.workloads.generators import SingleBroadcast
 
@@ -40,7 +41,48 @@ def quick_scenario(**overrides) -> Scenario:
     return Scenario(**base)
 
 
+#: Cell keys of hand-written scenarios covering every kind of serialised
+#: field: a change to the canonical form that re-keys a stored cell fails.
+PINNED_CELL_KEYS = [
+    (Scenario(), "7536917c51ab31c0bab71c33a2f597bc"),
+    (Scenario(name="pin-crashes", n_processes=5, crashes={1: 2, 3: 4.5},
+              max_time=60, tick_interval=1, fd_detection_delay=2,
+              apstar_detection_delay=3),
+     "d6a6928e3e532fbdb2760680bfe7472b"),
+    (Scenario(name="pin-lossy", algorithm="algorithm1", n_processes=4,
+              seed=7, loss=LossSpec.bernoulli(0.2),
+              delay=DelaySpec.uniform(0.05, 0.5),
+              metadata={"grid": "p=0.2", "rep": 1}, engine="vectorized"),
+     "66218ca7b62a29a302c40386c3b05a52"),
+    (Scenario(name="pin-explored", n_processes=3,
+              explore_strategy="random_walk", explore_index=4,
+              stop_when_quiescent=True, drain_grace_period=3,
+              check_interval=2, fd_learn_delay=1),
+     "a1222496ec8f80895be5802b649e133f"),
+]
+
+
 class TestScenarioCellKey:
+    @pytest.mark.parametrize("scenario, key", PINNED_CELL_KEYS)
+    def test_pinned_cell_keys(self, scenario, key):
+        assert scenario_cell_key(scenario) == key
+
+    @pytest.mark.parametrize("spelled", [
+        {"max_time": 60}, {"tick_interval": 1}, {"fd_detection_delay": 2},
+    ])
+    def test_int_spelling_is_one_canonical_form(self, spelled):
+        """An int-spelled float field equals its float form, so it writes
+        the same canonical dict and gets the same artifact id."""
+        as_int = Scenario(**spelled)
+        as_float = Scenario(**{k: float(v) for k, v in spelled.items()})
+        assert as_int == as_float
+        assert json.dumps(scenario_to_dict(as_int)) == json.dumps(
+            scenario_to_dict(as_float))
+        ids = [ResultStore._artifact_id({"scenario": scenario_to_dict(s),
+                                         "schedule_hash": "h"})
+               for s in (as_int, as_float)]
+        assert ids[0] == ids[1]
+
     def test_equal_scenarios_hash_equally(self):
         assert scenario_cell_key(quick_scenario()) == scenario_cell_key(
             quick_scenario()
@@ -84,7 +126,7 @@ class TestScenarioCellKey:
 
     def test_key_is_stable_through_the_canonical_round_trip(self):
         scenario = quick_scenario(crashes={3: 2}, max_time=60)
-        rebuilt = scenario_from_canonical_dict(
+        rebuilt = scenario_from_dict(
             json.loads(canonical_scenario_json(scenario))
         )
         assert scenario_cell_key(rebuilt) == scenario_cell_key(scenario)
@@ -92,7 +134,7 @@ class TestScenarioCellKey:
     def test_canonical_round_trip_rebuilds_the_scenario(self):
         scenario = quick_scenario(seed=9, crashes={3: 2.0},
                                   loss=LossSpec.bernoulli(0.2))
-        rebuilt = scenario_from_canonical_dict(
+        rebuilt = scenario_from_dict(
             json.loads(canonical_scenario_json(scenario))
         )
         assert rebuilt == scenario

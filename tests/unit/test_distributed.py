@@ -31,10 +31,10 @@ from repro.campaigns import (
 from repro.campaigns.distributed import LeaseError, LeaseTable
 from repro.campaigns.distributed import worker as worker_module
 from repro.campaigns.distributed.leases import DEFAULT_LEASE_TIMEOUT
-from repro.campaigns.hashing import canonical_scenario_dict
 from repro.experiments.batch import ScenarioSuite
 from repro.experiments.config import Scenario
 from repro.experiments.runner import run_scenario
+from repro.explore.serialize import scenario_to_dict
 from repro.network.loss import LossSpec
 from repro.obs import spans
 
@@ -63,7 +63,7 @@ def manifest_cells(n: int) -> list[tuple[int, str, str, dict]]:
     """A synthetic n-cell manifest (lease tests never execute cells)."""
     return [
         (index, f"g{index % 2}", f"key{index:04d}",
-         canonical_scenario_dict(quick_scenario(seed=index)))
+         scenario_to_dict(quick_scenario(seed=index)))
         for index in range(n)
     ]
 

@@ -38,9 +38,9 @@ from repro.campaigns import (
 )
 from repro.campaigns.distributed import LeaseTable, leases
 from repro.campaigns.distributed import worker as worker_module
-from repro.campaigns.hashing import canonical_scenario_dict
 from repro.experiments.batch import ScenarioSuite
 from repro.experiments.config import Scenario
+from repro.explore.serialize import scenario_to_dict
 from repro.network.loss import LossSpec
 
 LEASE_TIMEOUT = 10.0
@@ -86,7 +86,7 @@ def leased_job(root) -> "tuple[LeaseTable, object]":
     table = LeaseTable(root, create=True)
     table.initialise(
         name="job", suite_name="suite", lease_timeout=LEASE_TIMEOUT, range_size=4,
-        cells=[(i, "g", f"key{i}", canonical_scenario_dict(scenario(seed=i)))
+        cells=[(i, "g", f"key{i}", scenario_to_dict(scenario(seed=i)))
                for i in range(8)])
     for worker in ("w0", "w1"):
         table.register_worker(worker, f"stores/{worker}")

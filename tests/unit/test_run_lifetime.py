@@ -15,7 +15,6 @@ import gc
 import io
 import pickle
 import weakref
-from functools import partial
 
 import pytest
 
@@ -180,7 +179,7 @@ def test_campaign_cell_ships_packed():
         "algorithm2", n_processes=8, seed=1234, loss=LossSpec.bernoulli(0.1))
     item = SuiteItem(index=0, group="g", scenario=scenario)
     key = scenario_cell_key(scenario)
-    shipped = _execute_item(item, partial(_pack_cell, {0: key}))
+    shipped = _execute_item(item, _pack_cell)
     data = pickle.dumps(shipped)
     assert len(data) < 4_000
     for name in (b"TraceRecorder", b"SimulationResult", b"ScenarioResult"):
