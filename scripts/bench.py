@@ -340,7 +340,7 @@ def campaign_store() -> Pass:
             start = time.perf_counter()
             keys = [scenario_cell_key(r.scenario) for r in results]
             for key, result in zip(keys, results):
-                store.put(result, cell_key=key)
+                store.put_many([ResultStore.pack(result, key)])
             # The resume hot path: every cell answered from the index.
             misses = sum(1 for key in keys if not store.contains(key))
             hit_rows = sum(1 for key in keys if store.get(key) is not None)
@@ -370,7 +370,8 @@ def campaign_merge() -> Pass:
             lo = shard * cells // shards
             hi = (shard + 1) * cells // shards
             with ResultStore(shard_root) as store:
-                store.put_many(results[lo:min(hi + overlap, cells)])
+                store.put_many([ResultStore.pack(result)
+                                for result in results[lo:min(hi + overlap, cells)]])
         with ResultStore(root / "merged") as dest:
             sources = [ResultStore(r, create=False) for r in shard_roots]
             try:

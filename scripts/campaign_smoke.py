@@ -3,7 +3,9 @@
 
 Drives the ``repro-urb campaign`` CLI the way an operator would:
 
-1. start a small sweep campaign as a subprocess and SIGKILL it mid-run;
+1. start a small sweep campaign as a subprocess and SIGKILL its process
+   group mid-run, and assert that no process of it (pool workers
+   included) is still alive a few seconds later;
 2. re-run the identical command with ``--resume`` and assert — via the
    report's store-hit counters — that **zero** already-persisted cells were
    recomputed;
@@ -104,6 +106,20 @@ def stored_cells(store: Path) -> int:
             return int(db.execute("SELECT COUNT(*) FROM results").fetchone()[0])
     except sqlite3.OperationalError:
         return 0
+
+
+def live_group_members(pgid: int) -> list[int]:
+    """Pids of the running processes of group *pgid*, read off ``/proc``
+    (a zombie left for a reaper does not count)."""
+    members = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, _ppid, group = stat.read_text().rsplit(")", 1)[1].split()[:3]
+        except OSError:
+            continue  # it exited while we looked
+        if int(group) == pgid and state != "Z":
+            members.append(int(stat.parent.name))
+    return members
 
 
 def fail(message: str) -> "int":
@@ -300,22 +316,29 @@ def main(argv: list[str] | None = None) -> int:
     # ------------------------------------------------------------------ #
     print(f"starting campaign (parallel={args.parallel}), will SIGKILL "
           "mid-run...")
+    # Its own process group, so the kill takes the pool workers down too.
     process = subprocess.Popen(
         campaign_command(killed_store, "--parallel", str(args.parallel)),
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        start_new_session=True,
     )
     deadline = time.monotonic() + 120
     while time.monotonic() < deadline:
         if process.poll() is not None:
             break
         if stored_cells(killed_store) >= 4:
-            process.send_signal(signal.SIGKILL)
+            os.killpg(process.pid, signal.SIGKILL)
             process.wait(timeout=30)
             break
         time.sleep(0.02)
     else:
-        process.kill()
+        os.killpg(process.pid, signal.SIGKILL)
         return fail("first run neither persisted cells nor finished in time")
+    deadline = time.monotonic() + 5
+    while (alive := live_group_members(process.pid)) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    if alive:
+        return fail(f"processes {alive} of the killed run outlived it")
     surviving = stored_cells(killed_store)
     if process.returncode == 0 and surviving == 24:
         # Too fast to kill on this machine — still a valid resume test

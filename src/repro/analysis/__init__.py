@@ -1,5 +1,5 @@
 """Trace analysis: URB property checking, quiescence detection, anonymity
-audits, statistics helpers and plain-text table rendering."""
+audits and plain-text table rendering."""
 
 from .anonymity import (
     AnonymityAudit,
@@ -23,14 +23,12 @@ from .quiescence import (
     retire_times,
     send_histogram,
 )
-from .stats import SummaryStats, summarize
 from .tables import format_cell, render_ascii_curve, render_series, render_table
 
 __all__ = [
     "AnonymityAudit",
     "PropertyVerdict",
     "QuiescenceReport",
-    "SummaryStats",
     "UrbVerdict",
     "analyze_quiescence",
     "audit_ack_tag_uniqueness",
@@ -48,5 +46,4 @@ __all__ = [
     "render_table",
     "retire_times",
     "send_histogram",
-    "summarize",
 ]

@@ -290,9 +290,10 @@ class LeaseTable:
                 "INSERT INTO cells (position, group_label, cell_key, "
                 "scenario) VALUES (?, ?, ?, ?)",
                 [
+                    # In the order scenario_to_dict wrote it, so a worker's
+                    # payload spells the scenario as a local run's does.
                     (position, group, key,
-                     json.dumps(scenario, sort_keys=True,
-                                separators=(",", ":")))
+                     json.dumps(scenario, separators=(",", ":")))
                     for position, group, key, scenario in cells
                 ],
             )

@@ -18,7 +18,8 @@ run was not deterministic or one store is corrupt.  That raises
 is copied.  "Semantically" means the payload JSON minus the volatile
 ``created_at`` stamp (two honest executions of one cell differ only there;
 ``wall_time`` lives in the index, outside the payload, and is never
-compared).
+compared) and minus the scenario summary older payloads repeat under
+``result`` (the canonical ``scenario`` beside it is compared).
 
 Campaign manifests merge by name: an unknown campaign is adopted wholesale,
 a known one must carry the identical cell list (same rule as resuming).
@@ -75,8 +76,13 @@ class MergeStats:
 
 
 def _semantic_payload(payload: dict[str, Any]) -> dict[str, Any]:
-    """A stored payload with the volatile write stamp removed."""
-    return {key: value for key, value in payload.items() if key != "created_at"}
+    """A stored payload with the volatile write stamp removed, and with the
+    ``result.scenario`` summary that payloads written before the scenario
+    was stored once still carry (the top-level ``scenario`` holds it)."""
+    semantic = {key: value for key, value in payload.items() if key != "created_at"}
+    semantic["result"] = {key: value for key, value in payload["result"].items()
+                          if key != "scenario"}
+    return semantic
 
 
 def _merge_campaigns(dest: ResultStore, source: ResultStore,

@@ -5,7 +5,7 @@ The adapters here feed the existing presentation stack —
 :class:`repro.experiments.report.ExperimentArtifact` /
 :class:`~repro.experiments.report.ExperimentResult` — from a
 :class:`~repro.campaigns.store.ResultStore` instead of live runs, using the
-same statistics (:func:`repro.analysis.stats.summarize`) over the same
+same mean (:func:`repro.simulation.metrics.pairwise_mean`) over the same
 floats in the same order.  The formatting helpers are shared with the CLI's
 live sweep rendering, so a stored campaign and an in-memory sweep of the
 same suite render byte-identical aggregate tables.
@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Mapping, Optional, Sequence, TypeVar
 
-from ..analysis.stats import summarize
 from ..experiments.report import ExperimentArtifact, ExperimentResult
+from ..simulation.metrics import pairwise_mean
 from .store import ResultStore, StoreError, StoredRow
 
 R = TypeVar("R")
@@ -42,9 +42,8 @@ def format_group_rows(
     """
     rows: list[list[Any]] = []
     for group, results in groups.items():
-        values = [v for v in (mean_latency_of(r) for r in results)
-                  if v is not None]
-        stats = summarize(float(v) for v in values)
+        mean = pairwise_mean([float(v) for v in map(mean_latency_of, results)
+                              if v is not None])
         ok = (sum(1 for r in results if ok_of(r)) / len(results)
               if results else 0.0)
         quiescent = (sum(1 for r in results if quiescent_of(r)) / len(results)
@@ -52,7 +51,7 @@ def format_group_rows(
         rows.append([
             group,
             len(results),
-            f"{stats.mean:.3f}" if stats else "-",
+            "-" if mean is None else f"{mean:.3f}",
             f"{ok:.2f}",
             f"{quiescent:.2f}",
         ])

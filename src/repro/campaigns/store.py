@@ -6,9 +6,10 @@ A :class:`ResultStore` is a directory holding ``index.sqlite`` (plus SQLite's
 :func:`~repro.campaigns.hashing.scenario_cell_key`) with the columns the
 query layer filters and aggregates on, declared once in
 :data:`RESULT_COLUMNS`; the sibling ``payloads`` table maps the cell key to
-the zlib-compressed JSON of everything the export layer records about the
-run (scenario round-trip, verdict, quiescence, metrics, deliveries, schedule
-provenance), so reading index rows never touches payload pages.
+the zlib-compressed JSON of the cell: its scenario, once, in the canonical
+form the key hashes, and what the export layer records about the run
+(verdict, quiescence, metrics, deliveries, schedule provenance), so reading
+index rows never touches payload pages.
 Counterexamples found by the schedule explorer are first-class ``artifacts``
 in the same file, keyed by a hash of scenario + schedule.
 
@@ -49,7 +50,7 @@ import zlib
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .. import obs
 from ..experiments.config import Scenario
@@ -483,15 +484,14 @@ class ResultStore:
     # ------------------------------------------------------------------ #
     # results
     # ------------------------------------------------------------------ #
-    def put(self, result: "ScenarioResult", *,
-            cell_key: Optional[str] = None) -> StoredRow:
+    def put(self, result: "ScenarioResult") -> StoredRow:
         """Persist one finished scenario result; returns its index row.
 
         Re-putting an existing cell overwrites it (the content hash
         guarantees the payload is equivalent, so this is only reachable via
         an explicit ``recompute``).
         """
-        return self.put_many([self.pack(result, cell_key)])[0]
+        return self.put_many([self.pack(result)])[0]
 
     @staticmethod
     def pack(result: "ScenarioResult",
@@ -499,7 +499,8 @@ class ResultStore:
         """The index row and compressed payload of *result*.  Pure, so it
         runs wherever the run finished (a campaign's pool worker) and only
         the packed cell has to reach the process holding the store.  The
-        key, unless given, is that of the canonical form the payload holds."""
+        payload holds the scenario once, in its canonical form; the key,
+        unless a caller that already holds it passes it, is that form's."""
         scenario = scenario_to_dict(result.scenario)
         key = cell_key_of(scenario) if cell_key is None else str(cell_key)
         payload = {
@@ -516,17 +517,14 @@ class ResultStore:
                   for name, _sql, read, _keyword in RESULT_COLUMNS),
             _pack(payload))
 
-    def put_many(self, results: Sequence[Union["ScenarioResult", PackedCell]], *,
-                 cell_keys: Optional[Sequence[str]] = None,
+    def put_many(self, cells: Sequence[PackedCell], *,
                  commit: bool = True) -> list[StoredRow]:
-        """Persist a batch of finished results in one transaction.
+        """Persist a batch of cells :meth:`pack` built, in one transaction.
 
-        An entry is a :class:`PackedCell` or a bare result, packed here
-        (under its *cell_keys* entry, if given).  Every
-        index row and payload of the batch commits together, so whatever
-        interrupts the call — a failed statement, a full disk, a SIGKILL —
-        the store holds the whole batch or none of it, and never an index
-        row without its payload.
+        Every index row and payload of the batch commits together, so
+        whatever interrupts the call — a failed statement, a full disk, a
+        SIGKILL — the store holds the whole batch or none of it, and never
+        an index row without its payload.
 
         With ``commit=False`` the batch stays in the handle's open
         transaction (visible to this handle's lookups, to no other) until
@@ -534,16 +532,8 @@ class ResultStore:
         over one cell at a time pays one commit for several.  An error
         rolls back every batch not committed yet.
         """
-        results = list(results)
-        if cell_keys is not None and len(cell_keys) != len(results):
-            raise StoreError(
-                f"put_many got {len(results)} results but "
-                f"{len(cell_keys)} cell keys"
-            )
-        if not results:
+        if not cells:
             return []
-        cells = [entry if isinstance(entry, PackedCell) else self.pack(entry, key)
-                 for entry, key in zip(results, cell_keys or [None] * len(results))]
         try:
             self._db.executemany(_INSERT_RESULT_SQL, [cell.row for cell in cells])
             self._db.executemany(_INSERT_PAYLOAD_SQL,

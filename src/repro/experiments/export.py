@@ -74,24 +74,11 @@ def provenance_from_dict(
 
 
 def scenario_result_to_dict(result: ScenarioResult) -> dict[str, Any]:
-    """Plain-dict summary of a single scenario run (JSON friendly)."""
-    scenario = result.scenario
+    """Plain-dict view of what a single scenario run produced (JSON
+    friendly).  The scenario itself is not in it: a stored payload carries
+    it once, as :func:`~repro.explore.serialize.scenario_to_dict` writes it
+    beside this dict."""
     return {
-        "scenario": {
-            "name": scenario.name,
-            "algorithm": scenario.algorithm,
-            "n_processes": scenario.n_processes,
-            "seed": scenario.seed,
-            "crashes": {str(k): v for k, v in dict(scenario.crashes).items()},
-            "loss": scenario.loss.describe(),
-            "delay": scenario.delay.describe(),
-            "channel_type": scenario.channel_type,
-            "detector_setup": scenario.detector_setup,
-            "workload": (scenario.workload if isinstance(scenario.workload, str)
-                         else scenario.workload.describe()
-                         if scenario.workload is not None else None),
-            "fd_policy": scenario.fd_policy.value,
-        },
         "verdict": {
             "validity": result.verdict.validity.holds,
             "uniform_agreement": result.verdict.uniform_agreement.holds,

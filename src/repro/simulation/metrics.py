@@ -35,6 +35,12 @@ def _pairwise_sum(values: list[float]) -> float:
                   ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7])))
 
 
+def pairwise_mean(values: list[float]) -> Optional[float]:
+    """``np.mean`` of float64 *values*, bit for bit (``None`` when empty):
+    the one mean of run latencies and of the group tables built over them."""
+    return _pairwise_sum(values) / len(values) if values else None
+
+
 def _percentile_95(ordered: list[float]) -> float:
     """``np.percentile(ordered, 95)`` of a sorted, non-empty list, bit for
     bit: numpy's ``linear`` index and its two-sided ``_lerp``."""
@@ -261,7 +267,7 @@ class MetricsCollector:
             sends_by_kind=dict(self.sends_by_kind),
             sends_by_process=dict(self.sends_by_process),
             deliveries=self.deliveries,
-            mean_latency=_pairwise_sum(lat) / len(lat) if lat else None,
+            mean_latency=pairwise_mean(lat),
             max_latency=max(lat) if lat else None,
             p95_latency=_percentile_95(sorted(lat)) if lat else None,
             last_send_time=self.last_send_time,

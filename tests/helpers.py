@@ -133,16 +133,24 @@ def downgrade_store(root: Path, version: int) -> None:
                    (str(version),))
 
 
-def tamper_with_payload(root: Path, cell_key: str) -> None:
-    """Flip the stored validity verdict of one cell of a closed store, through
-    SQL: same key, different content — what a determinism bug would produce."""
+def rewrite_payload(root: Path, cell_key: str, edit) -> None:
+    """Apply *edit* to the decoded payload of one cell of a closed store,
+    through SQL."""
     with closing(sqlite3.connect(root / "index.sqlite")) as db, db:
         [(packed,)] = db.execute(
             "SELECT payload FROM payloads WHERE cell_key = ?", (cell_key,))
         payload = json.loads(zlib.decompress(packed))
-        payload["result"]["verdict"]["validity"] = False
+        edit(payload)
         db.execute("UPDATE payloads SET payload = ? WHERE cell_key = ?",
                    (zlib.compress(json.dumps(payload).encode()), cell_key))
+
+
+def tamper_with_payload(root: Path, cell_key: str) -> None:
+    """Flip the stored validity verdict of one cell of a closed store: same
+    key, different content — what a determinism bug would produce."""
+    def flip(payload):
+        payload["result"]["verdict"]["validity"] = False
+    rewrite_payload(root, cell_key, flip)
 
 
 # --------------------------------------------------------------------------- #

@@ -1,11 +1,12 @@
 """``MetricsCollector.summary()`` computes its latency figures in Python;
 they must be numpy's, bit for bit: ``np.mean``, ``np.max`` and
-``np.percentile(..., 95)`` of the same samples, compared with ``==``."""
+``np.percentile(..., 95)`` of the same samples, compared with ``==``.  The
+mean is ``pairwise_mean``, which the campaign group tables use too."""
 
 import numpy as np
 from hypothesis import given, strategies as st
 
-from repro.simulation.metrics import MetricsCollector
+from repro.simulation.metrics import MetricsCollector, pairwise_mean
 
 #: Magnitudes from 1e-3 to 1e3, drawn from a few values so that ties occur.
 MAGNITUDES = st.one_of(
@@ -29,6 +30,7 @@ def test_summary_latencies_are_numpys(latencies):
     summary = collector_with(latencies).summary()
     values = np.asarray(latencies, dtype=float)
     assert summary.mean_latency == float(np.mean(values))
+    assert pairwise_mean(latencies) == float(np.mean(values))
     assert summary.max_latency == float(np.max(values))
     assert summary.p95_latency == float(np.percentile(values, 95))
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.campaigns.store import RESULT_COLUMNS
 from repro.network import Network
 from repro.simulation.tracing import TraceRecorder
 
@@ -337,11 +338,12 @@ class TestLoads:
         assert meta["popped"] == 500_000
 
     def test_store_load_refuses_a_missed_cell(self, bench, monkeypatch):
+        seed_at = [name for name, *_ in RESULT_COLUMNS].index("seed")
+
         class ForgetfulStore(bench.ResultStore):
-            def put(self, result, *, cell_key=None):
-                if result.scenario.seed == 7:
-                    return None
-                return super().put(result, cell_key=cell_key)
+            def put_many(self, cells, **kwargs):
+                return super().put_many(
+                    [cell for cell in cells if cell.row[seed_at] != 7], **kwargs)
 
         monkeypatch.setattr(bench, "ResultStore", ForgetfulStore)
         values, correct, meta = bench.campaign_store()

@@ -176,7 +176,7 @@ class TestResultStore:
         scenarios = [quick_scenario(seed=s) for s in range(3)]
         results = [run_scenario(s) for s in scenarios]
         with ResultStore(tmp_path / "store") as store:
-            rows = store.put_many(results)
+            rows = store.put_many([ResultStore.pack(r) for r in results])
             assert store.puts == 3
             assert [row.cell_key for row in rows] == [
                 scenario_cell_key(s) for s in scenarios
@@ -191,58 +191,54 @@ class TestResultStore:
         results = [run_scenario(s) for s in scenarios]
         keys = [scenario_cell_key(s) for s in scenarios]
         with ResultStore(tmp_path / "one") as one:
-            single = [one.put(r, cell_key=k) for r, k in zip(results, keys)]
+            single = [one.put(r) for r in results]
         with ResultStore(tmp_path / "many") as many:
-            batched = many.put_many(results, cell_keys=keys)
+            # Keys given to pack, as the distributed worker gives its lease's.
+            batched = many.put_many([ResultStore.pack(r, k)
+                                     for r, k in zip(results, keys)])
         for a, b in zip(single, batched):
             # created_at is stamped at write time; everything else must be
             # byte-for-byte what the one-at-a-time path stores.
             assert a == b.__class__(**{**b.__dict__,
                                        "created_at": a.created_at})
 
-    def test_put_many_takes_packed_cells_and_bare_results_alike(self, tmp_path):
+    def test_cells_packed_without_a_store_land_as_put_stores_them(self, tmp_path):
         results = [run_scenario(quick_scenario(seed=s)) for s in range(3)]
         cells = [ResultStore.pack(result) for result in results]  # no store
         assert [cell.cell_key for cell in cells] == [
             scenario_cell_key(result.scenario) for result in results]
         assert ResultStore.pack(results[0], "given").cell_key == "given"
-        with ResultStore(tmp_path / "bare") as bare, \
+        with ResultStore(tmp_path / "put") as put, \
                 ResultStore(tmp_path / "packed") as packed:
-            bare_rows = bare.put_many(results)
-            packed_rows = packed.put_many([cells[0], results[1], cells[2]])
+            put_rows = [put.put(result) for result in results]
+            packed_rows = packed.put_many(cells)
             assert packed.puts == 3
-            for a, b in zip(bare_rows, packed_rows):
+            for a, b in zip(put_rows, packed_rows):
                 assert a == replace(b, created_at=a.created_at)
                 assert packed.get(b.cell_key, count=False) == b
-                ours, theirs = bare.load(a.cell_key), packed.load(a.cell_key)
+                ours, theirs = put.load(a.cell_key), packed.load(a.cell_key)
                 assert ours.pop("created_at") and theirs.pop("created_at")
                 assert ours == theirs
 
-    def test_put_many_rejects_mismatched_key_count(self, tmp_path):
-        result = run_scenario(quick_scenario())
-        with ResultStore(tmp_path / "store") as store:
-            with pytest.raises(StoreError):
-                store.put_many([result], cell_keys=["a", "b"])
-            assert store.puts == 0
-
     def test_put_many_can_leave_its_batch_to_a_later_commit(self, tmp_path):
-        results = [run_scenario(quick_scenario(seed=s)) for s in range(3)]
-        keys = [scenario_cell_key(result.scenario) for result in results]
+        cells = [ResultStore.pack(run_scenario(quick_scenario(seed=s)))
+                 for s in range(3)]
+        keys = [cell.cell_key for cell in cells]
 
         def held(store):
             return sorted(row.cell_key for row in store.query())
 
         with ResultStore(tmp_path / "store") as store, \
                 ResultStore(tmp_path / "store") as other:
-            store.put_many(results[:1], commit=False)
-            store.put_many(results[1:2], commit=False)
+            store.put_many(cells[:1], commit=False)
+            store.put_many(cells[1:2], commit=False)
             assert store.puts == 2
             # The open batches are this handle's to see, no other's.
             assert store.contains(keys[1], count=False)
             assert held(other) == []
             store.commit()
             assert held(other) == sorted(keys[:2])
-            store.put_many(results[2:], commit=False)
+            store.put_many(cells[2:], commit=False)
         with ResultStore(tmp_path / "store") as store:
             assert held(store) == sorted(keys[:2])  # closed uncommitted
 
@@ -262,6 +258,14 @@ class TestResultStore:
         assert payload["result"]["metrics"]["deliveries"] == (
             result.metrics.deliveries
         )
+
+    def test_payload_holds_the_scenario_once(self, tmp_path):
+        scenario = quick_scenario(crashes={1: 2})
+        cell = ResultStore.pack(run_scenario(scenario))
+        payload = store_module._unpack(cell.payload)
+        assert payload["scenario"] == scenario_to_dict(scenario)
+        assert payload["cell_key"] == scenario_cell_key(scenario)
+        assert "scenario" not in payload["result"]
 
     def test_miss_counters_and_missing_get(self, tmp_path):
         with ResultStore(tmp_path / "store") as store:
@@ -365,7 +369,7 @@ class TestResultStore:
         with ResultStore(tmp_path / "store") as store, \
                 ResultStore(tmp_path / "other") as other:
             store.put(results[0])
-            store.put_many(results[1:])
+            store.put_many([ResultStore.pack(r) for r in results[1:]])
             other.put(run_scenario(quick_scenario(seed=9)))
             assert merge_stores(store, [other]).copied == 1
             with pytest.raises(Killed):

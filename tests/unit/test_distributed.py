@@ -8,12 +8,13 @@ import io
 import json
 import sqlite3
 import threading
+import zlib
 from contextlib import closing
 
 import pytest
 
-from helpers import (downgrade_store, tamper_with_payload, trace_statements,
-                     writes)
+from helpers import (downgrade_store, rewrite_payload, tamper_with_payload,
+                     trace_statements, writes)
 from repro import obs
 from repro.campaigns import (
     Coordinator,
@@ -249,14 +250,43 @@ class TestLeaseTable:
 # --------------------------------------------------------------------------- #
 # store merge
 # --------------------------------------------------------------------------- #
-def store_with_results(root, seeds) -> list[str]:
+def store_with_results(root, seeds, **overrides) -> list[str]:
     keys = []
     with ResultStore(root) as store:
         for seed in seeds:
-            scenario = quick_scenario(seed=seed)
+            scenario = quick_scenario(seed=seed, **overrides)
             store.put(run_scenario(scenario))
             keys.append(scenario_cell_key(scenario))
     return keys
+
+
+def with_scenario_summary(scenario: Scenario):
+    """An edit that gives a payload the ``result.scenario`` summary payloads
+    carried before the scenario was stored once (crash times spelled as the
+    caller spelled them)."""
+    summary = {
+        "name": scenario.name, "algorithm": scenario.algorithm,
+        "n_processes": scenario.n_processes, "seed": scenario.seed,
+        "crashes": {str(k): v for k, v in dict(scenario.crashes).items()},
+        "loss": scenario.loss.describe(), "delay": scenario.delay.describe(),
+        "channel_type": scenario.channel_type,
+        "detector_setup": scenario.detector_setup,
+        "workload": scenario.workload, "fd_policy": scenario.fd_policy.value,
+    }
+
+    def edit(payload):
+        payload["result"] = {"scenario": summary, **payload["result"]}
+    return edit
+
+
+def stored_payload_bytes(root, cell_key: str) -> bytes:
+    """The stored payload JSON of one cell, its ``created_at`` removed."""
+    with closing(sqlite3.connect(root / "index.sqlite")) as db:
+        [(packed,)] = db.execute(
+            "SELECT payload FROM payloads WHERE cell_key = ?", (cell_key,))
+    payload = json.loads(zlib.decompress(packed))
+    del payload["created_at"]
+    return json.dumps(payload, separators=(",", ":")).encode()
 
 
 class TestMergeStores:
@@ -302,6 +332,25 @@ class TestMergeStores:
         tamper_with_payload(tmp_path / "b", key)
         with ResultStore(tmp_path / "a") as dest, \
                 ResultStore(tmp_path / "b") as source:
+            with pytest.raises(MergeConflictError, match=key[:12]):
+                merge_stores(dest, [source])
+
+    def test_a_payload_with_the_old_scenario_summary_merges(self, tmp_path):
+        # A store written before the scenario was stored once still carries
+        # a `result.scenario` summary: not a conflict with one written after.
+        scenario = quick_scenario(crashes={1: 2})
+        [key] = store_with_results(tmp_path / "new", [0], crashes={1: 2})
+        store_with_results(tmp_path / "old", [0], crashes={1: 2})
+        rewrite_payload(tmp_path / "old", key, with_scenario_summary(scenario))
+        for dest_name, source_name in (("new", "old"), ("old", "new")):
+            with ResultStore(tmp_path / dest_name) as dest, \
+                    ResultStore(tmp_path / source_name) as source:
+                stats = merge_stores(dest, [source])
+                assert (stats.copied, stats.skipped) == (0, 1)
+        # A real difference beside the summary still refuses the merge.
+        tamper_with_payload(tmp_path / "old", key)
+        with ResultStore(tmp_path / "new") as dest, \
+                ResultStore(tmp_path / "old") as source:
             with pytest.raises(MergeConflictError, match=key[:12]):
                 merge_stores(dest, [source])
 
@@ -460,6 +509,20 @@ class TestWorkerAndCoordinator:
                         poll_interval=0.02).run()
         assert report.cells_executed == 0
         assert report.cells_cached == 4
+
+    def test_a_cell_stores_the_same_payload_on_either_path(self, tmp_path):
+        # The worker rebuilds the cell from its lease row with
+        # scenario_from_dict (crash time 2.0); the campaign packs the
+        # caller's scenario (crash time 2).
+        scenario = quick_scenario(crashes={1: 2})
+        key = scenario_cell_key(scenario)
+        run_campaign(tmp_path / "local", [scenario], name="c")
+        Coordinator(tmp_path / "job", [scenario], name="c").prepare()
+        report = Worker(tmp_path / "job", worker_id="w0",
+                        poll_interval=0.02).run()
+        assert report.cells_executed == 1
+        assert (stored_payload_bytes(report.store_root, key)
+                == stored_payload_bytes(tmp_path / "local", key))
 
     def test_a_cell_scheduled_twice_in_one_flush_runs_once(self, tmp_path):
         # A lone worker's first grant is positions 0 and 1 (the tail rule

@@ -104,7 +104,7 @@ class TestExperimentExport:
 class TestScenarioExport:
     def test_scenario_result_to_dict_structure(self, sample_scenario_result):
         data = scenario_result_to_dict(sample_scenario_result)
-        assert data["scenario"]["algorithm"] == "algorithm2"
+        assert "scenario" not in data  # the stored payload carries it, once
         assert data["verdict"]["uniform_agreement"] is True
         assert data["quiescence"]["quiescent"] is True
         assert data["anonymity_passed"] is True

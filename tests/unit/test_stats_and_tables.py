@@ -1,38 +1,33 @@
-"""Unit tests for the statistics helpers and table rendering."""
+"""Unit tests for the group-table mean and table rendering."""
 
 import pytest
 
-from repro.analysis.stats import summarize
 from repro.analysis.tables import (
     format_cell,
     render_ascii_curve,
     render_series,
     render_table,
 )
+from repro.campaigns.reporting import format_group_rows
+from repro.simulation.metrics import pairwise_mean
 
 
-class TestSummarize:
+class TestPairwiseMean:
     def test_empty_returns_none(self):
-        assert summarize([]) is None
+        assert pairwise_mean([]) is None
 
     def test_single_value(self):
-        stats = summarize([3.0])
-        assert stats.count == 1
-        assert stats.mean == 3.0
-        assert stats.std == 0.0
-        assert stats.minimum == stats.maximum == 3.0
+        assert pairwise_mean([3.0]) == 3.0
 
     def test_known_sample(self):
-        stats = summarize([1.0, 2.0, 3.0, 4.0])
-        assert stats.mean == pytest.approx(2.5)
-        assert stats.median == pytest.approx(2.5)
-        assert stats.minimum == 1.0
-        assert stats.maximum == 4.0
-        assert stats.p95 == pytest.approx(3.85)
+        assert pairwise_mean([1.0, 2.0, 3.0, 4.0]) == 2.5
 
-    def test_as_dict_keys(self):
-        data = summarize([1.0, 2.0]).as_dict()
-        assert set(data) == {"count", "mean", "std", "min", "median", "p95", "max"}
+    def test_group_table_mean_is_the_pairwise_mean(self):
+        latencies = {"a": [0.1] * 9 + [0.7] * 131, "b": [None, None]}
+        rows = format_group_rows(latencies, mean_latency_of=lambda v: v,
+                                 ok_of=bool, quiescent_of=bool)
+        assert rows[0][2] == f"{pairwise_mean(latencies['a']):.3f}"
+        assert rows[1][2] == "-"
 
 
 class TestFormatCell:

@@ -104,14 +104,12 @@ def test_put_many_interrupted_at_every_statement(tmp_path, arm, make_error):
             assert campaign_table(store, "c").render() == clean_table.render()
 
 
-@pytest.mark.parametrize("packed", [False, True], ids=["bare", "packed"])
 @pytest.mark.parametrize("make_error", FAULTS)
-def test_put_many_of_either_entry_kind_at_every_statement(
-        tmp_path, arm, make_error, packed):
-    """The campaign above hands ``put_many`` cells packed where the runs
-    finished; ``put`` and the distributed worker hand it bare results."""
+def test_put_many_of_packed_cells_at_every_statement(tmp_path, arm, make_error):
+    """``put_many`` called directly, as ``put`` and the distributed worker
+    call it: two batches of cells packed beforehand."""
     results = [run_scenario(scenario(seed)) for seed in range(4)]
-    batch = [ResultStore.pack(result) for result in results] if packed else results
+    batch = [ResultStore.pack(result) for result in results]
     keys = [scenario_cell_key(result.scenario) for result in results]
     with ResultStore(tmp_path / "clean") as clean:
         counting = arm("put_many", 2, Fault())
@@ -142,28 +140,28 @@ def test_uncommitted_batches_fall_with_the_batch_that_fails(
     """What ``put_many(commit=False)`` left open goes down with the next
     batch that fails, at any of its statements: the store holds its last
     commit, whole, and the retry lands everything."""
-    results = [run_scenario(scenario(seed)) for seed in range(3)]
-    keys = [scenario_cell_key(result.scenario) for result in results]
+    cells = [ResultStore.pack(run_scenario(scenario(seed))) for seed in range(3)]
+    keys = [cell.cell_key for cell in cells]
     with ResultStore(tmp_path / "clean") as clean:
         counting = arm("put_many", 1, Fault())
-        clean.put_many(results[2:], commit=False)
+        clean.put_many(cells[2:], commit=False)
     assert counting.seen >= 2
 
     for k in range(counting.seen):
         root = tmp_path / f"store-{k}"
         store = ResultStore(root)
-        store.put_many(results[:1])
-        store.put_many(results[1:2], commit=False)
+        store.put_many(cells[:1])
+        store.put_many(cells[1:2], commit=False)
         arm("put_many", 1, Fault(make_error(), after=k))
         with pytest.raises(type(make_error())):
-            store.put_many(results[2:], commit=False)
+            store.put_many(cells[2:], commit=False)
         store.commit()  # a caller that lives on commits nothing of it
         abandon(store)
 
         with ResultStore(root) as store:
             assert [row.cell_key for row in store.query()] == keys[:1]
             assert_whole_cells_only(store)
-            store.put_many(results[1:], commit=False)
+            store.put_many(cells[1:], commit=False)
             store.commit()
             assert sorted(row.cell_key for row in store.query()) == \
                 sorted(keys)
@@ -179,7 +177,8 @@ def shards(tmp_path):
     seeds = {"s1": [0, 1], "s2": [2, 3, 4], "s3": [5], "dest": [2]}
     for name, shard_seeds in seeds.items():
         with ResultStore(tmp_path / name) as store:
-            store.put_many([run_scenario(scenario(s)) for s in shard_seeds])
+            store.put_many([ResultStore.pack(run_scenario(scenario(s)))
+                            for s in shard_seeds])
     return tmp_path
 
 
